@@ -9,6 +9,7 @@ from .lattice import (
     build_tree,
     conditional_expectation,
     history_value,
+    level_moments,
     segment_accessors,
     z_projection,
 )
@@ -40,12 +41,14 @@ from .generators import (
     delayed_quadrature,
     eval_generator,
     generator_bound_diagnostic,
+    level_drift,
     linear_scalar,
     lipschitz_probe_audit,
 )
 from .solver import (
     BsviResult,
     EpsilonTableRow,
+    NonFiniteIterate,
     PicardDiagnostics,
     PicardNonConvergence,
     Solution,

@@ -7,8 +7,9 @@ are one-sided (every constant at most factor x median): the audited
 inequalities are upper bounds, so a constant falling away below the median is
 slack, not a violation.
 
-Everything here is pure over immutable solutions and may run concurrently
-over leaves or schedule entries.
+Everything here is pure over immutable solutions; drifts are evaluated one
+level at a time through `generators.level_drift` and pathwise quantities are
+accumulated as level arrays.
 """
 
 import math
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, Zero, subgradient_check
-from .generators import GeneratorSpec, eval_generator, generator_at_origin
-from .lattice import AdaptedProcess, ScenarioTree, segment_accessors
+from .generators import GeneratorSpec, level_drift, origin_drift_mass
+from .lattice import AdaptedProcess, ScenarioTree, level_moments, row_sq_norms
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class BoundAudit:
     context: str
 
 
-def _sq_mag(arr: np.ndarray) -> np.ndarray:
-    return np.sum(arr.reshape(arr.shape[0], -1) ** 2, axis=1)
-
-
 def path_norms(process: AdaptedProcess, tree: ScenarioTree,
                beta: float = 0.0) -> NormReport:
     """Exact S^2/H^2 statistics under the uniform leaf measure.
@@ -58,7 +55,7 @@ def path_norms(process: AdaptedProcess, tree: ScenarioTree,
     values = process.values
     running = None
     for i, arr in enumerate(values):
-        mag = math.exp(beta * i * dt) * _sq_mag(arr)
+        mag = math.exp(beta * i * dt) * row_sq_norms(arr)
         if running is None:
             running = mag
         else:
@@ -67,7 +64,7 @@ def path_norms(process: AdaptedProcess, tree: ScenarioTree,
     s2 = float(np.mean(running))
     full_span = len(values) == n + 1
     levels = range(1, n + 1) if full_span else range(len(values))
-    h2 = sum(dt * math.exp(beta * i * dt) * float(np.mean(_sq_mag(values[i])))
+    h2 = sum(dt * math.exp(beta * i * dt) * float(np.mean(row_sq_norms(values[i])))
              for i in levels)
     return NormReport(s2=s2, h2=float(h2), beta=beta)
 
@@ -96,16 +93,9 @@ def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
     rhs_data is M_1 = E[|xi|^2 + int_0^T e^{beta s}|F(s,0,0,0,0)|^2 ds]; the
     verdict requires every empirical constant within 2x of their median.
     """
-    grid = tree.grid
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    m, d = xi.shape[1], tree.bm_dim
-    f0 = sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(
-        generator_at_origin(gen, i * grid.dt, m, d,
-                            horizon=grid.horizon, dt=grid.dt) ** 2))
-        for i in range(grid.n_steps))
-    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + f0
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass(
+        gen, tree, xi.shape[1], beta)
     rows = []
     for eps, sol in per_epsilon:
         lhs = (path_norms(sol.Y, tree, beta).s2
@@ -134,17 +124,10 @@ def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     stored U is not trusted).  The verdict asks the (a) and (c) constants to
     stay within 4x of their medians; (b) must stay finite.
     """
-    grid = tree.grid
-    dt, n = grid.dt, grid.n_steps
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    m, d = xi.shape[1], tree.bm_dim
-    f0 = sum(dt * float(np.sum(generator_at_origin(
-        gen, i * dt, m, d, horizon=grid.horizon, dt=dt) ** 2))
-        for i in range(n))
-    m2 = float(np.mean(np.sum(xi ** 2, axis=1)
-                       + np.atleast_1d(phi.value(xi)))) + f0
+    dt, n = tree.grid.dt, tree.grid.n_steps
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
+        + origin_drift_mass(gen, tree, xi.shape[1])
     grad_rows, value_rows, gap_rows = [], [], []
     for eps, sol in per_epsilon:
         grad_h2 = 0.0
@@ -224,30 +207,19 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
 
     lhs is the beta-weighted squared S^2 distance of Y plus H^2 distance of Z;
     rhs is E[|dxi|^2 + int |F_a - F_b|^2 ds] with both drifts evaluated along
-    the first solution (pure history lookups, no predictor substitution).
+    the first solution, reading their past segments from it.
     """
-    grid = tree.grid
-    dt, n = grid.dt, grid.n_steps
-    dy = AdaptedProcess(tree, [a - b for a, b in zip(sol_a.Y.values, sol_b.Y.values)])
-    dz = AdaptedProcess(tree, [a - b for a, b in zip(sol_a.Z.values, sol_b.Z.values)])
-    lhs = path_norms(dy, tree, beta).s2 + path_norms(dz, tree, beta).h2
+    dt, n = tree.grid.dt, tree.grid.n_steps
+    lhs = (path_norms(sol_a.Y - sol_b.Y, tree, beta).s2
+           + path_norms(sol_a.Z - sol_b.Z, tree, beta).h2)
     dxi = np.asarray(xi_a, dtype=float).reshape(len(sol_a.Y.values[n]), -1) \
         - np.asarray(xi_b, dtype=float).reshape(len(sol_b.Y.values[n]), -1)
     rhs = float(np.mean(np.sum(dxi ** 2, axis=1)))
     for i in range(n):
-        t = i * dt
-        size = tree.level_size(i)
-        acc = 0.0
-        for j in range(size):
-            past_y, past_z = segment_accessors(sol_a.Y, sol_a.Z, i, j)
-            y_val = sol_a.Y.values[i][j]
-            z_val = sol_a.Z.values[i][j]
-            fa = eval_generator(gen_a, t, y_val, z_val, past_y, past_z,
-                                horizon=grid.horizon, dt=dt)
-            fb = eval_generator(gen_b, t, y_val, z_val, past_y, past_z,
-                                horizon=grid.horizon, dt=dt)
-            acc += float(np.sum((fa - fb) ** 2))
-        rhs += dt * acc / size
+        y_val, z_val = sol_a.Y.values[i], sol_a.Z.values[i]
+        fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y, sol_a.Z)
+        fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y, sol_a.Z)
+        rhs += dt * float(np.sum((fa - fb) ** 2)) / tree.level_size(i)
     if rhs <= 1e-30:
         return StabilityAudit(lhs=lhs, rhs_data=rhs, empirical_constant=0.0,
                               vacuous=True)
@@ -266,11 +238,8 @@ def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
     """Probe set for subdifferential checks: origin, finite box corners, and
     terminal values pulled into the domain (adversarial directions live on the
     boundary)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    m = xi.shape[1]
-    probes = [np.zeros(m)]
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    probes = [np.zeros(xi.shape[1])]
     lo = getattr(phi, "lo", None)
     hi = getattr(phi, "hi", None)
     if lo is not None and hi is not None:
@@ -299,48 +268,28 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     being J_eps(Y_i) for penalized runs and Y_i itself for prox runs.
     phi integrability: E sum dt phi at those points (finite for admissible runs).
     """
-    grid = tree.grid
-    dt, n = grid.dt, grid.n_steps
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
+    dt, n = tree.grid.dt, tree.grid.n_steps
     if probes is None:
         probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = solution.frozen_past if solution.frozen_past else (solution.Y, solution.Z)
-    b, m = tree.branching, xi.shape[1]
-    inc = tree.increment_patterns
-    penalized = solution.scheme == "penalized" and solution.epsilon is not None
+    penalized = (solution.scheme == "penalized" and solution.epsilon is not None
+                 and not isinstance(phi, Zero))
     eq_res = 0.0
     sub_res = -np.inf
     phi_mass = 0.0
     for i in range(n - 1, -1, -1):
-        size = tree.level_size(i)
-        kids = solution.Y.values[i + 1].reshape(size, b, m)
-        expect = kids.mean(axis=1)
-        z_here = np.einsum("jbm,bd->jmd", kids, inc) / (b * dt)
-        level_phi = 0.0
-        for j in range(size):
-            y_val = solution.Y.values[i][j]
-            u_val = solution.U.values[i][j]
-            past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
-                                               current_y=expect[j],
-                                               current_z=z_here[j])
-            drift = eval_generator(gen, i * dt, expect[j], z_here[j],
-                                   past_y, past_z,
-                                   horizon=grid.horizon, dt=dt)
-            resid = y_val + dt * u_val - expect[j] - dt * drift
-            eq_res = max(eq_res, float(np.max(np.abs(resid))))
-            if isinstance(phi, Zero):
-                point, grad = y_val, u_val
-            elif penalized:
-                point = convex.prox(phi, solution.epsilon, y_val)
-                grad = (y_val - point) / solution.epsilon
-            else:
-                point, grad = y_val, u_val
-            check = subgradient_check(phi, point, grad, probes)
-            sub_res = max(sub_res, check.worst_violation)
-            level_phi += float(phi.value(point))
-        phi_mass += dt * level_phi / size
+        y_val, u_val = solution.Y.values[i], solution.U.values[i]
+        expect, z_here = level_moments(tree, solution.Y.values[i + 1])
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z)
+        resid = y_val + dt * u_val - expect - dt * drift
+        eq_res = max(eq_res, float(np.max(np.abs(resid))))
+        if penalized:
+            point = convex.prox(phi, solution.epsilon, y_val)
+            grad = (y_val - point) / solution.epsilon
+        else:
+            point, grad = y_val, u_val
+        sub_res = max(sub_res, subgradient_check(phi, point, grad, probes).worst_violation)
+        phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
     return ResidualReport(equation_residual=eq_res,
                           subdiff_residual=float(sub_res),
                           phi_integrability=phi_mass)

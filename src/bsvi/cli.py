@@ -20,7 +20,7 @@ import yaml
 
 from . import analysis, convex, generators, problems, solver
 from .lattice import build_tree
-from .solver import PicardNonConvergence, SolverConfig, WellposednessError
+from .solver import NonFiniteIterate, PicardNonConvergence, SolverConfig, WellposednessError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -149,6 +149,11 @@ def parse_config(path, *, overrides: dict | None = None) -> ProblemConfig:
     return config_from_dict(doc, overrides=overrides)
 
 
+def _override(overrides: dict, key: str, fallback):
+    value = overrides.get(key)
+    return fallback if value is None else value
+
+
 def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConfig:
     overrides = overrides or {}
     model = _need(doc, "model", "config")
@@ -156,7 +161,7 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     n_steps = int(_need(model, "n_steps", "model"))
     bm_dim = int(model.get("bm_dim", 1))
     dim = int(model.get("dim", 1))
-    max_nodes = overrides.get("max_nodes") or int(model.get("max_nodes", 2 ** 22))
+    max_nodes = _override(overrides, "max_nodes", int(model.get("max_nodes", 2 ** 22)))
     try:
         tree = build_tree(n_steps, horizon, bm_dim, max_nodes=max_nodes)
     except ValueError as exc:
@@ -169,7 +174,7 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     phi = _build_phi(doc.get("phi", {"kind": "zero"}))
 
     sconf = doc.get("solver", {}) or {}
-    beta = overrides.get("beta") or sconf.get("beta")
+    beta = _override(overrides, "beta", sconf.get("beta"))
     kwargs = dict(
         beta=float(beta) if beta is not None else None,
         picard_tol=float(sconf.get("picard_tol", 1e-10)),
@@ -189,8 +194,8 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     if mode not in RUN_MODES:
         raise ConfigError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
     epsilon = float(run.get("epsilon", solver_config.epsilon_schedule[-1]))
-    out_dir = overrides.get("out_dir") or run.get("out_dir", "out")
-    out_format = overrides.get("out_format") or run.get("format", "json")
+    out_dir = _override(overrides, "out_dir", run.get("out_dir", "out"))
+    out_format = _override(overrides, "out_format", run.get("format", "json"))
     if out_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {out_format!r}")
     return ProblemConfig(raw=doc, horizon=horizon, n_steps=n_steps,
@@ -409,6 +414,9 @@ def main(argv=None) -> int:
                     {"growth": exc.report.growth})
     except ValueError as exc:
         return fail(EXIT_VALIDATION, "validation", str(exc))
+    except NonFiniteIterate as exc:
+        return fail(EXIT_DIVERGENCE, "nonfinite", str(exc),
+                    {"level": exc.level, "node": exc.node})
     except PicardNonConvergence as exc:
         return fail(EXIT_DIVERGENCE, "divergence" if exc.diverged else "stall",
                     str(exc),

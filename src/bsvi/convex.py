@@ -10,8 +10,7 @@ Array convention: points live on the last axis, so ``value`` and ``prox``
 accept arbitrary leading batch dimensions.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -262,12 +261,13 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
     The defining inequality <u, v - y> + phi(y) <= phi(v) is evaluated for
     every probe v; the worst (largest) left-minus-right slack is returned and
     the check passes iff it stays below ``tol``.  Probes outside the domain
-    satisfy the inequality trivially.
+    satisfy the inequality trivially.  Batched (y, u) pairs on leading axes
+    are checked together, the worst slack running over all of them.
     """
     point = _as_points(y)
     grad = _as_points(u)
-    phi_y = float(spec.value(point))
-    if not np.isfinite(phi_y):
+    phi_y = spec.value(point)
+    if not np.all(np.isfinite(phi_y)):
         raise ValueError("subgradient check requires y in the domain of phi")
     worst = -np.inf
     for v in probes:
@@ -275,8 +275,8 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
         phi_v = float(spec.value(vv))
         if not np.isfinite(phi_v):
             continue
-        violation = float(np.dot(grad, vv - point)) + phi_y - phi_v
-        worst = max(worst, violation)
+        violation = np.sum(grad * (vv - point), axis=-1) + phi_y - phi_v
+        worst = max(worst, float(np.max(violation)))
     return SubgradientCheck(passed=worst <= tol, worst_violation=worst)
 
 

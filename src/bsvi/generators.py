@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .lattice import row_sq_norms, segment_accessors
+
 
 class GeneratorError(RuntimeError):
     """A generator callback failed or was called inconsistently."""
@@ -108,10 +110,7 @@ def delayed_quadrature(accessor, t: float, alpha: DelayMeasure,
             raise ValueError("uniform delay measure needs horizon and dt")
         n = int(round(horizon / dt))
         samples = [weighted(-(n - j) * dt) for j in range(n + 1)]
-        acc = 0.5 * (samples[0] + samples[-1])
-        for s in samples[1:-1]:
-            acc = acc + s
-        return acc * dt / horizon
+        return sum(samples[1:-1], 0.5 * (samples[0] + samples[-1])) * dt / horizon
     raise TypeError(f"unknown delay measure {alpha!r}")
 
 
@@ -208,8 +207,9 @@ class DelayedZ(GeneratorSpec):
 class RunningIntegralZ(GeneratorSpec):
     """F(s) = kappa * int_0^s z(u) du (trapezoid over the grid points of [0, s]).
 
-    Equivalently the uniform-measure moving average scaled by the horizon,
-    thanks to the zero extension of z below time 0.
+    Not the uniform moving average scaled by the horizon: for s < T that
+    trapezoid over [s - T, s] weights z(0) by dt, not dt/2, so it exceeds this
+    drift by kappa * dt * z(0) / 2.
     """
 
     kappa: float
@@ -277,7 +277,11 @@ def _squeeze_z(z: np.ndarray, who: str) -> np.ndarray:
 def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
                    *, horizon: float | None = None,
                    dt: float | None = None) -> np.ndarray:
-    """Evaluate the drift at grid time t with past segments as accessors."""
+    """Evaluate the drift at grid time t with past segments as accessors.
+
+    Built-ins accept leading batch axes on (y, z) and accessor rows (see
+    `level_drift`); a `CustomGenerator` callback takes one node.
+    """
     y = np.asarray(y, dtype=float)
     z2 = np.asarray(z, dtype=float)
     if z2.ndim == 1:
@@ -285,7 +289,7 @@ def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
     if isinstance(gen, ZeroGen):
         return np.zeros_like(y)
     if isinstance(gen, LinearInstant):
-        return gen.a_y @ y + np.einsum("kml,ml->k", gen.b_z, z2)
+        return y @ gen.a_y.T + np.einsum("kml,...ml->...k", gen.b_z, z2)
     if isinstance(gen, DelayedZ):
         past = _squeeze_z(past_z(-gen.lag), "DelayedZ")
         return gen.kappa * past
@@ -297,10 +301,7 @@ def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
             return np.zeros_like(y)
         samples = [_squeeze_z(past_z(-(steps - j) * dt), "RunningIntegralZ")
                    for j in range(steps + 1)]
-        acc = 0.5 * (samples[0] + samples[-1])
-        for s in samples[1:-1]:
-            acc = acc + s
-        return gen.kappa * dt * acc
+        return gen.kappa * dt * sum(samples[1:-1], 0.5 * (samples[0] + samples[-1]))
     if isinstance(gen, MovingAverageZ):
         return delayed_quadrature(
             lambda theta: _squeeze_z(past_z(theta), "MovingAverageZ"),
@@ -325,6 +326,46 @@ def generator_at_origin(gen: GeneratorSpec, t: float, m: int, d: int,
                           horizon=horizon, dt=dt)
 
 
+def origin_drift_mass(gen: GeneratorSpec, tree, m: int, beta: float = 0.0) -> float:
+    """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds, left endpoints on the grid."""
+    grid = tree.grid
+    return sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(
+        generator_at_origin(gen, i * grid.dt, m, tree.bm_dim,
+                            horizon=grid.horizon, dt=grid.dt) ** 2))
+        for i in range(grid.n_steps))
+
+
+def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
+                frozen_y, frozen_z) -> np.ndarray:
+    """Drift F(t_i, y, z, past) at every node of level i as a (size, m) array.
+
+    The past segments are read from (frozen_y, frozen_z), except at offset 0,
+    which resolves to the level's current (y, z).  Built-ins run as one batched
+    call; `CustomGenerator` callbacks are per node by contract.
+    """
+    grid = tree.grid
+    t = i * grid.dt
+    if not isinstance(gen, CustomGenerator):
+        past_y, past_z = segment_accessors(frozen_y, frozen_z, i, np.arange(y.shape[0]),
+                                           current_y=y, current_z=z)
+        drift = eval_generator(gen, t, y, z, past_y, past_z,
+                               horizon=grid.horizon, dt=grid.dt)
+        # every lookup before time 0 leaves a single extension row
+        return np.broadcast_to(drift, y.shape)
+    drift = np.empty_like(y)
+    for j in range(y.shape[0]):
+        past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
+                                           current_y=y[j], current_z=z[j])
+        out = eval_generator(gen, t, y[j], z[j], past_y, past_z,
+                             horizon=grid.horizon, dt=grid.dt)
+        if out.shape != y.shape[1:]:
+            raise GeneratorError(
+                f"custom generator returned shape {out.shape} at t={t}, node {j} "
+                f"of level {i}; expected {y.shape[1:]}")
+        drift[j] = out
+    return drift
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
@@ -336,41 +377,30 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
     For each leaf path, compares int_0^T |F|^2 against
     3(2L^2+K) T sup|Y|^2 + 3(2L^2+K) int |Z|^2 + 3 int |F(s,0,0,0,0)|^2 and
     returns the maximum of (actual - bound); values <= 0 certify the bound.
+    The drift reads the past of (y_process, z_process) themselves.
     """
-    from .lattice import segment_accessors
-
     grid = tree.grid
     n, dt, horizon = grid.n_steps, grid.dt, grid.horizon
     big_l = gen.lipschitz_instant()
     big_k = gen.lipschitz_delay(horizon)
-    m = y_process.values[0].shape[1]
-    d = z_process.values[0].shape[2]
-    f0_sq = sum(
-        dt * float(np.sum(generator_at_origin(gen, i * dt, m, d,
-                                              horizon=horizon, dt=dt) ** 2))
-        for i in range(n)
-    )
-    worst = -np.inf
-    for leaf in range(tree.level_size(n)):
-        sup_y = 0.0
-        int_z = 0.0
-        int_f = 0.0
-        for i in range(n + 1):
-            node = leaf >> (tree.bm_dim * (n - i))
-            y_val = y_process.values[i][node]
-            sup_y = max(sup_y, float(np.sum(y_val ** 2)))
-            if i == n:
-                continue
-            z_val = z_process.values[i][node]
-            int_z += dt * float(np.sum(z_val ** 2))
-            past_y, past_z = segment_accessors(y_process, z_process, i, node)
-            drift = eval_generator(gen, i * dt, y_val, z_val, past_y, past_z,
-                                   horizon=horizon, dt=dt)
-            int_f += dt * float(np.sum(drift ** 2))
-        bound = (3 * (2 * big_l ** 2 + big_k) * horizon * sup_y
-                 + 3 * (2 * big_l ** 2 + big_k) * int_z + 3 * f0_sq)
-        worst = max(worst, int_f - bound)
-    return worst
+    f0_sq = origin_drift_mass(gen, tree, y_process.values[0].shape[1])
+    # pathwise accumulators, repeated down the tree one level at a time
+    sup_y = int_z = int_f = np.zeros(1)
+    for i in range(n + 1):
+        if i:
+            sup_y, int_z, int_f = (np.repeat(a, tree.branching)
+                                   for a in (sup_y, int_z, int_f))
+        y_val = y_process.values[i]
+        sup_y = np.maximum(sup_y, row_sq_norms(y_val))
+        if i == n:
+            continue
+        z_val = z_process.values[i]
+        drift = level_drift(gen, tree, i, y_val, z_val, y_process, z_process)
+        int_z = int_z + dt * row_sq_norms(z_val)
+        int_f = int_f + dt * row_sq_norms(drift)
+    bound = (3 * (2 * big_l ** 2 + big_k) * horizon * sup_y
+             + 3 * (2 * big_l ** 2 + big_k) * int_z + 3 * f0_sq)
+    return float(np.max(int_f - bound))
 
 
 def _step_accessor(values: np.ndarray, t: float, dt: float, zero_extension: bool):

@@ -83,13 +83,8 @@ class ScenarioTree:
     def increment_patterns(self) -> np.ndarray:
         """(B, bm_dim) array of +-sqrt(dt) sign patterns, child k in row k."""
         step = math.sqrt(self.grid.dt)
-        b, d = self.branching, self.bm_dim
-        patterns = np.empty((b, d))
-        for k in range(b):
-            for axis in range(d):
-                bit = (k >> (d - 1 - axis)) & 1
-                patterns[k, axis] = -step if bit else step
-        return patterns
+        bits = (np.arange(self.branching)[:, None] >> np.arange(self.bm_dim)[::-1]) & 1
+        return np.where(bits == 1, -step, step)
 
     def path_sums(self) -> "AdaptedProcess":
         """Cumulative increment process: the discrete W on every node."""
@@ -132,6 +127,9 @@ class AdaptedProcess:
 
     def copy(self) -> "AdaptedProcess":
         return AdaptedProcess(self.tree, [v.copy() for v in self.values])
+
+    def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
+        return AdaptedProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
 
 
 def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
@@ -179,7 +177,22 @@ def z_projection(child_values, child_increments, dt: float) -> np.ndarray:
     return np.einsum("ck,cl->kl", vals, incs) / (vals.shape[0] * dt)
 
 
-def history_value(process: AdaptedProcess, level: int, node: int,
+def row_sq_norms(level: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every node's value in a level array."""
+    return np.sum(level.reshape(level.shape[0], -1) ** 2, axis=1)
+
+
+def level_moments(tree: ScenarioTree, y_next: np.ndarray):
+    """Exact E[Y_{i+1} | F_{t_i}] (size, m) and Z projection (size, m, d) for
+    every node of level i from the values of level i + 1: the level-array form
+    of `conditional_expectation` and `z_projection`."""
+    b = tree.branching
+    kids = y_next.reshape(y_next.shape[0] // b, b, -1)
+    z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)
+    return kids.mean(axis=1), z
+
+
+def history_value(process: AdaptedProcess, level: int, node,
                   query_time: float, kind: str) -> np.ndarray:
     """Past value of an adapted process seen from node (level, node).
 
@@ -187,6 +200,9 @@ def history_value(process: AdaptedProcess, level: int, node: int,
     floor(query_time/dt) is returned (left-constant interpolation).  For
     query_time < 0 the extension convention applies: state-type ("y") processes
     return the root value, integrand-type ("z") processes return zero.
+
+    ``node`` may be an int array: the result gains its leading axis, except
+    before time 0, where the one extension value serves every node.
     """
     if kind not in ("y", "z"):
         raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
@@ -209,7 +225,7 @@ def history_value(process: AdaptedProcess, level: int, node: int,
 
 
 def segment_accessors(y_process: AdaptedProcess, z_process: AdaptedProcess,
-                      level: int, node: int,
+                      level: int, node,
                       current_y: np.ndarray | None = None,
                       current_z: np.ndarray | None = None):
     """Past-segment accessors theta -> value for the generator at node (level, node).
@@ -218,6 +234,9 @@ def segment_accessors(y_process: AdaptedProcess, z_process: AdaptedProcess,
     values when supplied (the solver passes its predictor pair there), otherwise
     the processes' own node values; theta < 0 goes through ``history_value`` and
     its t < 0 extension.
+
+    ``node`` may be an int array, with current values stacked on the same
+    leading axis; lookups then return one row per node (see `history_value`).
     """
     dt = y_process.tree.grid.dt
     t_here = level * dt

@@ -4,7 +4,7 @@ The outer Picard iteration freezes the past segments at the previous iterate
 (starting from the zero pair) and runs one backward pass per sweep:
 
     E_i   = mean of the node's children Y values        (exact expectation)
-    Z_i   = martingale projection of the children       (z_projection)
+    Z_i   = martingale projection of the children
     Ytil  = E_i + dt * F(t_i, E_i, Z_i, frozen past)
     Y_i   = Ytil                                         (no penalty)
           | solve  Y + dt * grad phi_eps(Y) = Ytil       (penalized scheme)
@@ -17,12 +17,15 @@ discrete equation Y_i + dt U_i = E_i + dt F_i exact.  (An explicit update
 grad phi_eps(E_i) loses the eps -> 0 limit at fixed dt: its correction scales
 like dt/eps once eps falls below dt.)
 
-Past segments read at offset 0 resolve to the current predictor pair
-(E_i, Z_i), so generators with no effective delay never touch the frozen
-iterate and the Picard loop terminates after the confirmation sweep.
+Each step runs on a whole level at once: `lattice.level_moments` gives
+(E_i, Z_i) and `generators.level_drift` the drift, reading the frozen past
+through ancestor indices.  Past segments read at offset 0 resolve to the
+current predictor pair (E_i, Z_i), so generators with no effective delay never
+touch the frozen iterate and the Picard loop terminates after the
+confirmation sweep.
 
-Within one backward pass the nodes of a level are independent; Picard sweeps
-are inherently sequential; distinct solves share immutable trees safely.
+The nodes of a level are independent; Picard sweeps are inherently
+sequential; distinct solves share immutable trees safely.
 """
 
 import math
@@ -32,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convex
+from .analysis import path_norms
 from .convex import ConvexFunction, Zero
-from .generators import GeneratorSpec, ZeroGen, eval_generator, lipschitz_probe_audit, CustomGenerator
-from .lattice import AdaptedProcess, ScenarioTree, segment_accessors
+from .generators import GeneratorSpec, level_drift, lipschitz_probe_audit, CustomGenerator
+from .lattice import AdaptedProcess, ScenarioTree, level_moments
 
 
 DEFAULT_EPSILON_SCHEDULE = tuple(2.0 ** -k for k in range(11))
@@ -137,6 +141,15 @@ class PicardNonConvergence(RuntimeError):
         self.diverged = diverged
 
 
+class NonFiniteIterate(PicardNonConvergence):
+    """A sweep produced a non-finite iterate; ``level`` and ``node`` locate the
+    first non-finite Y the backward pass reached (None if Y is finite)."""
+
+    def __init__(self, message: str, diagnostics: PicardDiagnostics, level, node):
+        super().__init__(message, diagnostics, diverged=True)
+        self.level, self.node = level, node
+
+
 class WellposednessError(RuntimeError):
     """Raised instead of warning when the hard gate is enabled."""
 
@@ -168,40 +181,19 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: AdaptedProcess, frozen_z: AdaptedProcess,
               phi: ConvexFunction | None, epsilon: float | None,
               scheme: str):
-    grid = tree.grid
-    n, dt, horizon = grid.n_steps, grid.dt, grid.horizon
-    b, m = tree.branching, xi.shape[1]
-    inc = tree.increment_patterns
-    zero_gen = isinstance(gen, ZeroGen)
-    linear = hasattr(gen, "a_y")
-
+    n, dt = tree.grid.n_steps, tree.grid.dt
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
     u_levels = [None] * n
     y_levels[n] = xi.copy()
 
     for i in range(n - 1, -1, -1):
-        size = tree.level_size(i)
-        kids = y_levels[i + 1].reshape(size, b, m)
-        expect = kids.mean(axis=1)
-        z_here = np.einsum("jbm,bd->jmd", kids, inc) / (b * dt)
-        if zero_gen:
-            drift = np.zeros((size, m))
-        elif linear and not gen.uses_past():
-            drift = expect @ gen.a_y.T + np.einsum("kml,jml->jk", gen.b_z, z_here)
-        else:
-            t = i * dt
-            drift = np.empty((size, m))
-            for j in range(size):
-                past_y, past_z = segment_accessors(
-                    frozen_y, frozen_z, i, j,
-                    current_y=expect[j], current_z=z_here[j])
-                drift[j] = eval_generator(gen, t, expect[j], z_here[j],
-                                          past_y, past_z, horizon=horizon, dt=dt)
+        expect, z_here = level_moments(tree, y_levels[i + 1])
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z)
         target = expect + dt * drift
         if phi is None or isinstance(phi, Zero):
             y_here = target
-            u_here = np.zeros((size, m))
+            u_here = np.zeros_like(target)
         elif scheme == "penalized":
             y_here, u_here = convex.resolvent_step(phi, epsilon, dt, target)
         else:  # prox_step
@@ -241,10 +233,9 @@ def _weighted_distance(tree: ScenarioTree, y_new, z_new, y_old, z_old,
     gate: sup-norm of e^{beta t/2} |dY| plus the square root of the
     e^{beta t}-weighted H^2 sum of dZ."""
     dt = tree.grid.dt
-    sup_y = 0.0
-    for i, (a, b_) in enumerate(zip(y_new, y_old)):
-        w = math.exp(0.5 * beta * i * dt)
-        sup_y = max(sup_y, w * float(np.max(np.abs(a - b_))))
+    # np.max, unlike the builtin, keeps a NaN level from being skipped
+    sup_y = float(np.max([math.exp(0.5 * beta * i * dt) * float(np.max(np.abs(a - b_)))
+                          for i, (a, b_) in enumerate(zip(y_new, y_old))]))
     h2_z = 0.0
     for i, (a, b_) in enumerate(zip(z_new, z_old)):
         w = math.exp(beta * i * dt)
@@ -301,6 +292,14 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
         dist = _weighted_distance(tree, ys, zs, frozen_y.values, frozen_z.values, beta)
         diag.iterate_distances.append(dist)
         diag.iterations_used = sweep
+        if not math.isfinite(dist):
+            bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
+                   for i, y in reversed(list(enumerate(ys))) if not np.isfinite(y).all()]
+            level, node = bad[0] if bad else (None, None)
+            raise NonFiniteIterate(
+                f"sweep {sweep} gave a non-finite iterate (distance {dist}); first "
+                f"non-finite Y of the backward pass at level {level}, node {node}",
+                diag, level, node)
         if len(diag.iterate_distances) >= 2:
             prev = diag.iterate_distances[-2]
             ratio = dist / prev if prev > 0 else 0.0
@@ -366,24 +365,6 @@ class BsviResult:
     per_epsilon: list  # [(epsilon, Solution)] over the whole schedule
 
 
-def _plain_s2(values) -> float:
-    running = None
-    for arr in values:
-        mag = np.sum(arr.reshape(arr.shape[0], -1) ** 2, axis=1)
-        if running is None:
-            running = mag
-        else:
-            b = mag.shape[0] // running.shape[0]
-            running = np.maximum(np.repeat(running, b), mag)
-    return float(np.sqrt(np.mean(running)))
-
-
-def _plain_h2(values, dt: float) -> float:
-    total = sum(dt * float(np.mean(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1)))
-                for a in values)
-    return float(np.sqrt(total))
-
-
 def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
                phi: ConvexFunction, config: SolverConfig | None = None) -> BsviResult:
     """Run the penalization schedule; the returned solution is the final-eps run.
@@ -399,9 +380,8 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
         per_eps.append((eps, solve_penalized(tree, xi, gen, phi, eps, config)))
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
-        dy = _plain_s2([a - b for a, b in zip(sol_a.Y.values, sol_b.Y.values)])
-        dz = _plain_h2([a - b for a, b in zip(sol_a.Z.values, sol_b.Z.values)],
-                       dt)
+        dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)
+        dz = math.sqrt(path_norms(sol_a.Z - sol_b.Z, tree).h2)
         grad_sq = sum(dt * float(np.mean(np.sum(
             convex.yosida_grad(phi, eps_a, y) ** 2, axis=-1)))
             for y in sol_a.Y.values[:-1])

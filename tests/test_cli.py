@@ -170,6 +170,28 @@ def test_cli_flag_overrides(tmp_path):
     report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["wellposedness"]["beta"] == 2.0
 
+    # zero overrides reach validation instead of falling back to the config
+    for flag in ("--beta", "--max-nodes"):
+        code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o3"),
+                     flag, "0"])
+        assert code == EXIT_PARSE, flag
+
+
+def test_nonfinite_iterate_exit_code(tmp_path, capsys):
+    # Y_i = (1 + W_i)(1 + dt a)^(n - i) overflows at level 1 of 4
+    doc = minimal_doc()
+    doc["model"]["n_steps"] = 4
+    doc["terminal"]["a"] = [1.0]
+    doc["generator"] = {"kind": "linear", "a": [[1e150]], "b": [[[0.0]]]}
+    doc["solver"] = {"beta": 1.0}
+    path = write_config(tmp_path, doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DIVERGENCE
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "nonfinite"
+    assert (doc["level"], doc["node"]) == (1, 0)
+
 
 @pytest.mark.filterwarnings("ignore:well-posedness gate failed")
 def test_all_shipped_configs_run(tmp_path):

@@ -146,6 +146,19 @@ def test_subgradient_check_examples():
     assert ok2.passed
     with pytest.raises(ValueError, match="domain"):
         subgradient_check(box, [2.0], [0.0], [[0.0]])
+    # batched (nodes, m) pairs: the worst slack over all rows, one per-row call each
+    box2 = IndicatorBox([-1.0, -0.5], [1.0, 2.0])
+    ys = np.array([[1.0, 0.0], [0.5, 2.0], [-1.0, -0.5], [0.2, 0.3]])
+    us = np.array([[3.0, 0.0], [0.0, 1.0], [-1.0, 0.4], [0.1, 0.0]])
+    probes = [[0.0, 0.0], [1.0, 2.0], [-1.0, -0.5], [0.9, -0.4], [5.0, 5.0]]
+    batched = subgradient_check(box2, ys, us, probes)
+    rows = [subgradient_check(box2, y, u, probes) for y, u in zip(ys, us)]
+    assert batched.worst_violation == max(r.worst_violation for r in rows)
+    assert batched.passed == all(r.passed for r in rows)
+    assert not batched.passed  # the interior row has a nonzero u
+    with pytest.raises(ValueError, match="domain"):
+        subgradient_check(box2, np.vstack([ys, [[0.0, 3.0]]]), np.vstack([us, [[0.0, 0.0]]]),
+                          probes)
 
 
 def test_yosida_triple_identity():

@@ -17,6 +17,7 @@ from bsvi.generators import (
     delayed_quadrature,
     eval_generator,
     generator_bound_diagnostic,
+    level_drift,
     linear_scalar,
     lipschitz_probe_audit,
 )
@@ -239,3 +240,79 @@ def test_fubini_shift_inequality_pathwise():
                 lhs += dt * float(sq)
                 rhs += dt * float(np.sum(z.values[i][node] ** 2))
             assert lhs <= rhs + 1e-10
+
+
+def test_running_integral_is_not_the_scaled_uniform_average():
+    # z(t_k) = 1 + k on every node; at t = 3/8 the trapezoid over [0, t] gives
+    # z(0) half a weight, the uniform average over [t - T, t] a full one
+    tree = build_tree(8, 1.0, 1)
+    dt, horizon, kappa, i = tree.grid.dt, tree.grid.horizon, 0.7, 3
+    z = AdaptedProcess(tree, [np.full((tree.level_size(k), 1, 1), 1.0 + k)
+                              for k in range(8)])
+    y = tree.path_sums()
+    running = level_drift(RunningIntegralZ(kappa=kappa), tree, i,
+                          y.values[i], z.values[i], y, z)
+    scaled_uniform = level_drift(
+        MovingAverageZ(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
+                       alpha=UniformPast()),
+        tree, i, y.values[i], z.values[i], y, z)
+    assert np.allclose(running, 0.65625, rtol=0, atol=1e-15)
+    assert np.allclose(scaled_uniform, 0.7, rtol=0, atol=1e-15)
+    z0 = 1.0
+    assert np.allclose(scaled_uniform - running, kappa * dt * z0 / 2, rtol=0, atol=1e-15)
+
+
+LEVEL_DRIFT_CASES = {
+    "zero": (ZeroGen(), 1, 1),
+    "linear": (linear_scalar(0.7, -0.4), 1, 1),
+    "linear_m2_d2": (LinearInstant(np.array([[0.3, -0.1], [0.2, 0.1]]),
+                                   np.arange(8.0).reshape(2, 2, 2) / 10), 2, 2),
+    "delayed_z_short_lag": (DelayedZ(kappa=0.8, lag=0.25), 1, 1),
+    "delayed_z_beyond_horizon": (DelayedZ(kappa=0.8, lag=2.0), 1, 1),
+    "dirac_on_grid": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+                                     alpha=Dirac(-0.5)), 1, 1),
+    "dirac_off_grid": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+                                      alpha=Dirac(-0.3)), 1, 1),
+    "dirac_at_zero": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+                                     alpha=Dirac(0.0)), 1, 1),
+    "mixture": (MovingAverageZ(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
+        ((-0.5, 0.3), (-0.1, 0.2), (0.0, 0.5)))), 1, 1),
+    "uniform": (MovingAverageZ(g=lambda t: 0.5 + t, g_bound=1.5,
+                               alpha=UniformPast()), 1, 1),
+    "running_integral": (RunningIntegralZ(kappa=0.6), 1, 1),
+    "custom": (CustomGenerator(
+        fn=lambda t, y, z, py, pz: -0.5 * y + 0.3 * pz(-0.25)[:, 0] + 0.1 * py(-0.5),
+        declared_instant=0.5, declared_delay=0.2, alpha=Dirac(-0.25)), 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_DRIFT_CASES))
+def test_level_drift_matches_per_node_evaluation(name):
+    gen, m, d = LEVEL_DRIFT_CASES[name]
+    tree = build_tree(4, 1.0, d)
+    grid = tree.grid
+    rng = np.random.default_rng(11)
+    frozen_y = AdaptedProcess(tree, [rng.normal(size=(tree.level_size(i), m))
+                                     for i in range(5)])
+    frozen_z = AdaptedProcess(tree, [rng.normal(size=(tree.level_size(i), m, d))
+                                     for i in range(4)])
+    for i in range(4):
+        y = rng.normal(size=(tree.level_size(i), m))
+        z = rng.normal(size=(tree.level_size(i), m, d))
+        got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z)
+        assert got.shape == y.shape
+        for j in range(tree.level_size(i)):
+            past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
+                                               current_y=y[j], current_z=z[j])
+            ref = eval_generator(gen, i * grid.dt, y[j], z[j], past_y, past_z,
+                                 horizon=grid.horizon, dt=grid.dt)
+            np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
+
+
+def test_custom_drift_of_wrong_shape_is_a_generator_error():
+    tree = build_tree(2, 1.0, 1)
+    y, z = random_paths(tree, 3)
+    gen = CustomGenerator(fn=lambda t, y, z, py, pz: np.zeros(2),
+                          declared_instant=0.0, declared_delay=0.0)
+    with pytest.raises(GeneratorError, match=r"t=0\.5, node 0 of level 1; expected \(1,\)"):
+        level_drift(gen, tree, 1, y.values[1], z.values[1], y, z)

@@ -13,6 +13,7 @@ from bsvi.problems import (
     terminal_linear,
 )
 from bsvi.solver import (
+    NonFiniteIterate,
     PicardNonConvergence,
     SolverConfig,
     WellposednessError,
@@ -165,6 +166,27 @@ def test_divergent_y_delay_is_diagnosed():
             picard_solve(tree, xi, gen, SolverConfig(beta=1.0))
     assert err.value.diverged
     assert max(err.value.diagnostics.contraction_ratios) > 1.0
+
+
+@pytest.mark.parametrize("bad_time", [0.5, 0.0])
+def test_nonfinite_iterate_fails_on_first_sweep(bad_time):
+    # a NaN drift at one grid time; at t = 0 it reaches Y(0) alone, where no
+    # Z level sees it, so the sup part of the distance must carry it
+    tree = bsvi.build_tree(4, 1.0, 1)
+    xi = terminal_linear(tree, 0.0, 1.0)
+
+    def drift(t, y, z, past_y, past_z):
+        return np.full_like(y, np.nan) if t == bad_time else -y
+
+    gen = generators.CustomGenerator(fn=drift, declared_instant=1.0,
+                                     declared_delay=0.0)
+    with pytest.raises(NonFiniteIterate) as err:
+        picard_solve(tree, xi, gen)
+    level = int(bad_time / tree.grid.dt)
+    assert err.value.diagnostics.iterations_used == 1
+    assert (err.value.level, err.value.node) == (level, 0)
+    assert f"level {level}, node 0" in str(err.value)
+    assert isinstance(err.value, PicardNonConvergence)
 
 
 def test_hard_gate_raises():
