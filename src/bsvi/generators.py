@@ -1,14 +1,16 @@
 """Time-delayed generators F(t, y, z, past_y, past_z) and their delay measures.
 
 A delay measure is a probability measure on [-horizon, 0] weighting how the
-past segments of (Y, Z) enter the drift.  Past segments are exposed to the
-generator as accessors theta -> value with theta in [-horizon, 0]; lookups at
-negative absolute times resolve through the extension Y(t) = Y(0), Z(t) = 0.
+past segments of (Y, Z) enter the drift, integrated through its (theta, weight)
+atoms on the grid.  Past segments are exposed to the generator as accessors
+theta -> value with theta in [-horizon, 0]; lookups at negative absolute times
+resolve through the extension Y(t) = Y(0), Z(t) = 0.
 
-Built-in generators know their exact Lipschitz constants; a random two-point
-probe audit (`lipschitz_probe_audit`) backs declared constants for custom
-callbacks.  Specs are immutable and evaluation is pure; custom callbacks must
-be re-entrant.
+A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
+exact Lipschitz constants; a random two-point probe audit
+(`lipschitz_probe_audit`) backs declared constants for custom callbacks.
+Specs are immutable and evaluation is pure; custom callbacks must be
+re-entrant.
 """
 
 import math
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import row_sq_norms, segment_accessors
+from .lattice import grid_row, row_sq_norms, segment_accessors
 
 
 class GeneratorError(RuntimeError):
@@ -31,6 +33,25 @@ class GeneratorError(RuntimeError):
 class DelayMeasure:
     """Probability measure on [-horizon, 0]."""
 
+    def discretize(self, horizon: float | None = None,
+                   dt: float | None = None) -> tuple:
+        """(theta, weight) atoms on the dt grid; offsets below -horizon raise."""
+        raise NotImplementedError
+
+
+def _check_support(theta: float, horizon: float | None):
+    if horizon is not None and theta < -horizon - 1e-9 * horizon:
+        raise ValueError(f"delay offset {theta} outside [-{horizon}, 0]")
+
+
+def _trapezoid(steps: int, dt: float, weight: float) -> tuple:
+    """Trapezoid atoms on the offsets -steps*dt, ..., -dt, 0: ``weight`` at the
+    interior offsets, half of it at both ends, none at all for steps = 0."""
+    if steps == 0:
+        return ()
+    return tuple((-(steps - j) * dt, weight if 0 < j < steps else 0.5 * weight)
+                 for j in range(steps + 1))
+
 
 @dataclass(frozen=True)
 class Dirac(DelayMeasure):
@@ -42,10 +63,20 @@ class Dirac(DelayMeasure):
         if self.theta > 0:
             raise ValueError("delay offset must be <= 0")
 
+    def discretize(self, horizon=None, dt=None):
+        _check_support(self.theta, horizon)
+        return ((self.theta, 1.0),)
+
 
 @dataclass(frozen=True)
 class UniformPast(DelayMeasure):
-    """Uniform probability on [-horizon, 0]; horizon is bound at quadrature time."""
+    """Uniform probability on [-horizon, 0]; horizon is bound at quadrature
+    time, where the trapezoid rule on the dt-spaced offsets integrates it."""
+
+    def discretize(self, horizon=None, dt=None):
+        if horizon is None or dt is None:
+            raise ValueError("uniform delay measure needs horizon and dt")
+        return _trapezoid(int(round(horizon / dt)), dt, dt / horizon)
 
 
 @dataclass(frozen=True)
@@ -67,14 +98,21 @@ class DiscreteMixture(DelayMeasure):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights must sum to 1, got {total}")
 
+    def discretize(self, horizon=None, dt=None):
+        for theta, _ in self.atoms:
+            _check_support(theta, horizon)
+        return self.atoms
 
-def dirac_at_zero() -> Dirac:
-    return Dirac(0.0)
 
-
-def _check_support(theta: float, horizon: float | None):
-    if horizon is not None and theta < -horizon - 1e-9 * horizon:
-        raise ValueError(f"delay offset {theta} outside [-{horizon}, 0]")
+def _weighted_atoms(alpha: DelayMeasure, t: float, weight=None, *,
+                   horizon: float | None = None, dt: float | None = None) -> tuple:
+    """alpha's atoms, each weight times g(t + theta) for the optional weight g,
+    which vanishes at negative arguments."""
+    atoms = alpha.discretize(horizon, dt)
+    if weight is None:
+        return atoms
+    return tuple((theta, w * (0.0 if t + theta < 0 else float(weight(t + theta))))
+                 for theta, w in atoms)
 
 
 def delayed_quadrature(accessor, t: float, alpha: DelayMeasure,
@@ -82,36 +120,13 @@ def delayed_quadrature(accessor, t: float, alpha: DelayMeasure,
                        dt: float | None = None) -> np.ndarray:
     """Integrate the past segment against the delay measure.
 
-    Computes int_{-T}^0 g(t + theta) * accessor(theta) alpha(dtheta) where the
-    optional weight g vanishes at negative arguments.  Dirac and mixture
-    measures reduce to weighted lookups; the uniform measure is integrated by
-    the trapezoid rule on the dt-spaced offsets covering [t - horizon, t]
-    (``horizon`` and ``dt`` are then required).
+    Computes int_{-T}^0 g(t + theta) * accessor(theta) alpha(dtheta), where the
+    optional weight g vanishes at negative arguments, as one weighted sum over
+    the atoms of `DelayMeasure.discretize` (the uniform measure needs
+    ``horizon`` and ``dt``).
     """
-    def weighted(theta: float) -> np.ndarray:
-        if weight is None:
-            return np.asarray(accessor(theta), dtype=float)
-        u = t + theta
-        g = 0.0 if u < 0 else float(weight(u))
-        return g * np.asarray(accessor(theta), dtype=float)
-
-    if isinstance(alpha, Dirac):
-        _check_support(alpha.theta, horizon)
-        return weighted(alpha.theta)
-    if isinstance(alpha, DiscreteMixture):
-        total = None
-        for theta, w in alpha.atoms:
-            _check_support(theta, horizon)
-            term = w * weighted(theta)
-            total = term if total is None else total + term
-        return total
-    if isinstance(alpha, UniformPast):
-        if horizon is None or dt is None:
-            raise ValueError("uniform delay measure needs horizon and dt")
-        n = int(round(horizon / dt))
-        samples = [weighted(-(n - j) * dt) for j in range(n + 1)]
-        return sum(samples[1:-1], 0.5 * (samples[0] + samples[-1])) * dt / horizon
-    raise TypeError(f"unknown delay measure {alpha!r}")
+    return sum(c * np.asarray(accessor(theta), dtype=float)
+               for theta, c in _weighted_atoms(alpha, t, weight, horizon=horizon, dt=dt))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +134,19 @@ def delayed_quadrature(accessor, t: float, alpha: DelayMeasure,
 # ---------------------------------------------------------------------------
 
 class GeneratorSpec:
-    """Base class; subclasses provide the drift and their Lipschitz metadata."""
+    """Base class.  A built-in drift overrides ``instant`` and ``past_z_terms``
+    (both zero by default) and declares its Lipschitz constants."""
 
     alpha: DelayMeasure = Dirac(0.0)
+
+    def instant(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Present-value part of the drift; (y, z) may carry leading batch axes."""
+        return np.zeros_like(y)
+
+    def past_z_terms(self, t: float, horizon: float | None,
+                     dt: float | None) -> tuple:
+        """(theta, c) terms of the past-Z part at grid time t (d = 1 only)."""
+        return ()
 
     def lipschitz_instant(self) -> float:
         """L in |F(t,y,z,p) - F(t,ybar,zbar,p)| <= L(|y-ybar| + |z-zbar|)."""
@@ -169,6 +194,9 @@ class LinearInstant(GeneratorSpec):
     def m(self):
         return self.a_y.shape[0]
 
+    def instant(self, y, z):
+        return y @ self.a_y.T + np.einsum("kml,...ml->...k", self.b_z, z)
+
     def lipschitz_instant(self):
         m = self.m
         na = float(np.linalg.norm(self.a_y, 2))
@@ -196,6 +224,9 @@ class DelayedZ(GeneratorSpec):
             raise ValueError("lag must be >= 0")
         object.__setattr__(self, "alpha", Dirac(-self.lag))
 
+    def past_z_terms(self, t, horizon, dt):
+        return ((-self.lag, self.kappa),)
+
     def lipschitz_instant(self):
         return 0.0
 
@@ -215,6 +246,11 @@ class RunningIntegralZ(GeneratorSpec):
     kappa: float
     alpha: DelayMeasure = field(default_factory=UniformPast)
 
+    def past_z_terms(self, t, horizon, dt):
+        if dt is None:
+            raise ValueError("running-integral generator needs dt")
+        return _trapezoid(int(round(t / dt)), dt, self.kappa * dt)
+
     def lipschitz_instant(self):
         return 0.0
 
@@ -228,13 +264,16 @@ class MovingAverageZ(GeneratorSpec):
     """F(s) = int_{-T}^0 g(s + theta) z(s + theta) alpha(dtheta).
 
     ``g`` must be bounded measurable on [0, T] with g(t) = 0 for t < 0 (the
-    wrapper enforces the negative-argument cutoff); ``g_bound`` declares
+    quadrature enforces the negative-argument cutoff); ``g_bound`` declares
     sup |g| and feeds the delay Lipschitz constant K = g_bound^2.
     """
 
     g: Callable[[float], float]
     g_bound: float
-    alpha: DelayMeasure = field(default_factory=dirac_at_zero)
+    alpha: DelayMeasure = field(default_factory=Dirac)
+
+    def past_z_terms(self, t, horizon, dt):
+        return _weighted_atoms(self.alpha, t, self.g, horizon=horizon, dt=dt)
 
     def lipschitz_instant(self):
         return 0.0
@@ -254,24 +293,13 @@ class CustomGenerator(GeneratorSpec):
     fn: Callable
     declared_instant: float
     declared_delay: float
-    alpha: DelayMeasure = field(default_factory=dirac_at_zero)
+    alpha: DelayMeasure = field(default_factory=Dirac)
 
     def lipschitz_instant(self):
         return self.declared_instant
 
     def lipschitz_delay(self, horizon):
         return self.declared_delay
-
-
-def _squeeze_z(z: np.ndarray, who: str) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[-1] != 1:
-        raise GeneratorError(
-            f"{who} requires a one-dimensional driving noise (z has d = {z.shape[-1]})"
-        )
-    return z[..., 0]
 
 
 def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
@@ -283,37 +311,22 @@ def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
     `level_drift`); a `CustomGenerator` callback takes one node.
     """
     y = np.asarray(y, dtype=float)
-    z2 = np.asarray(z, dtype=float)
-    if z2.ndim == 1:
-        z2 = z2[:, None]
-    if isinstance(gen, ZeroGen):
-        return np.zeros_like(y)
-    if isinstance(gen, LinearInstant):
-        return y @ gen.a_y.T + np.einsum("kml,...ml->...k", gen.b_z, z2)
-    if isinstance(gen, DelayedZ):
-        past = _squeeze_z(past_z(-gen.lag), "DelayedZ")
-        return gen.kappa * past
-    if isinstance(gen, RunningIntegralZ):
-        if dt is None:
-            raise ValueError("running-integral generator needs dt")
-        steps = int(round(t / dt))
-        if steps == 0:
-            return np.zeros_like(y)
-        samples = [_squeeze_z(past_z(-(steps - j) * dt), "RunningIntegralZ")
-                   for j in range(steps + 1)]
-        return gen.kappa * dt * sum(samples[1:-1], 0.5 * (samples[0] + samples[-1]))
-    if isinstance(gen, MovingAverageZ):
-        return delayed_quadrature(
-            lambda theta: _squeeze_z(past_z(theta), "MovingAverageZ"),
-            t, gen.alpha, weight=gen.g, horizon=horizon, dt=dt)
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 1:
+        z = z[:, None]
     if isinstance(gen, CustomGenerator):
         try:
-            out = gen.fn(t, y, z2, past_y, past_z)
+            out = gen.fn(t, y, z, past_y, past_z)
         except Exception as exc:
             raise GeneratorError(
                 f"custom generator failed at t={t}: {exc}") from exc
         return np.asarray(out, dtype=float)
-    raise TypeError(f"unknown generator spec {gen!r}")
+    terms = gen.past_z_terms(t, horizon, dt)
+    if terms and z.shape[-1] != 1:
+        raise GeneratorError(
+            f"{type(gen).__name__} requires a one-dimensional driving noise "
+            f"(z has d = {z.shape[-1]})")
+    return sum((c * past_z(theta)[..., 0] for theta, c in terms), gen.instant(y, z))
 
 
 def generator_at_origin(gen: GeneratorSpec, t: float, m: int, d: int,
@@ -348,10 +361,8 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
     if not isinstance(gen, CustomGenerator):
         past_y, past_z = segment_accessors(frozen_y, frozen_z, i, np.arange(y.shape[0]),
                                            current_y=y, current_z=z)
-        drift = eval_generator(gen, t, y, z, past_y, past_z,
-                               horizon=grid.horizon, dt=grid.dt)
-        # every lookup before time 0 leaves a single extension row
-        return np.broadcast_to(drift, y.shape)
+        return eval_generator(gen, t, y, z, past_y, past_z,
+                              horizon=grid.horizon, dt=grid.dt)
     drift = np.empty_like(y)
     for j in range(y.shape[0]):
         past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
@@ -406,11 +417,9 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
 def _step_accessor(values: np.ndarray, t: float, dt: float, zero_extension: bool):
     """Accessor over offsets for a deterministic step path given on the grid."""
     def acc(theta: float) -> np.ndarray:
-        u = t + theta
-        if u < -1e-9 * dt:
+        k = grid_row(t + theta, dt, len(values) - 1)
+        if k is None:
             return np.zeros_like(values[0]) if zero_extension else values[0]
-        k = int(math.floor(u / dt + 1e-9))
-        k = min(max(k, 0), len(values) - 1)
         return values[k]
     return acc
 

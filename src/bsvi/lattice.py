@@ -44,13 +44,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    def time(self, i: int) -> float:
-        return i * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
@@ -71,13 +64,6 @@ class ScenarioTree:
 
     def level_size(self, level: int) -> int:
         return self.branching ** level
-
-    @property
-    def n_levels(self) -> int:
-        return self.grid.n_steps + 1
-
-    def parent_index(self, node: int, generations: int = 1) -> int:
-        return node >> (self.bm_dim * generations)
 
     @property
     def increment_patterns(self) -> np.ndarray:
@@ -118,15 +104,8 @@ class AdaptedProcess:
                 )
 
     @property
-    def n_levels(self) -> int:
-        return len(self.values)
-
-    @property
     def last_level(self) -> int:
         return len(self.values) - 1
-
-    def copy(self) -> "AdaptedProcess":
-        return AdaptedProcess(self.tree, [v.copy() for v in self.values])
 
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return AdaptedProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
@@ -192,6 +171,15 @@ def level_moments(tree: ScenarioTree, y_next: np.ndarray):
     return kids.mean(axis=1), z
 
 
+def grid_row(query_time: float, dt: float, last: int) -> int | None:
+    """Grid row holding a left-constant path's value at query_time:
+    floor(query_time / dt) up to the snapping slack, clamped to [0, last].
+    None before time 0, where the extension convention applies instead."""
+    if query_time < -_TIME_SLACK * dt:
+        return None
+    return min(max(int(math.floor(query_time / dt + _TIME_SLACK)), 0), last)
+
+
 def history_value(process: AdaptedProcess, level: int, node,
                   query_time: float, kind: str) -> np.ndarray:
     """Past value of an adapted process seen from node (level, node).
@@ -208,18 +196,16 @@ def history_value(process: AdaptedProcess, level: int, node,
         raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
     dt = process.tree.grid.dt
     t_here = level * dt
-    slack = _TIME_SLACK * dt
-    if query_time > t_here + slack:
+    if query_time > t_here + _TIME_SLACK * dt:
         raise ValueError(
             f"query_time {query_time} is after node time {t_here}; "
             "future lookups would break adaptedness"
         )
-    if query_time < -slack:
+    k = grid_row(query_time, dt, level)
+    if k is None:
         if kind == "y":
             return process.values[0][0]
         return np.zeros_like(process.values[0][0])
-    k = int(math.floor(query_time / dt + _TIME_SLACK))
-    k = min(max(k, 0), level)
     ancestor = node >> (process.tree.bm_dim * (level - k))
     return process.values[k][ancestor]
 

@@ -75,10 +75,3 @@ def delayed_box_problem(n_steps: int = 3, horizon: float = 0.1):
     phi = convex.IndicatorBox(-0.2, 0.2)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -0.2, 0.2)
     return tree, xi, gen, phi
-
-
-SHIPPED_PROBLEMS = {
-    "box_linear": box_linear_problem,
-    "quadratic": quadratic_problem,
-    "delayed_box": delayed_box_problem,
-}

@@ -42,6 +42,9 @@ from .lattice import AdaptedProcess, ScenarioTree, level_moments
 
 
 DEFAULT_EPSILON_SCHEDULE = tuple(2.0 ** -k for k in range(11))
+# Picard blow-up: this many consecutive contraction ratios above the threshold.
+DIVERGENCE_RATIO = 1.05
+DIVERGENCE_PATIENCE = 5
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,6 @@ class SolverConfig:
     epsilon_schedule: tuple = DEFAULT_EPSILON_SCHEDULE
     scheme: str = "penalized"
     hard_gate: bool = False
-    divergence_ratio: float = 1.05
-    divergence_patience: int = 5
 
     def __post_init__(self):
         sched = tuple(float(e) for e in self.epsilon_schedule)
@@ -88,20 +89,27 @@ class WellposednessReport:
 def check_wellposedness(L: float, K: float, horizon: float,
                         beta: float) -> WellposednessReport:
     """Evaluate the contraction gate.  K = 0 has no delay and passes trivially;
-    L = 0 with K > 0 makes both conditions unattainable."""
-    growth = K * math.exp(beta * horizon)
+    L = 0 with K > 0 makes both conditions unattainable.  A weight e^{beta T}
+    or an L^2 beyond the float range raises ValueError."""
+    try:
+        weight = math.exp(beta * horizon)
+    except OverflowError:
+        raise ValueError(f"beta * T = {beta * horizon:.6g} is too large: the weight "
+                         "e^(beta T) overflows a float") from None
+    growth = K * weight
+    l_sq = _square_lipschitz(L)
     if K == 0.0:
         uniq, exist = True, True
     elif L == 0.0:
         uniq, exist = False, False
     else:
-        uniq = growth < 2 * L ** 2
-        exist = growth < 6 * L ** 2
+        uniq = growth < 2 * l_sq
+        exist = growth < 6 * l_sq
     return WellposednessReport(
         L=L, K=K, horizon=horizon, beta=beta, growth=growth,
         uniqueness_ok=uniq, existence_ok=exist,
-        uniqueness_margin=2 * L ** 2 - growth,
-        existence_margin=6 * L ** 2 - growth,
+        uniqueness_margin=2 * l_sq - growth,
+        existence_margin=6 * l_sq - growth,
     )
 
 
@@ -243,10 +251,18 @@ def _weighted_distance(tree: ScenarioTree, y_new, z_new, y_old, z_old,
     return sup_y + math.sqrt(h2_z)
 
 
+def _square_lipschitz(L: float) -> float:
+    try:
+        return L ** 2
+    except OverflowError:
+        raise ValueError(f"Lipschitz constant L = {L:.6g} is too large: "
+                         "L^2 overflows a float") from None
+
+
 def resolve_beta(config: SolverConfig, gen: GeneratorSpec) -> float:
     if config.beta is not None:
         return config.beta
-    return 24.0 * gen.lipschitz_instant() ** 2 + 1.0
+    return 24.0 * _square_lipschitz(gen.lipschitz_instant()) + 1.0
 
 
 def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
@@ -257,8 +273,10 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
 
     Starts from the zero pair, sweeps until the weighted iterate distance
     falls below ``picard_tol``, and raises `PicardNonConvergence` on blow-up
-    (ratio above ``divergence_ratio`` for ``divergence_patience`` consecutive
-    sweeps) or exhaustion of ``picard_max_iters``.
+    (ratio above ``DIVERGENCE_RATIO`` for ``DIVERGENCE_PATIENCE`` consecutive
+    sweeps) or exhaustion of ``picard_max_iters``.  This is the one place the
+    well-posedness gate is checked: it warns, or raises `WellposednessError`
+    under ``hard_gate``.
     """
     config = config or SolverConfig()
     scheme = scheme or config.scheme
@@ -304,7 +322,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
             prev = diag.iterate_distances[-2]
             ratio = dist / prev if prev > 0 else 0.0
             diag.contraction_ratios.append(ratio)
-            over_ratio = over_ratio + 1 if ratio > config.divergence_ratio else 0
+            over_ratio = over_ratio + 1 if ratio > DIVERGENCE_RATIO else 0
         prev_y, prev_z = frozen_y, frozen_z
         frozen_y = AdaptedProcess(tree, ys)
         frozen_z = AdaptedProcess(tree, zs)
@@ -314,10 +332,10 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
                 Y=frozen_y, Z=frozen_z, U=AdaptedProcess(tree, us),
                 diagnostics=diag, scheme=scheme, epsilon=eps,
                 frozen_past=(prev_y, prev_z), wellposedness=report)
-        if over_ratio >= config.divergence_patience:
+        if over_ratio >= DIVERGENCE_PATIENCE:
             raise PicardNonConvergence(
                 f"picard iteration diverging: last ratios "
-                f"{diag.contraction_ratios[-config.divergence_patience:]}",
+                f"{diag.contraction_ratios[-DIVERGENCE_PATIENCE:]}",
                 diag, diverged=True)
     raise PicardNonConvergence(
         f"no convergence within {config.picard_max_iters} sweeps "

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,44 @@ def test_hard_gate_exit_code(tmp_path):
     code = main([str(CONFIGS / "gate_violation.yaml"),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
+
+
+def test_hard_gate_error_names_the_growth(tmp_path, capsys):
+    code = main([str(CONFIGS / "gate_violation.yaml"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "wellposedness_gate"
+    assert doc["growth"] == pytest.approx(9.0 * math.exp(1.0))
+
+
+def test_overflowing_lipschitz_constant_is_a_validation_error(tmp_path, capsys):
+    # L^2 overflows in the default beta = 24 L^2 + 1 and in the gate itself
+    doc = minimal_doc()
+    doc["generator"] = {"kind": "linear", "a": [[1e300]], "b": [[[0.0]]]}
+    for solver_section in ({}, {"beta": 1.0}):
+        doc["solver"] = solver_section
+        path = write_config(tmp_path, doc)
+        code = main([str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validation"
+        assert "L = 1e+300" in err["message"]
+
+
+def test_overflowing_beta_is_a_validation_error(tmp_path, capsys):
+    code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o1"),
+                 "--beta", "1000"])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "beta * T = 1000" in err["message"]
+    # e^(beta T) = e^700 still fits in a float
+    code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o2"),
+                 "--beta", "700", "--format", "json"])
+    assert code == 0
+    report = json.loads((tmp_path / "o2" / "report.json").read_text())
+    assert report["wellposedness"]["beta"] == 700.0
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bsvi.generators import (
     Dirac,
     DiscreteMixture,
     GeneratorError,
+    GeneratorSpec,
     LinearInstant,
     MovingAverageZ,
     RunningIntegralZ,
@@ -37,6 +39,26 @@ def test_delay_measure_validation():
     with pytest.raises(ValueError, match="positive"):
         DiscreteMixture(((-0.5, 1.5), (0.0, -0.5)))
     DiscreteMixture(((-0.5, 0.5), (0.0, 0.5)))
+
+
+@pytest.mark.parametrize("alpha", [
+    Dirac(0.0), Dirac(-0.3), Dirac(-1.0), UniformPast(),
+    DiscreteMixture(((-1.0, 0.25), (-0.5, 0.5), (0.0, 0.25))),
+])
+def test_discretize_weights_sum_to_one(alpha):
+    for n_steps in (1, 4, 7):
+        atoms = alpha.discretize(1.0, 1.0 / n_steps)
+        assert sum(w for _, w in atoms) == pytest.approx(1.0, abs=1e-14)
+        assert all(-1.0 - 1e-12 <= theta <= 0.0 and w > 0 for theta, w in atoms)
+
+
+def test_discretize_rejects_offsets_beyond_the_horizon():
+    with pytest.raises(ValueError, match="outside"):
+        Dirac(-1.5).discretize(1.0, 0.25)
+    with pytest.raises(ValueError, match="outside"):
+        DiscreteMixture(((-1.5, 0.5), (0.0, 0.5))).discretize(1.0, 0.25)
+    with pytest.raises(ValueError, match="horizon"):
+        UniformPast().discretize(None, 0.25)
 
 
 def test_quadrature_dirac_at_zero_is_current_value():
@@ -316,3 +338,26 @@ def test_custom_drift_of_wrong_shape_is_a_generator_error():
                           declared_instant=0.0, declared_delay=0.0)
     with pytest.raises(GeneratorError, match=r"t=0\.5, node 0 of level 1; expected \(1,\)"):
         level_drift(gen, tree, 1, y.values[1], z.values[1], y, z)
+
+
+def test_new_z_delay_drift_needs_only_a_spec_class():
+    # F = y / 2 + 2 z(t - dt): an instant part plus one past-Z term
+    @dataclass(frozen=True)
+    class HalfYPlusLaggedZ(GeneratorSpec):
+        def instant(self, y, z):
+            return 0.5 * y
+
+        def past_z_terms(self, t, horizon, dt):
+            return ((-dt, 2.0),)
+
+        def lipschitz_instant(self):
+            return 0.5
+
+        def lipschitz_delay(self, horizon):
+            return 4.0
+
+    tree = build_tree(3, 0.75, 1)
+    y, z = random_paths(tree, 5)
+    got = level_drift(HalfYPlusLaggedZ(), tree, 2, y.values[2], z.values[2], y, z)
+    expected = 0.5 * y.values[2] + 2.0 * z.values[1][np.arange(4) >> 1, :, 0]
+    assert np.array_equal(got, expected)

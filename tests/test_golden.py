@@ -24,17 +24,24 @@ def differences(ref, got, where=""):
     if isinstance(ref, dict):
         if not isinstance(got, dict):
             return [f"{where}: expected a mapping"]
-        return [d for key, value in ref.items()
-                for d in (differences(value, got[key], f"{where}.{key}")
-                          if key in got else [f"{where}.{key}: missing"])]
+        found = []
+        for key, value in ref.items():
+            if key not in got:
+                found.append(f"{where}.{key}: missing")
+            else:
+                found += differences(value, got[key], f"{where}.{key}")
+        return found
     if isinstance(ref, list):
         if not isinstance(got, list) or len(got) != len(ref):
             return [f"{where}: expected a list of {len(ref)}"]
         return [d for k, (r, g) in enumerate(zip(ref, got))
                 for d in differences(r, g, f"{where}[{k}]")]
-    if isinstance(ref, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
-        return [] if abs(got - ref) <= ATOL + RTOL * abs(ref) else [f"{where}: {got!r} != {ref!r}"]
-    return [] if got == ref else [f"{where}: {got!r} != {ref!r}"]
+    if isinstance(ref, float) and isinstance(got, float):
+        if abs(got - ref) <= ATOL + RTOL * abs(ref):
+            return []
+    elif got == ref:
+        return []
+    return [f"{where}: {got!r} != reference {ref!r}"]
 
 
 @pytest.mark.parametrize("stem", SHIPPED)

@@ -21,6 +21,7 @@ from bsvi.solver import (
     check_wellposedness,
     picard_solve,
     prox_step_solve,
+    resolve_beta,
     solve_bsvi,
     solve_penalized,
 )
@@ -47,6 +48,16 @@ def test_gate_examples():
 
     rep = check_wellposedness(0.0, 0.5, 0.05, 25.0)
     assert not rep.uniqueness_ok and not rep.existence_ok
+
+
+def test_gate_overflow_is_a_value_error_naming_the_quantity():
+    with pytest.raises(ValueError, match=r"beta \* T = 1000"):
+        check_wellposedness(1.0, 0.0, 1.0, 1000.0)
+    with pytest.raises(ValueError, match=r"L = 1e\+300"):
+        check_wellposedness(1e300, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"L = 1e\+300"):
+        resolve_beta(SolverConfig(), generators.linear_scalar(1e300, 0.0))
+    check_wellposedness(1.0, 0.5, 1.0, 700.0)  # e^700 still fits
 
 
 def test_gate_uniqueness_implies_existence():
