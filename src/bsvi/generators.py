@@ -104,29 +104,16 @@ class DiscreteMixture(DelayMeasure):
         return self.atoms
 
 
-def _weighted_atoms(alpha: DelayMeasure, t: float, weight=None, *,
-                   horizon: float | None = None, dt: float | None = None) -> tuple:
-    """alpha's atoms, each weight times g(t + theta) for the optional weight g,
-    which vanishes at negative arguments."""
-    atoms = alpha.discretize(horizon, dt)
-    if weight is None:
-        return atoms
-    return tuple((theta, w * (0.0 if t + theta < 0 else float(weight(t + theta))))
-                 for theta, w in atoms)
-
-
-def delayed_quadrature(accessor, t: float, alpha: DelayMeasure,
-                       weight=None, *, horizon: float | None = None,
+def delayed_quadrature(accessor, t: float, alpha: DelayMeasure, *,
+                       horizon: float | None = None,
                        dt: float | None = None) -> np.ndarray:
-    """Integrate the past segment against the delay measure.
-
-    Computes int_{-T}^0 g(t + theta) * accessor(theta) alpha(dtheta), where the
-    optional weight g vanishes at negative arguments, as one weighted sum over
+    """Integrate the past segment read back from grid time t against the delay
+    measure: int_{-T}^0 accessor(theta) alpha(dtheta), as one weighted sum over
     the atoms of `DelayMeasure.discretize` (the uniform measure needs
     ``horizon`` and ``dt``).
     """
     return sum(c * np.asarray(accessor(theta), dtype=float)
-               for theta, c in _weighted_atoms(alpha, t, weight, horizon=horizon, dt=dt))
+               for theta, c in alpha.discretize(horizon, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +260,8 @@ class MovingAverageZ(GeneratorSpec):
     alpha: DelayMeasure = field(default_factory=Dirac)
 
     def past_z_terms(self, t, horizon, dt):
-        return _weighted_atoms(self.alpha, t, self.g, horizon=horizon, dt=dt)
+        return tuple((theta, w * (0.0 if t + theta < 0 else float(self.g(t + theta))))
+                     for theta, w in self.alpha.discretize(horizon, dt))
 
     def lipschitz_instant(self):
         return 0.0
