@@ -1,6 +1,13 @@
 #!/usr/bin/env python3
-"""Run every shipped config through the CLI and summarize exit codes."""
+"""Run every shipped config through the CLI and summarize exit codes.
 
+    python scripts/run_configs.py
+
+Works from a checkout without an install: the CLI subprocesses import bsvi
+from ``src/``.
+"""
+
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main() -> int:
     configs = sorted((ROOT / "configs").glob("*.yaml"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     failures = 0
     for cfg in configs:
         proc = subprocess.run(
             [sys.executable, "-m", "bsvi.cli", str(cfg),
              "--out", str(ROOT / "out" / cfg.stem)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         # gate_violation is supposed to refuse; everything else must succeed
         expected = 3 if cfg.stem == "gate_violation" else 0
         status = "ok" if proc.returncode == expected else "UNEXPECTED"

@@ -8,8 +8,9 @@ inequalities are upper bounds, so a constant falling away below the median is
 slack, not a violation.
 
 Everything here is pure over immutable solutions; drifts are evaluated one
-level at a time through `generators.level_drift` and pathwise quantities are
-accumulated as level arrays.
+level at a time through `generators.level_drift`, with the past-Z rows
+resolved once per audit call, and pathwise quantities are accumulated as
+level arrays.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, Zero, subgradient_check
-from .generators import GeneratorSpec, level_drift, origin_drift_mass
+from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
 from .lattice import AdaptedProcess, ScenarioTree, level_moments, row_sq_norms
 
 
@@ -215,10 +216,11 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
     dxi = np.asarray(xi_a, dtype=float).reshape(len(sol_a.Y.values[n]), -1) \
         - np.asarray(xi_b, dtype=float).reshape(len(sol_b.Y.values[n]), -1)
     rhs = float(np.mean(np.sum(dxi ** 2, axis=1)))
+    rows_a, rows_b = past_z_rows(gen_a, tree), past_z_rows(gen_b, tree)
     for i in range(n):
         y_val, z_val = sol_a.Y.values[i], sol_a.Z.values[i]
-        fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y, sol_a.Z)
-        fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y, sol_a.Z)
+        fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y, sol_a.Z, rows_a)
+        fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y, sol_a.Z, rows_b)
         rhs += dt * float(np.sum((fa - fb) ** 2)) / tree.level_size(i)
     if rhs <= 1e-30:
         return StabilityAudit(lhs=lhs, rhs_data=rhs, empirical_constant=0.0,
@@ -274,13 +276,15 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     frozen_y, frozen_z = solution.frozen_past if solution.frozen_past else (solution.Y, solution.Z)
     penalized = (solution.scheme == "penalized" and solution.epsilon is not None
                  and not isinstance(phi, Zero))
+    past_rows = past_z_rows(gen, tree)
     eq_res = 0.0
     sub_res = -np.inf
     phi_mass = 0.0
     for i in range(n - 1, -1, -1):
         y_val, u_val = solution.Y.values[i], solution.U.values[i]
         expect, z_here = level_moments(tree, solution.Y.values[i + 1])
-        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z)
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
+                            past_rows)
         resid = y_val + dt * u_val - expect - dt * drift
         eq_res = max(eq_res, float(np.max(np.abs(resid))))
         if penalized:

@@ -9,8 +9,10 @@ resolve through the extension Y(t) = Y(0), Z(t) = 0.
 A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
 exact Lipschitz constants; a random two-point probe audit
 (`lipschitz_probe_audit`) backs declared constants for custom callbacks.
-Specs are immutable and evaluation is pure; custom callbacks must be
-re-entrant.
+`past_z_rows` resolves the past-Z terms of every level to frozen grid rows
+once per solve, so ``past_z_terms`` must be a pure function of
+(t, horizon, dt).  Specs are immutable and evaluation is pure; custom
+callbacks must be re-entrant.
 """
 
 import math
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import grid_row, row_sq_norms, segment_accessors
+from .lattice import TIME_SLACK, grid_row, row_sq_norms, segment_accessors
 
 
 class GeneratorError(RuntimeError):
@@ -132,7 +134,11 @@ class GeneratorSpec:
 
     def past_z_terms(self, t: float, horizon: float | None,
                      dt: float | None) -> tuple:
-        """(theta, c) terms of the past-Z part at grid time t (d = 1 only)."""
+        """(theta, c) terms of the past-Z part at grid time t (d = 1 only).
+
+        A pure function of (t, horizon, dt): solvers and audits resolve it
+        once per level (`past_z_rows`) and reuse the result on every sweep.
+        """
         return ()
 
     def lipschitz_instant(self) -> float:
@@ -336,21 +342,54 @@ def origin_drift_mass(gen: GeneratorSpec, tree, m: int, beta: float = 0.0) -> fl
         for i in range(grid.n_steps))
 
 
+def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
+    """The built-in's past-Z terms of every level i < n as (row, c) pairs.
+
+    ``row`` is the frozen grid row `lattice.grid_row` reads at t_i + theta, or
+    None for offsets theta >= -slack, which read the level's current z.  Terms
+    before time 0 are dropped: the Z extension there is 0.  Term order is kept,
+    so `level_drift` sums exactly as the per-node `eval_generator` does.
+    Resolved once per solve: ``past_z_terms`` is called once per level.
+    """
+    grid = tree.grid
+    dt = grid.dt
+    levels = []
+    for i in range(grid.n_steps):
+        terms = gen.past_z_terms(i * dt, grid.horizon, dt)
+        if terms and tree.bm_dim != 1:
+            raise GeneratorError(
+                f"{type(gen).__name__} requires a one-dimensional driving noise "
+                f"(z has d = {tree.bm_dim})")
+        rows = []
+        for theta, c in terms:
+            if theta >= -TIME_SLACK * dt:
+                rows.append((None, c))
+            elif (row := grid_row(i * dt + theta, dt, i)) is not None:
+                rows.append((row, c))
+        levels.append(tuple(rows))
+    return tuple(levels)
+
+
 def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
-                frozen_y, frozen_z) -> np.ndarray:
+                frozen_y, frozen_z, past_rows: tuple) -> np.ndarray:
     """Drift F(t_i, y, z, past) at every node of level i as a (size, m) array.
 
     The past segments are read from (frozen_y, frozen_z), except at offset 0,
-    which resolves to the level's current (y, z).  Built-ins run as one batched
-    call; `CustomGenerator` callbacks are per node by contract.
+    which resolves to the level's current (y, z).  A built-in is
+    ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
+    `past_z_rows(gen, tree)` table, each frozen row repeated down to level i.
+    `CustomGenerator` callbacks are per node by contract and read their past
+    through `lattice.segment_accessors`.
     """
+    if not isinstance(gen, CustomGenerator):
+        drift = gen.instant(y, z)
+        for row, c in past_rows[i]:
+            past = z[..., 0] if row is None else np.repeat(
+                frozen_z.values[row][..., 0], tree.branching ** (i - row), axis=0)
+            drift = drift + c * past
+        return drift
     grid = tree.grid
     t = i * grid.dt
-    if not isinstance(gen, CustomGenerator):
-        past_y, past_z = segment_accessors(frozen_y, frozen_z, i, np.arange(y.shape[0]),
-                                           current_y=y, current_z=z)
-        return eval_generator(gen, t, y, z, past_y, past_z,
-                              horizon=grid.horizon, dt=grid.dt)
     drift = np.empty_like(y)
     for j in range(y.shape[0]):
         past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
@@ -383,6 +422,7 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
     big_l = gen.lipschitz_instant()
     big_k = gen.lipschitz_delay(horizon)
     f0_sq = origin_drift_mass(gen, tree, y_process.values[0].shape[1])
+    past_rows = past_z_rows(gen, tree)
     # pathwise accumulators, repeated down the tree one level at a time
     sup_y = int_z = int_f = np.zeros(1)
     for i in range(n + 1):
@@ -394,7 +434,8 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
         if i == n:
             continue
         z_val = z_process.values[i]
-        drift = level_drift(gen, tree, i, y_val, z_val, y_process, z_process)
+        drift = level_drift(gen, tree, i, y_val, z_val, y_process, z_process,
+                            past_rows)
         int_z = int_z + dt * row_sq_norms(z_val)
         int_f = int_f + dt * row_sq_norms(drift)
     bound = (3 * (2 * big_l ** 2 + big_k) * horizon * sup_y

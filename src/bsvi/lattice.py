@@ -11,6 +11,7 @@ this module is pure and safe for concurrent use.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ DEFAULT_NODE_CAP = 2 ** 22
 
 # Relative slack used when snapping query times onto the grid.  Delay offsets
 # are formed by float subtraction, so grid hits can be off by a few ulp.
-_TIME_SLACK = 1e-9
+TIME_SLACK = 1e-9
 
 
 class TreeSizeError(ValueError):
@@ -65,12 +66,15 @@ class ScenarioTree:
     def level_size(self, level: int) -> int:
         return self.branching ** level
 
-    @property
+    @cached_property
     def increment_patterns(self) -> np.ndarray:
-        """(B, bm_dim) array of +-sqrt(dt) sign patterns, child k in row k."""
+        """(B, bm_dim) array of +-sqrt(dt) sign patterns, child k in row k;
+        built once per tree and read-only."""
         step = math.sqrt(self.grid.dt)
         bits = (np.arange(self.branching)[:, None] >> np.arange(self.bm_dim)[::-1]) & 1
-        return np.where(bits == 1, -step, step)
+        patterns = np.where(bits == 1, -step, step)
+        patterns.flags.writeable = False
+        return patterns
 
     def path_sums(self) -> "AdaptedProcess":
         """Cumulative increment process: the discrete W on every node."""
@@ -168,19 +172,19 @@ def level_moments(tree: ScenarioTree, y_next: np.ndarray):
     b = tree.branching
     kids = y_next.reshape(y_next.shape[0] // b, b, -1)
     z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)
-    return kids.mean(axis=1), z
+    return kids.sum(axis=1) / b, z  # the mean over the children, as np.mean takes it
 
 
 def grid_row(query_time: float, dt: float, last: int) -> int | None:
     """Grid row holding a left-constant path's value at query_time:
     floor(query_time / dt) up to the snapping slack, clamped to [0, last].
     None before time 0, where the extension convention applies instead."""
-    if query_time < -_TIME_SLACK * dt:
+    if query_time < -TIME_SLACK * dt:
         return None
-    return min(max(int(math.floor(query_time / dt + _TIME_SLACK)), 0), last)
+    return min(max(int(math.floor(query_time / dt + TIME_SLACK)), 0), last)
 
 
-def history_value(process: AdaptedProcess, level: int, node,
+def history_value(process: AdaptedProcess, level: int, node: int,
                   query_time: float, kind: str) -> np.ndarray:
     """Past value of an adapted process seen from node (level, node).
 
@@ -188,15 +192,14 @@ def history_value(process: AdaptedProcess, level: int, node,
     floor(query_time/dt) is returned (left-constant interpolation).  For
     query_time < 0 the extension convention applies: state-type ("y") processes
     return the root value, integrand-type ("z") processes return zero.
-
-    ``node`` may be an int array: the result gains its leading axis, except
-    before time 0, where the one extension value serves every node.
+    Serves the `CustomGenerator` adaptor and tests as the per-node oracle;
+    built-in drifts read whole ancestor rows (`generators.past_z_rows`).
     """
     if kind not in ("y", "z"):
         raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
     dt = process.tree.grid.dt
     t_here = level * dt
-    if query_time > t_here + _TIME_SLACK * dt:
+    if query_time > t_here + TIME_SLACK * dt:
         raise ValueError(
             f"query_time {query_time} is after node time {t_here}; "
             "future lookups would break adaptedness"
@@ -211,7 +214,7 @@ def history_value(process: AdaptedProcess, level: int, node,
 
 
 def segment_accessors(y_process: AdaptedProcess, z_process: AdaptedProcess,
-                      level: int, node,
+                      level: int, node: int,
                       current_y: np.ndarray | None = None,
                       current_z: np.ndarray | None = None):
     """Past-segment accessors theta -> value for the generator at node (level, node).
@@ -220,13 +223,10 @@ def segment_accessors(y_process: AdaptedProcess, z_process: AdaptedProcess,
     values when supplied (the solver passes its predictor pair there), otherwise
     the processes' own node values; theta < 0 goes through ``history_value`` and
     its t < 0 extension.
-
-    ``node`` may be an int array, with current values stacked on the same
-    leading axis; lookups then return one row per node (see `history_value`).
     """
     dt = y_process.tree.grid.dt
     t_here = level * dt
-    slack = _TIME_SLACK * dt
+    slack = TIME_SLACK * dt
 
     def past_y(theta: float) -> np.ndarray:
         if theta >= -slack and current_y is not None:

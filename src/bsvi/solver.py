@@ -19,10 +19,11 @@ like dt/eps once eps falls below dt.)
 
 Each step runs on a whole level at once: `lattice.level_moments` gives
 (E_i, Z_i) and `generators.level_drift` the drift, reading the frozen past
-through ancestor indices.  Past segments read at offset 0 resolve to the
-current predictor pair (E_i, Z_i), so generators with no effective delay never
-touch the frozen iterate and the Picard loop terminates after the
-confirmation sweep.
+through ancestor rows.  A solve resolves the drift's past-Z terms to those
+rows once (`generators.past_z_rows`), not once per sweep.  Past segments read
+at offset 0 resolve to the current predictor pair (E_i, Z_i), so generators
+with no effective delay never touch the frozen iterate and the Picard loop
+terminates after the confirmation sweep.
 
 The nodes of a level are independent; Picard sweeps are inherently
 sequential; distinct solves share immutable trees safely.
@@ -37,7 +38,8 @@ import numpy as np
 from . import convex
 from .analysis import path_norms
 from .convex import ConvexFunction, Zero
-from .generators import GeneratorSpec, level_drift, lipschitz_probe_audit, CustomGenerator
+from .generators import (CustomGenerator, GeneratorSpec, level_drift,
+                         lipschitz_probe_audit, past_z_rows)
 from .lattice import AdaptedProcess, ScenarioTree, level_moments
 
 
@@ -188,7 +190,7 @@ def _zero_pair(tree: ScenarioTree, m: int) -> tuple:
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: AdaptedProcess, frozen_z: AdaptedProcess,
               phi: ConvexFunction | None, epsilon: float | None,
-              scheme: str):
+              scheme: str, past_rows: tuple):
     n, dt = tree.grid.n_steps, tree.grid.dt
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -197,7 +199,8 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 
     for i in range(n - 1, -1, -1):
         expect, z_here = level_moments(tree, y_levels[i + 1])
-        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z)
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
+                            past_rows)
         target = expect + dt * drift
         if phi is None or isinstance(phi, Zero):
             y_here = target
@@ -231,23 +234,31 @@ def backward_pass(tree: ScenarioTree, xi, gen: GeneratorSpec,
             raise ValueError("delayed generator needs frozen (Y, Z) paths")
         frozen = _zero_pair(tree, xi.shape[1])
     ys, zs, _ = _one_pass(tree, xi, gen, frozen[0], frozen[1], phi, eps,
-                          scheme="penalized")
+                          "penalized", past_z_rows(gen, tree))
     return AdaptedProcess(tree, ys), AdaptedProcess(tree, zs)
 
 
-def _weighted_distance(tree: ScenarioTree, y_new, z_new, y_old, z_old,
-                       beta: float) -> float:
+def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
+    """Per-level weights of `_weighted_distance`, built once per solve:
+    e^{beta t/2} for every Y level and dt e^{beta t} for every Z level."""
+    n, dt = tree.grid.n_steps, tree.grid.dt
+    return (tuple(math.exp(0.5 * beta * i * dt) for i in range(n + 1)),
+            tuple(dt * math.exp(beta * i * dt) for i in range(n)))
+
+
+def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple) -> float:
     """Discrete analogue of the beta-weighted norms behind the contraction
     gate: sup-norm of e^{beta t/2} |dY| plus the square root of the
-    e^{beta t}-weighted H^2 sum of dZ."""
-    dt = tree.grid.dt
+    e^{beta t}-weighted H^2 sum of dZ, with ``weights`` from
+    `_distance_weights`."""
+    y_weights, z_weights = weights
     # np.max, unlike the builtin, keeps a NaN level from being skipped
-    sup_y = float(np.max([math.exp(0.5 * beta * i * dt) * float(np.max(np.abs(a - b_)))
-                          for i, (a, b_) in enumerate(zip(y_new, y_old))]))
+    sup_y = float(np.max([w * np.abs(a - b_).max()
+                          for w, a, b_ in zip(y_weights, y_new, y_old)]))
     h2_z = 0.0
-    for i, (a, b_) in enumerate(zip(z_new, z_old)):
-        w = math.exp(beta * i * dt)
-        h2_z += dt * w * float(np.mean(np.sum((a - b_) ** 2, axis=(1, 2))))
+    for w, a, b_ in zip(z_weights, z_new, z_old):
+        # the level mean as np.mean takes it, without its per-call overhead
+        h2_z += w * (float(((a - b_) ** 2).sum(axis=(1, 2)).sum()) / len(a))
     return sup_y + math.sqrt(h2_z)
 
 
@@ -265,49 +276,63 @@ def resolve_beta(config: SolverConfig, gen: GeneratorSpec) -> float:
     return 24.0 * _square_lipschitz(gen.lipschitz_instant()) + 1.0
 
 
-def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
-                 config: SolverConfig | None = None,
-                 penalty: tuple | None = None,
-                 scheme: str | None = None) -> Solution:
-    """Outer fixed-point iteration over the frozen past segments.
-
-    Starts from the zero pair, sweeps until the weighted iterate distance
-    falls below ``picard_tol``, and raises `PicardNonConvergence` on blow-up
-    (ratio above ``DIVERGENCE_RATIO`` for ``DIVERGENCE_PATIENCE`` consecutive
-    sweeps) or exhaustion of ``picard_max_iters``.  This is the one place the
-    well-posedness gate is checked: it warns, or raises `WellposednessError`
-    under ``hard_gate``.
-    """
-    config = config or SolverConfig()
-    scheme = scheme or config.scheme
-    xi = _as_leaf_values(tree, xi)
-    phi, eps = (None, None) if penalty is None else penalty
+def _check_gate(tree: ScenarioTree, m: int, gen: GeneratorSpec,
+                config: SolverConfig) -> WellposednessReport:
+    """Once-per-solve checks: the well-posedness gate, which warns or, under
+    ``hard_gate``, raises `WellposednessError`, and for a `CustomGenerator` the
+    probe audit of its declared constants.  Warnings point at the caller of
+    the solve entry point."""
     horizon = tree.grid.horizon
-    beta = resolve_beta(config, gen)
-
-    report = check_wellposedness(gen.lipschitz_instant(),
-                                 gen.lipschitz_delay(horizon), horizon, beta)
+    report = check_wellposedness(gen.lipschitz_instant(), gen.lipschitz_delay(horizon),
+                                 horizon, resolve_beta(config, gen))
     if not report.existence_ok:
         msg = (f"well-posedness gate failed: K e^(beta T) = {report.growth:.6g} "
                f">= 6 L^2 = {6 * report.L ** 2:.6g}")
         if config.hard_gate:
             raise WellposednessError(msg, report)
         warnings.warn(msg + "; attempting anyway with divergence detection",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
     if isinstance(gen, CustomGenerator):
-        audit = lipschitz_probe_audit(gen, xi.shape[1], tree.bm_dim, horizon,
-                                      tree.grid.n_steps)
+        audit = lipschitz_probe_audit(gen, m, tree.bm_dim, horizon, tree.grid.n_steps)
         if audit["instant_slack"] > 1e-8 or audit["delay_slack"] > 1e-8:
             warnings.warn(
                 f"declared Lipschitz constants look too small: {audit}",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
+    return report
+
+
+def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
+                 config: SolverConfig | None = None,
+                 penalty: tuple | None = None,
+                 scheme: str | None = None, *,
+                 wellposedness: WellposednessReport | None = None) -> Solution:
+    """Outer fixed-point iteration over the frozen past segments.
+
+    Starts from the zero pair, sweeps until the weighted iterate distance
+    falls below ``picard_tol``, and raises `PicardNonConvergence` on blow-up
+    (ratio above ``DIVERGENCE_RATIO`` for ``DIVERGENCE_PATIENCE`` consecutive
+    sweeps) or exhaustion of ``picard_max_iters``.  Unless the caller passes
+    the ``wellposedness`` report of a gate it already checked for the same
+    (tree, gen, config), as `solve_bsvi` does once for its whole schedule, the
+    well-posedness gate is checked here: it warns, or raises
+    `WellposednessError` under ``hard_gate``.  The drift's past-Z terms are
+    resolved to frozen rows once, before the first sweep.
+    """
+    config = config or SolverConfig()
+    scheme = scheme or config.scheme
+    xi = _as_leaf_values(tree, xi)
+    phi, eps = (None, None) if penalty is None else penalty
+    report = wellposedness or _check_gate(tree, xi.shape[1], gen, config)
+    past_rows = past_z_rows(gen, tree)
+    weights = _distance_weights(tree, resolve_beta(config, gen))
 
     frozen_y, frozen_z = _zero_pair(tree, xi.shape[1])
     diag = PicardDiagnostics()
     over_ratio = 0
     for sweep in range(1, config.picard_max_iters + 1):
-        ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi, eps, scheme)
-        dist = _weighted_distance(tree, ys, zs, frozen_y.values, frozen_z.values, beta)
+        ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi, eps, scheme,
+                               past_rows)
+        dist = _weighted_distance(ys, zs, frozen_y.values, frozen_z.values, weights)
         diag.iterate_distances.append(dist)
         diag.iterations_used = sweep
         if not math.isfinite(dist):
@@ -390,12 +415,19 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
     The table rows pair consecutive schedule entries with the S^2/H^2 norms of
     their differences plus the H^2 mass of the penalty gradient and the time
     integral of phi at the resolvent points, feeding the rate and bound audits.
+    The terminal data is validated and the well-posedness gate (with a custom
+    drift's probe audit) checked once; every entry of the schedule then runs
+    `picard_solve` with that report.
     """
     config = config or SolverConfig()
     dt = tree.grid.dt
+    xi = _as_leaf_values(tree, xi)
+    _require_finite_penalty(phi, xi)
+    report = _check_gate(tree, xi.shape[1], gen, config)
     per_eps = []
     for eps in config.epsilon_schedule:
-        per_eps.append((eps, solve_penalized(tree, xi, gen, phi, eps, config)))
+        per_eps.append((eps, picard_solve(tree, xi, gen, config, penalty=(phi, eps),
+                                          scheme="penalized", wellposedness=report)))
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
         dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ from bsvi.cli import (
     run,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def minimal_doc():
@@ -238,3 +242,12 @@ def test_all_shipped_configs_run(tmp_path):
         expected = EXIT_VALIDATION if cfg.stem == "gate_violation" else 0
         code = main([str(cfg), "--out", str(tmp_path / cfg.stem)])
         assert code == expected, cfg.name
+
+
+def test_run_configs_script_needs_no_install(tmp_path):
+    # the script's CLI subprocesses must import bsvi from src/ by themselves
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_configs.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "UNEXPECTED" not in proc.stdout

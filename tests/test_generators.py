@@ -22,6 +22,7 @@ from bsvi.generators import (
     level_drift,
     linear_scalar,
     lipschitz_probe_audit,
+    past_z_rows,
 )
 from bsvi.lattice import AdaptedProcess, build_tree, segment_accessors
 
@@ -272,12 +273,13 @@ def test_running_integral_is_not_the_scaled_uniform_average():
     z = AdaptedProcess(tree, [np.full((tree.level_size(k), 1, 1), 1.0 + k)
                               for k in range(8)])
     y = tree.path_sums()
-    running = level_drift(RunningIntegralZ(kappa=kappa), tree, i,
-                          y.values[i], z.values[i], y, z)
-    scaled_uniform = level_drift(
-        MovingAverageZ(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
-                       alpha=UniformPast()),
-        tree, i, y.values[i], z.values[i], y, z)
+    running_gen = RunningIntegralZ(kappa=kappa)
+    running = level_drift(running_gen, tree, i, y.values[i], z.values[i], y, z,
+                          past_z_rows(running_gen, tree))
+    uniform_gen = MovingAverageZ(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
+                                 alpha=UniformPast())
+    scaled_uniform = level_drift(uniform_gen, tree, i, y.values[i], z.values[i], y, z,
+                                 past_z_rows(uniform_gen, tree))
     assert np.allclose(running, 0.65625, rtol=0, atol=1e-15)
     assert np.allclose(scaled_uniform, 0.7, rtol=0, atol=1e-15)
     z0 = 1.0
@@ -297,6 +299,8 @@ LEVEL_DRIFT_CASES = {
                                       alpha=Dirac(-0.3)), 1, 1),
     "dirac_at_zero": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
                                      alpha=Dirac(0.0)), 1, 1),
+    "dirac_inside_last_step": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+                                              alpha=Dirac(-0.1)), 1, 1),
     "mixture": (MovingAverageZ(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
         ((-0.5, 0.3), (-0.1, 0.2), (0.0, 0.5)))), 1, 1),
     "uniform": (MovingAverageZ(g=lambda t: 0.5 + t, g_bound=1.5,
@@ -318,17 +322,42 @@ def test_level_drift_matches_per_node_evaluation(name):
                                      for i in range(5)])
     frozen_z = AdaptedProcess(tree, [rng.normal(size=(tree.level_size(i), m, d))
                                      for i in range(4)])
+    rows = past_z_rows(gen, tree)
     for i in range(4):
         y = rng.normal(size=(tree.level_size(i), m))
         z = rng.normal(size=(tree.level_size(i), m, d))
-        got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z)
+        got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z, rows)
         assert got.shape == y.shape
         for j in range(tree.level_size(i)):
             past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
                                                current_y=y[j], current_z=z[j])
             ref = eval_generator(gen, i * grid.dt, y[j], z[j], past_y, past_z,
                                  horizon=grid.horizon, dt=grid.dt)
-            np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
+            if name == "linear_m2_d2":  # the batched matmul rounds differently
+                np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
+            else:
+                assert np.array_equal(got[j], ref), (i, j)
+
+
+def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():
+    # theta = -0.1 lies in (-dt, 0) off the grid: the left-constant past reads
+    # the frozen row floor((t_i + theta) / dt) = i - 1, not the current z;
+    # before time 0 (level 0) the term is dropped
+    tree = build_tree(4, 1.0, 1)
+    y, z = random_paths(tree, 8)
+    gen = MovingAverageZ(g=lambda t: 2.0, g_bound=2.0, alpha=Dirac(-0.1))
+    rows = past_z_rows(gen, tree)
+    assert rows == ((), ((0, 2.0),), ((1, 2.0),), ((2, 2.0),))
+    got = level_drift(gen, tree, 2, y.values[2], z.values[2] + 1.0, y, z, rows)
+    assert np.array_equal(got, 2.0 * z.values[1][np.arange(4) >> 1, :, 0])
+
+
+def test_past_z_rows_keep_the_one_dimensional_noise_check():
+    tree = build_tree(2, 1.0, 2)
+    for gen in (DelayedZ(kappa=1.0, lag=0.5), RunningIntegralZ(kappa=1.0)):
+        with pytest.raises(GeneratorError, match="one-dimensional"):
+            past_z_rows(gen, tree)
+    assert past_z_rows(LinearInstant(np.eye(2), np.zeros((2, 2, 2))), tree) == ((), ())
 
 
 def test_custom_drift_of_wrong_shape_is_a_generator_error():
@@ -337,7 +366,7 @@ def test_custom_drift_of_wrong_shape_is_a_generator_error():
     gen = CustomGenerator(fn=lambda t, y, z, py, pz: np.zeros(2),
                           declared_instant=0.0, declared_delay=0.0)
     with pytest.raises(GeneratorError, match=r"t=0\.5, node 0 of level 1; expected \(1,\)"):
-        level_drift(gen, tree, 1, y.values[1], z.values[1], y, z)
+        level_drift(gen, tree, 1, y.values[1], z.values[1], y, z, past_z_rows(gen, tree))
 
 
 def test_new_z_delay_drift_needs_only_a_spec_class():
@@ -358,6 +387,7 @@ def test_new_z_delay_drift_needs_only_a_spec_class():
 
     tree = build_tree(3, 0.75, 1)
     y, z = random_paths(tree, 5)
-    got = level_drift(HalfYPlusLaggedZ(), tree, 2, y.values[2], z.values[2], y, z)
+    gen = HalfYPlusLaggedZ()
+    got = level_drift(gen, tree, 2, y.values[2], z.values[2], y, z, past_z_rows(gen, tree))
     expected = 0.5 * y.values[2] + 2.0 * z.values[1][np.arange(4) >> 1, :, 0]
     assert np.array_equal(got, expected)

@@ -22,6 +22,13 @@ def test_build_tree_one_step():
     assert np.allclose(tree.increment_patterns.ravel(), [1.0, -1.0])
 
 
+def test_increment_patterns_are_built_once_and_read_only():
+    tree = build_tree(3, 1.0, 2)
+    assert tree.increment_patterns is tree.increment_patterns
+    with pytest.raises(ValueError, match="read-only"):
+        tree.increment_patterns[0, 0] = 0.0
+
+
 def test_build_tree_two_steps_path_sums():
     # hand enumeration: +-sqrt(0.5) +- sqrt(0.5)
     tree = build_tree(2, 1.0, 1)

@@ -1,13 +1,16 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import bsvi
 from bsvi import convex, generators
+from bsvi import solver as solver_mod
 from bsvi.problems import (
     box_linear_problem,
+    delayed_box_problem,
     terminal_clipped_linear,
     terminal_constant,
     terminal_linear,
@@ -206,6 +209,78 @@ def test_hard_gate_raises():
     gen = generators.DelayedZ(kappa=3.0, lag=0.5)
     with pytest.raises(WellposednessError):
         picard_solve(tree, xi, gen, SolverConfig(beta=1.0, hard_gate=True))
+
+
+def _gate_warnings(solve) -> int:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve()
+    return sum("well-posedness gate failed" in str(w.message) for w in caught)
+
+
+def test_solve_bsvi_checks_the_gate_once_per_schedule(monkeypatch):
+    # L = 0 with K > 0 fails the gate: the 11 epsilon solves warn once between
+    # them, each still running the module-level picard_solve, while
+    # picard_solve and prox_step_solve called on their own still warn
+    tree = bsvi.build_tree(3, 1.0, 1)
+    xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
+    gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
+    phi = convex.IndicatorBox(-1.0, 1.0)
+    solves = []
+    real_picard = solver_mod.picard_solve
+
+    def counted_picard(*args, **kwargs):
+        solves.append(kwargs.get("penalty"))
+        return real_picard(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "picard_solve", counted_picard)
+    assert _gate_warnings(lambda: solve_bsvi(tree, xi, gen, phi)) == 1
+    assert len(solves) == len(SolverConfig().epsilon_schedule)
+    assert _gate_warnings(lambda: picard_solve(tree, xi, gen)) == 1
+    assert _gate_warnings(lambda: prox_step_solve(tree, xi, gen, phi)) == 1
+    with pytest.raises(WellposednessError):
+        solve_bsvi(tree, xi, gen, phi, SolverConfig(hard_gate=True))
+
+
+def test_solve_bsvi_runs_the_probe_audit_once(monkeypatch):
+    tree, xi, gen, phi = delayed_box_problem(3)
+    audits = []
+    real_audit = solver_mod.lipschitz_probe_audit
+
+    def counted_audit(*args, **kwargs):
+        audits.append(args)
+        return real_audit(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "lipschitz_probe_audit", counted_audit)
+    res = solve_bsvi(tree, xi, gen, phi)
+    assert len(res.per_epsilon) == 11 and len(audits) == 1
+    picard_solve(tree, xi, gen)
+    assert len(audits) == 2
+
+
+def test_picard_solve_resolves_past_z_terms_once_per_level():
+    # the frozen rows are resolved before the first sweep, not on every sweep
+    calls = []
+
+    @dataclass(frozen=True)
+    class CountedLaggedZ(generators.GeneratorSpec):
+        def instant(self, y, z):
+            return 0.5 * y
+
+        def past_z_terms(self, t, horizon, dt):
+            calls.append(t)
+            return ((-dt, 2.0),)
+
+        def lipschitz_instant(self):
+            return 0.5
+
+        def lipschitz_delay(self, horizon):
+            return 4.0
+
+    tree = bsvi.build_tree(4, 1.0, 1)
+    sol = picard_solve(tree, terminal_linear(tree, 0.0, 1.0), CountedLaggedZ())
+    assert sol.diagnostics.iterations_used > 2
+    assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
