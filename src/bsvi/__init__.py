@@ -7,11 +7,9 @@ from .lattice import (
     TimeGrid,
     TreeSizeError,
     build_tree,
-    conditional_expectation,
     history_value,
     level_moments,
     segment_accessors,
-    z_projection,
 )
 from .convex import (
     Custom1D,

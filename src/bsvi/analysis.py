@@ -14,6 +14,7 @@ level arrays.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def _uniform_ok(constants, factor: float) -> bool:
         return False
     if max(vals, default=0.0) <= 1e-14:
         return True
-    med = float(np.median(vals))
+    med = float(statistics.median(vals))
     return max(vals) <= factor * med
 
 
@@ -106,7 +107,7 @@ def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
                                context=f"apriori eps={eps:g}"))
     consts = [r.empirical_constant for r in rows]
     return AprioriAudit(rows=tuple(rows), uniform_ok=_uniform_ok(consts, 2.0),
-                        median_constant=float(np.median(consts)))
+                        median_constant=float(statistics.median(consts)))
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     if probes is None:
         probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = solution.frozen_past if solution.frozen_past else (solution.Y, solution.Z)
-    penalized = (solution.scheme == "penalized" and solution.epsilon is not None
-                 and not isinstance(phi, Zero))
+    penalized = solution.epsilon is not None and not isinstance(phi, Zero)
     past_rows = past_z_rows(gen, tree)
     eq_res = 0.0
     sub_res = -np.inf

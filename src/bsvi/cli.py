@@ -39,10 +39,6 @@ class ProblemConfig:
     """Validated run description; ``raw`` is the parsed document it came from."""
 
     raw: dict
-    horizon: float
-    n_steps: int
-    bm_dim: int
-    dim: int
     tree: object
     xi: np.ndarray
     gen: object
@@ -198,14 +194,13 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     out_format = _override(overrides, "out_format", run.get("format", "json"))
     if out_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {out_format!r}")
-    return ProblemConfig(raw=doc, horizon=horizon, n_steps=n_steps,
-                         bm_dim=bm_dim, dim=dim, tree=tree, xi=xi, gen=gen,
-                         phi=phi, solver_config=solver_config, mode=mode,
-                         epsilon=epsilon, out_dir=out_dir, out_format=out_format)
+    return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi,
+                         solver_config=solver_config, mode=mode, epsilon=epsilon,
+                         out_dir=out_dir, out_format=out_format)
 
 
 def _solution_summary(sol, tree) -> dict:
-    return {
+    summary = {
         "y0": sol.Y.values[0][0].tolist(),
         "z0": sol.Z.values[0][0].tolist(),
         "norm_y_s2": analysis.path_norms(sol.Y, tree).s2,
@@ -218,6 +213,9 @@ def _solution_summary(sol, tree) -> dict:
             "iterations": sol.diagnostics.iterations_used,
         },
     }
+    if sol.epsilon is not None:
+        summary["epsilon"] = sol.epsilon
+    return summary
 
 
 def _residual_summary(sol, cfg) -> dict:
@@ -240,26 +238,22 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
     report = {"config": cfg.raw, "mode": cfg.mode, "schemes": {}}
 
     if cfg.mode == "classical":
-        sol = solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config)
-        report["schemes"]["classical"] = _solution_summary(sol, cfg.tree)
-        report["residuals"] = _residual_summary(sol, cfg)
+        name, sol = "classical", solver.picard_solve(cfg.tree, cfg.xi, cfg.gen,
+                                                     cfg.solver_config)
     elif cfg.mode == "penalized":
-        sol = solver.solve_penalized(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
-                                     cfg.epsilon, cfg.solver_config)
-        report["schemes"]["penalized"] = _solution_summary(sol, cfg.tree)
-        report["schemes"]["penalized"]["epsilon"] = cfg.epsilon
-        report["residuals"] = _residual_summary(sol, cfg)
+        name, sol = "penalized", solver.solve_penalized(
+            cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.epsilon, cfg.solver_config)
     elif cfg.mode == "prox":
-        sol = solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
-                                     cfg.solver_config)
-        report["schemes"]["prox"] = _solution_summary(sol, cfg.tree)
-        report["residuals"] = _residual_summary(sol, cfg)
+        name, sol = "prox", solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen,
+                                                   cfg.phi, cfg.solver_config)
     else:  # bsvi or compare
         res = solver.solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
                                 cfg.solver_config)
-        sol = res.solution
-        report["schemes"]["penalized_final"] = _solution_summary(sol, cfg.tree)
-        report["schemes"]["penalized_final"]["epsilon"] = res.per_epsilon[-1][0]
+        name, sol = "penalized_final", res.solution
+    report["schemes"][name] = _solution_summary(sol, cfg.tree)
+    report["residuals"] = _residual_summary(sol, cfg)
+
+    if cfg.mode in ("bsvi", "compare"):
         report["epsilon_table"] = [
             {"epsilon": r.epsilon, "epsilon_next": r.epsilon_next,
              "dy_s2": r.dy_s2, "dz_h2": r.dz_h2, "grad_h2_sq": r.grad_h2_sq,
@@ -285,7 +279,6 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
                        for r in rows],
             "yosida_uniform_ok": yo.uniform_ok,
         }
-        report["residuals"] = _residual_summary(sol, cfg)
         if cfg.mode == "compare":
             pr = solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
                                         cfg.solver_config)
@@ -308,20 +301,15 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
     return report
 
 
-def _strip_timings(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timings"}
-
-
 def emit_report(report: dict, out_dir, out_format: str):
     """Write the report: one JSON document, or a CSV bundle with one file per
     table plus a summary of scalar fields (UTF-8, header rows, '.' decimals)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if out_format == "json":
-        payload = dict(_strip_timings(report))
-        payload["timings"] = report.get("timings", {})
         (out / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+            json.dumps({"timings": {}, **report}, indent=2, sort_keys=True),
+            encoding="utf-8")
         return [out / "report.json"]
     written = []
 

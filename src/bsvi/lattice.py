@@ -131,35 +131,6 @@ def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
     return ScenarioTree(grid, bm_dim)
 
 
-def conditional_expectation(child_values, tree: ScenarioTree) -> np.ndarray:
-    """Exact E[. | F_{t_i}] at one node: equal-weight mean of its children."""
-    arr = np.asarray(child_values, dtype=float)
-    if arr.shape[0] != tree.branching:
-        raise ValueError(
-            f"expected {tree.branching} child values, got {arr.shape[0]}"
-        )
-    return arr.mean(axis=0)
-
-
-def z_projection(child_values, child_increments, dt: float) -> np.ndarray:
-    """Discrete martingale-representation coefficient at one node.
-
-    Returns the (m, d) matrix Z with Z[k, l] = E[value_k * increment_l] / dt,
-    the mean running over the node's children.
-    """
-    vals = np.asarray(child_values, dtype=float)
-    incs = np.asarray(child_increments, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if incs.ndim == 1:
-        incs = incs[:, None]
-    if vals.shape[0] != incs.shape[0]:
-        raise ValueError(
-            f"arity mismatch: {vals.shape[0]} values vs {incs.shape[0]} increments"
-        )
-    return np.einsum("ck,cl->kl", vals, incs) / (vals.shape[0] * dt)
-
-
 def row_sq_norms(level: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of every node's value in a level array."""
     return np.sum(level.reshape(level.shape[0], -1) ** 2, axis=1)
@@ -167,8 +138,8 @@ def row_sq_norms(level: np.ndarray) -> np.ndarray:
 
 def level_moments(tree: ScenarioTree, y_next: np.ndarray):
     """Exact E[Y_{i+1} | F_{t_i}] (size, m) and Z projection (size, m, d) for
-    every node of level i from the values of level i + 1: the level-array form
-    of `conditional_expectation` and `z_projection`."""
+    every node of level i from the values of level i + 1: the mean of each
+    node's children and Z[k, l] = E[Y_k * increment_l | F_{t_i}] / dt."""
     b = tree.branching
     kids = y_next.reshape(y_next.shape[0] // b, b, -1)
     z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)

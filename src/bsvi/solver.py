@@ -6,9 +6,9 @@ The outer Picard iteration freezes the past segments at the previous iterate
     E_i   = mean of the node's children Y values        (exact expectation)
     Z_i   = martingale projection of the children
     Ytil  = E_i + dt * F(t_i, E_i, Z_i, frozen past)
-    Y_i   = Ytil                                         (no penalty)
-          | solve  Y + dt * grad phi_eps(Y) = Ytil       (penalized scheme)
-          | prox(phi, dt, Ytil)                          (prox-step scheme)
+    Y_i   = Ytil                                         (no phi: classical)
+          | solve  Y + dt * grad phi_eps(Y) = Ytil       (phi and eps: penalized)
+          | prox(phi, dt, Ytil)                          (phi alone: prox step)
 
 The penalized update is implicit in the penalty but closed-form: the resolvent
 identity in `convex.resolvent_step` reduces it to one prox evaluation at
@@ -57,20 +57,21 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iters: int = 200
     epsilon_schedule: tuple = DEFAULT_EPSILON_SCHEDULE
-    scheme: str = "penalized"
     hard_gate: bool = False
 
     def __post_init__(self):
         sched = tuple(float(e) for e in self.epsilon_schedule)
         object.__setattr__(self, "epsilon_schedule", sched)
+        if not sched:
+            raise ValueError("epsilon schedule must not be empty")
         if any(e <= 0 for e in sched):
             raise ValueError("epsilon schedule must be positive")
         if any(later >= earlier for earlier, later in zip(sched, sched[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
         if self.beta is not None and self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.scheme not in ("penalized", "prox_step"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.picard_max_iters < 1:
+            raise ValueError("picard_max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class Solution:
     Z: AdaptedProcess
     U: AdaptedProcess
     diagnostics: PicardDiagnostics
-    scheme: str
     epsilon: float | None = None
     frozen_past: tuple | None = None
     wellposedness: WellposednessReport | None = None
@@ -190,7 +190,7 @@ def _zero_pair(tree: ScenarioTree, m: int) -> tuple:
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: AdaptedProcess, frozen_z: AdaptedProcess,
               phi: ConvexFunction | None, epsilon: float | None,
-              scheme: str, past_rows: tuple):
+              past_rows: tuple):
     n, dt = tree.grid.n_steps, tree.grid.dt
     y_levels = [None] * (n + 1)
     z_levels = [None] * n
@@ -205,9 +205,9 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         if phi is None or isinstance(phi, Zero):
             y_here = target
             u_here = np.zeros_like(target)
-        elif scheme == "penalized":
+        elif epsilon is not None:
             y_here, u_here = convex.resolvent_step(phi, epsilon, dt, target)
-        else:  # prox_step
+        else:
             y_here = phi.prox(dt, target)
             u_here = (target - y_here) / dt
         y_levels[i] = y_here
@@ -217,24 +217,19 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 
 
 def backward_pass(tree: ScenarioTree, xi, gen: GeneratorSpec,
-                  penalty: tuple | None = None,
                   frozen: tuple | None = None):
-    """One backward sweep; returns the (Y, Z) pair.
+    """One classical backward sweep; returns the (Y, Z) pair.
 
-    ``penalty`` is an optional (phi, epsilon) pair; ``frozen`` supplies the
-    (Y, Z) processes the delay arguments are read from and is mandatory for
-    generators with a nonzero delay constant.
+    ``frozen`` supplies the (Y, Z) processes the delay arguments are read from
+    and is mandatory for generators with a nonzero delay constant.
     """
     xi = _as_leaf_values(tree, xi)
-    phi, eps = (None, None) if penalty is None else penalty
-    if eps is not None and not eps > 0:
-        raise ValueError("penalty epsilon must be positive")
     if frozen is None:
         if gen.uses_past():
             raise ValueError("delayed generator needs frozen (Y, Z) paths")
         frozen = _zero_pair(tree, xi.shape[1])
-    ys, zs, _ = _one_pass(tree, xi, gen, frozen[0], frozen[1], phi, eps,
-                          "penalized", past_z_rows(gen, tree))
+    ys, zs, _ = _one_pass(tree, xi, gen, frozen[0], frozen[1], None, None,
+                          past_z_rows(gen, tree))
     return AdaptedProcess(tree, ys), AdaptedProcess(tree, zs)
 
 
@@ -276,12 +271,19 @@ def resolve_beta(config: SolverConfig, gen: GeneratorSpec) -> float:
     return 24.0 * _square_lipschitz(gen.lipschitz_instant()) + 1.0
 
 
-def _check_gate(tree: ScenarioTree, m: int, gen: GeneratorSpec,
-                config: SolverConfig) -> WellposednessReport:
-    """Once-per-solve checks: the well-posedness gate, which warns or, under
-    ``hard_gate``, raises `WellposednessError`, and for a `CustomGenerator` the
-    probe audit of its declared constants.  Warnings point at the caller of
-    the solve entry point."""
+def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
+                config: SolverConfig, phi: ConvexFunction | None) -> WellposednessReport:
+    """Once-per-solve admission checks, in order: the terminal data lies in
+    dom phi (when there is a phi), the well-posedness gate, which warns or,
+    under ``hard_gate``, raises `WellposednessError`, and for a
+    `CustomGenerator` the probe audit of its declared constants.  Warnings
+    point at the caller of the solve entry point."""
+    if phi is not None:
+        bad = np.flatnonzero(~np.isfinite(np.atleast_1d(phi.value(xi))))
+        if bad.size:
+            raise ValueError(
+                f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
+                "terminal data must lie in the domain of phi")
     horizon = tree.grid.horizon
     report = check_wellposedness(gen.lipschitz_instant(), gen.lipschitz_delay(horizon),
                                  horizon, resolve_beta(config, gen))
@@ -293,7 +295,8 @@ def _check_gate(tree: ScenarioTree, m: int, gen: GeneratorSpec,
         warnings.warn(msg + "; attempting anyway with divergence detection",
                       RuntimeWarning, stacklevel=3)
     if isinstance(gen, CustomGenerator):
-        audit = lipschitz_probe_audit(gen, m, tree.bm_dim, horizon, tree.grid.n_steps)
+        audit = lipschitz_probe_audit(gen, xi.shape[1], tree.bm_dim, horizon,
+                                      tree.grid.n_steps)
         if audit["instant_slack"] > 1e-8 or audit["delay_slack"] > 1e-8:
             warnings.warn(
                 f"declared Lipschitz constants look too small: {audit}",
@@ -302,27 +305,32 @@ def _check_gate(tree: ScenarioTree, m: int, gen: GeneratorSpec,
 
 
 def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
-                 config: SolverConfig | None = None,
-                 penalty: tuple | None = None,
-                 scheme: str | None = None, *,
+                 config: SolverConfig | None = None, *,
+                 phi: ConvexFunction | None = None,
+                 epsilon: float | None = None,
                  wellposedness: WellposednessReport | None = None) -> Solution:
     """Outer fixed-point iteration over the frozen past segments.
 
-    Starts from the zero pair, sweeps until the weighted iterate distance
-    falls below ``picard_tol``, and raises `PicardNonConvergence` on blow-up
-    (ratio above ``DIVERGENCE_RATIO`` for ``DIVERGENCE_PATIENCE`` consecutive
-    sweeps) or exhaustion of ``picard_max_iters``.  Unless the caller passes
-    the ``wellposedness`` report of a gate it already checked for the same
-    (tree, gen, config), as `solve_bsvi` does once for its whole schedule, the
-    well-posedness gate is checked here: it warns, or raises
-    `WellposednessError` under ``hard_gate``.  The drift's past-Z terms are
-    resolved to frozen rows once, before the first sweep.
+    (phi, epsilon) picks the backward step: no ``phi`` is the classical step,
+    ``phi`` with ``epsilon > 0`` the penalized step at that level, and ``phi``
+    alone the prox step (the eps -> 0 reflection).  Starts from the zero pair,
+    sweeps until the weighted iterate distance falls below ``picard_tol``, and
+    raises `PicardNonConvergence` on blow-up (ratio above ``DIVERGENCE_RATIO``
+    for ``DIVERGENCE_PATIENCE`` consecutive sweeps) or exhaustion of
+    ``picard_max_iters``.  Unless the caller passes the ``wellposedness``
+    report of checks it already made for the same (tree, xi, gen, config,
+    phi), as `solve_bsvi` does once for its whole schedule, `_check_gate`
+    admits the problem here.  The drift's past-Z terms are resolved to frozen
+    rows once, before the first sweep.
     """
+    if epsilon is not None:
+        if phi is None:
+            raise ValueError("epsilon needs a phi to penalize")
+        if not epsilon > 0:
+            raise ValueError("epsilon must be positive")
     config = config or SolverConfig()
-    scheme = scheme or config.scheme
     xi = _as_leaf_values(tree, xi)
-    phi, eps = (None, None) if penalty is None else penalty
-    report = wellposedness or _check_gate(tree, xi.shape[1], gen, config)
+    report = wellposedness or _check_gate(tree, xi, gen, config, phi)
     past_rows = past_z_rows(gen, tree)
     weights = _distance_weights(tree, resolve_beta(config, gen))
 
@@ -330,7 +338,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     diag = PicardDiagnostics()
     over_ratio = 0
     for sweep in range(1, config.picard_max_iters + 1):
-        ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi, eps, scheme,
+        ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi, epsilon,
                                past_rows)
         dist = _weighted_distance(ys, zs, frozen_y.values, frozen_z.values, weights)
         diag.iterate_distances.append(dist)
@@ -355,7 +363,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
             diag.converged = True
             return Solution(
                 Y=frozen_y, Z=frozen_z, U=AdaptedProcess(tree, us),
-                diagnostics=diag, scheme=scheme, epsilon=eps,
+                diagnostics=diag, epsilon=epsilon,
                 frozen_past=(prev_y, prev_z), wellposedness=report)
         if over_ratio >= DIVERGENCE_PATIENCE:
             raise PicardNonConvergence(
@@ -368,25 +376,11 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
         diag, diverged=False)
 
 
-def _require_finite_penalty(phi: ConvexFunction, xi: np.ndarray):
-    vals = phi.value(xi)
-    bad = np.where(~np.isfinite(np.atleast_1d(vals)))[0]
-    if bad.size:
-        raise ValueError(
-            f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
-            "terminal data must lie in the domain of phi")
-
-
 def solve_penalized(tree: ScenarioTree, xi, gen: GeneratorSpec,
                     phi: ConvexFunction, epsilon: float,
                     config: SolverConfig | None = None) -> Solution:
     """Solve the approximating equation with penalty gradient at level eps."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    xi = _as_leaf_values(tree, xi)
-    _require_finite_penalty(phi, xi)
-    return picard_solve(tree, xi, gen, config, penalty=(phi, epsilon),
-                        scheme="penalized")
+    return picard_solve(tree, xi, gen, config, phi=phi, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -415,19 +409,18 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
     The table rows pair consecutive schedule entries with the S^2/H^2 norms of
     their differences plus the H^2 mass of the penalty gradient and the time
     integral of phi at the resolvent points, feeding the rate and bound audits.
-    The terminal data is validated and the well-posedness gate (with a custom
-    drift's probe audit) checked once; every entry of the schedule then runs
-    `picard_solve` with that report.
+    The admission checks of `_check_gate` (terminal data in dom phi, the
+    well-posedness gate, a custom drift's probe audit) run once; every entry
+    of the schedule then runs `picard_solve` with that report.
     """
     config = config or SolverConfig()
     dt = tree.grid.dt
     xi = _as_leaf_values(tree, xi)
-    _require_finite_penalty(phi, xi)
-    report = _check_gate(tree, xi.shape[1], gen, config)
+    report = _check_gate(tree, xi, gen, config, phi)
     per_eps = []
     for eps in config.epsilon_schedule:
-        per_eps.append((eps, picard_solve(tree, xi, gen, config, penalty=(phi, eps),
-                                          scheme="penalized", wellposedness=report)))
+        per_eps.append((eps, picard_solve(tree, xi, gen, config, phi=phi,
+                                          epsilon=eps, wellposedness=report)))
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
         dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)
@@ -454,7 +447,4 @@ def prox_step_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     of the subdifferential at Y exactly, so Y stays in the domain of phi at
     every node.
     """
-    xi = _as_leaf_values(tree, xi)
-    _require_finite_penalty(phi, xi)
-    return picard_solve(tree, xi, gen, config, penalty=(phi, None),
-                        scheme="prox_step")
+    return picard_solve(tree, xi, gen, config, phi=phi)

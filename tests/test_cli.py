@@ -66,6 +66,29 @@ def test_missing_key_is_config_error():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("solver_conf", [{"epsilon_schedule": []},
+                                         {"picard_max_iters": 0}])
+def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_conf):
+    doc = minimal_doc()
+    doc["solver"] = solver_conf
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
+def test_bsvi_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a noticeable import on the first np.median of a process
+    code = ("import sys; from bsvi.cli import run; "
+            f"run({str(CONFIGS / 'indicator_box.yaml')!r}, write_files=False); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_validation_error_for_terminal_outside_box(tmp_path):
     doc = minimal_doc()
     doc["phi"] = {"kind": "box", "lo": -0.5, "hi": 0.5}
@@ -190,8 +213,7 @@ def test_config_echo_round_trips(tmp_path):
     report = run(path, out_dir=tmp_path / "out")
     echoed = config_from_dict(report["config"])
     original = parse_config(path)
-    assert echoed.horizon == original.horizon
-    assert echoed.n_steps == original.n_steps
+    assert echoed.tree.grid == original.tree.grid
     assert np.array_equal(echoed.xi, original.xi)
     assert echoed.mode == original.mode
     # and the echoed config reproduces the same numbers

@@ -10,9 +10,8 @@ from bsvi.lattice import (
     AdaptedProcess,
     TreeSizeError,
     build_tree,
-    conditional_expectation,
     history_value,
-    z_projection,
+    level_moments,
 )
 
 
@@ -62,38 +61,28 @@ def test_build_tree_bad_args():
         build_tree(2, 1.0, 0)
 
 
-def test_conditional_expectation_examples():
+def test_level_moments_examples():
+    # one node: the mean of its children and their projection on the increment
     tree = build_tree(1, 1.0, 1)
-    assert conditional_expectation([[1.0], [3.0]], tree) == pytest.approx([2.0])
-    assert conditional_expectation([[5.5], [5.5]], tree) == pytest.approx([5.5])
+    expect, _ = level_moments(tree, np.array([[1.0], [3.0]]))
+    assert expect == pytest.approx(np.array([[2.0]]))
+    expect, _ = level_moments(tree, np.array([[5.5], [5.5]]))
+    assert expect == pytest.approx(np.array([[5.5]]))
     tree2 = build_tree(1, 1.0, 2)
-    out = conditional_expectation([[1, 0], [0, 1], [0, 0], [1, 1]], tree2)
-    assert np.allclose(out, [0.5, 0.5])
+    expect, _ = level_moments(tree2, np.array([[1.0, 0], [0, 1], [0, 0], [1, 1]]))
+    assert np.allclose(expect, [[0.5, 0.5]])
 
-
-def test_conditional_expectation_wrong_arity():
-    tree = build_tree(1, 1.0, 1)
-    with pytest.raises(ValueError, match="child values"):
-        conditional_expectation([[1.0], [2.0], [3.0]], tree)
-
-
-def test_z_projection_examples():
-    dt = 0.25
-    s = math.sqrt(dt)
+    tree = build_tree(4, 1.0, 1)
+    s = math.sqrt(tree.grid.dt)  # child 0 takes +s, child 1 takes -s
     # children equal to their own increment recover Z = 1
-    z = z_projection([[s], [-s]], [[s], [-s]], dt)
-    assert z == pytest.approx(np.array([[1.0]]))
+    _, z = level_moments(tree, np.array([[s], [-s]]))
+    assert z == pytest.approx(np.array([[[1.0]]]))
     # constants are orthogonal to the increment
-    z = z_projection([[7.0], [7.0]], [[s], [-s]], dt)
-    assert z == pytest.approx(np.array([[0.0]]))
+    _, z = level_moments(tree, np.array([[7.0], [7.0]]))
+    assert z == pytest.approx(np.array([[[0.0]]]))
     # asymmetric children: (2 dt + 0) / (2 dt) = 1
-    z = z_projection([[2 * s], [0.0]], [[s], [-s]], dt)
-    assert z == pytest.approx(np.array([[1.0]]))
-
-
-def test_z_projection_arity_mismatch():
-    with pytest.raises(ValueError, match="arity"):
-        z_projection([[1.0]], [[0.5], [-0.5]], 0.25)
+    _, z = level_moments(tree, np.array([[2 * s], [0.0]]))
+    assert z == pytest.approx(np.array([[[1.0]]]))
 
 
 @pytest.fixture
@@ -142,11 +131,8 @@ def test_tower_property(seed):
     rng = np.random.default_rng(seed)
     leaves = rng.normal(size=(8, 1))
     level = leaves
-    for i in (2, 1, 0):
-        level = np.stack([
-            conditional_expectation(level[2 * j:2 * j + 2], tree)
-            for j in range(tree.level_size(i))
-        ])
+    for _ in (2, 1, 0):
+        level, _z = level_moments(tree, level)
     assert abs(level[0, 0] - leaves.mean()) < 1e-12
 
 
@@ -154,19 +140,17 @@ def test_martingale_check():
     tree = build_tree(4, 2.0, 1)
     w = tree.path_sums()
     for i in range(4):
-        for j in range(tree.level_size(i)):
-            kids = w.values[i + 1][2 * j:2 * j + 2]
-            assert np.array_equal(conditional_expectation(kids, tree), w.values[i][j])
+        expect, _ = level_moments(tree, w.values[i + 1])
+        assert np.array_equal(expect, w.values[i])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_z_projection_recovers_linear_coefficient(a, b):
-    dt = 0.5
-    s = math.sqrt(dt)
-    children = [[a + b * s], [a - b * s]]
-    z = z_projection(children, [[s], [-s]], dt)
-    assert abs(z[0, 0] - b) < 1e-12
+    tree = build_tree(2, 1.0, 1)
+    s = math.sqrt(tree.grid.dt)
+    _, z = level_moments(tree, np.array([[a + b * s], [a - b * s]]))
+    assert abs(z[0, 0, 0] - b) < 1e-12
 
 
 def test_adapted_process_shape_validation():

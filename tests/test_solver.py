@@ -230,12 +230,12 @@ def test_solve_bsvi_checks_the_gate_once_per_schedule(monkeypatch):
     real_picard = solver_mod.picard_solve
 
     def counted_picard(*args, **kwargs):
-        solves.append(kwargs.get("penalty"))
+        solves.append(kwargs.get("epsilon"))
         return real_picard(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "picard_solve", counted_picard)
     assert _gate_warnings(lambda: solve_bsvi(tree, xi, gen, phi)) == 1
-    assert len(solves) == len(SolverConfig().epsilon_schedule)
+    assert solves == list(SolverConfig().epsilon_schedule)
     assert _gate_warnings(lambda: picard_solve(tree, xi, gen)) == 1
     assert _gate_warnings(lambda: prox_step_solve(tree, xi, gen, phi)) == 1
     with pytest.raises(WellposednessError):
@@ -503,6 +503,29 @@ def test_multivalued_term_is_monotone_across_data():
     assert total >= -1e-10
 
 
+def test_phi_and_epsilon_pick_the_step():
+    # phi alone is the prox step, phi with epsilon the penalized step
+    tree, xi, gen, phi = box_linear_problem(4)
+    pairs = ((picard_solve(tree, xi, gen, phi=phi), prox_step_solve(tree, xi, gen, phi)),
+             (picard_solve(tree, xi, gen, phi=phi, epsilon=0.125),
+              solve_penalized(tree, xi, gen, phi, 0.125)))
+    for got, want in pairs:
+        assert got.epsilon == want.epsilon
+        for proc in ("Y", "Z", "U"):
+            for a, b in zip(getattr(got, proc).values, getattr(want, proc).values):
+                assert np.array_equal(a, b)
+    assert pairs[0][0].epsilon is None and pairs[1][0].epsilon == 0.125
+
+
+def test_picard_solve_rejects_inconsistent_step_arguments():
+    tree, xi, gen, phi = box_linear_problem(3)
+    for eps in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
+    with pytest.raises(ValueError, match="phi"):
+        picard_solve(tree, xi, gen, epsilon=0.5)
+
+
 def test_penalized_approaches_prox_scheme():
     tree, xi, gen, phi = box_linear_problem(4)
     prox_sol = prox_step_solve(tree, xi, gen, phi)
@@ -518,7 +541,9 @@ def test_solver_config_validation():
         SolverConfig(epsilon_schedule=(0.5, 0.5))
     with pytest.raises(ValueError, match="positive"):
         SolverConfig(epsilon_schedule=(1.0, -0.5))
-    with pytest.raises(ValueError, match="scheme"):
-        SolverConfig(scheme="magic")
+    with pytest.raises(ValueError, match="empty"):
+        SolverConfig(epsilon_schedule=())
+    with pytest.raises(ValueError, match="picard_max_iters"):
+        SolverConfig(picard_max_iters=0)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(beta=-1.0)
