@@ -61,8 +61,8 @@ def test_build_tree_bad_args():
         build_tree(2, 1.0, 0)
 
 
-def test_level_moments_examples():
-    # one node: the mean of its children and their projection on the increment
+def test_conditional_expectation_examples():
+    # one node: the mean of its children
     tree = build_tree(1, 1.0, 1)
     expect, _ = level_moments(tree, np.array([[1.0], [3.0]]))
     assert expect == pytest.approx(np.array([[2.0]]))
@@ -72,6 +72,9 @@ def test_level_moments_examples():
     expect, _ = level_moments(tree2, np.array([[1.0, 0], [0, 1], [0, 0], [1, 1]]))
     assert np.allclose(expect, [[0.5, 0.5]])
 
+
+def test_z_projection_examples():
+    # one node: the projection of its children on the increment
     tree = build_tree(4, 1.0, 1)
     s = math.sqrt(tree.grid.dt)  # child 0 takes +s, child 1 takes -s
     # children equal to their own increment recover Z = 1
