@@ -24,7 +24,7 @@ def main() -> int:
         kappa = math.sqrt(k_delay)
 
         def drift(t, y, z, past_y, past_z, kappa=kappa):
-            return -y + kappa * past_z(-lag)[:, 0]
+            return -y + kappa * past_z(-lag)[..., 0]
 
         gen = generators.CustomGenerator(
             fn=drift, declared_instant=L, declared_delay=k_delay,

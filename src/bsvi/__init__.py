@@ -7,9 +7,7 @@ from .lattice import (
     TimeGrid,
     TreeSizeError,
     build_tree,
-    history_value,
     level_moments,
-    segment_accessors,
 )
 from .convex import (
     Custom1D,
@@ -36,8 +34,6 @@ from .generators import (
     RunningIntegralZ,
     UniformPast,
     ZeroGen,
-    delayed_quadrature,
-    eval_generator,
     generator_bound_diagnostic,
     level_drift,
     linear_scalar,

@@ -2,9 +2,10 @@
 
 A delay measure is a probability measure on [-horizon, 0] weighting how the
 past segments of (Y, Z) enter the drift, integrated through its (theta, weight)
-atoms on the grid.  Past segments are exposed to the generator as accessors
-theta -> value with theta in [-horizon, 0]; lookups at negative absolute times
-resolve through the extension Y(t) = Y(0), Z(t) = 0.
+atoms on the grid.  A custom drift reads its past segments through accessors
+theta -> value with theta in [-horizon, 0], one whole tree level at a time;
+lookups at negative absolute times resolve through the extension Y(t) = Y(0),
+Z(t) = 0, and offsets theta > 0 raise.
 
 A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
 exact Lipschitz constants; a random two-point probe audit
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import TIME_SLACK, grid_row, row_sq_norms, segment_accessors
+from .lattice import TIME_SLACK, grid_row, row_sq_norms
 
 
 class GeneratorError(RuntimeError):
@@ -104,18 +105,6 @@ class DiscreteMixture(DelayMeasure):
         for theta, _ in self.atoms:
             _check_support(theta, horizon)
         return self.atoms
-
-
-def delayed_quadrature(accessor, t: float, alpha: DelayMeasure, *,
-                       horizon: float | None = None,
-                       dt: float | None = None) -> np.ndarray:
-    """Integrate the past segment read back from grid time t against the delay
-    measure: int_{-T}^0 accessor(theta) alpha(dtheta), as one weighted sum over
-    the atoms of `DelayMeasure.discretize` (the uniform measure needs
-    ``horizon`` and ``dt``).
-    """
-    return sum(c * np.asarray(accessor(theta), dtype=float)
-               for theta, c in alpha.discretize(horizon, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +269,13 @@ class MovingAverageZ(GeneratorSpec):
 class CustomGenerator(GeneratorSpec):
     """User drift fn(t, y, z, past_y, past_z) with declared constants.
 
+    The callback evaluates a whole tree level in one call, once per level per
+    sweep: y has shape (size, m), z (size, m, d), and it returns the (size, m)
+    drift at grid time t.  ``past_y(theta)`` and ``past_z(theta)`` return the
+    same shapes: each node's ancestor value on grid row floor((t + theta)/dt),
+    Y(0) / zero before time 0, and the current (y, z) at theta = 0.  An offset
+    theta > 0 reads the future and raises `GeneratorError`.  Index the noise
+    axis as ``past_z(theta)[..., 0]``, which holds for any m.
     The declared (L, K) are only probe-audited (see `lipschitz_probe_audit`);
     the callback must be re-entrant and must not mutate its arguments.
     """
@@ -296,50 +292,72 @@ class CustomGenerator(GeneratorSpec):
         return self.declared_delay
 
 
-def eval_generator(gen: GeneratorSpec, t: float, y, z, past_y, past_z,
-                   *, horizon: float | None = None,
-                   dt: float | None = None) -> np.ndarray:
-    """Evaluate the drift at grid time t with past segments as accessors.
-
-    Built-ins accept leading batch axes on (y, z) and accessor rows (see
-    `level_drift`); a `CustomGenerator` callback takes one node.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if isinstance(gen, CustomGenerator):
-        try:
-            out = gen.fn(t, y, z, past_y, past_z)
-        except Exception as exc:
-            raise GeneratorError(
-                f"custom generator failed at t={t}: {exc}") from exc
-        return np.asarray(out, dtype=float)
-    terms = gen.past_z_terms(t, horizon, dt)
-    if terms and z.shape[-1] != 1:
+def _require_scalar_noise(gen: GeneratorSpec, d: int):
+    if d != 1:
         raise GeneratorError(
             f"{type(gen).__name__} requires a one-dimensional driving noise "
-            f"(z has d = {z.shape[-1]})")
-    return sum((c * past_z(theta)[..., 0] for theta, c in terms), gen.instant(y, z))
+            f"(z has d = {d})")
 
 
-def generator_at_origin(gen: GeneratorSpec, t: float, m: int, d: int,
-                        *, horizon: float, dt: float) -> np.ndarray:
-    """F(t, 0, 0, 0, 0): all instantaneous and past arguments identically zero."""
-    zero_y = np.zeros(m)
-    zero_z = np.zeros((m, d))
-    return eval_generator(gen, t, zero_y, zero_z,
-                          lambda theta: zero_y, lambda theta: zero_z,
-                          horizon=horizon, dt=dt)
+def _past_reader(row, i: int, dt: float, current, extension):
+    """Accessor theta -> the batch's value at t_i + theta for a level-i drift.
+
+    Reads ``row(k)`` on the grid row k = `lattice.grid_row`(t_i + theta),
+    ``extension`` before time 0 (``row(0)``, the Y(0) extension, when None) and
+    ``current`` at offsets theta >= -slack unless None.  An offset past the
+    slack reads the future, which would break adaptedness, and raises.
+    """
+    t = i * dt
+
+    def read(theta: float) -> np.ndarray:
+        if theta > TIME_SLACK * dt:
+            raise GeneratorError(
+                f"past offset theta={theta} reads the future at t={t}, level {i}")
+        if current is not None and theta >= -TIME_SLACK * dt:
+            return current
+        k = grid_row(t + theta, dt, i)
+        if k is None:
+            return row(0) if extension is None else extension
+        return row(k)
+    return read
+
+
+def _read_drift(gen: GeneratorSpec, i: int, dt: float, horizon: float,
+                y: np.ndarray, z: np.ndarray, past_y, past_z) -> np.ndarray:
+    """F(t_i, y, z, past) on a batch of rows (size, m), the past read through
+    `_past_reader` accessors: one call of a `CustomGenerator` callback, or a
+    built-in's ``instant(y, z) + sum c * past_z(theta)``."""
+    t = i * dt
+    if not isinstance(gen, CustomGenerator):
+        terms = gen.past_z_terms(t, horizon, dt)
+        if terms:
+            _require_scalar_noise(gen, z.shape[-1])
+        return sum((c * past_z(theta)[..., 0] for theta, c in terms), gen.instant(y, z))
+    try:
+        out = np.asarray(gen.fn(t, y, z, past_y, past_z), dtype=float)
+    except Exception as exc:
+        raise GeneratorError(
+            f"custom generator failed at t={t}, level {i}: {exc}") from exc
+    if out.shape != y.shape:
+        raise GeneratorError(
+            f"custom generator returned shape {out.shape} at t={t}, level {i}; "
+            f"expected (size, m) = {y.shape}")
+    return out
 
 
 def origin_drift_mass(gen: GeneratorSpec, tree, m: int, beta: float = 0.0) -> float:
-    """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds, left endpoints on the grid."""
+    """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds, left endpoints on the grid:
+    the drift of a one-row level of zeros with a zero past."""
     grid = tree.grid
-    return sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(
-        generator_at_origin(gen, i * grid.dt, m, tree.bm_dim,
-                            horizon=grid.horizon, dt=grid.dt) ** 2))
-        for i in range(grid.n_steps))
+    zero_y, zero_z = np.zeros((1, m)), np.zeros((1, m, tree.bm_dim))
+
+    def at_origin(i):
+        past_y = _past_reader(lambda k: zero_y, i, grid.dt, None, None)
+        past_z = _past_reader(lambda k: zero_z, i, grid.dt, None, None)
+        return _read_drift(gen, i, grid.dt, grid.horizon, zero_y, zero_z, past_y, past_z)
+
+    return sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(at_origin(i) ** 2))
+               for i in range(grid.n_steps))
 
 
 def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
@@ -348,7 +366,7 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     ``row`` is the frozen grid row `lattice.grid_row` reads at t_i + theta, or
     None for offsets theta >= -slack, which read the level's current z.  Terms
     before time 0 are dropped: the Z extension there is 0.  Term order is kept,
-    so `level_drift` sums exactly as the per-node `eval_generator` does.
+    so `level_drift` sums in the order ``past_z_terms`` gives.
     Resolved once per solve: ``past_z_terms`` is called once per level.
     """
     grid = tree.grid
@@ -356,10 +374,8 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     levels = []
     for i in range(grid.n_steps):
         terms = gen.past_z_terms(i * dt, grid.horizon, dt)
-        if terms and tree.bm_dim != 1:
-            raise GeneratorError(
-                f"{type(gen).__name__} requires a one-dimensional driving noise "
-                f"(z has d = {tree.bm_dim})")
+        if terms:
+            _require_scalar_noise(gen, tree.bm_dim)
         rows = []
         for theta, c in terms:
             if theta >= -TIME_SLACK * dt:
@@ -378,8 +394,9 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
     which resolves to the level's current (y, z).  A built-in is
     ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
     `past_z_rows(gen, tree)` table, each frozen row repeated down to level i.
-    `CustomGenerator` callbacks are per node by contract and read their past
-    through `lattice.segment_accessors`.
+    A `CustomGenerator` callback is called once, on the whole level: its
+    accessors return the (size, ...) ancestor rows of (frozen_y, frozen_z),
+    repeated down to level i, with the Y(0) / zero extension before time 0.
     """
     if not isinstance(gen, CustomGenerator):
         drift = gen.instant(y, z)
@@ -388,20 +405,14 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
                 frozen_z.values[row][..., 0], tree.branching ** (i - row), axis=0)
             drift = drift + c * past
         return drift
-    grid = tree.grid
-    t = i * grid.dt
-    drift = np.empty_like(y)
-    for j in range(y.shape[0]):
-        past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
-                                           current_y=y[j], current_z=z[j])
-        out = eval_generator(gen, t, y[j], z[j], past_y, past_z,
-                             horizon=grid.horizon, dt=grid.dt)
-        if out.shape != y.shape[1:]:
-            raise GeneratorError(
-                f"custom generator returned shape {out.shape} at t={t}, node {j} "
-                f"of level {i}; expected {y.shape[1:]}")
-        drift[j] = out
-    return drift
+
+    def ancestors(process):
+        return lambda k: np.repeat(process.values[k], tree.branching ** (i - k), axis=0)
+
+    dt = tree.grid.dt
+    past_y = _past_reader(ancestors(frozen_y), i, dt, y, None)
+    past_z = _past_reader(ancestors(frozen_z), i, dt, z, np.zeros_like(z))
+    return _read_drift(gen, i, dt, tree.grid.horizon, y, z, past_y, past_z)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +454,6 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
     return float(np.max(int_f - bound))
 
 
-def _step_accessor(values: np.ndarray, t: float, dt: float, zero_extension: bool):
-    """Accessor over offsets for a deterministic step path given on the grid."""
-    def acc(theta: float) -> np.ndarray:
-        k = grid_row(t + theta, dt, len(values) - 1)
-        if k is None:
-            return np.zeros_like(values[0]) if zero_extension else values[0]
-        return values[k]
-    return acc
-
-
 def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
                           n_steps: int, n_probes: int = 200,
                           seed: int = 2024) -> dict:
@@ -461,40 +462,47 @@ def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
     Draws random instantaneous arguments and random past step paths and
     measures the worst slack of the two Lipschitz inequalities; nonpositive
     slacks (up to rounding) certify the declared L and K on the probe set.
+    The probes drawn at one level are evaluated as one batch.  A probe's past
+    reads its own path, offset 0 included, never the instantaneous argument.
     """
     rng = np.random.default_rng(seed)
     dt = horizon / n_steps
     big_l = gen.lipschitz_instant()
     big_k = gen.lipschitz_delay(horizon)
-    worst_instant = -np.inf
-    worst_delay = -np.inf
-    for _ in range(n_probes):
-        i = int(rng.integers(0, n_steps))
-        t = i * dt
-        y1, y2 = rng.normal(size=(2, m))
-        z1, z2 = rng.normal(size=(2, m, d))
-        path_y1, path_y2 = rng.normal(size=(2, n_steps + 1, m))
-        path_z1, path_z2 = rng.normal(size=(2, n_steps + 1, m, d))
-        acc_y1 = _step_accessor(path_y1, t, dt, zero_extension=False)
-        acc_y2 = _step_accessor(path_y2, t, dt, zero_extension=False)
-        acc_z1 = _step_accessor(path_z1, t, dt, zero_extension=True)
-        acc_z2 = _step_accessor(path_z2, t, dt, zero_extension=True)
+    levels = np.empty(n_probes, dtype=int)
+    y, z = np.empty((2, n_probes, m)), np.empty((2, n_probes, m, d))
+    path_y = np.empty((2, n_probes, n_steps + 1, m))
+    path_z = np.empty((2, n_probes, n_steps + 1, m, d))
+    for p in range(n_probes):  # probe by probe: the draw order fixes the probes
+        levels[p] = rng.integers(0, n_steps)
+        y[:, p] = rng.normal(size=(2, m))
+        z[:, p] = rng.normal(size=(2, m, d))
+        path_y[:, p] = rng.normal(size=(2, n_steps + 1, m))
+        path_z[:, p] = rng.normal(size=(2, n_steps + 1, m, d))
+    atoms = gen.alpha.discretize(horizon, dt)
+    worst_instant = worst_delay = -np.inf
+    for i in range(n_steps):
+        at = levels == i
+        if not at.any():
+            continue
+        (y1, y2), (z1, z2) = y[:, at], z[:, at]
 
-        f_a = eval_generator(gen, t, y1, z1, acc_y1, acc_z1, horizon=horizon, dt=dt)
-        f_b = eval_generator(gen, t, y2, z2, acc_y1, acc_z1, horizon=horizon, dt=dt)
-        lhs = float(np.linalg.norm(f_a - f_b))
-        rhs = big_l * (float(np.linalg.norm(y1 - y2)) + float(np.linalg.norm(z1 - z2)))
-        worst_instant = max(worst_instant, lhs - rhs)
+        def path_reader(paths, extension):
+            return _past_reader(lambda k: paths[:, k], i, dt, None, extension)
 
-        f_c = eval_generator(gen, t, y1, z1, acc_y2, acc_z2, horizon=horizon, dt=dt)
-        lhs_sq = float(np.sum((f_a - f_c) ** 2))
-        dy_sq = delayed_quadrature(
-            lambda theta: np.sum((acc_y1(theta) - acc_y2(theta)) ** 2),
-            t, gen.alpha, horizon=horizon, dt=dt)
-        dz_sq = delayed_quadrature(
-            lambda theta: np.sum((acc_z1(theta) - acc_z2(theta)) ** 2),
-            t, gen.alpha, horizon=horizon, dt=dt)
-        rhs_sq = big_k * (float(dy_sq) + float(dz_sq))
-        worst_delay = max(worst_delay, lhs_sq - rhs_sq)
+        acc_y1, acc_y2 = (path_reader(path_y[s, at], None) for s in (0, 1))
+        acc_z1, acc_z2 = (path_reader(path_z[s, at], np.zeros_like(z1)) for s in (0, 1))
+
+        f_a = _read_drift(gen, i, dt, horizon, y1, z1, acc_y1, acc_z1)
+        f_b = _read_drift(gen, i, dt, horizon, y2, z2, acc_y1, acc_z1)
+        lhs = np.sqrt(row_sq_norms(f_a - f_b))
+        rhs = big_l * (np.sqrt(row_sq_norms(y1 - y2)) + np.sqrt(row_sq_norms(z1 - z2)))
+        worst_instant = max(worst_instant, float(np.max(lhs - rhs)))
+
+        f_c = _read_drift(gen, i, dt, horizon, y1, z1, acc_y2, acc_z2)
+        dy_sq = sum(c * row_sq_norms(acc_y1(theta) - acc_y2(theta)) for theta, c in atoms)
+        dz_sq = sum(c * row_sq_norms(acc_z1(theta) - acc_z2(theta)) for theta, c in atoms)
+        rhs_sq = big_k * (dy_sq + dz_sq)
+        worst_delay = max(worst_delay, float(np.max(row_sq_norms(f_a - f_c) - rhs_sq)))
     return {"instant_slack": worst_instant, "delay_slack": worst_delay,
             "L": big_l, "K": big_k}

@@ -153,60 +153,3 @@ def grid_row(query_time: float, dt: float, last: int) -> int | None:
     if query_time < -TIME_SLACK * dt:
         return None
     return min(max(int(math.floor(query_time / dt + TIME_SLACK)), 0), last)
-
-
-def history_value(process: AdaptedProcess, level: int, node: int,
-                  query_time: float, kind: str) -> np.ndarray:
-    """Past value of an adapted process seen from node (level, node).
-
-    For query_time in [0, t_level] the value at the ancestor on the grid time
-    floor(query_time/dt) is returned (left-constant interpolation).  For
-    query_time < 0 the extension convention applies: state-type ("y") processes
-    return the root value, integrand-type ("z") processes return zero.
-    Serves the `CustomGenerator` adaptor and tests as the per-node oracle;
-    built-in drifts read whole ancestor rows (`generators.past_z_rows`).
-    """
-    if kind not in ("y", "z"):
-        raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
-    dt = process.tree.grid.dt
-    t_here = level * dt
-    if query_time > t_here + TIME_SLACK * dt:
-        raise ValueError(
-            f"query_time {query_time} is after node time {t_here}; "
-            "future lookups would break adaptedness"
-        )
-    k = grid_row(query_time, dt, level)
-    if k is None:
-        if kind == "y":
-            return process.values[0][0]
-        return np.zeros_like(process.values[0][0])
-    ancestor = node >> (process.tree.bm_dim * (level - k))
-    return process.values[k][ancestor]
-
-
-def segment_accessors(y_process: AdaptedProcess, z_process: AdaptedProcess,
-                      level: int, node: int,
-                      current_y: np.ndarray | None = None,
-                      current_z: np.ndarray | None = None):
-    """Past-segment accessors theta -> value for the generator at node (level, node).
-
-    Offsets theta <= 0 are relative to t_level.  theta == 0 returns the current
-    values when supplied (the solver passes its predictor pair there), otherwise
-    the processes' own node values; theta < 0 goes through ``history_value`` and
-    its t < 0 extension.
-    """
-    dt = y_process.tree.grid.dt
-    t_here = level * dt
-    slack = TIME_SLACK * dt
-
-    def past_y(theta: float) -> np.ndarray:
-        if theta >= -slack and current_y is not None:
-            return current_y
-        return history_value(y_process, level, node, t_here + theta, "y")
-
-    def past_z(theta: float) -> np.ndarray:
-        if theta >= -slack and current_z is not None:
-            return current_z
-        return history_value(z_process, level, node, t_here + theta, "z")
-
-    return past_y, past_z

@@ -67,7 +67,7 @@ def delayed_box_problem(n_steps: int = 3, horizon: float = 0.1):
     lag = tree.grid.dt
 
     def drift(t, y, z, past_y, past_z):
-        return y + 0.3 * past_z(-lag)[:, 0]
+        return y + 0.3 * past_z(-lag)[..., 0]
 
     gen = generators.CustomGenerator(fn=drift, declared_instant=1.0,
                                      declared_delay=0.09,

@@ -1,8 +1,10 @@
-"""Brute-force fixed point of the discrete delayed system.
+"""Per-node oracles, deliberately coded apart from the solver.
 
-Deliberately coded apart from the solver: plain nested loops over per-level
-scalar arrays, direct iteration until the sweep map stops moving.  Used to
-cross-check `picard_solve` output on small trees.
+A brute-force fixed point of the discrete delayed system (plain nested loops
+over per-level scalar arrays, direct iteration until the sweep map stops
+moving), used to cross-check `picard_solve` output on small trees; and a
+per-node reader of past segments with a per-node drift evaluation, used to
+cross-check the level-at-a-time `generators.level_drift`.
 """
 
 import math
@@ -10,6 +12,54 @@ import math
 import numpy as np
 
 from bsvi import convex
+from bsvi.generators import CustomGenerator
+from bsvi.lattice import TIME_SLACK, grid_row
+
+
+def history_value(process, level, node, query_time, kind):
+    """Past value of an adapted process seen from node (level, node): the
+    ancestor's value on grid row floor(query_time / dt) (left-constant), the
+    root value ("y") or zero ("z") before time 0; future times raise."""
+    dt = process.tree.grid.dt
+    if query_time > level * dt + TIME_SLACK * dt:
+        raise ValueError(f"query_time {query_time} is after node time {level * dt}; "
+                         "future lookups would break adaptedness")
+    k = grid_row(query_time, dt, level)
+    if k is None:
+        root = process.values[0][0]
+        return root if kind == "y" else np.zeros_like(root)
+    return process.values[k][node >> (process.tree.bm_dim * (level - k))]
+
+
+def node_accessors(y_process, z_process, level, node, current_y=None, current_z=None):
+    """Past-segment accessors theta -> value at node (level, node); offsets
+    theta >= -slack read the current pair when given."""
+    t = level * y_process.tree.grid.dt
+    slack = TIME_SLACK * y_process.tree.grid.dt
+
+    def reader(process, current, kind):
+        def read(theta):
+            if theta >= -slack and current is not None:
+                return current
+            return history_value(process, level, node, t + theta, kind)
+        return read
+
+    return reader(y_process, current_y, "y"), reader(z_process, current_z, "z")
+
+
+def node_drift(gen, t, y, z, past_y, past_z, horizon, dt):
+    """The drift at one node: the callback on node arrays for a custom drift,
+    ``instant(y, z) + sum c * past_z(theta)`` for a built-in."""
+    if isinstance(gen, CustomGenerator):
+        return np.asarray(gen.fn(t, y, z, past_y, past_z), dtype=float)
+    return sum((c * past_z(theta)[..., 0] for theta, c in gen.past_z_terms(t, horizon, dt)),
+               gen.instant(y, z))
+
+
+def quadrature(accessor, alpha, horizon=None, dt=None):
+    """int accessor(theta) alpha(dtheta) as the weighted sum over its atoms."""
+    return sum(c * np.asarray(accessor(theta), dtype=float)
+               for theta, c in alpha.discretize(horizon, dt))
 
 
 def oracle_fixed_point(tree, xi, drift_fn, penalty=None, sweeps=80):

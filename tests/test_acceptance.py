@@ -163,7 +163,7 @@ def test_criterion_5_contraction_gate():
         kappa = math.sqrt(k_delay)
 
         def drift(t, y, z, past_y, past_z, kappa=kappa):
-            return -y + kappa * past_z(-lag)[:, 0]
+            return -y + kappa * past_z(-lag)[..., 0]
 
         gen = generators.CustomGenerator(
             fn=drift, declared_instant=L, declared_delay=k_delay,
@@ -287,7 +287,7 @@ def test_criterion_10_stability():
         lag = 0.05
 
         def drift(t, y, z, past_y, past_z):
-            return -y + 0.3 * past_z(-lag)[:, 0]
+            return -y + 0.3 * past_z(-lag)[..., 0]
 
         gen_d = generators.CustomGenerator(fn=drift, declared_instant=1.0,
                                            declared_delay=0.09,

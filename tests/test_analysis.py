@@ -160,7 +160,7 @@ def test_stability_constant_stable_under_dt_halving():
         lag = 0.05  # a grid point at both resolutions
 
         def drift(t, y, z, past_y, past_z):
-            return -y + 0.3 * past_z(-lag)[:, 0]
+            return -y + 0.3 * past_z(-lag)[..., 0]
 
         gen = generators.CustomGenerator(fn=drift, declared_instant=1.0,
                                          declared_delay=0.09,

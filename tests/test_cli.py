@@ -273,3 +273,11 @@ def test_run_configs_script_needs_no_install(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "UNEXPECTED" not in proc.stdout
+
+
+@pytest.mark.parametrize("script", ["contraction_study.py", "rate_study.py"])
+def test_experiment_script_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,15 +16,14 @@ from bsvi.generators import (
     RunningIntegralZ,
     UniformPast,
     ZeroGen,
-    delayed_quadrature,
-    eval_generator,
     generator_bound_diagnostic,
     level_drift,
     linear_scalar,
     lipschitz_probe_audit,
     past_z_rows,
 )
-from bsvi.lattice import AdaptedProcess, build_tree, segment_accessors
+from bsvi.lattice import AdaptedProcess, build_tree
+from helpers_oracle import node_accessors, node_drift, quadrature
 
 
 def const_accessor(value):
@@ -62,25 +61,36 @@ def test_discretize_rejects_offsets_beyond_the_horizon():
         UniformPast().discretize(None, 0.25)
 
 
+def custom(fn):
+    return CustomGenerator(fn=fn, declared_instant=1.0, declared_delay=1.0)
+
+
+def level_drift_at(gen, tree, i, y, z, frozen_y, frozen_z):
+    return level_drift(gen, tree, i, y, z, frozen_y, frozen_z, past_z_rows(gen, tree))
+
+
 def test_quadrature_dirac_at_zero_is_current_value():
     acc = const_accessor([4.2])
-    out = delayed_quadrature(acc, 0.6, Dirac(0.0))
+    out = quadrature(acc, Dirac(0.0))
     assert out == pytest.approx([4.2])
 
 
 def test_quadrature_dirac_before_zero_hits_extension():
-    # z-style accessor built from a real tree process: t < lag reads zeros
+    # a level-0 custom drift reading z(t - 0.3) gets the zero extension, one
+    # level later (t - 0.3 = 0.2) it reads the root's frozen z
     tree = build_tree(2, 1.0, 1)
     z = AdaptedProcess(tree, [np.ones((1, 1, 1)), np.ones((2, 1, 1))])
     y = tree.path_sums()
-    _, past_z = segment_accessors(y, z, 0, 0)
-    out = delayed_quadrature(lambda th: past_z(th), 0.0, Dirac(-0.3))
+    gen = custom(lambda t, y, z, py, pz: pz(-0.3)[..., 0])
+    out = level_drift_at(gen, tree, 0, np.ones((1, 1)), np.ones((1, 1, 1)), y, z)
     assert np.array_equal(out, np.zeros((1, 1)))
+    out = level_drift_at(gen, tree, 1, np.ones((2, 1)), np.full((2, 1, 1), 5.0), y, z)
+    assert np.array_equal(out, np.ones((2, 1)))
 
 
 def test_quadrature_mixture_of_constant_is_constant():
     alpha = DiscreteMixture(((-1.0, 0.5), (0.0, 0.5)))
-    out = delayed_quadrature(const_accessor([2.5]), 1.0, alpha, horizon=1.0)
+    out = quadrature(const_accessor([2.5]), alpha, horizon=1.0)
     assert out == pytest.approx([2.5])
 
 
@@ -89,13 +99,13 @@ def test_quadrature_uniform_trapezoid_on_linear_path():
     # of a linear function is exact: mean value = t - T/2
     horizon, dt, t = 1.0, 0.25, 1.0
     acc = lambda theta: np.array([t + theta])
-    out = delayed_quadrature(acc, t, UniformPast(), horizon=horizon, dt=dt)
+    out = quadrature(acc, UniformPast(), horizon=horizon, dt=dt)
     assert out == pytest.approx([t - horizon / 2])
 
 
 def test_quadrature_uniform_needs_grid():
     with pytest.raises(ValueError, match="horizon"):
-        delayed_quadrature(const_accessor([1.0]), 0.5, UniformPast())
+        quadrature(const_accessor([1.0]), UniformPast())
 
 
 def test_quadrature_linear_in_accessor():
@@ -113,76 +123,68 @@ def test_quadrature_linear_in_accessor():
 
     for alpha in (Dirac(-0.5), UniformPast(),
                   DiscreteMixture(((-0.75, 0.3), (-0.25, 0.7)))):
-        q1 = delayed_quadrature(stepper(vals1), 1.0, alpha, horizon=1.0, dt=dt)
-        q2 = delayed_quadrature(stepper(vals2), 1.0, alpha, horizon=1.0, dt=dt)
-        q12 = delayed_quadrature(stepper(2.0 * vals1 - 3.0 * vals2), 1.0, alpha,
-                                 horizon=1.0, dt=dt)
+        q1 = quadrature(stepper(vals1), alpha, horizon=1.0, dt=dt)
+        q2 = quadrature(stepper(vals2), alpha, horizon=1.0, dt=dt)
+        q12 = quadrature(stepper(2.0 * vals1 - 3.0 * vals2), alpha, horizon=1.0, dt=dt)
         assert np.allclose(q12, 2.0 * q1 - 3.0 * q2, atol=1e-12)
 
 
 def test_eval_generator_zero_and_linear():
-    y = np.array([1.5])
-    z = np.array([[1.0]])
-    assert eval_generator(ZeroGen(), 0.1, y, z, None, None) == pytest.approx([0.0])
-    ident = linear_scalar(0.0, 1.0)
-    out = eval_generator(ident, 0.1, y, z, None, None)
-    assert out == pytest.approx([1.0])
+    tree = build_tree(2, 1.0, 1)
+    y, z = random_paths(tree, 2)
+    y1, z1 = np.full((2, 1), 1.5), np.ones((2, 1, 1))
+    assert np.array_equal(level_drift_at(ZeroGen(), tree, 1, y1, z1, y, z), np.zeros((2, 1)))
+    out = level_drift_at(linear_scalar(0.0, 1.0), tree, 1, y1, z1, y, z)
+    assert np.array_equal(out, np.ones((2, 1)))
 
 
 def test_eval_generator_delayed_z_before_lag_is_zero():
     tree = build_tree(2, 1.0, 1)
     z = AdaptedProcess(tree, [np.full((1, 1, 1), 9.0), np.full((2, 1, 1), 9.0)])
     y = tree.path_sums()
-    past_y, past_z = segment_accessors(y, z, 0, 0)
     gen = DelayedZ(kappa=2.0, lag=0.5)
-    out = eval_generator(gen, 0.0, np.zeros(1), np.zeros((1, 1)),
-                         past_y, past_z, horizon=1.0, dt=0.5)
-    assert out == pytest.approx([0.0])
+    out = level_drift_at(gen, tree, 0, np.zeros((1, 1)), np.zeros((1, 1, 1)), y, z)
+    assert np.array_equal(out, np.zeros((1, 1)))
 
 
 def test_eval_generator_moving_average_dirac_zero_reduces_to_instant():
+    tree = build_tree(4, 1.0, 1)
+    y, z = random_paths(tree, 4)
     gen = MovingAverageZ(g=lambda t: 2.0 + t, g_bound=3.0, alpha=Dirac(0.0))
-    z_now = np.array([[0.7]])
-    out = eval_generator(gen, 0.5, np.zeros(1), z_now,
-                         const_accessor([0.0]), lambda th: z_now,
-                         horizon=1.0, dt=0.25)
-    assert out == pytest.approx([(2.0 + 0.5) * 0.7])
+    out = level_drift_at(gen, tree, 2, np.zeros((4, 1)), np.full((4, 1, 1), 0.7), y, z)
+    assert out == pytest.approx(np.full((4, 1), (2.0 + 0.5) * 0.7))
 
 
 def test_eval_generator_running_integral_matches_trapezoid():
-    dt = 0.25
+    # z(t_k) = zs[k] on every node; at t = 1 = t_4 the current z is zs[4]
+    tree = build_tree(5, 1.25, 1)
+    dt = tree.grid.dt
     zs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-
-    def past_z(theta):
-        u = 1.0 + theta
-        k = min(max(int(math.floor(u / dt + 1e-9)), 0), 4)
-        return np.array([[zs[k] if u >= 0 else 0.0]])
-
+    z = AdaptedProcess(tree, [np.full((tree.level_size(k), 1, 1), zs[k]) for k in range(5)])
+    y = tree.path_sums()
     gen = RunningIntegralZ(kappa=3.0)
-    out = eval_generator(gen, 1.0, np.zeros(1), np.zeros((1, 1)),
-                         None, past_z, horizon=1.0, dt=dt)
+    out = level_drift_at(gen, tree, 4, np.zeros((16, 1)), z.values[4], y, z)
     expected = 3.0 * dt * (0.5 * zs[0] + zs[1] + zs[2] + zs[3] + 0.5 * zs[4])
-    assert out == pytest.approx([expected])
+    assert out == pytest.approx(np.full((16, 1), expected))
     # at t = 0 the running integral is empty
-    out0 = eval_generator(gen, 0.0, np.zeros(1), np.zeros((1, 1)),
-                          None, past_z, horizon=1.0, dt=dt)
-    assert out0 == pytest.approx([0.0])
+    out0 = level_drift_at(gen, tree, 0, np.zeros((1, 1)), z.values[0], y, z)
+    assert np.array_equal(out0, np.zeros((1, 1)))
 
 
 def test_eval_generator_requires_scalar_noise_for_z_delays():
     gen = DelayedZ(kappa=1.0, lag=0.0)
     with pytest.raises(GeneratorError, match="one-dimensional"):
-        eval_generator(gen, 0.5, np.zeros(1), np.zeros((1, 2)),
-                       None, lambda th: np.zeros((1, 2)), horizon=1.0, dt=0.5)
+        lipschitz_probe_audit(gen, m=1, d=2, horizon=1.0, n_steps=2)
 
 
 def test_custom_generator_failure_is_wrapped():
     def broken(t, y, z, past_y, past_z):
         raise KeyError("boom")
 
-    gen = CustomGenerator(fn=broken, declared_instant=1.0, declared_delay=0.0)
+    tree = build_tree(2, 1.0, 1)
+    y, z = random_paths(tree, 3)
     with pytest.raises(GeneratorError, match="t=0.5"):
-        eval_generator(gen, 0.5, np.zeros(1), np.zeros((1, 1)), None, None)
+        level_drift_at(custom(broken), tree, 1, y.values[1], z.values[1], y, z)
 
 
 def random_paths(tree, seed):
@@ -229,7 +231,7 @@ def test_generator_bound_diagnostic_random_paths(gen):
     RunningIntegralZ(kappa=0.9),
     MovingAverageZ(g=lambda t: math.cos(3 * t), g_bound=1.0, alpha=UniformPast()),
     CustomGenerator(
-        fn=lambda t, y, z, py, pz: -0.8 * y + 0.5 * pz(-0.25)[:, 0],
+        fn=lambda t, y, z, py, pz: -0.8 * y + 0.5 * pz(-0.25)[..., 0],
         declared_instant=0.8, declared_delay=0.25, alpha=Dirac(-0.25)),
 ])
 def test_lipschitz_audit_of_declared_constants(gen):
@@ -256,10 +258,9 @@ def test_fubini_shift_inequality_pathwise():
             rhs = 0.0
             for i in range(n):
                 node = leaf >> (n - i)
-                _, past_z = segment_accessors(y, z, i, node)
-                sq = delayed_quadrature(
-                    lambda th: np.sum(past_z(th) ** 2), i * dt, alpha,
-                    horizon=1.0, dt=dt)
+                _, past_z = node_accessors(y, z, i, node)
+                sq = quadrature(lambda th: np.sum(past_z(th) ** 2), alpha,
+                                horizon=1.0, dt=dt)
                 lhs += dt * float(sq)
                 rhs += dt * float(np.sum(z.values[i][node] ** 2))
             assert lhs <= rhs + 1e-10
@@ -307,8 +308,12 @@ LEVEL_DRIFT_CASES = {
                                alpha=UniformPast()), 1, 1),
     "running_integral": (RunningIntegralZ(kappa=0.6), 1, 1),
     "custom": (CustomGenerator(
-        fn=lambda t, y, z, py, pz: -0.5 * y + 0.3 * pz(-0.25)[:, 0] + 0.1 * py(-0.5),
+        fn=lambda t, y, z, py, pz: -0.5 * y + 0.3 * pz(-0.25)[..., 0] + 0.1 * py(-0.5),
         declared_instant=0.5, declared_delay=0.2, alpha=Dirac(-0.25)), 1, 1),
+    "custom_m2_d1": (CustomGenerator(
+        fn=lambda t, y, z, py, pz: (-0.5 * y + 0.3 * pz(-0.25)[..., 0]
+                                    + 0.1 * py(-0.5)[..., ::-1] + 0.2 * pz(0.0)[..., 0]),
+        declared_instant=0.7, declared_delay=0.2, alpha=Dirac(-0.25)), 2, 1),
 }
 
 
@@ -329,10 +334,10 @@ def test_level_drift_matches_per_node_evaluation(name):
         got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z, rows)
         assert got.shape == y.shape
         for j in range(tree.level_size(i)):
-            past_y, past_z = segment_accessors(frozen_y, frozen_z, i, j,
-                                               current_y=y[j], current_z=z[j])
-            ref = eval_generator(gen, i * grid.dt, y[j], z[j], past_y, past_z,
-                                 horizon=grid.horizon, dt=grid.dt)
+            past_y, past_z = node_accessors(frozen_y, frozen_z, i, j,
+                                            current_y=y[j], current_z=z[j])
+            ref = node_drift(gen, i * grid.dt, y[j], z[j], past_y, past_z,
+                             grid.horizon, grid.dt)
             if name == "linear_m2_d2":  # the batched matmul rounds differently
                 np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
             else:
@@ -365,7 +370,7 @@ def test_custom_drift_of_wrong_shape_is_a_generator_error():
     y, z = random_paths(tree, 3)
     gen = CustomGenerator(fn=lambda t, y, z, py, pz: np.zeros(2),
                           declared_instant=0.0, declared_delay=0.0)
-    with pytest.raises(GeneratorError, match=r"t=0\.5, node 0 of level 1; expected \(1,\)"):
+    with pytest.raises(GeneratorError, match=r"t=0\.5, level 1; expected \(size, m\) = \(2, 1\)"):
         level_drift(gen, tree, 1, y.values[1], z.values[1], y, z, past_z_rows(gen, tree))
 
 
@@ -391,3 +396,50 @@ def test_new_z_delay_drift_needs_only_a_spec_class():
     got = level_drift(gen, tree, 2, y.values[2], z.values[2], y, z, past_z_rows(gen, tree))
     expected = 0.5 * y.values[2] + 2.0 * z.values[1][np.arange(4) >> 1, :, 0]
     assert np.array_equal(got, expected)
+
+
+def test_custom_drift_reading_the_future_is_rejected():
+    # a future offset used to read the current pair (the probe audit: a later
+    # path row), so z(t + 0.5) solved like z(t); it breaks adaptedness
+    tree = build_tree(3, 0.75, 1)
+    y, z = random_paths(tree, 6)
+    for fn in (lambda t, y, z, py, pz: -y + 0.3 * pz(0.5)[..., 0],
+               lambda t, y, z, py, pz: -py(0.5)):
+        gen = CustomGenerator(fn=fn, declared_instant=1.0, declared_delay=0.09)
+        with pytest.raises(GeneratorError,
+                           match=r"theta=0\.5 reads the future at t=0\.25, level 1"):
+            level_drift_at(gen, tree, 1, y.values[1], z.values[1], y, z)
+        with pytest.raises(GeneratorError, match="reads the future"):
+            lipschitz_probe_audit(gen, m=1, d=1, horizon=0.75, n_steps=3)
+    # an offset within the grid-snapping slack still reads the current pair
+    gen = CustomGenerator(fn=lambda t, y, z, py, pz: pz(1e-12)[..., 0] + py(1e-12),
+                          declared_instant=2.0, declared_delay=0.0)
+    got = level_drift_at(gen, tree, 1, y.values[1], z.values[1], y, z)
+    assert np.array_equal(got, z.values[1][..., 0] + y.values[1])
+
+
+@pytest.mark.parametrize("gen", [
+    DelayedZ(kappa=1.2, lag=0.5),
+    RunningIntegralZ(kappa=0.9),
+    MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0, alpha=Dirac(-0.5)),
+    MovingAverageZ(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
+        ((-1.0, 0.25), (-0.5, 0.5), (0.0, 0.25)))),
+    MovingAverageZ(g=lambda t: 0.5 - t, g_bound=0.5, alpha=UniformPast()),
+], ids=["delayed_z", "running_integral", "dirac", "mixture", "uniform"])
+def test_builtin_delay_constants_cover_their_terms(gen):
+    # Cauchy-Schwarz: |sum c_k dz(t + theta_k)|^2 <= (sum c_k^2 / w_k) *
+    # sum w_k |dz(t + theta_k)|^2 over the atoms w_k of alpha, so the declared
+    # K must cover max_t sum c_k^2 / w_k, each term matched to its atom
+    horizon = 1.0
+    for n_steps in (1, 4, 7):
+        dt = horizon / n_steps
+        atoms = gen.alpha.discretize(horizon, dt)
+        worst = 0.0
+        for i in range(n_steps + 1):
+            total = 0.0
+            for theta, c in gen.past_z_terms(i * dt, horizon, dt):
+                weights = [w for a, w in atoms if abs(a - theta) <= 1e-12]
+                assert len(weights) == 1, (n_steps, i, theta)
+                total += c ** 2 / weights[0]
+            worst = max(worst, total)
+        assert worst <= gen.lipschitz_delay(horizon) * (1 + 1e-12), (n_steps, worst)

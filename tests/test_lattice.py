@@ -10,9 +10,9 @@ from bsvi.lattice import (
     AdaptedProcess,
     TreeSizeError,
     build_tree,
-    history_value,
     level_moments,
 )
+from helpers_oracle import history_value
 
 
 def test_build_tree_one_step():
