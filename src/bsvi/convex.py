@@ -161,8 +161,9 @@ class Custom1D(ConvexFunction):
     def prox(self, epsilon, y):
         arr = _as_points(y)
         self._check_dim(arr)
-        flat = arr.reshape(-1)
-        out = np.array([self.prox_fn(epsilon, float(v)) for v in flat])
+        eps = np.broadcast_to(epsilon, arr.shape).reshape(-1)
+        out = np.array([self.prox_fn(float(e), float(v))
+                        for e, v in zip(eps, arr.reshape(-1))])
         return out.reshape(arr.shape)
 
 
@@ -208,9 +209,10 @@ def eval_phi(spec: ConvexFunction, y) -> float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def prox(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
-    """The unique minimizer J_eps(y) of v -> |y - v|^2/(2 eps) + phi(v)."""
-    if not epsilon > 0:
+def prox(spec: ConvexFunction, epsilon, y) -> np.ndarray:
+    """The unique minimizer J_eps(y) of v -> |y - v|^2/(2 eps) + phi(v); an
+    array ``epsilon`` broadcasts against y and must be positive throughout."""
+    if not np.all(np.asarray(epsilon) > 0):
         raise ValueError("epsilon must be positive")
     return spec.prox(epsilon, y)
 
@@ -235,17 +237,20 @@ def yosida_grad(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
     return (point - prox(spec, epsilon, point)) / epsilon
 
 
-def resolvent_step(spec: ConvexFunction, epsilon: float, lam: float, x):
+def resolvent_step(spec: ConvexFunction, epsilon, lam: float, x):
     """Solve y + lam * grad phi_eps(y) = x in closed form.
 
     Uses the resolvent-of-resolvent identity: with j = J_{eps+lam}(x) and
     u = (x - j)/(eps + lam) one has u = grad phi_eps(y) for y = x - lam*u.
-    Returns (y, u).  Supports batched x on leading axes.
+    Returns (y, u).  Supports batched x on leading axes and an ``epsilon``
+    that broadcasts against x, as `prox` does; x is not modified.
     """
     arr = _as_points(x)
-    j = prox(spec, epsilon + lam, arr)
-    u = (arr - j) / (epsilon + lam)
-    return arr - lam * u, u
+    step = epsilon + lam
+    u = arr - prox(spec, step, arr)
+    u /= step
+    y = lam * u
+    return np.subtract(arr, y, out=y), u
 
 
 @dataclass(frozen=True)

@@ -271,11 +271,13 @@ class CustomGenerator(GeneratorSpec):
 
     The callback evaluates a whole tree level in one call, once per level per
     sweep: y has shape (size, m), z (size, m, d), and it returns the (size, m)
-    drift at grid time t.  ``past_y(theta)`` and ``past_z(theta)`` return the
-    same shapes: each node's ancestor value on grid row floor((t + theta)/dt),
-    Y(0) / zero before time 0, and the current (y, z) at theta = 0.  An offset
-    theta > 0 reads the future and raises `GeneratorError`.  Index the noise
-    axis as ``past_z(theta)[..., 0]``, which holds for any m.
+    drift at grid time t.  One call may stack that level of several solves,
+    or a batch of probes, so each row must depend on its own arguments alone.
+    ``past_y(theta)`` and ``past_z(theta)`` return the same shapes: each
+    node's ancestor value on grid row floor((t + theta)/dt), Y(0) / zero before
+    time 0, and the current (y, z) at theta = 0.  An offset theta > 0 reads
+    the future and raises `GeneratorError`.  Index the noise axis as
+    ``past_z(theta)[..., 0]``, which holds for any m.
     The declared (L, K) are only probe-audited (see `lipschitz_probe_audit`);
     the callback must be re-entrant and must not mutate its arguments.
     """
@@ -497,12 +499,13 @@ def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
         f_b = _read_drift(gen, i, dt, horizon, y2, z2, acc_y1, acc_z1)
         lhs = np.sqrt(row_sq_norms(f_a - f_b))
         rhs = big_l * (np.sqrt(row_sq_norms(y1 - y2)) + np.sqrt(row_sq_norms(z1 - z2)))
-        worst_instant = max(worst_instant, float(np.max(lhs - rhs)))
+        # np.maximum, unlike the builtin max, keeps a NaN slack
+        worst_instant = float(np.maximum(worst_instant, np.max(lhs - rhs)))
 
         f_c = _read_drift(gen, i, dt, horizon, y1, z1, acc_y2, acc_z2)
         dy_sq = sum(c * row_sq_norms(acc_y1(theta) - acc_y2(theta)) for theta, c in atoms)
         dz_sq = sum(c * row_sq_norms(acc_z1(theta) - acc_z2(theta)) for theta, c in atoms)
         rhs_sq = big_k * (dy_sq + dz_sq)
-        worst_delay = max(worst_delay, float(np.max(row_sq_norms(f_a - f_c) - rhs_sq)))
+        worst_delay = float(np.maximum(worst_delay, np.max(row_sq_norms(f_a - f_c) - rhs_sq)))
     return {"instant_slack": worst_instant, "delay_slack": worst_delay,
             "L": big_l, "K": big_k}

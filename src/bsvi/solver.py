@@ -25,13 +25,17 @@ at offset 0 resolve to the current predictor pair (E_i, Z_i), so generators
 with no effective delay never touch the frozen iterate and the Picard loop
 terminates after the confirmation sweep.
 
-The nodes of a level are independent; Picard sweeps are inherently
-sequential; distinct solves share immutable trees safely.
+`solve_bsvi` sweeps its E solves as one batch, a forest of E trees: node j of
+block e is row e B^i + j of level i, so children and ancestors sit where the
+row arithmetic of one tree puts them, the level kernels run unchanged, and
+each eps enters as an (E, 1, 1) column.  `picard_solve` is a batch of one.
+Picard sweeps are inherently sequential; solves share immutable trees safely.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,13 +68,16 @@ class SolverConfig:
         object.__setattr__(self, "epsilon_schedule", sched)
         if not sched:
             raise ValueError("epsilon schedule must not be empty")
-        if any(e <= 0 for e in sched):
+        # negated tests, so that NaN fails them
+        if any(not e > 0 for e in sched):
             raise ValueError("epsilon schedule must be positive")
-        if any(later >= earlier for earlier, later in zip(sched, sched[1:])):
+        if any(not later < earlier for earlier, later in zip(sched, sched[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if self.beta is not None and self.beta <= 0:
+        if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.picard_max_iters < 1:
+        if not self.picard_tol >= 0:
+            raise ValueError("picard_tol must be nonnegative")
+        if not self.picard_max_iters >= 1:
             raise ValueError("picard_max_iters must be at least 1")
 
 
@@ -180,33 +187,37 @@ def _as_leaf_values(tree: ScenarioTree, xi) -> np.ndarray:
     return arr
 
 
-def _zero_pair(tree: ScenarioTree, m: int) -> tuple:
+def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
+    """(Y levels, Z levels) of zeros, read-only broadcasts, for ``blocks`` solves."""
     n, d = tree.grid.n_steps, tree.bm_dim
-    ys = [np.zeros((tree.level_size(i), m)) for i in range(n + 1)]
-    zs = [np.zeros((tree.level_size(i), m, d)) for i in range(n)]
-    return AdaptedProcess(tree, ys), AdaptedProcess(tree, zs)
+    return ([np.broadcast_to(0.0, (blocks * tree.level_size(i), m)) for i in range(n + 1)],
+            [np.broadcast_to(0.0, (blocks * tree.level_size(i), m, d)) for i in range(n)])
 
 
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-              frozen_y: AdaptedProcess, frozen_z: AdaptedProcess,
-              phi: ConvexFunction | None, epsilon: float | None,
-              past_rows: tuple):
-    n, dt = tree.grid.n_steps, tree.grid.dt
-    y_levels = [None] * (n + 1)
+              frozen_y: list, frozen_z: list, phi: ConvexFunction | None,
+              epsilons: np.ndarray | None, past_rows: tuple):
+    """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
+    n, and ``epsilons`` the (blocks, 1, 1) column of a penalized step."""
+    n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
+    # level_drift reads only ``values``; batch levels are not sized for one tree
+    frozen_y, frozen_z = SimpleNamespace(values=frozen_y), SimpleNamespace(values=frozen_z)
+    y_levels = [None] * n + [xi]
     z_levels = [None] * n
     u_levels = [None] * n
-    y_levels[n] = xi.copy()
-
     for i in range(n - 1, -1, -1):
         expect, z_here = level_moments(tree, y_levels[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
                             past_rows)
-        target = expect + dt * drift
+        # a new array: a custom drift may return an alias of its argument
+        target = dt * drift
+        target += expect
         if phi is None or isinstance(phi, Zero):
             y_here = target
             u_here = np.zeros_like(target)
-        elif epsilon is not None:
-            y_here, u_here = convex.resolvent_step(phi, epsilon, dt, target)
+        elif epsilons is not None:
+            y_here, u_here = (a.reshape(-1, m) for a in convex.resolvent_step(
+                phi, epsilons, dt, target.reshape(len(epsilons), -1, m)))
         else:
             y_here = phi.prox(dt, target)
             u_here = (target - y_here) / dt
@@ -227,8 +238,10 @@ def backward_pass(tree: ScenarioTree, xi, gen: GeneratorSpec,
     if frozen is None:
         if gen.uses_past():
             raise ValueError("delayed generator needs frozen (Y, Z) paths")
-        frozen = _zero_pair(tree, xi.shape[1])
-    ys, zs, _ = _one_pass(tree, xi, gen, frozen[0], frozen[1], None, None,
+        frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], 1)
+    else:
+        frozen_y, frozen_z = frozen[0].values, frozen[1].values
+    ys, zs, _ = _one_pass(tree, xi.copy(), gen, frozen_y, frozen_z, None, None,
                           past_z_rows(gen, tree))
     return AdaptedProcess(tree, ys), AdaptedProcess(tree, zs)
 
@@ -241,20 +254,33 @@ def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
             tuple(dt * math.exp(beta * i * dt) for i in range(n)))
 
 
-def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple) -> float:
+def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
+                       blocks: int) -> np.ndarray:
     """Discrete analogue of the beta-weighted norms behind the contraction
-    gate: sup-norm of e^{beta t/2} |dY| plus the square root of the
-    e^{beta t}-weighted H^2 sum of dZ, with ``weights`` from
-    `_distance_weights`."""
+    gate, one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the
+    square root of the e^{beta t}-weighted H^2 sum of dZ, with ``weights``
+    from `_distance_weights`."""
     y_weights, z_weights = weights
-    # np.max, unlike the builtin, keeps a NaN level from being skipped
-    sup_y = float(np.max([w * np.abs(a - b_).max()
-                          for w, a, b_ in zip(y_weights, y_new, y_old)]))
-    h2_z = 0.0
+    sups = []
+    for w, a, b_ in zip(y_weights, y_new, y_old):
+        if a is b_:  # the shared leaf level after the first sweep: |dY| = 0
+            continue
+        diff = a - b_
+        sups.append(w * np.abs(diff, out=diff).reshape(blocks, -1).max(axis=1))
+    h2_z = np.zeros(blocks)
     for w, a, b_ in zip(z_weights, z_new, z_old):
-        # the level mean as np.mean takes it, without its per-call overhead
-        h2_z += w * (float(((a - b_) ** 2).sum(axis=(1, 2)).sum()) / len(a))
-    return sup_y + math.sqrt(h2_z)
+        diff = a - b_
+        diff *= diff
+        # each block's level mean as np.mean takes it, without its per-call overhead
+        rows = diff.sum(axis=(1, 2)).reshape(blocks, -1)
+        h2_z += w * (rows.sum(axis=1) / rows.shape[1])
+    return np.max(sups, axis=0) + np.sqrt(h2_z)
+
+
+def _blocks(levels: list, index, blocks: int) -> list:
+    """Each level's rows of one block (a view) or of a list of blocks (a copy)."""
+    return [a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
+            for a in levels]
 
 
 def _square_lipschitz(L: float) -> float:
@@ -297,7 +323,8 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     if isinstance(gen, CustomGenerator):
         audit = lipschitz_probe_audit(gen, xi.shape[1], tree.bm_dim, horizon,
                                       tree.grid.n_steps)
-        if audit["instant_slack"] > 1e-8 or audit["delay_slack"] > 1e-8:
+        # a NaN slack fails the negated test
+        if not (audit["instant_slack"] <= 1e-8 and audit["delay_slack"] <= 1e-8):
             warnings.warn(
                 f"declared Lipschitz constants look too small: {audit}",
                 RuntimeWarning, stacklevel=3)
@@ -319,9 +346,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     for ``DIVERGENCE_PATIENCE`` consecutive sweeps) or exhaustion of
     ``picard_max_iters``.  Unless the caller passes the ``wellposedness``
     report of checks it already made for the same (tree, xi, gen, config,
-    phi), as `solve_bsvi` does once for its whole schedule, `_check_gate`
-    admits the problem here.  The drift's past-Z terms are resolved to frozen
-    rows once, before the first sweep.
+    phi), `_check_gate` admits the problem here.
     """
     if epsilon is not None:
         if phi is None:
@@ -331,49 +356,85 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     config = config or SolverConfig()
     xi = _as_leaf_values(tree, xi)
     report = wellposedness or _check_gate(tree, xi, gen, config, phi)
+    return _picard_batch(tree, xi, gen, config, phi, (epsilon,), report)[0]
+
+
+def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
+                  config: SolverConfig, phi: ConvexFunction | None,
+                  epsilons: tuple, report: WellposednessReport) -> list:
+    """The Picard loop of one solve per entry of ``epsilons`` (all None or all
+    positive) as one batch; returns one `Solution` per entry.  A converged
+    block leaves the batch, a failed one drops the blocks after it: what is
+    raised is the first entry's failure, as one solve after another raises it.
+    """
     past_rows = past_z_rows(gen, tree)
     weights = _distance_weights(tree, resolve_beta(config, gen))
-
-    frozen_y, frozen_z = _zero_pair(tree, xi.shape[1])
-    diag = PicardDiagnostics()
-    over_ratio = 0
+    diags = [PicardDiagnostics() for _ in epsilons]
+    solutions, failure = [None] * len(epsilons), None
+    active = list(range(len(epsilons)))
+    batch_xi = np.tile(xi, (len(active), 1))
+    frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
     for sweep in range(1, config.picard_max_iters + 1):
-        ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi, epsilon,
-                               past_rows)
-        dist = _weighted_distance(ys, zs, frozen_y.values, frozen_z.values, weights)
-        diag.iterate_distances.append(dist)
-        diag.iterations_used = sweep
-        if not math.isfinite(dist):
-            bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
-                   for i, y in reversed(list(enumerate(ys))) if not np.isfinite(y).all()]
-            level, node = bad[0] if bad else (None, None)
-            raise NonFiniteIterate(
-                f"sweep {sweep} gave a non-finite iterate (distance {dist}); first "
-                f"non-finite Y of the backward pass at level {level}, node {node}",
-                diag, level, node)
-        if len(diag.iterate_distances) >= 2:
-            prev = diag.iterate_distances[-2]
-            ratio = dist / prev if prev > 0 else 0.0
-            diag.contraction_ratios.append(ratio)
-            over_ratio = over_ratio + 1 if ratio > DIVERGENCE_RATIO else 0
-        prev_y, prev_z = frozen_y, frozen_z
-        frozen_y = AdaptedProcess(tree, ys)
-        frozen_z = AdaptedProcess(tree, zs)
-        if dist <= config.picard_tol:
-            diag.converged = True
-            return Solution(
-                Y=frozen_y, Z=frozen_z, U=AdaptedProcess(tree, us),
-                diagnostics=diag, epsilon=epsilon,
-                frozen_past=(prev_y, prev_z), wellposedness=report)
-        if over_ratio >= DIVERGENCE_PATIENCE:
-            raise PicardNonConvergence(
-                f"picard iteration diverging: last ratios "
-                f"{diag.contraction_ratios[-DIVERGENCE_PATIENCE:]}",
-                diag, diverged=True)
-    raise PicardNonConvergence(
-        f"no convergence within {config.picard_max_iters} sweeps "
-        f"(last distance {diag.iterate_distances[-1]:.3g})",
-        diag, diverged=False)
+        blocks = len(active)
+        eps_col = None if epsilons[0] is None else \
+            np.array([epsilons[e] for e in active])[:, None, None]
+        ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
+                               eps_col, past_rows)
+        dists = _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks)
+        keep, done = [], []
+        for pos, e in enumerate(active):
+            diag, dist = diags[e], float(dists[pos])
+            diag.iterate_distances.append(dist)
+            diag.iterations_used = sweep
+            if not math.isfinite(dist):
+                bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
+                       for i, y in reversed(list(enumerate(_blocks(ys, pos, blocks))))
+                       if not np.isfinite(y).all()]
+                level, node = bad[0] if bad else (None, None)
+                failure = NonFiniteIterate(
+                    f"sweep {sweep} gave a non-finite iterate (distance {dist}); first "
+                    f"non-finite Y of the backward pass at level {level}, node {node}",
+                    diag, level, node)
+                break
+            if len(diag.iterate_distances) >= 2:
+                prev = diag.iterate_distances[-2]
+                diag.contraction_ratios.append(dist / prev if prev > 0 else 0.0)
+            recent = diag.contraction_ratios[-DIVERGENCE_PATIENCE:]
+            if dist <= config.picard_tol:
+                diag.converged = True
+                done.append(pos)
+            elif len(recent) == DIVERGENCE_PATIENCE and min(recent) > DIVERGENCE_RATIO:
+                failure = PicardNonConvergence(
+                    f"picard iteration diverging: last ratios {recent}", diag, diverged=True)
+                break
+            else:
+                keep.append(pos)
+        for pos in done:
+            e = active[pos]
+            # copied out while others keep sweeping, so as to hold none of their rows
+            y, z, u, past_y, past_z = (
+                AdaptedProcess(tree, _blocks(levels, [pos] if keep else pos, blocks))
+                for levels in (ys, zs, us, frozen_y, frozen_z))
+            solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
+                                    epsilon=epsilons[e], frozen_past=(past_y, past_z),
+                                    wellposedness=report)
+        del us  # the next pass need not keep this sweep's U alive
+        frozen_y, frozen_z = ys, zs
+        if len(keep) < blocks:
+            frozen_y, frozen_z = _blocks(ys, keep, blocks), _blocks(zs, keep, blocks)
+            batch_xi = frozen_y[-1]
+        active = [active[pos] for pos in keep]
+        if not active:
+            break
+    if active:  # a failure drops the blocks after it, so this one comes first
+        diag = diags[active[0]]
+        failure = PicardNonConvergence(
+            f"no convergence within {config.picard_max_iters} sweeps "
+            f"(last distance {diag.iterate_distances[-1]:.3g})",
+            diag, diverged=False)
+    if failure is not None:
+        raise failure
+    return solutions
 
 
 def solve_penalized(tree: ScenarioTree, xi, gen: GeneratorSpec,
@@ -410,17 +471,15 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
     their differences plus the H^2 mass of the penalty gradient and the time
     integral of phi at the resolvent points, feeding the rate and bound audits.
     The admission checks of `_check_gate` (terminal data in dom phi, the
-    well-posedness gate, a custom drift's probe audit) run once; every entry
-    of the schedule then runs `picard_solve` with that report.
+    well-posedness gate, a custom drift's probe audit) run once; the whole
+    schedule then runs as one batch (see the module docstring).
     """
     config = config or SolverConfig()
     dt = tree.grid.dt
     xi = _as_leaf_values(tree, xi)
     report = _check_gate(tree, xi, gen, config, phi)
-    per_eps = []
-    for eps in config.epsilon_schedule:
-        per_eps.append((eps, picard_solve(tree, xi, gen, config, phi=phi,
-                                          epsilon=eps, wellposedness=report)))
+    per_eps = list(zip(config.epsilon_schedule, _picard_batch(
+        tree, xi, gen, config, phi, config.epsilon_schedule, report)))
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
         dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)

@@ -1,10 +1,12 @@
-"""Per-node oracles, deliberately coded apart from the solver.
+"""Oracles, deliberately coded apart from the solver.
 
 A brute-force fixed point of the discrete delayed system (plain nested loops
 over per-level scalar arrays, direct iteration until the sweep map stops
-moving), used to cross-check `picard_solve` output on small trees; and a
+moving), used to cross-check `picard_solve` output on small trees; a
 per-node reader of past segments with a per-node drift evaluation, used to
-cross-check the level-at-a-time `generators.level_drift`.
+cross-check the level-at-a-time `generators.level_drift`; and the
+penalization schedule as one `picard_solve` per epsilon, used to cross-check
+the batched schedule of `solver.solve_bsvi`.
 """
 
 import math
@@ -12,8 +14,10 @@ import math
 import numpy as np
 
 from bsvi import convex
+from bsvi.analysis import path_norms
 from bsvi.generators import CustomGenerator
 from bsvi.lattice import TIME_SLACK, grid_row
+from bsvi.solver import BsviResult, EpsilonTableRow, SolverConfig, picard_solve
 
 
 def history_value(process, level, node, query_time, kind):
@@ -112,3 +116,32 @@ def assert_solution_matches_oracle(tree, xi, sol, drift_fn, penalty=None,
         assert np.allclose(sol.Y.values[i][:, 0], y[i], atol=tol)
     for i in range(tree.grid.n_steps):
         assert np.allclose(sol.Z.values[i][:, 0, 0], z[i], atol=tol)
+
+
+def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
+    """`solver.solve_bsvi` as one `picard_solve` after another, one per entry
+    of the schedule, the admission checks made by the first; raises the
+    failure of the first entry that fails."""
+    config = config or SolverConfig()
+    dt = tree.grid.dt
+    per_eps, report = [], None
+    for eps in config.epsilon_schedule:
+        sol = picard_solve(tree, xi, gen, config, phi=phi, epsilon=eps,
+                           wellposedness=report)
+        report = sol.wellposedness
+        per_eps.append((eps, sol))
+    table = []
+    for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
+        dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)
+        dz = math.sqrt(path_norms(sol_a.Z - sol_b.Z, tree).h2)
+        grad_sq = sum(dt * float(np.mean(np.sum(
+            convex.yosida_grad(phi, eps_a, y) ** 2, axis=-1)))
+            for y in sol_a.Y.values[:-1])
+        phi_res = sum(dt * float(np.mean(np.atleast_1d(
+            phi.value(convex.prox(phi, eps_a, y)))))
+            for y in sol_a.Y.values[:-1])
+        table.append(EpsilonTableRow(
+            epsilon=eps_a, epsilon_next=eps_b, dy_s2=dy, dz_h2=dz,
+            grad_h2_sq=grad_sq, phi_resolvent_h1=phi_res))
+    return BsviResult(solution=per_eps[-1][1], epsilon_table=table,
+                      per_epsilon=per_eps)

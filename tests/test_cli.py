@@ -67,12 +67,24 @@ def test_missing_key_is_config_error():
 
 
 @pytest.mark.parametrize("solver_conf", [{"epsilon_schedule": []},
-                                         {"picard_max_iters": 0}])
+                                         {"picard_max_iters": 0},
+                                         {"picard_tol": -1.0},
+                                         {"picard_tol": float("nan")},
+                                         {"epsilon_schedule": [1.0, float("nan"), 0.25]}])
 def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_conf):
     doc = minimal_doc()
     doc["solver"] = solver_conf
     path = write_config(tmp_path, doc)
     assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
+def test_nan_beta_flag_is_a_config_error(capsys, tmp_path):
+    # a NaN beta makes NaN distance weights, not a non-finite iterate
+    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "nan",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
 

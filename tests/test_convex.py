@@ -228,3 +228,26 @@ def test_yosida_property_suite(spec_idx, y, ybar, eps, delta):
     m = spec.m or 2
     assert_yosida_properties(spec, np.asarray(y[:m]), np.asarray(ybar[:m]),
                              eps, delta)
+
+
+@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: type(s).__name__)
+def test_epsilon_column_matches_per_block_scalar_bitwise(spec):
+    # an (E, 1, 1) column of epsilons against an (E, size, m) batch, as a
+    # batch of E solves steps its penalty
+    rng = np.random.default_rng(3)
+    m = spec.m or 2
+    epsilons = np.array([1.0, 0.125, 2.0 ** -10])
+    x = rng.normal(size=(3, 5, m)) * 3
+    before = x.copy()
+    column = epsilons[:, None, None]
+    together = prox(spec, column, x)
+    y, u = resolvent_step(spec, column, 0.25, x)
+    assert np.array_equal(x, before)
+    for e, eps in enumerate(epsilons):
+        assert np.array_equal(together[e], prox(spec, float(eps), x[e]))
+        y_e, u_e = resolvent_step(spec, float(eps), 0.25, x[e])
+        assert np.array_equal(x[e], before[e])
+        assert np.array_equal(y[e], y_e) and np.array_equal(u[e], u_e)
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            prox(spec, np.array([0.5, bad])[:, None, None], x[:2])

@@ -8,9 +8,11 @@ import pytest
 import bsvi
 from bsvi import convex, generators
 from bsvi import solver as solver_mod
+from bsvi.lattice import level_moments
 from bsvi.problems import (
     box_linear_problem,
     delayed_box_problem,
+    quadratic_problem,
     terminal_clipped_linear,
     terminal_constant,
     terminal_linear,
@@ -203,6 +205,25 @@ def test_nonfinite_iterate_fails_on_first_sweep(bad_time):
     assert isinstance(err.value, PicardNonConvergence)
 
 
+def test_probe_audit_keeps_a_nan_slack_and_the_gate_warns():
+    tree = bsvi.build_tree(4, 1.0, 1)
+    xi = terminal_linear(tree, 0.0, 1.0)
+
+    def drift(t, y, z, past_y, past_z):
+        return np.full_like(y, np.nan) if t == 0.5 else -y
+
+    gen = generators.CustomGenerator(fn=drift, declared_instant=1.0,
+                                     declared_delay=0.0)
+    audit = generators.lipschitz_probe_audit(gen, 1, 1, 1.0, 4)
+    assert math.isnan(audit["instant_slack"]) and math.isnan(audit["delay_slack"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteIterate):
+            picard_solve(tree, xi, gen)
+    assert any("declared Lipschitz constants look too small" in str(w.message)
+               for w in caught)
+
+
 def test_hard_gate_raises():
     tree = bsvi.build_tree(2, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
@@ -218,24 +239,17 @@ def _gate_warnings(solve) -> int:
     return sum("well-posedness gate failed" in str(w.message) for w in caught)
 
 
-def test_solve_bsvi_checks_the_gate_once_per_schedule(monkeypatch):
+def test_solve_bsvi_checks_the_gate_once_per_schedule():
     # L = 0 with K > 0 fails the gate: the 11 epsilon solves warn once between
-    # them, each still running the module-level picard_solve, while
-    # picard_solve and prox_step_solve called on their own still warn
+    # them, while picard_solve and prox_step_solve called on their own still warn
     tree = bsvi.build_tree(3, 1.0, 1)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
     gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
     phi = convex.IndicatorBox(-1.0, 1.0)
-    solves = []
-    real_picard = solver_mod.picard_solve
-
-    def counted_picard(*args, **kwargs):
-        solves.append(kwargs.get("epsilon"))
-        return real_picard(*args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "picard_solve", counted_picard)
-    assert _gate_warnings(lambda: solve_bsvi(tree, xi, gen, phi)) == 1
-    assert solves == list(SolverConfig().epsilon_schedule)
+    results = []
+    assert _gate_warnings(lambda: results.append(solve_bsvi(tree, xi, gen, phi))) == 1
+    res, = results
+    assert [s.epsilon for _, s in res.per_epsilon] == list(SolverConfig().epsilon_schedule)
     assert _gate_warnings(lambda: picard_solve(tree, xi, gen)) == 1
     assert _gate_warnings(lambda: prox_step_solve(tree, xi, gen, phi)) == 1
     with pytest.raises(WellposednessError):
@@ -281,6 +295,130 @@ def test_picard_solve_resolves_past_z_terms_once_per_level():
     sol = picard_solve(tree, terminal_linear(tree, 0.0, 1.0), CountedLaggedZ())
     assert sol.diagnostics.iterations_used > 2
     assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
+
+
+# ---------------------------------------------------------------------------
+# the batched schedule of solve_bsvi against one picard_solve per epsilon
+# (see helpers_oracle.py)
+# ---------------------------------------------------------------------------
+
+from helpers_oracle import solve_one_per_epsilon
+
+
+def _swap(problem, gen=None, phi=None):
+    tree, xi, own_gen, own_phi = problem
+    return (tree, xi, own_gen if gen is None else gen,
+            own_phi if phi is None else phi)
+
+
+def _elastic_penalty():
+    # phi(y) = 0.5|y| + y^2/2: soft-threshold, then shrink
+    return convex.Custom1D(
+        phi_fn=lambda y: 0.5 * abs(y) + 0.5 * y * y,
+        prox_fn=lambda eps, y: math.copysign(max(abs(y) - 0.5 * eps, 0.0), y) / (1.0 + eps))
+
+
+SCHEDULE_CASES = {
+    "moving_average_box": lambda: _swap(box_linear_problem(6), gen=generators.MovingAverageZ(
+        g=lambda t: 0.5, g_bound=0.5, alpha=generators.UniformPast())),
+    "delayed_z_box": lambda: _swap(box_linear_problem(6),
+                                   gen=generators.DelayedZ(kappa=0.5, lag=1 / 3)),
+    "custom_drift": lambda: delayed_box_problem(6),
+    # the entries stop after 7 and after 8 sweeps, so the batch shrinks
+    "one_norm": lambda: _swap(delayed_box_problem(10), phi=convex.OneNorm(0.25)),
+    "quadratic": lambda: quadratic_problem(5),
+    "custom1d": lambda: _swap(box_linear_problem(5), phi=_elastic_penalty()),
+    "zero": lambda: _swap(box_linear_problem(5), phi=convex.Zero()),
+}
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_solve_bsvi_matches_one_solve_per_epsilon(case):
+    tree, xi, gen, phi = SCHEDULE_CASES[case]()
+    want = solve_one_per_epsilon(tree, xi, gen, phi)
+    got = solve_bsvi(tree, xi, gen, phi)
+    assert got.epsilon_table == want.epsilon_table
+    assert got.solution is got.per_epsilon[-1][1]
+    assert len(got.per_epsilon) == len(want.per_epsilon)
+    for (eps, sol), (want_eps, want_sol) in zip(got.per_epsilon, want.per_epsilon):
+        assert eps == want_eps == sol.epsilon == want_sol.epsilon
+        assert sol.diagnostics == want_sol.diagnostics
+        assert sol.wellposedness == want_sol.wellposedness
+        for proc, want_proc in zip((sol.Y, sol.Z, sol.U, *sol.frozen_past),
+                                   (want_sol.Y, want_sol.Z, want_sol.U,
+                                    *want_sol.frozen_past)):
+            assert len(proc.values) == len(want_proc.values)
+            assert all(map(_same_bits, proc.values, want_proc.values))
+
+
+def _assert_same_failure(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert repr(got.diagnostics) == repr(want.diagnostics)  # a NaN distance too
+    assert got.diverged == want.diverged
+
+
+def test_solve_bsvi_raises_the_failure_of_the_first_failing_epsilon():
+    # within 7 sweeps the entries 2^-1 .. 2^-6 converge and 2^-7 .. 2^-10
+    # stall: the failure of 2^-7 is raised
+    tree, xi, gen, phi = SCHEDULE_CASES["one_norm"]()
+    config = SolverConfig(picard_max_iters=7,
+                          epsilon_schedule=tuple(2.0 ** -k for k in range(1, 11)))
+    with pytest.raises(PicardNonConvergence) as want:
+        solve_one_per_epsilon(tree, xi, gen, phi, config)
+    with pytest.raises(PicardNonConvergence) as got:
+        solve_bsvi(tree, xi, gen, phi, config)
+    assert not want.value.diverged and want.value.diagnostics.iterations_used == 7
+    _assert_same_failure(got.value, want.value)
+
+
+def test_nonfinite_iterate_of_a_later_epsilon_names_its_own_node():
+    # the drift at t_1 is NaN on a window holding only the third entry's
+    # E[Y_2 | F_1] at node 1: the first two entries converge, the third fails
+    tree, xi, _, phi = box_linear_problem(4)
+    window = []
+
+    def drift(t, y, z, past_y, past_z):
+        if not window or t != tree.grid.dt:
+            return 0.25 * y
+        lo, hi = window
+        return np.where((y > lo) & (y < hi), np.nan, 0.25 * y)
+
+    gen = generators.CustomGenerator(fn=drift, declared_instant=0.25,
+                                     declared_delay=0.0)
+    clean = solve_bsvi(tree, xi, gen, phi)
+    level_1 = np.concatenate([level_moments(tree, s.Y.values[2])[0].ravel()
+                              for _, s in clean.per_epsilon])
+    target = level_1[2 * 2 + 1]
+    assert np.count_nonzero(level_1 == target) == 1
+    gap = np.min(np.abs(level_1[level_1 != target] - target))
+    window.extend((target - gap / 2, target + gap / 2))
+    with pytest.raises(NonFiniteIterate) as want:
+        solve_one_per_epsilon(tree, xi, gen, phi)
+    with pytest.raises(NonFiniteIterate) as got:
+        solve_bsvi(tree, xi, gen, phi)
+    assert (want.value.level, want.value.node) == (1, 1)
+    _assert_same_failure(got.value, want.value)
+    assert (got.value.level, got.value.node) == (1, 1)
+
+
+def test_early_finished_solutions_own_their_arrays():
+    # an entry that stops while others keep sweeping is copied out of the
+    # batch, so it keeps no other entry's rows alive
+    tree, xi, gen, phi = SCHEDULE_CASES["one_norm"]()
+    res = solve_bsvi(tree, xi, gen, phi)
+    sweeps = [s.diagnostics.iterations_used for _, s in res.per_epsilon]
+    assert set(sweeps) == {7, 8}
+    for _, sol in res.per_epsilon:
+        if sol.diagnostics.iterations_used < max(sweeps):
+            for proc in (sol.Y, sol.Z, sol.U, *sol.frozen_past):
+                # the memory an array keeps alive is that of its base
+                assert all((a if a.base is None else a.base).nbytes == a.nbytes
+                           for a in proc.values)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +685,14 @@ def test_solver_config_validation():
         SolverConfig(picard_max_iters=0)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(beta=-1.0)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"beta": float("nan")},
+    {"picard_tol": -1.0},
+    {"picard_tol": float("nan")},
+    {"epsilon_schedule": (1.0, float("nan"), 0.25)},
+], ids=["beta_nan", "tol_negative", "tol_nan", "schedule_nan"])
+def test_solver_config_rejects_nan_and_negative_knobs(knobs):
+    with pytest.raises(ValueError, match="positive|nonnegative"):
+        SolverConfig(**knobs)
