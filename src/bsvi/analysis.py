@@ -9,8 +9,10 @@ slack, not a violation.
 
 Everything here is pure over immutable solutions; drifts are evaluated one
 level at a time through `generators.level_drift`, with the past-Z rows
-resolved once per audit call, and pathwise quantities are accumulated as
-level arrays.
+resolved once per audit call.  The epsilon table and the a priori and Yosida
+audits sweep the schedule as one batch: level i of its E solutions is stacked
+into (E, B^i) blocks, each eps an (E, 1, 1) column, in slices of at most one
+tree's leaf level (`_runs`), and pathwise quantities are per-block reductions.
 """
 
 import math
@@ -42,6 +44,51 @@ class BoundAudit:
     context: str
 
 
+def _runs(level, blocks: range, i: int, tree: ScenarioTree):
+    """Level i of the processes ``blocks`` in runs (s, rows), rows stacking
+    level(e, i) of the blocks e in slice s.  A run holds max(1, B^n // B^i)
+    blocks, so no stack has more rows than one tree's leaf level."""
+    run = max(1, tree.level_size(tree.grid.n_steps) // tree.level_size(i))
+    for lo in blocks[::run]:
+        s = slice(lo, min(lo + run, blocks.stop))
+        yield s, level(lo, i) if s.stop - lo == 1 else np.concatenate(
+            [level(e, i) for e in range(s.start, s.stop)])
+
+
+def _block_norms(level, blocks: int, span: int, tree: ScenarioTree, beta: float, stat: str):
+    """Per-block S^2 (``stat`` "s2") or H^2 ("h2") of ``blocks`` processes on levels
+    0..span-1, block e's level i being level(e, i) (see `path_norms`)."""
+    dt, n, out = tree.grid.dt, tree.grid.n_steps, np.zeros(blocks)
+    if stat == "h2":
+        for i in range(1, n + 1) if span == n + 1 else range(span):
+            for s, rows in _runs(level, range(blocks), i, tree):
+                sq = row_sq_norms(rows).reshape(-1, tree.level_size(i))
+                out[s] += dt * math.exp(beta * i * dt) * sq.mean(axis=1)
+        return out
+
+    def sweep(i: int, run: range, parent):
+        # depth first: one run's running max per level (``parent`` at i - 1) is alive
+        for s, rows in _runs(level, run, i, tree):
+            mag = (math.exp(beta * i * dt) * row_sq_norms(rows)).reshape(-1, tree.level_size(i))
+            del rows
+            if i:
+                kids = mag.reshape(len(mag), -1, tree.branching)
+                np.maximum(parent[s.start - run.start:s.stop - run.start, :, None], kids, out=kids)
+            if i == span - 1:
+                out[s] = mag.mean(axis=1)
+            else:
+                sweep(i + 1, range(s.start, s.stop), mag)
+
+    sweep(0, range(blocks), None)
+    return out
+
+
+def _path_norm(process: AdaptedProcess, tree: ScenarioTree, beta: float, stat: str) -> float:
+    """One statistic of one process, the one-block case of `_block_norms`."""
+    return float(_block_norms(lambda _, i: process.values[i], 1, len(process.values), tree,
+                              beta, stat)[0])
+
+
 def path_norms(process: AdaptedProcess, tree: ScenarioTree,
                beta: float = 0.0) -> NormReport:
     """Exact S^2/H^2 statistics under the uniform leaf measure.
@@ -52,23 +99,15 @@ def path_norms(process: AdaptedProcess, tree: ScenarioTree,
     enumeration of the discrete Brownian path), an integrand-type process on
     n levels with left endpoints, the Ito convention of the scheme itself.
     """
-    dt = tree.grid.dt
-    n = tree.grid.n_steps
-    values = process.values
-    running = None
-    for i, arr in enumerate(values):
-        mag = math.exp(beta * i * dt) * row_sq_norms(arr)
-        if running is None:
-            running = mag
-        else:
-            rep = mag.shape[0] // running.shape[0]
-            running = np.maximum(np.repeat(running, rep), mag)
-    s2 = float(np.mean(running))
-    full_span = len(values) == n + 1
-    levels = range(1, n + 1) if full_span else range(len(values))
-    h2 = sum(dt * math.exp(beta * i * dt) * float(np.mean(row_sq_norms(values[i])))
-             for i in levels)
-    return NormReport(s2=s2, h2=float(h2), beta=beta)
+    return NormReport(s2=_path_norm(process, tree, beta, "s2"),
+                      h2=_path_norm(process, tree, beta, "h2"), beta=beta)
+
+
+def _schedule(per_epsilon) -> tuple:
+    """(epsilons, solutions) of a nonempty schedule of (epsilon, Solution)."""
+    if not per_epsilon:
+        raise ValueError("the audits need a schedule: per_epsilon is empty")
+    return tuple(zip(*per_epsilon))
 
 
 def _uniform_ok(constants, factor: float) -> bool:
@@ -95,16 +134,15 @@ def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
     rhs_data is M_1 = E[|xi|^2 + int_0^T e^{beta s}|F(s,0,0,0,0)|^2 ds]; the
     verdict requires every empirical constant within 2x of their median.
     """
+    epsilons, sols = _schedule(per_epsilon)
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass(
         gen, tree, xi.shape[1], beta)
-    rows = []
-    for eps, sol in per_epsilon:
-        lhs = (path_norms(sol.Y, tree, beta).s2
-               + path_norms(sol.Z, tree, beta).h2)
-        const = lhs / m1 if m1 > 0 else 0.0
-        rows.append(BoundAudit(lhs=lhs, rhs_data=m1, empirical_constant=const,
-                               context=f"apriori eps={eps:g}"))
+    n = tree.grid.n_steps
+    lhs = (_block_norms(lambda e, i: sols[e].Y.values[i], len(sols), n + 1, tree, beta, "s2")
+           + _block_norms(lambda e, i: sols[e].Z.values[i], len(sols), n, tree, beta, "h2"))
+    rows = [BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
+            for eps, v in zip(epsilons, lhs.tolist())]
     consts = [r.empirical_constant for r in rows]
     return AprioriAudit(rows=tuple(rows), uniform_ok=_uniform_ok(consts, 2.0),
                         median_constant=float(statistics.median(consts)))
@@ -126,39 +164,70 @@ def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     stored U is not trusted).  The verdict asks the (a) and (c) constants to
     stay within 4x of their medians; (b) must stay finite.
     """
+    epsilons, sols = _schedule(per_epsilon)
     dt, n = tree.grid.dt, tree.grid.n_steps
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
         + origin_drift_mass(gen, tree, xi.shape[1])
-    grad_rows, value_rows, gap_rows = [], [], []
-    for eps, sol in per_epsilon:
-        grad_h2 = 0.0
-        phi_sup = 0.0
-        phi_int = 0.0
-        gap_sup = 0.0
-        for i, y in enumerate(sol.Y.values):
-            w = math.exp(beta * i * dt)
-            j = convex.prox(phi, eps, y)
-            gap = np.sum((y - j) ** 2, axis=-1)
-            gap_sup = max(gap_sup, w * float(np.mean(gap)))
-            phi_j = np.atleast_1d(phi.value(j))
-            phi_sup = max(phi_sup, w * float(np.mean(phi_j)))
+    eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
+    grad_h2, phi_sup, phi_int, gap_sup = np.zeros((4, len(sols)))
+    for i in range(n + 1):
+        w = math.exp(beta * i * dt)
+        for s, rows in _runs(lambda e, k: sols[e].Y.values[k], range(len(sols)), i, tree):
+            y = rows.reshape(-1, tree.level_size(i), rows.shape[-1])
+            j = convex.prox(phi, eps_col[s], y)
+            gap = np.sum((y - j) ** 2, axis=-1).mean(axis=1)
+            phi_j = phi.value(j).mean(axis=1)
+            for acc, x in ((gap_sup, w * gap), (phi_sup, w * phi_j)):
+                acc[s] = np.where(x > acc[s], x, acc[s])  # max(acc, x) as Python takes it
             if i < n:
-                grad_h2 += dt * w * float(np.mean(gap)) / eps ** 2
-                phi_int += dt * w * float(np.mean(phi_j))
-        denom = m2 if m2 > 0 else 1.0
-        grad_rows.append(BoundAudit(grad_h2, m2, grad_h2 / denom,
-                                    f"yosida-grad eps={eps:g}"))
-        value_rows.append(BoundAudit(phi_sup + phi_int, m2,
-                                     (phi_sup + phi_int) / denom,
-                                     f"yosida-phi eps={eps:g}"))
-        gap_rows.append(BoundAudit(gap_sup, eps * m2, gap_sup / (eps * denom),
-                                   f"yosida-gap eps={eps:g}"))
+                grad_h2[s] += dt * w * gap / eps_sq[s]
+                phi_int[s] += dt * w * phi_j
+    denom = m2 if m2 > 0 else 1.0
+    grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
+                      for eps, g in zip(epsilons, grad_h2.tolist()))
+    value_rows = tuple(BoundAudit(a + b, m2, (a + b) / denom, f"yosida-phi eps={eps:g}")
+                       for eps, a, b in zip(epsilons, phi_sup.tolist(), phi_int.tolist()))
+    gap_rows = tuple(BoundAudit(g, eps * m2, g / (eps * denom), f"yosida-gap eps={eps:g}")
+                     for eps, g in zip(epsilons, gap_sup.tolist()))
     ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
           and all(np.isfinite(r.lhs) for r in value_rows)
           and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
-    return YosidaAudit(grad_rows=tuple(grad_rows), value_rows=tuple(value_rows),
-                       gap_rows=tuple(gap_rows), uniform_ok=ok)
+    return YosidaAudit(grad_rows, value_rows, gap_rows, ok)
+
+
+@dataclass(frozen=True)
+class EpsilonTableRow:
+    """Distances between consecutive penalized solutions plus per-run summaries."""
+
+    epsilon: float
+    epsilon_next: float
+    dy_s2: float
+    dz_h2: float
+    grad_h2_sq: float
+    phi_resolvent_h1: float
+
+
+def epsilon_table(per_epsilon, phi: ConvexFunction, tree: ScenarioTree) -> list:
+    """One row per consecutive pair of the schedule: the S^2 distance of the
+    two Y and the H^2 distance of the two Z, plus, for the first of the pair,
+    the H^2 mass of the penalty gradient and the time integral of phi at the
+    resolvent points.  A one-entry schedule has no rows."""
+    epsilons, sols = _schedule(per_epsilon)
+    dt, n, pairs = tree.grid.dt, tree.grid.n_steps, len(sols) - 1
+    dy, dz = (np.sqrt(_block_norms(
+        lambda e, i: getattr(sols[e], p).values[i] - getattr(sols[e + 1], p).values[i],
+        pairs, span, tree, 0.0, stat)) for p, stat, span in (("Y", "s2", n + 1), ("Z", "h2", n)))
+    eps_col = np.array(epsilons[:-1])[:, None, None]
+    grad_sq, phi_res = np.zeros((2, pairs))
+    for i in range(n):
+        for s, rows in _runs(lambda e, k: sols[e].Y.values[k], range(pairs), i, tree):
+            y = rows.reshape(-1, tree.level_size(i), rows.shape[-1])
+            j = convex.prox(phi, eps_col[s], y)
+            grad_sq[s] += dt * np.sum(((y - j) / eps_col[s]) ** 2, axis=-1).mean(axis=1)
+            phi_res[s] += dt * phi.value(j).mean(axis=1)
+    return [EpsilonTableRow(*row) for row in zip(epsilons, epsilons[1:], dy.tolist(), dz.tolist(),
+                                                 grad_sq.tolist(), phi_res.tolist())]
 
 
 @dataclass(frozen=True)
@@ -212,8 +281,8 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
     the first solution, reading their past segments from it.
     """
     dt, n = tree.grid.dt, tree.grid.n_steps
-    lhs = (path_norms(sol_a.Y - sol_b.Y, tree, beta).s2
-           + path_norms(sol_a.Z - sol_b.Z, tree, beta).h2)
+    lhs = (_path_norm(sol_a.Y - sol_b.Y, tree, beta, "s2")
+           + _path_norm(sol_a.Z - sol_b.Z, tree, beta, "h2"))
     dxi = np.asarray(xi_a, dtype=float).reshape(len(sol_a.Y.values[n]), -1) \
         - np.asarray(xi_b, dtype=float).reshape(len(sol_b.Y.values[n]), -1)
     rhs = float(np.mean(np.sum(dxi ** 2, axis=1)))

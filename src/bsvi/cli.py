@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +174,7 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     kwargs = dict(
         beta=float(beta) if beta is not None else None,
         picard_tol=float(sconf.get("picard_tol", 1e-10)),
-        picard_max_iters=int(sconf.get("picard_max_iters", 200)),
+        picard_max_iters=sconf.get("picard_max_iters", 200),
         hard_gate=bool(overrides.get("hard_gate"))
         or bool(sconf.get("hard_gate", False)),
     )
@@ -203,9 +203,9 @@ def _solution_summary(sol, tree) -> dict:
     summary = {
         "y0": sol.Y.values[0][0].tolist(),
         "z0": sol.Z.values[0][0].tolist(),
-        "norm_y_s2": analysis.path_norms(sol.Y, tree).s2,
-        "norm_z_h2": analysis.path_norms(sol.Z, tree).h2,
-        "norm_u_h2": analysis.path_norms(sol.U, tree).h2,
+        "norm_y_s2": analysis._path_norm(sol.Y, tree, 0.0, "s2"),
+        "norm_z_h2": analysis._path_norm(sol.Z, tree, 0.0, "h2"),
+        "norm_u_h2": analysis._path_norm(sol.U, tree, 0.0, "h2"),
         "picard": {
             "distances": list(sol.diagnostics.iterate_distances),
             "ratios": list(sol.diagnostics.contraction_ratios),
@@ -216,15 +216,6 @@ def _solution_summary(sol, tree) -> dict:
     if sol.epsilon is not None:
         summary["epsilon"] = sol.epsilon
     return summary
-
-
-def _residual_summary(sol, cfg) -> dict:
-    rep = analysis.solution_residuals(sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree)
-    return {
-        "equation_residual": rep.equation_residual,
-        "subdiff_residual": rep.subdiff_residual,
-        "phi_integrability": rep.phi_integrability,
-    }
 
 
 def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
@@ -247,50 +238,35 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
         name, sol = "prox", solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen,
                                                    cfg.phi, cfg.solver_config)
     else:  # bsvi or compare
-        res = solver.solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
-                                cfg.solver_config)
+        res = solver.solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config)
         name, sol = "penalized_final", res.solution
     report["schemes"][name] = _solution_summary(sol, cfg.tree)
-    report["residuals"] = _residual_summary(sol, cfg)
+    report["residuals"] = asdict(analysis.solution_residuals(
+        sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree))
 
     if cfg.mode in ("bsvi", "compare"):
-        report["epsilon_table"] = [
-            {"epsilon": r.epsilon, "epsilon_next": r.epsilon_next,
-             "dy_s2": r.dy_s2, "dz_h2": r.dz_h2, "grad_h2_sq": r.grad_h2_sq,
-             "phi_resolvent_h1": r.phi_resolvent_h1}
-            for r in res.epsilon_table]
+        report["epsilon_table"] = [asdict(r) for r in res.epsilon_table]
         try:
-            fit = analysis.epsilon_rate_fit(res.epsilon_table)
-            report["rate_fit"] = {"slope": fit.slope, "intercept": fit.intercept,
-                                  "residual": fit.residual, "exact": fit.exact}
+            report["rate_fit"] = asdict(analysis.epsilon_rate_fit(res.epsilon_table))
         except ValueError as exc:
             report["rate_fit"] = {"error": str(exc)}
         ap = analysis.apriori_audit(res.per_epsilon, cfg.xi, cfg.gen, cfg.tree)
         yo = analysis.yosida_audit(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen, cfg.tree)
         report["audits"] = {
-            "apriori": [{"lhs": r.lhs, "rhs_data": r.rhs_data,
-                         "empirical_constant": r.empirical_constant,
-                         "context": r.context} for r in ap.rows],
+            "apriori": [asdict(r) for r in ap.rows],
             "apriori_uniform_ok": ap.uniform_ok,
-            "yosida": [{"lhs": r.lhs, "rhs_data": r.rhs_data,
-                        "empirical_constant": r.empirical_constant,
-                        "context": r.context}
-                       for rows in (yo.grad_rows, yo.value_rows, yo.gap_rows)
+            "yosida": [asdict(r) for rows in (yo.grad_rows, yo.value_rows, yo.gap_rows)
                        for r in rows],
             "yosida_uniform_ok": yo.uniform_ok,
         }
         if cfg.mode == "compare":
-            pr = solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen, cfg.phi,
-                                        cfg.solver_config)
+            pr = solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config)
             report["schemes"]["prox"] = _solution_summary(pr, cfg.tree)
             y0p = np.asarray(pr.Y.values[0][0])
             gaps = [float(np.max(np.abs(np.asarray(s.Y.values[0][0]) - y0p)))
                     for _, s in res.per_epsilon]
-            report["compare"] = {
-                "gap_y0_final": gaps[-1],
-                "gap_y0_series": gaps,
-                "epsilons": [e for e, _ in res.per_epsilon],
-            }
+            report["compare"] = {"gap_y0_final": gaps[-1], "gap_y0_series": gaps,
+                                 "epsilons": [e for e, _ in res.per_epsilon]}
 
     # the gate the solver checked (and enforced under hard_gate) for this run
     report["wellposedness"] = {k: v for k, v in vars(sol.wellposedness).items()
@@ -313,10 +289,10 @@ def emit_report(report: dict, out_dir, out_format: str):
         return [out / "report.json"]
     written = []
 
-    def table(name: str, rows: list, fields: list):
+    def table(name: str, rows: list, names: list):
         path = out / f"{name}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
@@ -324,8 +300,7 @@ def emit_report(report: dict, out_dir, out_format: str):
         written.append(path)
 
     table("epsilon_table", report.get("epsilon_table", []),
-          ["epsilon", "epsilon_next", "dy_s2", "dz_h2", "grad_h2_sq",
-           "phi_resolvent_h1"])
+          [f.name for f in fields(analysis.EpsilonTableRow)])
     picard_rows = []
     for scheme, summary in report.get("schemes", {}).items():
         for k, d in enumerate(summary["picard"]["distances"]):
@@ -335,8 +310,7 @@ def emit_report(report: dict, out_dir, out_format: str):
     for group in ("apriori", "yosida"):
         for r in report.get("audits", {}).get(group, []):
             audit_rows.append({"group": group, **r})
-    table("audits", audit_rows,
-          ["group", "lhs", "rhs_data", "empirical_constant", "context"])
+    table("audits", audit_rows, ["group", *(f.name for f in fields(analysis.BoundAudit))])
     summary_rows = [{"key": "mode", "value": report["mode"]}]
     for k, v in report["wellposedness"].items():
         summary_rows.append({"key": f"wellposedness.{k}", "value": v})

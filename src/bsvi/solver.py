@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import convex
-from .analysis import path_norms
+from .analysis import EpsilonTableRow, epsilon_table  # noqa: F401  (re-exported)
 from .convex import ConvexFunction, Zero
 from .generators import (CustomGenerator, GeneratorSpec, level_drift,
                          lipschitz_probe_audit, past_z_rows)
@@ -77,8 +77,9 @@ class SolverConfig:
             raise ValueError("beta must be positive")
         if not self.picard_tol >= 0:
             raise ValueError("picard_tol must be nonnegative")
-        if not self.picard_max_iters >= 1:
-            raise ValueError("picard_max_iters must be at least 1")
+        if not (isinstance(self.picard_max_iters, (int, np.integer))
+                and self.picard_max_iters >= 1):
+            raise ValueError(f"picard_max_iters must be an int >= 1: {self.picard_max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -444,18 +445,6 @@ def solve_penalized(tree: ScenarioTree, xi, gen: GeneratorSpec,
     return picard_solve(tree, xi, gen, config, phi=phi, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class EpsilonTableRow:
-    """Distances between consecutive penalized solutions plus per-run summaries."""
-
-    epsilon: float
-    epsilon_next: float
-    dy_s2: float
-    dz_h2: float
-    grad_h2_sq: float
-    phi_resolvent_h1: float
-
-
 @dataclass(eq=False)
 class BsviResult:
     solution: Solution
@@ -467,34 +456,18 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
                phi: ConvexFunction, config: SolverConfig | None = None) -> BsviResult:
     """Run the penalization schedule; the returned solution is the final-eps run.
 
-    The table rows pair consecutive schedule entries with the S^2/H^2 norms of
-    their differences plus the H^2 mass of the penalty gradient and the time
-    integral of phi at the resolvent points, feeding the rate and bound audits.
+    The table (`analysis.epsilon_table`) pairs consecutive schedule entries,
+    feeding the rate and bound audits.
     The admission checks of `_check_gate` (terminal data in dom phi, the
     well-posedness gate, a custom drift's probe audit) run once; the whole
     schedule then runs as one batch (see the module docstring).
     """
     config = config or SolverConfig()
-    dt = tree.grid.dt
     xi = _as_leaf_values(tree, xi)
     report = _check_gate(tree, xi, gen, config, phi)
     per_eps = list(zip(config.epsilon_schedule, _picard_batch(
         tree, xi, gen, config, phi, config.epsilon_schedule, report)))
-    table = []
-    for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
-        dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)
-        dz = math.sqrt(path_norms(sol_a.Z - sol_b.Z, tree).h2)
-        grad_sq = sum(dt * float(np.mean(np.sum(
-            convex.yosida_grad(phi, eps_a, y) ** 2, axis=-1)))
-            for y in sol_a.Y.values[:-1])
-        phi_res = sum(dt * float(np.mean(np.atleast_1d(
-            phi.value(convex.prox(phi, eps_a, y)))))
-            for y in sol_a.Y.values[:-1])
-        table.append(EpsilonTableRow(
-            epsilon=eps_a, epsilon_next=eps_b, dy_s2=dy, dz_h2=dz,
-            grad_h2_sq=grad_sq, phi_resolvent_h1=phi_res))
-    return BsviResult(solution=per_eps[-1][1], epsilon_table=table,
-                      per_epsilon=per_eps)
+    return BsviResult(per_eps[-1][1], epsilon_table(per_eps, phi, tree), per_eps)
 
 
 def prox_step_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,

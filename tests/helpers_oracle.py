@@ -4,18 +4,21 @@ A brute-force fixed point of the discrete delayed system (plain nested loops
 over per-level scalar arrays, direct iteration until the sweep map stops
 moving), used to cross-check `picard_solve` output on small trees; a
 per-node reader of past segments with a per-node drift evaluation, used to
-cross-check the level-at-a-time `generators.level_drift`; and the
-penalization schedule as one `picard_solve` per epsilon, used to cross-check
-the batched schedule of `solver.solve_bsvi`.
+cross-check the level-at-a-time `generators.level_drift`; the penalization
+schedule as one `picard_solve` per epsilon, used to cross-check the batched
+schedule of `solver.solve_bsvi`; and the S^2/H^2 norms, the epsilon table
+and the a priori and Yosida audits one solution at a time, used to
+cross-check their batched versions in `analysis`.
 """
 
 import math
+import statistics
 
 import numpy as np
 
 from bsvi import convex
-from bsvi.analysis import path_norms
-from bsvi.generators import CustomGenerator
+from bsvi.analysis import AprioriAudit, BoundAudit, YosidaAudit, _uniform_ok
+from bsvi.generators import CustomGenerator, origin_drift_mass
 from bsvi.lattice import TIME_SLACK, grid_row
 from bsvi.solver import BsviResult, EpsilonTableRow, SolverConfig, picard_solve
 
@@ -123,17 +126,25 @@ def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
     of the schedule, the admission checks made by the first; raises the
     failure of the first entry that fails."""
     config = config or SolverConfig()
-    dt = tree.grid.dt
     per_eps, report = [], None
     for eps in config.epsilon_schedule:
         sol = picard_solve(tree, xi, gen, config, phi=phi, epsilon=eps,
                            wellposedness=report)
         report = sol.wellposedness
         per_eps.append((eps, sol))
+    return BsviResult(solution=per_eps[-1][1],
+                      epsilon_table=epsilon_table_one_by_one(per_eps, phi, tree),
+                      per_epsilon=per_eps)
+
+
+def epsilon_table_one_by_one(per_eps, phi, tree):
+    """`analysis.epsilon_table` as a loop over consecutive pairs, with a
+    difference process per pair and two prox calls per level."""
+    dt = tree.grid.dt
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
-        dy = math.sqrt(path_norms(sol_a.Y - sol_b.Y, tree).s2)
-        dz = math.sqrt(path_norms(sol_a.Z - sol_b.Z, tree).h2)
+        dy = math.sqrt(path_norms_one_by_one(sol_a.Y - sol_b.Y, tree)[0])
+        dz = math.sqrt(path_norms_one_by_one(sol_a.Z - sol_b.Z, tree)[1])
         grad_sq = sum(dt * float(np.mean(np.sum(
             convex.yosida_grad(phi, eps_a, y) ** 2, axis=-1)))
             for y in sol_a.Y.values[:-1])
@@ -143,5 +154,76 @@ def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
         table.append(EpsilonTableRow(
             epsilon=eps_a, epsilon_next=eps_b, dy_s2=dy, dz_h2=dz,
             grad_h2_sq=grad_sq, phi_resolvent_h1=phi_res))
-    return BsviResult(solution=per_eps[-1][1], epsilon_table=table,
-                      per_epsilon=per_eps)
+    return table
+
+
+def path_norms_one_by_one(process, tree, beta=0.0):
+    """(S^2, H^2) of one process as `analysis.path_norms` defines them: the
+    running max repeated down the tree level by level, one np.mean per level."""
+    dt, n = tree.grid.dt, tree.grid.n_steps
+    values = process.values
+    running = None
+    for i, arr in enumerate(values):
+        mag = math.exp(beta * i * dt) * np.sum(arr.reshape(arr.shape[0], -1) ** 2, axis=1)
+        if running is None:
+            running = mag
+        else:
+            running = np.maximum(np.repeat(running, mag.shape[0] // running.shape[0]), mag)
+    s2 = float(np.mean(running))
+    levels = range(1, n + 1) if len(values) == n + 1 else range(len(values))
+    h2 = sum(dt * math.exp(beta * i * dt)
+             * float(np.mean(np.sum(values[i].reshape(len(values[i]), -1) ** 2, axis=1)))
+             for i in levels)
+    return s2, float(h2)
+
+
+def apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta=0.0):
+    """`analysis.apriori_audit` as a loop over the schedule, one solution at a time."""
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass(
+        gen, tree, xi.shape[1], beta)
+    rows = []
+    for eps, sol in per_epsilon:
+        lhs = (path_norms_one_by_one(sol.Y, tree, beta)[0]
+               + path_norms_one_by_one(sol.Z, tree, beta)[1])
+        const = lhs / m1 if m1 > 0 else 0.0
+        rows.append(BoundAudit(lhs=lhs, rhs_data=m1, empirical_constant=const,
+                               context=f"apriori eps={eps:g}"))
+    consts = [r.empirical_constant for r in rows]
+    return AprioriAudit(rows=tuple(rows), uniform_ok=_uniform_ok(consts, 2.0),
+                        median_constant=float(statistics.median(consts)))
+
+
+def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0):
+    """`analysis.yosida_audit` as a loop over the schedule and its levels, one
+    solution and one prox call at a time."""
+    dt, n = tree.grid.dt, tree.grid.n_steps
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
+        + origin_drift_mass(gen, tree, xi.shape[1])
+    grad_rows, value_rows, gap_rows = [], [], []
+    for eps, sol in per_epsilon:
+        grad_h2 = phi_sup = phi_int = gap_sup = 0.0
+        for i, y in enumerate(sol.Y.values):
+            w = math.exp(beta * i * dt)
+            j = convex.prox(phi, eps, y)
+            gap = np.sum((y - j) ** 2, axis=-1)
+            gap_sup = max(gap_sup, w * float(np.mean(gap)))
+            phi_j = np.atleast_1d(phi.value(j))
+            phi_sup = max(phi_sup, w * float(np.mean(phi_j)))
+            if i < n:
+                grad_h2 += dt * w * float(np.mean(gap)) / eps ** 2
+                phi_int += dt * w * float(np.mean(phi_j))
+        denom = m2 if m2 > 0 else 1.0
+        grad_rows.append(BoundAudit(grad_h2, m2, grad_h2 / denom,
+                                    f"yosida-grad eps={eps:g}"))
+        value_rows.append(BoundAudit(phi_sup + phi_int, m2,
+                                     (phi_sup + phi_int) / denom,
+                                     f"yosida-phi eps={eps:g}"))
+        gap_rows.append(BoundAudit(gap_sup, eps * m2, gap_sup / (eps * denom),
+                                   f"yosida-gap eps={eps:g}"))
+    ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
+          and all(np.isfinite(r.lhs) for r in value_rows)
+          and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
+    return YosidaAudit(grad_rows=tuple(grad_rows), value_rows=tuple(value_rows),
+                       gap_rows=tuple(gap_rows), uniform_ok=ok)

@@ -70,7 +70,9 @@ def test_missing_key_is_config_error():
                                          {"picard_max_iters": 0},
                                          {"picard_tol": -1.0},
                                          {"picard_tol": float("nan")},
-                                         {"epsilon_schedule": [1.0, float("nan"), 0.25]}])
+                                         {"epsilon_schedule": [1.0, float("nan"), 0.25]},
+                                         # not truncated to 2: it reaches SolverConfig as written
+                                         {"picard_max_iters": 2.5}])
 def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_conf):
     doc = minimal_doc()
     doc["solver"] = solver_conf

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -8,6 +10,8 @@ import pytest
 import bsvi
 from bsvi import convex, generators
 from bsvi import solver as solver_mod
+from bsvi.analysis import apriori_audit, epsilon_table, path_norms, yosida_audit
+from bsvi.cli import config_from_dict
 from bsvi.lattice import level_moments
 from bsvi.problems import (
     box_linear_problem,
@@ -422,6 +426,130 @@ def test_early_finished_solutions_own_their_arrays():
 
 
 # ---------------------------------------------------------------------------
+# the batched epsilon table and audits against one solution at a time
+# (see helpers_oracle.py)
+# ---------------------------------------------------------------------------
+
+from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_one_by_one,
+                            path_norms_one_by_one, yosida_audit_one_by_one)
+
+
+def _solved(case):
+    tree, xi, gen, phi = SCHEDULE_CASES[case]()
+    return tree, xi, gen, phi, solve_bsvi(tree, xi, gen, phi)
+
+
+def _bits(v):
+    """A float as its type and bytes, so that values compare equal only if
+    bitwise equal (a NaN too); anything else as it is."""
+    return (type(v).__name__, np.float64(v).tobytes()) if isinstance(v, float) else v
+
+
+def _row_bits(row):
+    return [(f.name, _bits(getattr(row, f.name))) for f in dataclasses.fields(row)]
+
+
+def _assert_schedule_audits_match(per_epsilon, phi, xi, gen, tree, beta=0.0):
+    got = epsilon_table(per_epsilon, phi, tree)
+    want = epsilon_table_one_by_one(per_epsilon, phi, tree)
+    assert list(map(_row_bits, got)) == list(map(_row_bits, want))
+    got = apriori_audit(per_epsilon, xi, gen, tree, beta)
+    want = apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta)
+    assert list(map(_row_bits, got.rows)) == list(map(_row_bits, want.rows))
+    assert got.uniform_ok == want.uniform_ok
+    assert _bits(got.median_constant) == _bits(want.median_constant)
+    got = yosida_audit(per_epsilon, phi, xi, gen, tree, beta)
+    want = yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta)
+    for rows in ("grad_rows", "value_rows", "gap_rows"):
+        assert list(map(_row_bits, getattr(got, rows))) == \
+            list(map(_row_bits, getattr(want, rows)))
+    assert got.uniform_ok == want.uniform_ok
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_schedule_audits_match_one_solution_at_a_time(case, beta):
+    tree, xi, gen, phi, res = _solved(case)
+    _assert_schedule_audits_match(res.per_epsilon, phi, xi, gen, tree, beta)
+
+
+def test_schedule_audits_match_on_solutions_copied_out_at_different_sweeps():
+    # the delay_bsvi benchmark config: the first entry stops at sweep 9, the
+    # other ten at sweep 10, so it is copied out of the batch on its own
+    cfg = config_from_dict({
+        "model": {"horizon": 1.0, "n_steps": 8, "bm_dim": 1, "dim": 1},
+        "terminal": {"kind": "clipped_linear", "a": [0.1], "b": [[1.0]], "lo": -1.0, "hi": 1.0},
+        "generator": {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5,
+                      "alpha": {"kind": "uniform"}},
+        "phi": {"kind": "box", "lo": -1.0, "hi": 1.0},
+        "solver": {"picard_tol": 1.0e-10}})
+    res = solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config)
+    assert [s.diagnostics.iterations_used for _, s in res.per_epsilon] == [9] + [10] * 10
+    for beta in (0.0, 2.0):
+        _assert_schedule_audits_match(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen, cfg.tree, beta)
+
+
+def test_schedule_audits_match_on_a_two_dimensional_quadratic():
+    tree = bsvi.build_tree(5, 1.0, 1)
+    xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
+    gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
+    phi = convex.Quadratic(4.0)
+    res = solve_bsvi(tree, xi, gen, phi)
+    assert res.solution.Y.values[0].shape == (1, 2)
+    _assert_schedule_audits_match(res.per_epsilon, phi, xi, gen, tree, 0.5)
+
+
+def test_schedule_audits_match_on_one_entry_and_on_separate_solves():
+    tree, xi, gen, phi, res = _solved("one_norm")
+    for one in (res.per_epsilon[:1], res.per_epsilon[-1:]):
+        assert epsilon_table(one, phi, tree) == []
+        _assert_schedule_audits_match(one, phi, xi, gen, tree, 1.0)
+    # solutions of separate solves share no batch array
+    _assert_schedule_audits_match(solve_one_per_epsilon(tree, xi, gen, phi).per_epsilon,
+                                  phi, xi, gen, tree, 1.0)
+
+
+def test_schedule_audits_reject_an_empty_schedule():
+    tree, xi, gen, phi, _ = _solved("quadratic")
+    for audit in (lambda: apriori_audit([], xi, gen, tree),
+                  lambda: yosida_audit([], phi, xi, gen, tree),
+                  lambda: epsilon_table([], phi, tree)):
+        with pytest.raises(ValueError, match="per_epsilon is empty"):
+            audit()
+
+
+def test_path_norms_match_one_process_at_a_time():
+    tree, _, _, _, res = _solved("delayed_z_box")
+    (_, a), (_, b) = res.per_epsilon[:2]
+    for proc in (a.Y, a.Z, a.U, a.Y - b.Y, a.Z - b.Z):
+        for beta in (0.0, 0.7):
+            rep = path_norms(proc, tree, beta)
+            want = path_norms_one_by_one(proc, tree, beta)
+            assert (_bits(rep.s2), _bits(rep.h2)) == tuple(map(_bits, want))
+
+
+def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
+    # a stack of whole levels of the schedule (E leaf levels per temporary)
+    # goes past this bound; runs capped at one tree's leaf level stay below
+    tree, xi, gen, phi = box_linear_problem(12)
+    res = solve_bsvi(tree, xi, gen, phi)
+    bound = (len(res.per_epsilon) + 8) * tree.level_size(12) * xi.shape[1] * 8
+
+    def peak_above_live(run):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    assert peak_above_live(lambda: (apriori_audit(res.per_epsilon, xi, gen, tree),
+                                    yosida_audit(res.per_epsilon, phi, xi, gen, tree))) <= bound
+    assert peak_above_live(lambda: epsilon_table(res.per_epsilon, phi, tree)) <= bound
+
+
+# ---------------------------------------------------------------------------
 # fixed-point oracle: direct iteration of the discrete system, coded apart
 # from the solver (see helpers_oracle.py)
 # ---------------------------------------------------------------------------
@@ -685,6 +813,18 @@ def test_solver_config_validation():
         SolverConfig(picard_max_iters=0)
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(beta=-1.0)
+
+
+@pytest.mark.parametrize("iters", [2.5, float("nan"), 3.0, "3"])
+def test_solver_config_rejects_a_non_integer_picard_max_iters(iters):
+    with pytest.raises(ValueError, match="picard_max_iters"):
+        SolverConfig(picard_max_iters=iters)
+
+
+def test_solver_config_takes_a_numpy_integer_picard_max_iters():
+    tree, xi, gen, _ = box_linear_problem(3)
+    sol = picard_solve(tree, xi, gen, SolverConfig(picard_max_iters=np.int64(3)))
+    assert sol.diagnostics.converged and sol.diagnostics.iterations_used <= 3
 
 
 @pytest.mark.parametrize("knobs", [
