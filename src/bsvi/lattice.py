@@ -142,8 +142,17 @@ def level_moments(tree: ScenarioTree, y_next: np.ndarray):
     node's children and Z[k, l] = E[Y_k * increment_l | F_{t_i}] / dt."""
     b = tree.branching
     kids = y_next.reshape(y_next.shape[0] // b, b, -1)
-    z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)
-    return kids.sum(axis=1) / b, z  # the mean over the children, as np.mean takes it
+    inc = tree.increment_patterns
+    # child by child from +0.0: the order numpy's sum and einsum add 2 or 4
+    # children in, so bitwise the same, at a fraction of their cost
+    expect = kids[:, 0] + 0.0
+    z = kids[:, 0, :, None] * inc[0] + 0.0
+    for k in range(1, b):
+        expect += kids[:, k]
+        z += kids[:, k, :, None] * inc[k]
+    z /= b * tree.grid.dt
+    expect /= b  # the mean over the children, as np.mean takes it
+    return expect, z
 
 
 def grid_row(query_time: float, dt: float, last: int) -> int | None:

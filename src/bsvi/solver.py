@@ -22,8 +22,9 @@ Each step runs on a whole level at once: `lattice.level_moments` gives
 through ancestor rows.  A solve resolves the drift's past-Z terms to those
 rows once (`generators.past_z_rows`), not once per sweep.  Past segments read
 at offset 0 resolve to the current predictor pair (E_i, Z_i), so generators
-with no effective delay never touch the frozen iterate and the Picard loop
-terminates after the confirmation sweep.
+with no effective delay never touch the frozen iterate: the Picard loop stops
+after the confirmation sweep, which reproduces the first one bitwise and is
+therefore replayed, not recomputed (a `CustomGenerator` always sweeps).
 
 `solve_bsvi` sweeps its E solves as one batch, a forest of E trees: node j of
 block e is row e B^i + j of level i, so children and ancestors sit where the
@@ -69,15 +70,17 @@ class SolverConfig:
         if not sched:
             raise ValueError("epsilon schedule must not be empty")
         # negated tests, so that NaN fails them
-        if any(not e > 0 for e in sched):
-            raise ValueError("epsilon schedule must be positive")
+        if any(not 0 < e < math.inf for e in sched):
+            raise ValueError(f"epsilon_schedule entries must be positive and finite: {sched}")
         if any(not later < earlier for earlier, later in zip(sched, sched[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.picard_tol >= 0:
-            raise ValueError("picard_tol must be nonnegative")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite: {self.beta!r}")
+        if not 0 <= self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be nonnegative and finite: {self.picard_tol!r}")
+        # a bool is an int, and True would read as one sweep
         if not (isinstance(self.picard_max_iters, (int, np.integer))
+                and not isinstance(self.picard_max_iters, bool)
                 and self.picard_max_iters >= 1):
             raise ValueError(f"picard_max_iters must be an int >= 1: {self.picard_max_iters!r}")
 
@@ -126,6 +129,8 @@ def check_wellposedness(L: float, K: float, horizon: float,
 
 @dataclass
 class PicardDiagnostics:
+    """Per-sweep iterate distances and ratios; a replayed sweep counts too."""
+
     iterate_distances: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     converged: bool = False
@@ -138,7 +143,8 @@ class Solution:
 
     Y spans levels 0..n; Z and U span 0..n-1.  ``frozen_past`` is the Picard
     iterate the final backward pass froze its delay arguments on; residual
-    checks replay the pass against it.
+    checks replay the pass against it.  After a replayed confirmation sweep
+    it shares its arrays with (Y, Z), the values that sweep froze.
     """
 
     Y: AdaptedProcess
@@ -369,6 +375,10 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     raised is the first entry's failure, as one solve after another raises it.
     """
     past_rows = past_z_rows(gen, tree)
+    # a pass that reads no frozen row gives the same sweep from any iterate, so
+    # the confirmation sweep replays the first; a custom callback always sweeps
+    replay = not isinstance(gen, CustomGenerator) and all(
+        row is None for terms in past_rows for row, _ in terms)
     weights = _distance_weights(tree, resolve_beta(config, gen))
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
@@ -377,11 +387,14 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
     for sweep in range(1, config.picard_max_iters + 1):
         blocks = len(active)
-        eps_col = None if epsilons[0] is None else \
-            np.array([epsilons[e] for e in active])[:, None, None]
-        ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
-                               eps_col, past_rows)
-        dists = _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks)
+        if replay and sweep > 1:  # us is the last pass's, re-blocked below
+            ys, zs, dists = frozen_y, frozen_z, np.zeros(blocks)
+        else:
+            eps_col = None if epsilons[0] is None else \
+                np.array([epsilons[e] for e in active])[:, None, None]
+            ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
+                                   eps_col, past_rows)
+            dists = _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks)
         keep, done = [], []
         for pos, e in enumerate(active):
             diag, dist = diags[e], float(dists[pos])
@@ -419,11 +432,14 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
                                     epsilon=epsilons[e], frozen_past=(past_y, past_z),
                                     wellposedness=report)
-        del us  # the next pass need not keep this sweep's U alive
+        if not replay:
+            del us  # the next pass need not keep this sweep's U alive
         frozen_y, frozen_z = ys, zs
         if len(keep) < blocks:
             frozen_y, frozen_z = _blocks(ys, keep, blocks), _blocks(zs, keep, blocks)
             batch_xi = frozen_y[-1]
+            if replay:
+                us = _blocks(us, keep, blocks)
         active = [active[pos] for pos in keep]
         if not active:
             break

@@ -6,9 +6,13 @@ moving), used to cross-check `picard_solve` output on small trees; a
 per-node reader of past segments with a per-node drift evaluation, used to
 cross-check the level-at-a-time `generators.level_drift`; the penalization
 schedule as one `picard_solve` per epsilon, used to cross-check the batched
-schedule of `solver.solve_bsvi`; and the S^2/H^2 norms, the epsilon table
-and the a priori and Yosida audits one solution at a time, used to
-cross-check their batched versions in `analysis`.
+schedule of `solver.solve_bsvi`; the Picard loop of one solve with every
+sweep computed, used to cross-check the replayed confirmation sweep of a
+pass that reads no frozen row; the children's mean and Z projection as one
+numpy sum and einsum, used to cross-check `lattice.level_moments`; and the
+S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
+solution at a time, used to cross-check their batched versions in
+`analysis`.
 """
 
 import math
@@ -17,10 +21,12 @@ import statistics
 import numpy as np
 
 from bsvi import convex
+from bsvi import solver
 from bsvi.analysis import AprioriAudit, BoundAudit, YosidaAudit, _uniform_ok
-from bsvi.generators import CustomGenerator, origin_drift_mass
-from bsvi.lattice import TIME_SLACK, grid_row
-from bsvi.solver import BsviResult, EpsilonTableRow, SolverConfig, picard_solve
+from bsvi.generators import CustomGenerator, origin_drift_mass, past_z_rows
+from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
+from bsvi.solver import (BsviResult, EpsilonTableRow, PicardDiagnostics, Solution,
+                         SolverConfig, picard_solve)
 
 
 def history_value(process, level, node, query_time, kind):
@@ -119,6 +125,48 @@ def assert_solution_matches_oracle(tree, xi, sol, drift_fn, penalty=None,
         assert np.allclose(sol.Y.values[i][:, 0], y[i], atol=tol)
     for i in range(tree.grid.n_steps):
         assert np.allclose(sol.Z.values[i][:, 0, 0], z[i], atol=tol)
+
+
+def level_moments_einsum(tree, y_next):
+    """`lattice.level_moments` as one sum over the child axis and one einsum
+    against the increment patterns."""
+    b = tree.branching
+    kids = y_next.reshape(y_next.shape[0] // b, b, -1)
+    z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)
+    return kids.sum(axis=1) / b, z
+
+
+def picard_every_sweep(tree, xi, gen, config=None, *, phi=None, epsilon=None):
+    """`solver.picard_solve` with every sweep computed: one solve whose
+    confirmation sweep runs a backward pass and measures its distance even
+    when no pass reads a frozen row.  Keeps the diagnostics as the solver
+    does; raises AssertionError where the solver would raise a Picard
+    failure."""
+    config = config or SolverConfig()
+    xi = solver._as_leaf_values(tree, xi)
+    report = solver._check_gate(tree, xi, gen, config, phi)
+    past_rows = past_z_rows(gen, tree)
+    weights = solver._distance_weights(tree, solver.resolve_beta(config, gen))
+    eps_col = None if epsilon is None else np.full((1, 1, 1), epsilon)
+    frozen = solver._zero_levels(tree, xi.shape[1], 1)
+    diag = PicardDiagnostics()
+    for sweep in range(1, config.picard_max_iters + 1):
+        ys, zs, us = solver._one_pass(tree, xi, gen, *frozen, phi, eps_col, past_rows)
+        dist = float(solver._weighted_distance(ys, zs, *frozen, weights, 1)[0])
+        assert math.isfinite(dist), f"sweep {sweep}: distance {dist}"
+        if diag.iterate_distances:
+            prev = diag.iterate_distances[-1]
+            diag.contraction_ratios.append(dist / prev if prev > 0 else 0.0)
+        diag.iterate_distances.append(dist)
+        diag.iterations_used = sweep
+        if dist <= config.picard_tol:
+            diag.converged = True
+            y, z, u, past_y, past_z = (AdaptedProcess(tree, levels)
+                                       for levels in (ys, zs, us, *frozen))
+            return Solution(Y=y, Z=z, U=u, diagnostics=diag, epsilon=epsilon,
+                            frozen_past=(past_y, past_z), wellposedness=report)
+        frozen = ys, zs
+    raise AssertionError(f"no convergence within {config.picard_max_iters} sweeps")
 
 
 def solve_one_per_epsilon(tree, xi, gen, phi, config=None):

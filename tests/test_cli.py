@@ -72,7 +72,15 @@ def test_missing_key_is_config_error():
                                          {"picard_tol": float("nan")},
                                          {"epsilon_schedule": [1.0, float("nan"), 0.25]},
                                          # not truncated to 2: it reaches SolverConfig as written
-                                         {"picard_max_iters": 2.5}])
+                                         {"picard_max_iters": 2.5},
+                                         # an infinite beta made NaN distance weights
+                                         {"beta": float("inf")},
+                                         # an infinite tolerance stopped every solve at sweep 1
+                                         {"picard_tol": float("inf")},
+                                         # an infinite entry wrote "epsilon": Infinity
+                                         {"epsilon_schedule": [float("inf"), 1.0, 0.5]},
+                                         # a bool is an int: True read as one sweep
+                                         {"picard_max_iters": True}])
 def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_conf):
     doc = minimal_doc()
     doc["solver"] = solver_conf
@@ -89,6 +97,16 @@ def test_nan_beta_flag_is_a_config_error(capsys, tmp_path):
     assert code == EXIT_PARSE
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+def test_inf_beta_flag_is_a_config_error(capsys, tmp_path):
+    # an infinite beta makes NaN distance weights, not a non-finite iterate
+    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "inf",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "beta" in err["message"]
 
 
 def test_bsvi_run_does_not_import_numpy_ma(tmp_path):

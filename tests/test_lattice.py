@@ -12,7 +12,7 @@ from bsvi.lattice import (
     build_tree,
     level_moments,
 )
-from helpers_oracle import history_value
+from helpers_oracle import history_value, level_moments_einsum
 
 
 def test_build_tree_one_step():
@@ -154,6 +154,35 @@ def test_z_projection_recovers_linear_coefficient(a, b):
     s = math.sqrt(tree.grid.dt)
     _, z = level_moments(tree, np.array([[a + b * s], [a - b * s]]))
     assert abs(z[0, 0, 0] - b) < 1e-12
+
+
+def _moment_inputs(rows, m):
+    """Random values over 1e-5..1e5 scales, all -0.0, and a mix of signed
+    zeros, +-1 and +-1e-300."""
+    rng = np.random.default_rng(rows * 10 + m)
+    scaled = rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(-5, 5, (rows, m))
+    mixed = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300], size=(rows, m))
+    return {"scaled": scaled, "negative_zero": np.full((rows, m), -0.0), "mixed": mixed}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bm_dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_level_moments_match_the_einsum_oracle(bm_dim, m):
+    tree = build_tree(4, 0.7, bm_dim)
+    for kind, y_next in _moment_inputs(tree.level_size(4), m).items():
+        expect, z = level_moments(tree, y_next)
+        want_expect, want_z = level_moments_einsum(tree, y_next)
+        if bm_dim == 3 and m == 1:
+            # numpy's pairwise sum of eight children adds in another order
+            assert np.allclose(expect, want_expect, rtol=1e-15), kind
+            assert np.allclose(z, want_z, rtol=1e-15), kind
+        else:
+            assert _same_bits(expect, want_expect), kind
+            assert _same_bits(z, want_z), kind
 
 
 def test_adapted_process_shape_validation():

@@ -426,6 +426,130 @@ def test_early_finished_solutions_own_their_arrays():
 
 
 # ---------------------------------------------------------------------------
+# the replayed confirmation sweep against every sweep computed
+# (see helpers_oracle.py)
+# ---------------------------------------------------------------------------
+
+from helpers_oracle import picard_every_sweep
+
+
+def _two_dimensional_quadratic():
+    tree = bsvi.build_tree(5, 1.0, 1)
+    xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
+    gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
+    return tree, xi, gen, convex.Quadratic(4.0)
+
+
+# (problem, scheme): "schedule" runs solve_bsvi, "classical" picard_solve
+# without phi, "prox" prox_step_solve; no pass of these reads a frozen row
+REPLAY_CASES = {
+    "box": (lambda: box_linear_problem(5), "schedule"),
+    "quadratic": (lambda: _swap(box_linear_problem(5), phi=convex.Quadratic(4.0)), "schedule"),
+    "one_norm": (lambda: _swap(box_linear_problem(5), phi=convex.OneNorm(0.25)), "schedule"),
+    "zero": (lambda: _swap(box_linear_problem(5), phi=convex.Zero()), "schedule"),
+    "custom1d": (lambda: _swap(box_linear_problem(5), phi=_elastic_penalty()), "schedule"),
+    "classical": (lambda: box_linear_problem(5), "classical"),
+    "prox": (lambda: box_linear_problem(5), "prox"),
+    "dirac_zero": (lambda: _swap(box_linear_problem(5), gen=generators.MovingAverageZ(
+        g=lambda t: 1.0 + t, g_bound=2.0, alpha=generators.Dirac(0.0))), "schedule"),
+    "delayed_z_lag_T": (lambda: _swap(box_linear_problem(5), gen=generators.DelayedZ(
+        kappa=0.5, lag=1.0)), "schedule"),
+    "quadratic_m2": (_two_dimensional_quadratic, "schedule"),
+}
+
+
+def _solve_counting_passes(monkeypatch, scheme, tree, xi, gen, phi, config):
+    """The solver's solutions, as a list, and the backward passes it ran."""
+    passes = []
+    real = solver_mod._one_pass
+
+    def counted(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_one_pass", counted)
+    if scheme == "schedule":
+        sols = [s for _, s in solve_bsvi(tree, xi, gen, phi, config).per_epsilon]
+    elif scheme == "classical":
+        sols = [picard_solve(tree, xi, gen, config)]
+    else:
+        sols = [prox_step_solve(tree, xi, gen, phi, config)]
+    monkeypatch.undo()
+    return sols, len(passes)
+
+
+def _every_sweep(scheme, tree, xi, gen, phi, config):
+    if scheme == "schedule":
+        return [picard_every_sweep(tree, xi, gen, config, phi=phi, epsilon=eps)
+                for eps in config.epsilon_schedule]
+    return [picard_every_sweep(tree, xi, gen, config,
+                               phi=None if scheme == "classical" else phi)]
+
+
+def _assert_same_solutions(got, want):
+    assert len(got) == len(want)
+    for sol, want_sol in zip(got, want):
+        assert sol.epsilon == want_sol.epsilon
+        assert sol.diagnostics == want_sol.diagnostics
+        assert sol.wellposedness == want_sol.wellposedness
+        for proc, want_proc in zip((sol.Y, sol.Z, sol.U, *sol.frozen_past),
+                                   (want_sol.Y, want_sol.Z, want_sol.U,
+                                    *want_sol.frozen_past)):
+            assert len(proc.values) == len(want_proc.values)
+            assert all(map(_same_bits, proc.values, want_proc.values))
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_replayed_confirmation_sweep_matches_every_sweep_computed(monkeypatch, case):
+    make, scheme = REPLAY_CASES[case]
+    tree, xi, gen, phi = make()
+    config = SolverConfig()
+    got, passes = _solve_counting_passes(monkeypatch, scheme, tree, xi, gen, phi, config)
+    want = _every_sweep(scheme, tree, xi, gen, phi, config)
+    _assert_same_solutions(got, want)
+    # one batched pass, its confirmation replayed: frozen_past is (Y, Z) itself
+    assert passes == 1
+    for sol in got:
+        assert sol.diagnostics.iterations_used == 2
+        assert sol.diagnostics.iterate_distances[1] == 0.0
+        for proc, past in zip((sol.Y, sol.Z), sol.frozen_past):
+            assert all(np.shares_memory(a, b) for a, b in zip(proc.values, past.values))
+
+
+def test_replay_after_some_entries_stop_at_the_first_sweep(monkeypatch):
+    # a tolerance between the first distances: the entries at or below it
+    # stop at sweep 1, the rest replay on their re-blocked (Y, Z, U)
+    tree, xi, gen, phi = box_linear_problem(5)
+    first = sorted(s.diagnostics.iterate_distances[0]
+                   for _, s in solve_bsvi(tree, xi, gen, phi).per_epsilon)
+    assert len(set(first)) > 2
+    config = SolverConfig(picard_tol=first[len(first) // 2])
+    got, passes = _solve_counting_passes(monkeypatch, "schedule", tree, xi, gen, phi, config)
+    want = _every_sweep("schedule", tree, xi, gen, phi, config)
+    _assert_same_solutions(got, want)
+    sweeps = [s.diagnostics.iterations_used for s in got]
+    assert set(sweeps) == {1, 2} and passes == 1
+
+
+def test_custom_drift_under_declaring_its_delay_still_sweeps(monkeypatch):
+    # declared_delay = 0 while the callback reads past_z: the loop cannot see
+    # which rows a callback reads, so it sweeps to convergence as before
+    tree, xi, _, phi = box_linear_problem(5)
+    gen = generators.CustomGenerator(
+        fn=lambda t, y, z, past_y, past_z: 0.25 * y + 0.3 * past_z(-0.4)[..., 0],
+        declared_instant=0.25, declared_delay=0.0)
+    config = SolverConfig(epsilon_schedule=(0.5, 0.125))
+    with pytest.warns(RuntimeWarning, match="too small"):
+        got, passes = _solve_counting_passes(monkeypatch, "schedule", tree, xi, gen, phi,
+                                             config)
+    with pytest.warns(RuntimeWarning, match="too small"):
+        want = _every_sweep("schedule", tree, xi, gen, phi, config)
+    _assert_same_solutions(got, want)
+    assert min(s.diagnostics.iterations_used for s in got) > 2
+    assert passes == max(s.diagnostics.iterations_used for s in got)
+
+
+# ---------------------------------------------------------------------------
 # the batched epsilon table and audits against one solution at a time
 # (see helpers_oracle.py)
 # ---------------------------------------------------------------------------
@@ -815,10 +939,22 @@ def test_solver_config_validation():
         SolverConfig(beta=-1.0)
 
 
-@pytest.mark.parametrize("iters", [2.5, float("nan"), 3.0, "3"])
+# a bool is an int, and True read as one sweep
+@pytest.mark.parametrize("iters", [2.5, float("nan"), 3.0, "3", True, False, np.True_])
 def test_solver_config_rejects_a_non_integer_picard_max_iters(iters):
     with pytest.raises(ValueError, match="picard_max_iters"):
         SolverConfig(picard_max_iters=iters)
+
+
+@pytest.mark.parametrize("knobs, name", [
+    ({"beta": math.inf}, "beta"),
+    ({"beta": -math.inf}, "beta"),
+    ({"picard_tol": math.inf}, "picard_tol"),
+    ({"epsilon_schedule": (math.inf, 1.0, 0.5)}, "epsilon_schedule"),
+], ids=["beta_inf", "beta_minus_inf", "tol_inf", "schedule_inf"])
+def test_solver_config_rejects_infinite_knobs(knobs, name):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**knobs)
 
 
 def test_solver_config_takes_a_numpy_integer_picard_max_iters():
