@@ -62,10 +62,12 @@ from .analysis import (
     NormReport,
     RateFit,
     ResidualReport,
+    ScheduleAudits,
     StabilityAudit,
     apriori_audit,
     epsilon_rate_fit,
     path_norms,
+    schedule_audits,
     solution_residuals,
     stability_audit,
     yosida_audit,

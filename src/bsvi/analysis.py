@@ -10,13 +10,14 @@ slack, not a violation.
 Everything here is pure over immutable solutions; drifts are evaluated one
 level at a time through `generators.level_drift`, with the past-Z rows
 resolved once per audit call.  The epsilon table and the a priori and Yosida
-audits sweep the schedule as one batch: level i of its E solutions is stacked
-into (E, B^i) blocks, each eps an (E, 1, 1) column, in slices of at most one
-tree's leaf level (`_runs`), and pathwise quantities are per-block reductions.
+audits are one depth-first pass over the schedule's levels (`schedule_audits`)
+in runs of at most one leaf level: block e of level i is solution e's rows, a
+view of the store `solver.solve_bsvi` leaves (see `lattice.stacked_rows`).
 """
 
 import math
 import statistics
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ import numpy as np
 from . import convex
 from .convex import ConvexFunction, Zero, subgradient_check
 from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
-from .lattice import AdaptedProcess, ScenarioTree, level_moments, row_sq_norms
+from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_moments,
+                      row_sq_norms, stacked_rows)
 
 
 @dataclass(frozen=True)
@@ -44,49 +46,18 @@ class BoundAudit:
     context: str
 
 
-def _runs(level, blocks: range, i: int, tree: ScenarioTree):
-    """Level i of the processes ``blocks`` in runs (s, rows), rows stacking
-    level(e, i) of the blocks e in slice s.  A run holds max(1, B^n // B^i)
-    blocks, so no stack has more rows than one tree's leaf level."""
-    run = max(1, tree.level_size(tree.grid.n_steps) // tree.level_size(i))
-    for lo in blocks[::run]:
-        s = slice(lo, min(lo + run, blocks.stop))
-        yield s, level(lo, i) if s.stop - lo == 1 else np.concatenate(
-            [level(e, i) for e in range(s.start, s.stop)])
-
-
-def _block_norms(level, blocks: int, span: int, tree: ScenarioTree, beta: float, stat: str):
-    """Per-block S^2 (``stat`` "s2") or H^2 ("h2") of ``blocks`` processes on levels
-    0..span-1, block e's level i being level(e, i) (see `path_norms`)."""
-    dt, n, out = tree.grid.dt, tree.grid.n_steps, np.zeros(blocks)
-    if stat == "h2":
-        for i in range(1, n + 1) if span == n + 1 else range(span):
-            for s, rows in _runs(level, range(blocks), i, tree):
-                sq = row_sq_norms(rows).reshape(-1, tree.level_size(i))
-                out[s] += dt * math.exp(beta * i * dt) * sq.mean(axis=1)
-        return out
-
-    def sweep(i: int, run: range, parent):
-        # depth first: one run's running max per level (``parent`` at i - 1) is alive
-        for s, rows in _runs(level, run, i, tree):
-            mag = (math.exp(beta * i * dt) * row_sq_norms(rows)).reshape(-1, tree.level_size(i))
-            del rows
-            if i:
-                kids = mag.reshape(len(mag), -1, tree.branching)
-                np.maximum(parent[s.start - run.start:s.stop - run.start, :, None], kids, out=kids)
-            if i == span - 1:
-                out[s] = mag.mean(axis=1)
-            else:
-                sweep(i + 1, range(s.start, s.stop), mag)
-
-    sweep(0, range(blocks), None)
-    return out
-
-
 def _path_norm(process: AdaptedProcess, tree: ScenarioTree, beta: float, stat: str) -> float:
-    """One statistic of one process, the one-block case of `_block_norms`."""
-    return float(_block_norms(lambda _, i: process.values[i], 1, len(process.values), tree,
-                              beta, stat)[0])
+    """S^2 ("s2") or H^2 ("h2") of one process (see `path_norms`)."""
+    dt, values = tree.grid.dt, process.values
+    weights = [math.exp(beta * i * dt) for i in range(len(values))]
+    if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
+        first = 1 if len(values) == tree.grid.n_steps + 1 else 0
+        return float(sum(dt * weights[i] * row_sq_norms(values[i]).mean()
+                         for i in range(first, len(values))))
+    running = None
+    for w, level in zip(weights, values):
+        running = fold_running_max(running, (w * row_sq_norms(level))[None], tree.branching)
+    return float(running.mean())
 
 
 def path_norms(process: AdaptedProcess, tree: ScenarioTree,
@@ -103,11 +74,77 @@ def path_norms(process: AdaptedProcess, tree: ScenarioTree,
                       h2=_path_norm(process, tree, beta, "h2"), beta=beta)
 
 
-def _schedule(per_epsilon) -> tuple:
-    """(epsilons, solutions) of a nonempty schedule of (epsilon, Solution)."""
+def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: float, parts):
+    """(epsilons, sums): the per-solution sums of the audits in ``parts`` from
+    one depth-first pass over the levels.  Going down it holds only the running
+    maxes of its two S^2 statistics (a priori of Y, table of consecutive Y
+    differences), in runs whose maxes fill one leaf level together; one prox
+    per level and run serves the table and the Yosida sums.  Each sum keeps
+    its audit's formula and association (a mean is np.mean's sum / count)."""
     if not per_epsilon:
         raise ValueError("the audits need a schedule: per_epsilon is empty")
-    return tuple(zip(*per_epsilon))
+    epsilons, sols = tuple(zip(*per_epsilon))
+    dt, n, count, m = tree.grid.dt, tree.grid.n_steps, len(sols), sols[0].Y.values[0].shape[1]
+    table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
+    ys = [stacked_rows([s.Y.values[i] for s in sols]) for i in range(n + 1)]
+    zs = [stacked_rows([s.Z.values[i] for s in sols]) for i in range(n)]
+    sums = defaultdict(lambda: np.zeros(count))
+    eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
+    # rows per run: the running maxes fill one leaf level together, and no run
+    # is cut below 2^11 rows, where the per-run numpy calls outweigh the rows
+    cap = max(2 ** 11, tree.level_size(n) // max(1, table + apriori))
+
+    def frame(i, lo, hi, parents):
+        size, w, hd = tree.level_size(i), math.exp(beta * i * dt), min(hi, count - 1)
+
+        def mean(values):  # per block, over the level's nodes
+            return values.reshape(-1, size).sum(axis=1) / size
+
+        def fold(k, key, end, mag):  # a leaf level is reduced before the prox's temporaries
+            maxes[k] = fold_running_max(parents[k], mag.reshape(-1, size), tree.branching)
+            if i == n:
+                sums[key][lo:end], maxes[k] = mean(maxes[k]), None
+
+        y, maxes = ys[i](lo, hi), [None, None]
+        if apriori:
+            fold(0, "y_s2", hi, w * row_sq_norms(y))
+            if i < n:
+                sums["z_h2"][lo:hi] += dt * w * mean(row_sq_norms(zs[i](lo, hi)))
+        if table and hd > lo:  # the run's pairs (e, e + 1)
+            fold(1, "dy_s2", hd, row_sq_norms(y[:(hd - lo) * size] - ys[i](lo + 1, hd + 1)))
+            if i < n:
+                sums["dz_h2"][lo:hd] += dt * mean(
+                    row_sq_norms(zs[i](lo, hd) - zs[i](lo + 1, hd + 1)))
+        top = hi if yosida else hd if table and i < n else lo  # the blocks that need J(Y)
+        if top > lo:
+            yb = y[:(top - lo) * size].reshape(-1, size, m)
+            j = convex.prox(phi, eps_col[lo:top], yb)
+            phi_j, gap = mean(phi.value(j)), yb - j
+            del j
+            if table and i < n and hd > lo:
+                grad = (gap[:hd - lo] / eps_col[lo:hd]).reshape(-1, m)
+                sums["grad_sq"][lo:hd] += dt * mean(row_sq_norms(grad))
+                sums["phi_res"][lo:hd] += dt * phi_j[:hd - lo]
+            if yosida:
+                sq = mean(row_sq_norms(gap.reshape(-1, m)))
+                for key, x in (("gap_sup", w * sq), ("phi_sup", w * phi_j)):
+                    acc = sums[key][lo:hi]
+                    acc[...] = np.where(x > acc, x, acc)  # max(acc, x) as Python takes it
+                if i < n:
+                    sums["grad_h2"][lo:hi] += dt * w * sq / eps_sq[lo:hi]
+                    sums["phi_int"][lo:hi] += dt * w * phi_j
+        return maxes
+
+    def descend(i, lo, hi, parents):
+        run = max(1, cap // tree.level_size(i))
+        for a in range(lo, hi, run):
+            c = min(a + run, hi)
+            maxes = frame(i, a, c, [p if p is None else p[a - lo:c - lo] for p in parents])
+            if i < n:
+                descend(i + 1, a, c, maxes)
+
+    descend(0, 0, count, [None, None])
+    return epsilons, sums
 
 
 def _uniform_ok(constants, factor: float) -> bool:
@@ -127,73 +164,12 @@ class AprioriAudit:
     median_constant: float
 
 
-def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
-                  beta: float = 0.0) -> AprioriAudit:
-    """Uniform-in-eps bound on E sup e^{bt}|Y^eps|^2 + E int e^{bs}|Z^eps|^2.
-
-    rhs_data is M_1 = E[|xi|^2 + int_0^T e^{beta s}|F(s,0,0,0,0)|^2 ds]; the
-    verdict requires every empirical constant within 2x of their median.
-    """
-    epsilons, sols = _schedule(per_epsilon)
-    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass(
-        gen, tree, xi.shape[1], beta)
-    n = tree.grid.n_steps
-    lhs = (_block_norms(lambda e, i: sols[e].Y.values[i], len(sols), n + 1, tree, beta, "s2")
-           + _block_norms(lambda e, i: sols[e].Z.values[i], len(sols), n, tree, beta, "h2"))
-    rows = [BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
-            for eps, v in zip(epsilons, lhs.tolist())]
-    consts = [r.empirical_constant for r in rows]
-    return AprioriAudit(rows=tuple(rows), uniform_ok=_uniform_ok(consts, 2.0),
-                        median_constant=float(statistics.median(consts)))
-
-
 @dataclass(frozen=True)
 class YosidaAudit:
     grad_rows: tuple      # (a) E int e^{bs} |grad phi_eps(Y^eps)|^2 vs M_2
     value_rows: tuple     # (b) sup_t E e^{bt} phi(J(Y)) + E int e^{bs} phi(J(Y)) vs M_2
     gap_rows: tuple       # (c) sup_t E e^{bt} |Y - J(Y)|^2 vs eps * M_2
     uniform_ok: bool
-
-
-def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
-                 tree: ScenarioTree, beta: float = 0.0) -> YosidaAudit:
-    """Boundedness of the penalty gradient along the schedule.
-
-    The gradient and resolvent are recomputed from Y^eps through the prox (the
-    stored U is not trusted).  The verdict asks the (a) and (c) constants to
-    stay within 4x of their medians; (b) must stay finite.
-    """
-    epsilons, sols = _schedule(per_epsilon)
-    dt, n = tree.grid.dt, tree.grid.n_steps
-    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-    m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
-        + origin_drift_mass(gen, tree, xi.shape[1])
-    eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
-    grad_h2, phi_sup, phi_int, gap_sup = np.zeros((4, len(sols)))
-    for i in range(n + 1):
-        w = math.exp(beta * i * dt)
-        for s, rows in _runs(lambda e, k: sols[e].Y.values[k], range(len(sols)), i, tree):
-            y = rows.reshape(-1, tree.level_size(i), rows.shape[-1])
-            j = convex.prox(phi, eps_col[s], y)
-            gap = np.sum((y - j) ** 2, axis=-1).mean(axis=1)
-            phi_j = phi.value(j).mean(axis=1)
-            for acc, x in ((gap_sup, w * gap), (phi_sup, w * phi_j)):
-                acc[s] = np.where(x > acc[s], x, acc[s])  # max(acc, x) as Python takes it
-            if i < n:
-                grad_h2[s] += dt * w * gap / eps_sq[s]
-                phi_int[s] += dt * w * phi_j
-    denom = m2 if m2 > 0 else 1.0
-    grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
-                      for eps, g in zip(epsilons, grad_h2.tolist()))
-    value_rows = tuple(BoundAudit(a + b, m2, (a + b) / denom, f"yosida-phi eps={eps:g}")
-                       for eps, a, b in zip(epsilons, phi_sup.tolist(), phi_int.tolist()))
-    gap_rows = tuple(BoundAudit(g, eps * m2, g / (eps * denom), f"yosida-gap eps={eps:g}")
-                     for eps, g in zip(epsilons, gap_sup.tolist()))
-    ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
-          and all(np.isfinite(r.lhs) for r in value_rows)
-          and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
-    return YosidaAudit(grad_rows, value_rows, gap_rows, ok)
 
 
 @dataclass(frozen=True)
@@ -208,26 +184,80 @@ class EpsilonTableRow:
     phi_resolvent_h1: float
 
 
+# what `schedule_audits` computed: a part it was not asked for is None
+ScheduleAudits = namedtuple("ScheduleAudits", "table apriori yosida")
+
+
+def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
+                    tree: ScenarioTree, beta: float = 0.0,
+                    parts=("table", "apriori", "yosida")) -> ScheduleAudits:
+    """The epsilon table (unweighted) and the a priori and Yosida audits
+    (weighted by ``beta``) of a schedule of (epsilon, Solution) from one pass
+    over its levels; ``parts`` picks the ones computed (the table reads no
+    ``xi`` or ``gen``, the a priori audit no ``phi``).  At beta = 0 the two
+    audits share one `origin_drift_mass` (the Yosida audit's is unweighted)."""
+    epsilons, s = _schedule_sums(per_epsilon, phi, tree, beta, parts)
+    table = apriori = yosida = mass = None
+    if "table" in parts:
+        table = [EpsilonTableRow(*row) for row in zip(
+            epsilons, epsilons[1:], np.sqrt(s["dy_s2"]).tolist(), np.sqrt(s["dz_h2"]).tolist(),
+            s["grad_sq"].tolist(), s["phi_res"].tolist())]
+    if "apriori" in parts or "yosida" in parts:
+        xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+        xi_sq = np.sum(xi ** 2, axis=1)
+    if "apriori" in parts:
+        mass = origin_drift_mass(gen, tree, xi.shape[1], beta)
+        m1 = float(np.mean(xi_sq)) + mass
+        rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
+                     for eps, v in zip(epsilons, (s["y_s2"] + s["z_h2"]).tolist()))
+        consts = [r.empirical_constant for r in rows]
+        apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), float(statistics.median(consts)))
+    if "yosida" in parts:
+        if mass is None or beta != 0:
+            mass = origin_drift_mass(gen, tree, xi.shape[1])
+        m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
+        denom = m2 if m2 > 0 else 1.0
+        grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
+                          for eps, g in zip(epsilons, s["grad_h2"].tolist()))
+        value_rows = tuple(BoundAudit(a + b, m2, (a + b) / denom, f"yosida-phi eps={eps:g}")
+                           for eps, a, b in zip(epsilons, s["phi_sup"].tolist(),
+                                                s["phi_int"].tolist()))
+        gap_rows = tuple(BoundAudit(g, eps * m2, g / (eps * denom), f"yosida-gap eps={eps:g}")
+                         for eps, g in zip(epsilons, s["gap_sup"].tolist()))
+        ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
+              and all(np.isfinite(r.lhs) for r in value_rows)
+              and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
+        yosida = YosidaAudit(grad_rows, value_rows, gap_rows, ok)
+    return ScheduleAudits(table, apriori, yosida)
+
+
+def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
+                  beta: float = 0.0) -> AprioriAudit:
+    """Uniform-in-eps bound on E sup e^{bt}|Y^eps|^2 + E int e^{bs}|Z^eps|^2.
+
+    rhs_data is M_1 = E[|xi|^2 + int_0^T e^{beta s}|F(s,0,0,0,0)|^2 ds]; the
+    verdict requires every empirical constant within 2x of their median.
+    """
+    return schedule_audits(per_epsilon, None, xi, gen, tree, beta, ("apriori",)).apriori
+
+
+def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
+                 tree: ScenarioTree, beta: float = 0.0) -> YosidaAudit:
+    """Boundedness of the penalty gradient along the schedule.
+
+    The gradient and resolvent are recomputed from Y^eps through the prox (the
+    stored U is not trusted).  The verdict asks the (a) and (c) constants to
+    stay within 4x of their medians; (b) must stay finite.
+    """
+    return schedule_audits(per_epsilon, phi, xi, gen, tree, beta, ("yosida",)).yosida
+
+
 def epsilon_table(per_epsilon, phi: ConvexFunction, tree: ScenarioTree) -> list:
     """One row per consecutive pair of the schedule: the S^2 distance of the
     two Y and the H^2 distance of the two Z, plus, for the first of the pair,
     the H^2 mass of the penalty gradient and the time integral of phi at the
     resolvent points.  A one-entry schedule has no rows."""
-    epsilons, sols = _schedule(per_epsilon)
-    dt, n, pairs = tree.grid.dt, tree.grid.n_steps, len(sols) - 1
-    dy, dz = (np.sqrt(_block_norms(
-        lambda e, i: getattr(sols[e], p).values[i] - getattr(sols[e + 1], p).values[i],
-        pairs, span, tree, 0.0, stat)) for p, stat, span in (("Y", "s2", n + 1), ("Z", "h2", n)))
-    eps_col = np.array(epsilons[:-1])[:, None, None]
-    grad_sq, phi_res = np.zeros((2, pairs))
-    for i in range(n):
-        for s, rows in _runs(lambda e, k: sols[e].Y.values[k], range(pairs), i, tree):
-            y = rows.reshape(-1, tree.level_size(i), rows.shape[-1])
-            j = convex.prox(phi, eps_col[s], y)
-            grad_sq[s] += dt * np.sum(((y - j) / eps_col[s]) ** 2, axis=-1).mean(axis=1)
-            phi_res[s] += dt * phi.value(j).mean(axis=1)
-    return [EpsilonTableRow(*row) for row in zip(epsilons, epsilons[1:], dy.tolist(), dz.tolist(),
-                                                 grad_sq.tolist(), phi_res.tolist())]
+    return schedule_audits(per_epsilon, phi, None, None, tree, parts=("table",)).table
 
 
 @dataclass(frozen=True)
@@ -322,11 +352,10 @@ def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
         probes.append(convex.prox(phi, 1e-9, row))
         if len(probes) >= cap:
             break
-    uniq = []
-    for p in probes:
-        if not any(np.array_equal(p, q) for q in uniq):
-            uniq.append(p)
-    return uniq
+    uniq = {}
+    for p in probes:  # first seen kept; + 0.0 makes -0.0 and 0.0 one key, as array_equal
+        uniq.setdefault((p + 0.0).tobytes(), p)
+    return list(uniq.values())
 
 
 def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,

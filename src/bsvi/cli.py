@@ -28,6 +28,8 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGENCE = 4
 
 RUN_MODES = ("classical", "penalized", "bsvi", "prox", "compare")
+# libyaml's loader where PyYAML was built with it: the same documents, parsed in C
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -133,7 +135,7 @@ def parse_config(path, *, overrides: dict | None = None) -> ProblemConfig:
     """Parse and validate a YAML config; ``overrides`` maps CLI flags in."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -190,6 +192,8 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     if mode not in RUN_MODES:
         raise ConfigError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
     epsilon = float(run.get("epsilon", solver_config.epsilon_schedule[-1]))
+    if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
+        raise ConfigError(f"run.epsilon must be positive and finite: {epsilon!r}")
     out_dir = _override(overrides, "out_dir", run.get("out_dir", "out"))
     out_format = _override(overrides, "out_format", run.get("format", "json"))
     if out_format not in ("json", "csv"):
@@ -245,13 +249,13 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
         sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree))
 
     if cfg.mode in ("bsvi", "compare"):
-        report["epsilon_table"] = [asdict(r) for r in res.epsilon_table]
+        table, ap, yo = analysis.schedule_audits(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen,
+                                                 cfg.tree)
+        report["epsilon_table"] = [asdict(r) for r in table]
         try:
-            report["rate_fit"] = asdict(analysis.epsilon_rate_fit(res.epsilon_table))
+            report["rate_fit"] = asdict(analysis.epsilon_rate_fit(table))
         except ValueError as exc:
             report["rate_fit"] = {"error": str(exc)}
-        ap = analysis.apriori_audit(res.per_epsilon, cfg.xi, cfg.gen, cfg.tree)
-        yo = analysis.yosida_audit(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen, cfg.tree)
         report["audits"] = {
             "apriori": [asdict(r) for r in ap.rows],
             "apriori_uniform_ok": ap.uniform_ok,
@@ -284,7 +288,7 @@ def emit_report(report: dict, out_dir, out_format: str):
     out.mkdir(parents=True, exist_ok=True)
     if out_format == "json":
         (out / "report.json").write_text(
-            json.dumps({"timings": {}, **report}, indent=2, sort_keys=True),
+            json.dumps({"timings": {}, **report}, indent=2, sort_keys=True, allow_nan=False),
             encoding="utf-8")
         return [out / "report.json"]
     written = []

@@ -132,8 +132,35 @@ def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
 
 
 def row_sq_norms(level: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every node's value in a level array."""
-    return np.sum(level.reshape(level.shape[0], -1) ** 2, axis=1)
+    """Squared Euclidean norm of every node's value in a level array (one
+    component: its square, which is what numpy's sum of that one term gives)."""
+    flat = level.reshape(level.shape[0], -1)
+    return flat[:, 0] ** 2 if flat.shape[1] == 1 else np.sum(flat ** 2, axis=1)
+
+
+def fold_running_max(parent, mag: np.ndarray, branching: int) -> np.ndarray:
+    """A level's (blocks, B^i) node statistics raised in place to the running
+    max of their parents (level i - 1 as (blocks, B^(i-1)); None at the root)."""
+    if parent is not None:
+        kids = mag.reshape(len(mag), -1, branching)
+        for k in range(branching):  # child by child: long loops, not a broadcast pair
+            np.maximum(parent, kids[:, :, k], out=kids[:, :, k])
+    return mag
+
+
+def stacked_rows(levels: list):
+    """rows(lo, hi): the rows of blocks lo..hi-1 of one level of a forest, given
+    each block's array.  A view of their stack when they are consecutive row
+    slices of one array (as a batch's solutions are), else concatenated."""
+    a, base = levels[0], levels[0].base
+    addr = [x.__array_interface__["data"][0] for x in levels]
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous and base.dtype == a.dtype \
+            and all(x.base is base and x.flags.c_contiguous and x.shape == a.shape
+                    and p == addr[0] + e * a.nbytes for e, (x, p) in enumerate(zip(levels, addr))):
+        start = (addr[0] - base.__array_interface__["data"][0]) // a.itemsize
+        stack = base.reshape(-1)[start:start + len(levels) * a.size].reshape(-1, *a.shape[1:])
+        return lambda lo, hi: stack[lo * len(a):hi * len(a)]
+    return lambda lo, hi: levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
 
 
 def level_moments(tree: ScenarioTree, y_next: np.ndarray):

@@ -36,6 +36,7 @@ Picard sweeps are inherently sequential; solves share immutable trees safely.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -284,8 +285,13 @@ def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
     return np.max(sups, axis=0) + np.sqrt(h2_z)
 
 
-def _blocks(levels: list, index, blocks: int) -> list:
-    """Each level's rows of one block (a view) or of a list of blocks (a copy)."""
+def _slot(a: np.ndarray, e: int, blocks: int) -> np.ndarray:
+    """The rows of block e of a level array of ``blocks`` blocks (a view)."""
+    return a[e * (len(a) // blocks):(e + 1) * (len(a) // blocks)]
+
+
+def _blocks(levels: list, index: list, blocks: int) -> list:
+    """Each level's rows of the blocks ``index`` (a copy)."""
     return [a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
             for a in levels]
 
@@ -358,8 +364,8 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     if epsilon is not None:
         if phi is None:
             raise ValueError("epsilon needs a phi to penalize")
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
     config = config or SolverConfig()
     xi = _as_leaf_values(tree, xi)
     report = wellposedness or _check_gate(tree, xi, gen, config, phi)
@@ -370,10 +376,10 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                   config: SolverConfig, phi: ConvexFunction | None,
                   epsilons: tuple, report: WellposednessReport) -> list:
     """The Picard loop of one solve per entry of ``epsilons`` (all None or all
-    positive) as one batch; returns one `Solution` per entry.  A converged
-    block leaves the batch, a failed one drops the blocks after it: what is
-    raised is the first entry's failure, as one solve after another raises it.
-    """
+    positive) as one batch; returns one `Solution` per entry, each a row slice
+    of one store per level and process.  A converged block leaves the batch, a
+    failed one drops the blocks after it: what is raised is the first entry's
+    failure, as one solve after another raises it."""
     past_rows = past_z_rows(gen, tree)
     # a pass that reads no frozen row gives the same sweep from any iterate, so
     # the confirmation sweep replays the first; a custom callback always sweeps
@@ -382,6 +388,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     weights = _distance_weights(tree, resolve_beta(config, gen))
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
+    store = None  # per process (Y, Z, U, past Y, past Z), the levels of every block
     active = list(range(len(epsilons)))
     batch_xi = np.tile(xi, (len(active), 1))
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
@@ -402,7 +409,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             diag.iterations_used = sweep
             if not math.isfinite(dist):
                 bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
-                       for i, y in reversed(list(enumerate(_blocks(ys, pos, blocks))))
+                       for i, y in reversed([(i, _slot(a, pos, blocks)) for i, a in enumerate(ys)])
                        if not np.isfinite(y).all()]
                 level, node = bad[0] if bad else (None, None)
                 failure = NonFiniteIterate(
@@ -423,12 +430,24 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                 break
             else:
                 keep.append(pos)
+        if done:
+            # a replayed sweep froze (Y, Z) itself: its past is the (Y, Z) store
+            procs = (ys, zs, us) + (() if frozen_y is ys else (frozen_y, frozen_z))
+            if store is None and not keep and blocks == len(epsilons):
+                store = list(procs)  # every block stops here: the batch is the store
+            else:  # written into a store of the whole schedule, allocated once
+                store = store or [None] * 5
+                for k, levels in enumerate(procs):
+                    store[k] = store[k] or [np.empty((len(epsilons) * (len(a) // blocks),
+                                                      *a.shape[1:])) for a in levels]
+                    for a, out in zip(levels, store[k]):
+                        for pos in done:
+                            _slot(out, active[pos], len(epsilons))[...] = _slot(a, pos, blocks)
         for pos in done:
             e = active[pos]
-            # copied out while others keep sweeping, so as to hold none of their rows
             y, z, u, past_y, past_z = (
-                AdaptedProcess(tree, _blocks(levels, [pos] if keep else pos, blocks))
-                for levels in (ys, zs, us, frozen_y, frozen_z))
+                AdaptedProcess(tree, [_slot(a, e, len(epsilons)) for a in levels])
+                for levels in (*store[:3], *(store[:2] if frozen_y is ys else store[3:])))
             solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
                                     epsilon=epsilons[e], frozen_past=(past_y, past_z),
                                     wellposedness=report)
@@ -463,9 +482,16 @@ def solve_penalized(tree: ScenarioTree, xi, gen: GeneratorSpec,
 
 @dataclass(eq=False)
 class BsviResult:
+    """The schedule's solutions; ``epsilon_table`` is computed on first read."""
+
     solution: Solution
-    epsilon_table: list
     per_epsilon: list  # [(epsilon, Solution)] over the whole schedule
+    phi: ConvexFunction
+    tree: ScenarioTree
+
+    @cached_property
+    def epsilon_table(self) -> list:
+        return epsilon_table(self.per_epsilon, self.phi, self.tree)
 
 
 def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
@@ -483,7 +509,7 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
     report = _check_gate(tree, xi, gen, config, phi)
     per_eps = list(zip(config.epsilon_schedule, _picard_batch(
         tree, xi, gen, config, phi, config.epsilon_schedule, report)))
-    return BsviResult(per_eps[-1][1], epsilon_table(per_eps, phi, tree), per_eps)
+    return BsviResult(per_eps[-1][1], per_eps, phi, tree)
 
 
 def prox_step_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,

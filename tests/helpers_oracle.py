@@ -9,14 +9,16 @@ schedule as one `picard_solve` per epsilon, used to cross-check the batched
 schedule of `solver.solve_bsvi`; the Picard loop of one solve with every
 sweep computed, used to cross-check the replayed confirmation sweep of a
 pass that reads no frozen row; the children's mean and Z projection as one
-numpy sum and einsum, used to cross-check `lattice.level_moments`; and the
+numpy sum and einsum, used to cross-check `lattice.level_moments`; the
 S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
-solution at a time, used to cross-check their batched versions in
-`analysis`.
+solution at a time, used to cross-check their one pass over the schedule in
+`analysis`; and the subdifferential probes deduplicated by a pairwise
+np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`.
 """
 
 import math
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from bsvi import solver
 from bsvi.analysis import AprioriAudit, BoundAudit, YosidaAudit, _uniform_ok
 from bsvi.generators import CustomGenerator, origin_drift_mass, past_z_rows
 from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
-from bsvi.solver import (BsviResult, EpsilonTableRow, PicardDiagnostics, Solution,
-                         SolverConfig, picard_solve)
+from bsvi.solver import (EpsilonTableRow, PicardDiagnostics, Solution, SolverConfig,
+                         picard_solve)
 
 
 def history_value(process, level, node, query_time, kind):
@@ -180,9 +182,9 @@ def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
                            wellposedness=report)
         report = sol.wellposedness
         per_eps.append((eps, sol))
-    return BsviResult(solution=per_eps[-1][1],
-                      epsilon_table=epsilon_table_one_by_one(per_eps, phi, tree),
-                      per_epsilon=per_eps)
+    return SimpleNamespace(solution=per_eps[-1][1],
+                           epsilon_table=epsilon_table_one_by_one(per_eps, phi, tree),
+                           per_epsilon=per_eps)
 
 
 def epsilon_table_one_by_one(per_eps, phi, tree):
@@ -275,3 +277,22 @@ def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0):
           and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
     return YosidaAudit(grad_rows=tuple(grad_rows), value_rows=tuple(value_rows),
                        gap_rows=tuple(gap_rows), uniform_ok=ok)
+
+
+def subdiff_probes_pairwise(phi, xi, cap=48):
+    """`analysis.default_subdiff_probes` with the duplicates dropped by a
+    pairwise np.array_equal scan, first seen kept."""
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    probes = [np.zeros(xi.shape[1])]
+    lo, hi = getattr(phi, "lo", None), getattr(phi, "hi", None)
+    if lo is not None and hi is not None:
+        probes += [np.asarray(c, dtype=float) for c in (lo, hi) if np.all(np.isfinite(c))]
+    for row in xi:
+        probes.append(convex.prox(phi, 1e-9, row))
+        if len(probes) >= cap:
+            break
+    uniq = []
+    for p in probes:
+        if not any(np.array_equal(p, q) for q in uniq):
+            uniq.append(p)
+    return uniq

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bsvi.analysis import (
     stability_audit,
     yosida_audit,
 )
+from bsvi.cli import parse_config
 from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.problems import (
     box_linear_problem,
@@ -228,6 +230,32 @@ def test_default_probe_set_contains_corners_and_origin():
     assert any(np.allclose(p, 0.0) for p in stacked)
     assert any(np.allclose(p, phi.lo) for p in stacked)
     assert any(np.allclose(p, phi.hi) for p in stacked)
+
+
+from helpers_oracle import subdiff_probes_pairwise
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+def _assert_same_probes(got, want):
+    assert [(p.shape, p.dtype, p.tobytes()) for p in got] == \
+        [(p.shape, p.dtype, p.tobytes()) for p in want]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_probe_dedupe_matches_the_pairwise_one_on_shipped_configs(config):
+    cfg = parse_config(config)
+    _assert_same_probes(default_subdiff_probes(cfg.phi, cfg.xi),
+                        subdiff_probes_pairwise(cfg.phi, cfg.xi))
+
+
+def test_probe_dedupe_takes_a_negative_zero_for_the_origin():
+    # -0.0 equals 0.0 under array_equal: the terminal's -0.0 rows add no probe
+    xi = np.array([[-0.0], [0.5], [0.0], [-0.0], [1.5], [0.5], [-1.5], [-0.0]])
+    for phi in (convex.IndicatorBox(-1.0, 1.0), convex.Quadratic(1.0), convex.Zero()):
+        got = default_subdiff_probes(phi, xi)
+        _assert_same_probes(got, subdiff_probes_pairwise(phi, xi))
+        assert sum(not p.any() for p in got) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from bsvi import cli
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -56,6 +57,26 @@ def test_parse_error_position(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("model:\n  horizon: [unclosed\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line"):
+        parse_config(path)
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_shipped_configs_load_alike_under_both_loaders(config):
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    docs = [yaml.load(text, Loader=loader) for loader in LOADERS]
+    assert all(doc == docs[0] for doc in docs)
+    assert parse_config(CONFIGS / config).raw == docs[0]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_parse_error_names_the_line_under_either_loader(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(cli, "YAML_LOADER", loader)
+    path = tmp_path / "broken.yaml"
+    path.write_text("model:\n  horizon: [unclosed\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="at line 3, column 1"):
         parse_config(path)
 
 
@@ -107,6 +128,25 @@ def test_inf_beta_flag_is_a_config_error(capsys, tmp_path):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert "beta" in err["message"]
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -0.5])
+def test_nonfinite_or_nonpositive_run_epsilon_is_a_config_error(tmp_path, capsys, epsilon):
+    # an infinite epsilon ran and wrote "epsilon": Infinity, which is not JSON
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["model"]["n_steps"] = 4
+    doc["run"] = {"mode": "penalized", "epsilon": epsilon}
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "epsilon" in err["message"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_json_report_refuses_a_nonfinite_number(tmp_path):
+    with pytest.raises(ValueError, match="JSON"):
+        emit_report({"mode": "penalized", "value": float("inf")}, tmp_path, "json")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_bsvi_run_does_not_import_numpy_ma(tmp_path):

@@ -410,19 +410,26 @@ def test_nonfinite_iterate_of_a_later_epsilon_names_its_own_node():
     assert (got.value.level, got.value.node) == (1, 1)
 
 
-def test_early_finished_solutions_own_their_arrays():
-    # an entry that stops while others keep sweeping is copied out of the
-    # batch, so it keeps no other entry's rows alive
-    tree, xi, gen, phi = SCHEDULE_CASES["one_norm"]()
+@pytest.mark.parametrize("case, sweeps", [("one_norm", {7, 8}), ("box", {2})],
+                         ids=["staggered", "same_sweep"])
+def test_solutions_are_row_slices_of_one_store_per_level(case, sweeps):
+    # entries that stop at different sweeps are written into a store allocated
+    # once for the schedule, else the batch's own levels are the store: either
+    # way level i of every process holds the E solutions back to back and
+    # keeps no other array alive
+    make = box_linear_problem if case == "box" else SCHEDULE_CASES[case]
+    tree, xi, gen, phi = make(6) if case == "box" else make()
     res = solve_bsvi(tree, xi, gen, phi)
-    sweeps = [s.diagnostics.iterations_used for _, s in res.per_epsilon]
-    assert set(sweeps) == {7, 8}
-    for _, sol in res.per_epsilon:
-        if sol.diagnostics.iterations_used < max(sweeps):
-            for proc in (sol.Y, sol.Z, sol.U, *sol.frozen_past):
-                # the memory an array keeps alive is that of its base
-                assert all((a if a.base is None else a.base).nbytes == a.nbytes
-                           for a in proc.values)
+    assert {s.diagnostics.iterations_used for _, s in res.per_epsilon} == sweeps
+    sols = [s for _, s in res.per_epsilon]
+    for proc in (lambda s: s.Y, lambda s: s.Z, lambda s: s.U,
+                 lambda s: s.frozen_past[0], lambda s: s.frozen_past[1]):
+        for level in zip(*(proc(s).values for s in sols)):
+            base, first = level[0].base, level[0].__array_interface__["data"][0]
+            assert base.nbytes == sum(a.nbytes for a in level)
+            assert [a.__array_interface__["data"][0] for a in level] == \
+                [first + e * level[0].nbytes for e in range(len(level))]
+            assert all(a.base is base for a in level)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +681,112 @@ def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
 
 
 # ---------------------------------------------------------------------------
+# the one pass of schedule_audits over the store, against the same oracles
+# ---------------------------------------------------------------------------
+
+def _delay_bsvi_drift():
+    # the delay_bsvi benchmark's drift: entry 2^0 stops at sweep 9, the rest at 10
+    return config_from_dict({
+        "model": {"horizon": 1.0, "n_steps": 8, "bm_dim": 1, "dim": 1},
+        "terminal": {"kind": "clipped_linear", "a": [0.1], "b": [[1.0]], "lo": -1.0, "hi": 1.0},
+        "generator": {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5,
+                      "alpha": {"kind": "uniform"}},
+        "phi": {"kind": "box", "lo": -1.0, "hi": 1.0}})
+
+
+def _bm_dim_two():
+    tree = bsvi.build_tree(4, 1.0, 2)
+    xi = terminal_clipped_linear(tree, [0.1], [[1.0, -0.5]], -1.0, 1.0)
+    gen = generators.LinearInstant([[0.25]], [[[0.1, -0.2]]])
+    return tree, xi, gen, convex.IndicatorBox(-1.0, 1.0)
+
+
+def _pass_case(case):
+    """(per_epsilon, phi, xi, gen, tree, read from a store) of one case."""
+    if case == "staggered":
+        cfg = _delay_bsvi_drift()
+        tree, xi, gen, phi = cfg.tree, cfg.xi, cfg.gen, cfg.phi
+    else:
+        tree, xi, gen, phi = {"store": lambda: box_linear_problem(8), "bm_dim_2": _bm_dim_two,
+                              # runs of 2^11 rows split the blocks of levels 8 to 12
+                              "deep_store": lambda: box_linear_problem(12),
+                              "m_2": _two_dimensional_quadratic,
+                              "hand_built": lambda: box_linear_problem(6),
+                              "reversed": lambda: box_linear_problem(6),
+                              "one_entry": lambda: box_linear_problem(6)}[case]()
+    res = solve_bsvi(tree, xi, gen, phi)
+    per_eps = res.per_epsilon
+    if case == "hand_built":  # separate solves: each solution owns its arrays
+        per_eps = solve_one_per_epsilon(tree, xi, gen, phi).per_epsilon
+    elif case == "reversed":  # slices of the store, but not in its order
+        per_eps = per_eps[::-1]
+    elif case == "one_entry":
+        per_eps = per_eps[3:4]
+    return per_eps, phi, xi, gen, tree, case not in ("hand_built", "reversed")
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+@pytest.mark.parametrize("case", ["store", "deep_store", "staggered", "hand_built", "reversed",
+                                  "one_entry", "bm_dim_2", "m_2"])
+def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, beta):
+    per_eps, phi, xi, gen, tree, stored = _pass_case(case)
+    sweeps = {s.diagnostics.iterations_used for _, s in per_eps}
+    assert sweeps == ({9, 10} if case == "staggered" else {2})
+    concatenated = []
+    real_concatenate = np.concatenate
+
+    def counted(arrays, *args, **kwargs):
+        concatenated.append(len(arrays))
+        return real_concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    table, apriori, yosida = bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta)
+    monkeypatch.undo()
+    # a schedule read from the store is read as views, a hand-built one concatenated
+    assert (not concatenated) if stored else concatenated
+    assert list(map(_row_bits, table)) == \
+        list(map(_row_bits, epsilon_table_one_by_one(per_eps, phi, tree)))
+    assert (table == []) == (case == "one_entry")
+    want = apriori_audit_one_by_one(per_eps, xi, gen, tree, beta)
+    assert list(map(_row_bits, apriori.rows)) == list(map(_row_bits, want.rows))
+    assert (apriori.uniform_ok, _bits(apriori.median_constant)) == \
+        (want.uniform_ok, _bits(want.median_constant))
+    want = yosida_audit_one_by_one(per_eps, phi, xi, gen, tree, beta)
+    for rows in ("grad_rows", "value_rows", "gap_rows"):
+        assert list(map(_row_bits, getattr(yosida, rows))) == \
+            list(map(_row_bits, getattr(want, rows)))
+    assert yosida.uniform_ok == want.uniform_ok
+
+
+@pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.5, 2)])
+def test_schedule_audits_compute_the_origin_drift_mass_once_at_beta_zero(monkeypatch, beta,
+                                                                         calls):
+    tree, xi, gen, phi, res = _solved("delayed_z_box")
+    seen = []
+    real = bsvi.analysis.origin_drift_mass
+    monkeypatch.setattr(bsvi.analysis, "origin_drift_mass",
+                        lambda *args: seen.append(args) or real(*args))
+    bsvi.analysis.schedule_audits(res.per_epsilon, phi, xi, gen, tree, beta)
+    assert len(seen) == calls
+
+
+def test_schedule_audits_pass_holds_at_most_9_leaf_levels():
+    # the pass holds the running maxes of its two S^2 statistics going down
+    # and one run's temporaries at a time
+    tree, xi, gen, phi = box_linear_problem(12)
+    res = solve_bsvi(tree, xi, gen, phi)
+    leaf_level = tree.level_size(12) * xi.shape[1] * 8
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        bsvi.analysis.schedule_audits(res.per_epsilon, phi, xi, gen, tree)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * leaf_level
+
+
+# ---------------------------------------------------------------------------
 # fixed-point oracle: direct iteration of the discrete system, coded apart
 # from the solver (see helpers_oracle.py)
 # ---------------------------------------------------------------------------
@@ -909,7 +1022,7 @@ def test_phi_and_epsilon_pick_the_step():
 
 def test_picard_solve_rejects_inconsistent_step_arguments():
     tree, xi, gen, phi = box_linear_problem(3)
-    for eps in (0.0, -0.5, float("nan")):
+    for eps in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
     with pytest.raises(ValueError, match="phi"):
