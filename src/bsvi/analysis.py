@@ -12,7 +12,7 @@ level at a time through `generators.level_drift`, with the past-Z rows
 resolved once per audit call.  The epsilon table and the a priori and Yosida
 audits are one depth-first pass over the schedule's levels (`schedule_audits`)
 in runs of at most one leaf level: block e of level i is solution e's rows, a
-view of the store `solver.solve_bsvi` leaves (see `lattice.stacked_rows`).
+run of one block its own array and a longer run a copy of its blocks.
 """
 
 import math
@@ -26,7 +26,7 @@ from . import convex
 from .convex import ConvexFunction, Zero, subgradient_check
 from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
 from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_moments,
-                      row_sq_norms, stacked_rows)
+                      row_sq_norms)
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,17 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     epsilons, sols = tuple(zip(*per_epsilon))
     dt, n, count, m = tree.grid.dt, tree.grid.n_steps, len(sols), sols[0].Y.values[0].shape[1]
     table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
-    ys = [stacked_rows([s.Y.values[i] for s in sols]) for i in range(n + 1)]
-    zs = [stacked_rows([s.Z.values[i] for s in sols]) for i in range(n)]
+    ys = [[s.Y.values[i] for s in sols] for i in range(n + 1)]
+    zs = [[s.Z.values[i] for s in sols] for i in range(n)]
     sums = defaultdict(lambda: np.zeros(count))
     eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
-    # rows per run: the running maxes fill one leaf level together, and no run
-    # is cut below 2^11 rows, where the per-run numpy calls outweigh the rows
-    cap = max(2 ** 11, tree.level_size(n) // max(1, table + apriori))
+    # rows per run: the running maxes fill one leaf level together, no run is
+    # cut below 2^11 rows, where the per-run numpy calls outweigh the rows, and
+    # none copies more than 2^13
+    cap = max(2 ** 11, min(2 ** 13, tree.level_size(n) // max(1, table + apriori)))
+
+    def rows(levels, lo, hi):  # blocks lo..hi-1 of one level
+        return levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
 
     def frame(i, lo, hi, parents):
         size, w, hd = tree.level_size(i), math.exp(beta * i * dt), min(hi, count - 1)
@@ -105,16 +109,16 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
             if i == n:
                 sums[key][lo:end], maxes[k] = mean(maxes[k]), None
 
-        y, maxes = ys[i](lo, hi), [None, None]
+        y, maxes = rows(ys[i], lo, hi), [None, None]
         if apriori:
             fold(0, "y_s2", hi, w * row_sq_norms(y))
             if i < n:
-                sums["z_h2"][lo:hi] += dt * w * mean(row_sq_norms(zs[i](lo, hi)))
+                sums["z_h2"][lo:hi] += dt * w * mean(row_sq_norms(rows(zs[i], lo, hi)))
         if table and hd > lo:  # the run's pairs (e, e + 1)
-            fold(1, "dy_s2", hd, row_sq_norms(y[:(hd - lo) * size] - ys[i](lo + 1, hd + 1)))
+            fold(1, "dy_s2", hd, row_sq_norms(y[:(hd - lo) * size] - rows(ys[i], lo + 1, hd + 1)))
             if i < n:
                 sums["dz_h2"][lo:hd] += dt * mean(
-                    row_sq_norms(zs[i](lo, hd) - zs[i](lo + 1, hd + 1)))
+                    row_sq_norms(rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)))
         top = hi if yosida else hd if table and i < n else lo  # the blocks that need J(Y)
         if top > lo:
             yb = y[:(top - lo) * size].reshape(-1, size, m)

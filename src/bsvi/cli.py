@@ -52,10 +52,30 @@ class ProblemConfig:
     out_format: str
 
 
+def _mapping(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{where}' must be a mapping, got {section!r}")
+    return section
+
+
 def _need(section: dict, key: str, where: str):
-    if key not in section:
+    if key not in _mapping(section, where):
         raise ConfigError(f"missing key '{key}' in section '{where}'")
     return section[key]
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number: {value!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    # int() would truncate a float, and a bool is an int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer: {value!r}")
+    return value
 
 
 def _build_terminal(tree, spec: dict) -> np.ndarray:
@@ -155,11 +175,12 @@ def _override(overrides: dict, key: str, fallback):
 def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConfig:
     overrides = overrides or {}
     model = _need(doc, "model", "config")
-    horizon = float(_need(model, "horizon", "model"))
-    n_steps = int(_need(model, "n_steps", "model"))
-    bm_dim = int(model.get("bm_dim", 1))
-    dim = int(model.get("dim", 1))
-    max_nodes = _override(overrides, "max_nodes", int(model.get("max_nodes", 2 ** 22)))
+    horizon = _number(_need(model, "horizon", "model"), "model.horizon")
+    n_steps = _integer(_need(model, "n_steps", "model"), "model.n_steps")
+    bm_dim = _integer(model.get("bm_dim", 1), "model.bm_dim")
+    dim = _integer(model.get("dim", 1), "model.dim")
+    max_nodes = _override(overrides, "max_nodes",
+                          _integer(model.get("max_nodes", 2 ** 22), "model.max_nodes"))
     try:
         tree = build_tree(n_steps, horizon, bm_dim, max_nodes=max_nodes)
     except ValueError as exc:
@@ -171,27 +192,31 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     gen = _build_generator(_need(doc, "generator", "config"))
     phi = _build_phi(doc.get("phi", {"kind": "zero"}))
 
-    sconf = doc.get("solver", {}) or {}
+    sconf = _mapping(doc.get("solver") or {}, "solver")
     beta = _override(overrides, "beta", sconf.get("beta"))
     kwargs = dict(
-        beta=float(beta) if beta is not None else None,
-        picard_tol=float(sconf.get("picard_tol", 1e-10)),
+        beta=_number(beta, "solver.beta") if beta is not None else None,
+        picard_tol=_number(sconf.get("picard_tol", 1e-10), "solver.picard_tol"),
         picard_max_iters=sconf.get("picard_max_iters", 200),
         hard_gate=bool(overrides.get("hard_gate"))
         or bool(sconf.get("hard_gate", False)),
     )
     if "epsilon_schedule" in sconf:
-        kwargs["epsilon_schedule"] = tuple(float(e) for e in sconf["epsilon_schedule"])
+        sched = sconf["epsilon_schedule"]
+        if not isinstance(sched, (list, tuple)):
+            raise ConfigError(f"solver.epsilon_schedule must be a list: {sched!r}")
+        kwargs["epsilon_schedule"] = tuple(_number(e, "solver.epsilon_schedule entry")
+                                           for e in sched)
     try:
         solver_config = SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    run = doc.get("run", {}) or {}
+    run = _mapping(doc.get("run") or {}, "run")
     mode = run.get("mode", "classical")
     if mode not in RUN_MODES:
         raise ConfigError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
-    epsilon = float(run.get("epsilon", solver_config.epsilon_schedule[-1]))
+    epsilon = _number(run.get("epsilon", solver_config.epsilon_schedule[-1]), "run.epsilon")
     if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
         raise ConfigError(f"run.epsilon must be positive and finite: {epsilon!r}")
     out_dir = _override(overrides, "out_dir", run.get("out_dir", "out"))

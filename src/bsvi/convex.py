@@ -74,8 +74,9 @@ class IndicatorBox(ConvexFunction):
     def value(self, y):
         arr = _as_points(y)
         self._check_dim(arr)
-        inside = np.all((arr >= self.lo) & (arr <= self.hi), axis=-1)
-        return np.where(inside, 0.0, np.inf)
+        out = np.zeros(arr.shape[:-1])
+        out[~((arr >= self.lo) & (arr <= self.hi)).all(axis=-1)] = np.inf
+        return out
 
     def prox(self, epsilon, y):
         arr = _as_points(y)

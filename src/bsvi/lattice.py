@@ -36,8 +36,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:  # negated, so that NaN fails it
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if abs(self.dt * self.n_steps - self.horizon) > 8 * np.finfo(float).eps * self.horizon:
             raise ValueError("dt * n_steps does not reproduce horizon")
 
@@ -146,21 +146,6 @@ def fold_running_max(parent, mag: np.ndarray, branching: int) -> np.ndarray:
         for k in range(branching):  # child by child: long loops, not a broadcast pair
             np.maximum(parent, kids[:, :, k], out=kids[:, :, k])
     return mag
-
-
-def stacked_rows(levels: list):
-    """rows(lo, hi): the rows of blocks lo..hi-1 of one level of a forest, given
-    each block's array.  A view of their stack when they are consecutive row
-    slices of one array (as a batch's solutions are), else concatenated."""
-    a, base = levels[0], levels[0].base
-    addr = [x.__array_interface__["data"][0] for x in levels]
-    if isinstance(base, np.ndarray) and base.flags.c_contiguous and base.dtype == a.dtype \
-            and all(x.base is base and x.flags.c_contiguous and x.shape == a.shape
-                    and p == addr[0] + e * a.nbytes for e, (x, p) in enumerate(zip(levels, addr))):
-        start = (addr[0] - base.__array_interface__["data"][0]) // a.itemsize
-        stack = base.reshape(-1)[start:start + len(levels) * a.size].reshape(-1, *a.shape[1:])
-        return lambda lo, hi: stack[lo * len(a):hi * len(a)]
-    return lambda lo, hi: levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
 
 
 def level_moments(tree: ScenarioTree, y_next: np.ndarray):

@@ -376,10 +376,9 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                   config: SolverConfig, phi: ConvexFunction | None,
                   epsilons: tuple, report: WellposednessReport) -> list:
     """The Picard loop of one solve per entry of ``epsilons`` (all None or all
-    positive) as one batch; returns one `Solution` per entry, each a row slice
-    of one store per level and process.  A converged block leaves the batch, a
-    failed one drops the blocks after it: what is raised is the first entry's
-    failure, as one solve after another raises it."""
+    positive) as one batch; returns one `Solution` per entry.  A converged
+    block leaves the batch, a failed one drops the blocks after it: what is
+    raised is the first entry's failure, as one solve after another raises it."""
     past_rows = past_z_rows(gen, tree)
     # a pass that reads no frozen row gives the same sweep from any iterate, so
     # the confirmation sweep replays the first; a custom callback always sweeps
@@ -388,7 +387,6 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     weights = _distance_weights(tree, resolve_beta(config, gen))
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
-    store = None  # per process (Y, Z, U, past Y, past Z), the levels of every block
     active = list(range(len(epsilons)))
     batch_xi = np.tile(xi, (len(active), 1))
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
@@ -430,24 +428,14 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                 break
             else:
                 keep.append(pos)
-        if done:
-            # a replayed sweep froze (Y, Z) itself: its past is the (Y, Z) store
-            procs = (ys, zs, us) + (() if frozen_y is ys else (frozen_y, frozen_z))
-            if store is None and not keep and blocks == len(epsilons):
-                store = list(procs)  # every block stops here: the batch is the store
-            else:  # written into a store of the whole schedule, allocated once
-                store = store or [None] * 5
-                for k, levels in enumerate(procs):
-                    store[k] = store[k] or [np.empty((len(epsilons) * (len(a) // blocks),
-                                                      *a.shape[1:])) for a in levels]
-                    for a, out in zip(levels, store[k]):
-                        for pos in done:
-                            _slot(out, active[pos], len(epsilons))[...] = _slot(a, pos, blocks)
         for pos in done:
             e = active[pos]
+            # copied out while others keep sweeping, so as to hold none of their
+            # rows; a replayed sweep froze (Y, Z) itself, so its past shares them
             y, z, u, past_y, past_z = (
-                AdaptedProcess(tree, [_slot(a, e, len(epsilons)) for a in levels])
-                for levels in (*store[:3], *(store[:2] if frozen_y is ys else store[3:])))
+                AdaptedProcess(tree, _blocks(levels, [pos], blocks) if keep
+                               else [_slot(a, pos, blocks) for a in levels])
+                for levels in (ys, zs, us, frozen_y, frozen_z))
             solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
                                     epsilon=epsilons[e], frozen_past=(past_y, past_z),
                                     wellposedness=report)

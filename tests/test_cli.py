@@ -111,6 +111,44 @@ def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_con
     assert err["error"] == "config"
 
 
+def _set(section, key, value):
+    def edit(doc):
+        if key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    # truncated by int(): 2.7 ran a 2-step tree and exited 0
+    _set("model", "n_steps", 2.7), _set("model", "n_steps", True),
+    _set("model", "bm_dim", 1.5), _set("model", "dim", "1"), _set("model", "max_nodes", 1e6),
+    # abs(inf - inf) is NaN: an infinite horizon ran and exited 4 nonfinite
+    _set("model", "horizon", math.inf),
+    # an empty section made a raw TypeError
+    _set("terminal", None, None), _set("model", None, None), _set("generator", None, None),
+    _set("phi", None, None), _set("solver", None, 5), _set("run", None, "bsvi"),
+    # a scalar schedule made a raw TypeError
+    _set("solver", "epsilon_schedule", 0.5),
+    # a non-numeric value exited 3 validation
+    _set("solver", "picard_tol", "abc"), _set("solver", "beta", "abc"),
+    _set("solver", "epsilon_schedule", [1.0, "abc"]), _set("run", "epsilon", "abc"),
+], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
+        "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
+        "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
+        "schedule_entry_str", "run_epsilon_str"])
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
+    doc = minimal_doc()
+    edit(doc)
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_beta_flag_is_a_config_error(capsys, tmp_path):
     # a NaN beta makes NaN distance weights, not a non-finite iterate
     code = main([str(CONFIGS / "minimal.yaml"), "--beta", "nan",

@@ -215,6 +215,22 @@ def test_batched_prox_matches_pointwise():
         assert np.array_equal(together, separate)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), ([-1.0, -0.5], [1.0, 2.0]),
+                                    ([-math.inf, 0.0], [0.0, math.inf])])
+def test_box_value_matches_the_all_and_where_expression_bitwise(lo, hi):
+    # NaN, infinities, points on the faces and -0.0, as rows, one point and a scalar
+    box = IndicatorBox(lo, hi)
+    specials = [np.nan, -np.inf, np.inf, -0.0, 0.0, *box.lo, *box.hi]
+    rng = np.random.default_rng(5)
+    pts = rng.choice(np.array(specials + list(rng.normal(size=8) * 2)), size=(64, box.m))
+    for y in (pts, pts.reshape(8, 8, box.m), pts[0], *(pts[:4, 0] if box.m == 1 else ())):
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        want = np.where(np.all((arr >= box.lo) & (arr <= box.hi), axis=-1), 0.0, np.inf)
+        got = box.value(y)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, len(builtin_specs()) - 1),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bsvi.lattice import (
     AdaptedProcess,
+    TimeGrid,
     TreeSizeError,
     build_tree,
     level_moments,
@@ -59,6 +60,13 @@ def test_build_tree_bad_args():
         build_tree(2, -1.0, 1)
     with pytest.raises(ValueError):
         build_tree(2, 1.0, 0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 0.0])
+def test_time_grid_rejects_a_nonpositive_or_nonfinite_horizon(horizon):
+    # abs(inf - inf) is NaN, which passed the reproduction check
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        TimeGrid(4, horizon)
 
 
 def test_conditional_expectation_examples():

@@ -412,19 +412,26 @@ def test_nonfinite_iterate_of_a_later_epsilon_names_its_own_node():
 
 @pytest.mark.parametrize("case, sweeps", [("one_norm", {7, 8}), ("box", {2})],
                          ids=["staggered", "same_sweep"])
-def test_solutions_are_row_slices_of_one_store_per_level(case, sweeps):
-    # entries that stop at different sweeps are written into a store allocated
-    # once for the schedule, else the batch's own levels are the store: either
-    # way level i of every process holds the E solutions back to back and
-    # keeps no other array alive
+def test_solutions_are_copied_out_or_row_slices_of_one_batch_array(case, sweeps):
+    # an entry that stops while others keep sweeping is copied out of the
+    # batch, so it keeps no other entry's rows alive; the entries that stop
+    # together hold level i of every process back to back in that sweep's
+    # batch array and keep no other array alive
     make = box_linear_problem if case == "box" else SCHEDULE_CASES[case]
     tree, xi, gen, phi = make(6) if case == "box" else make()
     res = solve_bsvi(tree, xi, gen, phi)
     assert {s.diagnostics.iterations_used for _, s in res.per_epsilon} == sweeps
     sols = [s for _, s in res.per_epsilon]
+    together = [s for s in sols if s.diagnostics.iterations_used == max(sweeps)]
+    assert len(together) < len(sols) if case == "one_norm" else together == sols
     for proc in (lambda s: s.Y, lambda s: s.Z, lambda s: s.U,
                  lambda s: s.frozen_past[0], lambda s: s.frozen_past[1]):
-        for level in zip(*(proc(s).values for s in sols)):
+        for sol in sols:
+            if sol not in together:
+                # the memory an array keeps alive is that of its base
+                assert all((a if a.base is None else a.base).nbytes == a.nbytes
+                           for a in proc(sol).values)
+        for level in zip(*(proc(s).values for s in together)):
             base, first = level[0].base, level[0].__array_interface__["data"][0]
             assert base.nbytes == sum(a.nbytes for a in level)
             assert [a.__array_interface__["data"][0] for a in level] == \
@@ -681,7 +688,7 @@ def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
 
 
 # ---------------------------------------------------------------------------
-# the one pass of schedule_audits over the store, against the same oracles
+# the one pass of schedule_audits over a schedule's levels, against the same oracles
 # ---------------------------------------------------------------------------
 
 def _delay_bsvi_drift():
@@ -702,7 +709,7 @@ def _bm_dim_two():
 
 
 def _pass_case(case):
-    """(per_epsilon, phi, xi, gen, tree, read from a store) of one case."""
+    """(per_epsilon, phi, xi, gen, tree) of one case."""
     if case == "staggered":
         cfg = _delay_bsvi_drift()
         tree, xi, gen, phi = cfg.tree, cfg.xi, cfg.gen, cfg.phi
@@ -718,32 +725,41 @@ def _pass_case(case):
     per_eps = res.per_epsilon
     if case == "hand_built":  # separate solves: each solution owns its arrays
         per_eps = solve_one_per_epsilon(tree, xi, gen, phi).per_epsilon
-    elif case == "reversed":  # slices of the store, but not in its order
+    elif case == "reversed":  # the batch's solutions, but not in its order
         per_eps = per_eps[::-1]
     elif case == "one_entry":
         per_eps = per_eps[3:4]
-    return per_eps, phi, xi, gen, tree, case not in ("hand_built", "reversed")
+    return per_eps, phi, xi, gen, tree
+
+
+def _concatenations(monkeypatch, run):
+    """run()'s result and, per np.concatenate it made, the rows of each array joined."""
+    joined = []
+    real_concatenate = np.concatenate
+
+    def counted(arrays, *args, **kwargs):
+        joined.append([len(a) for a in arrays])
+        return real_concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    try:
+        return run(), joined
+    finally:
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 @pytest.mark.parametrize("case", ["store", "deep_store", "staggered", "hand_built", "reversed",
                                   "one_entry", "bm_dim_2", "m_2"])
 def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, beta):
-    per_eps, phi, xi, gen, tree, stored = _pass_case(case)
+    per_eps, phi, xi, gen, tree = _pass_case(case)
     sweeps = {s.diagnostics.iterations_used for _, s in per_eps}
     assert sweeps == ({9, 10} if case == "staggered" else {2})
-    concatenated = []
-    real_concatenate = np.concatenate
-
-    def counted(arrays, *args, **kwargs):
-        concatenated.append(len(arrays))
-        return real_concatenate(arrays, *args, **kwargs)
-
-    monkeypatch.setattr(np, "concatenate", counted)
-    table, apriori, yosida = bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta)
-    monkeypatch.undo()
-    # a schedule read from the store is read as views, a hand-built one concatenated
-    assert (not concatenated) if stored else concatenated
+    (table, apriori, yosida), joined = _concatenations(
+        monkeypatch, lambda: bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta))
+    # a run of one block is read without a copy, and no copy holds more than 2^13 rows
+    assert all(len(runs) > 1 and sum(runs) <= 2 ** 13 for runs in joined)
+    assert bool(joined) == (case != "one_entry")
     assert list(map(_row_bits, table)) == \
         list(map(_row_bits, epsilon_table_one_by_one(per_eps, phi, tree)))
     assert (table == []) == (case == "one_entry")
@@ -756,6 +772,18 @@ def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, 
         assert list(map(_row_bits, getattr(yosida, rows))) == \
             list(map(_row_bits, getattr(want, rows)))
     assert yosida.uniform_ok == want.uniform_ok
+
+
+def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
+    # one part at n = 14 would run a leaf level's 2^14 rows; the ceiling
+    # halves that, and a level of 2^13 rows is read one block at a time
+    tree, xi, gen, phi = box_linear_problem(14)
+    res = solve_bsvi(tree, xi, gen, phi)
+    table, joined = _concatenations(monkeypatch,
+                                    lambda: epsilon_table(res.per_epsilon, phi, tree))
+    assert all(len(runs) > 1 for runs in joined) and max(map(sum, joined)) == 2 ** 13
+    assert list(map(_row_bits, table)) == \
+        list(map(_row_bits, epsilon_table_one_by_one(res.per_epsilon, phi, tree)))
 
 
 @pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.5, 2)])

@@ -1,0 +1,42 @@
+"""Source checks that need no linter: every name a module imports is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bsvi"
+
+
+def unused_imports(source: str) -> list:
+    """Names imported by ``source`` and never read, in order; an import whose
+    lines say ``# noqa`` (a re-export, say) is skipped."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not any(
+                "# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # names in string annotations, such as "ScenarioTree"
+        notes = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+# a package's __init__ imports only to re-export
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_flags_a_stale_name():
+    source = ("import math\nfrom .lattice import (level_moments,\n    stacked_rows)\n"
+              "from .analysis import epsilon_table  # noqa: F401\n"
+              "def f(x) -> 'np.ndarray':\n    return level_moments(x)\n")
+    assert unused_imports(source) == ["math", "stacked_rows"]
+    assert unused_imports("import numpy as np\ndef f(x: 'np.ndarray'): pass\n") == []
