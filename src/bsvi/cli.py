@@ -78,35 +78,28 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _build_terminal(tree, spec: dict) -> np.ndarray:
-    kind = _need(spec, "kind", "terminal")
-    if kind == "constant":
-        return problems.terminal_constant(tree, _need(spec, "c", "terminal"))
-    if kind == "linear":
-        return problems.terminal_linear(tree, _need(spec, "a", "terminal"),
-                                        _need(spec, "b", "terminal"))
-    if kind == "clipped_linear":
-        return problems.terminal_clipped_linear(
-            tree, _need(spec, "a", "terminal"), _need(spec, "b", "terminal"),
-            _need(spec, "lo", "terminal"), _need(spec, "hi", "terminal"))
-    raise ConfigError(f"unknown terminal kind {kind!r}")
+def _build(spec, where: str, kinds: dict, *args):
+    """Build what a ``kind`` section names as ``kinds[kind](key, *args)``, where
+    ``key(name[, default])`` reads the section; an unknown kind, a missing key
+    and a TypeError or ValueError while building are `ConfigError`s."""
+    kind = _need(spec, "kind", where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {where} kind {kind!r}")
 
+    def key(name: str, *default):
+        return spec.get(name, *default) if default else _need(spec, name, where)
 
-def _build_delay_measure(spec: dict | None):
-    if spec is None:
-        return generators.Dirac(0.0)
-    kind = _need(spec, "kind", "generator.alpha")
-    if kind == "dirac":
-        return generators.Dirac(float(spec.get("theta", 0.0)))
-    if kind == "uniform":
-        return generators.UniformPast()
-    if kind == "mixture":
-        return generators.DiscreteMixture(
-            tuple((float(t), float(w)) for t, w in _need(spec, "atoms", "generator.alpha")))
-    raise ConfigError(f"unknown delay measure kind {kind!r}")
+    try:
+        return kinds[kind](key, *args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"section '{where}' (kind {kind}): {exc}") from exc
 
 
 def _poly_weight(coeffs):
+    if not isinstance(coeffs, (list, tuple)):  # a string would read as its digits
+        raise TypeError(f"g_poly must be a list of coefficients: {coeffs!r}")
     coeffs = [float(c) for c in coeffs]
 
     def g(t: float) -> float:
@@ -117,38 +110,32 @@ def _poly_weight(coeffs):
     return g
 
 
-def _build_generator(spec: dict):
-    kind = _need(spec, "kind", "generator")
-    if kind == "zero":
-        return generators.ZeroGen()
-    if kind == "linear":
-        return generators.LinearInstant(_need(spec, "a", "generator"),
-                                        _need(spec, "b", "generator"))
-    if kind == "delayed_z":
-        return generators.DelayedZ(float(_need(spec, "kappa", "generator")),
-                                   float(_need(spec, "lag", "generator")))
-    if kind == "running_integral_z":
-        return generators.RunningIntegralZ(float(_need(spec, "kappa", "generator")))
-    if kind == "moving_average_z":
-        coeffs = _need(spec, "g_poly", "generator")
-        g = _poly_weight(coeffs)
-        bound = float(_need(spec, "g_bound", "generator"))
-        return generators.MovingAverageZ(
-            g=g, g_bound=bound, alpha=_build_delay_measure(spec.get("alpha")))
-    raise ConfigError(f"unknown generator kind {kind!r}")
-
-
-def _build_phi(spec: dict):
-    kind = _need(spec, "kind", "phi")
-    if kind == "zero":
-        return convex.Zero()
-    if kind == "box":
-        return convex.IndicatorBox(_need(spec, "lo", "phi"), _need(spec, "hi", "phi"))
-    if kind == "quadratic":
-        return convex.Quadratic(float(_need(spec, "c", "phi")))
-    if kind == "one_norm":
-        return convex.OneNorm(float(_need(spec, "c", "phi")))
-    raise ConfigError(f"unknown phi kind {kind!r}")
+TERMINAL_KINDS = {
+    "constant": lambda key, tree: problems.terminal_constant(tree, key("c")),
+    "linear": lambda key, tree: problems.terminal_linear(tree, key("a"), key("b")),
+    "clipped_linear": lambda key, tree: problems.terminal_clipped_linear(
+        tree, key("a"), key("b"), key("lo"), key("hi")),
+}
+DELAY_KINDS = {
+    "dirac": lambda key: generators.Dirac(float(key("theta", 0.0))),
+    "uniform": lambda key: generators.UniformPast(),
+    "mixture": lambda key: generators.DiscreteMixture(key("atoms")),
+}
+GENERATOR_KINDS = {
+    "zero": lambda key: generators.ZeroGen(),
+    "linear": lambda key: generators.LinearInstant(key("a"), key("b")),
+    "delayed_z": lambda key: generators.DelayedZ(float(key("kappa")), float(key("lag"))),
+    "running_integral_z": lambda key: generators.RunningIntegralZ(float(key("kappa"))),
+    "moving_average_z": lambda key: generators.MovingAverageZ(
+        g=_poly_weight(key("g_poly")), g_bound=float(key("g_bound")),
+        alpha=_build(key("alpha", {"kind": "dirac"}), "generator.alpha", DELAY_KINDS)),
+}
+PHI_KINDS = {
+    "zero": lambda key: convex.Zero(),
+    "box": lambda key: convex.IndicatorBox(key("lo"), key("hi")),
+    "quadratic": lambda key: convex.Quadratic(float(key("c"))),
+    "one_norm": lambda key: convex.OneNorm(float(key("c"))),
+}
 
 
 def parse_config(path, *, overrides: dict | None = None) -> ProblemConfig:
@@ -176,8 +163,8 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     overrides = overrides or {}
     model = _need(doc, "model", "config")
     horizon = _number(_need(model, "horizon", "model"), "model.horizon")
-    n_steps = _integer(_need(model, "n_steps", "model"), "model.n_steps")
-    bm_dim = _integer(model.get("bm_dim", 1), "model.bm_dim")
+    n_steps = _need(model, "n_steps", "model")
+    bm_dim = model.get("bm_dim", 1)
     dim = _integer(model.get("dim", 1), "model.dim")
     max_nodes = _override(overrides, "max_nodes",
                           _integer(model.get("max_nodes", 2 ** 22), "model.max_nodes"))
@@ -186,20 +173,22 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    xi = _build_terminal(tree, _need(doc, "terminal", "config"))
+    xi = _build(_need(doc, "terminal", "config"), "terminal", TERMINAL_KINDS, tree)
     if xi.shape[1] != dim:
         raise ConfigError(f"terminal dimension {xi.shape[1]} != model dim {dim}")
-    gen = _build_generator(_need(doc, "generator", "config"))
-    phi = _build_phi(doc.get("phi", {"kind": "zero"}))
+    gen = _build(_need(doc, "generator", "config"), "generator", GENERATOR_KINDS)
+    phi = _build(doc.get("phi", {"kind": "zero"}), "phi", PHI_KINDS)
 
     sconf = _mapping(doc.get("solver") or {}, "solver")
     beta = _override(overrides, "beta", sconf.get("beta"))
+    hard_gate = sconf.get("hard_gate", False)
+    if not isinstance(hard_gate, bool):  # bool("false") is True
+        raise ConfigError(f"solver.hard_gate must be true or false: {hard_gate!r}")
     kwargs = dict(
         beta=_number(beta, "solver.beta") if beta is not None else None,
         picard_tol=_number(sconf.get("picard_tol", 1e-10), "solver.picard_tol"),
         picard_max_iters=sconf.get("picard_max_iters", 200),
-        hard_gate=bool(overrides.get("hard_gate"))
-        or bool(sconf.get("hard_gate", False)),
+        hard_gate=bool(overrides.get("hard_gate")) or hard_gate,
     )
     if "epsilon_schedule" in sconf:
         sched = sconf["epsilon_schedule"]
@@ -219,7 +208,10 @@ def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConf
     epsilon = _number(run.get("epsilon", solver_config.epsilon_schedule[-1]), "run.epsilon")
     if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
         raise ConfigError(f"run.epsilon must be positive and finite: {epsilon!r}")
-    out_dir = _override(overrides, "out_dir", run.get("out_dir", "out"))
+    out_dir = run.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"run.out_dir must be a string: {out_dir!r}")
+    out_dir = _override(overrides, "out_dir", out_dir)
     out_format = _override(overrides, "out_format", run.get("format", "json"))
     if out_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {out_format!r}")

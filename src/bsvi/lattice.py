@@ -26,6 +26,12 @@ class TreeSizeError(ValueError):
     """Requested tree exceeds the configured node cap."""
 
 
+def _check_count(value, name: str):
+    # a bool is an int, and a fractional size makes a fractional number of leaves
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_n = horizon."""
@@ -34,6 +40,7 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
+        _check_count(self.n_steps, "n_steps")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0.0 < self.horizon < math.inf:  # negated, so that NaN fails it
@@ -118,6 +125,7 @@ class AdaptedProcess:
 def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
                max_nodes: int = DEFAULT_NODE_CAP) -> ScenarioTree:
     """Build the scenario tree, refusing sizes beyond ``max_nodes`` total nodes."""
+    _check_count(bm_dim, "bm_dim")
     if bm_dim < 1:
         raise ValueError(f"bm_dim must be >= 1, got {bm_dim}")
     grid = TimeGrid(n_steps, horizon)

@@ -347,8 +347,7 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
                  config: SolverConfig | None = None, *,
                  phi: ConvexFunction | None = None,
-                 epsilon: float | None = None,
-                 wellposedness: WellposednessReport | None = None) -> Solution:
+                 epsilon: float | None = None) -> Solution:
     """Outer fixed-point iteration over the frozen past segments.
 
     (phi, epsilon) picks the backward step: no ``phi`` is the classical step,
@@ -357,9 +356,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     sweeps until the weighted iterate distance falls below ``picard_tol``, and
     raises `PicardNonConvergence` on blow-up (ratio above ``DIVERGENCE_RATIO``
     for ``DIVERGENCE_PATIENCE`` consecutive sweeps) or exhaustion of
-    ``picard_max_iters``.  Unless the caller passes the ``wellposedness``
-    report of checks it already made for the same (tree, xi, gen, config,
-    phi), `_check_gate` admits the problem here.
+    ``picard_max_iters``.  `_check_gate` admits the problem first.
     """
     if epsilon is not None:
         if phi is None:
@@ -368,7 +365,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
             raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
     config = config or SolverConfig()
     xi = _as_leaf_values(tree, xi)
-    report = wellposedness or _check_gate(tree, xi, gen, config, phi)
+    report = _check_gate(tree, xi, gen, config, phi)
     return _picard_batch(tree, xi, gen, config, phi, (epsilon,), report)[0]
 
 

@@ -5,7 +5,7 @@ over per-level scalar arrays, direct iteration until the sweep map stops
 moving), used to cross-check `picard_solve` output on small trees; a
 per-node reader of past segments with a per-node drift evaluation, used to
 cross-check the level-at-a-time `generators.level_drift`; the penalization
-schedule as one `picard_solve` per epsilon, used to cross-check the batched
+schedule as one `picard_solve` body per epsilon, used to cross-check the batched
 schedule of `solver.solve_bsvi`; the Picard loop of one solve with every
 sweep computed, used to cross-check the replayed confirmation sweep of a
 pass that reads no frozen row; the children's mean and Z projection as one
@@ -27,8 +27,7 @@ from bsvi import solver
 from bsvi.analysis import AprioriAudit, BoundAudit, YosidaAudit, _uniform_ok
 from bsvi.generators import CustomGenerator, origin_drift_mass, past_z_rows
 from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
-from bsvi.solver import (EpsilonTableRow, PicardDiagnostics, Solution, SolverConfig,
-                         picard_solve)
+from bsvi.solver import EpsilonTableRow, PicardDiagnostics, Solution, SolverConfig
 
 
 def history_value(process, level, node, query_time, kind):
@@ -172,16 +171,14 @@ def picard_every_sweep(tree, xi, gen, config=None, *, phi=None, epsilon=None):
 
 
 def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
-    """`solver.solve_bsvi` as one `picard_solve` after another, one per entry
-    of the schedule, the admission checks made by the first; raises the
+    """`solver.solve_bsvi` as one `picard_solve` body after another, one per
+    entry of the schedule, the admission checks made once up front; raises the
     failure of the first entry that fails."""
     config = config or SolverConfig()
-    per_eps, report = [], None
-    for eps in config.epsilon_schedule:
-        sol = picard_solve(tree, xi, gen, config, phi=phi, epsilon=eps,
-                           wellposedness=report)
-        report = sol.wellposedness
-        per_eps.append((eps, sol))
+    xi = solver._as_leaf_values(tree, xi)
+    report = solver._check_gate(tree, xi, gen, config, phi)
+    per_eps = [(eps, solver._picard_batch(tree, xi, gen, config, phi, (eps,), report)[0])
+               for eps in config.epsilon_schedule]
     return SimpleNamespace(solution=per_eps[-1][1],
                            epsilon_table=epsilon_table_one_by_one(per_eps, phi, tree),
                            per_epsilon=per_eps)

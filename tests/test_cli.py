@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,9 @@ def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_con
     assert err["error"] == "config"
 
 
+MOVING_AVERAGE = {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5}
+
+
 def _set(section, key, value):
     def edit(doc):
         if key is None:
@@ -134,10 +138,33 @@ def _set(section, key, value):
     # a non-numeric value exited 3 validation
     _set("solver", "picard_tol", "abc"), _set("solver", "beta", "abc"),
     _set("solver", "epsilon_schedule", [1.0, "abc"]), _set("run", "epsilon", "abc"),
+    # a kind section's value read by a bare float() exited 3 validation
+    _set("phi", None, {"kind": "quadratic", "c": "abc"}),
+    _set("generator", None, {"kind": "delayed_z", "kappa": "abc", "lag": 0.0}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "dirac", "theta": "abc"}}),
+    _set("terminal", "a", "abc"), _set("phi", None, {"kind": "box", "lo": "abc", "hi": 1.0}),
+    # a list iterated unchecked made a raw TypeError
+    _set("generator", None, {**MOVING_AVERAGE, "g_poly": 0.5}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "mixture", "atoms": 0.3}}),
+    # a string is iterable: "12" ran as the coefficients [1, 2] and exited 0
+    _set("generator", None, {**MOVING_AVERAGE, "g_poly": "12"}),
+    # a constructor's rejection exited 3 validation
+    _set("phi", None, {"kind": "box", "lo": 0.5, "hi": -0.5}),
+    _set("generator", None, {"kind": "delayed_z", "kappa": 0.1, "lag": -0.1}),
+    _set("generator", None, {"kind": "linear", "a": [[1.0, 2.0]], "b": [[[0.0]]]}),
+    _set("generator", None, {**MOVING_AVERAGE,
+                             "alpha": {"kind": "mixture", "atoms": [[0.0, 0.5]]}}),
+    # bool("false") is True: the hard gate was on
+    _set("solver", "hard_gate", "false"),
+    # the whole solve ran before the report write died with a raw TypeError
+    _set("run", "out_dir", 5), _set("run", "out_dir", None),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
         "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
-        "schedule_entry_str", "run_epsilon_str"])
+        "schedule_entry_str", "run_epsilon_str", "phi_c_str", "kappa_str", "theta_str",
+        "terminal_a_str", "box_lo_str", "scalar_g_poly", "scalar_atoms", "g_poly_str", "empty_box",
+        "negative_lag", "linear_a_1x2", "mixture_weights", "hard_gate_str", "out_dir_int",
+        "out_dir_null"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -391,3 +418,15 @@ def test_experiment_script_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_config_format_lists_exactly_the_builder_kinds():
+    # the kind lists of README's config block against the builder tables
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Config format", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    listed = {section: set(kinds.replace(" ", "").split("|")) for section, kinds in
+              re.findall(r"^(\w+):.*\n  kind: \w+ +# ([\w |]+)$", block, re.M)}
+    listed["generator.alpha"] = set(re.findall(r"\{kind: (\w+)", block))
+    assert listed == {"terminal": set(cli.TERMINAL_KINDS),
+                      "generator": set(cli.GENERATOR_KINDS),
+                      "generator.alpha": set(cli.DELAY_KINDS), "phi": set(cli.PHI_KINDS)}

@@ -60,6 +60,11 @@ def test_build_tree_bad_args():
         build_tree(2, -1.0, 1)
     with pytest.raises(ValueError):
         build_tree(2, 1.0, 0)
+    # a fractional size built a tree of 6.498 "leaves", a bool one of 1 step
+    for n_steps, bm_dim in ((2.7, 1), (True, 1), (3, 1.5), (3, True), (3.0, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_tree(n_steps, 1.0, bm_dim)
+    assert build_tree(np.int64(3), 1.0, np.int32(1)).grid.n_steps == 3
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 0.0])
