@@ -4,7 +4,8 @@
     python scripts/run_configs.py
 
 Works from a checkout without an install: the CLI subprocesses import bsvi
-from ``src/``.
+from ``src/``.  Each report goes to its config's ``run.out_dir``, relative to
+the working directory.
 """
 
 import os
@@ -22,8 +23,7 @@ def main() -> int:
     failures = 0
     for cfg in configs:
         proc = subprocess.run(
-            [sys.executable, "-m", "bsvi.cli", str(cfg),
-             "--out", str(ROOT / "out" / cfg.stem)],
+            [sys.executable, "-m", "bsvi.cli", str(cfg)],
             capture_output=True, text=True, env=env)
         # gate_violation is supposed to refuse; everything else must succeed
         expected = 3 if cfg.stem == "gate_violation" else 0

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import analysis, convex, generators, problems, solver
-from .lattice import build_tree
+from .lattice import DEFAULT_NODE_CAP, build_tree
 from .solver import NonFiniteIterate, PicardNonConvergence, SolverConfig, WellposednessError
 
 EXIT_OK = 0
@@ -28,6 +28,7 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGENCE = 4
 
 RUN_MODES = ("classical", "penalized", "bsvi", "prox", "compare")
+OUT_FORMATS = ("json", "csv")
 # libyaml's loader where PyYAML was built with it: the same documents, parsed in C
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -52,49 +53,38 @@ class ProblemConfig:
     out_format: str
 
 
-def _mapping(section, where: str) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{where}' must be a mapping, got {section!r}")
-    return section
-
-
-def _need(section: dict, key: str, where: str):
-    if key not in _mapping(section, where):
-        raise ConfigError(f"missing key '{key}' in section '{where}'")
-    return section[key]
-
-
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number: {value!r}") from None
-
-
-def _integer(value, name: str) -> int:
-    # int() would truncate a float, and a bool is an int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer: {value!r}")
-    return value
-
-
-def _build(spec, where: str, kinds: dict, *args):
-    """Build what a ``kind`` section names as ``kinds[kind](key, *args)``, where
-    ``key(name[, default])`` reads the section; an unknown kind, a missing key
-    and a TypeError or ValueError while building are `ConfigError`s."""
-    kind = _need(spec, "kind", where)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"unknown {where} kind {kind!r}")
+def _build(spec, where: str, build, *args):
+    """Return ``build(key, *args)``, where ``key(name[, default])`` reads the
+    mapping ``spec``; a dict ``build`` is a table of builders picked by the
+    section's ``kind``.  A section that is not a mapping, an unknown kind, a
+    missing key, a key no builder read and a TypeError or ValueError while
+    building are `ConfigError`s that name the section."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"section '{where}' must be a mapping, got {spec!r}")
+    read = set()
 
     def key(name: str, *default):
-        return spec.get(name, *default) if default else _need(spec, name, where)
+        read.add(name)
+        if name not in spec and not default:
+            raise ConfigError(f"missing key '{name}' in section '{where}'")
+        return spec.get(name, *default)
 
+    label = f"section '{where}'"
     try:
-        return kinds[kind](key, *args)
+        if isinstance(build, dict):
+            kind = key("kind")
+            if not isinstance(kind, str) or kind not in build:
+                raise ConfigError(f"unknown {where} kind {kind!r}")
+            label, build = f"{label} (kind {kind})", build[kind]
+        value = build(key, *args)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section '{where}' (kind {kind}): {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
+    unknown = [k for k in spec if k not in read]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {label}")
+    return value
 
 
 def _poly_weight(coeffs):
@@ -138,86 +128,73 @@ PHI_KINDS = {
 }
 
 
-def parse_config(path, *, overrides: dict | None = None) -> ProblemConfig:
-    """Parse and validate a YAML config; ``overrides`` maps CLI flags in."""
+def _model(key):
+    tree = build_tree(key("n_steps"), float(key("horizon")), key("bm_dim", 1),
+                      max_nodes=key("max_nodes", DEFAULT_NODE_CAP))
+    return tree, key("dim", 1)
+
+
+def _solver_config(key):
+    beta = key("beta", None)
+    sched = key("epsilon_schedule", solver.DEFAULT_EPSILON_SCHEDULE)
+    if not isinstance(sched, (list, tuple)):
+        raise TypeError(f"epsilon_schedule must be a list: {sched!r}")
+    return SolverConfig(beta=None if beta is None else float(beta),
+                        picard_tol=float(key("picard_tol", 1e-10)),
+                        picard_max_iters=key("picard_max_iters", 200),
+                        epsilon_schedule=sched,
+                        hard_gate=key("hard_gate", False))
+
+
+def _run_section(key, schedule):
+    mode = key("mode", "classical")
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
+    epsilon = float(key("epsilon", schedule[-1]))
+    if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
+        raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
+    out_dir = key("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise TypeError(f"out_dir must be a string: {out_dir!r}")
+    out_format = key("format", "json")
+    if out_format not in OUT_FORMATS:
+        raise ValueError(f"unknown output format {out_format!r}")
+    return dict(mode=mode, epsilon=epsilon, out_dir=out_dir, out_format=out_format)
+
+
+def _problem(key, doc):
+    tree, dim = _build(key("model"), "model", _model)
+    xi = _build(key("terminal"), "terminal", TERMINAL_KINDS, tree)
+    if dim != xi.shape[1] or type(dim) is not int:  # 1.0 and True equal 1
+        raise ConfigError(f"terminal dimension {xi.shape[1]} != model dim {dim!r}")
+    gen = _build(key("generator"), "generator", GENERATOR_KINDS)
+    phi = _build(key("phi", {"kind": "zero"}), "phi", PHI_KINDS)
+    sconf = _build(key("solver", {}), "solver", _solver_config)
+    return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi, solver_config=sconf,
+                         **_build(key("run", {}), "run", _run_section, sconf.epsilon_schedule))
+
+
+def config_from_dict(doc: dict) -> ProblemConfig:
+    """Build the run a parsed config document describes; every section is
+    read by `_build`, so a bad document is a `ConfigError`."""
+    return _build(doc, "config", _problem, doc)
+
+
+def _load(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"config parse error{pos}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a mapping")
-    return config_from_dict(doc, overrides=overrides)
 
 
-def _override(overrides: dict, key: str, fallback):
-    value = overrides.get(key)
-    return fallback if value is None else value
-
-
-def config_from_dict(doc: dict, *, overrides: dict | None = None) -> ProblemConfig:
-    overrides = overrides or {}
-    model = _need(doc, "model", "config")
-    horizon = _number(_need(model, "horizon", "model"), "model.horizon")
-    n_steps = _need(model, "n_steps", "model")
-    bm_dim = model.get("bm_dim", 1)
-    dim = _integer(model.get("dim", 1), "model.dim")
-    max_nodes = _override(overrides, "max_nodes",
-                          _integer(model.get("max_nodes", 2 ** 22), "model.max_nodes"))
-    try:
-        tree = build_tree(n_steps, horizon, bm_dim, max_nodes=max_nodes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    xi = _build(_need(doc, "terminal", "config"), "terminal", TERMINAL_KINDS, tree)
-    if xi.shape[1] != dim:
-        raise ConfigError(f"terminal dimension {xi.shape[1]} != model dim {dim}")
-    gen = _build(_need(doc, "generator", "config"), "generator", GENERATOR_KINDS)
-    phi = _build(doc.get("phi", {"kind": "zero"}), "phi", PHI_KINDS)
-
-    sconf = _mapping(doc.get("solver") or {}, "solver")
-    beta = _override(overrides, "beta", sconf.get("beta"))
-    hard_gate = sconf.get("hard_gate", False)
-    if not isinstance(hard_gate, bool):  # bool("false") is True
-        raise ConfigError(f"solver.hard_gate must be true or false: {hard_gate!r}")
-    kwargs = dict(
-        beta=_number(beta, "solver.beta") if beta is not None else None,
-        picard_tol=_number(sconf.get("picard_tol", 1e-10), "solver.picard_tol"),
-        picard_max_iters=sconf.get("picard_max_iters", 200),
-        hard_gate=bool(overrides.get("hard_gate")) or hard_gate,
-    )
-    if "epsilon_schedule" in sconf:
-        sched = sconf["epsilon_schedule"]
-        if not isinstance(sched, (list, tuple)):
-            raise ConfigError(f"solver.epsilon_schedule must be a list: {sched!r}")
-        kwargs["epsilon_schedule"] = tuple(_number(e, "solver.epsilon_schedule entry")
-                                           for e in sched)
-    try:
-        solver_config = SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    run = _mapping(doc.get("run") or {}, "run")
-    mode = run.get("mode", "classical")
-    if mode not in RUN_MODES:
-        raise ConfigError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
-    epsilon = _number(run.get("epsilon", solver_config.epsilon_schedule[-1]), "run.epsilon")
-    if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
-        raise ConfigError(f"run.epsilon must be positive and finite: {epsilon!r}")
-    out_dir = run.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"run.out_dir must be a string: {out_dir!r}")
-    out_dir = _override(overrides, "out_dir", out_dir)
-    out_format = _override(overrides, "out_format", run.get("format", "json"))
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {out_format!r}")
-    return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi,
-                         solver_config=solver_config, mode=mode, epsilon=epsilon,
-                         out_dir=out_dir, out_format=out_format)
+def parse_config(path) -> ProblemConfig:
+    """Parse and validate a YAML config."""
+    return config_from_dict(_load(path))
 
 
 def _solution_summary(sol, tree) -> dict:
@@ -241,11 +218,19 @@ def _solution_summary(sol, tree) -> dict:
 
 def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
         max_nodes=None, beta=None, write_files=True) -> dict:
-    """Execute one config; returns the report dict and (optionally) writes files."""
-    cfg = parse_config(config_path, overrides={
-        "out_dir": out_dir, "out_format": out_format,
-        "hard_gate": hard_gate, "max_nodes": max_nodes, "beta": beta,
-    })
+    """Execute one config; returns the report dict and (optionally) writes files.
+    ``hard_gate``, ``max_nodes`` and ``beta`` edit the document before it is built, so
+    the report's ``config`` is the problem that ran; ``out_dir`` and ``out_format`` do not."""
+    doc = _load(config_path)
+    for section, name, value in (("model", "max_nodes", max_nodes), ("solver", "beta", beta),
+                                 ("solver", "hard_gate", hard_gate or None)):
+        if value is not None and isinstance(doc, dict) and isinstance(
+                doc.setdefault(section, {}), dict):
+            doc[section][name] = value
+    cfg = config_from_dict(doc)
+    out_format = out_format or cfg.out_format
+    if out_format not in OUT_FORMATS:
+        raise ConfigError(f"unknown output format {out_format!r}")
     t0 = time.perf_counter()
     report = {"config": cfg.raw, "mode": cfg.mode, "schemes": {}}
 
@@ -294,7 +279,7 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
                                if k != "horizon"}
     report["timings"] = {"total_seconds": time.perf_counter() - t0}
     if write_files:
-        emit_report(report, cfg.out_dir, cfg.out_format)
+        emit_report(report, out_dir or cfg.out_dir, out_format)
     return report
 
 
@@ -354,7 +339,7 @@ def main(argv=None) -> int:
         description="Run a delayed-BSVI experiment from a YAML config.")
     parser.add_argument("config", help="path to the YAML problem config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
+    parser.add_argument("--format", choices=OUT_FORMATS, default=None,
                         help="report format (json document or csv bundle)")
     parser.add_argument("--hard-gate", action="store_true",
                         help="fail instead of warn when the well-posedness gate fails")

@@ -10,6 +10,7 @@ Array convention: points live on the last axis, so ``value`` and ``prox``
 accept arbitrary leading batch dimensions.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +64,8 @@ class IndicatorBox(ConvexFunction):
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         lo, hi = np.broadcast_arrays(lo, hi)
         lo, hi = lo.copy(), hi.copy()
+        if np.isnan(lo).any() or np.isnan(hi).any():  # +-inf bounds stay legal
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box is empty: lo > hi")
         if np.any(lo > 0.0) or np.any(hi < 0.0):
@@ -91,8 +94,8 @@ class Quadratic(ConvexFunction):
     c: float
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("quadratic coefficient must be nonnegative")
+        if not 0 <= self.c < math.inf:  # negated, so that NaN fails it
+            raise ValueError(f"quadratic coefficient must be nonnegative and finite: {self.c!r}")
 
     def value(self, y):
         arr = _as_points(y)
@@ -109,8 +112,8 @@ class OneNorm(ConvexFunction):
     c: float
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("one-norm coefficient must be nonnegative")
+        if not 0 <= self.c < math.inf:  # negated, so that NaN fails it
+            raise ValueError(f"one-norm coefficient must be nonnegative and finite: {self.c!r}")
 
     def value(self, y):
         arr = _as_points(y)

@@ -42,6 +42,11 @@ class DelayMeasure:
         raise NotImplementedError
 
 
+def _check_finite(value: float, name: str):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite: {value!r}")
+
+
 def _check_support(theta: float, horizon: float | None):
     if horizon is not None and theta < -horizon - 1e-9 * horizon:
         raise ValueError(f"delay offset {theta} outside [-{horizon}, 0]")
@@ -63,8 +68,8 @@ class Dirac(DelayMeasure):
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.theta > 0:
-            raise ValueError("delay offset must be <= 0")
+        if not -math.inf < self.theta <= 0:  # negated, so that NaN fails it
+            raise ValueError(f"delay offset must be finite and <= 0: {self.theta!r}")
 
     def discretize(self, horizon=None, dt=None):
         _check_support(self.theta, horizon)
@@ -93,12 +98,13 @@ class DiscreteMixture(DelayMeasure):
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("mixture needs at least one atom")
-        if any(t > 0 for t, _ in atoms):
-            raise ValueError("all atoms must lie at offsets <= 0")
-        if any(w <= 0 for _, w in atoms):
-            raise ValueError("atom weights must be positive")
+        # negated tests, so that NaN fails them
+        if any(not -math.inf < t <= 0 for t, _ in atoms):
+            raise ValueError("all atoms must lie at finite offsets <= 0")
+        if any(not 0 < w < math.inf for _, w in atoms):
+            raise ValueError("atom weights must be positive and finite")
         total = sum(w for _, w in atoms)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom weights must sum to 1, got {total}")
 
     def discretize(self, horizon=None, dt=None):
@@ -169,6 +175,8 @@ class LinearInstant(GeneratorSpec):
             b = b[:, :, None]
         if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0] or b.shape[1] != a.shape[0]:
             raise ValueError("inconsistent linear generator dimensions")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("linear generator coefficients must be finite")
         object.__setattr__(self, "a_y", a)
         object.__setattr__(self, "b_z", b)
 
@@ -202,8 +210,9 @@ class DelayedZ(GeneratorSpec):
     lag: float
 
     def __post_init__(self):
-        if self.lag < 0:
-            raise ValueError("lag must be >= 0")
+        _check_finite(self.kappa, "kappa")
+        if not 0 <= self.lag < math.inf:  # negated, so that NaN fails it
+            raise ValueError(f"lag must be finite and >= 0: {self.lag!r}")
         object.__setattr__(self, "alpha", Dirac(-self.lag))
 
     def past_z_terms(self, t, horizon, dt):
@@ -227,6 +236,9 @@ class RunningIntegralZ(GeneratorSpec):
 
     kappa: float
     alpha: DelayMeasure = field(default_factory=UniformPast)
+
+    def __post_init__(self):
+        _check_finite(self.kappa, "kappa")
 
     def past_z_terms(self, t, horizon, dt):
         if dt is None:
@@ -253,6 +265,9 @@ class MovingAverageZ(GeneratorSpec):
     g: Callable[[float], float]
     g_bound: float
     alpha: DelayMeasure = field(default_factory=Dirac)
+
+    def __post_init__(self):
+        _check_finite(self.g_bound, "g_bound")
 
     def past_z_terms(self, t, horizon, dt):
         return tuple((theta, w * (0.0 if t + theta < 0 else float(self.g(t + theta))))

@@ -126,6 +126,7 @@ def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
                max_nodes: int = DEFAULT_NODE_CAP) -> ScenarioTree:
     """Build the scenario tree, refusing sizes beyond ``max_nodes`` total nodes."""
     _check_count(bm_dim, "bm_dim")
+    _check_count(max_nodes, "max_nodes")
     if bm_dim < 1:
         raise ValueError(f"bm_dim must be >= 1, got {bm_dim}")
     grid = TimeGrid(n_steps, horizon)

@@ -84,6 +84,8 @@ class SolverConfig:
                 and not isinstance(self.picard_max_iters, bool)
                 and self.picard_max_iters >= 1):
             raise ValueError(f"picard_max_iters must be an int >= 1: {self.picard_max_iters!r}")
+        if not isinstance(self.hard_gate, (bool, np.bool_)):  # bool("false") is True
+            raise ValueError(f"hard_gate must be true or false: {self.hard_gate!r}")
 
 
 @dataclass(frozen=True)

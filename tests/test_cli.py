@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bsvi import cli
+from bsvi import cli, solver
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -158,13 +158,35 @@ def _set(section, key, value):
     _set("solver", "hard_gate", "false"),
     # the whole solve ran before the report write died with a raw TypeError
     _set("run", "out_dir", 5), _set("run", "out_dir", None),
+    # a non-finite value failed late: exit 4 nonfinite, or exit 3 after a sweep or the solve
+    _set("generator", None, {"kind": "delayed_z", "kappa": math.nan, "lag": 0.0}),
+    _set("generator", None, {"kind": "delayed_z", "kappa": 0.1, "lag": math.nan}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "dirac", "theta": math.nan}}),
+    _set("generator", None, {**MOVING_AVERAGE, "g_bound": math.nan}),
+    _set("generator", None, {"kind": "running_integral_z", "kappa": math.nan}),
+    _set("generator", None, {**MOVING_AVERAGE,
+                             "alpha": {"kind": "mixture", "atoms": [[math.nan, 1.0]]}}),
+    _set("generator", None, {"kind": "linear", "a": [[math.nan]], "b": [[[0.0]]]}),
+    _set("phi", None, {"kind": "quadratic", "c": math.nan}),
+    _set("phi", None, {"kind": "one_norm", "c": math.nan}),
+    _set("phi", None, {"kind": "box", "lo": math.nan, "hi": 1.0}),
+    # a key no builder read was ignored
+    _set("comment", None, "x"), _set("model", "n_step", 2),
+    _set("solver", "picard_max_iter", 1), _set("run", "outdir", "x"),
+    _set("terminal", "c", 1.0), _set("generator", "a", [[1.0]]),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "uniform", "theta": -0.5}}),
+    _set("phi", "c", 1.0),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
         "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
         "schedule_entry_str", "run_epsilon_str", "phi_c_str", "kappa_str", "theta_str",
         "terminal_a_str", "box_lo_str", "scalar_g_poly", "scalar_atoms", "g_poly_str", "empty_box",
         "negative_lag", "linear_a_1x2", "mixture_weights", "hard_gate_str", "out_dir_int",
-        "out_dir_null"])
+        "out_dir_null", "kappa_nan", "lag_nan", "theta_nan", "g_bound_nan",
+        "running_kappa_nan", "atom_nan", "linear_a_nan", "quadratic_c_nan", "one_norm_c_nan",
+        "box_lo_nan", "unknown_top_key", "unknown_model_key", "unknown_solver_key",
+        "unknown_run_key", "unknown_terminal_key", "unknown_generator_key",
+        "unknown_alpha_key", "unknown_phi_key"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -173,6 +195,21 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("solver", "picard_max_iter", 1),
+                                                ("model", "n_step", 2), ("phi", "c", 1.0)])
+def test_misspelt_key_is_named_with_its_section(tmp_path, capsys, section, key, value):
+    # each ran configs/indicator_box.yaml as if the key were absent and exited 0
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc[section][key] = value
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert f"'{key}'" in message and f"section '{section}'" in message
     assert not (tmp_path / "out").exists()
 
 
@@ -379,6 +416,24 @@ def test_cli_flag_overrides(tmp_path):
         assert code == EXIT_PARSE, flag
 
 
+def test_report_config_records_the_flags_that_change_the_solve(tmp_path):
+    # the report embedded the file's config without the flags, so it rebuilt
+    # a run with the default beta
+    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "2", "--max-nodes", "100",
+                 "--hard-gate", "--out", str(tmp_path / "out"), "--format", "json"])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["solver"] == {"beta": 2.0, "hard_gate": True}
+    assert report["config"]["model"]["max_nodes"] == 100
+    # --out and --format choose where and how the report is written, not what ran
+    assert report["config"]["run"] == parse_config(CONFIGS / "minimal.yaml").raw["run"]
+    cfg = config_from_dict(report["config"])
+    assert cfg.solver_config.hard_gate
+    sol = solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config)
+    assert sol.wellposedness.beta == report["wellposedness"]["beta"] == 2.0
+    assert sol.Y.values[0][0].tolist() == report["schemes"]["classical"]["y0"]
+
+
 def test_nonfinite_iterate_exit_code(tmp_path, capsys):
     # Y_i = (1 + W_i)(1 + dt a)^(n - i) overflows at level 1 of 4
     doc = minimal_doc()
@@ -410,6 +465,10 @@ def test_run_configs_script_needs_no_install(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "UNEXPECTED" not in proc.stdout
+    # each report lands in its config's run.out_dir, under the working directory
+    for cfg in CONFIGS.glob("*.yaml"):
+        out_dir = tmp_path / yaml.safe_load(cfg.read_text(encoding="utf-8"))["run"]["out_dir"]
+        assert out_dir.is_dir() == (cfg.stem != "gate_violation"), cfg.name
 
 
 @pytest.mark.parametrize("script", ["contraction_study.py", "rate_study.py"])
@@ -418,6 +477,13 @@ def test_experiment_script_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_config_format_block_builds():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Config format", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(yaml.safe_load(block))
+    assert (cfg.mode, cfg.out_format, cfg.solver_config.beta) == ("compare", "csv", 25.0)
 
 
 def test_readme_config_format_lists_exactly_the_builder_kinds():

@@ -131,6 +131,18 @@ def test_box_normalization_enforced():
         Quadratic(-1.0)
 
 
+# a NaN coefficient or bound made phi(xi) infinite or NaN at solve time
+@pytest.mark.parametrize("make", [
+    lambda: Quadratic(math.nan), lambda: Quadratic(math.inf), lambda: OneNorm(math.nan),
+    lambda: OneNorm(math.inf), lambda: IndicatorBox(math.nan, 1.0),
+    lambda: IndicatorBox([-1.0, -1.0], [1.0, math.nan]),
+], ids=["quadratic_nan", "quadratic_inf", "one_norm_nan", "one_norm_inf", "box_lo_nan",
+        "box_hi_nan"])
+def test_penalty_constructors_refuse_nonfinite_values(make):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        make()
+
+
 def test_subgradient_check_examples():
     box = IndicatorBox(-1, 1)
     # outward normal at the boundary

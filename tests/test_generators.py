@@ -41,6 +41,23 @@ def test_delay_measure_validation():
     DiscreteMixture(((-0.5, 0.5), (0.0, 0.5)))
 
 
+# a NaN slipped past every check and failed late in the solve, if at all
+@pytest.mark.parametrize("make", [
+    lambda: Dirac(math.nan), lambda: Dirac(-math.inf),
+    lambda: DiscreteMixture(((math.nan, 1.0),)),
+    lambda: DiscreteMixture(((-0.5, math.nan), (0.0, 0.5))),
+    lambda: DelayedZ(math.nan, 0.0), lambda: DelayedZ(1.0, math.nan),
+    lambda: DelayedZ(1.0, math.inf), lambda: RunningIntegralZ(math.nan),
+    lambda: MovingAverageZ(g=lambda t: 1.0, g_bound=math.nan),
+    lambda: LinearInstant([[math.nan]], [[[0.0]]]), lambda: LinearInstant([[1.0]], [[[math.inf]]]),
+], ids=["dirac_nan", "dirac_minus_inf", "mixture_theta_nan", "mixture_weight_nan",
+        "delayed_kappa_nan", "delayed_lag_nan", "delayed_lag_inf", "running_kappa_nan",
+        "g_bound_nan", "linear_a_nan", "linear_b_inf"])
+def test_generator_constructors_refuse_nonfinite_values(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 @pytest.mark.parametrize("alpha", [
     Dirac(0.0), Dirac(-0.3), Dirac(-1.0), UniformPast(),
     DiscreteMixture(((-1.0, 0.25), (-0.5, 0.5), (0.0, 0.25))),

@@ -67,6 +67,14 @@ def test_build_tree_bad_args():
     assert build_tree(np.int64(3), 1.0, np.int32(1)).grid.n_steps == 3
 
 
+# a float cap of 1e6 was accepted
+@pytest.mark.parametrize("max_nodes", [1e6, 100.0, True, "100"])
+def test_build_tree_rejects_a_non_integer_max_nodes(max_nodes):
+    with pytest.raises(ValueError, match="max_nodes must be an integer"):
+        build_tree(3, 1.0, max_nodes=max_nodes)
+    assert build_tree(3, 1.0, max_nodes=np.int64(15)).grid.n_steps == 3
+
+
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 0.0])
 def test_time_grid_rejects_a_nonpositive_or_nonfinite_horizon(horizon):
     # abs(inf - inf) is NaN, which passed the reproduction check

@@ -1087,6 +1087,14 @@ def test_solver_config_rejects_a_non_integer_picard_max_iters(iters):
         SolverConfig(picard_max_iters=iters)
 
 
+# bool("false") is True: the string turned the hard gate on
+@pytest.mark.parametrize("gate", ["false", "true", 0, 1, None])
+def test_solver_config_rejects_a_non_bool_hard_gate(gate):
+    with pytest.raises(ValueError, match="hard_gate"):
+        SolverConfig(hard_gate=gate)
+    assert SolverConfig(hard_gate=np.True_).hard_gate
+
+
 @pytest.mark.parametrize("knobs, name", [
     ({"beta": math.inf}, "beta"),
     ({"beta": -math.inf}, "beta"),
