@@ -42,7 +42,6 @@ from .generators import (
 )
 from .solver import (
     BsviResult,
-    EpsilonTableRow,
     NonFiniteIterate,
     PicardDiagnostics,
     PicardNonConvergence,
@@ -50,7 +49,6 @@ from .solver import (
     SolverConfig,
     WellposednessError,
     WellposednessReport,
-    backward_pass,
     check_wellposedness,
     picard_solve,
     prox_step_solve,
@@ -59,14 +57,14 @@ from .solver import (
 )
 from .analysis import (
     BoundAudit,
-    NormReport,
+    EpsilonTableRow,
     RateFit,
     ResidualReport,
     ScheduleAudits,
     StabilityAudit,
     apriori_audit,
     epsilon_rate_fit,
-    path_norms,
+    path_norm,
     schedule_audits,
     solution_residuals,
     stability_audit,

@@ -30,15 +30,6 @@ from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_mome
 
 
 @dataclass(frozen=True)
-class NormReport:
-    """S^2 and H^2 statistics: E[sup_t e^{beta t}|.|^2] and E int e^{beta s}|.|^2 ds."""
-
-    s2: float
-    h2: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class BoundAudit:
     lhs: float
     rhs_data: float
@@ -46,8 +37,17 @@ class BoundAudit:
     context: str
 
 
-def _path_norm(process: AdaptedProcess, tree: ScenarioTree, beta: float, stat: str) -> float:
-    """S^2 ("s2") or H^2 ("h2") of one process (see `path_norms`)."""
+def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
+              beta: float = 0.0) -> float:
+    """Exact S^2 ("s2", E[sup_t e^{beta t}|.|^2]) or H^2 ("h2", E int e^{beta s}|.|^2 ds)
+    of one process under the uniform leaf measure.
+
+    The pathwise sup runs over every grid time the process is defined on.  The
+    time integral is a Riemann sum: a process spanning all n+1 grid times is
+    integrated with each step weighted by its terminal value (matching hand
+    enumeration of the discrete Brownian path), an integrand-type process on
+    n levels with left endpoints, the Ito convention of the scheme itself.
+    """
     dt, values = tree.grid.dt, process.values
     weights = [math.exp(beta * i * dt) for i in range(len(values))]
     if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
@@ -58,20 +58,6 @@ def _path_norm(process: AdaptedProcess, tree: ScenarioTree, beta: float, stat: s
     for w, level in zip(weights, values):
         running = fold_running_max(running, (w * row_sq_norms(level))[None], tree.branching)
     return float(running.mean())
-
-
-def path_norms(process: AdaptedProcess, tree: ScenarioTree,
-               beta: float = 0.0) -> NormReport:
-    """Exact S^2/H^2 statistics under the uniform leaf measure.
-
-    The pathwise sup runs over every grid time the process is defined on.  The
-    time integral is a Riemann sum: a process spanning all n+1 grid times is
-    integrated with each step weighted by its terminal value (matching hand
-    enumeration of the discrete Brownian path), an integrand-type process on
-    n levels with left endpoints, the Ito convention of the scheme itself.
-    """
-    return NormReport(s2=_path_norm(process, tree, beta, "s2"),
-                      h2=_path_norm(process, tree, beta, "h2"), beta=beta)
 
 
 def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: float, parts):
@@ -315,16 +301,16 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
     the first solution, reading their past segments from it.
     """
     dt, n = tree.grid.dt, tree.grid.n_steps
-    lhs = (_path_norm(sol_a.Y - sol_b.Y, tree, beta, "s2")
-           + _path_norm(sol_a.Z - sol_b.Z, tree, beta, "h2"))
+    lhs = (path_norm(sol_a.Y - sol_b.Y, tree, "s2", beta)
+           + path_norm(sol_a.Z - sol_b.Z, tree, "h2", beta))
     dxi = np.asarray(xi_a, dtype=float).reshape(len(sol_a.Y.values[n]), -1) \
         - np.asarray(xi_b, dtype=float).reshape(len(sol_b.Y.values[n]), -1)
     rhs = float(np.mean(np.sum(dxi ** 2, axis=1)))
     rows_a, rows_b = past_z_rows(gen_a, tree), past_z_rows(gen_b, tree)
     for i in range(n):
         y_val, z_val = sol_a.Y.values[i], sol_a.Z.values[i]
-        fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y, sol_a.Z, rows_a)
-        fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y, sol_a.Z, rows_b)
+        fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y.values, sol_a.Z.values, rows_a)
+        fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y.values, sol_a.Z.values, rows_b)
         rhs += dt * float(np.sum((fa - fb) ** 2)) / tree.level_size(i)
     if rhs <= 1e-30:
         return StabilityAudit(lhs=lhs, rhs_data=rhs, empirical_constant=0.0,
@@ -376,7 +362,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     dt, n = tree.grid.dt, tree.grid.n_steps
     if probes is None:
         probes = default_subdiff_probes(phi, xi)
-    frozen_y, frozen_z = solution.frozen_past if solution.frozen_past else (solution.Y, solution.Z)
+    frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
     penalized = solution.epsilon is not None and not isinstance(phi, Zero)
     past_rows = past_z_rows(gen, tree)
     eq_res = 0.0

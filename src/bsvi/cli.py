@@ -48,7 +48,7 @@ class ProblemConfig:
     phi: object
     solver_config: SolverConfig
     mode: str
-    epsilon: float
+    epsilon: float | None  # penalized mode only
     out_dir: str
     out_format: str
 
@@ -146,13 +146,17 @@ def _solver_config(key):
                         hard_gate=key("hard_gate", False))
 
 
-def _run_section(key, schedule):
+def _run_section(key, schedule, phi):
     mode = key("mode", "classical")
     if mode not in RUN_MODES:
         raise ValueError(f"unknown run mode {mode!r}; pick one of {RUN_MODES}")
-    epsilon = float(key("epsilon", schedule[-1]))
-    if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
-        raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
+    if mode == "classical" and not isinstance(phi, convex.Zero):  # a classical solve reads no phi
+        raise ValueError(f"mode classical solves without phi; set phi kind zero, not {phi!r}")
+    epsilon = None  # read in penalized mode only, the one mode that solves at one epsilon
+    if mode == "penalized":
+        epsilon = float(key("epsilon", schedule[-1]))
+        if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
+            raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
     out_dir = key("out_dir", "out")
     if not isinstance(out_dir, str):
         raise TypeError(f"out_dir must be a string: {out_dir!r}")
@@ -170,8 +174,8 @@ def _problem(key, doc):
     gen = _build(key("generator"), "generator", GENERATOR_KINDS)
     phi = _build(key("phi", {"kind": "zero"}), "phi", PHI_KINDS)
     sconf = _build(key("solver", {}), "solver", _solver_config)
-    return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi, solver_config=sconf,
-                         **_build(key("run", {}), "run", _run_section, sconf.epsilon_schedule))
+    how = _build(key("run", {}), "run", _run_section, sconf.epsilon_schedule, phi)
+    return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi, solver_config=sconf, **how)
 
 
 def config_from_dict(doc: dict) -> ProblemConfig:
@@ -201,9 +205,9 @@ def _solution_summary(sol, tree) -> dict:
     summary = {
         "y0": sol.Y.values[0][0].tolist(),
         "z0": sol.Z.values[0][0].tolist(),
-        "norm_y_s2": analysis._path_norm(sol.Y, tree, 0.0, "s2"),
-        "norm_z_h2": analysis._path_norm(sol.Z, tree, 0.0, "h2"),
-        "norm_u_h2": analysis._path_norm(sol.U, tree, 0.0, "h2"),
+        "norm_y_s2": analysis.path_norm(sol.Y, tree, "s2"),
+        "norm_z_h2": analysis.path_norm(sol.Z, tree, "h2"),
+        "norm_u_h2": analysis.path_norm(sol.U, tree, "h2"),
         "picard": {
             "distances": list(sol.diagnostics.iterate_distances),
             "ratios": list(sol.diagnostics.contraction_ratios),
@@ -232,7 +236,9 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
     if out_format not in OUT_FORMATS:
         raise ConfigError(f"unknown output format {out_format!r}")
     t0 = time.perf_counter()
-    report = {"config": cfg.raw, "mode": cfg.mode, "schemes": {}}
+    # an infinite bound echoes as "inf" / "-inf", which the builders read back
+    echo = json.loads(json.dumps(cfg.raw), parse_constant=lambda name: str(float(name)))
+    report = {"config": echo, "mode": cfg.mode, "schemes": {}}
 
     if cfg.mode == "classical":
         name, sol = "classical", solver.picard_solve(cfg.tree, cfg.xi, cfg.gen,

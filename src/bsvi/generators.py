@@ -144,9 +144,6 @@ class GeneratorSpec:
         """K in the squared delay bound against the alpha-integral."""
         raise NotImplementedError
 
-    def uses_past(self) -> bool:
-        return self.lipschitz_delay(1.0) > 0.0
-
 
 @dataclass(frozen=True)
 class ZeroGen(GeneratorSpec):
@@ -404,11 +401,12 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
 
 
 def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
-                frozen_y, frozen_z, past_rows: tuple) -> np.ndarray:
+                frozen_y: list, frozen_z: list, past_rows: tuple) -> np.ndarray:
     """Drift F(t_i, y, z, past) at every node of level i as a (size, m) array.
 
-    The past segments are read from (frozen_y, frozen_z), except at offset 0,
-    which resolves to the level's current (y, z).  A built-in is
+    The past segments are read from the level lists (frozen_y, frozen_z),
+    ``frozen_z[k]`` holding grid row k, except at offset 0, which resolves to
+    the level's current (y, z).  A built-in is
     ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
     `past_z_rows(gen, tree)` table, each frozen row repeated down to level i.
     A `CustomGenerator` callback is called once, on the whole level: its
@@ -419,12 +417,12 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
         drift = gen.instant(y, z)
         for row, c in past_rows[i]:
             past = z[..., 0] if row is None else np.repeat(
-                frozen_z.values[row][..., 0], tree.branching ** (i - row), axis=0)
+                frozen_z[row][..., 0], tree.branching ** (i - row), axis=0)
             drift = drift + c * past
         return drift
 
-    def ancestors(process):
-        return lambda k: np.repeat(process.values[k], tree.branching ** (i - k), axis=0)
+    def ancestors(levels):
+        return lambda k: np.repeat(levels[k], tree.branching ** (i - k), axis=0)
 
     dt = tree.grid.dt
     past_y = _past_reader(ancestors(frozen_y), i, dt, y, None)
@@ -462,8 +460,8 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
         if i == n:
             continue
         z_val = z_process.values[i]
-        drift = level_drift(gen, tree, i, y_val, z_val, y_process, z_process,
-                            past_rows)
+        drift = level_drift(gen, tree, i, y_val, z_val, y_process.values,
+                            z_process.values, past_rows)
         int_z = int_z + dt * row_sq_norms(z_val)
         int_f = int_f + dt * row_sq_norms(drift)
     bound = (3 * (2 * big_l ** 2 + big_k) * horizon * sup_y

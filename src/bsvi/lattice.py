@@ -114,10 +114,6 @@ class AdaptedProcess:
                     f"level {i} has {arr.shape[0]} values, expected {self.tree.level_size(i)}"
                 )
 
-    @property
-    def last_level(self) -> int:
-        return len(self.values) - 1
-
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return AdaptedProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
 

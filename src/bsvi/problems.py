@@ -29,8 +29,8 @@ def terminal_linear(tree: ScenarioTree, a, b) -> np.ndarray:
 
 def terminal_clipped_linear(tree: ScenarioTree, a, b, lo, hi) -> np.ndarray:
     """Linear terminal clamped into [lo, hi] componentwise (keeps phi(xi) finite
-    for indicator penalties)."""
-    return np.clip(terminal_linear(tree, a, b), lo, hi)
+    for indicator penalties); a bound may be the string "inf" / "-inf" of a config echo."""
+    return np.clip(terminal_linear(tree, a, b), np.asarray(lo, float), np.asarray(hi, float))
 
 
 def box_linear_problem(n_steps: int = 4, horizon: float = 1.0):

@@ -37,12 +37,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import convex
-from .analysis import EpsilonTableRow, epsilon_table  # noqa: F401  (re-exported)
+from .analysis import epsilon_table
 from .convex import ConvexFunction, Zero
 from .generators import (CustomGenerator, GeneratorSpec, level_drift,
                          lipschitz_probe_audit, past_z_rows)
@@ -210,8 +209,6 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
     n, and ``epsilons`` the (blocks, 1, 1) column of a penalized step."""
     n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
-    # level_drift reads only ``values``; batch levels are not sized for one tree
-    frozen_y, frozen_z = SimpleNamespace(values=frozen_y), SimpleNamespace(values=frozen_z)
     y_levels = [None] * n + [xi]
     z_levels = [None] * n
     u_levels = [None] * n
@@ -235,25 +232,6 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         z_levels[i] = z_here
         u_levels[i] = u_here
     return y_levels, z_levels, u_levels
-
-
-def backward_pass(tree: ScenarioTree, xi, gen: GeneratorSpec,
-                  frozen: tuple | None = None):
-    """One classical backward sweep; returns the (Y, Z) pair.
-
-    ``frozen`` supplies the (Y, Z) processes the delay arguments are read from
-    and is mandatory for generators with a nonzero delay constant.
-    """
-    xi = _as_leaf_values(tree, xi)
-    if frozen is None:
-        if gen.uses_past():
-            raise ValueError("delayed generator needs frozen (Y, Z) paths")
-        frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], 1)
-    else:
-        frozen_y, frozen_z = frozen[0].values, frozen[1].values
-    ys, zs, _ = _one_pass(tree, xi.copy(), gen, frozen_y, frozen_z, None, None,
-                          past_z_rows(gen, tree))
-    return AdaptedProcess(tree, ys), AdaptedProcess(tree, zs)
 
 
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:

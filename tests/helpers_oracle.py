@@ -24,10 +24,10 @@ import numpy as np
 
 from bsvi import convex
 from bsvi import solver
-from bsvi.analysis import AprioriAudit, BoundAudit, YosidaAudit, _uniform_ok
+from bsvi.analysis import AprioriAudit, BoundAudit, EpsilonTableRow, YosidaAudit, _uniform_ok
 from bsvi.generators import CustomGenerator, origin_drift_mass, past_z_rows
 from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
-from bsvi.solver import EpsilonTableRow, PicardDiagnostics, Solution, SolverConfig
+from bsvi.solver import PicardDiagnostics, Solution, SolverConfig
 
 
 def history_value(process, level, node, query_time, kind):
@@ -205,7 +205,7 @@ def epsilon_table_one_by_one(per_eps, phi, tree):
 
 
 def path_norms_one_by_one(process, tree, beta=0.0):
-    """(S^2, H^2) of one process as `analysis.path_norms` defines them: the
+    """(S^2, H^2) of one process as `analysis.path_norm` defines them: the
     running max repeated down the tree level by level, one np.mean per level."""
     dt, n = tree.grid.dt, tree.grid.n_steps
     values = process.values

@@ -7,10 +7,11 @@ import pytest
 import bsvi
 from bsvi import convex, generators
 from bsvi.analysis import (
+    EpsilonTableRow,
     apriori_audit,
     default_subdiff_probes,
     epsilon_rate_fit,
-    path_norms,
+    path_norm,
     solution_residuals,
     stability_audit,
     yosida_audit,
@@ -24,7 +25,7 @@ from bsvi.problems import (
     terminal_constant,
     terminal_linear,
 )
-from bsvi.solver import EpsilonTableRow, SolverConfig, prox_step_solve, \
+from bsvi.solver import SolverConfig, prox_step_solve, \
     picard_solve, solve_bsvi, solve_penalized
 
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
@@ -43,12 +44,10 @@ def constant_process(tree, value, levels=None):
 def test_path_norms_zero_and_constant():
     tree = build_tree(4, 1.0, 1)
     zeros = constant_process(tree, 0.0)
-    rep = path_norms(zeros, tree)
-    assert rep.s2 == 0.0 and rep.h2 == 0.0
+    assert path_norm(zeros, tree, "s2") == 0.0 and path_norm(zeros, tree, "h2") == 0.0
     ones = constant_process(tree, 1.0)
-    rep = path_norms(ones, tree)
-    assert rep.s2 == pytest.approx(1.0)
-    assert rep.h2 == pytest.approx(1.0)
+    assert path_norm(ones, tree, "s2") == pytest.approx(1.0)
+    assert path_norm(ones, tree, "h2") == pytest.approx(1.0)
 
 
 def test_path_norms_brownian_two_steps():
@@ -56,16 +55,15 @@ def test_path_norms_brownian_two_steps():
     # s2 = mean of pathwise max(0, 0.5, W2^2) = (2 + 0.5 + 0.5 + 2)/4
     tree = build_tree(2, 1.0, 1)
     w = tree.path_sums()
-    rep = path_norms(w, tree)
-    assert rep.h2 == pytest.approx(0.75, abs=1e-12)
-    assert rep.s2 == pytest.approx(1.25, abs=1e-12)
+    assert path_norm(w, tree, "h2") == pytest.approx(0.75, abs=1e-12)
+    assert path_norm(w, tree, "s2") == pytest.approx(1.25, abs=1e-12)
 
 
 def leaf_enumeration_norms(process, tree, beta):
     """Independent oracle: explicit loop over every leaf path."""
     n = tree.grid.n_steps
     dt = tree.grid.dt
-    last = process.last_level
+    last = len(process.values) - 1
     sups = []
     for leaf in range(tree.level_size(last)):
         best = 0.0
@@ -92,10 +90,9 @@ def test_path_norms_against_leaf_enumeration(beta):
     zproc = AdaptedProcess(tree, [rng.normal(size=(tree.level_size(i), 2, 1))
                                   for i in range(4)])
     for p in (proc, zproc):
-        rep = path_norms(p, tree, beta)
         s2, h2 = leaf_enumeration_norms(p, tree, beta)
-        assert rep.s2 == pytest.approx(s2, abs=1e-12)
-        assert rep.h2 == pytest.approx(h2, abs=1e-12)
+        assert path_norm(p, tree, "s2", beta) == pytest.approx(s2, abs=1e-12)
+        assert path_norm(p, tree, "h2", beta) == pytest.approx(h2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

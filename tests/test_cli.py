@@ -137,7 +137,8 @@ def _set(section, key, value):
     _set("solver", "epsilon_schedule", 0.5),
     # a non-numeric value exited 3 validation
     _set("solver", "picard_tol", "abc"), _set("solver", "beta", "abc"),
-    _set("solver", "epsilon_schedule", [1.0, "abc"]), _set("run", "epsilon", "abc"),
+    _set("solver", "epsilon_schedule", [1.0, "abc"]),
+    _set("run", None, {"mode": "penalized", "epsilon": "abc"}),
     # a kind section's value read by a bare float() exited 3 validation
     _set("phi", None, {"kind": "quadratic", "c": "abc"}),
     _set("generator", None, {"kind": "delayed_z", "kappa": "abc", "lag": 0.0}),
@@ -176,6 +177,8 @@ def _set(section, key, value):
     _set("terminal", "c", 1.0), _set("generator", "a", [[1.0]]),
     _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "uniform", "theta": -0.5}}),
     _set("phi", "c", 1.0),
+    # accepted and ignored: epsilon outside penalized mode, a phi under classical mode
+    _set("run", "epsilon", 0.5), _set("phi", None, {"kind": "box", "lo": -5.0, "hi": 5.0}),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
         "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
@@ -186,7 +189,7 @@ def _set(section, key, value):
         "running_kappa_nan", "atom_nan", "linear_a_nan", "quadratic_c_nan", "one_norm_c_nan",
         "box_lo_nan", "unknown_top_key", "unknown_model_key", "unknown_solver_key",
         "unknown_run_key", "unknown_terminal_key", "unknown_generator_key",
-        "unknown_alpha_key", "unknown_phi_key"])
+        "unknown_alpha_key", "unknown_phi_key", "run_epsilon_unread", "classical_phi"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -249,6 +252,25 @@ def test_json_report_refuses_a_nonfinite_number(tmp_path):
     with pytest.raises(ValueError, match="JSON"):
         emit_report({"mode": "penalized", "value": float("inf")}, tmp_path, "json")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_json_report_echoes_an_infinite_bound_as_a_string(tmp_path):
+    # the whole solve ran, then the write refused the echoed "hi": inf and exited 3
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["terminal"]["lo"], doc["terminal"]["hi"] = 0.0, math.inf
+    doc["phi"] = {"kind": "box", "lo": 0.0, "hi": math.inf}
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=refuse)
+    assert report["config"]["phi"] == {"kind": "box", "lo": 0.0, "hi": "inf"}
+    cfg = config_from_dict(report["config"])
+    assert cfg.phi.hi.tolist() == [math.inf] and cfg.phi.lo.tolist() == [0.0]
+    assert np.array_equal(cfg.xi, parse_config(path).xi)
 
 
 def test_bsvi_run_does_not_import_numpy_ma(tmp_path):

@@ -83,7 +83,9 @@ def custom(fn):
 
 
 def level_drift_at(gen, tree, i, y, z, frozen_y, frozen_z):
-    return level_drift(gen, tree, i, y, z, frozen_y, frozen_z, past_z_rows(gen, tree))
+    """`level_drift` reading its past from the levels of two processes."""
+    return level_drift(gen, tree, i, y, z, frozen_y.values, frozen_z.values,
+                       past_z_rows(gen, tree))
 
 
 def test_quadrature_dirac_at_zero_is_current_value():
@@ -292,12 +294,10 @@ def test_running_integral_is_not_the_scaled_uniform_average():
                               for k in range(8)])
     y = tree.path_sums()
     running_gen = RunningIntegralZ(kappa=kappa)
-    running = level_drift(running_gen, tree, i, y.values[i], z.values[i], y, z,
-                          past_z_rows(running_gen, tree))
+    running = level_drift_at(running_gen, tree, i, y.values[i], z.values[i], y, z)
     uniform_gen = MovingAverageZ(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
                                  alpha=UniformPast())
-    scaled_uniform = level_drift(uniform_gen, tree, i, y.values[i], z.values[i], y, z,
-                                 past_z_rows(uniform_gen, tree))
+    scaled_uniform = level_drift_at(uniform_gen, tree, i, y.values[i], z.values[i], y, z)
     assert np.allclose(running, 0.65625, rtol=0, atol=1e-15)
     assert np.allclose(scaled_uniform, 0.7, rtol=0, atol=1e-15)
     z0 = 1.0
@@ -348,7 +348,7 @@ def test_level_drift_matches_per_node_evaluation(name):
     for i in range(4):
         y = rng.normal(size=(tree.level_size(i), m))
         z = rng.normal(size=(tree.level_size(i), m, d))
-        got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z, rows)
+        got = level_drift(gen, tree, i, y, z, frozen_y.values, frozen_z.values, rows)
         assert got.shape == y.shape
         for j in range(tree.level_size(i)):
             past_y, past_z = node_accessors(frozen_y, frozen_z, i, j,
@@ -370,7 +370,7 @@ def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():
     gen = MovingAverageZ(g=lambda t: 2.0, g_bound=2.0, alpha=Dirac(-0.1))
     rows = past_z_rows(gen, tree)
     assert rows == ((), ((0, 2.0),), ((1, 2.0),), ((2, 2.0),))
-    got = level_drift(gen, tree, 2, y.values[2], z.values[2] + 1.0, y, z, rows)
+    got = level_drift(gen, tree, 2, y.values[2], z.values[2] + 1.0, y.values, z.values, rows)
     assert np.array_equal(got, 2.0 * z.values[1][np.arange(4) >> 1, :, 0])
 
 
@@ -388,7 +388,7 @@ def test_custom_drift_of_wrong_shape_is_a_generator_error():
     gen = CustomGenerator(fn=lambda t, y, z, py, pz: np.zeros(2),
                           declared_instant=0.0, declared_delay=0.0)
     with pytest.raises(GeneratorError, match=r"t=0\.5, level 1; expected \(size, m\) = \(2, 1\)"):
-        level_drift(gen, tree, 1, y.values[1], z.values[1], y, z, past_z_rows(gen, tree))
+        level_drift_at(gen, tree, 1, y.values[1], z.values[1], y, z)
 
 
 def test_new_z_delay_drift_needs_only_a_spec_class():
@@ -410,7 +410,7 @@ def test_new_z_delay_drift_needs_only_a_spec_class():
     tree = build_tree(3, 0.75, 1)
     y, z = random_paths(tree, 5)
     gen = HalfYPlusLaggedZ()
-    got = level_drift(gen, tree, 2, y.values[2], z.values[2], y, z, past_z_rows(gen, tree))
+    got = level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
     expected = 0.5 * y.values[2] + 2.0 * z.values[1][np.arange(4) >> 1, :, 0]
     assert np.array_equal(got, expected)
 

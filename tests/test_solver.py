@@ -10,7 +10,7 @@ import pytest
 import bsvi
 from bsvi import convex, generators
 from bsvi import solver as solver_mod
-from bsvi.analysis import apriori_audit, epsilon_table, path_norms, yosida_audit
+from bsvi.analysis import apriori_audit, epsilon_table, path_norm, yosida_audit
 from bsvi.cli import config_from_dict
 from bsvi.lattice import level_moments
 from bsvi.problems import (
@@ -26,7 +26,6 @@ from bsvi.solver import (
     PicardNonConvergence,
     SolverConfig,
     WellposednessError,
-    backward_pass,
     check_wellposedness,
     picard_solve,
     prox_step_solve,
@@ -79,13 +78,14 @@ def test_gate_uniqueness_implies_existence():
 
 
 # ---------------------------------------------------------------------------
-# backward pass
+# backward pass (of a classical solve)
 # ---------------------------------------------------------------------------
 
 def test_backward_pass_martingale_representation():
     tree = bsvi.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    y, z = backward_pass(tree, xi, generators.ZeroGen())
+    sol = picard_solve(tree, xi, generators.ZeroGen())
+    y, z = sol.Y, sol.Z
     w = tree.path_sums()
     for i in range(5):
         assert np.allclose(y.values[i], w.values[i], atol=1e-12)
@@ -96,18 +96,12 @@ def test_backward_pass_martingale_representation():
 def test_backward_pass_constant_terminal():
     tree = bsvi.build_tree(3, 0.75, 1)
     xi = terminal_constant(tree, 2.5)
-    y, z = backward_pass(tree, xi, generators.ZeroGen())
+    sol = picard_solve(tree, xi, generators.ZeroGen())
+    y, z = sol.Y, sol.Z
     for arr in y.values:
         assert np.allclose(arr, 2.5)
     for arr in z.values:
         assert np.allclose(arr, 0.0)
-
-
-def test_backward_pass_requires_frozen_for_delay():
-    tree = bsvi.build_tree(2, 1.0, 1)
-    xi = terminal_linear(tree, 0.0, 1.0)
-    with pytest.raises(ValueError, match="frozen"):
-        backward_pass(tree, xi, generators.DelayedZ(kappa=1.0, lag=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +614,7 @@ def test_schedule_audits_match_on_solutions_copied_out_at_different_sweeps():
         "generator": {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5,
                       "alpha": {"kind": "uniform"}},
         "phi": {"kind": "box", "lo": -1.0, "hi": 1.0},
-        "solver": {"picard_tol": 1.0e-10}})
+        "solver": {"picard_tol": 1.0e-10}, "run": {"mode": "bsvi"}})
     res = solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config)
     assert [s.diagnostics.iterations_used for _, s in res.per_epsilon] == [9] + [10] * 10
     for beta in (0.0, 2.0):
@@ -661,9 +655,9 @@ def test_path_norms_match_one_process_at_a_time():
     (_, a), (_, b) = res.per_epsilon[:2]
     for proc in (a.Y, a.Z, a.U, a.Y - b.Y, a.Z - b.Z):
         for beta in (0.0, 0.7):
-            rep = path_norms(proc, tree, beta)
+            got = (path_norm(proc, tree, "s2", beta), path_norm(proc, tree, "h2", beta))
             want = path_norms_one_by_one(proc, tree, beta)
-            assert (_bits(rep.s2), _bits(rep.h2)) == tuple(map(_bits, want))
+            assert tuple(map(_bits, got)) == tuple(map(_bits, want))
 
 
 def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
@@ -698,7 +692,7 @@ def _delay_bsvi_drift():
         "terminal": {"kind": "clipped_linear", "a": [0.1], "b": [[1.0]], "lo": -1.0, "hi": 1.0},
         "generator": {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5,
                       "alpha": {"kind": "uniform"}},
-        "phi": {"kind": "box", "lo": -1.0, "hi": 1.0}})
+        "phi": {"kind": "box", "lo": -1.0, "hi": 1.0}, "run": {"mode": "bsvi"}})
 
 
 def _bm_dim_two():

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every name a module imports is used."""
+"""Source checks that need no linter: every name a module imports is used,
+and no module reads another module's private name."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,39 @@ def test_unused_import_check_flags_a_stale_name():
               "def f(x) -> 'np.ndarray':\n    return level_moments(x)\n")
     assert unused_imports(source) == ["math", "stacked_rows"]
     assert unused_imports("import numpy as np\ndef f(x: 'np.ndarray'): pass\n") == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source: str) -> list:
+    """Private names ``source`` reads from another module, in order: a
+    ``from m import _name``, or an ``m._name`` on a module it imports by
+    ``import m`` or ``from . import m``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if _private(a.name)]
+            if node.module is None:  # from . import analysis: the names are modules
+                modules |= {a.asname or a.name for a in node.names}
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_no_private_name_of_another(module):
+    assert private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_private_name_check_flags_a_reach_in():
+    source = ("from . import analysis\nfrom .convex import _as_points, prox\n"
+              "import numpy as np\nfrom .lattice import Tree\n"
+              "x = analysis._path_norm(Tree._size) + analysis.path_norm(np.pi)\n"
+              "y = np.__version__, prox\n")
+    assert private_reads(source) == ["_as_points", "analysis._path_norm"]
