@@ -53,7 +53,6 @@ from .solver import (
     picard_solve,
     prox_step_solve,
     solve_bsvi,
-    solve_penalized,
 )
 from .analysis import (
     BoundAudit,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex
-from .convex import ConvexFunction, Zero, subgradient_check
+from .convex import ConvexFunction, subgradient_check
 from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
 from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_moments,
                       row_sq_norms)
@@ -184,10 +184,11 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     """The epsilon table (unweighted) and the a priori and Yosida audits
     (weighted by ``beta``) of a schedule of (epsilon, Solution) from one pass
     over its levels; ``parts`` picks the ones computed (the table reads no
-    ``xi`` or ``gen``, the a priori audit no ``phi``).  At beta = 0 the two
-    audits share one `origin_drift_mass` (the Yosida audit's is unweighted)."""
+    ``xi`` or ``gen``, the a priori audit no ``phi``).  Each audit takes its
+    own `origin_drift_mass`: the a priori audit's is weighted by ``beta``,
+    the Yosida audit's is not."""
     epsilons, s = _schedule_sums(per_epsilon, phi, tree, beta, parts)
-    table = apriori = yosida = mass = None
+    table = apriori = yosida = None
     if "table" in parts:
         table = [EpsilonTableRow(*row) for row in zip(
             epsilons, epsilons[1:], np.sqrt(s["dy_s2"]).tolist(), np.sqrt(s["dz_h2"]).tolist(),
@@ -196,16 +197,14 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
         xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
         xi_sq = np.sum(xi ** 2, axis=1)
     if "apriori" in parts:
-        mass = origin_drift_mass(gen, tree, xi.shape[1], beta)
-        m1 = float(np.mean(xi_sq)) + mass
+        m1 = float(np.mean(xi_sq)) + origin_drift_mass(gen, tree, xi.shape[1], beta)
         rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
                      for eps, v in zip(epsilons, (s["y_s2"] + s["z_h2"]).tolist()))
         consts = [r.empirical_constant for r in rows]
         apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), float(statistics.median(consts)))
     if "yosida" in parts:
-        if mass is None or beta != 0:
-            mass = origin_drift_mass(gen, tree, xi.shape[1])
-        m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
+        m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + origin_drift_mass(
+            gen, tree, xi.shape[1])
         denom = m2 if m2 > 0 else 1.0
         grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
                           for eps, g in zip(epsilons, s["grad_h2"].tolist()))
@@ -363,7 +362,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     if probes is None:
         probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
-    penalized = solution.epsilon is not None and not isinstance(phi, Zero)
+    penalized = solution.epsilon is not None
     past_rows = past_z_rows(gen, tree)
     eq_res = 0.0
     sub_res = -np.inf

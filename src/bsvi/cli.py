@@ -172,7 +172,15 @@ def _problem(key, doc):
     if dim != xi.shape[1] or type(dim) is not int:  # 1.0 and True equal 1
         raise ConfigError(f"terminal dimension {xi.shape[1]} != model dim {dim!r}")
     gen = _build(key("generator"), "generator", GENERATOR_KINDS)
+    try:  # the past-Z terms of every level, as a solve resolves them
+        generators.past_z_rows(gen, tree)
+    except (generators.GeneratorError, ValueError) as exc:
+        raise ConfigError(f"section 'generator': {exc}") from exc
+    if isinstance(gen, generators.LinearInstant) and gen.b_z.shape != (dim, dim, tree.bm_dim):
+        raise ConfigError(f"section 'generator': b of shape {gen.b_z.shape} != (dim, dim, bm_dim)")
     phi = _build(key("phi", {"kind": "zero"}), "phi", PHI_KINDS)
+    if phi.m not in (None, dim):
+        raise ConfigError(f"section 'phi': dimension {phi.m} != model dim {dim}")
     sconf = _build(key("solver", {}), "solver", _solver_config)
     how = _build(key("run", {}), "run", _run_section, sconf.epsilon_schedule, phi)
     return ProblemConfig(raw=doc, tree=tree, xi=xi, gen=gen, phi=phi, solver_config=sconf, **how)
@@ -240,18 +248,12 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
     echo = json.loads(json.dumps(cfg.raw), parse_constant=lambda name: str(float(name)))
     report = {"config": echo, "mode": cfg.mode, "schemes": {}}
 
-    if cfg.mode == "classical":
-        name, sol = "classical", solver.picard_solve(cfg.tree, cfg.xi, cfg.gen,
-                                                     cfg.solver_config)
-    elif cfg.mode == "penalized":
-        name, sol = "penalized", solver.solve_penalized(
-            cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.epsilon, cfg.solver_config)
-    elif cfg.mode == "prox":
-        name, sol = "prox", solver.prox_step_solve(cfg.tree, cfg.xi, cfg.gen,
-                                                   cfg.phi, cfg.solver_config)
-    else:  # bsvi or compare
+    if cfg.mode in ("bsvi", "compare"):
         res = solver.solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config)
         name, sol = "penalized_final", res.solution
+    else:  # phi is zero in classical mode, epsilon set in penalized mode only
+        name, sol = cfg.mode, solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config,
+                                                  phi=cfg.phi, epsilon=cfg.epsilon)
     report["schemes"][name] = _solution_summary(sol, cfg.tree)
     report["residuals"] = asdict(analysis.solution_residuals(
         sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree))

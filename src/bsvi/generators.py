@@ -255,8 +255,8 @@ class MovingAverageZ(GeneratorSpec):
     """F(s) = int_{-T}^0 g(s + theta) z(s + theta) alpha(dtheta).
 
     ``g`` must be bounded measurable on [0, T] with g(t) = 0 for t < 0 (the
-    quadrature enforces the negative-argument cutoff); ``g_bound`` declares
-    sup |g| and feeds the delay Lipschitz constant K = g_bound^2.
+    quadrature cuts g where `lattice.grid_row` reads no row, so within its
+    slack below 0 it reads g(0)); ``g_bound`` declares sup |g|, K = g_bound^2.
     """
 
     g: Callable[[float], float]
@@ -267,7 +267,8 @@ class MovingAverageZ(GeneratorSpec):
         _check_finite(self.g_bound, "g_bound")
 
     def past_z_terms(self, t, horizon, dt):
-        return tuple((theta, w * (0.0 if t + theta < 0 else float(self.g(t + theta))))
+        return tuple((theta, w * (0.0 if t + theta < -TIME_SLACK * dt
+                                  else float(self.g(max(t + theta, 0.0)))))
                      for theta, w in self.alpha.discretize(horizon, dt))
 
     def lipschitz_instant(self):

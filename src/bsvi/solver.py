@@ -1,4 +1,4 @@
-"""Backward schemes for the delayed BSVI: classical, penalized and prox-step.
+"""Backward schemes for the delayed BSVI: penalized and prox-step.
 
 The outer Picard iteration freezes the past segments at the previous iterate
 (starting from the zero pair) and runs one backward pass per sweep:
@@ -6,9 +6,11 @@ The outer Picard iteration freezes the past segments at the previous iterate
     E_i   = mean of the node's children Y values        (exact expectation)
     Z_i   = martingale projection of the children
     Ytil  = E_i + dt * F(t_i, E_i, Z_i, frozen past)
-    Y_i   = Ytil                                         (no phi: classical)
-          | solve  Y + dt * grad phi_eps(Y) = Ytil       (phi and eps: penalized)
-          | prox(phi, dt, Ytil)                          (phi alone: prox step)
+    Y_i   = solve  Y + dt * grad phi_eps(Y) = Ytil       (eps given: penalized)
+          | prox(phi, dt, Ytil)                          (no eps: prox step)
+
+With phi = 0 (`convex.Zero`, the default) either step is the classical step
+Y_i = Ytil, U_i = +0.0 of the delayed BSDE, bitwise: the prox of zero is a copy.
 
 The penalized update is implicit in the penalty but closed-form: the resolvent
 identity in `convex.resolvent_step` reduces it to one prox evaluation at
@@ -204,7 +206,7 @@ def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
 
 
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-              frozen_y: list, frozen_z: list, phi: ConvexFunction | None,
+              frozen_y: list, frozen_z: list, phi: ConvexFunction,
               epsilons: np.ndarray | None, past_rows: tuple):
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
     n, and ``epsilons`` the (blocks, 1, 1) column of a penalized step."""
@@ -219,10 +221,7 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         # a new array: a custom drift may return an alias of its argument
         target = dt * drift
         target += expect
-        if phi is None or isinstance(phi, Zero):
-            y_here = target
-            u_here = np.zeros_like(target)
-        elif epsilons is not None:
+        if epsilons is not None:
             y_here, u_here = (a.reshape(-1, m) for a in convex.resolvent_step(
                 phi, epsilons, dt, target.reshape(len(epsilons), -1, m)))
         else:
@@ -291,18 +290,16 @@ def resolve_beta(config: SolverConfig, gen: GeneratorSpec) -> float:
 
 
 def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-                config: SolverConfig, phi: ConvexFunction | None) -> WellposednessReport:
+                config: SolverConfig, phi: ConvexFunction) -> WellposednessReport:
     """Once-per-solve admission checks, in order: the terminal data lies in
-    dom phi (when there is a phi), the well-posedness gate, which warns or,
-    under ``hard_gate``, raises `WellposednessError`, and for a
-    `CustomGenerator` the probe audit of its declared constants.  Warnings
-    point at the caller of the solve entry point."""
-    if phi is not None:
-        bad = np.flatnonzero(~np.isfinite(np.atleast_1d(phi.value(xi))))
-        if bad.size:
-            raise ValueError(
-                f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
-                "terminal data must lie in the domain of phi")
+    dom phi, the well-posedness gate, which warns or, under ``hard_gate``,
+    raises `WellposednessError`, and for a `CustomGenerator` the probe audit
+    of its declared constants.  Warnings point at the caller of the solve."""
+    bad = np.flatnonzero(~np.isfinite(np.atleast_1d(phi.value(xi))))
+    if bad.size:
+        raise ValueError(
+            f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
+            "terminal data must lie in the domain of phi")
     horizon = tree.grid.horizon
     report = check_wellposedness(gen.lipschitz_instant(), gen.lipschitz_delay(horizon),
                                  horizon, resolve_beta(config, gen))
@@ -326,23 +323,20 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 
 def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
                  config: SolverConfig | None = None, *,
-                 phi: ConvexFunction | None = None,
+                 phi: ConvexFunction = Zero(),
                  epsilon: float | None = None) -> Solution:
     """Outer fixed-point iteration over the frozen past segments.
 
-    (phi, epsilon) picks the backward step: no ``phi`` is the classical step,
-    ``phi`` with ``epsilon > 0`` the penalized step at that level, and ``phi``
-    alone the prox step (the eps -> 0 reflection).  Starts from the zero pair,
-    sweeps until the weighted iterate distance falls below ``picard_tol``, and
-    raises `PicardNonConvergence` on blow-up (ratio above ``DIVERGENCE_RATIO``
-    for ``DIVERGENCE_PATIENCE`` consecutive sweeps) or exhaustion of
+    ``epsilon > 0`` picks the penalized step at that level, no ``epsilon``
+    the prox step (the eps -> 0 reflection); with the default phi = 0 either
+    is the classical step.  Starts from the zero pair, sweeps until the
+    weighted iterate distance falls below ``picard_tol``, and raises
+    `PicardNonConvergence` on blow-up (ratio above ``DIVERGENCE_RATIO`` for
+    ``DIVERGENCE_PATIENCE`` consecutive sweeps) or exhaustion of
     ``picard_max_iters``.  `_check_gate` admits the problem first.
     """
-    if epsilon is not None:
-        if phi is None:
-            raise ValueError("epsilon needs a phi to penalize")
-        if not 0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
     config = config or SolverConfig()
     xi = _as_leaf_values(tree, xi)
     report = _check_gate(tree, xi, gen, config, phi)
@@ -350,7 +344,7 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
 
 
 def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-                  config: SolverConfig, phi: ConvexFunction | None,
+                  config: SolverConfig, phi: ConvexFunction,
                   epsilons: tuple, report: WellposednessReport) -> list:
     """The Picard loop of one solve per entry of ``epsilons`` (all None or all
     positive) as one batch; returns one `Solution` per entry.  A converged
@@ -436,13 +430,6 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     if failure is not None:
         raise failure
     return solutions
-
-
-def solve_penalized(tree: ScenarioTree, xi, gen: GeneratorSpec,
-                    phi: ConvexFunction, epsilon: float,
-                    config: SolverConfig | None = None) -> Solution:
-    """Solve the approximating equation with penalty gradient at level eps."""
-    return picard_solve(tree, xi, gen, config, phi=phi, epsilon=epsilon)
 
 
 @dataclass(eq=False)

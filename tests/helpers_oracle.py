@@ -137,7 +137,7 @@ def level_moments_einsum(tree, y_next):
     return kids.sum(axis=1) / b, z
 
 
-def picard_every_sweep(tree, xi, gen, config=None, *, phi=None, epsilon=None):
+def picard_every_sweep(tree, xi, gen, config=None, *, phi=convex.Zero(), epsilon=None):
     """`solver.picard_solve` with every sweep computed: one solve whose
     confirmation sweep runs a backward pass and measures its distance even
     when no pass reads a frozen row.  Keeps the diagnostics as the solver

@@ -25,8 +25,7 @@ from bsvi.problems import (
     quadratic_problem,
     terminal_linear,
 )
-from bsvi.solver import SolverConfig, picard_solve, prox_step_solve, \
-    solve_bsvi, solve_penalized
+from bsvi.solver import SolverConfig, picard_solve, prox_step_solve, solve_bsvi
 from helpers_oracle import assert_solution_matches_oracle
 from test_convex import assert_yosida_properties, builtin_specs
 
@@ -61,7 +60,7 @@ def test_criterion_2_classical_reduction():
     tree = bsvi.build_tree(10, 1.0, 1)
     a, b = 0.3, 1.7
     xi = terminal_linear(tree, a, b)
-    sol = solve_penalized(tree, xi, generators.ZeroGen(), convex.Zero(), 0.5)
+    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Zero(), epsilon=0.5)
     w = tree.path_sums()
     worst = 0.0
     for i in range(11):
@@ -140,8 +139,8 @@ def test_criterion_4_fixed_point_oracle():
 
     phi = convex.Quadratic(2.0)
     xi5 = terminal_linear(tree, 0.5, 1.0)
-    sol = solve_penalized(tree, xi5, generators.DelayedZ(kappa=0.3, lag=dt),
-                          phi, 0.2, tol)
+    sol = picard_solve(tree, xi5, generators.DelayedZ(kappa=0.3, lag=dt), tol,
+                       phi=phi, epsilon=0.2)
     assert_solution_matches_oracle(
         tree, xi5, sol,
         lambda i, e, zn, oy, oz, j: 0.3 * oz[i - 1][j >> 1] if i >= 1 else 0.0,
@@ -237,15 +236,15 @@ def test_criterion_8_uniform_bounds():
 def test_criterion_9_solution_residuals():
     runs = []
     tree, xi, gen, phi = box_linear_problem(4)
-    runs.append(("box penalized", solve_penalized(tree, xi, gen, phi, 2.0 ** -10),
+    runs.append(("box penalized", picard_solve(tree, xi, gen, phi=phi, epsilon=2.0 ** -10),
                  xi, gen, phi, tree))
     runs.append(("box prox", prox_step_solve(tree, xi, gen, phi),
                  xi, gen, phi, tree))
     tree, xi, gen, phi = quadratic_problem(4)
-    runs.append(("quadratic penalized", solve_penalized(tree, xi, gen, phi, 0.25),
+    runs.append(("quadratic penalized", picard_solve(tree, xi, gen, phi=phi, epsilon=0.25),
                  xi, gen, phi, tree))
     tree, xi, gen, phi = delayed_box_problem()
-    runs.append(("delayed penalized", solve_penalized(tree, xi, gen, phi, 2.0 ** -8),
+    runs.append(("delayed penalized", picard_solve(tree, xi, gen, phi=phi, epsilon=2.0 ** -8),
                  xi, gen, phi, tree))
     tree2 = bsvi.build_tree(5, 1.0, 1)
     xi2 = terminal_linear(tree2, 0.1, 1.2)
@@ -297,8 +296,8 @@ def test_criterion_10_stability():
         xi_a = 0.2 + 0.5 * w_T
         xi_b = xi_a + 0.05 * np.sin(3.0 * w_T)
         config = SolverConfig(picard_tol=1e-12)
-        sol_a = solve_penalized(tr, xi_a, gen_d, phi, 0.25, config)
-        sol_b = solve_penalized(tr, xi_b, gen_d, phi, 0.25, config)
+        sol_a = picard_solve(tr, xi_a, gen_d, config, phi=phi, epsilon=0.25)
+        sol_b = picard_solve(tr, xi_b, gen_d, config, phi=phi, epsilon=0.25)
         consts.append(stability_audit(sol_a, sol_b, xi_a, xi_b, gen_d, gen_d,
                                       tr).empirical_constant)
     halving_ok = consts[1] <= 2 * consts[0] and consts[0] <= 2 * consts[1]

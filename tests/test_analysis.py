@@ -25,8 +25,7 @@ from bsvi.problems import (
     terminal_constant,
     terminal_linear,
 )
-from bsvi.solver import SolverConfig, prox_step_solve, \
-    picard_solve, solve_bsvi, solve_penalized
+from bsvi.solver import SolverConfig, picard_solve, prox_step_solve, solve_bsvi
 
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
 
@@ -169,8 +168,8 @@ def test_stability_constant_stable_under_dt_halving():
         xi = 0.2 + 0.5 * w_T
         xi_pert = xi + 0.05 * np.sin(3.0 * w_T)
         config = SolverConfig(picard_tol=1e-12)
-        sol_a = solve_penalized(tree, xi, gen, phi, 0.25, config)
-        sol_b = solve_penalized(tree, xi_pert, gen, phi, 0.25, config)
+        sol_a = picard_solve(tree, xi, gen, config, phi=phi, epsilon=0.25)
+        sol_b = picard_solve(tree, xi_pert, gen, config, phi=phi, epsilon=0.25)
         audit = stability_audit(sol_a, sol_b, xi, xi_pert, gen, gen, tree)
         consts.append(audit.empirical_constant)
     assert consts[1] <= 2.0 * consts[0]
@@ -209,7 +208,7 @@ def test_residuals_zero_phi():
                                      delayed_box_problem])
 def test_residuals_penalized_and_prox(builder):
     tree, xi, gen, phi = builder()
-    pen = solve_penalized(tree, xi, gen, phi, 2.0 ** -10)
+    pen = picard_solve(tree, xi, gen, phi=phi, epsilon=2.0 ** -10)
     rep = solution_residuals(pen, xi, gen, phi, tree)
     assert rep.equation_residual <= 1e-12
     assert rep.subdiff_residual <= 1e-8
@@ -302,7 +301,7 @@ def test_yosida_audit_quadratic_gap_constant():
     gen = generators.ZeroGen()
     phi = convex.Quadratic(2.0)
     eps = 0.5
-    sol = solve_penalized(tree, xi, gen, phi, eps)
+    sol = picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
     audit = yosida_audit([(eps, sol)], phi, xi, gen, tree)
     shrink = eps * 2.0 / (1 + eps * 2.0)
     expected = max(float(np.mean((shrink * y) ** 2)) for y in sol.Y.values)

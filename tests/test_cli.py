@@ -124,6 +124,17 @@ def _set(section, key, value):
     return edit
 
 
+def _all(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
+# two noise components, with a terminal that reads both
+BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
+
+
 @pytest.mark.parametrize("edit", [
     # truncated by int(): 2.7 ran a 2-step tree and exited 0
     _set("model", "n_steps", 2.7), _set("model", "n_steps", True),
@@ -179,6 +190,16 @@ def _set(section, key, value):
     _set("phi", "c", 1.0),
     # accepted and ignored: epsilon outside penalized mode, a phi under classical mode
     _set("run", "epsilon", 0.5), _set("phi", None, {"kind": "box", "lo": -5.0, "hi": 5.0}),
+    # sections that disagree: an uncaught GeneratorError exited 1 with a traceback
+    _all(*BM_DIM_2, _set("generator", None, {"kind": "delayed_z", "kappa": 0.5, "lag": 0.25})),
+    # exit 3 mid-run: a delay offset beyond the horizon, a 2-D phi or drift on dim 1
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "dirac", "theta": -1.5}}),
+    _all(_set("run", "mode", "prox"),
+         _set("phi", None, {"kind": "box", "lo": [-5.0, -5.0], "hi": [5.0, 5.0]})),
+    _set("generator", None, {"kind": "linear", "a": [[0.1, 0.0], [0.0, 0.1]],
+                             "b": [[[0.0], [0.0]], [[0.0], [0.0]]]}),
+    # exit 0: b broadcast over both noise components, L computed from b as given
+    _all(*BM_DIM_2, _set("generator", None, {"kind": "linear", "a": [[0.1]], "b": [[[0.3]]]})),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
         "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
@@ -189,7 +210,9 @@ def _set(section, key, value):
         "running_kappa_nan", "atom_nan", "linear_a_nan", "quadratic_c_nan", "one_norm_c_nan",
         "box_lo_nan", "unknown_top_key", "unknown_model_key", "unknown_solver_key",
         "unknown_run_key", "unknown_terminal_key", "unknown_generator_key",
-        "unknown_alpha_key", "unknown_phi_key", "run_epsilon_unread", "classical_phi"])
+        "unknown_alpha_key", "unknown_phi_key", "run_epsilon_unread", "classical_phi",
+        "delayed_z_bm_dim_2", "dirac_beyond_horizon", "box_2d_dim_1", "linear_2x2_dim_1",
+        "linear_b_bm_dim_1_on_2"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -499,6 +522,30 @@ def test_experiment_script_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _report_diff():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import report_diff
+    return report_diff
+
+
+def test_report_diff_flags_the_differing_files(tmp_path):
+    for side in ("a", "b"):
+        for name, text in (("run/json/report.json", "{}"), ("run/csv/summary.csv", side)):
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text, encoding="utf-8")
+    differing_files = _report_diff().differing_files
+    assert differing_files(tmp_path / "a", tmp_path / "b") == ["run/csv/summary.csv"]
+    (tmp_path / "b" / "error.txt").write_text("ValueError\n", encoding="utf-8")
+    assert differing_files(tmp_path / "a", tmp_path / "b") == ["error.txt", "run/csv/summary.csv"]
+
+
+def test_report_diff_configs_all_build():
+    docs = _report_diff().configs()
+    assert len(docs) == 14
+    modes = {name: config_from_dict(doc).mode for name, doc in docs.items()}
+    assert modes["delay_bsvi-classical"] == "classical" and modes["box_compare-seed5"] == "compare"
 
 
 def test_readme_config_format_block_builds():

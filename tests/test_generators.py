@@ -374,6 +374,14 @@ def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():
     assert np.array_equal(got, 2.0 * z.values[1][np.arange(4) >> 1, :, 0])
 
 
+def test_moving_average_reads_g_where_the_grid_row_is_read():
+    # at horizon 0.3 and n = 3, t_1 - 0.1 = -1.4e-17: grid_row snaps it to
+    # row 0, so g must be read there at g(0), as the lag of DelayedZ is
+    tree = build_tree(3, 0.3, 1)
+    gen = MovingAverageZ(g=lambda t: 1.0 if t >= 0 else 0.0, g_bound=1.0, alpha=Dirac(-0.1))
+    assert past_z_rows(gen, tree) == past_z_rows(DelayedZ(kappa=1.0, lag=0.1), tree)
+
+
 def test_past_z_rows_keep_the_one_dimensional_noise_check():
     tree = build_tree(2, 1.0, 2)
     for gen in (DelayedZ(kappa=1.0, lag=0.5), RunningIntegralZ(kappa=1.0)):

@@ -31,7 +31,6 @@ from bsvi.solver import (
     prox_step_solve,
     resolve_beta,
     solve_bsvi,
-    solve_penalized,
 )
 
 # the pure z-delay fixtures have L = 0 with K > 0, which the gate flags
@@ -143,7 +142,7 @@ def test_delay_reduction_matches_zero_generator_bitwise():
 def test_terminal_values_kept_bit_exact():
     tree, xi, gen, phi = box_linear_problem(4)
     for sol in (picard_solve(tree, xi, generators.ZeroGen()),
-                solve_penalized(tree, xi, gen, phi, 0.125),
+                picard_solve(tree, xi, gen, phi=phi, epsilon=0.125),
                 prox_step_solve(tree, xi, gen, phi)):
         assert np.array_equal(sol.Y.values[-1], xi)
 
@@ -491,7 +490,7 @@ def _every_sweep(scheme, tree, xi, gen, phi, config):
         return [picard_every_sweep(tree, xi, gen, config, phi=phi, epsilon=eps)
                 for eps in config.epsilon_schedule]
     return [picard_every_sweep(tree, xi, gen, config,
-                               phi=None if scheme == "classical" else phi)]
+                               phi=convex.Zero() if scheme == "classical" else phi)]
 
 
 def _assert_same_solutions(got, want):
@@ -780,18 +779,6 @@ def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
         list(map(_row_bits, epsilon_table_one_by_one(res.per_epsilon, phi, tree)))
 
 
-@pytest.mark.parametrize("beta, calls", [(0.0, 1), (0.5, 2)])
-def test_schedule_audits_compute_the_origin_drift_mass_once_at_beta_zero(monkeypatch, beta,
-                                                                         calls):
-    tree, xi, gen, phi, res = _solved("delayed_z_box")
-    seen = []
-    real = bsvi.analysis.origin_drift_mass
-    monkeypatch.setattr(bsvi.analysis, "origin_drift_mass",
-                        lambda *args: seen.append(args) or real(*args))
-    bsvi.analysis.schedule_audits(res.per_epsilon, phi, xi, gen, tree, beta)
-    assert len(seen) == calls
-
-
 def test_schedule_audits_pass_holds_at_most_9_leaf_levels():
     # the pass holds the running maxes of its two S^2 statistics going down
     # and one run's temporaries at a time
@@ -892,8 +879,7 @@ def test_oracle_delayed_z_with_quadratic_penalty():
     xi = terminal_linear(tree, 0.5, 1.0)
     gen = generators.DelayedZ(kappa=0.3, lag=dt)
     phi = convex.Quadratic(2.0)
-    sol = solve_penalized(tree, xi, gen, phi, 0.2,
-                          SolverConfig(picard_tol=1e-14))
+    sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14), phi=phi, epsilon=0.2)
 
     def drift(i, expect, z_now, old_y, old_z, node):
         return 0.3 * old_z[i - 1][node >> 1] if i >= 1 else 0.0
@@ -911,7 +897,7 @@ def test_penalized_quadratic_matches_scalar_recursion():
     tree = bsvi.build_tree(4, 1.0, 1)
     c, eps = 1.0, 0.5
     xi = terminal_constant(tree, 2.0)
-    sol = solve_penalized(tree, xi, generators.ZeroGen(), convex.Quadratic(c), eps)
+    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Quadratic(c), epsilon=eps)
     dt = tree.grid.dt
     factor = (1 + eps * c) / (1 + (dt + eps) * c)
     assert sol.Y.values[0][0, 0] == pytest.approx(2.0 * factor ** 4, abs=1e-13)
@@ -927,7 +913,7 @@ def test_penalized_zero_phi_is_unpenalized_bitwise():
     xi = terminal_linear(tree, 0.2, 1.0)
     gen = generators.linear_scalar(0.3, -0.2)
     plain = picard_solve(tree, xi, gen)
-    pen = solve_penalized(tree, xi, gen, convex.Zero(), 1e-3)
+    pen = picard_solve(tree, xi, gen, phi=convex.Zero(), epsilon=1e-3)
     for a, b in zip(plain.Y.values, pen.Y.values):
         assert np.array_equal(a, b)
     for arr in pen.U.values:
@@ -938,8 +924,7 @@ def test_penalized_rejects_terminal_outside_domain():
     tree = bsvi.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)  # reaches +-sqrt(3)... outside the box
     with pytest.raises(ValueError, match="domain of phi"):
-        solve_penalized(tree, xi, generators.ZeroGen(),
-                        convex.IndicatorBox(-1, 1), 0.5)
+        picard_solve(tree, xi, generators.ZeroGen(), phi=convex.IndicatorBox(-1, 1), epsilon=0.5)
 
 
 def test_penalized_halfline_martingale_stays_untouched():
@@ -948,7 +933,7 @@ def test_penalized_halfline_martingale_stays_untouched():
     w_T = tree.path_sums().values[-1]
     xi = np.minimum(w_T, 0.0)
     phi = convex.IndicatorBox(-np.inf, 0.0)
-    sol = solve_penalized(tree, xi, generators.ZeroGen(), phi, 0.25)
+    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=phi, epsilon=0.25)
     base = picard_solve(tree, xi, generators.ZeroGen())
     for a, b in zip(sol.Y.values, base.Y.values):
         assert np.allclose(a, b, atol=1e-14)
@@ -1017,8 +1002,8 @@ def test_multivalued_term_is_monotone_across_data():
     tree, xi, gen, phi = box_linear_problem(4)
     xi2 = terminal_clipped_linear(tree, -0.3, 0.8, -1.0, 1.0)
     eps = 0.125
-    sol_a = solve_penalized(tree, xi, gen, phi, eps)
-    sol_b = solve_penalized(tree, xi2, gen, phi, eps)
+    sol_a = picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
+    sol_b = picard_solve(tree, xi2, gen, phi=phi, epsilon=eps)
     dt = tree.grid.dt
     total = sum(
         dt * float(np.mean(np.sum(
@@ -1029,17 +1014,50 @@ def test_multivalued_term_is_monotone_across_data():
 
 
 def test_phi_and_epsilon_pick_the_step():
-    # phi alone is the prox step, phi with epsilon the penalized step
+    # phi alone is the prox step; with the default phi = 0 the penalized step
+    # is the classical one, down to the sign of U = +0.0
     tree, xi, gen, phi = box_linear_problem(4)
     pairs = ((picard_solve(tree, xi, gen, phi=phi), prox_step_solve(tree, xi, gen, phi)),
-             (picard_solve(tree, xi, gen, phi=phi, epsilon=0.125),
-              solve_penalized(tree, xi, gen, phi, 0.125)))
+             (picard_solve(tree, xi, gen, epsilon=0.125), picard_solve(tree, xi, gen)))
     for got, want in pairs:
-        assert got.epsilon == want.epsilon
         for proc in ("Y", "Z", "U"):
             for a, b in zip(getattr(got, proc).values, getattr(want, proc).values):
-                assert np.array_equal(a, b)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     assert pairs[0][0].epsilon is None and pairs[1][0].epsilon == 0.125
+    assert not any(np.signbit(u).any() for u in pairs[1][1].U.values)
+
+
+REFLECTED_DRIFTS = {  # each drift and its mirror, every z coefficient negated
+    "moving_average": tuple(generators.MovingAverageZ(
+        g=lambda t, s=sign: s * (0.5 - 0.1 * t), g_bound=0.5,
+        alpha=generators.UniformPast()) for sign in (1.0, -1.0)),
+    "delayed_z": (generators.DelayedZ(0.7, 0.3), generators.DelayedZ(-0.7, 0.3)),
+    "linear": (generators.linear_scalar(0.25, 0.4), generators.linear_scalar(0.25, -0.4)),
+}
+
+
+@pytest.mark.parametrize("drift", sorted(REFLECTED_DRIFTS))
+def test_reflected_noise_reflects_every_step_exactly(drift):
+    # W -> -W reverses the rows of every level: with the z coefficients
+    # negated, each scheme's (Y, U) on the mirror data is its (Y, U) reversed
+    # and Z reversed and negated, exactly, and takes as many sweeps
+    tree = bsvi.build_tree(8, 1.0, 1)
+    phi = convex.IndicatorBox(-1.0, 1.0)
+    xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
+
+    def solves(xi, gen):
+        return [picard_solve(tree, xi, gen), prox_step_solve(tree, xi, gen, phi),
+                picard_solve(tree, xi, gen, phi=phi, epsilon=0.01),
+                *(sol for _, sol in solve_bsvi(tree, xi, gen, phi).per_epsilon)]
+
+    gen, mirror = REFLECTED_DRIFTS[drift]
+    pairs = list(zip(solves(xi, gen), solves(xi[::-1], mirror)))
+    assert len(pairs) == 14
+    for sol, ref in pairs:
+        assert sol.diagnostics.iterations_used == ref.diagnostics.iterations_used
+        for proc, sign in (("Y", 1.0), ("Z", -1.0), ("U", 1.0)):
+            for a, b in zip(getattr(sol, proc).values, getattr(ref, proc).values):
+                assert np.array_equal(sign * a[::-1], b), proc
 
 
 def test_picard_solve_rejects_inconsistent_step_arguments():
@@ -1047,8 +1065,6 @@ def test_picard_solve_rejects_inconsistent_step_arguments():
     for eps in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
-    with pytest.raises(ValueError, match="phi"):
-        picard_solve(tree, xi, gen, epsilon=0.5)
 
 
 def test_penalized_approaches_prox_scheme():
