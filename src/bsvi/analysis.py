@@ -48,6 +48,8 @@ def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
     enumeration of the discrete Brownian path), an integrand-type process on
     n levels with left endpoints, the Ito convention of the scheme itself.
     """
+    if stat not in ("s2", "h2"):
+        raise ValueError(f"unknown path statistic {stat!r}: expected 's2' or 'h2'")
     dt, values = tree.grid.dt, process.values
     weights = [math.exp(beta * i * dt) for i in range(len(values))]
     if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
@@ -187,6 +189,8 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     ``xi`` or ``gen``, the a priori audit no ``phi``).  Each audit takes its
     own `origin_drift_mass`: the a priori audit's is weighted by ``beta``,
     the Yosida audit's is not."""
+    if unknown := [p for p in parts if p not in ScheduleAudits._fields]:
+        raise ValueError(f"unknown audit parts {unknown}: expected {ScheduleAudits._fields}")
     epsilons, s = _schedule_sums(per_epsilon, phi, tree, beta, parts)
     table = apriori = yosida = None
     if "table" in parts:
@@ -331,16 +335,11 @@ def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
     boundary)."""
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     probes = [np.zeros(xi.shape[1])]
-    lo = getattr(phi, "lo", None)
-    hi = getattr(phi, "hi", None)
+    lo, hi = getattr(phi, "lo", None), getattr(phi, "hi", None)
     if lo is not None and hi is not None:
-        for corner in (lo, hi):
-            if np.all(np.isfinite(corner)):
-                probes.append(np.asarray(corner, dtype=float))
-    for row in xi:
-        probes.append(convex.prox(phi, 1e-9, row))
-        if len(probes) >= cap:
-            break
+        probes += [np.asarray(c, dtype=float) for c in (lo, hi) if np.all(np.isfinite(c))]
+    # one prox over the rows the cap admits (at least one), duplicates counted
+    probes += list(convex.prox(phi, 1e-9, xi[:max(1, cap - len(probes))]))
     uniq = {}
     for p in probes:  # first seen kept; + 0.0 makes -0.0 and 0.0 one key, as array_equal
         uniq.setdefault((p + 0.0).tobytes(), p)
@@ -373,14 +372,16 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
                             past_rows)
         resid = y_val + dt * u_val - expect - dt * drift
-        eq_res = max(eq_res, float(np.max(np.abs(resid))))
+        # np.maximum, unlike the builtin max, keeps a NaN residual
+        eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))
         if penalized:
             point = convex.prox(phi, solution.epsilon, y_val)
             grad = (y_val - point) / solution.epsilon
         else:
             point, grad = y_val, u_val
-        sub_res = max(sub_res, subgradient_check(phi, point, grad, probes).worst_violation)
+        sub_res = float(np.maximum(
+            sub_res, subgradient_check(phi, point, grad, probes).worst_violation))
         phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
     return ResidualReport(equation_residual=eq_res,
-                          subdiff_residual=float(sub_res),
+                          subdiff_residual=sub_res,
                           phi_integrability=phi_mass)

@@ -271,21 +271,25 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
     every probe v; the worst (largest) left-minus-right slack is returned and
     the check passes iff it stays below ``tol``.  Probes outside the domain
     satisfy the inequality trivially.  Batched (y, u) pairs on leading axes
-    are checked together, the worst slack running over all of them.
+    are checked together, the worst slack (NaN fails) running over all of
+    them, in (probes, pairs) chunks of about max(pairs, 2^16) slacks.
     """
-    point = _as_points(y)
-    grad = _as_points(u)
+    point, grad = (a.reshape(-1, a.shape[-1])
+                   for a in np.broadcast_arrays(_as_points(y), _as_points(u)))
     phi_y = spec.value(point)
     if not np.all(np.isfinite(phi_y)):
         raise ValueError("subgradient check requires y in the domain of phi")
     worst = -np.inf
-    for v in probes:
-        vv = _as_points(v)
-        phi_v = float(spec.value(vv))
-        if not np.isfinite(phi_v):
-            continue
-        violation = np.sum(grad * (vv - point), axis=-1) + phi_y - phi_v
-        worst = max(worst, float(np.max(violation)))
+    if not len(probes):
+        return SubgradientCheck(passed=True, worst_violation=worst)
+    vs = np.array([_as_points(v).reshape(-1) for v in probes])
+    phi_v = spec.value(vs)
+    vs, phi_v = vs[np.isfinite(phi_v)], phi_v[np.isfinite(phi_v), None]
+    chunk = max(len(point), 2 ** 16) // max(len(point), 1)
+    for a in range(0, len(vs), chunk):
+        violation = np.sum(grad * (vs[a:a + chunk, None] - point), axis=-1) + phi_y \
+            - phi_v[a:a + chunk]
+        worst = float(np.maximum(worst, np.max(violation)))
     return SubgradientCheck(passed=worst <= tol, worst_violation=worst)
 
 

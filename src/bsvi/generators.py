@@ -401,22 +401,48 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     return tuple(levels)
 
 
+def prefix_coefficients(gen: GeneratorSpec, past_rows: tuple) -> tuple | None:
+    """Row k's coefficient c_k of a column-constant `past_z_rows` table, or
+    None.  Column-constant: level i reads the frozen rows 0..i-1 in order, each
+    with its one c_k, then at most the current z, and ``instant`` is zero."""
+    if isinstance(gen, CustomGenerator) or type(gen).instant is not GeneratorSpec.instant:
+        return None
+    coeffs = tuple(c for _, c in past_rows[-1][:len(past_rows) - 1])
+    rows = tuple(enumerate(coeffs))
+    return coeffs if len(rows) == len(past_rows) - 1 and all(
+        terms[:i] == rows[:i] and [row for row, _ in terms[i:]] in ([], [None])
+        for i, terms in enumerate(past_rows)) else None
+
+
+def frozen_prefix(coeffs: tuple, frozen_z: list, branching: int) -> list:
+    """Every level's frozen part sum_{k<i} c_k z_k as a scan down the tree:
+    P_0 = 0, P_i = repeat(P_{i-1} + c_{i-1} z_{i-1}, B).  Each node adds the
+    terms in the order of `level_drift`'s per-term sum: the same bits."""
+    levels = [np.zeros(frozen_z[0].shape[:-1])]
+    for k, c in enumerate(coeffs):
+        levels.append(np.repeat(levels[k] + c * frozen_z[k][..., 0], branching, axis=0))
+    return levels
+
+
 def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
-                frozen_y: list, frozen_z: list, past_rows: tuple) -> np.ndarray:
+                frozen_y: list, frozen_z: list, past_rows: tuple,
+                prefix: list | None = None) -> np.ndarray:
     """Drift F(t_i, y, z, past) at every node of level i as a (size, m) array.
 
     The past segments are read from the level lists (frozen_y, frozen_z),
     ``frozen_z[k]`` holding grid row k, except at offset 0, which resolves to
     the level's current (y, z).  A built-in is
     ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
-    `past_z_rows(gen, tree)` table, each frozen row repeated down to level i.
+    `past_z_rows(gen, tree)` table, each frozen row repeated down to level i
+    (or with a `frozen_prefix`, its level i, and the current term).
     A `CustomGenerator` callback is called once, on the whole level: its
     accessors return the (size, ...) ancestor rows of (frozen_y, frozen_z),
     repeated down to level i, with the Y(0) / zero extension before time 0.
     """
     if not isinstance(gen, CustomGenerator):
-        drift = gen.instant(y, z)
-        for row, c in past_rows[i]:
+        drift, terms = ((gen.instant(y, z), past_rows[i]) if prefix is None
+                        else (prefix[i], past_rows[i][i:]))
+        for row, c in terms:
             past = z[..., 0] if row is None else np.repeat(
                 frozen_z[row][..., 0], tree.branching ** (i - row), axis=0)
             drift = drift + c * past

@@ -45,8 +45,8 @@ import numpy as np
 from . import convex
 from .analysis import epsilon_table
 from .convex import ConvexFunction, Zero
-from .generators import (CustomGenerator, GeneratorSpec, level_drift,
-                         lipschitz_probe_audit, past_z_rows)
+from .generators import (CustomGenerator, GeneratorSpec, frozen_prefix, level_drift,
+                         lipschitz_probe_audit, past_z_rows, prefix_coefficients)
 from .lattice import AdaptedProcess, ScenarioTree, level_moments
 
 
@@ -207,17 +207,20 @@ def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
 
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: list, frozen_z: list, phi: ConvexFunction,
-              epsilons: np.ndarray | None, past_rows: tuple):
+              epsilons: np.ndarray | None, past_rows: tuple,
+              coeffs: tuple | None = None):
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
-    n, and ``epsilons`` the (blocks, 1, 1) column of a penalized step."""
+    n, ``epsilons`` the (blocks, 1, 1) column of a penalized step and
+    ``coeffs`` a column-constant table's (`generators.prefix_coefficients`)."""
     n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
+    prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
     y_levels = [None] * n + [xi]
     z_levels = [None] * n
     u_levels = [None] * n
     for i in range(n - 1, -1, -1):
         expect, z_here = level_moments(tree, y_levels[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
-                            past_rows)
+                            past_rows, prefix)
         # a new array: a custom drift may return an alias of its argument
         target = dt * drift
         target += expect
@@ -351,6 +354,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     block leaves the batch, a failed one drops the blocks after it: what is
     raised is the first entry's failure, as one solve after another raises it."""
     past_rows = past_z_rows(gen, tree)
+    coeffs = prefix_coefficients(gen, past_rows)
     # a pass that reads no frozen row gives the same sweep from any iterate, so
     # the confirmation sweep replays the first; a custom callback always sweeps
     replay = not isinstance(gen, CustomGenerator) and all(
@@ -369,7 +373,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             eps_col = None if epsilons[0] is None else \
                 np.array([epsilons[e] for e in active])[:, None, None]
             ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
-                                   eps_col, past_rows)
+                                   eps_col, past_rows, coeffs)
             dists = _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks)
         keep, done = [], []
         for pos, e in enumerate(active):

@@ -12,8 +12,10 @@ pass that reads no frozen row; the children's mean and Z projection as one
 numpy sum and einsum, used to cross-check `lattice.level_moments`; the
 S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
 solution at a time, used to cross-check their one pass over the schedule in
-`analysis`; and the subdifferential probes deduplicated by a pairwise
-np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`.
+`analysis`; the subdifferential probes deduplicated by a pairwise
+np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`;
+and the worst subgradient slack one probe at a time, used to cross-check the
+batched `convex.subgradient_check`.
 """
 
 import math
@@ -293,3 +295,18 @@ def subdiff_probes_pairwise(phi, xi, cap=48):
         if not any(np.array_equal(p, q) for q in uniq):
             uniq.append(p)
     return uniq
+
+
+def subgradient_worst_per_probe(spec, y, u, probes):
+    """`convex.subgradient_check`'s worst slack, one probe at a time, folded
+    with the builtin max (which drops a NaN, so finite data only)."""
+    point, grad = np.asarray(y, dtype=float), np.asarray(u, dtype=float)
+    phi_y = spec.value(point)
+    worst = -np.inf
+    for v in probes:
+        vv = np.asarray(v, dtype=float)
+        phi_v = float(spec.value(vv))
+        if np.isfinite(phi_v):
+            violation = np.sum(grad * (vv - point), axis=-1) + phi_y - phi_v
+            worst = max(worst, float(np.max(violation)))
+    return worst

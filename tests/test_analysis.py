@@ -12,6 +12,7 @@ from bsvi.analysis import (
     default_subdiff_probes,
     epsilon_rate_fit,
     path_norm,
+    schedule_audits,
     solution_residuals,
     stability_audit,
     yosida_audit,
@@ -245,6 +246,15 @@ def test_probe_dedupe_matches_the_pairwise_one_on_shipped_configs(config):
                         subdiff_probes_pairwise(cfg.phi, cfg.xi))
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 48, 100])
+def test_probes_of_one_prox_are_the_row_by_row_ones_at_any_cap(cap):
+    # the cap counts duplicates, and at least one terminal row always enters
+    xi = np.array([[0.5], [2.0], [0.5], [-3.0], [0.25], [-0.0], [1.5]])
+    for phi in (convex.IndicatorBox(-1.0, 1.0), convex.OneNorm(0.5), convex.Zero()):
+        _assert_same_probes(default_subdiff_probes(phi, xi, cap),
+                            subdiff_probes_pairwise(phi, xi, cap))
+
+
 def test_probe_dedupe_takes_a_negative_zero_for_the_origin():
     # -0.0 equals 0.0 under array_equal: the terminal's -0.0 rows add no probe
     xi = np.array([[-0.0], [0.5], [0.0], [-0.0], [1.5], [0.5], [-1.5], [-0.0]])
@@ -306,3 +316,33 @@ def test_yosida_audit_quadratic_gap_constant():
     shrink = eps * 2.0 / (1 + eps * 2.0)
     expected = max(float(np.mean((shrink * y) ** 2)) for y in sol.Y.values)
     assert audit.gap_rows[0].lhs == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# refused arguments and non-finite solutions
+# ---------------------------------------------------------------------------
+
+def test_a_nan_in_u_fails_both_residual_checks():
+    tree, xi, gen, phi = box_linear_problem(4)
+    sol = prox_step_solve(tree, xi, gen, phi)
+    clean = solution_residuals(sol, xi, gen, phi, tree)
+    assert clean.equation_residual <= 1e-12 and clean.subdiff_residual <= 1e-10
+    sol.U.values[2] = sol.U.values[2].copy()
+    sol.U.values[2][1, 0] = np.nan
+    rep = solution_residuals(sol, xi, gen, phi, tree)
+    # the builtin max drops a NaN met after a finite value; neither may pass
+    assert math.isnan(rep.equation_residual)
+    assert math.isnan(rep.subdiff_residual)
+
+
+def test_path_norm_refuses_an_unknown_statistic():
+    tree = build_tree(3, 1.0, 1)
+    with pytest.raises(ValueError, match="H2"):
+        path_norm(constant_process(tree, 1.0), tree, "H2")
+
+
+def test_schedule_audits_refuse_an_unknown_part():
+    tree, xi, gen, phi = box_linear_problem(3)
+    res = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=(1.0, 0.5)))
+    with pytest.raises(ValueError, match="tabel"):
+        schedule_audits(res.per_epsilon, phi, xi, gen, tree, parts=("tabel",))

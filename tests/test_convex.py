@@ -173,6 +173,38 @@ def test_subgradient_check_examples():
                           probes)
 
 
+def test_subgradient_check_fails_on_a_nan_gradient():
+    box = IndicatorBox(-1, 1)
+    check = subgradient_check(box, [[0.5]], [[np.nan]], [[1.0]])
+    assert math.isnan(check.worst_violation) and not check.passed
+    # a NaN row among finite ones, on either side of them
+    ys, us = np.array([[0.5], [0.0], [0.2]]), np.array([[0.0], [np.nan], [0.0]])
+    check = subgradient_check(box, ys, us, [[1.0], [-1.0]])
+    assert math.isnan(check.worst_violation) and not check.passed
+
+
+def test_subgradient_check_of_no_probes_is_minus_infinity():
+    check = subgradient_check(IndicatorBox(-1, 1), [[0.5]], [[1.0]], [])
+    assert check.worst_violation == -np.inf and check.passed
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+@pytest.mark.parametrize("rows", [1, 7, 40000])
+def test_batched_subgradient_check_is_the_per_probe_loop_bitwise(m, rows):
+    from helpers_oracle import subgradient_worst_per_probe
+    rng = np.random.default_rng(m * rows)
+    box = IndicatorBox(np.full(m, -1.0), np.linspace(0.5, 2.0, m))
+    for spec in (box, Quadratic(0.7), OneNorm(1.3), Zero()):
+        ys = rng.uniform(-1.0, 0.5, size=(rows, m))
+        us = rng.normal(size=(rows, m))
+        # 48 probes, some outside the box: 40000 rows cut them into chunks of one
+        probes = list(rng.uniform(-1.5, 2.5, size=(48, m)))
+        got = subgradient_check(spec, ys, us, probes).worst_violation
+        assert got == subgradient_worst_per_probe(spec, ys, us, probes)
+        one = subgradient_check(spec, ys[0], us[0], probes).worst_violation
+        assert one == subgradient_worst_per_probe(spec, ys[0], us[0], probes)
+
+
 def test_yosida_triple_identity():
     spec = Quadratic(2.0)
     t = yosida_triple(spec, 0.4, [3.0, -1.0])

@@ -16,11 +16,13 @@ from bsvi.generators import (
     RunningIntegralZ,
     UniformPast,
     ZeroGen,
+    frozen_prefix,
     generator_bound_diagnostic,
     level_drift,
     linear_scalar,
     lipschitz_probe_audit,
     past_z_rows,
+    prefix_coefficients,
 )
 from bsvi.lattice import AdaptedProcess, build_tree
 from helpers_oracle import node_accessors, node_drift, quadrature
@@ -359,6 +361,60 @@ def test_level_drift_matches_per_node_evaluation(name):
                 np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
             else:
                 assert np.array_equal(got[j], ref), (i, j)
+
+
+def _g_poly(*coeffs):  # the CLI's g_poly weight, summed from 0 as it sums
+    return lambda t: 0.0 if t < 0 else sum(c * t ** k for k, c in enumerate(coeffs))
+
+
+# which tables are column-constant at n = 8: level i reads the frozen rows
+# 0..i-1, each with one coefficient at every level, then at most the current z
+PREFIX_CASES = {
+    "uniform_constant_g": (MovingAverageZ(g=_g_poly(0.5), g_bound=0.5,
+                                          alpha=UniformPast()), True),
+    "uniform_g_poly": (MovingAverageZ(g=_g_poly(0.5, -0.1), g_bound=0.5,
+                                      alpha=UniformPast()), True),
+    "running_integral": (RunningIntegralZ(kappa=0.6), True),
+    # a lag reads one row per level, not the rows 0..i-1
+    "delayed_z": (DelayedZ(0.7, 0.3), False),
+    "delayed_z_lag_beyond_horizon": (DelayedZ(0.7, 1.5), False),
+    "mixture": (MovingAverageZ(g=_g_poly(0.5), g_bound=0.5, alpha=DiscreteMixture(
+        ((-0.5, 0.3), (-0.25, 0.2), (0.0, 0.5)))), False),
+    "zero": (ZeroGen(), False),
+    "linear": (linear_scalar(0.7, -0.4), False),  # a nonzero instant part
+    "custom": (LEVEL_DRIFT_CASES["custom"][0], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CASES))
+def test_prefix_coefficients_pick_the_column_constant_tables(name):
+    gen, fast = PREFIX_CASES[name]
+    tree = build_tree(8, 1.0)
+    rows = past_z_rows(gen, tree)
+    coeffs = prefix_coefficients(gen, rows)
+    assert (coeffs is not None) == fast
+    if fast:  # row k's coefficient, as level n - 1 lists it
+        assert coeffs == tuple(c for _, c in rows[-1][:7])
+    # one level (n = 1) has no frozen row: any zero-instant table is column-constant
+    assert (prefix_coefficients(gen, past_z_rows(gen, build_tree(1, 1.0))) is not None) \
+        == (name not in ("linear", "custom"))
+
+
+@pytest.mark.parametrize("name", ["uniform_constant_g", "uniform_g_poly", "running_integral"])
+def test_frozen_prefix_drift_is_the_per_term_drift_bitwise(name):
+    gen = PREFIX_CASES[name][0]
+    tree, blocks = build_tree(8, 1.0), 3
+    rng = np.random.default_rng(5)
+    frozen_y = [rng.normal(size=(blocks * tree.level_size(i), 1)) for i in range(9)]
+    frozen_z = [rng.normal(size=(blocks * tree.level_size(i), 1, 1)) for i in range(8)]
+    rows = past_z_rows(gen, tree)
+    prefix = frozen_prefix(prefix_coefficients(gen, rows), frozen_z, tree.branching)
+    for i in range(8):
+        y = rng.normal(size=(blocks * tree.level_size(i), 1))
+        z = rng.normal(size=(blocks * tree.level_size(i), 1, 1))
+        want = level_drift(gen, tree, i, y, z, frozen_y, frozen_z, rows)
+        got = level_drift(gen, tree, i, y, z, frozen_y, frozen_z, rows, prefix)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():

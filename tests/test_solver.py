@@ -57,6 +57,18 @@ def test_gate_examples():
     assert not rep.uniqueness_ok and not rep.existence_ok
 
 
+@pytest.mark.parametrize("L, horizon, beta", [(1.0, 1.0, 0.0), (1.5, 0.5, 2.0)])
+@pytest.mark.parametrize("factor, which", [(6.0, "existence"), (2.0, "uniqueness")])
+def test_gate_thresholds_sit_at_six_and_two_l_squared(L, horizon, beta, factor, which):
+    # growth K e^(beta T) just below factor * L^2 passes, just above fails
+    for delta, ok in ((-1e-6, True), (1e-6, False)):
+        k_delay = factor * L ** 2 * (1.0 + delta) / math.exp(beta * horizon)
+        rep = check_wellposedness(L, k_delay, horizon, beta)
+        assert rep.growth == pytest.approx(factor * L ** 2 * (1.0 + delta), rel=1e-12)
+        assert getattr(rep, f"{which}_ok") == ok
+        assert (getattr(rep, f"{which}_margin") > 0) == ok
+
+
 def test_gate_overflow_is_a_value_error_naming_the_quantity():
     with pytest.raises(ValueError, match=r"beta \* T = 1000"):
         check_wellposedness(1.0, 0.0, 1.0, 1000.0)
@@ -1131,3 +1143,74 @@ def test_solver_config_takes_a_numpy_integer_picard_max_iters():
 def test_solver_config_rejects_nan_and_negative_knobs(knobs):
     with pytest.raises(ValueError, match="positive|nonnegative"):
         SolverConfig(**knobs)
+
+
+# ---------------------------------------------------------------------------
+# the frozen past summed top-down against the per-term drift
+# ---------------------------------------------------------------------------
+
+def _moving_average_of_cli(g_poly):
+    return config_from_dict({
+        "model": {"horizon": 1.0, "n_steps": 1, "bm_dim": 1, "dim": 1},
+        "terminal": {"kind": "constant", "c": [0.0]},
+        "generator": {"kind": "moving_average_z", "g_poly": g_poly, "g_bound": 0.5,
+                      "alpha": {"kind": "uniform"}},
+        "phi": {"kind": "zero"}, "run": {"mode": "bsvi"}}).gen
+
+
+@dataclass(frozen=True)
+class RunningMeanZ(generators.GeneratorSpec):
+    """F(t) = mean of z over the grid times of [0, t]: every row 0..i-1 is
+    read at level i, but with the weight 1/(i + 1), which moves with i."""
+
+    def past_z_terms(self, t, horizon, dt):
+        steps = int(round(t / dt))
+        return tuple((-(steps - j) * dt, 1.0 / (steps + 1)) for j in range(steps + 1))
+
+    def lipschitz_instant(self):
+        return 0.0
+
+    def lipschitz_delay(self, horizon):
+        return 1.0
+
+
+PREFIX_DRIFTS = {  # drift, and whether its table is column-constant at n = 8
+    "uniform_constant_g": (lambda: _moving_average_of_cli([0.5]), True),
+    "uniform_g_poly": (lambda: _moving_average_of_cli([0.5, -0.1]), True),
+    "running_integral": (lambda: generators.RunningIntegralZ(0.6), True),
+    "delayed_z": (lambda: generators.DelayedZ(0.7, 0.3), False),
+    "delayed_z_lag_beyond_horizon": (lambda: generators.DelayedZ(0.7, 1.0), False),
+    "mixture_average": (lambda: generators.MovingAverageZ(
+        g=lambda t: 0.5, g_bound=0.5, alpha=generators.DiscreteMixture(
+            ((-0.5, 0.25), (-0.25, 0.25), (0.0, 0.5)))), False),
+    "running_mean": (RunningMeanZ, False),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("drift", sorted(PREFIX_DRIFTS))
+def test_prefix_summed_past_is_the_per_term_drift_through_every_sweep(drift, n, monkeypatch):
+    make, column_constant = PREFIX_DRIFTS[drift]
+    gen, tree = make(), bsvi.build_tree(n, 1.0, 1)
+    phi = convex.IndicatorBox(-1.0, 1.0)
+    xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
+    summed = []
+    monkeypatch.setattr(solver_mod, "frozen_prefix",
+                        lambda *a: summed.append(1) or generators.frozen_prefix(*a))
+    fast = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    table = generators.prefix_coefficients(gen, generators.past_z_rows(gen, tree))
+    assert bool(summed) == (table is not None)
+    # on one level no frozen row exists: every zero-instant table takes the sum;
+    # at n = 2 only level 1 reads a frozen row: a lag of 0.3 reads row 0,
+    # which is the rows 0..0, and so does the running mean
+    assert bool(summed) == {1: True, 8: column_constant}.get(
+        n, column_constant or drift in ("delayed_z", "running_mean"))
+    monkeypatch.setattr(solver_mod, "prefix_coefficients", lambda gen, rows: None)
+    per_term = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    assert len(fast) == len(per_term) == 11
+    for (eps, sol), (eps_ref, ref) in zip(fast, per_term):
+        assert eps == eps_ref
+        assert sol.diagnostics.iterate_distances == ref.diagnostics.iterate_distances
+        for proc in ("Y", "Z", "U"):
+            for a, b in zip(getattr(sol, proc).values, getattr(ref, proc).values):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
