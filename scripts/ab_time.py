@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Time a benchmark workload's CLI run in this checkout and another, in one process.
+
+    python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi] [--pairs N]
+
+Copies each checkout's ``src/bsvi`` into a temporary directory under a package
+name of its own (the package imports itself only relatively), loads both
+copies, and runs their `cli.main` on the workload's seed-0 config, built by
+perfbench/run.py's ``cli_config`` of this checkout.  After one warm-up run per
+side it times N pairs, this side first in even pairs and the other side first
+in odd ones.  Prints each side's median wall time, the median over pairs of
+this / other and the number of pairs this side won.  Both runs of a pair see
+the same host drift, which benchmark runs in separate sessions do not.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+from report_diff import ROOT, perfbench_module
+
+SIDES = ("this", "other")
+
+
+def _load_cli(checkout: Path, package: str, where: Path):
+    """``checkout``'s bsvi.cli, imported from a copy named ``package`` in ``where``."""
+    shutil.copytree(checkout / "src" / "bsvi", where / package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{package}.cli")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("other", type=Path, help="the checkout to compare with")
+    parser.add_argument("--workload", choices=("box_compare", "delay_bsvi"),
+                        default="delay_bsvi")
+    parser.add_argument("--pairs", type=int, default=20)
+    args = parser.parse_args(argv)
+    if not (args.other / "src" / "bsvi").is_dir():
+        parser.error(f"{args.other} holds no src/bsvi")
+    bench = perfbench_module()
+    doc = bench.cli_config(args.workload, bench.WORKLOADS[args.workload]["n_steps"],
+                           bench.draw_params(0))
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        sys.path.insert(0, str(tmp))
+        clis = {side: _load_cli(checkout, f"bsvi_ab_{side}", tmp)
+                for side, checkout in zip(SIDES, (ROOT, args.other.resolve()))}
+
+        def run(side: str) -> float:
+            start = time.perf_counter()
+            code = clis[side].main([str(tmp / "config.json"), "--out", str(tmp / side)])
+            elapsed = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"{side} side: bsvi exited with {code}")
+            return elapsed
+
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")  # delay_bsvi's gate warns on every run
+            for side in SIDES:
+                run(side)
+            for k in range(args.pairs):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    times[side].append(run(side))
+    ratios = [a / b for a, b in zip(times["this"], times["other"])]
+    print(f"{args.workload}, {args.pairs} pairs")
+    for side, checkout in zip(SIDES, (ROOT, args.other.resolve())):
+        print(f"{side:5s} median {statistics.median(times[side]):.5f} s  ({checkout})")
+    print(f"this / other: median paired ratio {statistics.median(ratios):.3f}, "
+          f"this faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

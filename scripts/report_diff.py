@@ -34,7 +34,7 @@ GOLDEN = ("delay_reduction", "indicator_box", "minimal", "quadratic")
 ZERO_PHI = {"kind": "zero"}
 
 
-def _perfbench():
+def perfbench_module():
     """perfbench/run.py, imported read-only for its config builders."""
     sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports spans
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -57,7 +57,7 @@ def configs() -> dict:
         (ROOT / "configs" / f"{stem}.yaml").read_text(encoding="utf-8")) for stem in GOLDEN}
     for mode in ("classical", "penalized", "prox", "bsvi"):
         docs[f"indicator_box-{mode}"] = _with_mode(docs["golden-indicator_box"], mode)
-    bench = _perfbench()
+    bench = perfbench_module()
     for name in ("box_compare", "delay_bsvi"):
         for seed in (0, 5):
             docs[f"{name}-seed{seed}"] = bench.cli_config(

@@ -186,9 +186,9 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     """The epsilon table (unweighted) and the a priori and Yosida audits
     (weighted by ``beta``) of a schedule of (epsilon, Solution) from one pass
     over its levels; ``parts`` picks the ones computed (the table reads no
-    ``xi`` or ``gen``, the a priori audit no ``phi``).  Each audit takes its
-    own `origin_drift_mass`: the a priori audit's is weighted by ``beta``,
-    the Yosida audit's is not."""
+    ``xi`` or ``gen``, the a priori audit no ``phi``).  One evaluation of
+    `origin_drift_mass` serves both audits: the a priori audit's weighted by
+    ``beta``, the Yosida audit's unweighted."""
     if unknown := [p for p in parts if p not in ScheduleAudits._fields]:
         raise ValueError(f"unknown audit parts {unknown}: expected {ScheduleAudits._fields}")
     epsilons, s = _schedule_sums(per_epsilon, phi, tree, beta, parts)
@@ -200,15 +200,15 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     if "apriori" in parts or "yosida" in parts:
         xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
         xi_sq = np.sum(xi ** 2, axis=1)
+        mass_beta, mass = origin_drift_mass(gen, tree, xi.shape[1], (beta, 0.0))
     if "apriori" in parts:
-        m1 = float(np.mean(xi_sq)) + origin_drift_mass(gen, tree, xi.shape[1], beta)
+        m1 = float(np.mean(xi_sq)) + mass_beta
         rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
                      for eps, v in zip(epsilons, (s["y_s2"] + s["z_h2"]).tolist()))
         consts = [r.empirical_constant for r in rows]
         apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), float(statistics.median(consts)))
     if "yosida" in parts:
-        m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + origin_drift_mass(
-            gen, tree, xi.shape[1])
+        m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
         denom = m2 if m2 > 0 else 1.0
         grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
                           for eps, g in zip(epsilons, s["grad_h2"].tolist()))

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -255,21 +255,21 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
         name, sol = cfg.mode, solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config,
                                                   phi=cfg.phi, epsilon=cfg.epsilon)
     report["schemes"][name] = _solution_summary(sol, cfg.tree)
-    report["residuals"] = asdict(analysis.solution_residuals(
-        sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree))
+    report["residuals"] = dict(vars(analysis.solution_residuals(
+        sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree)))
 
     if cfg.mode in ("bsvi", "compare"):
         table, ap, yo = analysis.schedule_audits(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen,
                                                  cfg.tree)
-        report["epsilon_table"] = [asdict(r) for r in table]
+        report["epsilon_table"] = [dict(vars(r)) for r in table]
         try:
-            report["rate_fit"] = asdict(analysis.epsilon_rate_fit(table))
+            report["rate_fit"] = dict(vars(analysis.epsilon_rate_fit(table)))
         except ValueError as exc:
             report["rate_fit"] = {"error": str(exc)}
         report["audits"] = {
-            "apriori": [asdict(r) for r in ap.rows],
+            "apriori": [dict(vars(r)) for r in ap.rows],
             "apriori_uniform_ok": ap.uniform_ok,
-            "yosida": [asdict(r) for rows in (yo.grad_rows, yo.value_rows, yo.gap_rows)
+            "yosida": [dict(vars(r)) for rows in (yo.grad_rows, yo.value_rows, yo.gap_rows)
                        for r in rows],
             "yosida_uniform_ok": yo.uniform_ok,
         }
@@ -315,29 +315,23 @@ def emit_report(report: dict, out_dir, out_format: str):
 
     table("epsilon_table", report.get("epsilon_table", []),
           [f.name for f in fields(analysis.EpsilonTableRow)])
-    picard_rows = []
-    for scheme, summary in report.get("schemes", {}).items():
-        for k, d in enumerate(summary["picard"]["distances"]):
-            picard_rows.append({"scheme": scheme, "sweep": k + 1, "distance": d})
-    table("picard_distances", picard_rows, ["scheme", "sweep", "distance"])
-    audit_rows = []
-    for group in ("apriori", "yosida"):
-        for r in report.get("audits", {}).get(group, []):
-            audit_rows.append({"group": group, **r})
-    table("audits", audit_rows, ["group", *(f.name for f in fields(analysis.BoundAudit))])
-    summary_rows = [{"key": "mode", "value": report["mode"]}]
-    for k, v in report["wellposedness"].items():
-        summary_rows.append({"key": f"wellposedness.{k}", "value": v})
-    for scheme, summary in report.get("schemes", {}).items():
-        summary_rows.append({"key": f"{scheme}.y0", "value": summary["y0"]})
-        summary_rows.append({"key": f"{scheme}.converged",
-                             "value": summary["picard"]["converged"]})
-    for k, v in report.get("residuals", {}).items():
-        summary_rows.append({"key": f"residuals.{k}", "value": v})
+    schemes = report.get("schemes", {})
+    table("picard_distances", [{"scheme": scheme, "sweep": k + 1, "distance": d}
+                               for scheme, summary in schemes.items()
+                               for k, d in enumerate(summary["picard"]["distances"])],
+          ["scheme", "sweep", "distance"])
+    table("audits", [{"group": group, **r} for group in ("apriori", "yosida")
+                     for r in report.get("audits", {}).get(group, [])],
+          ["group", *(f.name for f in fields(analysis.BoundAudit))])
+    pairs = [("mode", report["mode"])]
+    pairs += [(f"wellposedness.{k}", v) for k, v in report["wellposedness"].items()]
+    for scheme, summary in schemes.items():
+        pairs += [(f"{scheme}.y0", summary["y0"]),
+                  (f"{scheme}.converged", summary["picard"]["converged"])]
+    pairs += [(f"residuals.{k}", v) for k, v in report.get("residuals", {}).items()]
     if "compare" in report:
-        summary_rows.append({"key": "compare.gap_y0_final",
-                             "value": report["compare"]["gap_y0_final"]})
-    table("summary", summary_rows, ["key", "value"])
+        pairs.append(("compare.gap_y0_final", report["compare"]["gap_y0_final"]))
+    table("summary", [{"key": k, "value": v} for k, v in pairs], ["key", "value"])
     return written
 
 

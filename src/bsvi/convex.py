@@ -242,19 +242,25 @@ def yosida_grad(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
 
 
 def resolvent_step(spec: ConvexFunction, epsilon, lam: float, x):
-    """Solve y + lam * grad phi_eps(y) = x in closed form.
+    """Solve y + lam * grad phi_eps(y) = x in closed form; returns (y, u), with
+    x (not modified) batched and ``epsilon`` broadcast as in `prox`."""
+    return resolvent(spec, epsilon, lam)(x)
 
-    Uses the resolvent-of-resolvent identity: with j = J_{eps+lam}(x) and
-    u = (x - j)/(eps + lam) one has u = grad phi_eps(y) for y = x - lam*u.
-    Returns (y, u).  Supports batched x on leading axes and an ``epsilon``
-    that broadcasts against x, as `prox` does; x is not modified.
-    """
-    arr = _as_points(x)
+
+def resolvent(spec: ConvexFunction, epsilon, lam: float):
+    """`resolvent_step`'s map x -> (y, u) at one (epsilon, lam), checked once: with
+    j = J_{eps+lam}(x), u = (x - j)/(eps + lam) is grad phi_eps(y) at y = x - lam*u."""
+    if not np.all(np.asarray(epsilon) > 0):
+        raise ValueError("epsilon must be positive")
     step = epsilon + lam
-    u = arr - prox(spec, step, arr)
-    u /= step
-    y = lam * u
-    return np.subtract(arr, y, out=y), u
+
+    def apply(x):
+        arr = _as_points(x)
+        u = arr - spec.prox(step, arr)
+        u /= step
+        y = lam * u
+        return np.subtract(arr, y, out=y), u
+    return apply
 
 
 @dataclass(frozen=True)

@@ -254,9 +254,9 @@ class RunningIntegralZ(GeneratorSpec):
 class MovingAverageZ(GeneratorSpec):
     """F(s) = int_{-T}^0 g(s + theta) z(s + theta) alpha(dtheta).
 
-    ``g`` must be bounded measurable on [0, T] with g(t) = 0 for t < 0 (the
-    quadrature cuts g where `lattice.grid_row` reads no row, so within its
-    slack below 0 it reads g(0)); ``g_bound`` declares sup |g|, K = g_bound^2.
+    ``g`` must be bounded measurable on [0, T], zero before 0 (cut where
+    `lattice.grid_row` reads no row, read at k dt within its slack of row k, so a
+    row keeps one weight at every level); ``g_bound`` declares sup |g|, K = g_bound^2.
     """
 
     g: Callable[[float], float]
@@ -267,8 +267,10 @@ class MovingAverageZ(GeneratorSpec):
         _check_finite(self.g_bound, "g_bound")
 
     def past_z_terms(self, t, horizon, dt):
-        return tuple((theta, w * (0.0 if t + theta < -TIME_SLACK * dt
-                                  else float(self.g(max(t + theta, 0.0)))))
+        def g_at(s):  # at grid row k's time k dt within the slack grid_row snaps by
+            k = round(s / dt)
+            return float(self.g(k * dt if abs(s - k * dt) <= TIME_SLACK * dt else s))
+        return tuple((theta, w * (0.0 if t + theta < -TIME_SLACK * dt else g_at(t + theta)))
                      for theta, w in self.alpha.discretize(horizon, dt))
 
     def lipschitz_instant(self):
@@ -360,19 +362,23 @@ def _read_drift(gen: GeneratorSpec, i: int, dt: float, horizon: float,
     return out
 
 
-def origin_drift_mass(gen: GeneratorSpec, tree, m: int, beta: float = 0.0) -> float:
-    """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds, left endpoints on the grid:
-    the drift of a one-row level of zeros with a zero past."""
+def origin_drift_mass(gen: GeneratorSpec, tree, m: int, betas=(0.0,)) -> list:
+    """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds for each of ``betas``, left endpoints
+    on the grid, from one evaluation on a one-row level of zeros with a zero past: a
+    built-in's ``instant`` (c * 0 past terms leave its square as it is), a callback per level."""
     grid = tree.grid
     zero_y, zero_z = np.zeros((1, m)), np.zeros((1, m, tree.bm_dim))
+    if not isinstance(gen, CustomGenerator):
+        squares = [float(np.sum(gen.instant(zero_y, zero_z) ** 2))] * grid.n_steps
+    else:
+        def at_origin(i):
+            past_y = _past_reader(lambda k: zero_y, i, grid.dt, None, None)
+            past_z = _past_reader(lambda k: zero_z, i, grid.dt, None, None)
+            return _read_drift(gen, i, grid.dt, grid.horizon, zero_y, zero_z, past_y, past_z)
 
-    def at_origin(i):
-        past_y = _past_reader(lambda k: zero_y, i, grid.dt, None, None)
-        past_z = _past_reader(lambda k: zero_z, i, grid.dt, None, None)
-        return _read_drift(gen, i, grid.dt, grid.horizon, zero_y, zero_z, past_y, past_z)
-
-    return sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(at_origin(i) ** 2))
-               for i in range(grid.n_steps))
+        squares = [float(np.sum(at_origin(i) ** 2)) for i in range(grid.n_steps)]
+    return [sum(grid.dt * math.exp(beta * i * grid.dt) * sq for i, sq in enumerate(squares))
+            for beta in betas]
 
 
 def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
@@ -474,7 +480,7 @@ def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
     n, dt, horizon = grid.n_steps, grid.dt, grid.horizon
     big_l = gen.lipschitz_instant()
     big_k = gen.lipschitz_delay(horizon)
-    f0_sq = origin_drift_mass(gen, tree, y_process.values[0].shape[1])
+    f0_sq = origin_drift_mass(gen, tree, y_process.values[0].shape[1])[0]
     past_rows = past_z_rows(gen, tree)
     # pathwise accumulators, repeated down the tree one level at a time
     sup_y = int_z = int_f = np.zeros(1)

@@ -47,7 +47,7 @@ from .analysis import epsilon_table
 from .convex import ConvexFunction, Zero
 from .generators import (CustomGenerator, GeneratorSpec, frozen_prefix, level_drift,
                          lipschitz_probe_audit, past_z_rows, prefix_coefficients)
-from .lattice import AdaptedProcess, ScenarioTree, level_moments
+from .lattice import AdaptedProcess, ScenarioTree, level_moments, row_sq_norms
 
 
 DEFAULT_EPSILON_SCHEDULE = tuple(2.0 ** -k for k in range(11))
@@ -214,6 +214,7 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     ``coeffs`` a column-constant table's (`generators.prefix_coefficients`)."""
     n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
     prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
+    step = None if epsilons is None else convex.resolvent(phi, epsilons, dt)
     y_levels = [None] * n + [xi]
     z_levels = [None] * n
     u_levels = [None] * n
@@ -224,9 +225,9 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         # a new array: a custom drift may return an alias of its argument
         target = dt * drift
         target += expect
-        if epsilons is not None:
-            y_here, u_here = (a.reshape(-1, m) for a in convex.resolvent_step(
-                phi, epsilons, dt, target.reshape(len(epsilons), -1, m)))
+        if step is not None:
+            y_here, u_here = (a.reshape(-1, m) for a in step(
+                target.reshape(len(epsilons), -1, m)))
         else:
             y_here = phi.prox(dt, target)
             u_here = (target - y_here) / dt
@@ -249,20 +250,19 @@ def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
     """Discrete analogue of the beta-weighted norms behind the contraction
     gate, one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the
     square root of the e^{beta t}-weighted H^2 sum of dZ, with ``weights``
-    from `_distance_weights`."""
+    from `_distance_weights`; old levels None are the zero start, x - (+0.0) = x."""
     y_weights, z_weights = weights
     sups = []
-    for w, a, b_ in zip(y_weights, y_new, y_old):
+    for w, a, b_ in zip(y_weights, y_new, y_old or [None] * len(y_new)):
         if a is b_:  # the shared leaf level after the first sweep: |dY| = 0
             continue
-        diff = a - b_
-        sups.append(w * np.abs(diff, out=diff).reshape(blocks, -1).max(axis=1))
+        diff = a if b_ is None else a - b_
+        mag = np.abs(diff, out=None if b_ is None else diff)
+        sups.append(w * mag.reshape(blocks, -1).max(axis=1))
     h2_z = np.zeros(blocks)
-    for w, a, b_ in zip(z_weights, z_new, z_old):
-        diff = a - b_
-        diff *= diff
+    for w, a, b_ in zip(z_weights, z_new, z_old or [None] * len(z_new)):
         # each block's level mean as np.mean takes it, without its per-call overhead
-        rows = diff.sum(axis=(1, 2)).reshape(blocks, -1)
+        rows = row_sq_norms(a if b_ is None else a - b_).reshape(blocks, -1)
         h2_z += w * (rows.sum(axis=1) / rows.shape[1])
     return np.max(sups, axis=0) + np.sqrt(h2_z)
 
@@ -374,7 +374,8 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                 np.array([epsilons[e] for e in active])[:, None, None]
             ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
                                    eps_col, past_rows, coeffs)
-            dists = _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks)
+            dists = (_weighted_distance(ys, zs, None, None, weights, blocks) if sweep == 1
+                     else _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks))
         keep, done = [], []
         for pos, e in enumerate(active):
             diag, dist = diags[e], float(dists[pos])

@@ -12,7 +12,8 @@ pass that reads no frozen row; the children's mean and Z projection as one
 numpy sum and einsum, used to cross-check `lattice.level_moments`; the
 S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
 solution at a time, used to cross-check their one pass over the schedule in
-`analysis`; the subdifferential probes deduplicated by a pairwise
+`analysis`, with the origin mass of the drift evaluated level by level;
+the subdifferential probes deduplicated by a pairwise
 np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`;
 and the worst subgradient slack one probe at a time, used to cross-check the
 batched `convex.subgradient_check`.
@@ -27,7 +28,7 @@ import numpy as np
 from bsvi import convex
 from bsvi import solver
 from bsvi.analysis import AprioriAudit, BoundAudit, EpsilonTableRow, YosidaAudit, _uniform_ok
-from bsvi.generators import CustomGenerator, origin_drift_mass, past_z_rows
+from bsvi.generators import CustomGenerator, past_z_rows
 from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
 from bsvi.solver import PicardDiagnostics, Solution, SolverConfig
 
@@ -226,10 +227,21 @@ def path_norms_one_by_one(process, tree, beta=0.0):
     return s2, float(h2)
 
 
+def origin_drift_mass_per_level(gen, tree, m, beta=0.0):
+    """`generators.origin_drift_mass` at one beta, the drift evaluated level by
+    level: one `node_drift` per level on a one-row level of zeros whose past
+    reads zero at every offset, a built-in's past terms included."""
+    grid = tree.grid
+    zero_y, zero_z = np.zeros((1, m)), np.zeros((1, m, tree.bm_dim))
+    return sum(grid.dt * math.exp(beta * i * grid.dt) * float(np.sum(node_drift(
+        gen, i * grid.dt, zero_y, zero_z, lambda theta: zero_y, lambda theta: zero_z,
+        grid.horizon, grid.dt) ** 2)) for i in range(grid.n_steps))
+
+
 def apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta=0.0):
     """`analysis.apriori_audit` as a loop over the schedule, one solution at a time."""
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass(
+    m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass_per_level(
         gen, tree, xi.shape[1], beta)
     rows = []
     for eps, sol in per_epsilon:
@@ -249,7 +261,7 @@ def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0):
     dt, n = tree.grid.dt, tree.grid.n_steps
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
-        + origin_drift_mass(gen, tree, xi.shape[1])
+        + origin_drift_mass_per_level(gen, tree, xi.shape[1])
     grad_rows, value_rows, gap_rows = [], [], []
     for eps, sol in per_epsilon:
         grad_h2 = phi_sup = phi_int = gap_sup = 0.0

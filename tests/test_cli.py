@@ -548,6 +548,17 @@ def test_report_diff_configs_all_build():
     assert modes["delay_bsvi-classical"] == "classical" and modes["box_compare-seed5"] == "compare"
 
 
+def test_ab_time_script_times_a_checkout_against_itself():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
+                           "--pairs", "2"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delay_bsvi, 2 pairs"
+    assert [line.split()[:2] for line in lines[1:3]] == [["this", "median"], ["other", "median"]]
+    assert re.fullmatch(r"this / other: median paired ratio \d+\.\d{3}, "
+                        r"this faster in [0-2] of 2 pairs", lines[3])
+
+
 def test_readme_config_format_block_builds():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("### Config format", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]

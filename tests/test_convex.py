@@ -14,6 +14,7 @@ from bsvi.convex import (
     eval_phi,
     moreau,
     prox,
+    resolvent,
     resolvent_step,
     subdifferential_interval,
     subgradient_check,
@@ -311,3 +312,14 @@ def test_epsilon_column_matches_per_block_scalar_bitwise(spec):
     for bad in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="positive"):
             prox(spec, np.array([0.5, bad])[:, None, None], x[:2])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+def test_resolvent_refuses_a_nonpositive_epsilon_whatever_the_step(bad):
+    # eps + lam > 0 for every bad eps here: the check is on eps itself
+    x = np.array([[0.5], [2.0]])
+    for epsilon in (bad, np.array([0.5, bad])[:, None]):
+        with pytest.raises(ValueError, match="positive"):
+            resolvent_step(IndicatorBox(-1.0, 1.0), epsilon, 0.25, x)
+        with pytest.raises(ValueError, match="positive"):
+            resolvent(IndicatorBox(-1.0, 1.0), epsilon, 0.25)

@@ -438,6 +438,25 @@ def test_moving_average_reads_g_where_the_grid_row_is_read():
     assert past_z_rows(gen, tree) == past_z_rows(DelayedZ(kappa=1.0, lag=0.1), tree)
 
 
+@pytest.mark.parametrize("n", range(2, 21))
+def test_a_polynomial_g_weights_each_frozen_row_alike_at_every_level(n):
+    # read at the float t_i + theta, g gave one frozen row weights differing in
+    # their last bits between levels (at n = 10, 12, 14 and 20, among others),
+    # so the table missed the prefix-summed path
+    gen, dt = PREFIX_CASES["uniform_g_poly"][0], 1.0 / n
+    coeffs = prefix_coefficients(gen, past_z_rows(gen, build_tree(n, 1.0)))
+    assert coeffs == tuple(dt * gen.g(k * dt) for k in range(n - 1))
+
+
+def test_moving_average_reads_g_off_the_grid_where_the_offset_lies():
+    # 0.7 - 0.3 lies within the grid slack of row 4 and reads g(4 dt), not
+    # g(0.39999999999999997); 0.7 - 0.25 lies off the grid and reads g there
+    gen = MovingAverageZ(g=lambda t: t, g_bound=1.0,
+                         alpha=DiscreteMixture(((-0.3, 0.5), (-0.25, 0.5))))
+    assert gen.past_z_terms(0.7, 1.0, 0.1) == ((-0.3, 0.5 * (4 * 0.1)),
+                                               (-0.25, 0.5 * (0.7 - 0.25)))
+
+
 def test_past_z_rows_keep_the_one_dimensional_noise_check():
     tree = build_tree(2, 1.0, 2)
     for gen in (DelayedZ(kappa=1.0, lag=0.5), RunningIntegralZ(kappa=1.0)):

@@ -306,6 +306,29 @@ def test_picard_solve_resolves_past_z_terms_once_per_level():
     assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
 
 
+@pytest.mark.parametrize("m, bm_dim", [(1, 1), (2, 2)])
+def test_first_sweep_distance_is_the_distance_to_materialised_zeros(m, bm_dim):
+    # the first sweep measures the iterate against the zero start by its own
+    # norms: x - (+0.0) is x bitwise, -0.0 included
+    tree, blocks = bsvi.build_tree(4, 1.0, bm_dim), 3
+    rng = np.random.default_rng(7)
+    ys = [rng.normal(size=(blocks * tree.level_size(i), m)) for i in range(5)]
+    zs = [rng.normal(size=(blocks * tree.level_size(i), m, bm_dim)) for i in range(4)]
+    ys[2][5], zs[1][3] = -0.0, -0.0
+    weights = solver_mod._distance_weights(tree, 3.0)
+    zeros = ([np.zeros_like(a) for a in ys], [np.zeros_like(a) for a in zs])
+    want = solver_mod._weighted_distance(ys, zs, *zeros, weights, blocks)
+    for old in (zeros, solver_mod._zero_levels(tree, m, blocks)):
+        assert solver_mod._weighted_distance(ys, zs, *old, weights, blocks).tobytes() \
+            == want.tobytes()
+    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    assert got.tobytes() == want.tobytes()
+    ys[0][0, 0] = np.nan  # Y_0 of block 0
+    zs[3][-1, 0, 0] = np.nan  # the last Z row of level 3, in block 2
+    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    assert [math.isfinite(d) for d in got] == [False, True, False]
+
+
 # ---------------------------------------------------------------------------
 # the batched schedule of solve_bsvi against one picard_solve per epsilon
 # (see helpers_oracle.py)
@@ -574,7 +597,8 @@ def test_custom_drift_under_declaring_its_delay_still_sweeps(monkeypatch):
 # ---------------------------------------------------------------------------
 
 from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_one_by_one,
-                            path_norms_one_by_one, yosida_audit_one_by_one)
+                            origin_drift_mass_per_level, path_norms_one_by_one,
+                            yosida_audit_one_by_one)
 
 
 def _solved(case):
@@ -630,6 +654,49 @@ def test_schedule_audits_match_on_solutions_copied_out_at_different_sweeps():
     assert [s.diagnostics.iterations_used for _, s in res.per_epsilon] == [9] + [10] * 10
     for beta in (0.0, 2.0):
         _assert_schedule_audits_match(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen, cfg.tree, beta)
+
+
+class _ShiftedAverage(generators.MovingAverageZ):
+    """A built-in with a nonzero instant part beside past terms of both signs."""
+
+    def instant(self, y, z):
+        return 0.3 - 0.5 * y
+
+
+ORIGIN_GENS = {
+    "zero": generators.ZeroGen(),
+    "linear": generators.linear_scalar(0.7, -0.4),
+    "delayed_z": generators.DelayedZ(kappa=-0.5, lag=0.4),
+    "running_integral_z": generators.RunningIntegralZ(kappa=0.6),
+    "moving_average_z_uniform": generators.MovingAverageZ(
+        g=lambda t: 0.5 - 0.1 * t, g_bound=0.5, alpha=generators.UniformPast()),
+    "moving_average_z_dirac": generators.MovingAverageZ(
+        g=lambda t: -0.5, g_bound=0.5, alpha=generators.Dirac(-0.25)),
+    "mixture": generators.MovingAverageZ(
+        g=lambda t: 0.5, g_bound=0.5,
+        alpha=generators.DiscreteMixture(((-0.5, 0.3), (-0.2, 0.2), (0.0, 0.5)))),
+    "shifted_instant": _ShiftedAverage(g=lambda t: t - 0.4, g_bound=0.6,
+                                       alpha=generators.UniformPast()),
+    "custom": generators.CustomGenerator(
+        fn=lambda t, y, z, past_y, past_z: 0.2 + t - 0.5 * y + 0.25 * past_z(-0.25)[..., 0],
+        declared_instant=0.5, declared_delay=0.0625),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("name", sorted(ORIGIN_GENS))
+def test_audits_take_the_origin_mass_of_every_level_once(name, beta):
+    # both audits' rows, rhs_data included, against the drift evaluated level
+    # by level, past terms included (helpers_oracle), which the one-row
+    # instant of a built-in replaces
+    gen = ORIGIN_GENS[name]
+    tree, xi, _, phi = box_linear_problem(5)
+    per_eps = solve_bsvi(tree, xi, generators.ZeroGen(), phi).per_epsilon
+    _assert_schedule_audits_match(per_eps, phi, xi, gen, tree, beta)
+    want = [origin_drift_mass_per_level(gen, tree, 1, b) for b in (beta, 0.0)]
+    got = generators.origin_drift_mass(gen, tree, 1, (beta, 0.0))
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    assert (want[0] > 0) == (name in ("shifted_instant", "custom"))
 
 
 def test_schedule_audits_match_on_a_two_dimensional_quadratic():
