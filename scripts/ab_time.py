@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Time a benchmark workload's CLI run in this checkout and another, in one process.
 
-    python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi] [--pairs N]
+    python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi]
+                               [--pairs N] [--n-steps N]
 
 Copies each checkout's ``src/bsvi`` into a temporary directory under a package
 name of its own (the package imports itself only relatively), loads both
 copies, and runs their `cli.main` on the workload's seed-0 config, built by
-perfbench/run.py's ``cli_config`` of this checkout.  After one warm-up run per
-side it times N pairs, this side first in even pairs and the other side first
-in odd ones.  Prints each side's median wall time, the median over pairs of
-this / other and the number of pairs this side won.  Both runs of a pair see
-the same host drift, which benchmark runs in separate sessions do not.
+perfbench/run.py's ``cli_config`` of this checkout at the workload's tree size
+or at ``--n-steps``.  After one warm-up run per side it times N pairs, this
+side first in even pairs and the other side first in odd ones.  Prints each
+side's median wall time, the median over pairs of this / other and the number
+of pairs this side won.  Both runs of a pair see the same host drift, which
+benchmark runs in separate sessions do not.  Then one untimed run per side
+under tracemalloc prints the peak of the memory Python allocated during it.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -44,12 +48,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=("box_compare", "delay_bsvi"),
                         default="delay_bsvi")
     parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--n-steps", type=int, default=None,
+                        help="tree size (default: the workload's)")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "bsvi").is_dir():
         parser.error(f"{args.other} holds no src/bsvi")
     bench = perfbench_module()
-    doc = bench.cli_config(args.workload, bench.WORKLOADS[args.workload]["n_steps"],
-                           bench.draw_params(0))
+    n_steps = args.n_steps or bench.WORKLOADS[args.workload]["n_steps"]
+    doc = bench.cli_config(args.workload, n_steps, bench.draw_params(0))
     times = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -66,6 +72,14 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{side} side: bsvi exited with {code}")
             return elapsed
 
+        def traced_peak(side: str) -> int:
+            tracemalloc.start()
+            try:
+                run(side)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("ignore")  # delay_bsvi's gate warns on every run
             for side in SIDES:
@@ -73,12 +87,15 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                     times[side].append(run(side))
+            peaks = {side: traced_peak(side) for side in SIDES}
     ratios = [a / b for a, b in zip(times["this"], times["other"])]
-    print(f"{args.workload}, {args.pairs} pairs")
+    print(f"{args.workload} at n_steps = {n_steps}, {args.pairs} pairs")
     for side, checkout in zip(SIDES, (ROOT, args.other.resolve())):
         print(f"{side:5s} median {statistics.median(times[side]):.5f} s  ({checkout})")
     print(f"this / other: median paired ratio {statistics.median(ratios):.3f}, "
           f"this faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+    for side in SIDES:
+        print(f"{side:5s} traced peak {peaks[side] / 2 ** 20:.2f} MB (one untimed run)")
     return 0
 
 

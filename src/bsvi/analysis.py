@@ -16,7 +16,6 @@ run of one block its own array and a longer run a copy of its blocks.
 """
 
 import math
-import statistics
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
@@ -31,6 +30,8 @@ from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_mome
 
 @dataclass(frozen=True)
 class BoundAudit:
+    """One schedule entry of an audit: lhs against its data bound, and their ratio."""
+
     lhs: float
     rhs_data: float
     empirical_constant: float
@@ -140,17 +141,22 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
 
 
 def _uniform_ok(constants, factor: float) -> bool:
-    vals = [c for c in constants if np.isfinite(c)]
-    if len(vals) != len(constants):
+    if not all(np.isfinite(c) for c in constants):
         return False
-    if max(vals, default=0.0) <= 1e-14:
-        return True
-    med = float(statistics.median(vals))
-    return max(vals) <= factor * med
+    top = max(constants, default=0.0)
+    return top <= 1e-14 or top <= factor * _median(constants)
+
+
+def _median(values) -> float:
+    """`statistics.median`'s rule, without its import: the middle value or the mean of two."""
+    s, mid = sorted(values), len(values) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 @dataclass(frozen=True)
 class AprioriAudit:
+    """The a priori audit's rows, its uniformity verdict and their median constant."""
+
     rows: tuple
     uniform_ok: bool
     median_constant: float
@@ -158,6 +164,8 @@ class AprioriAudit:
 
 @dataclass(frozen=True)
 class YosidaAudit:
+    """The Yosida audit's (a), (b) and (c) rows and its verdict."""
+
     grad_rows: tuple      # (a) E int e^{bs} |grad phi_eps(Y^eps)|^2 vs M_2
     value_rows: tuple     # (b) sup_t E e^{bt} phi(J(Y)) + E int e^{bs} phi(J(Y)) vs M_2
     gap_rows: tuple       # (c) sup_t E e^{bt} |Y - J(Y)|^2 vs eps * M_2
@@ -206,7 +214,7 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
         rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
                      for eps, v in zip(epsilons, (s["y_s2"] + s["z_h2"]).tolist()))
         consts = [r.empirical_constant for r in rows]
-        apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), float(statistics.median(consts)))
+        apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), _median(consts))
     if "yosida" in parts:
         m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
         denom = m2 if m2 > 0 else 1.0
@@ -255,6 +263,8 @@ def epsilon_table(per_epsilon, phi: ConvexFunction, tree: ScenarioTree) -> list:
 
 @dataclass(frozen=True)
 class RateFit:
+    """Log-log fit of the schedule's distances; ``exact`` when all vanish."""
+
     slope: float | None
     intercept: float | None
     residual: float | None
@@ -288,6 +298,8 @@ def epsilon_rate_fit(epsilon_table) -> RateFit:
 
 @dataclass(frozen=True)
 class StabilityAudit:
+    """Two-data stability: lhs against its data bound, and their ratio."""
+
     lhs: float
     rhs_data: float
     empirical_constant: float
@@ -324,6 +336,8 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Worst residuals of the discrete equation and subdifferential, and phi's mass."""
+
     equation_residual: float
     subdiff_residual: float
     phi_integrability: float

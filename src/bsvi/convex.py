@@ -52,7 +52,7 @@ class Zero(ConvexFunction):
         return _as_points(y).copy()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IndicatorBox(ConvexFunction):
     """Indicator of the box [lo, hi]; bounds may be -inf/+inf componentwise."""
 
@@ -265,6 +265,8 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
 
 @dataclass(frozen=True)
 class SubgradientCheck:
+    """Verdict and worst slack of `subgradient_check`."""
+
     passed: bool
     worst_violation: float
 

@@ -156,7 +156,7 @@ class ZeroGen(GeneratorSpec):
         return 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearInstant(GeneratorSpec):
     """F(t, y, z) = A y + B z with A (m, m) and B (m, m, d)."""
 

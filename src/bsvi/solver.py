@@ -31,7 +31,9 @@ therefore replayed, not recomputed (a `CustomGenerator` always sweeps).
 `solve_bsvi` sweeps its E solves as one batch, a forest of E trees: node j of
 block e is row e B^i + j of level i, so children and ancestors sit where the
 row arithmetic of one tree puts them, the level kernels run unchanged, and
-each eps enters as an (E, 1, 1) column.  `picard_solve` is a batch of one.
+each eps enters as an (E, 1, 1) column.  A level of one block's rows is shared
+by every block: xi and level n - 1's Z, which xi alone decides, are computed
+once per solve.  `picard_solve` is a batch of one.
 Picard sweeps are inherently sequential; solves share immutable trees safely.
 """
 
@@ -208,26 +210,35 @@ def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: list, frozen_z: list, phi: ConvexFunction,
               epsilons: np.ndarray | None, past_rows: tuple,
-              coeffs: tuple | None = None):
+              coeffs: tuple | None = None, last: tuple | None = None):
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
-    n, ``epsilons`` the (blocks, 1, 1) column of a penalized step and
-    ``coeffs`` a column-constant table's (`generators.prefix_coefficients`)."""
+    n, ``epsilons`` the (blocks, 1, 1) column of a penalized step, ``coeffs``
+    a column-constant table's (`generators.prefix_coefficients`) and ``last``
+    level n - 1's `_leaf_moments` (without it, ``xi`` holds every block)."""
     n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
+    blocks = len(frozen_y[0])  # Y_0 holds one row per block
     prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
     step = None if epsilons is None else convex.resolvent(phi, epsilons, dt)
     y_levels = [None] * n + [xi]
     z_levels = [None] * n
     u_levels = [None] * n
     for i in range(n - 1, -1, -1):
-        expect, z_here = level_moments(tree, y_levels[i + 1])
-        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
-                            past_rows, prefix)
-        # a new array: a custom drift may return an alias of its argument
-        target = dt * drift
-        target += expect
+        size = tree.level_size(i)
+        expect, z_here, target = last if last and i == n - 1 else \
+            (*level_moments(tree, y_levels[i + 1]), None)
+        if target is None:  # shared moments are tiled for a drift that reads frozen rows
+            expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
+                (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1)))
+            drift = level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
+                                past_rows, prefix)
+            # a new array: a custom drift may return an alias of its argument
+            target = dt * drift
+            target += expect
         if step is not None:
-            y_here, u_here = (a.reshape(-1, m) for a in step(
-                target.reshape(len(epsilons), -1, m)))
+            x = target.reshape(-1, size, m)
+            if len(x) < blocks:  # a shared target serves every block's epsilon
+                x = np.broadcast_to(x, (blocks, size, m))
+            y_here, u_here = (a.reshape(-1, m) for a in step(x))
         else:
             y_here = phi.prox(dt, target)
             u_here = (target - y_here) / dt
@@ -237,12 +248,29 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     return y_levels, z_levels, u_levels
 
 
+def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
+                  past_rows: tuple) -> tuple:
+    """Level n - 1's (E, Z, target E + dt F) from one block's leaf level, Z and
+    the target read-only; no target where the drift may read a frozen row there
+    (a custom callback always may)."""
+    expect, z = level_moments(tree, xi)
+    z.flags.writeable = False
+    target = None
+    if not isinstance(gen, CustomGenerator) and all(row is None for row, _ in past_rows[-1]):
+        target = tree.grid.dt * level_drift(gen, tree, len(past_rows) - 1, expect, z,
+                                            None, None, past_rows)
+        target += expect
+        target.flags.writeable = False
+    return expect, z, target
+
+
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
     """Per-level weights of `_weighted_distance`, built once per solve:
-    e^{beta t/2} for every Y level and dt e^{beta t} for every Z level."""
+    e^{beta t/2} for every Y level and dt e^{beta t} for every Z level (and rows per block)."""
     n, dt = tree.grid.n_steps, tree.grid.dt
     return (tuple(math.exp(0.5 * beta * i * dt) for i in range(n + 1)),
-            tuple(dt * math.exp(beta * i * dt) for i in range(n)))
+            tuple(dt * math.exp(beta * i * dt) for i in range(n)),
+            tuple(tree.level_size(i) for i in range(n + 1)))
 
 
 def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
@@ -251,31 +279,37 @@ def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
     gate, one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the
     square root of the e^{beta t}-weighted H^2 sum of dZ, with ``weights``
     from `_distance_weights`; old levels None are the zero start, x - (+0.0) = x."""
-    y_weights, z_weights = weights
-    sups = []
-    for w, a, b_ in zip(y_weights, y_new, y_old or [None] * len(y_new)):
-        if a is b_:  # the shared leaf level after the first sweep: |dY| = 0
+    y_weights, z_weights, sizes = weights
+    sup = np.zeros(blocks)
+    for w, size, a, b_ in zip(y_weights, sizes, y_new, y_old or [None] * len(y_new)):
+        if a is b_:  # a shared level after the first sweep: |dY| = 0
             continue
         diff = a if b_ is None else a - b_
         mag = np.abs(diff, out=None if b_ is None else diff)
-        sups.append(w * mag.reshape(blocks, -1).max(axis=1))
+        # a shared level (one block's rows) is reduced once, for every block
+        np.maximum(sup, w * mag.reshape(len(a) // size, -1).max(axis=1), out=sup)
     h2_z = np.zeros(blocks)
-    for w, a, b_ in zip(z_weights, z_new, z_old or [None] * len(z_new)):
+    for w, size, a, b_ in zip(z_weights, sizes, z_new, z_old or [None] * len(z_new)):
+        if a is b_:  # a shared level after the first sweep: |dZ| = 0
+            continue
         # each block's level mean as np.mean takes it, without its per-call overhead
-        rows = row_sq_norms(a if b_ is None else a - b_).reshape(blocks, -1)
+        rows = row_sq_norms(a if b_ is None else a - b_).reshape(len(a) // size, -1)
         h2_z += w * (rows.sum(axis=1) / rows.shape[1])
-    return np.max(sups, axis=0) + np.sqrt(h2_z)
+    return sup + np.sqrt(h2_z)
 
 
-def _slot(a: np.ndarray, e: int, blocks: int) -> np.ndarray:
-    """The rows of block e of a level array of ``blocks`` blocks (a view)."""
-    return a[e * (len(a) // blocks):(e + 1) * (len(a) // blocks)]
+def _slot(levels: list, e: int, sizes: tuple) -> list:
+    """Block e's rows of every level, ``sizes`` rows per block (views); a
+    shared level, of one block's rows, is every block's."""
+    return [a if len(a) == size else a[e * size:(e + 1) * size]
+            for a, size in zip(levels, sizes)]
 
 
-def _blocks(levels: list, index: list, blocks: int) -> list:
-    """Each level's rows of the blocks ``index`` (a copy)."""
-    return [a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
-            for a in levels]
+def _blocks(levels: list, index: list, blocks: int, sizes: tuple) -> list:
+    """Each level's rows of the blocks ``index`` (a copy); a shared level as it is."""
+    return [a if len(a) == size else
+            a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
+            for a, size in zip(levels, sizes)]
 
 
 def _square_lipschitz(L: float) -> float:
@@ -360,10 +394,13 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     replay = not isinstance(gen, CustomGenerator) and all(
         row is None for terms in past_rows for row, _ in terms)
     weights = _distance_weights(tree, resolve_beta(config, gen))
+    sizes = weights[-1]  # rows per block of every level
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
     active = list(range(len(epsilons)))
-    batch_xi = np.tile(xi, (len(active), 1))
+    xi = xi.copy()  # one read-only leaf level for every block, apart from the caller's
+    xi.flags.writeable = False
+    last = _leaf_moments(tree, xi, gen, past_rows)
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
     for sweep in range(1, config.picard_max_iters + 1):
         blocks = len(active)
@@ -372,8 +409,8 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         else:
             eps_col = None if epsilons[0] is None else \
                 np.array([epsilons[e] for e in active])[:, None, None]
-            ys, zs, us = _one_pass(tree, batch_xi, gen, frozen_y, frozen_z, phi,
-                                   eps_col, past_rows, coeffs)
+            ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi,
+                                   eps_col, past_rows, coeffs, last)
             dists = (_weighted_distance(ys, zs, None, None, weights, blocks) if sweep == 1
                      else _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks))
         keep, done = [], []
@@ -383,7 +420,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             diag.iterations_used = sweep
             if not math.isfinite(dist):
                 bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
-                       for i, y in reversed([(i, _slot(a, pos, blocks)) for i, a in enumerate(ys)])
+                       for i, y in reversed(list(enumerate(_slot(ys, pos, sizes))))
                        if not np.isfinite(y).all()]
                 level, node = bad[0] if bad else (None, None)
                 failure = NonFiniteIterate(
@@ -409,8 +446,8 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             # copied out while others keep sweeping, so as to hold none of their
             # rows; a replayed sweep froze (Y, Z) itself, so its past shares them
             y, z, u, past_y, past_z = (
-                AdaptedProcess(tree, _blocks(levels, [pos], blocks) if keep
-                               else [_slot(a, pos, blocks) for a in levels])
+                AdaptedProcess(tree, _blocks(levels, [pos], blocks, sizes) if keep
+                               else _slot(levels, pos, sizes))
                 for levels in (ys, zs, us, frozen_y, frozen_z))
             solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
                                     epsilon=epsilons[e], frozen_past=(past_y, past_z),
@@ -419,10 +456,9 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             del us  # the next pass need not keep this sweep's U alive
         frozen_y, frozen_z = ys, zs
         if len(keep) < blocks:
-            frozen_y, frozen_z = _blocks(ys, keep, blocks), _blocks(zs, keep, blocks)
-            batch_xi = frozen_y[-1]
+            frozen_y, frozen_z = _blocks(ys, keep, blocks, sizes), _blocks(zs, keep, blocks, sizes)
             if replay:
-                us = _blocks(us, keep, blocks)
+                us = _blocks(us, keep, blocks, sizes)
         active = [active[pos] for pos in keep]
         if not active:
             break

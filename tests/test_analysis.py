@@ -1,4 +1,6 @@
 import math
+import statistics
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import bsvi
 from bsvi import convex, generators
 from bsvi.analysis import (
     EpsilonTableRow,
+    _median,
+    _uniform_ok,
     apriori_audit,
     default_subdiff_probes,
     epsilon_rate_fit,
@@ -346,3 +350,36 @@ def test_schedule_audits_refuse_an_unknown_part():
     res = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=(1.0, 0.5)))
     with pytest.raises(ValueError, match="tabel"):
         schedule_audits(res.per_epsilon, phi, xi, gen, tree, parts=("tabel",))
+
+
+# ---------------------------------------------------------------------------
+# the uniformity verdict: every constant at most factor x their median
+# ---------------------------------------------------------------------------
+
+def _float_bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_median_is_the_statistics_median_bitwise(count):
+    rng = np.random.default_rng(count)
+    for values in (rng.normal(size=count).tolist(), list(rng.normal(size=count)),
+                   [0.1 * k for k in rng.integers(0, 3, size=count)],
+                   [-0.0, 0.0, math.inf][:count] + [1.0] * max(0, count - 3)):
+        for order in (values, values[::-1]):  # sorted is stable: -0.0 and 0.0 keep their order
+            assert _float_bits(_median(order)) == _float_bits(statistics.median(order))
+
+
+# below the largest constant: the middle one of 5, or the mean of the middle two of 6
+@pytest.mark.parametrize("rest, med", [([1.3, 0.7, 1.1, 0.9], 1.1),
+                                       ([1.3, 0.7, 1.1, 0.9, 1.2], (1.1 + 1.2) / 2)],
+                         ids=["odd", "even"])
+@pytest.mark.parametrize("factor", [2.0, 4.0])
+def test_uniform_ok_turns_exactly_past_factor_times_the_median(rest, med, factor):
+    bound = factor * med
+    for largest, ok in ((bound, True), (np.nextafter(bound, 0.0), True),
+                        (np.nextafter(bound, math.inf), False)):
+        constants = rest + [float(largest)]
+        assert statistics.median(constants) == med
+        assert _uniform_ok(constants, factor) is ok
+        assert _uniform_ok(constants[::-1], factor) is ok

@@ -549,14 +549,20 @@ def test_report_diff_configs_all_build():
 
 
 def test_ab_time_script_times_a_checkout_against_itself():
+    # delay_bsvi's config at n = 5 instead of its own 8
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
-                           "--pairs", "2"], capture_output=True, text=True, timeout=60)
+                           "--pairs", "2", "--n-steps", "5"],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "delay_bsvi, 2 pairs"
+    assert lines[0] == "delay_bsvi at n_steps = 5, 2 pairs"
     assert [line.split()[:2] for line in lines[1:3]] == [["this", "median"], ["other", "median"]]
     assert re.fullmatch(r"this / other: median paired ratio \d+\.\d{3}, "
                         r"this faster in [0-2] of 2 pairs", lines[3])
+    peaks = [re.fullmatch(r"(this|other) +traced peak (\d+\.\d{2}) MB \(one untimed run\)",
+                          line) for line in lines[4:]]
+    assert [m and m[1] for m in peaks] == ["this", "other"]
+    assert all(float(m[2]) > 0 for m in peaks)
 
 
 def test_readme_config_format_block_builds():

@@ -452,14 +452,29 @@ def test_solutions_are_copied_out_or_row_slices_of_one_batch_array(case, sweeps)
     sols = [s for _, s in res.per_epsilon]
     together = [s for s in sols if s.diagnostics.iterations_used == max(sweeps)]
     assert len(together) < len(sols) if case == "one_norm" else together == sols
-    for proc in (lambda s: s.Y, lambda s: s.Z, lambda s: s.U,
-                 lambda s: s.frozen_past[0], lambda s: s.frozen_past[1]):
+    # level n of Y and of its frozen past, and level n - 1 of Z and of its
+    # frozen past, are decided by xi alone: one read-only array of one block's
+    # rows, the same object in every solution
+    n, leaf = tree.grid.n_steps, np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    shared = {(0, n): leaf, (3, n): leaf,
+              (1, n - 1): level_moments(tree, leaf)[1], (4, n - 1): level_moments(tree, leaf)[1]}
+    procs = (lambda s: s.Y, lambda s: s.Z, lambda s: s.U,
+             lambda s: s.frozen_past[0], lambda s: s.frozen_past[1])
+    for (k, i), want in shared.items():
+        arrays = [procs[k](s).values[i] for s in sols]
+        assert all(a is arrays[0] for a in arrays)
+        assert not arrays[0].flags.writeable
+        assert len(arrays[0]) == tree.level_size(i)
+        assert _same_bits(arrays[0], want)
+    for k, proc in enumerate(procs):
         for sol in sols:
             if sol not in together:
                 # the memory an array keeps alive is that of its base
                 assert all((a if a.base is None else a.base).nbytes == a.nbytes
                            for a in proc(sol).values)
-        for level in zip(*(proc(s).values for s in together)):
+        for i, level in enumerate(zip(*(proc(s).values for s in together))):
+            if (k, i) in shared:
+                continue
             base, first = level[0].base, level[0].__array_interface__["data"][0]
             assert base.nbytes == sum(a.nbytes for a in level)
             assert [a.__array_interface__["data"][0] for a in level] == \
@@ -757,6 +772,66 @@ def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
     assert peak_above_live(lambda: (apriori_audit(res.per_epsilon, xi, gen, tree),
                                     yosida_audit(res.per_epsilon, phi, xi, gen, tree))) <= bound
     assert peak_above_live(lambda: epsilon_table(res.per_epsilon, phi, tree)) <= bound
+
+
+def test_solve_bsvi_holds_the_leaf_level_once_per_schedule():
+    # each of the E solutions holds its own levels below n - 1 (Y and U about
+    # one leaf level each, Z half of one) and its own Y and U at level n - 1;
+    # xi and Z at level n - 1 are one array for all of them.  A leaf level per
+    # solution, or level n - 1's Z per solution, goes past these bounds.
+    tree, xi, gen, phi = box_linear_problem(12)
+    leaf_level = tree.level_size(12) * xi.shape[1] * 8
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        res = solve_bsvi(tree, xi, gen, phi)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    count = len(res.per_epsilon)
+    held = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes
+            for _, s in res.per_epsilon for proc in (s.Y, s.Z, s.U, *s.frozen_past)
+            for a in proc.values}
+    assert count == 11
+    assert sum(held.values()) <= (2.5 * count + 2) * leaf_level
+    assert peak <= (3.5 * count + 4) * leaf_level
+
+
+def test_shared_levels_are_a_private_read_only_copy_of_xi():
+    # a caller writing to its terminal data after the solve changes no
+    # solution, and a write through a solution's shared level raises
+    tree, xi, gen, phi = box_linear_problem(5)
+    xi = np.array(xi, dtype=float)
+    sols = [s for _, s in solve_bsvi(tree, xi, gen, phi).per_epsilon]
+    sols.append(picard_solve(tree, xi, gen))
+    for sol in sols:
+        for level in (sol.Y.values[5], sol.frozen_past[0].values[5],
+                      sol.Z.values[4], sol.frozen_past[1].values[4]):
+            assert not np.shares_memory(level, xi)
+            with pytest.raises(ValueError, match="read-only"):
+                level[0] = 0.0
+
+
+@pytest.mark.parametrize("case", ["box", "one_norm"], ids=["replayed", "staggered"])
+def test_solve_bsvi_takes_the_leaf_moments_once(monkeypatch, case):
+    # level n - 1's moments are xi's alone: one call on one block's leaf level
+    # per schedule, whichever sweep each entry stops at
+    tree, xi, gen, phi = box_linear_problem(6) if case == "box" else SCHEDULE_CASES[case]()
+    leaf = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    leaf_calls = []
+    real = solver_mod.level_moments
+
+    def counted(tree_, y_next):  # a leaf level: xi's rows, once per block
+        if len(y_next) % len(leaf) == 0 and (y_next.reshape(-1, *leaf.shape) == leaf).all():
+            leaf_calls.append(len(y_next))
+        return real(tree_, y_next)
+
+    monkeypatch.setattr(solver_mod, "level_moments", counted)
+    res = solve_bsvi(tree, xi, gen, phi)
+    monkeypatch.undo()
+    sweeps = {s.diagnostics.iterations_used for _, s in res.per_epsilon}
+    assert sweeps == ({2} if case == "box" else {7, 8})
+    assert leaf_calls == [tree.level_size(tree.grid.n_steps)]
 
 
 # ---------------------------------------------------------------------------
