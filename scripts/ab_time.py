@@ -2,7 +2,7 @@
 """Time a benchmark workload's CLI run in this checkout and another, in one process.
 
     python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi]
-                               [--pairs N] [--n-steps N]
+                               [--pairs N] [--n-steps N] [--startup]
 
 Copies each checkout's ``src/bsvi`` into a temporary directory under a package
 name of its own (the package imports itself only relatively), loads both
@@ -14,6 +14,13 @@ side's median wall time, the median over pairs of this / other and the number
 of pairs this side won.  Both runs of a pair see the same host drift, which
 benchmark runs in separate sessions do not.  Then one untimed run per side
 under tracemalloc prints the peak of the memory Python allocated during it.
+
+With ``--startup`` it times starts instead: N pairs of fresh processes, one
+per side, alternating as above, each importing ``bsvi.cli`` from a copy of
+its checkout's ``src/bsvi`` with no bytecode cache (PYTHONDONTWRITEBYTECODE=1,
+as the benchmark's fresh checkouts run) and reading the workload's config
+with `cli.parse_config`.  A process times itself from its first line, numpy's
+import included, and the script prints the same median, ratio and win lines.
 """
 
 import argparse
@@ -21,8 +28,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -33,6 +42,14 @@ from pathlib import Path
 from report_diff import ROOT, perfbench_module
 
 SIDES = ("this", "other")
+# one start: its own wall time from the first line through parsing the config
+START = """import sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import bsvi.cli
+bsvi.cli.parse_config(sys.argv[2])
+print(time.perf_counter() - start)
+"""
 
 
 def _load_cli(checkout: Path, package: str, where: Path):
@@ -40,6 +57,41 @@ def _load_cli(checkout: Path, package: str, where: Path):
     shutil.copytree(checkout / "src" / "bsvi", where / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(f"{package}.cli")
+
+
+def alternate(run, pairs: int) -> dict:
+    """Each side's ``run(side)`` seconds over ``pairs`` pairs, after one untimed
+    run each; this side goes first in even pairs, the other in odd ones."""
+    for side in SIDES:
+        run(side)
+    times = {side: [] for side in SIDES}
+    for k in range(pairs):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            times[side].append(run(side))
+    return times
+
+
+def start_times(checkouts: dict, config: Path, pairs: int, tmp: Path) -> dict:
+    """Seconds of each side's fresh starts (see START), alternated."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for side, checkout in checkouts.items():
+        shutil.copytree(checkout / "src" / "bsvi", tmp / side / "bsvi",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    def start(side: str) -> float:
+        proc = subprocess.run([sys.executable, "-c", START, str(tmp / side), str(config)],
+                              env=env, capture_output=True, text=True, check=True)
+        return float(proc.stdout)
+
+    return alternate(start, pairs)
+
+
+def print_pairs(times: dict, checkouts: dict):
+    ratios = [a / b for a, b in zip(times["this"], times["other"])]
+    for side, checkout in checkouts.items():
+        print(f"{side:5s} median {statistics.median(times[side]):.5f} s  ({checkout})")
+    print(f"this / other: median paired ratio {statistics.median(ratios):.3f}, "
+          f"this faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
 
 
 def main(argv=None) -> int:
@@ -50,19 +102,26 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--n-steps", type=int, default=None,
                         help="tree size (default: the workload's)")
+    parser.add_argument("--startup", action="store_true",
+                        help="time fresh starts (import bsvi.cli, parse the config) instead")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "bsvi").is_dir():
         parser.error(f"{args.other} holds no src/bsvi")
     bench = perfbench_module()
     n_steps = args.n_steps or bench.WORKLOADS[args.workload]["n_steps"]
     doc = bench.cli_config(args.workload, n_steps, bench.draw_params(0))
-    times = {side: [] for side in SIDES}
+    checkouts = dict(zip(SIDES, (ROOT, args.other.resolve())))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        if args.startup:
+            times = start_times(checkouts, tmp / "config.json", args.pairs, tmp)
+            print(f"{args.workload} start-up at n_steps = {n_steps}, {args.pairs} pairs")
+            print_pairs(times, checkouts)
+            return 0
         sys.path.insert(0, str(tmp))
         clis = {side: _load_cli(checkout, f"bsvi_ab_{side}", tmp)
-                for side, checkout in zip(SIDES, (ROOT, args.other.resolve()))}
+                for side, checkout in checkouts.items()}
 
         def run(side: str) -> float:
             start = time.perf_counter()
@@ -82,18 +141,10 @@ def main(argv=None) -> int:
 
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("ignore")  # delay_bsvi's gate warns on every run
-            for side in SIDES:
-                run(side)
-            for k in range(args.pairs):
-                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    times[side].append(run(side))
+            times = alternate(run, args.pairs)
             peaks = {side: traced_peak(side) for side in SIDES}
-    ratios = [a / b for a, b in zip(times["this"], times["other"])]
     print(f"{args.workload} at n_steps = {n_steps}, {args.pairs} pairs")
-    for side, checkout in zip(SIDES, (ROOT, args.other.resolve())):
-        print(f"{side:5s} median {statistics.median(times[side]):.5f} s  ({checkout})")
-    print(f"this / other: median paired ratio {statistics.median(ratios):.3f}, "
-          f"this faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+    print_pairs(times, checkouts)
     for side in SIDES:
         print(f"{side:5s} traced peak {peaks[side] / 2 ** 20:.2f} MB (one untimed run)")
     return 0

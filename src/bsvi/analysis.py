@@ -17,19 +17,17 @@ run of one block its own array and a longer run a copy of its blocks.
 
 import math
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, subgradient_check
 from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
-from .lattice import (AdaptedProcess, ScenarioTree, fold_running_max, level_moments,
+from .lattice import (AdaptedProcess, Record, ScenarioTree, fold_running_max, level_moments,
                       row_sq_norms)
 
 
-@dataclass(frozen=True)
-class BoundAudit:
+class BoundAudit(Record, frozen=True):
     """One schedule entry of an audit: lhs against its data bound, and their ratio."""
 
     lhs: float
@@ -153,8 +151,7 @@ def _median(values) -> float:
     return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
-@dataclass(frozen=True)
-class AprioriAudit:
+class AprioriAudit(Record, frozen=True):
     """The a priori audit's rows, its uniformity verdict and their median constant."""
 
     rows: tuple
@@ -162,8 +159,7 @@ class AprioriAudit:
     median_constant: float
 
 
-@dataclass(frozen=True)
-class YosidaAudit:
+class YosidaAudit(Record, frozen=True):
     """The Yosida audit's (a), (b) and (c) rows and its verdict."""
 
     grad_rows: tuple      # (a) E int e^{bs} |grad phi_eps(Y^eps)|^2 vs M_2
@@ -172,8 +168,7 @@ class YosidaAudit:
     uniform_ok: bool
 
 
-@dataclass(frozen=True)
-class EpsilonTableRow:
+class EpsilonTableRow(Record, frozen=True):
     """Distances between consecutive penalized solutions plus per-run summaries."""
 
     epsilon: float
@@ -261,8 +256,7 @@ def epsilon_table(per_epsilon, phi: ConvexFunction, tree: ScenarioTree) -> list:
     return schedule_audits(per_epsilon, phi, None, None, tree, parts=("table",)).table
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record, frozen=True):
     """Log-log fit of the schedule's distances; ``exact`` when all vanish."""
 
     slope: float | None
@@ -296,8 +290,7 @@ def epsilon_rate_fit(epsilon_table) -> RateFit:
                    residual=resid, exact=False)
 
 
-@dataclass(frozen=True)
-class StabilityAudit:
+class StabilityAudit(Record, frozen=True):
     """Two-data stability: lhs against its data bound, and their ratio."""
 
     lhs: float
@@ -334,8 +327,7 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
                           vacuous=False)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record, frozen=True):
     """Worst residuals of the discrete equation and subdifferential, and phi's mass."""
 
     equation_residual: float

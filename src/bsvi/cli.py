@@ -12,14 +12,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import analysis, convex, generators, problems, solver
-from .lattice import DEFAULT_NODE_CAP, build_tree
+from .lattice import DEFAULT_NODE_CAP, Record, build_tree
 from .solver import NonFiniteIterate, PicardNonConvergence, SolverConfig, WellposednessError
 
 EXIT_OK = 0
@@ -37,8 +36,7 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
-@dataclass(eq=False)
-class ProblemConfig:
+class ProblemConfig(Record, eq=False):
     """Validated run description; ``raw`` is the parsed document it came from."""
 
     raw: dict
@@ -314,7 +312,7 @@ def emit_report(report: dict, out_dir, out_format: str):
         written.append(path)
 
     table("epsilon_table", report.get("epsilon_table", []),
-          [f.name for f in fields(analysis.EpsilonTableRow)])
+          analysis.EpsilonTableRow._fields)
     schemes = report.get("schemes", {})
     table("picard_distances", [{"scheme": scheme, "sweep": k + 1, "distance": d}
                                for scheme, summary in schemes.items()
@@ -322,7 +320,7 @@ def emit_report(report: dict, out_dir, out_format: str):
           ["scheme", "sweep", "distance"])
     table("audits", [{"group": group, **r} for group in ("apriori", "yosida")
                      for r in report.get("audits", {}).get(group, [])],
-          ["group", *(f.name for f in fields(analysis.BoundAudit))])
+          ["group", *analysis.BoundAudit._fields])
     pairs = [("mode", report["mode"])]
     pairs += [(f"wellposedness.{k}", v) for k, v in report["wellposedness"].items()]
     for scheme, summary in schemes.items():

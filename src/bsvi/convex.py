@@ -11,10 +11,11 @@ accept arbitrary leading batch dimensions.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .lattice import Record
 
 
 def _as_points(y) -> np.ndarray:
@@ -40,8 +41,7 @@ class ConvexFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Zero(ConvexFunction):
+class Zero(ConvexFunction, Record, frozen=True):
     """phi == 0; the subdifferential term vanishes."""
 
     def value(self, y):
@@ -52,8 +52,7 @@ class Zero(ConvexFunction):
         return _as_points(y).copy()
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class IndicatorBox(ConvexFunction):
+class IndicatorBox(ConvexFunction, Record, frozen=True, eq=False):
     """Indicator of the box [lo, hi]; bounds may be -inf/+inf componentwise."""
 
     lo: np.ndarray
@@ -87,8 +86,7 @@ class IndicatorBox(ConvexFunction):
         return np.clip(arr, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Quadratic(ConvexFunction):
+class Quadratic(ConvexFunction, Record, frozen=True):
     """phi(y) = c |y|^2 / 2 with c >= 0."""
 
     c: float
@@ -105,8 +103,7 @@ class Quadratic(ConvexFunction):
         return _as_points(y) / (1.0 + epsilon * self.c)
 
 
-@dataclass(frozen=True)
-class OneNorm(ConvexFunction):
+class OneNorm(ConvexFunction, Record, frozen=True):
     """phi(y) = c * sum_k |y_k| with c >= 0."""
 
     c: float
@@ -124,8 +121,7 @@ class OneNorm(ConvexFunction):
         return np.sign(arr) * np.maximum(np.abs(arr) - epsilon * self.c, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Custom1D(ConvexFunction):
+class Custom1D(ConvexFunction, Record, frozen=True, eq=False):
     """Scalar piecewise-convex penalty with a user-supplied closed-form prox.
 
     The prox is validated at construction against a bisection oracle for the
@@ -193,8 +189,7 @@ def _prox_bisection(phi_fn, eps: float, y: float, width: float = 64.0) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class YosidaTriple:
+class YosidaTriple(Record, frozen=True):
     """Resolvent J_eps(y), envelope phi_eps(y) and gradient at one point.
 
     The identity gradient == (y - resolvent) / epsilon holds exactly as
@@ -263,8 +258,7 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
     return apply
 
 
-@dataclass(frozen=True)
-class SubgradientCheck:
+class SubgradientCheck(Record, frozen=True):
     """Verdict and worst slack of `subgradient_check`."""
 
     passed: bool

@@ -17,12 +17,11 @@ callbacks must be re-entrant.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .lattice import TIME_SLACK, grid_row, row_sq_norms
+from .lattice import TIME_SLACK, Record, grid_row, row_sq_norms
 
 
 class GeneratorError(RuntimeError):
@@ -61,8 +60,7 @@ def _trapezoid(steps: int, dt: float, weight: float) -> tuple:
                  for j in range(steps + 1))
 
 
-@dataclass(frozen=True)
-class Dirac(DelayMeasure):
+class Dirac(DelayMeasure, Record, frozen=True):
     """Unit mass at offset theta <= 0; theta = 0 means no delay."""
 
     theta: float = 0.0
@@ -76,8 +74,7 @@ class Dirac(DelayMeasure):
         return ((self.theta, 1.0),)
 
 
-@dataclass(frozen=True)
-class UniformPast(DelayMeasure):
+class UniformPast(DelayMeasure, Record, frozen=True):
     """Uniform probability on [-horizon, 0]; horizon is bound at quadrature
     time, where the trapezoid rule on the dt-spaced offsets integrates it."""
 
@@ -87,8 +84,7 @@ class UniformPast(DelayMeasure):
         return _trapezoid(int(round(horizon / dt)), dt, dt / horizon)
 
 
-@dataclass(frozen=True)
-class DiscreteMixture(DelayMeasure):
+class DiscreteMixture(DelayMeasure, Record, frozen=True):
     """Finitely many atoms (theta_k, weight_k) with weights summing to one."""
 
     atoms: tuple
@@ -145,8 +141,7 @@ class GeneratorSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroGen(GeneratorSpec):
+class ZeroGen(GeneratorSpec, Record, frozen=True):
     """F == 0."""
 
     def lipschitz_instant(self):
@@ -156,8 +151,7 @@ class ZeroGen(GeneratorSpec):
         return 0.0
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class LinearInstant(GeneratorSpec):
+class LinearInstant(GeneratorSpec, Record, frozen=True, eq=False):
     """F(t, y, z) = A y + B z with A (m, m) and B (m, m, d)."""
 
     a_y: np.ndarray
@@ -199,8 +193,7 @@ def linear_scalar(a: float, b: float) -> LinearInstant:
     return LinearInstant(np.array([[a]]), np.array([[[b]]]))
 
 
-@dataclass(frozen=True)
-class DelayedZ(GeneratorSpec):
+class DelayedZ(GeneratorSpec, Record, frozen=True):
     """F(s) = kappa * z(s - lag); the lagged value is read from the past segment."""
 
     kappa: float
@@ -222,8 +215,7 @@ class DelayedZ(GeneratorSpec):
         return self.kappa ** 2
 
 
-@dataclass(frozen=True)
-class RunningIntegralZ(GeneratorSpec):
+class RunningIntegralZ(GeneratorSpec, Record, frozen=True):
     """F(s) = kappa * int_0^s z(u) du (trapezoid over the grid points of [0, s]).
 
     Not the uniform moving average scaled by the horizon: for s < T that
@@ -232,7 +224,7 @@ class RunningIntegralZ(GeneratorSpec):
     """
 
     kappa: float
-    alpha: DelayMeasure = field(default_factory=UniformPast)
+    alpha: DelayMeasure = UniformPast()
 
     def __post_init__(self):
         _check_finite(self.kappa, "kappa")
@@ -250,8 +242,7 @@ class RunningIntegralZ(GeneratorSpec):
         return (self.kappa * horizon) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class MovingAverageZ(GeneratorSpec):
+class MovingAverageZ(GeneratorSpec, Record, frozen=True, eq=False):
     """F(s) = int_{-T}^0 g(s + theta) z(s + theta) alpha(dtheta).
 
     ``g`` must be bounded measurable on [0, T], zero before 0 (cut where
@@ -261,7 +252,7 @@ class MovingAverageZ(GeneratorSpec):
 
     g: Callable[[float], float]
     g_bound: float
-    alpha: DelayMeasure = field(default_factory=Dirac)
+    alpha: DelayMeasure = Dirac()
 
     def __post_init__(self):
         _check_finite(self.g_bound, "g_bound")
@@ -280,8 +271,7 @@ class MovingAverageZ(GeneratorSpec):
         return self.g_bound ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class CustomGenerator(GeneratorSpec):
+class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
     """User drift fn(t, y, z, past_y, past_z) with declared constants.
 
     The callback evaluates a whole tree level in one call, once per level per
@@ -300,7 +290,7 @@ class CustomGenerator(GeneratorSpec):
     fn: Callable
     declared_instant: float
     declared_delay: float
-    alpha: DelayMeasure = field(default_factory=Dirac)
+    alpha: DelayMeasure = Dirac()
 
     def lipschitz_instant(self):
         return self.declared_instant

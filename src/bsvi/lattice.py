@@ -10,7 +10,6 @@ this module is pure and safe for concurrent use.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,8 +31,60 @@ def _check_count(value, name: str):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class Record:
+    """Base of the package's value classes, which generates no code: a class's
+    annotated fields (after its Record bases') are read once, when it is made.
+    Instances take them by position or keyword, keep them in ``__dict__`` in
+    field order, run ``__post_init__``, compare by value and print as
+    ``Name(field=value, ...)``.  ``frozen=True`` refuses assignment and deletion
+    and hashes by value; ``eq=False`` compares and hashes by identity."""
+
+    _fields, _defaults, _post_init = (), {}, None
+
+    def __init_subclass__(cls, frozen=False, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [n for n in cls.__dict__.get("__annotations__", ()) if n not in cls._fields]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._post_init = getattr(cls, "__post_init__", None)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            cls.__hash__ = lambda self: hash(self._values())
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):  # each field once, by position, name or default
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if values.keys() != set(names) or len(args) > len(names) \
+                    or not kwargs.keys().isdisjoint(names[:len(args)]):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names} "
+                                f"(defaults {self._defaults}): got {args} and {kwargs}")
+            args = [values[n] for n in names]
+        # a new dict, not self.__dict__ filled in: that one is a split table, whose
+        # fields then read about 2.5 times slower
+        object.__setattr__(self, "__dict__", dict(zip(names, args)))
+        if self._post_init is not None:
+            self._post_init()
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r} "
+                             f"of a frozen {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):  # which leaves __hash__ None: a mutable class is unhashable
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __repr__(self):
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({pairs})"
+
+
+class TimeGrid(Record, frozen=True):
     """Uniform grid 0 = t_0 < ... < t_n = horizon."""
 
     n_steps: int
@@ -53,8 +104,7 @@ class TimeGrid:
         return self.horizon / self.n_steps
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioTree:
+class ScenarioTree(Record, frozen=True, eq=False):
     """Non-recombining tree of Rademacher increments.
 
     Level i holds 2**(bm_dim*i) nodes; node j's children at level i+1 are
@@ -94,8 +144,7 @@ class ScenarioTree:
         return AdaptedProcess(self, values)
 
 
-@dataclass(eq=False)
-class AdaptedProcess:
+class AdaptedProcess(Record, eq=False):
     """Per-node values of an adapted process, stored level-major.
 
     values[i] has shape (level_size(i), m) for state-type processes or
@@ -107,8 +156,9 @@ class AdaptedProcess:
     tree: ScenarioTree
     values: list
 
-    def __post_init__(self):
-        for i, arr in enumerate(self.values):
+    def __init__(self, tree: ScenarioTree, values: list):  # written out: many per solve
+        self.tree, self.values = tree, values
+        for i, arr in enumerate(values):
             if arr.shape[0] != self.tree.level_size(i):
                 raise ValueError(
                     f"level {i} has {arr.shape[0]} values, expected {self.tree.level_size(i)}"

@@ -39,7 +39,6 @@ Picard sweeps are inherently sequential; solves share immutable trees safely.
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +48,7 @@ from .analysis import epsilon_table
 from .convex import ConvexFunction, Zero
 from .generators import (CustomGenerator, GeneratorSpec, frozen_prefix, level_drift,
                          lipschitz_probe_audit, past_z_rows, prefix_coefficients)
-from .lattice import AdaptedProcess, ScenarioTree, level_moments, row_sq_norms
+from .lattice import AdaptedProcess, Record, ScenarioTree, level_moments, row_sq_norms
 
 
 DEFAULT_EPSILON_SCHEDULE = tuple(2.0 ** -k for k in range(11))
@@ -58,8 +57,7 @@ DIVERGENCE_RATIO = 1.05
 DIVERGENCE_PATIENCE = 5
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record, frozen=True):
     """Solver knobs.  ``beta = None`` resolves to 24 L^2 + 1 at solve time."""
 
     beta: float | None = None
@@ -91,8 +89,7 @@ class SolverConfig:
             raise ValueError(f"hard_gate must be true or false: {self.hard_gate!r}")
 
 
-@dataclass(frozen=True)
-class WellposednessReport:
+class WellposednessReport(Record, frozen=True):
     """Smallness gate K e^{beta T} < 2 L^2 (uniqueness) resp. < 6 L^2 (existence)."""
 
     L: float
@@ -133,18 +130,22 @@ def check_wellposedness(L: float, K: float, horizon: float,
     )
 
 
-@dataclass
-class PicardDiagnostics:
+class PicardDiagnostics(Record):
     """Per-sweep iterate distances and ratios; a replayed sweep counts too."""
 
-    iterate_distances: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
-    converged: bool = False
-    iterations_used: int = 0
+    iterate_distances: list
+    contraction_ratios: list
+    converged: bool
+    iterations_used: int
+
+    def __init__(self, iterate_distances=None, contraction_ratios=None, converged=False,
+                 iterations_used=0):  # written out, as Solution's is; None: a fresh list
+        self.iterate_distances = [] if iterate_distances is None else iterate_distances
+        self.contraction_ratios = [] if contraction_ratios is None else contraction_ratios
+        self.converged, self.iterations_used = converged, iterations_used
 
 
-@dataclass(eq=False)
-class Solution:
+class Solution(Record, eq=False):
     """Adapted triple (Y, Z, U) plus the fixed-point diagnostics.
 
     Y spans levels 0..n; Z and U span 0..n-1.  ``frozen_past`` is the Picard
@@ -160,6 +161,16 @@ class Solution:
     epsilon: float | None = None
     frozen_past: tuple | None = None
     wellposedness: WellposednessReport | None = None
+
+    def __init__(self, Y, Z, U, diagnostics, epsilon=None, frozen_past=None,
+                 wellposedness=None):  # written out: Record's generic one costs 6 times more
+        self.Y = Y  # one field a statement: a tuple assignment costs 7 % more
+        self.Z = Z
+        self.U = U
+        self.diagnostics = diagnostics
+        self.epsilon = epsilon
+        self.frozen_past = frozen_past
+        self.wellposedness = wellposedness
 
 
 class PicardNonConvergence(RuntimeError):
@@ -473,8 +484,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     return solutions
 
 
-@dataclass(eq=False)
-class BsviResult:
+class BsviResult(Record, eq=False):
     """The schedule's solutions; ``epsilon_table`` is computed on first read."""
 
     solution: Solution

@@ -563,6 +563,20 @@ def test_ab_time_script_times_a_checkout_against_itself():
                           line) for line in lines[4:]]
     assert [m and m[1] for m in peaks] == ["this", "other"]
     assert all(float(m[2]) > 0 for m in peaks)
+    # fresh starts: import bsvi.cli and parse the config, without bytecode cache
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
+                           "--pairs", "2", "--n-steps", "5", "--startup"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delay_bsvi start-up at n_steps = 5, 2 pairs"
+    medians = [re.fullmatch(r"(this|other) +median (\d+\.\d{5}) s  \(.*\)", line)
+               for line in lines[1:3]]
+    assert [m and m[1] for m in medians] == ["this", "other"]
+    assert all(float(m[2]) > 0 for m in medians)
+    assert re.fullmatch(r"this / other: median paired ratio \d+\.\d{3}, "
+                        r"this faster in [0-2] of 2 pairs", lines[3])
+    assert len(lines) == 4
 
 
 def test_readme_config_format_block_builds():

@@ -233,6 +233,18 @@ def test_generator_bound_diagnostic_identity_in_z():
     assert slack == pytest.approx(1.0 - 6.0)
 
 
+@pytest.mark.parametrize("c", [0.7, -2.0])
+def test_generator_bound_diagnostic_of_a_constant_drift_by_hand(c):
+    # F = c with declared L = K = 0: int |F|^2 = T c^2 on every path and the
+    # bound is 3 int |F(s, 0, 0, 0, 0)|^2 = 3 T c^2, so the slack is -2 T c^2
+    tree = build_tree(2, 1.5, 1)
+    y, z = random_paths(tree, 7)
+    gen = CustomGenerator(fn=lambda t, y, z, past_y, past_z: np.full_like(y, c),
+                          declared_instant=0.0, declared_delay=0.0)
+    assert generator_bound_diagnostic(gen, y, z, tree) == pytest.approx(-2 * 1.5 * c ** 2,
+                                                                        rel=1e-12)
+
+
 @pytest.mark.parametrize("gen", [
     linear_scalar(0.7, -0.4),
     DelayedZ(kappa=0.8, lag=0.25),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -191,6 +190,26 @@ def test_divergent_y_delay_is_diagnosed():
             picard_solve(tree, xi, gen, SolverConfig(beta=1.0))
     assert err.value.diverged
     assert max(err.value.diagnostics.contraction_ratios) > 1.0
+
+
+@pytest.mark.parametrize("gain", [1.1, 1.25, 1.4])
+def test_ratios_settling_below_one_and_a_half_read_as_divergence(gain):
+    # F = gain * Y(t - T) reads Y(0) through the extension at every level, so
+    # from the third sweep on each difference is the last one scaled by
+    # exactly T * gain: blow-up that a threshold of 1.5 would call a stall
+    tree = bsvi.build_tree(4, 1.0, 1)
+    xi = 0.5 + tree.path_sums().values[-1]
+    gen = generators.CustomGenerator(fn=lambda t, y, z, past_y, past_z: gain * past_y(-1.0),
+                                     declared_instant=0.0, declared_delay=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(PicardNonConvergence) as err:
+            picard_solve(tree, xi, gen, SolverConfig(beta=1.0, picard_max_iters=20))
+    diag = err.value.diagnostics
+    assert err.value.diverged and not isinstance(err.value, NonFiniteIterate)
+    assert len(diag.iterate_distances) <= solver_mod.DIVERGENCE_PATIENCE + 2
+    settled = diag.contraction_ratios[1:]
+    assert settled == pytest.approx([gain] * len(settled), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad_time", [0.5, 0.0])
@@ -628,7 +647,7 @@ def _bits(v):
 
 
 def _row_bits(row):
-    return [(f.name, _bits(getattr(row, f.name))) for f in dataclasses.fields(row)]
+    return [(name, _bits(getattr(row, name))) for name in row._fields]
 
 
 def _assert_schedule_audits_match(per_epsilon, phi, xi, gen, tree, beta=0.0):

@@ -77,3 +77,27 @@ def test_private_name_check_flags_a_reach_in():
               "x = analysis._path_norm(Tree._size) + analysis.path_norm(np.pi)\n"
               "y = np.__version__, prox\n")
     assert private_reads(source) == ["_as_points", "analysis._path_norm"]
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_no_dataclasses(module):
+    # a dataclass compiles its methods with exec when its class is made, on
+    # every start of the CLI; the value classes derive from lattice.Record
+    assert "dataclasses" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+def test_import_check_sees_both_import_forms():
+    source = ("import os.path\nfrom dataclasses import dataclass\nfrom . import lattice\n"
+              "from .convex import prox\n")
+    assert imported_modules(source) == {"os", "dataclasses"}
