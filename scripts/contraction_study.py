@@ -7,10 +7,14 @@ necessary)."""
 import math
 import sys
 import warnings
+from pathlib import Path
 
-import bsvi
-from bsvi import generators
-from bsvi.problems import terminal_linear
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # runs without an install
+
+import bsvi  # noqa: E402
+from bsvi import generators  # noqa: E402
+from bsvi.problems import terminal_linear  # noqa: E402
 
 
 def main() -> int:

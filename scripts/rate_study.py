@@ -6,9 +6,13 @@ log-log slope, and the gap to the prox-step reference at several resolutions.
 """
 
 import sys
+from pathlib import Path
 
-import bsvi
-from bsvi.problems import box_linear_problem
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # runs without an install
+
+import bsvi  # noqa: E402
+from bsvi.problems import box_linear_problem  # noqa: E402
 
 
 def main() -> int:

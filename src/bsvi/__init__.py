@@ -16,10 +16,8 @@ from .convex import (
     Quadratic,
     YosidaTriple,
     Zero,
-    eval_phi,
-    moreau,
     prox,
-    resolvent_step,
+    resolvent,
     subgradient_check,
     yosida_grad,
     yosida_triple,

@@ -320,11 +320,8 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
         fa = level_drift(gen_a, tree, i, y_val, z_val, sol_a.Y.values, sol_a.Z.values, rows_a)
         fb = level_drift(gen_b, tree, i, y_val, z_val, sol_a.Y.values, sol_a.Z.values, rows_b)
         rhs += dt * float(np.sum((fa - fb) ** 2)) / tree.level_size(i)
-    if rhs <= 1e-30:
-        return StabilityAudit(lhs=lhs, rhs_data=rhs, empirical_constant=0.0,
-                              vacuous=True)
-    return StabilityAudit(lhs=lhs, rhs_data=rhs, empirical_constant=lhs / rhs,
-                          vacuous=False)
+    vacuous = rhs <= 1e-30
+    return StabilityAudit(lhs, rhs, 0.0 if vacuous else lhs / rhs, vacuous)
 
 
 class ResidualReport(Record, frozen=True):

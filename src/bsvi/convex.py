@@ -6,8 +6,8 @@ always computed from the prox through the identity
 phi_eps(y) = |y - J_eps y|^2 / (2 eps) + phi(J_eps y), never by numerical
 minimization.  All maps are pure over immutable specs.
 
-Array convention: points live on the last axis, so ``value`` and ``prox``
-accept arbitrary leading batch dimensions.
+Array convention: points live on the last axis, so ``value``, ``prox`` and the
+`resolvent` map accept arbitrary leading batch dimensions.
 """
 
 import math
@@ -189,7 +189,7 @@ def _prox_bisection(phi_fn, eps: float, y: float, width: float = 64.0) -> float:
     return 0.5 * (lo + hi)
 
 
-class YosidaTriple(Record, frozen=True):
+class YosidaTriple(Record, frozen=True, eq=False):
     """Resolvent J_eps(y), envelope phi_eps(y) and gradient at one point.
 
     The identity gradient == (y - resolvent) / epsilon holds exactly as
@@ -200,12 +200,6 @@ class YosidaTriple(Record, frozen=True):
     envelope: float
     gradient: np.ndarray
     epsilon: float
-
-
-def eval_phi(spec: ConvexFunction, y) -> float:
-    """phi(y); +inf outside the domain of indicator variants."""
-    out = spec.value(y)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def prox(spec: ConvexFunction, epsilon, y) -> np.ndarray:
@@ -224,11 +218,6 @@ def yosida_triple(spec: ConvexFunction, epsilon: float, y) -> YosidaTriple:
     return YosidaTriple(resolvent=j, envelope=envelope, gradient=grad, epsilon=epsilon)
 
 
-def moreau(spec: ConvexFunction, epsilon: float, y) -> float:
-    """Moreau envelope phi_eps(y), computed from the prox."""
-    return yosida_triple(spec, epsilon, y).envelope
-
-
 def yosida_grad(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
     """(y - J_eps y) / eps; a (1/eps)-Lipschitz selection converging to the
     minimal subgradient."""
@@ -236,15 +225,9 @@ def yosida_grad(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
     return (point - prox(spec, epsilon, point)) / epsilon
 
 
-def resolvent_step(spec: ConvexFunction, epsilon, lam: float, x):
-    """Solve y + lam * grad phi_eps(y) = x in closed form; returns (y, u), with
-    x (not modified) batched and ``epsilon`` broadcast as in `prox`."""
-    return resolvent(spec, epsilon, lam)(x)
-
-
 def resolvent(spec: ConvexFunction, epsilon, lam: float):
-    """`resolvent_step`'s map x -> (y, u) at one (epsilon, lam), checked once: with
-    j = J_{eps+lam}(x), u = (x - j)/(eps + lam) is grad phi_eps(y) at y = x - lam*u."""
+    """The closed-form map x -> (y, u) solving y + lam * grad phi_eps(y) = x, ``epsilon`` checked
+    once: with j = J_{eps+lam}(x), u = (x - j)/(eps + lam) is grad phi_eps(y) at y = x - lam*u."""
     if not np.all(np.asarray(epsilon) > 0):
         raise ValueError("epsilon must be positive")
     step = epsilon + lam

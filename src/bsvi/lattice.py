@@ -156,9 +156,8 @@ class AdaptedProcess(Record, eq=False):
     tree: ScenarioTree
     values: list
 
-    def __init__(self, tree: ScenarioTree, values: list):  # written out: many per solve
-        self.tree, self.values = tree, values
-        for i, arr in enumerate(values):
+    def __post_init__(self):
+        for i, arr in enumerate(self.values):
             if arr.shape[0] != self.tree.level_size(i):
                 raise ValueError(
                     f"level {i} has {arr.shape[0]} values, expected {self.tree.level_size(i)}"

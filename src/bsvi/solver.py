@@ -13,7 +13,7 @@ With phi = 0 (`convex.Zero`, the default) either step is the classical step
 Y_i = Ytil, U_i = +0.0 of the delayed BSDE, bitwise: the prox of zero is a copy.
 
 The penalized update is implicit in the penalty but closed-form: the resolvent
-identity in `convex.resolvent_step` reduces it to one prox evaluation at
+identity in `convex.resolvent` reduces it to one prox evaluation at
 parameter eps + dt, and U_i = grad phi_eps(Y_i) = (Ytil - Y_i)/dt makes the
 discrete equation Y_i + dt U_i = E_i + dt F_i exact.  (An explicit update
 grad phi_eps(E_i) loses the eps -> 0 limit at fixed dt: its correction scales
@@ -139,7 +139,7 @@ class PicardDiagnostics(Record):
     iterations_used: int
 
     def __init__(self, iterate_distances=None, contraction_ratios=None, converged=False,
-                 iterations_used=0):  # written out, as Solution's is; None: a fresh list
+                 iterations_used=0):  # written out: None is a fresh list
         self.iterate_distances = [] if iterate_distances is None else iterate_distances
         self.contraction_ratios = [] if contraction_ratios is None else contraction_ratios
         self.converged, self.iterations_used = converged, iterations_used
@@ -161,16 +161,6 @@ class Solution(Record, eq=False):
     epsilon: float | None = None
     frozen_past: tuple | None = None
     wellposedness: WellposednessReport | None = None
-
-    def __init__(self, Y, Z, U, diagnostics, epsilon=None, frozen_past=None,
-                 wellposedness=None):  # written out: Record's generic one costs 6 times more
-        self.Y = Y  # one field a statement: a tuple assignment costs 7 % more
-        self.Z = Z
-        self.U = U
-        self.diagnostics = diagnostics
-        self.epsilon = epsilon
-        self.frozen_past = frozen_past
-        self.wellposedness = wellposedness
 
 
 class PicardNonConvergence(RuntimeError):
@@ -260,14 +250,14 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 
 
 def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-                  past_rows: tuple) -> tuple:
+                  past_rows: tuple, free: bool) -> tuple:
     """Level n - 1's (E, Z, target E + dt F) from one block's leaf level, Z and
-    the target read-only; no target where the drift may read a frozen row there
-    (a custom callback always may)."""
+    the target read-only; the target only if ``free``: the drift there reads no
+    frozen row (a custom callback always may)."""
     expect, z = level_moments(tree, xi)
     z.flags.writeable = False
     target = None
-    if not isinstance(gen, CustomGenerator) and all(row is None for row, _ in past_rows[-1]):
+    if free:
         target = tree.grid.dt * level_drift(gen, tree, len(past_rows) - 1, expect, z,
                                             None, None, past_rows)
         target += expect
@@ -402,16 +392,17 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     coeffs = prefix_coefficients(gen, past_rows)
     # a pass that reads no frozen row gives the same sweep from any iterate, so
     # the confirmation sweep replays the first; a custom callback always sweeps
-    replay = not isinstance(gen, CustomGenerator) and all(
-        row is None for terms in past_rows for row, _ in terms)
-    weights = _distance_weights(tree, resolve_beta(config, gen))
+    free = [not isinstance(gen, CustomGenerator) and all(row is None for row, _ in terms)
+            for terms in past_rows]  # per level: the drift there reads no frozen row
+    replay = all(free)
+    weights = _distance_weights(tree, report.beta)
     sizes = weights[-1]  # rows per block of every level
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
     active = list(range(len(epsilons)))
     xi = xi.copy()  # one read-only leaf level for every block, apart from the caller's
     xi.flags.writeable = False
-    last = _leaf_moments(tree, xi, gen, past_rows)
+    last = _leaf_moments(tree, xi, gen, past_rows, free[-1])
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
     for sweep in range(1, config.picard_max_iters + 1):
         blocks = len(active)
@@ -460,9 +451,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                 AdaptedProcess(tree, _blocks(levels, [pos], blocks, sizes) if keep
                                else _slot(levels, pos, sizes))
                 for levels in (ys, zs, us, frozen_y, frozen_z))
-            solutions[e] = Solution(Y=y, Z=z, U=u, diagnostics=diags[e],
-                                    epsilon=epsilons[e], frozen_past=(past_y, past_z),
-                                    wellposedness=report)
+            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], (past_y, past_z), report)
         if not replay:
             del us  # the next pass need not keep this sweep's U alive
         frozen_y, frozen_z = ys, zs

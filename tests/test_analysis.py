@@ -140,6 +140,21 @@ def test_stability_identical_data_is_vacuous():
     assert audit.lhs == 0.0
 
 
+def test_stability_drift_term_is_the_integral_of_the_squared_drift_gap():
+    # constant drifts on xi = 0.3: Y_a - Y_b = (T - t)(c_a - c_b) and Z = 0, so
+    # lhs (the S^2 sup, at t = 0) and rhs (sum of dt (c_a - c_b)^2) are both
+    # T (c_a - c_b)^2, exactly at these values
+    tree = build_tree(2, 1.0, 1)
+    xi = np.full(4, 0.3)
+    gen_a, gen_b = (generators.CustomGenerator(
+        fn=lambda t, y, z, py, pz, c=c: np.full_like(y, c), declared_instant=0.0,
+        declared_delay=0.0) for c in (0.5, -0.25))
+    sol_a, sol_b = picard_solve(tree, xi, gen_a), picard_solve(tree, xi, gen_b)
+    audit = stability_audit(sol_a, sol_b, xi, xi, gen_a, gen_b, tree)
+    assert audit.rhs_data == audit.lhs == 1.0 * (0.5 - -0.25) ** 2 == 0.5625
+    assert audit.empirical_constant == 1.0 and not audit.vacuous
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.8])
 def test_stability_martingale_shift_constant(beta):
     # shifting the terminal by delta shifts Y by delta and leaves Z alone:

@@ -518,7 +518,8 @@ def test_run_configs_script_needs_no_install(tmp_path):
 
 @pytest.mark.parametrize("script", ["contraction_study.py", "rate_study.py"])
 def test_experiment_script_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # as README runs it: the script must import bsvi from src/ by itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -11,11 +11,8 @@ from bsvi.convex import (
     OneNorm,
     Quadratic,
     Zero,
-    eval_phi,
-    moreau,
     prox,
     resolvent,
-    resolvent_step,
     subdifferential_interval,
     subgradient_check,
     yosida_grad,
@@ -57,10 +54,10 @@ def assert_yosida_properties(spec, y, ybar, eps, delta):
 
     # (i) envelope equals quadratic gap plus value at the resolvent (definitional)
     recon = np.sum((np.asarray(y) - t1.resolvent) ** 2) / (2 * eps) \
-        + eval_phi(spec, t1.resolvent)
+        + spec.value(t1.resolvent)
     assert abs(t1.envelope - recon) <= VALUE_TOL
     # (ii) envelope below the function wherever finite
-    phi_y = eval_phi(spec, y)
+    phi_y = spec.value(y)
     if np.isfinite(phi_y):
         assert t1.envelope <= phi_y + SLACK_TOL
     # (iii) resolvent is nonexpansive
@@ -91,14 +88,14 @@ def assert_yosida_properties(spec, y, ybar, eps, delta):
 
 
 def test_eval_phi_examples():
-    assert eval_phi(Zero(), [3.0, -1.0]) == 0.0
-    assert eval_phi(IndicatorBox(-1, 1), [2.0]) == math.inf
-    assert eval_phi(Quadratic(1.0), [1.0, 1.0]) == pytest.approx(1.0)
+    assert Zero().value([3.0, -1.0]) == 0.0
+    assert IndicatorBox(-1, 1).value([2.0]) == math.inf
+    assert Quadratic(1.0).value([1.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_eval_phi_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        eval_phi(IndicatorBox([-1, -1], [1, 1]), [0.0])
+        IndicatorBox([-1, -1], [1, 1]).value([0.0])
 
 
 def test_prox_examples():
@@ -110,10 +107,17 @@ def test_prox_examples():
 
 
 def test_moreau_examples():
-    assert moreau(IndicatorBox(-1, 1), 0.5, [2.0]) == pytest.approx(1.0)
-    assert moreau(Quadratic(1.0), 1.0, [2.0]) == pytest.approx(1.0)
+    assert yosida_triple(IndicatorBox(-1, 1), 0.5, [2.0]).envelope == pytest.approx(1.0)
+    assert yosida_triple(Quadratic(1.0), 1.0, [2.0]).envelope == pytest.approx(1.0)
     # interior fixed point of any spec has zero envelope
-    assert moreau(IndicatorBox(-1, 1), 0.3, [0.2]) == pytest.approx(0.0)
+    assert yosida_triple(IndicatorBox(-1, 1), 0.3, [0.2]).envelope == pytest.approx(0.0)
+
+
+def test_yosida_triples_of_one_point_compare_by_identity():
+    # a triple holds arrays: compared by value, == on a 2-d point's triples raised
+    a, b = (yosida_triple(IndicatorBox([-1, -1], [1, 1]), 0.5, [2.0, 0.5]) for _ in range(2))
+    assert a != b and a == a
+    assert hash(a) == object.__hash__(a) and len({a, b}) == 2
 
 
 def test_yosida_grad_examples():
@@ -238,14 +242,14 @@ def test_resolvent_step_solves_implicit_equation():
         for _ in range(20):
             x = rng.normal(size=m) * 3
             eps, lam = rng.uniform(0.01, 1.0, size=2)
-            y, u = resolvent_step(spec, eps, lam, x)
+            y, u = resolvent(spec, eps, lam)(x)
             assert np.allclose(y + lam * u, x, atol=1e-12)
             assert np.allclose(u, yosida_grad(spec, eps, y), atol=1e-10)
 
 
 def test_resolvent_step_zero_is_bit_exact():
     x = np.array([0.3, -1.7])
-    y, u = resolvent_step(Zero(), 1e-3, 0.25, x)
+    y, u = resolvent(Zero(), 1e-3, 0.25)(x)
     assert np.array_equal(y, x)
     assert np.array_equal(u, np.zeros(2))
 
@@ -302,11 +306,11 @@ def test_epsilon_column_matches_per_block_scalar_bitwise(spec):
     before = x.copy()
     column = epsilons[:, None, None]
     together = prox(spec, column, x)
-    y, u = resolvent_step(spec, column, 0.25, x)
+    y, u = resolvent(spec, column, 0.25)(x)
     assert np.array_equal(x, before)
     for e, eps in enumerate(epsilons):
         assert np.array_equal(together[e], prox(spec, float(eps), x[e]))
-        y_e, u_e = resolvent_step(spec, float(eps), 0.25, x[e])
+        y_e, u_e = resolvent(spec, float(eps), 0.25)(x[e])
         assert np.array_equal(x[e], before[e])
         assert np.array_equal(y[e], y_e) and np.array_equal(u[e], u_e)
     for bad in (0.0, -0.5, float("nan")):
@@ -317,9 +321,6 @@ def test_epsilon_column_matches_per_block_scalar_bitwise(spec):
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
 def test_resolvent_refuses_a_nonpositive_epsilon_whatever_the_step(bad):
     # eps + lam > 0 for every bad eps here: the check is on eps itself
-    x = np.array([[0.5], [2.0]])
     for epsilon in (bad, np.array([0.5, bad])[:, None]):
-        with pytest.raises(ValueError, match="positive"):
-            resolvent_step(IndicatorBox(-1.0, 1.0), epsilon, 0.25, x)
         with pytest.raises(ValueError, match="positive"):
             resolvent(IndicatorBox(-1.0, 1.0), epsilon, 0.25)

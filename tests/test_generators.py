@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from bsvi.generators import (
     prefix_coefficients,
 )
 from bsvi.lattice import AdaptedProcess, build_tree
+from bsvi.solver import picard_solve
 from helpers_oracle import node_accessors, node_drift, quadrature
 
 
@@ -272,6 +274,24 @@ def test_lipschitz_audit_of_declared_constants(gen):
                                   n_probes=1000)
     assert audit["instant_slack"] <= 1e-10
     assert audit["delay_slack"] <= 1e-10
+
+
+@pytest.mark.parametrize("share, warns", [(0.75, True), (1.0, False)])
+def test_probe_audit_holds_a_delayed_drift_to_its_declared_k(share, warns):
+    # kappa z(t - T/4) has delay constant kappa^2 under a Dirac(-T/4): declaring
+    # 0.75 kappa^2 leaves a positive slack (6.15), which the solve warns about;
+    # declaring kappa^2 leaves none (-1.3e-7)
+    kappa, horizon = 0.8, 1.0
+    gen = CustomGenerator(fn=lambda t, y, z, py, pz: kappa * pz(-horizon / 4)[..., 0],
+                          declared_instant=0.0, declared_delay=share * kappa ** 2,
+                          alpha=Dirac(-horizon / 4))
+    audit = lipschitz_probe_audit(gen, m=1, d=1, horizon=horizon, n_steps=4)
+    assert (audit["delay_slack"] > 1e-8) is warns
+    tree = build_tree(4, horizon, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        picard_solve(tree, 0.1 + tree.path_sums().values[-1], gen)
+    assert any("look too small" in str(w.message) for w in caught) is warns
 
 
 def test_fubini_shift_inequality_pathwise():

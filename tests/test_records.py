@@ -56,7 +56,7 @@ CASES = [
     (convex.Custom1D, ("phi_fn", "prox_fn", "probe_range"), (_phi1, _prox1, (-2.0, 2.0)),
      True, False, None),
     (convex.YosidaTriple, ("resolvent", "envelope", "gradient", "epsilon"),
-     (np.array([0.5]), 0.25, np.array([1.0]), 0.5), True, True,
+     (np.array([0.5]), 0.25, np.array([1.0]), 0.5), True, False,
      "YosidaTriple(resolvent=array([0.5]), envelope=0.25, gradient=array([1.]), epsilon=0.5)"),
     (convex.SubgradientCheck, ("passed", "worst_violation"), (True, -0.5), True, True,
      "SubgradientCheck(passed=True, worst_violation=-0.5)"),
@@ -216,8 +216,7 @@ def test_equality_and_hashing(case):
         assert a != b and hash(a) == object.__hash__(a)
     elif frozen:
         assert a == b and not a != b
-        if cls is not convex.YosidaTriple:  # its arrays are unhashable
-            assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in names))
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in names))
     else:
         assert a == b
         with pytest.raises(TypeError):

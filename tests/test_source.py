@@ -1,7 +1,9 @@
 """Source checks that need no linter: every name a module imports is used,
-and no module reads another module's private name."""
+no module reads another module's private name, and every name the benchmark
+worker reads on a bsvi module exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,32 @@ def test_import_check_sees_both_import_forms():
     source = ("import os.path\nfrom dataclasses import dataclass\nfrom . import lattice\n"
               "from .convex import prox\n")
     assert imported_modules(source) == {"os", "dataclasses"}
+
+
+def package_reads(source: str) -> list:
+    """(module, name) for every ``m.name`` that ``source`` reads on a bsvi
+    module it imports by ``from bsvi import m`` (or ``as`` another name), in order."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "bsvi"
+               for a in node.names}
+    return [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+
+
+def test_the_benchmark_worker_reads_only_names_the_package_has():
+    # perfbench/worker.py runs the benchmark against this package's source; a
+    # name it reads that the package no longer defines fails its workload
+    worker = PACKAGE.parent.parent / "perfbench" / "worker.py"
+    reads = package_reads(worker.read_text(encoding="utf-8"))
+    assert {"analysis", "cli", "generators", "problems", "solver"} <= {m for m, _ in reads}
+    missing = [f"{m}.{name}" for m, name in reads
+               if not hasattr(importlib.import_module(f"bsvi.{m}"), name)]
+    assert missing == []
+
+
+def test_package_read_check_sees_module_attributes_only():
+    source = ("from bsvi import analysis, solver as s\nimport numpy as np\n"
+              "x = analysis.apriori_audit(s.prox_step_solve, np.pi, other.name)\n")
+    assert package_reads(source) == [("analysis", "apriori_audit"), ("solver", "prox_step_solve")]
