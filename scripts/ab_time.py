@@ -2,7 +2,7 @@
 """Time a benchmark workload's CLI run in this checkout and another, in one process.
 
     python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi]
-                               [--pairs N] [--n-steps N] [--startup]
+                               [--pairs N] [--n-steps N] [--startup | --worker]
 
 Copies each checkout's ``src/bsvi`` into a temporary directory under a package
 name of its own (the package imports itself only relatively), loads both
@@ -21,6 +21,18 @@ its checkout's ``src/bsvi`` with no bytecode cache (PYTHONDONTWRITEBYTECODE=1,
 as the benchmark's fresh checkouts run) and reading the workload's config
 with `cli.parse_config`.  A process times itself from its first line, numpy's
 import included, and the script prints the same median, ratio and win lines.
+
+With ``--worker`` it runs benchmark repetitions instead: N pairs of fresh
+processes, alternating as above, each running its checkout's own
+perfbench/worker.py in ``plain`` mode on a copy of that checkout's
+``src/bsvi`` and ``perfbench`` with no bytecode cache, on the seed-0 inputs
+of perfbench/run.py's ``write_inputs`` (this checkout's), with the
+environment run.py gives its workers.  Every repetition's output checks must
+pass.  For ``wall_s`` and ``setup_s`` (reference seconds, scaled as run.py
+scales them) and ``peak_mb`` it prints each side's median and quartiles, the
+median over pairs of this / other and the number of pairs this side was
+lower in.  Separate processes do not share the allocator and cache state
+that bias in-process pairs.
 """
 
 import argparse
@@ -86,6 +98,44 @@ def start_times(checkouts: dict, config: Path, pairs: int, tmp: Path) -> dict:
     return alternate(start, pairs)
 
 
+def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path, bench) -> dict:
+    """Each side's perfbench/worker.py records (see ``--worker``), alternated."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0",
+               **{var: "1" for var in bench.THREAD_VARS})
+    for side, checkout in checkouts.items():
+        for part in ("src/bsvi", "perfbench"):
+            shutil.copytree(checkout / part, tmp / side / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp / "inputs.json").write_text(json.dumps(inputs), encoding="utf-8")
+
+    def repetition(side: str) -> dict:
+        work = tmp / side / "work"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        proc = subprocess.run([sys.executable, str(tmp / side / "perfbench" / "worker.py"),
+                               str(tmp / "inputs.json"), "plain", str(work)],
+                              env=env, capture_output=True, text=True, check=True)
+        record = json.loads(proc.stdout.splitlines()[-1])
+        if record["problems"]:
+            raise SystemExit(f"{side} side: wrong run: {record['problems']}")
+        return record
+
+    return alternate(repetition, pairs)
+
+
+def print_metric(name: str, unit: str, values: dict, checkouts: dict):
+    """Each side's median and quartiles of ``values``, then the median ratio
+    over pairs and how often this side was lower."""
+    for side, checkout in checkouts.items():
+        v = values[side]
+        q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        print(f"{name} {side:5s} median {statistics.median(v):.5f} quartiles "
+              f"{q1:.5f}-{q3:.5f} {unit}  ({checkout})")
+    ratios = [a / b for a, b in zip(values["this"], values["other"])]
+    print(f"{name} this / other: median paired ratio {statistics.median(ratios):.3f}, "
+          f"this lower in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+
+
 def print_pairs(times: dict, checkouts: dict):
     ratios = [a / b for a, b in zip(times["this"], times["other"])]
     for side, checkout in checkouts.items():
@@ -102,8 +152,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--n-steps", type=int, default=None,
                         help="tree size (default: the workload's)")
-    parser.add_argument("--startup", action="store_true",
-                        help="time fresh starts (import bsvi.cli, parse the config) instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--startup", action="store_true",
+                      help="time fresh starts (import bsvi.cli, parse the config) instead")
+    mode.add_argument("--worker", action="store_true",
+                      help="run each checkout's perfbench/worker.py in fresh processes instead")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "bsvi").is_dir():
         parser.error(f"{args.other} holds no src/bsvi")
@@ -114,6 +167,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        if args.worker:
+            inputs = bench.write_inputs(args.workload, 0, tmp)
+            if n_steps != inputs["n_steps"]:  # another tree size: no reference outputs
+                Path(inputs["config"]).write_text(json.dumps(doc), encoding="utf-8")
+                inputs.update(n_steps=n_steps, reference=None)
+            records = worker_records(checkouts, inputs, args.pairs, tmp, bench)
+            print(f"{args.workload} worker runs at n_steps = {n_steps}, {args.pairs} pairs")
+            for name, unit, value in (("wall_s", "s", bench.ref_wall),
+                                      ("setup_s", "s", bench.ref_setup),
+                                      ("peak_mb", "MB", lambda r: r["peak_mb"])):
+                print_metric(name, unit, {side: [value(r) for r in records[side]]
+                                          for side in SIDES}, checkouts)
+            return 0
         if args.startup:
             times = start_times(checkouts, tmp / "config.json", args.pairs, tmp)
             print(f"{args.workload} start-up at n_steps = {n_steps}, {args.pairs} pairs")

@@ -8,8 +8,8 @@ inequalities are upper bounds, so a constant falling away below the median is
 slack, not a violation.
 
 Everything here is pure over immutable solutions; drifts are evaluated one
-level at a time through `generators.level_drift`, with the past-Z rows
-resolved once per audit call.  The epsilon table and the a priori and Yosida
+level at a time through `generators.level_drift`, reading the past-Z rows
+a frozen spec keeps (`generators.past_z_rows`).  The epsilon table and the a priori and Yosida
 audits are one depth-first pass over the schedule's levels (`schedule_audits`)
 in runs of at most one leaf level: block e of level i is solution e's rows, a
 run of one block its own array and a longer run a copy of its blocks.
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import convex
 from .convex import ConvexFunction, subgradient_check
-from .generators import GeneratorSpec, level_drift, origin_drift_mass, past_z_rows
+from .generators import (GeneratorSpec, frozen_prefix, level_drift, origin_drift_mass,
+                         past_z_rows, prefix_coefficients)
 from .lattice import (AdaptedProcess, Record, ScenarioTree, fold_running_max, level_moments,
                       row_sq_norms)
 
@@ -355,36 +356,38 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
 
     equation: max node residual of Y_i + dt U_i = E[Y_{i+1}] + dt F_i, with F
     replayed against the frozen iterate of the final backward pass (the
-    scheme's own equation, so this must sit at rounding level).
+    scheme's own equation, so this must sit at rounding level); a column-constant
+    past is read through `generators.frozen_prefix`, as the sweep reads it.
     subdifferential: worst probe violation of the pair (point, U_i), the point
-    being J_eps(Y_i) for penalized runs and Y_i itself for prox runs.
+    being J_eps(Y_i) for penalized runs and Y_i itself for prox runs, every
+    level's pairs checked in one batch.
     phi integrability: E sum dt phi at those points (finite for admissible runs).
     """
     dt, n = tree.grid.dt, tree.grid.n_steps
     if probes is None:
         probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
-    penalized = solution.epsilon is not None
     past_rows = past_z_rows(gen, tree)
-    eq_res = 0.0
-    sub_res = -np.inf
-    phi_mass = 0.0
+    coeffs = prefix_coefficients(gen, past_rows)
+    prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
+    y_val = np.concatenate(solution.Y.values[:n])  # levels 0..n-1, one after another
+    if solution.epsilon is not None:
+        point = convex.prox(phi, solution.epsilon, y_val)
+        grad = (y_val - point) / solution.epsilon
+    else:
+        point, grad = y_val, np.concatenate(solution.U.values)
+    phi_at, eq_res, phi_mass = phi.value(point), 0.0, 0.0
     for i in range(n - 1, -1, -1):
-        y_val, u_val = solution.Y.values[i], solution.U.values[i]
         expect, z_here = level_moments(tree, solution.Y.values[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
-                            past_rows)
-        resid = y_val + dt * u_val - expect - dt * drift
+                            past_rows, prefix)
+        resid = solution.Y.values[i] + dt * solution.U.values[i] - expect - dt * drift
         # np.maximum, unlike the builtin max, keeps a NaN residual
         eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))
-        if penalized:
-            point = convex.prox(phi, solution.epsilon, y_val)
-            grad = (y_val - point) / solution.epsilon
-        else:
-            point, grad = y_val, u_val
-        sub_res = float(np.maximum(
-            sub_res, subgradient_check(phi, point, grad, probes).worst_violation))
-        phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
+        size = tree.level_size(i)
+        lo = (size - 1) // (tree.branching - 1)  # the rows above level i
+        phi_mass += dt * float(np.sum(phi_at[lo:lo + size])) / size
+    sub_res = subgradient_check(phi, point, grad, probes).worst_violation
     return ResidualReport(equation_residual=eq_res,
                           subdiff_residual=sub_res,
                           phi_integrability=phi_mass)

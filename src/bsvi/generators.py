@@ -11,7 +11,7 @@ A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
 exact Lipschitz constants; a random two-point probe audit
 (`lipschitz_probe_audit`) backs declared constants for custom callbacks.
 `past_z_rows` resolves the past-Z terms of every level to frozen grid rows
-once per solve, so ``past_z_terms`` must be a pure function of
+once per frozen spec and grid, so ``past_z_terms`` must be a pure function of
 (t, horizon, dt).  Specs are immutable and evaluation is pure; custom
 callbacks must be re-entrant.
 """
@@ -127,8 +127,9 @@ class GeneratorSpec:
                      dt: float | None) -> tuple:
         """(theta, c) terms of the past-Z part at grid time t (d = 1 only).
 
-        A pure function of (t, horizon, dt): solvers and audits resolve it
-        once per level (`past_z_rows`) and reuse the result on every sweep.
+        A pure function of (t, horizon, dt): `past_z_rows` resolves it once
+        per level, for every sweep (and, on a frozen spec, every solve and
+        audit on that grid).
         """
         return ()
 
@@ -378,8 +379,16 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     None for offsets theta >= -slack, which read the level's current z.  Terms
     before time 0 are dropped: the Z extension there is 0.  Term order is kept,
     so `level_drift` sums in the order ``past_z_terms`` gives.
-    Resolved once per solve: ``past_z_terms`` is called once per level.
+    ``past_z_terms`` is called once per level.  A spec that cannot change (a
+    frozen Record or frozen dataclass) keeps the table in its ``__dict__`` (not
+    a field) for every later solve and audit on that (grid, bm_dim); any other
+    spec is resolved anew on each call, so a change to it is read.
     """
+    frozen = type(gen).__setattr__ is Record._refuse or getattr(
+        getattr(gen, "__dataclass_params__", None), "frozen", False)
+    key, memo = (tree.grid, tree.bm_dim), getattr(gen, "__dict__", {}) if frozen else {}
+    if memo.get("_past_z_rows", (None,))[0] == key:
+        return memo["_past_z_rows"][1]
     grid = tree.grid
     dt = grid.dt
     levels = []
@@ -394,7 +403,8 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
             elif (row := grid_row(i * dt + theta, dt, i)) is not None:
                 rows.append((row, c))
         levels.append(tuple(rows))
-    return tuple(levels)
+    memo["_past_z_rows"] = key, tuple(levels)
+    return memo["_past_z_rows"][1]
 
 
 def prefix_coefficients(gen: GeneratorSpec, past_rows: tuple) -> tuple | None:
@@ -430,17 +440,20 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
     the level's current (y, z).  A built-in is
     ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
     `past_z_rows(gen, tree)` table, each frozen row repeated down to level i
-    (or with a `frozen_prefix`, its level i, and the current term).
+    (or with a `frozen_prefix`, its level i, and the current term).  A built-in
+    also takes one block's (1, size, m) level of a batch whose frozen levels
+    stack every block: it broadcasts against them and returns (blocks, size, m).
     A `CustomGenerator` callback is called once, on the whole level: its
     accessors return the (size, ...) ancestor rows of (frozen_y, frozen_z),
     repeated down to level i, with the Y(0) / zero extension before time 0.
     """
     if not isinstance(gen, CustomGenerator):
+        rows = (lambda a: a) if y.ndim == 2 else (lambda a: a.reshape(-1, *y.shape[1:]))
         drift, terms = ((gen.instant(y, z), past_rows[i]) if prefix is None
-                        else (prefix[i], past_rows[i][i:]))
+                        else (rows(prefix[i]), past_rows[i][i:]))
         for row, c in terms:
-            past = z[..., 0] if row is None else np.repeat(
-                frozen_z[row][..., 0], tree.branching ** (i - row), axis=0)
+            past = z[..., 0] if row is None else rows(np.repeat(
+                frozen_z[row][..., 0], tree.branching ** (i - row), axis=0))
             drift = drift + c * past
         return drift
 

@@ -1,7 +1,6 @@
-"""Shipped test problems: the fixtures the audits and acceptance runs use.
+"""Terminal data builders shared with the CLI, and the benchmark's box problem.
 
-Each builder returns (tree, xi, gen, phi); terminal data builders are shared
-with the CLI.  Everything is deterministic.
+`box_linear_problem` returns (tree, xi, gen, phi).  Everything is deterministic.
 """
 
 import numpy as np
@@ -46,32 +45,3 @@ def box_linear_problem(n_steps: int = 4, horizon: float = 1.0):
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
     return tree, xi, gen, phi
 
-
-def quadratic_problem(n_steps: int = 4, horizon: float = 1.0):
-    """Smooth penalty c|y|^2/2 with c = 4 and a plain martingale terminal."""
-    tree = build_tree(n_steps, horizon)
-    phi = convex.Quadratic(4.0)
-    gen = generators.ZeroGen()
-    xi = terminal_linear(tree, 0.5, 0.5)
-    return tree, xi, gen, phi
-
-
-def delayed_box_problem(n_steps: int = 3, horizon: float = 0.1):
-    """Delayed drift y + 0.3 z(t - dt) inside a tight box, short horizon.
-
-    The outward drift keeps the penalty active at the clipped leaves; the
-    declared constants (L, K) = (1, 0.09) keep K e^{beta T} < 2 L^2 at the
-    default beta = 25, so the contraction gate is green.
-    """
-    tree = build_tree(n_steps, horizon)
-    lag = tree.grid.dt
-
-    def drift(t, y, z, past_y, past_z):
-        return y + 0.3 * past_z(-lag)[..., 0]
-
-    gen = generators.CustomGenerator(fn=drift, declared_instant=1.0,
-                                     declared_delay=0.09,
-                                     alpha=generators.Dirac(-lag))
-    phi = convex.IndicatorBox(-0.2, 0.2)
-    xi = terminal_clipped_linear(tree, 0.1, 1.0, -0.2, 0.2)
-    return tree, xi, gen, phi

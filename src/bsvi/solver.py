@@ -227,20 +227,23 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         size = tree.level_size(i)
         expect, z_here, target = last if last and i == n - 1 else \
             (*level_moments(tree, y_levels[i + 1]), None)
-        if target is None:  # shared moments are tiled for a drift that reads frozen rows
+        if target is None:  # shared moments are tiled for a callback; a built-in
+            # broadcasts one block's (1, size) rows against the frozen blocks
             expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
-                (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1)))
+                (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
+                if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
             drift = level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
                                 past_rows, prefix)
             # a new array: a custom drift may return an alias of its argument
-            target = dt * drift
-            target += expect
+            target = (dt * drift).reshape(-1, size, m)
+            target += expect.reshape(-1, size, m)
         if step is not None:
             x = target.reshape(-1, size, m)
             if len(x) < blocks:  # a shared target serves every block's epsilon
                 x = np.broadcast_to(x, (blocks, size, m))
             y_here, u_here = (a.reshape(-1, m) for a in step(x))
         else:
+            target = target.reshape(-1, m)
             y_here = phi.prox(dt, target)
             u_here = (target - y_here) / dt
         y_levels[i] = y_here
@@ -266,12 +269,14 @@ def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 
 
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
-    """Per-level weights of `_weighted_distance`, built once per solve:
-    e^{beta t/2} for every Y level and dt e^{beta t} for every Z level (and rows per block)."""
+    """`_weighted_distance`'s per-level columns, built once per solve:
+    e^{beta t/2} for every Y level, dt e^{beta t} and the rows per block for every
+    Z level, and the rows per block of every level as a tuple."""
     n, dt = tree.grid.n_steps, tree.grid.dt
-    return (tuple(math.exp(0.5 * beta * i * dt) for i in range(n + 1)),
-            tuple(dt * math.exp(beta * i * dt) for i in range(n)),
-            tuple(tree.level_size(i) for i in range(n + 1)))
+    sizes = tuple(tree.level_size(i) for i in range(n + 1))
+    return (np.array([[math.exp(0.5 * beta * i * dt)] for i in range(n + 1)]),
+            np.array([[dt * math.exp(beta * i * dt)] for i in range(n)]),
+            np.array(sizes[:-1], dtype=float)[:, None], sizes)
 
 
 def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
@@ -279,36 +284,36 @@ def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
     """Discrete analogue of the beta-weighted norms behind the contraction
     gate, one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the
     square root of the e^{beta t}-weighted H^2 sum of dZ, with ``weights``
-    from `_distance_weights`; old levels None are the zero start, x - (+0.0) = x."""
-    y_weights, z_weights, sizes = weights
-    sup = np.zeros(blocks)
-    for w, size, a, b_ in zip(y_weights, sizes, y_new, y_old or [None] * len(y_new)):
-        if a is b_:  # a shared level after the first sweep: |dY| = 0
-            continue
-        diff = a if b_ is None else a - b_
-        mag = np.abs(diff, out=None if b_ is None else diff)
-        # a shared level (one block's rows) is reduced once, for every block
-        np.maximum(sup, w * mag.reshape(len(a) // size, -1).max(axis=1), out=sup)
-    h2_z = np.zeros(blocks)
-    for w, size, a, b_ in zip(z_weights, sizes, z_new, z_old or [None] * len(z_new)):
-        if a is b_:  # a shared level after the first sweep: |dZ| = 0
-            continue
-        # each block's level mean as np.mean takes it, without its per-call overhead
-        rows = row_sq_norms(a if b_ is None else a - b_).reshape(len(a) // size, -1)
-        h2_z += w * (rows.sum(axis=1) / rows.shape[1])
-    return sup + np.sqrt(h2_z)
+    from `_distance_weights`; old levels None are the zero start, x - (+0.0) = x.
+    Each level's per-block max |dY| and sum |dZ|^2 fill a (levels, blocks)
+    table, weighted and folded once per sweep: w max |dY| is max w |dY|
+    exactly, and the H^2 sum adds level after level (a reduce would sum a
+    one-block table pairwise)."""
+    y_weights, z_weights, z_sizes, sizes = weights
+    sup, h2 = np.zeros((len(y_new), blocks)), np.zeros((len(z_new), blocks))
+    for row, size, a, b_ in zip(sup, sizes, y_new, y_old or [None] * len(y_new)):
+        if a is not b_:  # a shared level after the first sweep has |dY| = 0
+            diff = a if b_ is None else a - b_
+            mag = np.abs(diff, out=None if b_ is None else diff)
+            # a shared level (one block's rows) is reduced once, for every block
+            row[...] = mag.reshape(len(a) // size, -1).max(axis=1)
+    for row, size, a, b_ in zip(h2, sizes, z_new, z_old or [None] * len(z_new)):
+        if a is not b_:
+            row[...] = row_sq_norms(a if b_ is None else a - b_).reshape(
+                len(a) // size, -1).sum(axis=1)
+    h2 /= z_sizes  # each block's level mean as np.mean takes it
+    h2 *= z_weights
+    return (y_weights * sup).max(axis=0) + np.sqrt(np.add.accumulate(h2)[-1])
 
 
-def _slot(levels: list, e: int, sizes: tuple) -> list:
-    """Block e's rows of every level, ``sizes`` rows per block (views); a
-    shared level, of one block's rows, is every block's."""
-    return [a if len(a) == size else a[e * size:(e + 1) * size]
-            for a, size in zip(levels, sizes)]
-
-
-def _blocks(levels: list, index: list, blocks: int, sizes: tuple) -> list:
-    """Each level's rows of the blocks ``index`` (a copy); a shared level as it is."""
-    return [a if len(a) == size else
+def _blocks(levels: list, index: list, blocks: int, sizes: tuple, view: bool = False) -> list:
+    """Each level's rows of the blocks ``index`` (ascending), a copy that holds
+    no other block's rows, sliced when the blocks run contiguously; with ``view``
+    a row slice of contiguous blocks; a shared level, of one block's rows, is every block's."""
+    lo, hi = index[0], index[-1] + 1
+    run = hi - lo == len(index)
+    return [a if len(a) == size else a[lo * size:hi * size] if run and view else
+            a[lo * size:hi * size].copy() if run else
             a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
             for a, size in zip(levels, sizes)]
 
@@ -421,9 +426,9 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             diag.iterate_distances.append(dist)
             diag.iterations_used = sweep
             if not math.isfinite(dist):
+                own = _blocks(ys, [pos], blocks, sizes, True)
                 bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
-                       for i, y in reversed(list(enumerate(_slot(ys, pos, sizes))))
-                       if not np.isfinite(y).all()]
+                       for i, y in reversed(list(enumerate(own))) if not np.isfinite(y).all()]
                 level, node = bad[0] if bad else (None, None)
                 failure = NonFiniteIterate(
                     f"sweep {sweep} gave a non-finite iterate (distance {dist}); first "
@@ -448,10 +453,12 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             # copied out while others keep sweeping, so as to hold none of their
             # rows; a replayed sweep froze (Y, Z) itself, so its past shares them
             y, z, u, past_y, past_z = (
-                AdaptedProcess(tree, _blocks(levels, [pos], blocks, sizes) if keep
-                               else _slot(levels, pos, sizes))
+                AdaptedProcess(tree, _blocks(levels, [pos], blocks, sizes, not keep))
                 for levels in (ys, zs, us, frozen_y, frozen_z))
             solutions[e] = Solution(y, z, u, diags[e], epsilons[e], (past_y, past_z), report)
+        active = [active[pos] for pos in keep]
+        if not active:
+            break
         if not replay:
             del us  # the next pass need not keep this sweep's U alive
         frozen_y, frozen_z = ys, zs
@@ -459,9 +466,6 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             frozen_y, frozen_z = _blocks(ys, keep, blocks, sizes), _blocks(zs, keep, blocks, sizes)
             if replay:
                 us = _blocks(us, keep, blocks, sizes)
-        active = [active[pos] for pos in keep]
-        if not active:
-            break
     if active:  # a failure drops the blocks after it, so this one comes first
         diag = diags[active[0]]
         failure = PicardNonConvergence(

@@ -15,8 +15,12 @@ solution at a time, used to cross-check their one pass over the schedule in
 `analysis`, with the origin mass of the drift evaluated level by level;
 the subdifferential probes deduplicated by a pairwise
 np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`;
-and the worst subgradient slack one probe at a time, used to cross-check the
-batched `convex.subgradient_check`.
+the worst subgradient slack one probe at a time, used to cross-check the
+batched `convex.subgradient_check`; the Picard distance with its weights and
+folds applied level by level, used to cross-check the per-sweep tables of
+`solver._weighted_distance`; and the residual audit with the drift summed term
+by term and one subgradient check per level, used to cross-check
+`analysis.solution_residuals`.
 """
 
 import math
@@ -27,9 +31,10 @@ import numpy as np
 
 from bsvi import convex
 from bsvi import solver
-from bsvi.analysis import AprioriAudit, BoundAudit, EpsilonTableRow, YosidaAudit, _uniform_ok
-from bsvi.generators import CustomGenerator, past_z_rows
-from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row
+from bsvi.analysis import (AprioriAudit, BoundAudit, EpsilonTableRow, ResidualReport,
+                           YosidaAudit, _uniform_ok, default_subdiff_probes)
+from bsvi.generators import CustomGenerator, level_drift, past_z_rows
+from bsvi.lattice import TIME_SLACK, AdaptedProcess, grid_row, level_moments, row_sq_norms
 from bsvi.solver import PicardDiagnostics, Solution, SolverConfig
 
 
@@ -322,3 +327,54 @@ def subgradient_worst_per_probe(spec, y, u, probes):
             violation = np.sum(grad * (vv - point), axis=-1) + phi_y - phi_v
             worst = max(worst, float(np.max(violation)))
     return worst
+
+
+def weighted_distance_per_level(y_new, z_new, y_old, z_old, tree, beta, blocks):
+    """`solver._weighted_distance` with each level's weight, mean and fold
+    applied as the level is reduced: a running np.maximum of w max|dY| and a
+    running sum of w mean|dZ|^2, from zeros; old levels None are the zero
+    start, and a level that is its old self (a shared level) is skipped."""
+    n, dt = tree.grid.n_steps, tree.grid.dt
+    sup = np.zeros(blocks)
+    for i, (a, b_) in enumerate(zip(y_new, y_old or [None] * len(y_new))):
+        if a is b_:
+            continue
+        diff = a if b_ is None else a - b_
+        mag = np.abs(diff, out=None if b_ is None else diff)
+        w = math.exp(0.5 * beta * i * dt)
+        np.maximum(sup, w * mag.reshape(len(a) // tree.level_size(i), -1).max(axis=1), out=sup)
+    h2_z = np.zeros(blocks)
+    for i, (a, b_) in enumerate(zip(z_new, z_old or [None] * n)):
+        if a is b_:
+            continue
+        rows = row_sq_norms(a if b_ is None else a - b_).reshape(len(a) // tree.level_size(i), -1)
+        h2_z += dt * math.exp(beta * i * dt) * (rows.sum(axis=1) / rows.shape[1])
+    return sup + np.sqrt(h2_z)
+
+
+def solution_residuals_per_level(solution, xi, gen, phi, tree, probes=None):
+    """`analysis.solution_residuals` level by level: the drift summed term by
+    term (no frozen prefix), one prox and one `convex.subgradient_check` per
+    level against the probe list, the worst slack folded with np.maximum."""
+    dt, n = tree.grid.dt, tree.grid.n_steps
+    if probes is None:
+        probes = default_subdiff_probes(phi, xi)
+    frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
+    past_rows = past_z_rows(gen, tree)
+    eq_res, sub_res, phi_mass = 0.0, -np.inf, 0.0
+    for i in range(n - 1, -1, -1):
+        y_val, u_val = solution.Y.values[i], solution.U.values[i]
+        expect, z_here = level_moments(tree, solution.Y.values[i + 1])
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z, past_rows)
+        resid = y_val + dt * u_val - expect - dt * drift
+        eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))
+        if solution.epsilon is not None:
+            point = convex.prox(phi, solution.epsilon, y_val)
+            grad = (y_val - point) / solution.epsilon
+        else:
+            point, grad = y_val, u_val
+        sub_res = float(np.maximum(
+            sub_res, convex.subgradient_check(phi, point, grad, probes).worst_violation))
+        phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
+    return ResidualReport(equation_residual=eq_res, subdiff_residual=sub_res,
+                          phi_integrability=phi_mass)

@@ -21,12 +21,11 @@ from bsvi.analysis import (
 )
 from bsvi.problems import (
     box_linear_problem,
-    delayed_box_problem,
-    quadratic_problem,
     terminal_linear,
 )
 from bsvi.solver import SolverConfig, picard_solve, prox_step_solve, solve_bsvi
 from helpers_oracle import assert_solution_matches_oracle
+from helpers_problems import delayed_box_problem, quadratic_problem
 from test_convex import assert_yosida_properties, builtin_specs
 
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")

@@ -25,12 +25,11 @@ from bsvi.cli import parse_config
 from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.problems import (
     box_linear_problem,
-    delayed_box_problem,
-    quadratic_problem,
     terminal_constant,
     terminal_linear,
 )
 from bsvi.solver import SolverConfig, picard_solve, prox_step_solve, solve_bsvi
+from helpers_problems import delayed_box_problem, quadratic_problem
 
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
 
@@ -237,6 +236,60 @@ def test_residuals_penalized_and_prox(builder):
     rep = solution_residuals(pr, xi, gen, phi, tree)
     assert rep.equation_residual <= 1e-12
     assert rep.subdiff_residual <= 1e-10
+
+
+from helpers_oracle import solution_residuals_per_level
+
+COLUMN_CONSTANT = {
+    "uniform_moving_average": generators.MovingAverageZ(g=lambda t: 0.5, g_bound=0.5,
+                                                        alpha=generators.UniformPast()),
+    "running_integral": generators.RunningIntegralZ(kappa=0.4),
+}
+
+
+def _residual_bits(report):
+    return [float.hex(v) for v in vars(report).values()]
+
+
+def _prefix_calls(monkeypatch):
+    calls = []
+    real = bsvi.analysis.frozen_prefix
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bsvi.analysis, "frozen_prefix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CONSTANT))
+def test_residual_audit_reads_a_column_constant_past_through_its_prefix(case, monkeypatch):
+    # every schedule entry, the prox solve and the classical solve: the
+    # prefix path and one batched probe check give the per-term,
+    # per-level audit's bits
+    tree, xi, _, phi = box_linear_problem(6)
+    gen = COLUMN_CONSTANT[case]
+    runs = [(s, phi) for _, s in solve_bsvi(tree, xi, gen, phi).per_epsilon]
+    runs += [(prox_step_solve(tree, xi, gen, phi), phi),
+             (picard_solve(tree, xi, gen), convex.Zero())]
+    calls = _prefix_calls(monkeypatch)
+    for sol, run_phi in runs:
+        want = solution_residuals_per_level(sol, xi, gen, run_phi, tree)
+        assert _residual_bits(solution_residuals(sol, xi, gen, run_phi, tree)) == \
+            _residual_bits(want)
+        assert want.equation_residual <= 1e-12
+    assert len(calls) == len(runs)
+
+
+def test_residual_audit_sums_a_custom_past_term_by_term(monkeypatch):
+    tree, xi, gen, phi = delayed_box_problem(6)
+    sol = picard_solve(tree, xi, gen, phi=phi, epsilon=0.25)
+    calls = _prefix_calls(monkeypatch)
+    got = solution_residuals(sol, xi, gen, phi, tree)
+    assert _residual_bits(got) == _residual_bits(
+        solution_residuals_per_level(sol, xi, gen, phi, tree))
+    assert not calls
 
 
 def test_default_probe_set_contains_corners_and_origin():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bsvi import cli, solver
+from bsvi import cli, generators, solver
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -129,6 +129,26 @@ def _all(*edits):
         for one in edits:
             one(doc)
     return edit
+
+
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+def test_one_run_resolves_the_past_z_terms_once_per_level(tmp_path, monkeypatch):
+    # the config check, the batched solve and the residual audit share the
+    # table `generators.past_z_rows` keeps on the frozen spec
+    calls = []
+    real = generators.MovingAverageZ.past_z_terms
+
+    def counted(self, t, horizon, dt):
+        calls.append(t)
+        return real(self, t, horizon, dt)
+
+    monkeypatch.setattr(generators.MovingAverageZ, "past_z_terms", counted)
+    doc = minimal_doc()
+    doc["generator"] = {**MOVING_AVERAGE, "alpha": {"kind": "uniform"}}
+    doc["phi"], doc["run"] = {"kind": "box", "lo": -2.0, "hi": 2.0}, {"mode": "bsvi"}
+    report = run(write_config(tmp_path, doc), write_files=False)
+    assert report["residuals"]["equation_residual"] <= 1e-12
+    assert calls == [i * (1.0 / 3) for i in range(3)]  # t_i = i dt on the 3-step grid
 
 
 # two noise components, with a terminal that reads both
@@ -578,6 +598,26 @@ def test_ab_time_script_times_a_checkout_against_itself():
     assert re.fullmatch(r"this / other: median paired ratio \d+\.\d{3}, "
                         r"this faster in [0-2] of 2 pairs", lines[3])
     assert len(lines) == 4
+
+
+def test_ab_time_script_runs_the_benchmark_worker_of_each_checkout():
+    # one pair of fresh worker processes on delay_bsvi's config at n = 5, whose
+    # output checks pass without the n = 8 reference
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
+                           "--pairs", "1", "--n-steps", "5", "--worker"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delay_bsvi worker runs at n_steps = 5, 1 pairs"
+    assert len(lines) == 10
+    for k, (name, unit) in enumerate((("wall_s", "s"), ("setup_s", "s"), ("peak_mb", "MB"))):
+        sides = [re.fullmatch(rf"{name} (this|other) +median (\d+\.\d{{5}}) quartiles "
+                              rf"(\d+\.\d{{5}})-(\d+\.\d{{5}}) {unit}  \(.*\)", line)
+                 for line in lines[1 + 3 * k:3 + 3 * k]]
+        assert [m and m[1] for m in sides] == ["this", "other"]
+        assert all(float(m[3]) <= float(m[2]) <= float(m[4]) and float(m[2]) > 0 for m in sides)
+        assert re.fullmatch(rf"{name} this / other: median paired ratio \d+\.\d{{3}}, "
+                            r"this lower in [01] of 1 pairs", lines[3 + 3 * k])
 
 
 def test_readme_config_format_block_builds():

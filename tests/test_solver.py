@@ -14,8 +14,6 @@ from bsvi.cli import config_from_dict
 from bsvi.lattice import level_moments
 from bsvi.problems import (
     box_linear_problem,
-    delayed_box_problem,
-    quadratic_problem,
     terminal_clipped_linear,
     terminal_constant,
     terminal_linear,
@@ -31,6 +29,7 @@ from bsvi.solver import (
     resolve_beta,
     solve_bsvi,
 )
+from helpers_problems import delayed_box_problem, quadratic_problem
 
 # the pure z-delay fixtures have L = 0 with K > 0, which the gate flags
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
@@ -325,6 +324,46 @@ def test_picard_solve_resolves_past_z_terms_once_per_level():
     assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
 
 
+@dataclass  # a plain, mutable user spec, written to the README's shape rule
+class HalfYPlusLaggedZ(generators.GeneratorSpec):
+    """F = y / 2 - z / 4 + kappa z(t - lag)."""
+
+    kappa: float
+    lag: float
+
+    def instant(self, y, z):
+        return 0.5 * y[..., :1] - 0.25 * z[..., 0]
+
+    def past_z_terms(self, t, horizon, dt):
+        return ((-self.lag, self.kappa),)
+
+    def lipschitz_instant(self):
+        return 0.5
+
+    def lipschitz_delay(self, horizon):
+        return self.kappa ** 2
+
+
+def test_a_mutable_spec_changed_between_solves_is_read_anew():
+    # a frozen spec keeps its past-Z table; a mutable one is resolved again by
+    # every solve and audit, so a change to its fields is read by both
+    tree, xi, _, phi = box_linear_problem(6)
+    frozen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
+    assert generators.past_z_rows(frozen, tree) is generators.past_z_rows(frozen, tree)
+    gen = HalfYPlusLaggedZ(kappa=0.5, lag=1 / 3)
+    first = picard_solve(tree, xi, gen, phi=phi)
+    gen.kappa, gen.lag = 0.25, 1 / 6
+    got = picard_solve(tree, xi, gen, phi=phi)
+    fresh = HalfYPlusLaggedZ(kappa=0.25, lag=1 / 6)
+    want = picard_solve(tree, xi, fresh, phi=phi)
+    assert not _same_bits(first.Y.values[0], want.Y.values[0])
+    for proc, want_proc in zip((got.Y, got.Z, got.U, *got.frozen_past),
+                               (want.Y, want.Z, want.U, *want.frozen_past)):
+        assert all(map(_same_bits, proc.values, want_proc.values))
+    assert bsvi.analysis.solution_residuals(got, xi, gen, phi, tree) == \
+        bsvi.analysis.solution_residuals(want, xi, fresh, phi, tree)
+
+
 @pytest.mark.parametrize("m, bm_dim", [(1, 1), (2, 2)])
 def test_first_sweep_distance_is_the_distance_to_materialised_zeros(m, bm_dim):
     # the first sweep measures the iterate against the zero start by its own
@@ -346,6 +385,90 @@ def test_first_sweep_distance_is_the_distance_to_materialised_zeros(m, bm_dim):
     zs[3][-1, 0, 0] = np.nan  # the last Z row of level 3, in block 2
     got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
     assert [math.isfinite(d) for d in got] == [False, True, False]
+
+
+from helpers_oracle import weighted_distance_per_level
+
+
+def _batch_levels(tree, blocks, m, rng):
+    """Random (Y, Z) levels of a batch: block-stacked, but for the shared
+    Y_n and Z_{n-1} (one block's rows)."""
+    n, d = tree.grid.n_steps, tree.bm_dim
+    ys = [rng.normal(size=(tree.level_size(i) * (blocks if i < n else 1), m))
+          for i in range(n + 1)]
+    zs = [rng.normal(size=(tree.level_size(i) * (blocks if i < n - 1 else 1), m, d))
+          for i in range(n)]
+    return ys, zs
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 11])
+@pytest.mark.parametrize("n, m, bm_dim", [(10, 1, 1), (4, 2, 2)])
+def test_weighted_distance_tables_give_the_per_level_folds_bits(blocks, n, m, bm_dim):
+    # the (levels, blocks) tables, weighted and folded once, against the
+    # weights and folds applied level by level: from the zero start and
+    # against an old iterate that shares Y_n and Z_{n-1}, with -0.0 and NaN
+    tree, beta = bsvi.build_tree(n, 1.0, bm_dim), 3.0
+    weights = solver_mod._distance_weights(tree, beta)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        ys, zs = _batch_levels(tree, blocks, m, rng)
+        old_y, old_z = _batch_levels(tree, blocks, m, rng)
+        old_y[n], old_z[n - 1] = ys[n], zs[n - 1]
+        ys[1][0], old_y[1][0], zs[2][-1], ys[3][1] = -0.0, -0.0, -0.0, -0.0
+
+        def check(old):
+            got = solver_mod._weighted_distance(ys, zs, *old, weights, blocks)
+            want = weighted_distance_per_level(ys, zs, *old, tree, beta, blocks)
+            assert got.tobytes() == want.tobytes(), seed
+            return got
+
+        for old in ((None, None), (old_y, old_z)):
+            assert np.isfinite(check(old)).all()
+        ys[2][-1, 0], zs[0][0, 0, 0] = np.nan, np.nan  # the last block's Y_2, block 0's Z_0
+        for old in ((None, None), (old_y, old_z)):
+            got = check(old)
+            assert np.isnan(got[[0, -1]]).all() and np.isfinite(got[1:-1]).all()
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_weighted_distance_adds_the_h2_column_level_after_level(blocks):
+    # beta = 0, Y = 0, Z_0 = sqrt(1/dt), the nine later levels' sqrt(0.9e-16/dt):
+    # each later term is below half an ulp of the first, so level after level
+    # the H^2 sum stays at the first term; a pairwise sum (np.add.reduce of
+    # the contiguous one-block column) adds them up in pairs first and ends
+    # 3 ulps above it
+    tree = bsvi.build_tree(10, 1.0, 1)
+    dt = tree.grid.dt
+    ys = [np.zeros((blocks * tree.level_size(i), 1)) for i in range(11)]
+    zs = [np.full((blocks * tree.level_size(i), 1, 1),
+                  math.sqrt((1.0 if i == 0 else 0.9e-16) / dt)) for i in range(10)]
+    weights = solver_mod._distance_weights(tree, 0.0)
+    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    want = weighted_distance_per_level(ys, zs, None, None, tree, 0.0, blocks)
+    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [math.sqrt(dt * zs[0][0, 0, 0] ** 2)] * blocks
+
+
+@pytest.mark.parametrize("keep", [[1, 2, 3], [0, 2, 3]], ids=["contiguous", "gap"])
+def test_a_block_exit_copies_the_rows_of_the_fancy_index(keep):
+    # blocks 1..3 of 5 run contiguously and are copied as one row slice, blocks
+    # 0, 2, 3 by the fancy index: bitwise that copy either way, sharing no
+    # memory with the batch; with view a contiguous run is a row slice of it;
+    # the shared levels stay the same objects
+    tree, blocks = bsvi.build_tree(4, 1.0, 1), 5
+    ys, zs = _batch_levels(tree, blocks, 2, np.random.default_rng(3))
+    sizes = solver_mod._distance_weights(tree, 1.0)[-1]
+    for levels in (ys, zs):
+        copied = solver_mod._blocks(levels, keep, blocks, sizes)
+        want = [a.reshape(blocks, -1, *a.shape[1:])[keep].reshape(-1, *a.shape[1:])
+                for a in levels[:-1]]
+        assert copied[-1] is levels[-1]
+        assert all(map(_same_bits, copied[:-1], want))
+        assert not any(map(np.shares_memory, copied[:-1], levels[:-1]))
+        if keep == [1, 2, 3]:
+            viewed = solver_mod._blocks(levels, keep, blocks, sizes, view=True)
+            assert viewed[-1] is levels[-1] and all(map(_same_bits, viewed, copied))
+            assert all(v.base is a for v, a in zip(viewed[:-1], levels[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +497,9 @@ SCHEDULE_CASES = {
         g=lambda t: 0.5, g_bound=0.5, alpha=generators.UniformPast())),
     "delayed_z_box": lambda: _swap(box_linear_problem(6),
                                    gen=generators.DelayedZ(kappa=0.5, lag=1 / 3)),
+    # a user's plain dataclass: level n - 1 of a batch passes instant (1, size, m) rows
+    "dataclass_drift": lambda: _swap(box_linear_problem(6),
+                                     gen=HalfYPlusLaggedZ(kappa=0.5, lag=1 / 3)),
     "custom_drift": lambda: delayed_box_problem(6),
     # the entries stop after 7 and after 8 sweeps, so the batch shrinks
     "one_norm": lambda: _swap(delayed_box_problem(10), phi=convex.OneNorm(0.25)),
@@ -457,20 +583,22 @@ def test_nonfinite_iterate_of_a_later_epsilon_names_its_own_node():
     assert (got.value.level, got.value.node) == (1, 1)
 
 
-@pytest.mark.parametrize("case, sweeps", [("one_norm", {7, 8}), ("box", {2})],
-                         ids=["staggered", "same_sweep"])
+@pytest.mark.parametrize("case, sweeps", [("one_norm", {7, 8}), ("moving_average_box", {9, 10}),
+                                         ("box", {2})],
+                         ids=["staggered", "staggered_contiguous", "same_sweep"])
 def test_solutions_are_copied_out_or_row_slices_of_one_batch_array(case, sweeps):
     # an entry that stops while others keep sweeping is copied out of the
     # batch, so it keeps no other entry's rows alive; the entries that stop
     # together hold level i of every process back to back in that sweep's
-    # batch array and keep no other array alive
+    # batch array and keep no other array alive, also when the entries that
+    # left before them were contiguous in the batch
     make = box_linear_problem if case == "box" else SCHEDULE_CASES[case]
     tree, xi, gen, phi = make(6) if case == "box" else make()
     res = solve_bsvi(tree, xi, gen, phi)
     assert {s.diagnostics.iterations_used for _, s in res.per_epsilon} == sweeps
     sols = [s for _, s in res.per_epsilon]
     together = [s for s in sols if s.diagnostics.iterations_used == max(sweeps)]
-    assert len(together) < len(sols) if case == "one_norm" else together == sols
+    assert len(together) < len(sols) if case != "box" else together == sols
     # level n of Y and of its frozen past, and level n - 1 of Z and of its
     # frozen past, are decided by xi alone: one read-only array of one block's
     # rows, the same object in every solution
