@@ -32,7 +32,6 @@ from .generators import (
     RunningIntegralZ,
     UniformPast,
     ZeroGen,
-    generator_bound_diagnostic,
     level_drift,
     linear_scalar,
     lipschitz_probe_audit,

@@ -351,7 +351,7 @@ def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
 
 
 def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
-                       tree: ScenarioTree, probes=None) -> ResidualReport:
+                       tree: ScenarioTree) -> ResidualReport:
     """Residuals of the discrete solution identities.
 
     equation: max node residual of Y_i + dt U_i = E[Y_{i+1}] + dt F_i, with F
@@ -364,8 +364,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     phi integrability: E sum dt phi at those points (finite for admissible runs).
     """
     dt, n = tree.grid.dt, tree.grid.n_steps
-    if probes is None:
-        probes = default_subdiff_probes(phi, xi)
+    probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
     past_rows = past_z_rows(gen, tree)
     coeffs = prefix_coefficients(gen, past_rows)

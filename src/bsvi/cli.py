@@ -292,6 +292,8 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
 def emit_report(report: dict, out_dir, out_format: str):
     """Write the report: one JSON document, or a CSV bundle with one file per
     table plus a summary of scalar fields (UTF-8, header rows, '.' decimals)."""
+    if out_format not in OUT_FORMATS:
+        raise ValueError(f"unknown output format {out_format!r}; pick one of {OUT_FORMATS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if out_format == "json":

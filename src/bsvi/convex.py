@@ -277,15 +277,3 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
         worst = float(np.maximum(worst, np.max(violation)))
     return SubgradientCheck(passed=worst <= tol, worst_violation=worst)
 
-
-def subdifferential_interval(spec: ConvexFunction, y: float,
-                             step: float = 1e-7) -> tuple:
-    """Diagnostic one-sided derivative interval [phi'_-(y), phi'_+(y)] for m = 1.
-
-    Finite-difference based; intended for inspecting scalar custom penalties,
-    not used by the solver.
-    """
-    point = float(np.asarray(y).reshape(-1)[0])
-    left = (float(spec.value(point)) - float(spec.value(point - step))) / step
-    right = (float(spec.value(point + step)) - float(spec.value(point))) / step
-    return left, right

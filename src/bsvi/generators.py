@@ -284,14 +284,19 @@ class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
     time 0, and the current (y, z) at theta = 0.  An offset theta > 0 reads
     the future and raises `GeneratorError`.  Index the noise axis as
     ``past_z(theta)[..., 0]``, which holds for any m.
-    The declared (L, K) are only probe-audited (see `lipschitz_probe_audit`);
-    the callback must be re-entrant and must not mutate its arguments.
+    The declared (L, K) are finite, >= 0 and only probe-audited (see
+    `lipschitz_probe_audit`); the callback must be re-entrant and not mutate its arguments.
     """
 
     fn: Callable
     declared_instant: float
     declared_delay: float
     alpha: DelayMeasure = Dirac()
+
+    def __post_init__(self):
+        for name in ("declared_instant", "declared_delay"):
+            if not 0 <= getattr(self, name) < math.inf:  # negated, so that NaN fails it
+                raise ValueError(f"{name} must be finite and >= 0: {getattr(self, name)!r}")
 
     def lipschitz_instant(self):
         return self.declared_instant
@@ -469,41 +474,6 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-
-def generator_bound_diagnostic(gen: GeneratorSpec, y_process, z_process,
-                               tree) -> float:
-    """Worst pathwise slack of the integrability bound for the drift.
-
-    For each leaf path, compares int_0^T |F|^2 against
-    3(2L^2+K) T sup|Y|^2 + 3(2L^2+K) int |Z|^2 + 3 int |F(s,0,0,0,0)|^2 and
-    returns the maximum of (actual - bound); values <= 0 certify the bound.
-    The drift reads the past of (y_process, z_process) themselves.
-    """
-    grid = tree.grid
-    n, dt, horizon = grid.n_steps, grid.dt, grid.horizon
-    big_l = gen.lipschitz_instant()
-    big_k = gen.lipschitz_delay(horizon)
-    f0_sq = origin_drift_mass(gen, tree, y_process.values[0].shape[1])[0]
-    past_rows = past_z_rows(gen, tree)
-    # pathwise accumulators, repeated down the tree one level at a time
-    sup_y = int_z = int_f = np.zeros(1)
-    for i in range(n + 1):
-        if i:
-            sup_y, int_z, int_f = (np.repeat(a, tree.branching)
-                                   for a in (sup_y, int_z, int_f))
-        y_val = y_process.values[i]
-        sup_y = np.maximum(sup_y, row_sq_norms(y_val))
-        if i == n:
-            continue
-        z_val = z_process.values[i]
-        drift = level_drift(gen, tree, i, y_val, z_val, y_process.values,
-                            z_process.values, past_rows)
-        int_z = int_z + dt * row_sq_norms(z_val)
-        int_f = int_f + dt * row_sq_norms(drift)
-    bound = (3 * (2 * big_l ** 2 + big_k) * horizon * sup_y
-             + 3 * (2 * big_l ** 2 + big_k) * int_z + 3 * f0_sq)
-    return float(np.max(int_f - bound))
-
 
 def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
                           n_steps: int, n_probes: int = 200,

@@ -352,13 +352,12 @@ def weighted_distance_per_level(y_new, z_new, y_old, z_old, tree, beta, blocks):
     return sup + np.sqrt(h2_z)
 
 
-def solution_residuals_per_level(solution, xi, gen, phi, tree, probes=None):
+def solution_residuals_per_level(solution, xi, gen, phi, tree):
     """`analysis.solution_residuals` level by level: the drift summed term by
     term (no frozen prefix), one prox and one `convex.subgradient_check` per
     level against the probe list, the worst slack folded with np.maximum."""
     dt, n = tree.grid.dt, tree.grid.n_steps
-    if probes is None:
-        probes = default_subdiff_probes(phi, xi)
+    probes = default_subdiff_probes(phi, xi)
     frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
     past_rows = past_z_rows(gen, tree)
     eq_res, sub_res, phi_mass = 0.0, -np.inf, 0.0

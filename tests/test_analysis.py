@@ -451,3 +451,11 @@ def test_uniform_ok_turns_exactly_past_factor_times_the_median(rest, med, factor
         assert statistics.median(constants) == med
         assert _uniform_ok(constants, factor) is ok
         assert _uniform_ok(constants[::-1], factor) is ok
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_uniform_ok_fails_a_nonfinite_constant(bad):
+    # without the finiteness check [0.0, bad] passes: max() keeps 0.0 over a later NaN,
+    # and an infinite top is within any factor of the infinite median it makes
+    assert not _uniform_ok([1.0, bad, 1.0], 2.0)
+    assert not _uniform_ok([0.0, bad], 4.0)

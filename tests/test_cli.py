@@ -190,6 +190,8 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     _set("solver", "hard_gate", "false"),
     # the whole solve ran before the report write died with a raw TypeError
     _set("run", "out_dir", 5), _set("run", "out_dir", None),
+    # a mode outside RUN_MODES
+    _set("run", "mode", "reflected"),
     # a non-finite value failed late: exit 4 nonfinite, or exit 3 after a sweep or the solve
     _set("generator", None, {"kind": "delayed_z", "kappa": math.nan, "lag": 0.0}),
     _set("generator", None, {"kind": "delayed_z", "kappa": 0.1, "lag": math.nan}),
@@ -226,7 +228,7 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
         "schedule_entry_str", "run_epsilon_str", "phi_c_str", "kappa_str", "theta_str",
         "terminal_a_str", "box_lo_str", "scalar_g_poly", "scalar_atoms", "g_poly_str", "empty_box",
         "negative_lag", "linear_a_1x2", "mixture_weights", "hard_gate_str", "out_dir_int",
-        "out_dir_null", "kappa_nan", "lag_nan", "theta_nan", "g_bound_nan",
+        "out_dir_null", "run_mode_unknown", "kappa_nan", "lag_nan", "theta_nan", "g_bound_nan",
         "running_kappa_nan", "atom_nan", "linear_a_nan", "quadratic_c_nan", "one_norm_c_nan",
         "box_lo_nan", "unknown_top_key", "unknown_model_key", "unknown_solver_key",
         "unknown_run_key", "unknown_terminal_key", "unknown_generator_key",
@@ -289,6 +291,21 @@ def test_nonfinite_or_nonpositive_run_epsilon_is_a_config_error(tmp_path, capsys
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and "epsilon" in err["message"]
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_emit_report_refuses_an_unknown_format(tmp_path):
+    # "xml" wrote the four CSV files
+    report = run(CONFIGS / "minimal.yaml", write_files=False)
+    with pytest.raises(ValueError, match=re.escape(f"'xml'; pick one of {cli.OUT_FORMATS}")):
+        emit_report(report, tmp_path / "out", "xml")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_unknown_format_before_solving(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "picard_solve", None)  # a solve would fail on the call
+    with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+        run(CONFIGS / "minimal.yaml", out_dir=tmp_path / "out", out_format="xml")
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_report_refuses_a_nonfinite_number(tmp_path):
@@ -411,6 +428,14 @@ def test_compare_mode_reports_gap(tmp_path):
     assert report["compare"]["gap_y0_final"] == gaps[-1]
     assert gaps[-1] <= gaps[-4]
     assert report["rate_fit"]["slope"] is not None
+
+
+def test_too_short_a_schedule_reports_the_rate_fit_error(tmp_path):
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["solver"]["epsilon_schedule"], doc["run"]["mode"] = [1.0, 0.5, 0.25], "bsvi"
+    report = run(write_config(tmp_path, doc), write_files=False)
+    assert report["rate_fit"] == {"error": "rate fit needs at least 4 nonzero distances, got 2"}
+    assert len(report["epsilon_table"]) == 2 and report["audits"]["apriori_uniform_ok"]
 
 
 def test_csv_bundle_round_trip(tmp_path):

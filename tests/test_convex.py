@@ -13,7 +13,6 @@ from bsvi.convex import (
     Zero,
     prox,
     resolvent,
-    subdifferential_interval,
     subgradient_check,
     yosida_grad,
     yosida_triple,
@@ -227,12 +226,6 @@ def test_custom1d_validates_prox():
     with pytest.raises(ValueError, match="phi\\(0\\)"):
         Custom1D(phi_fn=lambda y: abs(y) + 1.0,
                  prox_fn=lambda eps, y: y)
-
-
-def test_subdifferential_interval_diagnostic():
-    left, right = subdifferential_interval(elastic_custom(), 0.0)
-    assert left == pytest.approx(-0.5, abs=1e-5)
-    assert right == pytest.approx(0.5, abs=1e-5)
 
 
 def test_resolvent_step_solves_implicit_equation():

@@ -1368,6 +1368,22 @@ def test_picard_solve_rejects_inconsistent_step_arguments():
             picard_solve(tree, xi, gen, phi=phi, epsilon=eps)
 
 
+def _nan_at_leaf_3(xi):
+    xi = np.array(xi, dtype=float)
+    xi[3] = np.nan
+    return xi
+
+
+@pytest.mark.parametrize("edit, message", [(lambda xi: xi[:-1], "7 rows, tree has 8 leaves"),
+                                           (_nan_at_leaf_3, "must be finite on every leaf")],
+                         ids=["one_leaf_short", "nan_leaf"])
+@pytest.mark.parametrize("entry", ["picard_solve", "solve_bsvi"])
+def test_solvers_refuse_terminal_data_that_is_not_one_finite_row_per_leaf(entry, edit, message):
+    tree, xi, gen, phi = box_linear_problem(3)
+    with pytest.raises(ValueError, match=message):
+        getattr(solver_mod, entry)(tree, edit(xi), gen, phi=phi)
+
+
 def test_penalized_approaches_prox_scheme():
     tree, xi, gen, phi = box_linear_problem(4)
     prox_sol = prox_step_solve(tree, xi, gen, phi)

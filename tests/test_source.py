@@ -1,6 +1,6 @@
 """Source checks that need no linter: every name a module imports is used,
-no module reads another module's private name, and every name the benchmark
-worker reads on a bsvi module exists."""
+no module reads another module's private name, every name the benchmark
+worker reads on a bsvi module exists, and the package keeps its line budget."""
 
 import ast
 import importlib
@@ -132,3 +132,13 @@ def test_package_read_check_sees_module_attributes_only():
     source = ("from bsvi import analysis, solver as s\nimport numpy as np\n"
               "x = analysis.apriori_audit(s.prox_step_solve, np.pi, other.name)\n")
     assert package_reads(source) == [("analysis", "apriori_audit"), ("solver", "prox_step_solve")]
+
+
+# ROADMAP item 10's gate on the package size; a change that grows the package
+# past it raises the bound here and says why in CHANGES.md
+PACKAGE_LINE_BUDGET = 2461
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))  # as wc -l counts
+    assert lines <= PACKAGE_LINE_BUDGET
