@@ -271,10 +271,10 @@ def epsilon_rate_fit(epsilon_table) -> RateFit:
 
     The squared Cauchy distances are bounded linearly in eps + delta, so the
     distances themselves should scale no slower than (eps + delta)^{1/2};
-    exact solutions (identically zero distances) short-circuit to ``exact``.
+    exact solutions (zero distances, at least one) short-circuit to ``exact``.
     """
     dists = [row.dy_s2 + row.dz_h2 for row in epsilon_table]
-    if all(d <= 1e-14 for d in dists):
+    if dists and all(d <= 1e-14 for d in dists):
         return RateFit(slope=None, intercept=None, residual=None, exact=True)
     xs, ys = [], []
     for row, d in zip(epsilon_table, dists):

@@ -226,21 +226,19 @@ def _solution_summary(sol, tree) -> dict:
     return summary
 
 
-def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
-        max_nodes=None, beta=None, write_files=True) -> dict:
+def run(config_path, *, out_dir=None, out_format=None, write_files=True) -> dict:
     """Execute one config; returns the report dict and (optionally) writes files.
-    ``hard_gate``, ``max_nodes`` and ``beta`` edit the document before it is built, so
-    the report's ``config`` is the problem that ran; ``out_dir`` and ``out_format`` do not."""
-    doc = _load(config_path)
-    for section, name, value in (("model", "max_nodes", max_nodes), ("solver", "beta", beta),
-                                 ("solver", "hard_gate", hard_gate or None)):
-        if value is not None and isinstance(doc, dict) and isinstance(
-                doc.setdefault(section, {}), dict):
-            doc[section][name] = value
-    cfg = config_from_dict(doc)
+    ``out_dir`` and ``out_format`` choose where and how, not what, so the report's
+    ``config`` is the file's document as parsed."""
+    cfg = config_from_dict(_load(config_path))
     out_format = out_format or cfg.out_format
+    out = Path(out_dir or cfg.out_dir)
     if out_format not in OUT_FORMATS:
         raise ConfigError(f"unknown output format {out_format!r}")
+    blocker = next(p for p in (out, *out.parents) if p.exists())  # "." or "/" at the latest
+    if write_files and not blocker.is_dir():  # refused before the solve, not after it
+        raise ConfigError(f"output directory '{out}' cannot be made: "
+                          f"'{blocker}' is not a directory")
     t0 = time.perf_counter()
     # an infinite bound echoes as "inf" / "-inf", which the builders read back
     echo = json.loads(json.dumps(cfg.raw), parse_constant=lambda name: str(float(name)))
@@ -281,11 +279,10 @@ def run(config_path, *, out_dir=None, out_format=None, hard_gate=False,
                                  "epsilons": [e for e, _ in res.per_epsilon]}
 
     # the gate the solver checked (and enforced under hard_gate) for this run
-    report["wellposedness"] = {k: v for k, v in vars(sol.wellposedness).items()
-                               if k != "horizon"}
+    report["wellposedness"] = dict(vars(sol.wellposedness))
     report["timings"] = {"total_seconds": time.perf_counter() - t0}
     if write_files:
-        emit_report(report, out_dir or cfg.out_dir, out_format)
+        emit_report(report, out, out_format)
     return report
 
 
@@ -343,12 +340,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=OUT_FORMATS, default=None,
                         help="report format (json document or csv bundle)")
-    parser.add_argument("--hard-gate", action="store_true",
-                        help="fail instead of warn when the well-posedness gate fails")
-    parser.add_argument("--max-nodes", type=int, default=None,
-                        help="override the tree node cap")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="override the exponential weight beta")
     args = parser.parse_args(argv)
 
     def fail(code: int, kind: str, message: str, extra=None) -> int:
@@ -359,9 +350,7 @@ def main(argv=None) -> int:
         return code
 
     try:
-        report = run(args.config, out_dir=args.out, out_format=args.format,
-                     hard_gate=args.hard_gate, max_nodes=args.max_nodes,
-                     beta=args.beta)
+        report = run(args.config, out_dir=args.out, out_format=args.format)
     except ConfigError as exc:
         return fail(EXIT_PARSE, "config", str(exc))
     except WellposednessError as exc:

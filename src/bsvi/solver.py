@@ -94,7 +94,6 @@ class WellposednessReport(Record, frozen=True):
 
     L: float
     K: float
-    horizon: float
     beta: float
     growth: float
     uniqueness_ok: bool
@@ -123,7 +122,7 @@ def check_wellposedness(L: float, K: float, horizon: float,
         uniq = growth < 2 * l_sq
         exist = growth < 6 * l_sq
     return WellposednessReport(
-        L=L, K=K, horizon=horizon, beta=beta, growth=growth,
+        L=L, K=K, beta=beta, growth=growth,
         uniqueness_ok=uniq, existence_ok=exist,
         uniqueness_margin=2 * l_sq - growth,
         existence_margin=6 * l_sq - growth,

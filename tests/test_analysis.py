@@ -123,6 +123,9 @@ def test_rate_fit_exact_and_underdetermined():
     table = synthetic_table(lambda s: 0.0)[:3] + synthetic_table(lambda s: s)[:2]
     with pytest.raises(ValueError, match="at least 4"):
         epsilon_rate_fit(table)
+    # an empty table (a one-entry schedule) is no evidence of an exact solution
+    with pytest.raises(ValueError, match="at least 4 nonzero distances, got 0"):
+        epsilon_rate_fit([])
 
 
 # ---------------------------------------------------------------------------

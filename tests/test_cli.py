@@ -102,7 +102,11 @@ def test_missing_key_is_config_error():
                                          # an infinite entry wrote "epsilon": Infinity
                                          {"epsilon_schedule": [float("inf"), 1.0, 0.5]},
                                          # a bool is an int: True read as one sweep
-                                         {"picard_max_iters": True}])
+                                         {"picard_max_iters": True},
+                                         # a NaN beta made NaN distance weights
+                                         {"beta": float("nan")},
+                                         # refused, not read as unset
+                                         {"beta": 0.0}])
 def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_conf):
     doc = minimal_doc()
     doc["solver"] = solver_conf
@@ -110,6 +114,8 @@ def test_degenerate_solver_config_is_a_config_error(tmp_path, capsys, solver_con
     assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+    key = next(iter(solver_conf)).replace("_", " ")  # "epsilon schedule must not be empty"
+    assert key in err["message"].replace("_", " ")
 
 
 MOVING_AVERAGE = {"kind": "moving_average_z", "g_poly": [0.5], "g_bound": 0.5}
@@ -159,6 +165,10 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     # truncated by int(): 2.7 ran a 2-step tree and exited 0
     _set("model", "n_steps", 2.7), _set("model", "n_steps", True),
     _set("model", "bm_dim", 1.5), _set("model", "dim", "1"), _set("model", "max_nodes", 1e6),
+    # a zero cap is refused, not read as unset
+    _set("model", "max_nodes", 0),
+    # a tree over its cap
+    _all(_set("model", "n_steps", 12), _set("model", "max_nodes", 100)),
     # abs(inf - inf) is NaN: an infinite horizon ran and exited 4 nonfinite
     _set("model", "horizon", math.inf),
     # an empty section made a raw TypeError
@@ -223,7 +233,8 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     # exit 0: b broadcast over both noise components, L computed from b as given
     _all(*BM_DIM_2, _set("generator", None, {"kind": "linear", "a": [[0.1]], "b": [[[0.3]]]})),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
-        "horizon_inf", "empty_terminal", "empty_model", "empty_generator", "empty_phi",
+        "max_nodes_zero", "max_nodes_under_tree", "horizon_inf", "empty_terminal",
+        "empty_model", "empty_generator", "empty_phi",
         "scalar_solver", "scalar_run", "scalar_schedule", "picard_tol_str", "beta_str",
         "schedule_entry_str", "run_epsilon_str", "phi_c_str", "kappa_str", "theta_str",
         "terminal_a_str", "box_lo_str", "scalar_g_poly", "scalar_atoms", "g_poly_str", "empty_box",
@@ -261,23 +272,42 @@ def test_misspelt_key_is_named_with_its_section(tmp_path, capsys, section, key, 
     assert not (tmp_path / "out").exists()
 
 
-def test_nan_beta_flag_is_a_config_error(capsys, tmp_path):
-    # a NaN beta makes NaN distance weights, not a non-finite iterate
-    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "nan",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_PARSE
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config"
-
-
 def test_inf_beta_flag_is_a_config_error(capsys, tmp_path):
     # an infinite beta makes NaN distance weights, not a non-finite iterate
-    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "inf",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_PARSE
+    doc = yaml.safe_load((CONFIGS / "minimal.yaml").read_text(encoding="utf-8"))
+    doc["solver"] = {"beta": float("inf")}
+    path = write_config(tmp_path, doc)
+    assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert "beta" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--beta", "2"], ["--max-nodes", "100"], ["--hard-gate"]],
+                         ids=lambda flag: flag[0])
+def test_a_solve_setting_is_no_flag(tmp_path, capsys, flag):
+    # each overrode its config key; solver.beta, model.max_nodes and solver.hard_gate remain
+    with pytest.raises(SystemExit) as exc:
+        main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == EXIT_PARSE  # argparse's usage error
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_an_output_path_through_a_file_is_refused_before_solving(tmp_path, monkeypatch,
+                                                                 capsys, under):
+    # the whole solve ran, then the write died with FileExistsError / NotADirectoryError
+    monkeypatch.setattr(solver, "picard_solve", None)  # a solve would fail on the call
+    (tmp_path / "taken").write_text("kept", encoding="utf-8")
+    out = tmp_path / "taken" / under
+    assert main([str(CONFIGS / "minimal.yaml"), "--out", str(out)]) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and f"'{out}'" in err["message"]
+    assert f"'{tmp_path / 'taken'}' is not a directory" in err["message"]
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "taken"]
 
 
 @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -0.5])
@@ -384,15 +414,17 @@ def test_overflowing_lipschitz_constant_is_a_validation_error(tmp_path, capsys):
 
 
 def test_overflowing_beta_is_a_validation_error(tmp_path, capsys):
-    code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o1"),
-                 "--beta", "1000"])
+    doc = yaml.safe_load((CONFIGS / "minimal.yaml").read_text(encoding="utf-8"))
+    doc["solver"] = {"beta": 1000}
+    code = main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o1")])
     assert code == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "validation"
     assert "beta * T = 1000" in err["message"]
     # e^(beta T) = e^700 still fits in a float
-    code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o2"),
-                 "--beta", "700", "--format", "json"])
+    doc["solver"] = {"beta": 700}
+    code = main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o2"),
+                 "--format", "json"])
     assert code == 0
     report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["wellposedness"]["beta"] == 700.0
@@ -432,10 +464,14 @@ def test_compare_mode_reports_gap(tmp_path):
 
 def test_too_short_a_schedule_reports_the_rate_fit_error(tmp_path):
     doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
-    doc["solver"]["epsilon_schedule"], doc["run"]["mode"] = [1.0, 0.5, 0.25], "bsvi"
-    report = run(write_config(tmp_path, doc), write_files=False)
-    assert report["rate_fit"] == {"error": "rate fit needs at least 4 nonzero distances, got 2"}
-    assert len(report["epsilon_table"]) == 2 and report["audits"]["apriori_uniform_ok"]
+    doc["run"]["mode"] = "bsvi"
+    # one entry made an empty table, which reported {"exact": true}
+    for schedule, rows in (([1.0, 0.5, 0.25], 2), ([1.0], 0)):
+        doc["solver"]["epsilon_schedule"] = schedule
+        report = run(write_config(tmp_path, doc), write_files=False)
+        assert report["rate_fit"] == {
+            "error": f"rate fit needs at least 4 nonzero distances, got {rows}"}
+        assert len(report["epsilon_table"]) == rows and report["audits"]["apriori_uniform_ok"]
 
 
 def test_csv_bundle_round_trip(tmp_path):
@@ -485,38 +521,18 @@ def test_config_echo_round_trips(tmp_path):
     assert report["schemes"]["classical"]["y0"] == report2["schemes"]["classical"]["y0"]
 
 
-def test_cli_flag_overrides(tmp_path):
-    doc = minimal_doc()
-    doc["model"]["n_steps"] = 12
-    path = write_config(tmp_path, doc)
-    code = main([str(path), "--out", str(tmp_path / "out"),
-                 "--max-nodes", "100"])
-    assert code == EXIT_PARSE  # tree over the overridden cap
-
-    code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o2"),
-                 "--beta", "2.0", "--format", "json"])
-    assert code == 0
-    report = json.loads((tmp_path / "o2" / "report.json").read_text())
-    assert report["wellposedness"]["beta"] == 2.0
-
-    # zero overrides reach validation instead of falling back to the config
-    for flag in ("--beta", "--max-nodes"):
-        code = main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "o3"),
-                     flag, "0"])
-        assert code == EXIT_PARSE, flag
-
-
 def test_report_config_records_the_flags_that_change_the_solve(tmp_path):
-    # the report embedded the file's config without the flags, so it rebuilt
-    # a run with the default beta
-    code = main([str(CONFIGS / "minimal.yaml"), "--beta", "2", "--max-nodes", "100",
-                 "--hard-gate", "--out", str(tmp_path / "out"), "--format", "json"])
+    # beta, max_nodes and hard_gate were flags the echo left out, so it rebuilt
+    # a run with the default beta; they are config keys now and echo as written
+    doc = yaml.safe_load((CONFIGS / "minimal.yaml").read_text(encoding="utf-8"))
+    doc["model"]["max_nodes"] = 100
+    doc["solver"] = {"beta": 2.0, "hard_gate": True}
+    path = write_config(tmp_path, doc)
+    code = main([str(path), "--out", str(tmp_path / "out"), "--format", "json"])
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["config"]["solver"] == {"beta": 2.0, "hard_gate": True}
-    assert report["config"]["model"]["max_nodes"] == 100
     # --out and --format choose where and how the report is written, not what ran
-    assert report["config"]["run"] == parse_config(CONFIGS / "minimal.yaml").raw["run"]
+    assert report["config"] == parse_config(path).raw == doc
     cfg = config_from_dict(report["config"])
     assert cfg.solver_config.hard_gate
     sol = solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config)

@@ -79,10 +79,10 @@ CASES = [
                            "hard_gate"), (2.0, 1e-9, 50, (1.0, 0.5), True), True, True,
      "SolverConfig(beta=2.0, picard_tol=1e-09, picard_max_iters=50, "
      "epsilon_schedule=(1.0, 0.5), hard_gate=True)"),
-    (solver.WellposednessReport, ("L", "K", "horizon", "beta", "growth", "uniqueness_ok",
+    (solver.WellposednessReport, ("L", "K", "beta", "growth", "uniqueness_ok",
                                   "existence_ok", "uniqueness_margin", "existence_margin"),
-     (1.0, 0.5, 1.0, 2.0, 3.5, False, True, -1.5, 2.5), True, True,
-     "WellposednessReport(L=1.0, K=0.5, horizon=1.0, beta=2.0, growth=3.5, "
+     (1.0, 0.5, 2.0, 3.5, False, True, -1.5, 2.5), True, True,
+     "WellposednessReport(L=1.0, K=0.5, beta=2.0, growth=3.5, "
      "uniqueness_ok=False, existence_ok=True, uniqueness_margin=-1.5, existence_margin=2.5)"),
     (solver.PicardDiagnostics, ("iterate_distances", "contraction_ratios", "converged",
                                 "iterations_used"), ([0.5, 0.25], [0.5], True, 2), False, True,
