@@ -372,7 +372,9 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     y_val = np.concatenate(solution.Y.values[:n])  # levels 0..n-1, one after another
     if solution.epsilon is not None:
         point = convex.prox(phi, solution.epsilon, y_val)
-        grad = (y_val - point) / solution.epsilon
+        grad = y_val - point if np.may_share_memory(point, y_val) else \
+            np.subtract(y_val, point, out=y_val)  # y_val's rows, unless the prox returned them
+        grad /= solution.epsilon
     else:
         point, grad = y_val, np.concatenate(solution.U.values)
     phi_at, eq_res, phi_mass = phi.value(point), 0.0, 0.0

@@ -26,7 +26,8 @@ def _as_points(y) -> np.ndarray:
 
 
 class ConvexFunction:
-    """Base class for penalties.  Subclasses define ``value`` and ``prox``."""
+    """Base class for penalties.  Subclasses define ``value`` and ``prox``, whose
+    result a caller may overwrite unless it is read-only or shares memory with y."""
 
     m: int | None = None
 
@@ -83,7 +84,7 @@ class IndicatorBox(ConvexFunction, Record, frozen=True, eq=False):
     def prox(self, epsilon, y):
         arr = _as_points(y)
         self._check_dim(arr)
-        return np.clip(arr, self.lo, self.hi)
+        return arr.clip(self.lo, self.hi)
 
 
 class Quadratic(ConvexFunction, Record, frozen=True):
@@ -234,7 +235,11 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
 
     def apply(x):
         arr = _as_points(x)
-        u = arr - spec.prox(step, arr)
+        j = spec.prox(step, arr)
+        # u in the prox's buffer, unless it views x, is read-only or is not x's shape and dtype
+        own = (isinstance(j, np.ndarray) and j.flags.writeable and j.dtype == arr.dtype
+               and j.shape == arr.shape and not np.may_share_memory(j, arr))
+        u = np.subtract(arr, j, out=j) if own else arr - j
         u /= step
         y = lam * u
         return np.subtract(arr, y, out=y), u
@@ -257,7 +262,7 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
     the check passes iff it stays below ``tol``.  Probes outside the domain
     satisfy the inequality trivially.  Batched (y, u) pairs on leading axes
     are checked together, the worst slack (NaN fails) running over all of
-    them, in (probes, pairs) chunks of about max(pairs, 2^16) slacks.
+    them, in (probes, pairs) chunks of about 2^14 slacks, one probe at least.
     """
     point, grad = (a.reshape(-1, a.shape[-1])
                    for a in np.broadcast_arrays(_as_points(y), _as_points(u)))
@@ -270,7 +275,7 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
     vs = np.array([_as_points(v).reshape(-1) for v in probes])
     phi_v = spec.value(vs)
     vs, phi_v = vs[np.isfinite(phi_v)], phi_v[np.isfinite(phi_v), None]
-    chunk = max(len(point), 2 ** 16) // max(len(point), 1)
+    chunk = max(1, 2 ** 14 // max(len(point), 1))
     for a in range(0, len(vs), chunk):
         violation = np.sum(grad * (vs[a:a + chunk, None] - point), axis=-1) + phi_y \
             - phi_v[a:a + chunk]

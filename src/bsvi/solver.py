@@ -210,45 +210,54 @@ def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: list, frozen_z: list, phi: ConvexFunction,
               epsilons: np.ndarray | None, past_rows: tuple,
-              coeffs: tuple | None = None, last: tuple | None = None):
+              coeffs: tuple | None = None, last: tuple | None = None,
+              zero_start: bool = False):
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
     n, ``epsilons`` the (blocks, 1, 1) column of a penalized step, ``coeffs``
     a column-constant table's (`generators.prefix_coefficients`) and ``last``
-    level n - 1's `_leaf_moments` (without it, ``xi`` holds every block)."""
+    level n - 1's `_leaf_moments` (without it, ``xi`` holds every block).  Returns
+    the levels and `_weighted_distance`'s (levels, blocks) tables of max |dY| and
+    sum |dZ|^2 per block, a shared level's once for every block, each level reduced
+    as it is made, from the frozen iterate or a ``zero_start``'s zeros (x - (+0.0) = x)."""
     n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
     blocks = len(frozen_y[0])  # Y_0 holds one row per block
     prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
     step = None if epsilons is None else convex.resolvent(phi, epsilons, dt)
-    y_levels = [None] * n + [xi]
-    z_levels = [None] * n
-    u_levels = [None] * n
-    for i in range(n - 1, -1, -1):
+    y_levels, z_levels, u_levels = [None] * n + [xi], [None] * n, [None] * n
+    sup, h2 = np.zeros((n + 1, blocks)), np.zeros((n, blocks))
+    for i in range(n, -1, -1):
         size = tree.level_size(i)
-        expect, z_here, target = last if last and i == n - 1 else \
-            (*level_moments(tree, y_levels[i + 1]), None)
-        if target is None:  # shared moments are tiled for a callback; a built-in
-            # broadcasts one block's (1, size) rows against the frozen blocks
-            expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
-                (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
-                if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
-            drift = level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
-                                past_rows, prefix)
-            # a new array: a custom drift may return an alias of its argument
-            target = (dt * drift).reshape(-1, size, m)
-            target += expect.reshape(-1, size, m)
-        if step is not None:
-            x = target.reshape(-1, size, m)
-            if len(x) < blocks:  # a shared target serves every block's epsilon
-                x = np.broadcast_to(x, (blocks, size, m))
-            y_here, u_here = (a.reshape(-1, m) for a in step(x))
-        else:
-            target = target.reshape(-1, m)
-            y_here = phi.prox(dt, target)
-            u_here = (target - y_here) / dt
-        y_levels[i] = y_here
-        z_levels[i] = z_here
-        u_levels[i] = u_here
-    return y_levels, z_levels, u_levels
+        if i < n:
+            expect, z_here, target = last if last and i == n - 1 else \
+                (*level_moments(tree, y_levels[i + 1]), None)
+            if target is None:  # shared moments are tiled for a callback; a built-in
+                # broadcasts one block's (1, size) rows against the frozen blocks
+                expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
+                    (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
+                    if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
+                # a new array: a custom drift may return an alias of its argument
+                target = (dt * level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
+                                           past_rows, prefix)).reshape(-1, size, m)
+                target += expect.reshape(-1, size, m)
+            if step is not None:
+                target = target.reshape(-1, size, m)
+                if len(target) < blocks:  # a shared target serves every block's epsilon
+                    target = np.broadcast_to(target, (blocks, size, m))
+                y_levels[i], u_levels[i] = (a.reshape(-1, m) for a in step(target))
+            else:
+                target = target.reshape(-1, m)
+                y_levels[i] = phi.prox(dt, target)
+                u_levels[i] = (target - y_levels[i]) / dt
+            del expect, target  # the next level's moments are taken without them
+            z_levels[i] = z_here
+            if z_here is not frozen_z[i]:  # a shared level after the first sweep has dZ = 0
+                h2[i] = row_sq_norms(z_here if zero_start else z_here - frozen_z[i]).reshape(
+                    -1, size).sum(axis=1)
+        if y_levels[i] is not frozen_y[i]:
+            dy = y_levels[i] if zero_start else y_levels[i] - frozen_y[i]
+            sup[i] = np.abs(dy, out=None if zero_start else dy).reshape(-1, size * m).max(axis=1)
+            del dy  # the next level is made without it
+    return y_levels, z_levels, u_levels, (sup, h2)
 
 
 def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
@@ -278,29 +287,14 @@ def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
             np.array(sizes[:-1], dtype=float)[:, None], sizes)
 
 
-def _weighted_distance(y_new, z_new, y_old, z_old, weights: tuple,
-                       blocks: int) -> np.ndarray:
-    """Discrete analogue of the beta-weighted norms behind the contraction
-    gate, one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the
-    square root of the e^{beta t}-weighted H^2 sum of dZ, with ``weights``
-    from `_distance_weights`; old levels None are the zero start, x - (+0.0) = x.
-    Each level's per-block max |dY| and sum |dZ|^2 fill a (levels, blocks)
-    table, weighted and folded once per sweep: w max |dY| is max w |dY|
-    exactly, and the H^2 sum adds level after level (a reduce would sum a
-    one-block table pairwise)."""
-    y_weights, z_weights, z_sizes, sizes = weights
-    sup, h2 = np.zeros((len(y_new), blocks)), np.zeros((len(z_new), blocks))
-    for row, size, a, b_ in zip(sup, sizes, y_new, y_old or [None] * len(y_new)):
-        if a is not b_:  # a shared level after the first sweep has |dY| = 0
-            diff = a if b_ is None else a - b_
-            mag = np.abs(diff, out=None if b_ is None else diff)
-            # a shared level (one block's rows) is reduced once, for every block
-            row[...] = mag.reshape(len(a) // size, -1).max(axis=1)
-    for row, size, a, b_ in zip(h2, sizes, z_new, z_old or [None] * len(z_new)):
-        if a is not b_:
-            row[...] = row_sq_norms(a if b_ is None else a - b_).reshape(
-                len(a) // size, -1).sum(axis=1)
-    h2 /= z_sizes  # each block's level mean as np.mean takes it
+def _weighted_distance(tables: tuple, weights: tuple) -> np.ndarray:
+    """Discrete analogue of the beta-weighted norms behind the contraction gate,
+    one per block of a batch: sup-norm of e^{beta t/2} |dY| plus the root of the
+    e^{beta t}-weighted H^2 sum of dZ, `_one_pass`'s tables weighted and folded
+    once per sweep: w max |dY| is max w |dY| exactly, and the H^2 sum adds level
+    after level (a reduce would sum a one-block table pairwise)."""
+    y_weights, z_weights, z_sizes, _ = weights
+    sup, h2 = tables[0], tables[1] / z_sizes  # each block's level mean as np.mean takes it
     h2 *= z_weights
     return (y_weights * sup).max(axis=0) + np.sqrt(np.add.accumulate(h2)[-1])
 
@@ -415,10 +409,9 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         else:
             eps_col = None if epsilons[0] is None else \
                 np.array([epsilons[e] for e in active])[:, None, None]
-            ys, zs, us = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi,
-                                   eps_col, past_rows, coeffs, last)
-            dists = (_weighted_distance(ys, zs, None, None, weights, blocks) if sweep == 1
-                     else _weighted_distance(ys, zs, frozen_y, frozen_z, weights, blocks))
+            ys, zs, us, tables = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi,
+                                           eps_col, past_rows, coeffs, last, sweep == 1)
+            dists = _weighted_distance(tables, weights)
         keep, done = [], []
         for pos, e in enumerate(active):
             diag, dist = diags[e], float(dists[pos])
@@ -465,12 +458,12 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             frozen_y, frozen_z = _blocks(ys, keep, blocks, sizes), _blocks(zs, keep, blocks, sizes)
             if replay:
                 us = _blocks(us, keep, blocks, sizes)
+        del ys, zs  # after a block exit, the next pass need not keep the whole batch
     if active:  # a failure drops the blocks after it, so this one comes first
         diag = diags[active[0]]
         failure = PicardNonConvergence(
             f"no convergence within {config.picard_max_iters} sweeps "
-            f"(last distance {diag.iterate_distances[-1]:.3g})",
-            diag, diverged=False)
+            f"(last distance {diag.iterate_distances[-1]:.3g})", diag, diverged=False)
     if failure is not None:
         raise failure
     return solutions

@@ -17,10 +17,10 @@ the subdifferential probes deduplicated by a pairwise
 np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`;
 the worst subgradient slack one probe at a time, used to cross-check the
 batched `convex.subgradient_check`; the Picard distance with its weights and
-folds applied level by level, used to cross-check the per-sweep tables of
-`solver._weighted_distance`; and the residual audit with the drift summed term
-by term and one subgradient check per level, used to cross-check
-`analysis.solution_residuals`.
+folds applied level by level, used to cross-check the distance tables of
+`solver._one_pass` and their fold in `solver._weighted_distance`; and the
+residual audit with the drift summed term by term and one subgradient check
+per level, used to cross-check `analysis.solution_residuals`.
 """
 
 import math
@@ -148,20 +148,21 @@ def level_moments_einsum(tree, y_next):
 def picard_every_sweep(tree, xi, gen, config=None, *, phi=convex.Zero(), epsilon=None):
     """`solver.picard_solve` with every sweep computed: one solve whose
     confirmation sweep runs a backward pass and measures its distance even
-    when no pass reads a frozen row.  Keeps the diagnostics as the solver
-    does; raises AssertionError where the solver would raise a Picard
-    failure."""
+    when no pass reads a frozen row, level by level against the frozen
+    levels, the zero start's included (`weighted_distance_per_level`).  Keeps
+    the diagnostics as the solver does; raises AssertionError where the
+    solver would raise a Picard failure."""
     config = config or SolverConfig()
     xi = solver._as_leaf_values(tree, xi)
     report = solver._check_gate(tree, xi, gen, config, phi)
     past_rows = past_z_rows(gen, tree)
-    weights = solver._distance_weights(tree, solver.resolve_beta(config, gen))
+    beta = solver.resolve_beta(config, gen)
     eps_col = None if epsilon is None else np.full((1, 1, 1), epsilon)
     frozen = solver._zero_levels(tree, xi.shape[1], 1)
     diag = PicardDiagnostics()
     for sweep in range(1, config.picard_max_iters + 1):
-        ys, zs, us = solver._one_pass(tree, xi, gen, *frozen, phi, eps_col, past_rows)
-        dist = float(solver._weighted_distance(ys, zs, *frozen, weights, 1)[0])
+        ys, zs, us, _ = solver._one_pass(tree, xi, gen, *frozen, phi, eps_col, past_rows)
+        dist = float(weighted_distance_per_level(ys, zs, *frozen, tree, beta, 1)[0])
         assert math.isfinite(dist), f"sweep {sweep}: distance {dist}"
         if diag.iterate_distances:
             prev = diag.iterate_distances[-1]

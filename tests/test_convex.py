@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsvi.convex import (
+    ConvexFunction,
     Custom1D,
     IndicatorBox,
     OneNorm,
@@ -245,6 +246,49 @@ def test_resolvent_step_zero_is_bit_exact():
     y, u = resolvent(Zero(), 1e-3, 0.25)(x)
     assert np.array_equal(y, x)
     assert np.array_equal(u, np.zeros(2))
+
+
+class ProxReturning(ConvexFunction):
+    """phi = 0, or the box [-1, 1] for "read_only", with a prox returning its
+    argument, a view of it, a read-only array, a new float32 array or a new
+    array it records."""
+
+    def __init__(self, kind):
+        self.kind, self.returned = kind, None
+
+    def value(self, y):
+        return Zero().value(y) if self.kind != "read_only" else IndicatorBox(-1.0, 1.0).value(y)
+
+    def prox(self, epsilon, y):
+        arr = np.asarray(y, dtype=float)
+        if self.kind == "argument":
+            return arr
+        if self.kind == "view":
+            return arr[...]
+        if self.kind == "float32":
+            return arr.astype(np.float32)
+        out = np.clip(arr, -1.0, 1.0) if self.kind == "read_only" else arr.copy()
+        out.flags.writeable = self.kind != "read_only"
+        self.returned = out
+        return out
+
+
+@pytest.mark.parametrize("kind", ["argument", "view", "read_only", "float32", "new"])
+def test_resolvent_writes_u_only_into_a_prox_buffer_of_its_own(kind):
+    # u = x - J goes into the array the prox returned only when that array
+    # is new, writable and of x's dtype; a prox returning x, a view of x or a
+    # read-only array leaves x as it was, and every kind gives the bits of x - J
+    spec = ProxReturning(kind)
+    x = np.random.default_rng(4).normal(size=(3, 5, 2)) * 2
+    x[0, 0] = -0.0
+    before = x.copy()
+    eps = np.array([1.0, 0.125, 2.0 ** -10])[:, None, None]
+    y, u = resolvent(spec, eps, 0.25)(x)
+    assert x.tobytes() == before.tobytes()
+    assert (u is spec.returned) == (kind == "new")
+    want_u = (before - spec.prox(eps + 0.25, before.copy())) / (eps + 0.25)
+    want_y = before - 0.25 * want_u
+    assert u.tobytes() == want_u.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 def test_batched_prox_matches_pointwise():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from bsvi import convex, generators
 from bsvi import solver as solver_mod
 from bsvi.analysis import apriori_audit, epsilon_table, path_norm, yosida_audit
 from bsvi.cli import config_from_dict
-from bsvi.lattice import level_moments
+from bsvi.lattice import level_moments, row_sq_norms
 from bsvi.problems import (
     box_linear_problem,
     terminal_clipped_linear,
@@ -364,26 +365,44 @@ def test_a_mutable_spec_changed_between_solves_is_read_anew():
         bsvi.analysis.solution_residuals(want, xi, fresh, phi, tree)
 
 
+# reads the frozen Z 0.4 back, so that a sweep sees the iterate it measures against
+LAGGED_Z = generators.CustomGenerator(
+    fn=lambda t, y, z, past_y, past_z: 0.25 * y + 0.3 * past_z(-0.4)[..., 0],
+    declared_instant=0.25, declared_delay=0.09)
+
+
+def _sweep(tree, xi, frozen, zero_start=False, last=None):
+    """One `_one_pass` prox sweep of LAGGED_Z under phi = 0: its Y, Z and U
+    levels and its distance tables."""
+    return solver_mod._one_pass(tree, xi, LAGGED_Z, *frozen, convex.Zero(), None,
+                                generators.past_z_rows(LAGGED_Z, tree), None, last, zero_start)
+
+
 @pytest.mark.parametrize("m, bm_dim", [(1, 1), (2, 2)])
 def test_first_sweep_distance_is_the_distance_to_materialised_zeros(m, bm_dim):
     # the first sweep measures the iterate against the zero start by its own
     # norms: x - (+0.0) is x bitwise, -0.0 included
     tree, blocks = bsvi.build_tree(4, 1.0, bm_dim), 3
-    rng = np.random.default_rng(7)
-    ys = [rng.normal(size=(blocks * tree.level_size(i), m)) for i in range(5)]
-    zs = [rng.normal(size=(blocks * tree.level_size(i), m, bm_dim)) for i in range(4)]
-    ys[2][5], zs[1][3] = -0.0, -0.0
+    b = tree.branching
+    xi = np.random.default_rng(7).normal(size=(blocks * tree.level_size(4), m))  # every block's
+    xi[5], xi[b:2 * b, 0] = -0.0, -0.0  # Y_3 = +0.0 at node 1 of block 0
     weights = solver_mod._distance_weights(tree, 3.0)
-    zeros = ([np.zeros_like(a) for a in ys], [np.zeros_like(a) for a in zs])
-    want = solver_mod._weighted_distance(ys, zs, *zeros, weights, blocks)
-    for old in (zeros, solver_mod._zero_levels(tree, m, blocks)):
-        assert solver_mod._weighted_distance(ys, zs, *old, weights, blocks).tobytes() \
-            == want.tobytes()
-    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    zero_levels = solver_mod._zero_levels(tree, m, blocks)
+    zeros = tuple([np.zeros(a.shape) for a in levels] for levels in zero_levels)
+
+    def distance(frozen, zero_start):
+        return solver_mod._weighted_distance(_sweep(tree, xi, frozen, zero_start)[-1], weights)
+
+    want = distance(zeros, False)
+    for old in (zeros, zero_levels):
+        assert distance(old, False).tobytes() == want.tobytes()
+    got = distance(zero_levels, True)
     assert got.tobytes() == want.tobytes()
-    ys[0][0, 0] = np.nan  # Y_0 of block 0
-    zs[3][-1, 0, 0] = np.nan  # the last Z row of level 3, in block 2
-    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    xi[0, 0] = np.nan  # a leaf of block 0: its Y levels turn NaN
+    # block 2's last children sum to zero, so Y_3 stays finite, but Z_3^2 overflows
+    xi[-b:, 0] = [1e200, -1e200] * (b // 2)
+    with np.errstate(over="ignore"):
+        got = distance(zero_levels, True)
     assert [math.isfinite(d) for d in got] == [False, True, False]
 
 
@@ -404,29 +423,39 @@ def _batch_levels(tree, blocks, m, rng):
 @pytest.mark.parametrize("blocks", [1, 2, 11])
 @pytest.mark.parametrize("n, m, bm_dim", [(10, 1, 1), (4, 2, 2)])
 def test_weighted_distance_tables_give_the_per_level_folds_bits(blocks, n, m, bm_dim):
-    # the (levels, blocks) tables, weighted and folded once, against the
+    # a sweep's (levels, blocks) tables, weighted and folded once, against the
     # weights and folds applied level by level: from the zero start and
     # against an old iterate that shares Y_n and Z_{n-1}, with -0.0 and NaN
     tree, beta = bsvi.build_tree(n, 1.0, bm_dim), 3.0
     weights = solver_mod._distance_weights(tree, beta)
+    zero = solver_mod._zero_levels(tree, m, blocks)
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        ys, zs = _batch_levels(tree, blocks, m, rng)
         old_y, old_z = _batch_levels(tree, blocks, m, rng)
-        old_y[n], old_z[n - 1] = ys[n], zs[n - 1]
-        ys[1][0], old_y[1][0], zs[2][-1], ys[3][1] = -0.0, -0.0, -0.0, -0.0
+        xi = old_y[n]
+        xi[1] = -0.0
+        last = solver_mod._leaf_moments(
+            tree, xi, LAGGED_Z, generators.past_z_rows(LAGGED_Z, tree), False)
+        old_z[n - 1] = last[1]  # the shared levels, as the frozen iterate holds them
+        old_y[1][0], old_z[2][-1] = -0.0, -0.0
 
-        def check(old):
-            got = solver_mod._weighted_distance(ys, zs, *old, weights, blocks)
+        def check(leaves, frozen, zero_start, last):
+            ys, zs, _, tables = _sweep(tree, leaves, frozen, zero_start, last)
+            got = solver_mod._weighted_distance(tables, weights)
+            old = (None, None) if zero_start else frozen
             want = weighted_distance_per_level(ys, zs, *old, tree, beta, blocks)
             assert got.tobytes() == want.tobytes(), seed
             return got
 
-        for old in ((None, None), (old_y, old_z)):
-            assert np.isfinite(check(old)).all()
-        ys[2][-1, 0], zs[0][0, 0, 0] = np.nan, np.nan  # the last block's Y_2, block 0's Z_0
-        for old in ((None, None), (old_y, old_z)):
-            got = check(old)
+        for frozen, zero_start in ((zero, True), ((old_y, old_z), False)):
+            assert np.isfinite(check(xi, frozen, zero_start, last)).all()
+        # the last block's Y_2 and block 0's Z_0, which its drift reads; from
+        # the zero start, every block's leaves with a NaN in the first and last
+        old_y[2][-1, 0], old_z[0][0, 0, 0] = np.nan, np.nan
+        leaves = np.tile(xi, (blocks, 1))
+        leaves[0, 0], leaves[-1, 0] = np.nan, np.nan
+        for args in ((leaves, zero, True, None), (xi, (old_y, old_z), False, last)):
+            got = check(*args)
             assert np.isnan(got[[0, -1]]).all() and np.isfinite(got[1:-1]).all()
 
 
@@ -443,7 +472,10 @@ def test_weighted_distance_adds_the_h2_column_level_after_level(blocks):
     zs = [np.full((blocks * tree.level_size(i), 1, 1),
                   math.sqrt((1.0 if i == 0 else 0.9e-16) / dt)) for i in range(10)]
     weights = solver_mod._distance_weights(tree, 0.0)
-    got = solver_mod._weighted_distance(ys, zs, None, None, weights, blocks)
+    # the tables `_one_pass` fills from these levels at the zero start
+    tables = (np.zeros((11, blocks)),
+              np.array([row_sq_norms(z).reshape(blocks, -1).sum(axis=1) for z in zs]))
+    got = solver_mod._weighted_distance(tables, weights)
     want = weighted_distance_per_level(ys, zs, None, None, tree, 0.0, blocks)
     assert got.tobytes() == want.tobytes()
     assert got.tolist() == [math.sqrt(dt * zs[0][0, 0, 0] ** 2)] * blocks
@@ -900,22 +932,23 @@ def test_path_norms_match_one_process_at_a_time():
             assert tuple(map(_bits, got)) == tuple(map(_bits, want))
 
 
+def peak_above_live(run):
+    """The most memory Python held during ``run()`` beyond what it held before."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
 def test_schedule_audits_hold_at_most_e_plus_8_leaf_levels():
     # a stack of whole levels of the schedule (E leaf levels per temporary)
     # goes past this bound; runs capped at one tree's leaf level stay below
     tree, xi, gen, phi = box_linear_problem(12)
     res = solve_bsvi(tree, xi, gen, phi)
     bound = (len(res.per_epsilon) + 8) * tree.level_size(12) * xi.shape[1] * 8
-
-    def peak_above_live(run):
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            run()
-            return tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
-
     assert peak_above_live(lambda: (apriori_audit(res.per_epsilon, xi, gen, tree),
                                     yosida_audit(res.per_epsilon, phi, xi, gen, tree))) <= bound
     assert peak_above_live(lambda: epsilon_table(res.per_epsilon, phi, tree)) <= bound
@@ -925,7 +958,8 @@ def test_solve_bsvi_holds_the_leaf_level_once_per_schedule():
     # each of the E solutions holds its own levels below n - 1 (Y and U about
     # one leaf level each, Z half of one) and its own Y and U at level n - 1;
     # xi and Z at level n - 1 are one array for all of them.  A leaf level per
-    # solution, or level n - 1's Z per solution, goes past these bounds.
+    # solution, or level n - 1's Z per solution, goes past these bounds, and so
+    # does a level-sized temporary of the sweep held beside the whole batch.
     tree, xi, gen, phi = box_linear_problem(12)
     leaf_level = tree.level_size(12) * xi.shape[1] * 8
     tracemalloc.start()
@@ -941,7 +975,50 @@ def test_solve_bsvi_holds_the_leaf_level_once_per_schedule():
             for a in proc.values}
     assert count == 11
     assert sum(held.values()) <= (2.5 * count + 2) * leaf_level
-    assert peak <= (3.5 * count + 4) * leaf_level
+    assert peak <= (3 * count + 4) * leaf_level
+
+
+def test_a_delayed_pass_peaks_at_what_it_returns(monkeypatch):
+    # each level's temporaries go before the next level is made, so a pass
+    # peaks within a leaf level of what it returns; and after a block exit
+    # the next pass starts without the whole batch's (Y, Z) of the last one
+    tree, xi, _, phi = box_linear_problem(12)
+    gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
+    leaf_level = tree.level_size(12) * xi.shape[1] * 8
+    real, above, last_y0 = solver_mod._one_pass, [], []
+
+    def traced(*args):
+        blocks = len(args[3][0])  # the frozen Y_0 holds one row per block
+        if last_y0 and last_y0[-1][1] > blocks:  # blocks left the batch
+            assert last_y0[-1][0]() is None
+        tracemalloc.reset_peak()
+        out = real(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        above.append(peak - current)
+        last_y0.append((weakref.ref(out[0][0]), blocks))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_one_pass", traced)
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="well-posedness"):
+            res = solve_bsvi(tree, xi, gen, phi)
+    finally:
+        tracemalloc.stop()
+    sweeps = {s.diagnostics.iterations_used for _, s in res.per_epsilon}
+    assert len(sweeps) > 1 and len(above) == max(sweeps)
+    assert max(above) <= leaf_level
+
+
+def test_solution_residuals_hold_at_most_8_leaf_levels():
+    # the gradient is formed in the audit's own copy of the Y rows and the
+    # probes are checked in chunks of about 2^14 slacks: a gradient beside
+    # that copy, or chunks of four probes over a leaf level's pairs, go past it
+    tree, xi, gen, phi = box_linear_problem(14)
+    sol = solve_bsvi(tree, xi, gen, phi).solution
+    leaf_level = tree.level_size(14) * xi.shape[1] * 8
+    assert peak_above_live(lambda: bsvi.analysis.solution_residuals(
+        sol, xi, gen, phi, tree)) <= 8 * leaf_level
 
 
 def test_shared_levels_are_a_private_read_only_copy_of_xi():
