@@ -8,7 +8,11 @@ OTHER_CHECKOUT, each side in its own subprocess that imports bsvi from that
 checkout's ``src/``.  Every run's report, minus the machine-dependent
 ``timings``, is written as a JSON document and as a CSV bundle; every report
 file that differs between the two sides, or exists on one side only, is
-printed.  Exits 1 on a difference, 0 when every file is byte-identical.
+printed.  Under a differing JSON report on both sides go its differing key
+paths, each with |this - other| and that over |other| for numbers, marked
+BEYOND when the difference breaks the golden files' rule
+|this - other| <= 1e-12 + 1e-10 |other|.  Exits 1 on a difference, 0 when
+every file is byte-identical.
 
 The 14 configs (28 reports): the four shipped configs with golden files,
 configs/indicator_box.yaml in classical, penalized, prox and bsvi mode, the
@@ -20,6 +24,7 @@ this checkout, so both sides run the same documents.
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +37,8 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ("delay_reduction", "indicator_box", "minimal", "quadratic")
 ZERO_PHI = {"kind": "zero"}
+ATOL, RTOL = 1e-12, 1e-10  # tests/test_golden.py's rule against the other side
+MISSING = object()
 
 
 def perfbench_module():
@@ -97,6 +104,34 @@ def differing_files(a: Path, b: Path) -> list:
                           and (a / f).read_bytes() == (b / f).read_bytes()))
 
 
+def value_differences(a, b, where: str = "") -> list:
+    """(key path, a value, b value) of every leaf at which the JSON documents
+    ``a`` and ``b`` differ in their text, in key order; a key or list entry on
+    one side only pairs with MISSING."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [d for key in sorted(a.keys() | b.keys())
+                for d in value_differences(a.get(key, MISSING), b.get(key, MISSING),
+                                           f"{where}.{key}" if where else key)]
+    if isinstance(a, list) and isinstance(b, list):
+        pad = [MISSING] * abs(len(a) - len(b))
+        return [d for k, (x, y) in enumerate(zip(a + pad, b + pad))
+                for d in value_differences(x, y, f"{where}[{k}]")]
+    same = a is not MISSING and b is not MISSING and json.dumps(a) == json.dumps(b)
+    return [] if same else [(where, a, b)]
+
+
+def describe(where: str, a, b) -> str:
+    """One line for a differing leaf: for two numbers |a - b| and its ratio to
+    |b|, marked BEYOND past the golden rule; otherwise both values."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        show = ["(missing)" if v is MISSING else json.dumps(v) for v in (a, b)]
+        return f"  {where}: {show[0]} != {show[1]}  BEYOND"
+    gap = abs(a - b)
+    rel = gap / abs(b) if b else (math.inf if gap else 0.0)
+    mark = "" if gap <= ATOL + RTOL * abs(b) else "  BEYOND"
+    return f"  {where}: |this - other| {gap:.3e}, relative {rel:.3e}{mark}"
+
+
 def _emit_in(checkout: Path, config_dir: Path, out_dir: Path):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit",
@@ -122,6 +157,11 @@ def main(argv: list) -> int:
         diff = differing_files(tmp / "this", tmp / "other")
         for rel in diff:
             print(f"differs: {rel}")
+            pair = [tmp / side / rel for side in sides]
+            if rel.endswith(".json") and all(p.is_file() for p in pair):
+                for leaf in value_differences(*(json.loads(p.read_text(encoding="utf-8"))
+                                                for p in pair)):
+                    print(describe(*leaf))
         print(f"{len(diff)} differing file(s) over {len(docs)} configs")
     return 1 if diff else 0
 

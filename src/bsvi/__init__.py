@@ -19,7 +19,6 @@ from .convex import (
     prox,
     resolvent,
     subgradient_check,
-    yosida_grad,
     yosida_triple,
 )
 from .generators import (

@@ -272,23 +272,26 @@ def epsilon_rate_fit(epsilon_table) -> RateFit:
     The squared Cauchy distances are bounded linearly in eps + delta, so the
     distances themselves should scale no slower than (eps + delta)^{1/2};
     exact solutions (zero distances, at least one) short-circuit to ``exact``.
+    The line is np.polyfit's least squares in closed form in Python floats (no
+    LAPACK call); a non-finite distance or a single distinct eps + delta raises.
     """
     dists = [row.dy_s2 + row.dz_h2 for row in epsilon_table]
+    if not all(map(math.isfinite, dists)):
+        raise ValueError(f"rate fit needs finite distances, got {dists}")
     if dists and all(d <= 1e-14 for d in dists):
         return RateFit(slope=None, intercept=None, residual=None, exact=True)
-    xs, ys = [], []
-    for row, d in zip(epsilon_table, dists):
-        if d > 1e-14:
-            xs.append(math.log(row.epsilon + row.epsilon_next))
-            ys.append(math.log(d))
-    if len(xs) < 4:
-        raise ValueError(
-            f"rate fit needs at least 4 nonzero distances, got {len(xs)}")
-    slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-    resid = float(np.sqrt(np.mean(
-        (np.asarray(ys) - (slope * np.asarray(xs) + intercept)) ** 2)))
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   residual=resid, exact=False)
+    pts = [(math.log(row.epsilon + row.epsilon_next), math.log(d))
+           for row, d in zip(epsilon_table, dists) if d > 1e-14]
+    if len(pts) < 4:
+        raise ValueError(f"rate fit needs at least 4 nonzero distances, got {len(pts)}")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError("rate fit needs at least 2 distinct eps + delta, got 1")
+    x_bar, y_bar = (math.fsum(c) / len(pts) for c in zip(*pts))
+    slope = (math.fsum((x - x_bar) * (y - y_bar) for x, y in pts)
+             / math.fsum((x - x_bar) ** 2 for x, _ in pts))
+    intercept = y_bar - slope * x_bar
+    resid = math.sqrt(math.fsum((y - (slope * x + intercept)) ** 2 for x, y in pts) / len(pts))
+    return RateFit(slope=slope, intercept=intercept, residual=resid, exact=False)
 
 
 class StabilityAudit(Record, frozen=True):

@@ -219,13 +219,6 @@ def yosida_triple(spec: ConvexFunction, epsilon: float, y) -> YosidaTriple:
     return YosidaTriple(resolvent=j, envelope=envelope, gradient=grad, epsilon=epsilon)
 
 
-def yosida_grad(spec: ConvexFunction, epsilon: float, y) -> np.ndarray:
-    """(y - J_eps y) / eps; a (1/eps)-Lipschitz selection converging to the
-    minimal subgradient."""
-    point = _as_points(y)
-    return (point - prox(spec, epsilon, point)) / epsilon
-
-
 def resolvent(spec: ConvexFunction, epsilon, lam: float):
     """The closed-form map x -> (y, u) solving y + lam * grad phi_eps(y) = x, ``epsilon`` checked
     once: with j = J_{eps+lam}(x), u = (x - j)/(eps + lam) is grad phi_eps(y) at y = x - lam*u."""

@@ -180,10 +180,10 @@ class LinearInstant(GeneratorSpec, Record, frozen=True, eq=False):
         return y @ self.a_y.T + np.einsum("kml,...ml->...k", self.b_z, z)
 
     def lipschitz_instant(self):
-        m = self.m
-        na = float(np.linalg.norm(self.a_y, 2))
-        nb = float(np.linalg.norm(self.b_z.reshape(m, -1), 2))
-        return max(na, nb)
+        """max(|A|_2, |B|_2), B as an (m, m*d) matrix.  With one row or column (every
+        m = 1 drift) the spectral norm is the entries' Euclidean norm: math.hypot, no LAPACK."""
+        return max(math.hypot(*c.ravel()) if 1 in c.shape else float(np.linalg.norm(c, 2))
+                   for c in (self.a_y, self.b_z.reshape(self.m, -1)))
 
     def lipschitz_delay(self, horizon):
         return 0.0

@@ -201,8 +201,10 @@ def epsilon_table_one_by_one(per_eps, phi, tree):
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
         dy = math.sqrt(path_norms_one_by_one(sol_a.Y - sol_b.Y, tree)[0])
         dz = math.sqrt(path_norms_one_by_one(sol_a.Z - sol_b.Z, tree)[1])
+        # the Yosida gradient (y - J_eps y) / eps of a whole level (yosida_triple
+        # takes one point: its envelope is a scalar)
         grad_sq = sum(dt * float(np.mean(np.sum(
-            convex.yosida_grad(phi, eps_a, y) ** 2, axis=-1)))
+            ((y - convex.prox(phi, eps_a, y)) / eps_a) ** 2, axis=-1)))
             for y in sol_a.Y.values[:-1])
         phi_res = sum(dt * float(np.mean(np.atleast_1d(
             phi.value(convex.prox(phi, eps_a, y)))))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsvi
 from bsvi import convex, generators
@@ -109,12 +111,43 @@ def synthetic_table(fn):
             for a, b in zip(eps, eps[1:])]
 
 
+def distance_table(eps, dists):
+    return [EpsilonTableRow(epsilon=a, epsilon_next=b, dy_s2=d, dz_h2=0.0, grad_h2_sq=0.0,
+                            phi_resolvent_h1=0.0) for a, b, d in zip(eps, eps[1:], dists)]
+
+
+def assert_fit_matches_polyfit(table):
+    """The closed-form line against np.polyfit's and the RMS residual of its
+    points, to 1e-12 relative; a value of rounding size (the slope through equal
+    distances, where np.polyfit returns ~1e-14) compares to 1e-12 absolute."""
+    pts = [(math.log(r.epsilon + r.epsilon_next), math.log(r.dy_s2 + r.dz_h2))
+           for r in table if r.dy_s2 + r.dz_h2 > 1e-14]
+    xs, ys = (np.asarray(c) for c in zip(*pts))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    fit = epsilon_rate_fit(table)
+    assert (fit.slope, fit.intercept, fit.residual) == pytest.approx(
+        (slope, intercept, resid), rel=1e-12, abs=1e-12)
+
+
 def test_rate_fit_recovers_planted_slopes():
     fit = epsilon_rate_fit(synthetic_table(lambda s: math.sqrt(s)))
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
     fit = epsilon_rate_fit(synthetic_table(lambda s: 3.0 * s))
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
+    for planted in (math.sqrt, lambda s: 3.0 * s,
+                    lambda s: 0.1 * s ** 0.75 * (1 + 0.2 * math.sin(1 / s))):
+        assert_fit_matches_polyfit(synthetic_table(planted))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 80), min_size=5, max_size=11, unique=True),
+       st.lists(st.floats(1e-8, 1e2), min_size=10, max_size=10))
+def test_rate_fit_matches_polyfit_on_decreasing_schedules(quarter_octaves, dists):
+    # strictly decreasing eps = 2^(-k/4), 4 to 10 rows of any positive distances
+    assert_fit_matches_polyfit(distance_table(
+        [2.0 ** (-k / 4) for k in sorted(quarter_octaves)], dists))
 
 
 def test_rate_fit_exact_and_underdetermined():
@@ -126,6 +159,15 @@ def test_rate_fit_exact_and_underdetermined():
     # an empty table (a one-entry schedule) is no evidence of an exact solution
     with pytest.raises(ValueError, match="at least 4 nonzero distances, got 0"):
         epsilon_rate_fit([])
+    # a non-finite distance refuses: inf made a NaN fit and NaN was dropped as if zero
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite distances"):
+            epsilon_rate_fit(distance_table([2.0 ** -k for k in range(6)],
+                                            [1.0, 0.5, 0.25, bad, 0.1]))
+    # one eps + delta throughout has no slope (np.polyfit warned and fitted one)
+    flat = distance_table([0.5, 0.25] * 3, [1.0, 0.5, 0.25, 0.1, 0.05])
+    with pytest.raises(ValueError, match="at least 2 distinct eps"):
+        epsilon_rate_fit(flat)
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,33 @@ def test_too_short_a_schedule_reports_the_rate_fit_error(tmp_path):
         assert len(report["epsilon_table"]) == rows and report["audits"]["apriori_uniform_ok"]
 
 
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+def test_a_dim_one_run_makes_no_lapack_call(tmp_path, monkeypatch):
+    # The first LAPACK call of a process makes OpenBLAS touch about 1 MB of
+    # workspace, about 3 % of a benchmark run's resident peak, so no run of a
+    # one-dimensional config may make one: every LAPACK gufunc raises here.
+    from numpy.linalg import _umath_linalg
+
+    class LapackCalled(Exception):  # not a ValueError, which main reports as exit 3
+        pass
+
+    def refuse(*args, **kwargs):
+        raise LapackCalled
+
+    for name in dir(_umath_linalg):
+        if isinstance(getattr(_umath_linalg, name), np.ufunc):
+            monkeypatch.setattr(_umath_linalg, name, refuse)
+    with pytest.raises(LapackCalled):
+        np.linalg.norm(np.eye(2), 2)
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["model"]["n_steps"], doc["run"]["mode"] = 5, "bsvi"  # delay_bsvi's shape, smaller
+    doc["generator"] = {"kind": "moving_average_z", "g_poly": [0.3], "g_bound": 0.5,
+                        "alpha": {"kind": "uniform"}}
+    for path in [*sorted(CONFIGS.glob("*.yaml")), write_config(tmp_path, doc, "delay_bsvi.yaml")]:
+        want = EXIT_VALIDATION if path.stem == "gate_violation" else 0  # its gate refuses
+        assert main([str(path), "--out", str(tmp_path / path.stem)]) == want, path.name
+
+
 def test_csv_bundle_round_trip(tmp_path):
     run(CONFIGS / "indicator_box.yaml", out_dir=tmp_path / "out",
         out_format="csv")
@@ -601,6 +628,22 @@ def test_report_diff_flags_the_differing_files(tmp_path):
     assert differing_files(tmp_path / "a", tmp_path / "b") == ["run/csv/summary.csv"]
     (tmp_path / "b" / "error.txt").write_text("ValueError\n", encoding="utf-8")
     assert differing_files(tmp_path / "a", tmp_path / "b") == ["error.txt", "run/csv/summary.csv"]
+
+
+def test_report_diff_lists_each_differing_value():
+    report_diff = _report_diff()
+    this = {"rate_fit": {"slope": 0.5 + 2 ** -49, "exact": False}, "y0": [1.0, 2.0], "m": -0.0,
+            "n": float("nan"), "k": "a"}
+    other = {"rate_fit": {"slope": 0.5, "exact": False}, "y0": [1.0, 2.5, 3.0], "m": 0.0,
+             "n": float("nan"), "extra": None}
+    lines = [report_diff.describe(*d) for d in report_diff.value_differences(this, other)]
+    assert lines == [
+        '  extra: (missing) != null  BEYOND',
+        '  k: "a" != (missing)  BEYOND',
+        "  m: |this - other| 0.000e+00, relative 0.000e+00",
+        "  rate_fit.slope: |this - other| 1.776e-15, relative 3.553e-15",
+        "  y0[1]: |this - other| 5.000e-01, relative 2.000e-01  BEYOND",
+        "  y0[2]: (missing) != 3.0  BEYOND"]
 
 
 def test_report_diff_configs_all_build():

@@ -15,7 +15,6 @@ from bsvi.convex import (
     prox,
     resolvent,
     subgradient_check,
-    yosida_grad,
     yosida_triple,
 )
 
@@ -121,10 +120,10 @@ def test_yosida_triples_of_one_point_compare_by_identity():
 
 
 def test_yosida_grad_examples():
-    assert yosida_grad(IndicatorBox(-1, 1), 0.5, [2.0]) == pytest.approx([2.0])
-    assert yosida_grad(Zero(), 0.7, [4.0, -2.0]) == pytest.approx([0.0, 0.0])
+    assert yosida_triple(IndicatorBox(-1, 1), 0.5, [2.0]).gradient == pytest.approx([2.0])
+    assert yosida_triple(Zero(), 0.7, [4.0, -2.0]).gradient == pytest.approx([0.0, 0.0])
     # saturates at the subgradient bound of the one-norm
-    assert yosida_grad(OneNorm(1.0), 0.1, [5.0]) == pytest.approx([1.0])
+    assert yosida_triple(OneNorm(1.0), 0.1, [5.0]).gradient == pytest.approx([1.0])
 
 
 def test_box_normalization_enforced():
@@ -238,7 +237,7 @@ def test_resolvent_step_solves_implicit_equation():
             eps, lam = rng.uniform(0.01, 1.0, size=2)
             y, u = resolvent(spec, eps, lam)(x)
             assert np.allclose(y + lam * u, x, atol=1e-12)
-            assert np.allclose(u, yosida_grad(spec, eps, y), atol=1e-10)
+            assert np.allclose(u, yosida_triple(spec, eps, y).gradient, atol=1e-10)
 
 
 def test_resolvent_step_zero_is_bit_exact():

@@ -231,6 +231,26 @@ def random_paths(tree, seed):
     return y, z
 
 
+def test_linear_lipschitz_of_one_row_is_the_euclidean_norm_of_its_entries():
+    # one row or column takes math.hypot, no LAPACK call: the SVD's bits on
+    # 1x1 coefficients with 1e-100 <= |a| <= 1e100 and on 0
+    rng = np.random.default_rng(26)
+    values = [0.0, 1e-100, -1e100,
+              *(rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-100, 100, 2000))]
+    for v in values:
+        for gen in (linear_scalar(v, 0.0), linear_scalar(0.0, v)):
+            assert gen.lipschitz_instant().hex() == float(np.linalg.norm([[v]], 2)).hex()
+    # a 1 x d row (m = 1, bm_dim = 3), to rounding
+    for _ in range(50):
+        b = rng.normal(size=(1, 1, 3)) * 10.0 ** rng.uniform(-5, 5)
+        assert LinearInstant([[0.0]], b).lipschitz_instant() == pytest.approx(
+            float(np.linalg.norm(b.reshape(1, 3), 2)), rel=1e-15, abs=0)
+    # a full 2 x 2 keeps the SVD: its spectral norm, below the entries' norm
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    lip = LinearInstant(a, np.zeros((2, 2, 1))).lipschitz_instant()
+    assert lip == float(np.linalg.norm(a, 2)) < math.hypot(1.0, 2.0, 3.0, 4.0) - 1e-3
+
+
 @pytest.mark.parametrize("gen", [
     linear_scalar(0.5, 1.5),
     DelayedZ(kappa=1.2, lag=0.5),

@@ -136,7 +136,7 @@ def test_package_read_check_sees_module_attributes_only():
 
 # ROADMAP item 10's gate on the package size; a change that grows the package
 # past it raises the bound here and says why in CHANGES.md
-PACKAGE_LINE_BUDGET = 2447
+PACKAGE_LINE_BUDGET = 2442
 
 
 def test_package_stays_within_its_line_budget():
