@@ -7,8 +7,6 @@ document or a CSV bundle with one file per table.  Reports embed the parsed
 config, so a run can be reproduced from its own output.
 """
 
-import argparse
-import csv
 import json
 import sys
 import time
@@ -298,6 +296,7 @@ def emit_report(report: dict, out_dir, out_format: str):
             json.dumps({"timings": {}, **report}, indent=2, sort_keys=True, allow_nan=False),
             encoding="utf-8")
         return [out / "report.json"]
+    import csv  # here, not at the top: a JSON run does not load it
     written = []
 
     def table(name: str, rows: list, names: list):
@@ -332,47 +331,62 @@ def emit_report(report: dict, out_dir, out_format: str):
     return written
 
 
-def main(argv=None) -> int:
+def _read_argv(argv) -> tuple:
+    """``(config, out, format)`` of a command line: the config with ``--out DIR`` and
+    ``--format json|csv`` (or ``--name=value``) read here as argparse reads it, any other
+    line (help, a usage error, an abbreviation, ``--``) by argparse, imported only then."""
+    got, args = {}, iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in ("--out", "--format"):
+            got[name] = value if eq else next(args, "-")
+            if not eq and got[name][:1] == "-":  # no value, or one argparse may refuse
+                break
+        elif arg[:1] == "-" or "config" in got:
+            break
+        else:
+            got["config"] = arg
+    else:  # every argument read
+        if "config" in got and got.get("--format") in (None, *OUT_FORMATS):
+            return got["config"], got.get("--out"), got.get("--format")
+    import argparse  # with gettext and locale, about 2 ms that a run need not pay
     parser = argparse.ArgumentParser(
-        prog="bsvi",
-        description="Run a delayed-BSVI experiment from a YAML config.")
+        prog="bsvi", description="Run a delayed-BSVI experiment from a YAML config.")
     parser.add_argument("config", help="path to the YAML problem config")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=OUT_FORMATS, default=None,
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--format", choices=OUT_FORMATS,
                         help="report format (json document or csv bundle)")
     args = parser.parse_args(argv)
+    return args.config, args.out, args.format
 
-    def fail(code: int, kind: str, message: str, extra=None) -> int:
-        doc = {"error": kind, "message": message}
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+
+def main(argv=None) -> int:
+    config, out_dir, out_format = _read_argv(sys.argv[1:] if argv is None else argv)
+
+    def fail(code: int, kind: str, message: str, **extra) -> int:
+        print(json.dumps({"error": kind, "message": message, **extra}, sort_keys=True),
+              file=sys.stderr)
         return code
 
     try:
-        report = run(args.config, out_dir=args.out, out_format=args.format)
+        report = run(config, out_dir=out_dir, out_format=out_format)
     except ConfigError as exc:
         return fail(EXIT_PARSE, "config", str(exc))
     except WellposednessError as exc:
-        return fail(EXIT_VALIDATION, "wellposedness_gate", str(exc),
-                    {"growth": exc.report.growth})
+        return fail(EXIT_VALIDATION, "wellposedness_gate", str(exc), growth=exc.report.growth)
     except ValueError as exc:
         return fail(EXIT_VALIDATION, "validation", str(exc))
     except NonFiniteIterate as exc:
-        return fail(EXIT_DIVERGENCE, "nonfinite", str(exc),
-                    {"level": exc.level, "node": exc.node})
+        return fail(EXIT_DIVERGENCE, "nonfinite", str(exc), level=exc.level, node=exc.node)
     except PicardNonConvergence as exc:
-        return fail(EXIT_DIVERGENCE, "divergence" if exc.diverged else "stall",
-                    str(exc),
-                    {"distances": exc.diagnostics.iterate_distances,
-                     "ratios": exc.diagnostics.contraction_ratios})
+        return fail(EXIT_DIVERGENCE, "divergence" if exc.diverged else "stall", str(exc),
+                    distances=exc.diagnostics.iterate_distances,
+                    ratios=exc.diagnostics.contraction_ratios)
     for scheme, summary in report["schemes"].items():
-        print(f"{scheme}: Y0 = {summary['y0']} (converged="
-              f"{summary['picard']['converged']}, "
+        print(f"{scheme}: Y0 = {summary['y0']} (converged={summary['picard']['converged']}, "
               f"sweeps={summary['picard']['iterations']})")
     if "compare" in report:
-        print(f"compare: |Y0_penalized - Y0_prox| = "
-              f"{report['compare']['gap_y0_final']:.3e}")
+        print(f"compare: |Y0_penalized - Y0_prox| = {report['compare']['gap_y0_final']:.3e}")
     return EXIT_OK
 
 

@@ -213,6 +213,8 @@ def prox(spec: ConvexFunction, epsilon, y) -> np.ndarray:
 
 def yosida_triple(spec: ConvexFunction, epsilon: float, y) -> YosidaTriple:
     point = _as_points(y)
+    if point.ndim > 1:  # the envelope is one float
+        raise ValueError(f"yosida_triple takes one point, a scalar or 1-D array: {point.shape}")
     j = prox(spec, epsilon, point)
     grad = (point - j) / epsilon
     envelope = float(np.sum((point - j) ** 2) / (2 * epsilon) + spec.value(j))

@@ -114,13 +114,7 @@ def check_wellposedness(L: float, K: float, horizon: float,
                          "e^(beta T) overflows a float") from None
     growth = K * weight
     l_sq = _square_lipschitz(L)
-    if K == 0.0:
-        uniq, exist = True, True
-    elif L == 0.0:
-        uniq, exist = False, False
-    else:
-        uniq = growth < 2 * l_sq
-        exist = growth < 6 * l_sq
+    uniq, exist = K == 0.0 or growth < 2 * l_sq, K == 0.0 or growth < 6 * l_sq
     return WellposednessReport(
         L=L, K=K, beta=beta, growth=growth,
         uniqueness_ok=uniq, existence_ok=exist,

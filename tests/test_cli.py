@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -290,9 +291,96 @@ def test_a_solve_setting_is_no_flag(tmp_path, capsys, flag):
     # each overrode its config key; solver.beta, model.max_nodes and solver.hard_gate remain
     with pytest.raises(SystemExit) as exc:
         main([str(CONFIGS / "minimal.yaml"), "--out", str(tmp_path / "out"), *flag])
-    assert exc.value.code == EXIT_PARSE  # argparse's usage error
+    assert exc.value.code == EXIT_PARSE  # an unknown flag is a usage error
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def argparse_oracle(argv):
+    """The argparse parser `cli.main` built for every command line before it read the
+    common ones itself, as ``(config, out, format)``."""
+    parser = argparse.ArgumentParser(
+        prog="bsvi",
+        description="Run a delayed-BSVI experiment from a YAML config.")
+    parser.add_argument("config", help="path to the YAML problem config")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="report format (json document or csv bundle)")
+    args = parser.parse_args(argv)
+    return args.config, args.out, args.format
+
+
+# (argv, read without argparse): the config with --out and --format, in any order, either
+# form, repeated, is read by the CLI itself; every other line is argparse's to answer,
+# so an abbreviation (--fo) and "--" still parse
+ARGV_TABLE = [
+    (["c.yaml"], True),
+    (["--out", "d", "c.yaml"], True),
+    (["c.yaml", "--out", "d"], True),
+    (["--format", "csv", "c.yaml"], True),
+    (["c.yaml", "--format", "csv"], True),
+    (["--out", "d", "--format", "json", "c.yaml"], True),
+    (["c.yaml", "--out=d", "--format=csv"], True),
+    (["--out=", "c.yaml", "--out=-x"], True),
+    (["c.yaml", "--format", "csv", "--out", "a", "--format", "json", "--out=b"], True),
+    (["", "--out", ""], True),
+    (["c=1.yaml"], True),
+    (["c.yaml", "--format", "xml"], False),
+    (["c.yaml", "--format=xml"], False),
+    (["c.yaml", "--format="], False),
+    (["c.yaml", "--out"], False),
+    (["c.yaml", "--format"], False),
+    (["--out", "--format", "csv", "c.yaml"], False),
+    (["c.yaml", "--out", "-"], False),
+    (["c.yaml", "--out", "-1"], False),
+    ([], False),
+    (["--out", "d"], False),
+    (["a.yaml", "b.yaml"], False),
+    (["c.yaml", "--beta", "2"], False),
+    (["--beta", "2", "c.yaml"], False),
+    (["c.yaml", "--max-nodes", "100"], False),
+    (["c.yaml", "--hard-gate"], False),
+    (["c.yaml", "--beta=2"], False),
+    (["-h"], False),
+    (["c.yaml", "--help"], False),
+    (["c.yaml", "--format", "xml", "-h"], False),
+    (["c.yaml", "--fo", "csv"], False),
+    (["c.yaml", "--o=d"], False),
+    (["--", "c.yaml"], False),
+    (["c.yaml", "--", "x"], False),
+    (["-1"], False),
+    (["-"], False),
+    (["-x y"], False),
+    (["c.yaml", "-x"], False),
+]
+
+
+def outcome(read, argv, capsys) -> tuple:
+    """(result, exit code, stdout, stderr) of ``read(argv)``."""
+    try:
+        result, code = read(argv), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    return (result, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, fast", ARGV_TABLE, ids=lambda v: (
+    " ".join(map(repr, v)) or "no-arguments") if isinstance(v, list) else "read" if v else "argparse")
+def test_argv_reader_answers_as_argparse_did(argv, fast, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage on a narrower terminal
+    expected = outcome(argparse_oracle, argv, capsys)
+    if fast:  # read without argparse: importing it would raise
+        monkeypatch.setitem(sys.modules, "argparse", None)
+    assert outcome(cli._read_argv, argv, capsys) == expected
+    if expected[1] is None:
+        assert expected[2:] == ("", "")
+    elif expected[1] == 0:  # help, on stdout
+        assert expected[2].startswith("usage: bsvi [-h] [--out OUT] [--format {json,csv}] config\n")
+    else:
+        assert expected[1] == EXIT_PARSE and expected[2] == ""
+        usage, error = expected[3].splitlines()
+        assert usage == "usage: bsvi [-h] [--out OUT] [--format {json,csv}] config"
+        assert error.startswith("bsvi: error: ")
 
 
 @pytest.mark.parametrize("under", ["", "sub"])

@@ -119,6 +119,20 @@ def test_yosida_triples_of_one_point_compare_by_identity():
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
 
 
+@pytest.mark.parametrize("shape", [(5, 2), (1, 2)])
+@pytest.mark.parametrize("spec", [IndicatorBox([-1, -1], [1, 1]), Quadratic(1.0), OneNorm(1.0),
+                                  Zero()], ids=lambda spec: type(spec).__name__)
+def test_yosida_triple_refuses_a_batch_of_points(spec, shape):
+    # its envelope is one float: a batch, even of one row, raised a bare TypeError
+    with pytest.raises(ValueError, match="one point, a scalar or 1-D array"):
+        yosida_triple(spec, 0.5, np.full(shape, 2.0))
+
+
+def test_yosida_triple_of_a_scalar_is_that_of_its_one_entry_point():
+    a, b = yosida_triple(Quadratic(1.0), 1.0, 2.0), yosida_triple(Quadratic(1.0), 1.0, [2.0])
+    assert (a.resolvent, a.envelope, a.gradient) == (b.resolvent, b.envelope, b.gradient)
+
+
 def test_yosida_grad_examples():
     assert yosida_triple(IndicatorBox(-1, 1), 0.5, [2.0]).gradient == pytest.approx([2.0])
     assert yosida_triple(Zero(), 0.7, [4.0, -2.0]).gradient == pytest.approx([0.0, 0.0])
