@@ -10,7 +10,6 @@ from .lattice import (
     level_moments,
 )
 from .convex import (
-    Custom1D,
     IndicatorBox,
     OneNorm,
     Quadratic,

@@ -83,10 +83,17 @@ def _build(spec, where: str, build, *args):
     return value
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing a bool: YAML reads yes, no, on and off as one."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _poly_weight(coeffs):
     if not isinstance(coeffs, (list, tuple)):  # a string would read as its digits
         raise TypeError(f"g_poly must be a list of coefficients: {coeffs!r}")
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_real(c) for c in coeffs]
 
     def g(t: float) -> float:
         if t < 0:
@@ -103,29 +110,29 @@ TERMINAL_KINDS = {
         tree, key("a"), key("b"), key("lo"), key("hi")),
 }
 DELAY_KINDS = {
-    "dirac": lambda key: generators.Dirac(float(key("theta", 0.0))),
+    "dirac": lambda key: generators.Dirac(_real(key("theta", 0.0))),
     "uniform": lambda key: generators.UniformPast(),
     "mixture": lambda key: generators.DiscreteMixture(key("atoms")),
 }
 GENERATOR_KINDS = {
     "zero": lambda key: generators.ZeroGen(),
     "linear": lambda key: generators.LinearInstant(key("a"), key("b")),
-    "delayed_z": lambda key: generators.DelayedZ(float(key("kappa")), float(key("lag"))),
-    "running_integral_z": lambda key: generators.RunningIntegralZ(float(key("kappa"))),
+    "delayed_z": lambda key: generators.DelayedZ(_real(key("kappa")), _real(key("lag"))),
+    "running_integral_z": lambda key: generators.RunningIntegralZ(_real(key("kappa"))),
     "moving_average_z": lambda key: generators.MovingAverageZ(
-        g=_poly_weight(key("g_poly")), g_bound=float(key("g_bound")),
+        g=_poly_weight(key("g_poly")), g_bound=_real(key("g_bound")),
         alpha=_build(key("alpha", {"kind": "dirac"}), "generator.alpha", DELAY_KINDS)),
 }
 PHI_KINDS = {
     "zero": lambda key: convex.Zero(),
     "box": lambda key: convex.IndicatorBox(key("lo"), key("hi")),
-    "quadratic": lambda key: convex.Quadratic(float(key("c"))),
-    "one_norm": lambda key: convex.OneNorm(float(key("c"))),
+    "quadratic": lambda key: convex.Quadratic(_real(key("c"))),
+    "one_norm": lambda key: convex.OneNorm(_real(key("c"))),
 }
 
 
 def _model(key):
-    tree = build_tree(key("n_steps"), float(key("horizon")), key("bm_dim", 1),
+    tree = build_tree(key("n_steps"), _real(key("horizon")), key("bm_dim", 1),
                       max_nodes=key("max_nodes", DEFAULT_NODE_CAP))
     return tree, key("dim", 1)
 
@@ -135,10 +142,10 @@ def _solver_config(key):
     sched = key("epsilon_schedule", solver.DEFAULT_EPSILON_SCHEDULE)
     if not isinstance(sched, (list, tuple)):
         raise TypeError(f"epsilon_schedule must be a list: {sched!r}")
-    return SolverConfig(beta=None if beta is None else float(beta),
-                        picard_tol=float(key("picard_tol", 1e-10)),
+    return SolverConfig(beta=None if beta is None else _real(beta),
+                        picard_tol=_real(key("picard_tol", 1e-10)),
                         picard_max_iters=key("picard_max_iters", 200),
-                        epsilon_schedule=sched,
+                        epsilon_schedule=[_real(e) for e in sched],
                         hard_gate=key("hard_gate", False))
 
 
@@ -150,7 +157,7 @@ def _run_section(key, schedule, phi):
         raise ValueError(f"mode classical solves without phi; set phi kind zero, not {phi!r}")
     epsilon = None  # read in penalized mode only, the one mode that solves at one epsilon
     if mode == "penalized":
-        epsilon = float(key("epsilon", schedule[-1]))
+        epsilon = _real(key("epsilon", schedule[-1]))
         if not 0 < epsilon < np.inf:  # negated, so that NaN fails it
             raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
     out_dir = key("out_dir", "out")

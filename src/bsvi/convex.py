@@ -11,7 +11,6 @@ Array convention: points live on the last axis, so ``value``, ``prox`` and the
 """
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -120,74 +119,6 @@ class OneNorm(ConvexFunction, Record, frozen=True):
     def prox(self, epsilon, y):
         arr = _as_points(y)
         return np.sign(arr) * np.maximum(np.abs(arr) - epsilon * self.c, 0.0)
-
-
-class Custom1D(ConvexFunction, Record, frozen=True, eq=False):
-    """Scalar piecewise-convex penalty with a user-supplied closed-form prox.
-
-    The prox is validated at construction against a bisection oracle for the
-    strictly convex objective |y - v|^2/(2 eps) + phi(v); construction fails if
-    the two disagree.  ``phi_fn`` must be finite on the probed range and satisfy
-    phi(y) >= phi(0) = 0.
-    """
-
-    phi_fn: Callable[[float], float]
-    prox_fn: Callable[[float, float], float]
-    probe_range: tuple = (-10.0, 10.0)
-
-    m = 1
-
-    def __post_init__(self):
-        if abs(self.phi_fn(0.0)) > 1e-12:
-            raise ValueError("custom penalty must satisfy phi(0) = 0")
-        for eps in (0.05, 0.4, 1.5):
-            for y in np.linspace(self.probe_range[0], self.probe_range[1], 9):
-                claimed = float(self.prox_fn(eps, float(y)))
-                oracle = _prox_bisection(self.phi_fn, eps, float(y))
-                if abs(claimed - oracle) > 1e-5:
-                    raise ValueError(
-                        f"custom prox disagrees with bisection oracle at eps={eps}, "
-                        f"y={y}: {claimed} vs {oracle}"
-                    )
-                if self.phi_fn(float(y)) < -1e-12:
-                    raise ValueError("custom penalty must be nonnegative")
-
-    def value(self, y):
-        arr = _as_points(y)
-        self._check_dim(arr)
-        flat = arr.reshape(-1)
-        out = np.array([self.phi_fn(float(v)) for v in flat])
-        return out.reshape(arr.shape[:-1])
-
-    def prox(self, epsilon, y):
-        arr = _as_points(y)
-        self._check_dim(arr)
-        eps = np.broadcast_to(epsilon, arr.shape).reshape(-1)
-        out = np.array([self.prox_fn(float(e), float(v))
-                        for e, v in zip(eps, arr.reshape(-1))])
-        return out.reshape(arr.shape)
-
-
-def _prox_bisection(phi_fn, eps: float, y: float, width: float = 64.0) -> float:
-    """Bisection on the sign of the centered difference of the prox objective."""
-    def slope(v: float) -> float:
-        h = 1e-7 * max(1.0, abs(v))
-        obj_hi = (y - v - h) ** 2 / (2 * eps) + phi_fn(v + h)
-        obj_lo = (y - v + h) ** 2 / (2 * eps) + phi_fn(v - h)
-        return obj_hi - obj_lo
-
-    lo, hi = y - width, y + width
-    if slope(lo) > 0:
-        return lo
-    if slope(hi) < 0:
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 class YosidaTriple(Record, frozen=True, eq=False):

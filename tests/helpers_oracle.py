@@ -20,7 +20,9 @@ batched `convex.subgradient_check`; the Picard distance with its weights and
 folds applied level by level, used to cross-check the distance tables of
 `solver._one_pass` and their fold in `solver._weighted_distance`; and the
 residual audit with the drift summed term by term and one subgradient check
-per level, used to cross-check `analysis.solution_residuals`.
+per level, used to cross-check `analysis.solution_residuals`; and the prox
+of a scalar penalty by bisection on the slope of its objective, used to
+cross-check the closed-form prox of a test penalty.
 """
 
 import math
@@ -380,3 +382,26 @@ def solution_residuals_per_level(solution, xi, gen, phi, tree):
         phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
     return ResidualReport(equation_residual=eq_res, subdiff_residual=sub_res,
                           phi_integrability=phi_mass)
+
+
+def prox_bisection(phi_fn, eps: float, y: float, width: float = 64.0) -> float:
+    """argmin_v |y - v|^2/(2 eps) + phi_fn(v) for a scalar convex ``phi_fn``, by
+    bisection on the sign of the centered difference of that objective."""
+    def slope(v: float) -> float:
+        h = 1e-7 * max(1.0, abs(v))
+        obj_hi = (y - v - h) ** 2 / (2 * eps) + phi_fn(v + h)
+        obj_lo = (y - v + h) ** 2 / (2 * eps) + phi_fn(v - h)
+        return obj_hi - obj_lo
+
+    lo, hi = y - width, y + width
+    if slope(lo) > 0:
+        return lo
+    if slope(hi) < 0:
+        return hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -1,8 +1,11 @@
-"""Test problems that the package itself does not use.
+"""Test problems and a penalty that the package itself does not use.
 
 Each builder returns (tree, xi, gen, phi) like `bsvi.problems.box_linear_problem`,
 which stays in the package for the benchmark's library workload.
+`ElasticPenalty` is a user penalty written against `convex.ConvexFunction`.
 """
+
+import numpy as np
 
 from bsvi import convex, generators
 from bsvi.lattice import build_tree
@@ -37,3 +40,23 @@ def delayed_box_problem(n_steps: int = 3, horizon: float = 0.1):
     phi = convex.IndicatorBox(-0.2, 0.2)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -0.2, 0.2)
     return tree, xi, gen, phi
+
+
+class ElasticPenalty(convex.ConvexFunction):
+    """phi(y) = |y|/2 + y^2/2 on the real line, as a user penalty is written:
+    ``value`` and ``prox`` over the last axis of any batch, phi >= phi(0) = 0,
+    ``m`` set since the dimension is fixed, and the closed-form prox, soft
+    thresholding at eps/2 then shrinking by 1 + eps (checked against
+    `helpers_oracle.prox_bisection` in test_convex.py)."""
+
+    m = 1
+
+    def value(self, y):
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        self._check_dim(arr)
+        return np.sum(0.5 * np.abs(arr) + 0.5 * arr * arr, axis=-1)
+
+    def prox(self, epsilon, y):
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        self._check_dim(arr)
+        return np.copysign(np.maximum(np.abs(arr) - 0.5 * epsilon, 0.0), arr) / (1.0 + epsilon)

@@ -233,6 +233,23 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
                              "b": [[[0.0], [0.0]], [[0.0], [0.0]]]}),
     # exit 0: b broadcast over both noise components, L computed from b as given
     _all(*BM_DIM_2, _set("generator", None, {"kind": "linear", "a": [[0.1]], "b": [[[0.3]]]})),
+    # exit 0 with K = 0 under the hard gate: the gate read the understated bound on trust
+    _all(_set("generator", None, {"kind": "moving_average_z", "g_poly": [2.0], "g_bound": 0.0,
+                                  "alpha": {"kind": "dirac", "theta": -0.25}}),
+         _set("solver", None, {"hard_gate": True, "beta": 1.0})),
+    _set("generator", None, {**MOVING_AVERAGE, "g_bound": -0.5}),
+    # a YAML yes/no/on/off read as 1.0 or 0.0 by a bare float() and exited 0
+    _set("model", "horizon", True), _set("solver", "beta", True),
+    _set("solver", "picard_tol", False), _set("solver", "epsilon_schedule", [True, 0.5]),
+    _set("generator", None, {"kind": "delayed_z", "kappa": True, "lag": False}),
+    _set("generator", None, {"kind": "delayed_z", "kappa": 0.1, "lag": False}),
+    _set("generator", None, {"kind": "running_integral_z", "kappa": True}),
+    _set("generator", None, {**MOVING_AVERAGE, "g_poly": [True], "g_bound": 1.0}),
+    _set("generator", None, {**MOVING_AVERAGE, "g_bound": True}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "dirac", "theta": False}}),
+    _all(_set("run", "mode", "bsvi"), _set("phi", None, {"kind": "quadratic", "c": True})),
+    _all(_set("run", "mode", "bsvi"), _set("phi", None, {"kind": "one_norm", "c": True})),
+    _set("run", None, {"mode": "penalized", "epsilon": True}),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "max_nodes_zero", "max_nodes_under_tree", "horizon_inf", "empty_terminal",
         "empty_model", "empty_generator", "empty_phi",
@@ -246,7 +263,10 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
         "unknown_run_key", "unknown_terminal_key", "unknown_generator_key",
         "unknown_alpha_key", "unknown_phi_key", "run_epsilon_unread", "classical_phi",
         "delayed_z_bm_dim_2", "dirac_beyond_horizon", "box_2d_dim_1", "linear_2x2_dim_1",
-        "linear_b_bm_dim_1_on_2"])
+        "linear_b_bm_dim_1_on_2", "g_bound_understated", "g_bound_negative", "horizon_bool",
+        "beta_bool", "picard_tol_bool", "schedule_entry_bool", "kappa_bool", "lag_bool",
+        "running_kappa_bool", "g_poly_bool", "g_bound_bool", "theta_bool", "quadratic_c_bool",
+        "one_norm_c_bool", "run_epsilon_bool"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bsvi.convex import (
     ConvexFunction,
-    Custom1D,
     IndicatorBox,
     OneNorm,
     Quadratic,
@@ -17,6 +16,8 @@ from bsvi.convex import (
     subgradient_check,
     yosida_triple,
 )
+from helpers_oracle import prox_bisection
+from helpers_problems import ElasticPenalty
 
 VALUE_TOL = 1e-10
 SLACK_TOL = 1e-8
@@ -28,20 +29,8 @@ def builtin_specs():
         IndicatorBox([-1.0, -0.5], [1.0, 2.0]),
         Quadratic(0.7),
         OneNorm(1.3),
-        elastic_custom(),
+        ElasticPenalty(),  # a user's ConvexFunction subclass
     ]
-
-
-def elastic_custom() -> Custom1D:
-    # phi(y) = 0.5|y| + y^2/2, prox by soft-threshold then shrink
-    def phi_fn(y):
-        return 0.5 * abs(y) + 0.5 * y * y
-
-    def prox_fn(eps, y):
-        shrunk = math.copysign(max(abs(y) - 0.5 * eps, 0.0), y)
-        return shrunk / (1.0 + eps)
-
-    return Custom1D(phi_fn=phi_fn, prox_fn=prox_fn)
 
 
 def assert_yosida_properties(spec, y, ybar, eps, delta):
@@ -230,16 +219,16 @@ def test_yosida_triple_identity():
     assert t.envelope >= 0.0
 
 
-def test_custom1d_validates_prox():
-    # correct prox constructs fine
-    elastic_custom()
-    # an off-by-constant prox is rejected by the bisection oracle
-    with pytest.raises(ValueError, match="bisection"):
-        Custom1D(phi_fn=lambda y: 0.5 * y * y,
-                 prox_fn=lambda eps, y: y / (1 + eps) + 0.1)
-    with pytest.raises(ValueError, match="phi\\(0\\)"):
-        Custom1D(phi_fn=lambda y: abs(y) + 1.0,
-                 prox_fn=lambda eps, y: y)
+def test_elastic_penalty_prox_matches_the_bisection_oracle():
+    # at eps in {0.05, 0.4, 1.5} and 9 points on [-10, 10]
+    spec = ElasticPenalty()
+    assert spec.value(0.0) == 0.0 and np.all(spec.value(np.linspace(-3, 3, 7)[:, None]) >= 0)
+    for eps in (0.05, 0.4, 1.5):
+        for y in np.linspace(-10.0, 10.0, 9):
+            oracle = prox_bisection(lambda v: float(spec.value(v)), eps, float(y))
+            assert abs(float(spec.prox(eps, y)[0]) - oracle) <= 1e-5
+    # and it finds a known prox, the quadratic's y / (1 + eps)
+    assert abs(prox_bisection(lambda v: 0.5 * v * v, 0.4, 2.0) - 2.0 / 1.4) <= 1e-5
 
 
 def test_resolvent_step_solves_implicit_equation():

@@ -73,6 +73,23 @@ def test_custom_generator_refuses_a_bad_declared_constant(name, value):
         CustomGenerator(fn=lambda t, y, z, past_y, past_z: y, **constants)
 
 
+# K = g_bound^2 feeds the well-posedness gate, which passed on an understated bound
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+def test_moving_average_refuses_a_g_value_above_its_g_bound():
+    tree = build_tree(3, 1.0)
+    with pytest.raises(ValueError, match="g_bound must be finite and >= 0"):
+        MovingAverageZ(g=lambda t: 0.0, g_bound=-0.5)
+    for g in (lambda t: 2.0, lambda t: -0.5 - t, lambda t: math.nan):
+        gen = MovingAverageZ(g=g, g_bound=0.5, alpha=Dirac(-0.25))
+        with pytest.raises(ValueError, match="exceeds g_bound"):
+            past_z_rows(gen, tree)
+        with pytest.raises(ValueError, match="exceeds g_bound"):
+            picard_solve(tree, tree.path_sums().values[-1], gen)
+    # a bound met with equality holds, and g is not read before time 0
+    gen = MovingAverageZ(g=lambda t: 0.5 if t >= 0 else 9.0, g_bound=0.5, alpha=UniformPast())
+    assert len(past_z_rows(gen, tree)) == 3
+
+
 @pytest.mark.parametrize("alpha", [
     Dirac(0.0), Dirac(-0.3), Dirac(-1.0), UniformPast(),
     DiscreteMixture(((-1.0, 0.25), (-0.5, 0.5), (0.0, 0.25))),

@@ -13,14 +13,6 @@ from bsvi import analysis, cli, convex, generators, lattice, problems, solver
 from bsvi.solver import DEFAULT_EPSILON_SCHEDULE
 
 
-def _phi1(y):
-    return abs(y)
-
-
-def _prox1(eps, y):
-    return float(np.sign(y) * max(abs(y) - eps, 0.0))
-
-
 def _g(t):
     return 0.5
 
@@ -53,8 +45,6 @@ CASES = [
      "IndicatorBox(lo=array([-1.,  0.]), hi=array([ 2., inf]))"),
     (convex.Quadratic, ("c",), (0.5,), True, True, "Quadratic(c=0.5)"),
     (convex.OneNorm, ("c",), (2.0,), True, True, "OneNorm(c=2.0)"),
-    (convex.Custom1D, ("phi_fn", "prox_fn", "probe_range"), (_phi1, _prox1, (-2.0, 2.0)),
-     True, False, None),
     (convex.YosidaTriple, ("resolvent", "envelope", "gradient", "epsilon"),
      (np.array([0.5]), 0.25, np.array([1.0]), 0.5), True, False,
      "YosidaTriple(resolvent=array([0.5]), envelope=0.25, gradient=array([1.]), epsilon=0.5)"),
@@ -69,8 +59,7 @@ CASES = [
      "LinearInstant(a_y=array([[0.5]]), b_z=array([[[0.25]]]))"),
     (generators.DelayedZ, ("kappa", "lag"), (0.3, 0.25), True, True,
      "DelayedZ(kappa=0.3, lag=0.25)"),
-    (generators.RunningIntegralZ, ("kappa", "alpha"), (0.3, generators.UniformPast()),
-     True, True, "RunningIntegralZ(kappa=0.3, alpha=UniformPast())"),
+    (generators.RunningIntegralZ, ("kappa",), (0.3,), True, True, "RunningIntegralZ(kappa=0.3)"),
     (generators.MovingAverageZ, ("g", "g_bound", "alpha"), (_g, 0.5, generators.UniformPast()),
      True, False, None),
     (generators.CustomGenerator, ("fn", "declared_instant", "declared_delay", "alpha"),
@@ -126,9 +115,7 @@ CASES = [
 # the fields a class fills in when a call leaves them out
 DEFAULTS = {
     lattice.ScenarioTree: {"bm_dim": 1},
-    convex.Custom1D: {"probe_range": (-10.0, 10.0)},
     generators.Dirac: {"theta": 0.0},
-    generators.RunningIntegralZ: {"alpha": generators.UniformPast()},
     generators.MovingAverageZ: {"alpha": generators.Dirac()},
     generators.CustomGenerator: {"alpha": generators.Dirac()},
     solver.SolverConfig: {"beta": None, "picard_tol": 1e-10, "picard_max_iters": 200,
@@ -154,7 +141,7 @@ def test_every_value_class_of_the_package_is_listed():
              and c.__repr__ is not object.__repr__ and not issubclass(c, (BaseException, tuple))}
     listed = {case[0] for case in CASES}
     assert found - {getattr(lattice, "Record", None)} == listed
-    assert len(listed) == len(CASES) == 32 and set(DEFAULTS) <= listed
+    assert len(listed) == len(CASES) == 31 and set(DEFAULTS) <= listed
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -243,8 +230,6 @@ def test_repr_is_the_field_listing(case):
 def test_repr_of_callable_fields_and_defaults():
     gen = generators.MovingAverageZ(_g, 0.5)
     assert repr(gen) == f"MovingAverageZ(g={_g!r}, g_bound=0.5, alpha=Dirac(theta=0.0))"
-    assert repr(convex.Custom1D(_phi1, _prox1)) == \
-        f"Custom1D(phi_fn={_phi1!r}, prox_fn={_prox1!r}, probe_range=(-10.0, 10.0))"
     assert repr(generators.CustomGenerator(_fn, 0.5, 0.0)) == (
         f"CustomGenerator(fn={_fn!r}, declared_instant=0.5, declared_delay=0.0, "
         "alpha=Dirac(theta=0.0))")
@@ -274,6 +259,10 @@ def test_post_init_still_checks_and_normalises():
     with pytest.raises(ValueError):
         lattice.TimeGrid(n_steps=0, horizon=1.0)
     assert generators.DelayedZ(0.3, 0.25).alpha == generators.Dirac(-0.25)
+    # a class attribute, not a field: the drift reads no delay measure
+    assert generators.RunningIntegralZ(0.3).alpha == generators.UniformPast()
+    with pytest.raises(TypeError):
+        generators.RunningIntegralZ(0.3, alpha=generators.Dirac())
     assert solver.SolverConfig(epsilon_schedule=[1, 0.5]).epsilon_schedule == (1.0, 0.5)
 
 

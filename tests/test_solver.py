@@ -30,7 +30,7 @@ from bsvi.solver import (
     resolve_beta,
     solve_bsvi,
 )
-from helpers_problems import delayed_box_problem, quadratic_problem
+from helpers_problems import ElasticPenalty, delayed_box_problem, quadratic_problem
 
 # the pure z-delay fixtures have L = 0 with K > 0, which the gate flags
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
@@ -517,13 +517,6 @@ def _swap(problem, gen=None, phi=None):
             own_phi if phi is None else phi)
 
 
-def _elastic_penalty():
-    # phi(y) = 0.5|y| + y^2/2: soft-threshold, then shrink
-    return convex.Custom1D(
-        phi_fn=lambda y: 0.5 * abs(y) + 0.5 * y * y,
-        prox_fn=lambda eps, y: math.copysign(max(abs(y) - 0.5 * eps, 0.0), y) / (1.0 + eps))
-
-
 SCHEDULE_CASES = {
     "moving_average_box": lambda: _swap(box_linear_problem(6), gen=generators.MovingAverageZ(
         g=lambda t: 0.5, g_bound=0.5, alpha=generators.UniformPast())),
@@ -536,7 +529,8 @@ SCHEDULE_CASES = {
     # the entries stop after 7 and after 8 sweeps, so the batch shrinks
     "one_norm": lambda: _swap(delayed_box_problem(10), phi=convex.OneNorm(0.25)),
     "quadratic": lambda: quadratic_problem(5),
-    "custom1d": lambda: _swap(box_linear_problem(5), phi=_elastic_penalty()),
+    # a user's one-dimensional ConvexFunction subclass
+    "custom1d": lambda: _swap(box_linear_problem(5), phi=ElasticPenalty()),
     "zero": lambda: _swap(box_linear_problem(5), phi=convex.Zero()),
 }
 
@@ -683,7 +677,7 @@ REPLAY_CASES = {
     "quadratic": (lambda: _swap(box_linear_problem(5), phi=convex.Quadratic(4.0)), "schedule"),
     "one_norm": (lambda: _swap(box_linear_problem(5), phi=convex.OneNorm(0.25)), "schedule"),
     "zero": (lambda: _swap(box_linear_problem(5), phi=convex.Zero()), "schedule"),
-    "custom1d": (lambda: _swap(box_linear_problem(5), phi=_elastic_penalty()), "schedule"),
+    "custom1d": (lambda: _swap(box_linear_problem(5), phi=ElasticPenalty()), "schedule"),
     "classical": (lambda: box_linear_problem(5), "classical"),
     "prox": (lambda: box_linear_problem(5), "prox"),
     "dirac_zero": (lambda: _swap(box_linear_problem(5), gen=generators.MovingAverageZ(
