@@ -19,7 +19,7 @@ from bsvi.problems import terminal_linear  # noqa: E402
 
 def main() -> int:
     L, beta, horizon = 1.0, 25.0, 0.05
-    tree = bsvi.build_tree(4, horizon)
+    tree = bsvi.lattice.build_tree(4, horizon)
     lag = 2 * tree.grid.dt
     xi = terminal_linear(tree, 0.2, 1.0)
     print(f"{'K':>10} {'K e^bT':>10} {'uniq':>6} {'exist':>6} "
@@ -33,19 +33,19 @@ def main() -> int:
         gen = generators.CustomGenerator(
             fn=drift, declared_instant=L, declared_delay=k_delay,
             alpha=generators.Dirac(-lag))
-        report = bsvi.check_wellposedness(L, k_delay, horizon, beta)
-        config = bsvi.SolverConfig(beta=beta)
+        report = bsvi.solver.check_wellposedness(L, k_delay, horizon, beta)
+        config = bsvi.solver.SolverConfig(beta=beta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                sol = bsvi.picard_solve(tree, xi, gen, config)
+                sol = bsvi.solver.picard_solve(tree, xi, gen, config)
                 sweeps = sol.diagnostics.iterations_used
                 ratios = sol.diagnostics.contraction_ratios
                 worst = max(ratios) if ratios else float("nan")
                 print(f"{k_delay:10.4f} {report.growth:10.4f} "
                       f"{str(report.uniqueness_ok):>6} {str(report.existence_ok):>6} "
                       f"{sweeps:7d} {worst:10.3e}")
-            except bsvi.PicardNonConvergence as exc:
+            except bsvi.solver.PicardNonConvergence as exc:
                 kind = "diverged" if exc.diverged else "stalled"
                 print(f"{k_delay:10.4f} {report.growth:10.4f} "
                       f"{str(report.uniqueness_ok):>6} {str(report.existence_ok):>6} "

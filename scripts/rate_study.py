@@ -18,8 +18,8 @@ from bsvi.problems import box_linear_problem  # noqa: E402
 def main() -> int:
     for n_steps in (4, 6, 8):
         tree, xi, gen, phi = box_linear_problem(n_steps)
-        result = bsvi.solve_bsvi(tree, xi, gen, phi)
-        prox_sol = bsvi.prox_step_solve(tree, xi, gen, phi)
+        result = bsvi.solver.solve_bsvi(tree, xi, gen, phi)
+        prox_sol = bsvi.solver.prox_step_solve(tree, xi, gen, phi)
         y0_prox = prox_sol.Y.values[0][0, 0]
         print(f"== n_steps={n_steps} (dt={tree.grid.dt:g}) ==")
         print(f"{'eps':>12} {'|dY|_S2':>12} {'|dZ|_H2':>12} {'gap to prox':>12}")
@@ -29,7 +29,7 @@ def main() -> int:
         eps_last, sol_last = result.per_epsilon[-1]
         gap = abs(sol_last.Y.values[0][0, 0] - y0_prox)
         print(f"{eps_last:12.6g} {'':>12} {'':>12} {gap:12.4e}")
-        fit = bsvi.epsilon_rate_fit(result.epsilon_table)
+        fit = bsvi.analysis.epsilon_rate_fit(result.epsilon_table)
         print(f"rate slope = {fit.slope:.4f} (residual {fit.residual:.3f})\n")
     return 0
 

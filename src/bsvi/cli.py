@@ -90,33 +90,35 @@ def _real(value) -> float:
     return float(value)
 
 
+def _reals(value):  # an array key: `_real` over nested lists ("inf" of an echo reads back)
+    return [_reals(v) for v in value] if isinstance(value, list) else _real(value)
+
+
 def _poly_weight(coeffs):
     if not isinstance(coeffs, (list, tuple)):  # a string would read as its digits
         raise TypeError(f"g_poly must be a list of coefficients: {coeffs!r}")
     coeffs = [_real(c) for c in coeffs]
 
-    def g(t: float) -> float:
-        if t < 0:
-            return 0.0
+    def g(t: float) -> float:  # MovingAverageZ cuts t < 0 before it calls g
         return sum(c * t ** k for k, c in enumerate(coeffs))
 
     return g
 
 
 TERMINAL_KINDS = {
-    "constant": lambda key, tree: problems.terminal_constant(tree, key("c")),
-    "linear": lambda key, tree: problems.terminal_linear(tree, key("a"), key("b")),
+    "constant": lambda key, tree: problems.terminal_constant(tree, _reals(key("c"))),
+    "linear": lambda key, tree: problems.terminal_linear(tree, _reals(key("a")), _reals(key("b"))),
     "clipped_linear": lambda key, tree: problems.terminal_clipped_linear(
-        tree, key("a"), key("b"), key("lo"), key("hi")),
+        tree, *(_reals(key(name)) for name in ("a", "b", "lo", "hi"))),
 }
 DELAY_KINDS = {
     "dirac": lambda key: generators.Dirac(_real(key("theta", 0.0))),
     "uniform": lambda key: generators.UniformPast(),
-    "mixture": lambda key: generators.DiscreteMixture(key("atoms")),
+    "mixture": lambda key: generators.DiscreteMixture(_reals(key("atoms"))),
 }
 GENERATOR_KINDS = {
     "zero": lambda key: generators.ZeroGen(),
-    "linear": lambda key: generators.LinearInstant(key("a"), key("b")),
+    "linear": lambda key: generators.LinearInstant(_reals(key("a")), _reals(key("b"))),
     "delayed_z": lambda key: generators.DelayedZ(_real(key("kappa")), _real(key("lag"))),
     "running_integral_z": lambda key: generators.RunningIntegralZ(_real(key("kappa"))),
     "moving_average_z": lambda key: generators.MovingAverageZ(
@@ -125,7 +127,7 @@ GENERATOR_KINDS = {
 }
 PHI_KINDS = {
     "zero": lambda key: convex.Zero(),
-    "box": lambda key: convex.IndicatorBox(key("lo"), key("hi")),
+    "box": lambda key: convex.IndicatorBox(_reals(key("lo")), _reals(key("hi"))),
     "quadratic": lambda key: convex.Quadratic(_real(key("c"))),
     "one_norm": lambda key: convex.OneNorm(_real(key("c"))),
 }

@@ -59,10 +59,8 @@ class IndicatorBox(ConvexFunction, Record, frozen=True, eq=False):
     hi: np.ndarray
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        lo, hi = np.broadcast_arrays(lo, hi)
-        lo, hi = lo.copy(), hi.copy()
+        lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
+        lo, hi = (b.copy() for b in np.broadcast_arrays(lo, hi))
         if np.isnan(lo).any() or np.isnan(hi).any():  # +-inf bounds stay legal
             raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):

@@ -5,7 +5,7 @@ past segments of (Y, Z) enter the drift, integrated through its (theta, weight)
 atoms on the grid.  A custom drift reads its past segments through accessors
 theta -> value with theta in [-horizon, 0], one whole tree level at a time;
 lookups at negative absolute times resolve through the extension Y(t) = Y(0),
-Z(t) = 0, and offsets theta > 0 raise.
+Z(t) = 0.  An offset theta > 0, a callback's read or a built-in's term, raises.
 
 A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
 exact Lipschitz constants; a random two-point probe audit
@@ -231,8 +231,6 @@ class RunningIntegralZ(GeneratorSpec, Record, frozen=True):
         _check_finite(self.kappa, "kappa")
 
     def past_z_terms(self, t, horizon, dt):
-        if dt is None:
-            raise ValueError("running-integral generator needs dt")
         return _trapezoid(int(round(t / dt)), dt, self.kappa * dt)
 
     def lipschitz_instant(self):
@@ -316,6 +314,11 @@ def _require_scalar_noise(gen: GeneratorSpec, d: int):
             f"(z has d = {d})")
 
 
+def _check_past(theta: float, t: float, dt: float, i: int):
+    if theta > TIME_SLACK * dt:
+        raise GeneratorError(f"past offset theta={theta} reads the future at t={t}, level {i}")
+
+
 def _past_reader(row, i: int, dt: float, current, extension):
     """Accessor theta -> the batch's value at t_i + theta for a level-i drift.
 
@@ -327,9 +330,7 @@ def _past_reader(row, i: int, dt: float, current, extension):
     t = i * dt
 
     def read(theta: float) -> np.ndarray:
-        if theta > TIME_SLACK * dt:
-            raise GeneratorError(
-                f"past offset theta={theta} reads the future at t={t}, level {i}")
+        _check_past(theta, t, dt, i)
         if current is not None and theta >= -TIME_SLACK * dt:
             return current
         k = grid_row(t + theta, dt, i)
@@ -385,9 +386,9 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     """The built-in's past-Z terms of every level i < n as (row, c) pairs.
 
     ``row`` is the frozen grid row `lattice.grid_row` reads at t_i + theta, or
-    None for offsets theta >= -slack, which read the level's current z.  Terms
-    before time 0 are dropped: the Z extension there is 0.  Term order is kept,
-    so `level_drift` sums in the order ``past_z_terms`` gives.
+    None for |theta| <= slack, which reads the level's current z; a theta above
+    that reads the future and raises.  Terms before time 0 are dropped (the Z
+    extension is 0).  Term order is kept, so `level_drift` sums in that order.
     ``past_z_terms`` is called once per level.  A spec that cannot change (a
     frozen Record or frozen dataclass) keeps the table in its ``__dict__`` (not
     a field) for every later solve and audit on that (grid, bm_dim); any other
@@ -407,6 +408,7 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
             _require_scalar_noise(gen, tree.bm_dim)
         rows = []
         for theta, c in terms:
+            _check_past(theta, i * dt, dt, i)
             if theta >= -TIME_SLACK * dt:
                 rows.append((None, c))
             elif (row := grid_row(i * dt + theta, dt, i)) is not None:

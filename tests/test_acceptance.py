@@ -56,7 +56,7 @@ def test_criterion_1_yosida_property_suite():
 
 def test_criterion_2_classical_reduction():
     t0 = time.perf_counter()
-    tree = bsvi.build_tree(10, 1.0, 1)
+    tree = bsvi.lattice.build_tree(10, 1.0, 1)
     a, b = 0.3, 1.7
     xi = terminal_linear(tree, a, b)
     sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Zero(), epsilon=0.5)
@@ -74,7 +74,7 @@ def test_criterion_2_classical_reduction():
 
 def test_criterion_3_delay_reduction():
     t0 = time.perf_counter()
-    tree = bsvi.build_tree(6, 0.75, 1)
+    tree = bsvi.lattice.build_tree(6, 0.75, 1)
     xi = terminal_linear(tree, -0.2, 1.4)
     base = picard_solve(tree, xi, generators.ZeroGen())
     lagged = picard_solve(tree, xi, generators.DelayedZ(kappa=5.0, lag=0.75))
@@ -89,7 +89,7 @@ def test_criterion_3_delay_reduction():
 
 
 def test_criterion_4_fixed_point_oracle():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     tol = SolverConfig(picard_tol=1e-14)
     checked = []
@@ -153,7 +153,7 @@ def test_criterion_4_fixed_point_oracle():
 def test_criterion_5_contraction_gate():
     t0 = time.perf_counter()
     L, beta, horizon = 1.0, 25.0, 0.05
-    tree = bsvi.build_tree(4, horizon)
+    tree = bsvi.lattice.build_tree(4, horizon)
     lag = 2 * tree.grid.dt
     xi = terminal_linear(tree, 0.2, 1.0)
     outcomes = []
@@ -166,7 +166,7 @@ def test_criterion_5_contraction_gate():
         gen = generators.CustomGenerator(
             fn=drift, declared_instant=L, declared_delay=k_delay,
             alpha=generators.Dirac(-lag))
-        gate = bsvi.check_wellposedness(L, k_delay, horizon, beta)
+        gate = bsvi.solver.check_wellposedness(L, k_delay, horizon, beta)
         try:
             sol = picard_solve(tree, xi, gen, SolverConfig(beta=beta))
             ratios = sol.diagnostics.contraction_ratios
@@ -175,7 +175,7 @@ def test_criterion_5_contraction_gate():
                 assert geometric and sol.diagnostics.converged
             outcomes.append(f"K={k_delay:.3g}:{'uniq' if gate.uniqueness_ok else 'attempt'}"
                             f"->converged(max ratio {max(ratios):.2e})")
-        except bsvi.PicardNonConvergence as exc:
+        except bsvi.solver.PicardNonConvergence as exc:
             assert not gate.uniqueness_ok
             assert exc.diverged
             outcomes.append(f"K={k_delay:.3g}:diagnosed divergence")
@@ -245,7 +245,7 @@ def test_criterion_9_solution_residuals():
     tree, xi, gen, phi = delayed_box_problem()
     runs.append(("delayed penalized", picard_solve(tree, xi, gen, phi=phi, epsilon=2.0 ** -8),
                  xi, gen, phi, tree))
-    tree2 = bsvi.build_tree(5, 1.0, 1)
+    tree2 = bsvi.lattice.build_tree(5, 1.0, 1)
     xi2 = terminal_linear(tree2, 0.1, 1.2)
     gen2 = generators.linear_scalar(0.4, -0.3)
     runs.append(("classical", picard_solve(tree2, xi2, gen2),
@@ -265,7 +265,7 @@ def test_criterion_9_solution_residuals():
 def test_criterion_10_stability():
     # hand-computed case: terminal shift by delta under the zero generator
     # moves Y by exactly delta, so the constant is e^{beta T}
-    tree = bsvi.build_tree(3, 0.75, 1)
+    tree = bsvi.lattice.build_tree(3, 0.75, 1)
     gen = generators.ZeroGen()
     xi = terminal_linear(tree, 0.0, 1.0)
     delta = 0.41
@@ -281,7 +281,7 @@ def test_criterion_10_stability():
     # random-perturbation constants stay within 2x under dt halving
     consts = []
     for n_steps in (2, 4):
-        tr = bsvi.build_tree(n_steps, 0.1, 1)
+        tr = bsvi.lattice.build_tree(n_steps, 0.1, 1)
         lag = 0.05
 
         def drift(t, y, z, past_y, past_z):

@@ -250,6 +250,20 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     _all(_set("run", "mode", "bsvi"), _set("phi", None, {"kind": "quadratic", "c": True})),
     _all(_set("run", "mode", "bsvi"), _set("phi", None, {"kind": "one_norm", "c": True})),
     _set("run", None, {"mode": "penalized", "epsilon": True}),
+    # an array key read a YAML boolean as 1.0 or 0.0 through np.asarray and exited 0
+    _set("terminal", None, {"kind": "linear", "a": [False], "b": [[True]]}),
+    _set("terminal", None, {"kind": "constant", "c": [True]}),
+    _set("terminal", None, {"kind": "clipped_linear", "a": [0.0], "b": [[1.0]], "lo": False,
+                            "hi": 1.0}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "mixture",
+                                                         "atoms": [[False, 1.0]]}}),
+    _set("generator", None, {"kind": "linear", "a": [[True]], "b": [[[0.0]]]}),
+    _all(_set("run", "mode", "prox"), _set("terminal", "b", [[0.5]]),
+         _set("phi", None, {"kind": "box", "lo": -1.0, "hi": True})),
+    # a kind or format no builder knows
+    _set("terminal", None, {"kind": "cubic"}), _set("generator", None, {"kind": "cubic"}),
+    _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "gamma"}}),
+    _set("phi", None, {"kind": "elastic"}), _set("run", "format", "xml"),
 ], ids=["n_steps_float", "n_steps_bool", "bm_dim_float", "dim_str", "max_nodes_float",
         "max_nodes_zero", "max_nodes_under_tree", "horizon_inf", "empty_terminal",
         "empty_model", "empty_generator", "empty_phi",
@@ -266,7 +280,10 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
         "linear_b_bm_dim_1_on_2", "g_bound_understated", "g_bound_negative", "horizon_bool",
         "beta_bool", "picard_tol_bool", "schedule_entry_bool", "kappa_bool", "lag_bool",
         "running_kappa_bool", "g_poly_bool", "g_bound_bool", "theta_bool", "quadratic_c_bool",
-        "one_norm_c_bool", "run_epsilon_bool"])
+        "one_norm_c_bool", "run_epsilon_bool", "terminal_linear_bool", "terminal_c_bool",
+        "terminal_lo_bool", "mixture_atom_bool", "linear_a_bool", "box_hi_bool",
+        "terminal_kind_unknown", "generator_kind_unknown", "alpha_kind_unknown",
+        "phi_kind_unknown", "run_format_unknown"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -275,6 +292,13 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    assert main([str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["message"].startswith("cannot read config")
     assert not (tmp_path / "out").exists()
 
 

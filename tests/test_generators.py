@@ -558,6 +558,36 @@ def test_custom_drift_reading_the_future_is_rejected():
     assert np.array_equal(got, z.values[1][..., 0] + y.values[1])
 
 
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+def test_built_in_drift_reading_the_future_is_rejected():
+    # past_z_rows read a future offset as theta = 0: lag -0.5 solved bitwise like lag 0
+    @dataclass(frozen=True)
+    class HalfYPlusLaggedZ(GeneratorSpec):  # README's example: F = y / 2 + kappa z(t - lag)
+        kappa: float
+        lag: float
+
+        def instant(self, y, z):
+            return 0.5 * y
+
+        def past_z_terms(self, t, horizon, dt):
+            return ((-self.lag, self.kappa),)
+
+        def lipschitz_instant(self):
+            return 0.5
+
+        def lipschitz_delay(self, horizon):
+            return self.kappa ** 2
+
+    tree = build_tree(3, 0.75, 1)
+    with pytest.raises(GeneratorError, match=r"theta=0\.5 reads the future at t=0\.0, level 0"):
+        past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=-0.5), tree)
+    with pytest.raises(GeneratorError, match="reads the future"):
+        picard_solve(tree, tree.path_sums().values[-1], HalfYPlusLaggedZ(kappa=0.5, lag=-0.5))
+    # an offset within the grid-snapping slack still reads the current z
+    assert past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=-1e-12), tree) \
+        == past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=0.0), tree) == (((None, 0.5),),) * 3
+
+
 @pytest.mark.parametrize("gen", [
     DelayedZ(kappa=1.2, lag=0.5),
     RunningIntegralZ(kappa=0.9),

@@ -92,7 +92,7 @@ def test_gate_uniqueness_implies_existence():
 # ---------------------------------------------------------------------------
 
 def test_backward_pass_martingale_representation():
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     sol = picard_solve(tree, xi, generators.ZeroGen())
     y, z = sol.Y, sol.Z
@@ -104,7 +104,7 @@ def test_backward_pass_martingale_representation():
 
 
 def test_backward_pass_constant_terminal():
-    tree = bsvi.build_tree(3, 0.75, 1)
+    tree = bsvi.lattice.build_tree(3, 0.75, 1)
     xi = terminal_constant(tree, 2.5)
     sol = picard_solve(tree, xi, generators.ZeroGen())
     y, z = sol.Y, sol.Z
@@ -119,7 +119,7 @@ def test_backward_pass_constant_terminal():
 # ---------------------------------------------------------------------------
 
 def test_no_delay_converges_in_two_sweeps():
-    tree = bsvi.build_tree(5, 1.0, 1)
+    tree = bsvi.lattice.build_tree(5, 1.0, 1)
     xi = terminal_linear(tree, 1.0, 2.0)
     sol = picard_solve(tree, xi, generators.linear_scalar(0.5, 0.25))
     assert sol.diagnostics.iterations_used <= 2
@@ -130,7 +130,7 @@ def test_no_delay_converges_in_two_sweeps():
 def test_dirac_at_zero_delay_never_reads_frozen():
     # moving-average with a point mass at zero is instantaneous: the
     # confirmation sweep reproduces the first one exactly
-    tree = bsvi.build_tree(3, 0.6, 1)
+    tree = bsvi.lattice.build_tree(3, 0.6, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     gen = generators.MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
                                     alpha=generators.Dirac(0.0))
@@ -140,7 +140,7 @@ def test_dirac_at_zero_delay_never_reads_frozen():
 
 
 def test_delay_reduction_matches_zero_generator_bitwise():
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.3, 1.5)
     base = picard_solve(tree, xi, generators.ZeroGen())
     lagged = picard_solve(tree, xi, generators.DelayedZ(kappa=3.0, lag=1.0))
@@ -162,7 +162,7 @@ def test_z_delay_cannot_diverge_on_the_tree():
     # strictly-past reads resolve to common ancestors, so a z-delay drift is
     # identical across siblings: the martingale projection never moves between
     # sweeps and Picard terminates exactly, however violent kappa is
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     gen = generators.DelayedZ(kappa=60.0, lag=0.25)
     with warnings.catch_warnings():
@@ -175,7 +175,7 @@ def test_z_delay_cannot_diverge_on_the_tree():
 def test_divergent_y_delay_is_diagnosed():
     # y-delays do feed back into themselves through the Y(0) extension, so a
     # large coupling genuinely blows the fixed-point iteration up
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
 
     def drift(t, y, z, past_y, past_z):
@@ -197,7 +197,7 @@ def test_ratios_settling_below_one_and_a_half_read_as_divergence(gain):
     # F = gain * Y(t - T) reads Y(0) through the extension at every level, so
     # from the third sweep on each difference is the last one scaled by
     # exactly T * gain: blow-up that a threshold of 1.5 would call a stall
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = 0.5 + tree.path_sums().values[-1]
     gen = generators.CustomGenerator(fn=lambda t, y, z, past_y, past_z: gain * past_y(-1.0),
                                      declared_instant=0.0, declared_delay=4.0)
@@ -216,7 +216,7 @@ def test_ratios_settling_below_one_and_a_half_read_as_divergence(gain):
 def test_nonfinite_iterate_fails_on_first_sweep(bad_time):
     # a NaN drift at one grid time; at t = 0 it reaches Y(0) alone, where no
     # Z level sees it, so the sup part of the distance must carry it
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
 
     def drift(t, y, z, past_y, past_z):
@@ -234,7 +234,7 @@ def test_nonfinite_iterate_fails_on_first_sweep(bad_time):
 
 
 def test_probe_audit_keeps_a_nan_slack_and_the_gate_warns():
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
 
     def drift(t, y, z, past_y, past_z):
@@ -253,7 +253,7 @@ def test_probe_audit_keeps_a_nan_slack_and_the_gate_warns():
 
 
 def test_hard_gate_raises():
-    tree = bsvi.build_tree(2, 1.0, 1)
+    tree = bsvi.lattice.build_tree(2, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     gen = generators.DelayedZ(kappa=3.0, lag=0.5)
     with pytest.raises(WellposednessError):
@@ -270,7 +270,7 @@ def _gate_warnings(solve) -> int:
 def test_solve_bsvi_checks_the_gate_once_per_schedule():
     # L = 0 with K > 0 fails the gate: the 11 epsilon solves warn once between
     # them, while picard_solve and prox_step_solve called on their own still warn
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
     gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
     phi = convex.IndicatorBox(-1.0, 1.0)
@@ -319,7 +319,7 @@ def test_picard_solve_resolves_past_z_terms_once_per_level():
         def lipschitz_delay(self, horizon):
             return 4.0
 
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     sol = picard_solve(tree, terminal_linear(tree, 0.0, 1.0), CountedLaggedZ())
     assert sol.diagnostics.iterations_used > 2
     assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
@@ -382,7 +382,7 @@ def _sweep(tree, xi, frozen, zero_start=False, last=None):
 def test_first_sweep_distance_is_the_distance_to_materialised_zeros(m, bm_dim):
     # the first sweep measures the iterate against the zero start by its own
     # norms: x - (+0.0) is x bitwise, -0.0 included
-    tree, blocks = bsvi.build_tree(4, 1.0, bm_dim), 3
+    tree, blocks = bsvi.lattice.build_tree(4, 1.0, bm_dim), 3
     b = tree.branching
     xi = np.random.default_rng(7).normal(size=(blocks * tree.level_size(4), m))  # every block's
     xi[5], xi[b:2 * b, 0] = -0.0, -0.0  # Y_3 = +0.0 at node 1 of block 0
@@ -426,7 +426,7 @@ def test_weighted_distance_tables_give_the_per_level_folds_bits(blocks, n, m, bm
     # a sweep's (levels, blocks) tables, weighted and folded once, against the
     # weights and folds applied level by level: from the zero start and
     # against an old iterate that shares Y_n and Z_{n-1}, with -0.0 and NaN
-    tree, beta = bsvi.build_tree(n, 1.0, bm_dim), 3.0
+    tree, beta = bsvi.lattice.build_tree(n, 1.0, bm_dim), 3.0
     weights = solver_mod._distance_weights(tree, beta)
     zero = solver_mod._zero_levels(tree, m, blocks)
     for seed in range(4):
@@ -466,7 +466,7 @@ def test_weighted_distance_adds_the_h2_column_level_after_level(blocks):
     # the H^2 sum stays at the first term; a pairwise sum (np.add.reduce of
     # the contiguous one-block column) adds them up in pairs first and ends
     # 3 ulps above it
-    tree = bsvi.build_tree(10, 1.0, 1)
+    tree = bsvi.lattice.build_tree(10, 1.0, 1)
     dt = tree.grid.dt
     ys = [np.zeros((blocks * tree.level_size(i), 1)) for i in range(11)]
     zs = [np.full((blocks * tree.level_size(i), 1, 1),
@@ -487,7 +487,7 @@ def test_a_block_exit_copies_the_rows_of_the_fancy_index(keep):
     # 0, 2, 3 by the fancy index: bitwise that copy either way, sharing no
     # memory with the batch; with view a contiguous run is a row slice of it;
     # the shared levels stay the same objects
-    tree, blocks = bsvi.build_tree(4, 1.0, 1), 5
+    tree, blocks = bsvi.lattice.build_tree(4, 1.0, 1), 5
     ys, zs = _batch_levels(tree, blocks, 2, np.random.default_rng(3))
     sizes = solver_mod._distance_weights(tree, 1.0)[-1]
     for levels in (ys, zs):
@@ -664,7 +664,7 @@ from helpers_oracle import picard_every_sweep
 
 
 def _two_dimensional_quadratic():
-    tree = bsvi.build_tree(5, 1.0, 1)
+    tree = bsvi.lattice.build_tree(5, 1.0, 1)
     xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
     gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
     return tree, xi, gen, convex.Quadratic(4.0)
@@ -888,7 +888,7 @@ def test_audits_take_the_origin_mass_of_every_level_once(name, beta):
 
 
 def test_schedule_audits_match_on_a_two_dimensional_quadratic():
-    tree = bsvi.build_tree(5, 1.0, 1)
+    tree = bsvi.lattice.build_tree(5, 1.0, 1)
     xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
     gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
     phi = convex.Quadratic(4.0)
@@ -1067,7 +1067,7 @@ def _delay_bsvi_drift():
 
 
 def _bm_dim_two():
-    tree = bsvi.build_tree(4, 1.0, 2)
+    tree = bsvi.lattice.build_tree(4, 1.0, 2)
     xi = terminal_clipped_linear(tree, [0.1], [[1.0, -0.5]], -1.0, 1.0)
     gen = generators.LinearInstant([[0.25]], [[[0.1, -0.2]]])
     return tree, xi, gen, convex.IndicatorBox(-1.0, 1.0)
@@ -1180,7 +1180,7 @@ def oracle_matches(tree, xi, gen, sol, drift_fn, penalty=None):
 
 
 def test_oracle_delayed_z():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.1, 1.0)
     gen = generators.DelayedZ(kappa=0.4, lag=dt)
@@ -1195,7 +1195,7 @@ def test_oracle_delayed_z():
 
 
 def test_oracle_moving_average_dirac():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.0, 2.0)
     g = lambda t: 0.5 + t
@@ -1212,7 +1212,7 @@ def test_oracle_moving_average_dirac():
 
 
 def test_oracle_moving_average_mixture_with_present_atom():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, -0.2, 1.0)
     alpha = generators.DiscreteMixture(((-dt, 0.4), (0.0, 0.6)))
@@ -1227,7 +1227,7 @@ def test_oracle_moving_average_mixture_with_present_atom():
 
 
 def test_oracle_running_integral_uniform():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.0, 1.0)
     gen = generators.RunningIntegralZ(kappa=0.7)
@@ -1246,7 +1246,7 @@ def test_oracle_running_integral_uniform():
 
 
 def test_oracle_delayed_z_with_quadratic_penalty():
-    tree = bsvi.build_tree(2, 0.5, 1)
+    tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.5, 1.0)
     gen = generators.DelayedZ(kappa=0.3, lag=dt)
@@ -1266,7 +1266,7 @@ def test_oracle_delayed_z_with_quadratic_penalty():
 def test_penalized_quadratic_matches_scalar_recursion():
     # constant terminal: each implicit step multiplies by
     # (1 + eps c) / (1 + (dt + eps) c)
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     c, eps = 1.0, 0.5
     xi = terminal_constant(tree, 2.0)
     sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Quadratic(c), epsilon=eps)
@@ -1281,7 +1281,7 @@ def test_penalized_quadratic_matches_scalar_recursion():
 
 
 def test_penalized_zero_phi_is_unpenalized_bitwise():
-    tree = bsvi.build_tree(4, 1.0, 1)
+    tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.2, 1.0)
     gen = generators.linear_scalar(0.3, -0.2)
     plain = picard_solve(tree, xi, gen)
@@ -1293,7 +1293,7 @@ def test_penalized_zero_phi_is_unpenalized_bitwise():
 
 
 def test_penalized_rejects_terminal_outside_domain():
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)  # reaches +-sqrt(3)... outside the box
     with pytest.raises(ValueError, match="domain of phi"):
         picard_solve(tree, xi, generators.ZeroGen(), phi=convex.IndicatorBox(-1, 1), epsilon=0.5)
@@ -1301,7 +1301,7 @@ def test_penalized_rejects_terminal_outside_domain():
 
 def test_penalized_halfline_martingale_stays_untouched():
     # phi = indicator of (-inf, 0]; a nonpositive martingale never activates it
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     w_T = tree.path_sums().values[-1]
     xi = np.minimum(w_T, 0.0)
     phi = convex.IndicatorBox(-np.inf, 0.0)
@@ -1314,7 +1314,7 @@ def test_penalized_halfline_martingale_stays_untouched():
 
 
 def test_bsvi_zero_phi_table_is_exact():
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     res = solve_bsvi(tree, xi, generators.ZeroGen(), convex.Zero(),
                      SolverConfig(epsilon_schedule=(1.0, 0.5, 0.25)))
@@ -1325,7 +1325,7 @@ def test_bsvi_zero_phi_table_is_exact():
 
 
 def test_bsvi_singleton_schedule_empty_table():
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
     res = solve_bsvi(tree, xi, generators.ZeroGen(), convex.Zero(),
                      SolverConfig(epsilon_schedule=(0.5,)))
@@ -1342,7 +1342,7 @@ def test_bsvi_box_distances_shrink_with_epsilon():
 
 
 def test_prox_zero_phi_identity():
-    tree = bsvi.build_tree(3, 1.0, 1)
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.4, 1.0)
     gen = generators.linear_scalar(0.2, 0.1)
     plain = picard_solve(tree, xi, gen)
@@ -1413,7 +1413,7 @@ def test_reflected_noise_reflects_every_step_exactly(drift):
     # W -> -W reverses the rows of every level: with the z coefficients
     # negated, each scheme's (Y, U) on the mirror data is its (Y, U) reversed
     # and Z reversed and negated, exactly, and takes as many sweeps
-    tree = bsvi.build_tree(8, 1.0, 1)
+    tree = bsvi.lattice.build_tree(8, 1.0, 1)
     phi = convex.IndicatorBox(-1.0, 1.0)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
 
@@ -1567,7 +1567,7 @@ PREFIX_DRIFTS = {  # drift, and whether its table is column-constant at n = 8
 @pytest.mark.parametrize("drift", sorted(PREFIX_DRIFTS))
 def test_prefix_summed_past_is_the_per_term_drift_through_every_sweep(drift, n, monkeypatch):
     make, column_constant = PREFIX_DRIFTS[drift]
-    gen, tree = make(), bsvi.build_tree(n, 1.0, 1)
+    gen, tree = make(), bsvi.lattice.build_tree(n, 1.0, 1)
     phi = convex.IndicatorBox(-1.0, 1.0)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
     summed = []
