@@ -16,7 +16,7 @@ run of one block its own array and a longer run a copy of its blocks.
 """
 
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,6 +37,14 @@ class BoundAudit(Record, frozen=True):
     context: str
 
 
+def _level_weights(tree: ScenarioTree, beta: float) -> list:
+    """e^{beta t_i} at every grid time, for a finite beta >= 0 with beta T <= 709.78
+    (math.exp overflows a float above about 709.7827)."""
+    if 0.0 <= beta < math.inf and beta * tree.grid.horizon <= 709.78:
+        return [math.exp(beta * i * tree.grid.dt) for i in range(tree.grid.n_steps + 1)]
+    raise ValueError(f"beta = {beta!r} must be finite and >= 0 with e^(beta T) a float")
+
+
 def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
               beta: float = 0.0) -> float:
     """Exact S^2 ("s2", E[sup_t e^{beta t}|.|^2]) or H^2 ("h2", E int e^{beta s}|.|^2 ds)
@@ -50,81 +58,79 @@ def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
     """
     if stat not in ("s2", "h2"):
         raise ValueError(f"unknown path statistic {stat!r}: expected 's2' or 'h2'")
-    dt, values = tree.grid.dt, process.values
-    weights = [math.exp(beta * i * dt) for i in range(len(values))]
+    dt, values, weights = tree.grid.dt, process.values, _level_weights(tree, beta)
     if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
         first = 1 if len(values) == tree.grid.n_steps + 1 else 0
         return float(sum(dt * weights[i] * row_sq_norms(values[i]).mean()
                          for i in range(first, len(values))))
     running = None
-    for w, level in zip(weights, values):
-        running = fold_running_max(running, (w * row_sq_norms(level))[None], tree.branching)
+    for w, sq in zip(weights, map(row_sq_norms, values)):  # 1.0 * x is x bitwise
+        running = fold_running_max(running, (sq if w == 1.0 else w * sq)[None], tree.branching)
     return float(running.mean())
 
 
 def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: float, parts):
-    """(epsilons, sums): the per-solution sums of the audits in ``parts`` from
-    one depth-first pass over the levels.  Going down it holds only the running
-    maxes of its two S^2 statistics (a priori of Y, table of consecutive Y
-    differences), in runs whose maxes fill one leaf level together; one prox
-    per level and run serves the table and the Yosida sums.  Each sum keeps
-    its audit's formula and association (a mean is np.mean's sum / count)."""
+    """The epsilons and each solution's sums for the audits in ``parts``, in the
+    order `schedule_audits` unpacks, from one depth-first pass over the levels
+    that holds only the running maxes of two S^2 statistics going down, in runs
+    whose maxes fill one leaf level together, with one prox per level and run.
+    The runs fill a table of node sums; its means are added up after the descent."""
     if not per_epsilon:
         raise ValueError("the audits need a schedule: per_epsilon is empty")
+    weights = _level_weights(tree, beta)
     epsilons, sols = tuple(zip(*per_epsilon))
     dt, n, count, m = tree.grid.dt, tree.grid.n_steps, len(sols), sols[0].Y.values[0].shape[1]
     table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
     ys = [[s.Y.values[i] for s in sols] for i in range(n + 1)]
     zs = [[s.Z.values[i] for s in sols] for i in range(n)]
-    sums = defaultdict(lambda: np.zeros(count))
+    # leaf sums of the S^2 running maxes (a priori Y, table dY) and (statistic, level,
+    # solution) sums of |Z|^2, |dZ|^2, |grad phi_eps(Y)|^2, phi(J Y) and |Y - J Y|^2
+    s2, sums = np.zeros((2, count)), np.zeros((5, n + 1, count))
     eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
     # rows per run: the running maxes fill one leaf level together, no run is
     # cut below 2^11 rows, where the per-run numpy calls outweigh the rows, and
     # none copies more than 2^13
     cap = max(2 ** 11, min(2 ** 13, tree.level_size(n) // max(1, table + apriori)))
 
+    def node_sums(values, size):  # per block, over the level's nodes: np.mean's sum
+        return np.add.reduce(values.reshape(-1, size), axis=1)
+
+    z_own = [any(z is not lv[0] for z in lv) for lv in zs]  # level n - 1 of a batch is one array,
+    for i, z in ((i, lv[0]) for i, lv in enumerate(zs) if not z_own[i]):  # read once (z - z is
+        sums[:2, i] = [node_sums(row_sq_norms(v), len(v)) for v in (z, z - z)]  # NaN at an inf)
+
     def rows(levels, lo, hi):  # blocks lo..hi-1 of one level
         return levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
 
     def frame(i, lo, hi, parents):
-        size, w, hd = tree.level_size(i), math.exp(beta * i * dt), min(hi, count - 1)
+        size, hd, w = tree.level_size(i), min(hi, count - 1), weights[i]
 
-        def mean(values):  # per block, over the level's nodes
-            return values.reshape(-1, size).sum(axis=1) / size
-
-        def fold(k, key, end, mag):  # a leaf level is reduced before the prox's temporaries
+        def fold(k, end, mag):  # a leaf level is reduced before the prox's temporaries
             maxes[k] = fold_running_max(parents[k], mag.reshape(-1, size), tree.branching)
             if i == n:
-                sums[key][lo:end], maxes[k] = mean(maxes[k]), None
+                s2[k, lo:end], maxes[k] = node_sums(maxes[k], size), None
 
-        y, maxes = rows(ys[i], lo, hi), [None, None]
+        y, maxes, z_run = rows(ys[i], lo, hi), [None, None], i < n and z_own[i]
         if apriori:
-            fold(0, "y_s2", hi, w * row_sq_norms(y))
-            if i < n:
-                sums["z_h2"][lo:hi] += dt * w * mean(row_sq_norms(rows(zs[i], lo, hi)))
+            fold(0, hi, row_sq_norms(y) if w == 1.0 else w * row_sq_norms(y))
+            if z_run:
+                sums[0, i, lo:hi] = node_sums(row_sq_norms(rows(zs[i], lo, hi)), size)
         if table and hd > lo:  # the run's pairs (e, e + 1)
-            fold(1, "dy_s2", hd, row_sq_norms(y[:(hd - lo) * size] - rows(ys[i], lo + 1, hd + 1)))
-            if i < n:
-                sums["dz_h2"][lo:hd] += dt * mean(
-                    row_sq_norms(rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)))
+            fold(1, hd, row_sq_norms(y[:(hd - lo) * size] - rows(ys[i], lo + 1, hd + 1)))
+            if z_run:
+                sums[1, i, lo:hd] = node_sums(row_sq_norms(
+                    rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)), size)
         top = hi if yosida else hd if table and i < n else lo  # the blocks that need J(Y)
         if top > lo:
             yb = y[:(top - lo) * size].reshape(-1, size, m)
             j = convex.prox(phi, eps_col[lo:top], yb)
-            phi_j, gap = mean(phi.value(j)), yb - j
+            sums[3, i, lo:top], gap = node_sums(phi.value(j), size), yb - j
             del j
-            if table and i < n and hd > lo:
-                grad = (gap[:hd - lo] / eps_col[lo:hd]).reshape(-1, m)
-                sums["grad_sq"][lo:hd] += dt * mean(row_sq_norms(grad))
-                sums["phi_res"][lo:hd] += dt * phi_j[:hd - lo]
             if yosida:
-                sq = mean(row_sq_norms(gap.reshape(-1, m)))
-                for key, x in (("gap_sup", w * sq), ("phi_sup", w * phi_j)):
-                    acc = sums[key][lo:hi]
-                    acc[...] = np.where(x > acc, x, acc)  # max(acc, x) as Python takes it
-                if i < n:
-                    sums["grad_h2"][lo:hi] += dt * w * sq / eps_sq[lo:hi]
-                    sums["phi_int"][lo:hi] += dt * w * phi_j
+                sums[4, i, lo:hi] = node_sums(row_sq_norms(gap.reshape(-1, m)), size)
+            if table and i < n and hd > lo:  # the gradient (Y - J Y) / eps in gap's rows
+                grad = np.divide(gap[:hd - lo], eps_col[lo:hd], out=gap[:hd - lo])
+                sums[2, i, lo:hd] = node_sums(row_sq_norms(grad.reshape(-1, m)), size)
         return maxes
 
     def descend(i, lo, hi, parents):
@@ -136,7 +142,16 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
                 descend(i + 1, a, c, maxes)
 
     descend(0, 0, count, [None, None])
-    return epsilons, sums
+    sums /= np.array([[tree.level_size(i)] for i in range(n + 1)], dtype=float)  # as np.mean
+    # dt e^{bt}|Z|^2, dt|dZ|^2, dt|grad|^2, dt phi, dt e^{bt}|Y - JY|^2 / eps^2, dt e^{bt} phi
+    terms = dt * np.array([weights, [1.0] * (n + 1)])[[0, 1, 1, 1, 0, 0], :n, None] \
+        * sums[[0, 1, 2, 3, 4, 3], :n]
+    terms[4] /= eps_sq
+    sups = np.fmax.reduce(np.array(weights)[:, None] * sums[3:5], axis=1, initial=0.0)  # skips NaN
+    integrals = np.zeros((6, count))  # added from 0.0 level after level, in place
+    for level_terms in terms.swapaxes(0, 1):
+        integrals += level_terms
+    return (epsilons, *integrals, *sups, *s2 / tree.level_size(n))
 
 
 def _uniform_ok(constants, factor: float) -> bool:
@@ -195,12 +210,12 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     ``beta``, the Yosida audit's unweighted."""
     if unknown := [p for p in parts if p not in ScheduleAudits._fields]:
         raise ValueError(f"unknown audit parts {unknown}: expected {ScheduleAudits._fields}")
-    epsilons, s = _schedule_sums(per_epsilon, phi, tree, beta, parts)
+    (epsilons, z_h2, dz_h2, grad_sq, phi_res, grad_h2, phi_int, phi_sup, gap_sup, y_s2,
+     dy_s2) = _schedule_sums(per_epsilon, phi, tree, beta, parts)
     table = apriori = yosida = None
     if "table" in parts:
-        table = [EpsilonTableRow(*row) for row in zip(
-            epsilons, epsilons[1:], np.sqrt(s["dy_s2"]).tolist(), np.sqrt(s["dz_h2"]).tolist(),
-            s["grad_sq"].tolist(), s["phi_res"].tolist())]
+        table = [EpsilonTableRow(*row) for row in zip(epsilons, epsilons[1:], *(
+            v.tolist() for v in (np.sqrt(dy_s2), np.sqrt(dz_h2), grad_sq, phi_res)))]
     if "apriori" in parts or "yosida" in parts:
         xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
         xi_sq = np.sum(xi ** 2, axis=1)
@@ -208,19 +223,18 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
     if "apriori" in parts:
         m1 = float(np.mean(xi_sq)) + mass_beta
         rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
-                     for eps, v in zip(epsilons, (s["y_s2"] + s["z_h2"]).tolist()))
+                     for eps, v in zip(epsilons, (y_s2 + z_h2).tolist()))
         consts = [r.empirical_constant for r in rows]
         apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), _median(consts))
     if "yosida" in parts:
         m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
         denom = m2 if m2 > 0 else 1.0
         grad_rows = tuple(BoundAudit(g, m2, g / denom, f"yosida-grad eps={eps:g}")
-                          for eps, g in zip(epsilons, s["grad_h2"].tolist()))
+                          for eps, g in zip(epsilons, grad_h2.tolist()))
         value_rows = tuple(BoundAudit(a + b, m2, (a + b) / denom, f"yosida-phi eps={eps:g}")
-                           for eps, a, b in zip(epsilons, s["phi_sup"].tolist(),
-                                                s["phi_int"].tolist()))
+                           for eps, a, b in zip(epsilons, phi_sup.tolist(), phi_int.tolist()))
         gap_rows = tuple(BoundAudit(g, eps * m2, g / (eps * denom), f"yosida-gap eps={eps:g}")
-                         for eps, g in zip(epsilons, s["gap_sup"].tolist()))
+                         for eps, g in zip(epsilons, gap_sup.tolist()))
         ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
               and all(np.isfinite(r.lhs) for r in value_rows)
               and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))

@@ -35,8 +35,7 @@ class GeneratorError(RuntimeError):
 class DelayMeasure:
     """Probability measure on [-horizon, 0]."""
 
-    def discretize(self, horizon: float | None = None,
-                   dt: float | None = None) -> tuple:
+    def discretize(self, horizon: float, dt: float) -> tuple:
         """(theta, weight) atoms on the dt grid; offsets below -horizon raise."""
         raise NotImplementedError
 
@@ -46,8 +45,8 @@ def _check_finite(value: float, name: str):
         raise ValueError(f"{name} must be finite: {value!r}")
 
 
-def _check_support(theta: float, horizon: float | None):
-    if horizon is not None and theta < -horizon - 1e-9 * horizon:
+def _check_support(theta: float, horizon: float):
+    if theta < -horizon - 1e-9 * horizon:
         raise ValueError(f"delay offset {theta} outside [-{horizon}, 0]")
 
 
@@ -69,7 +68,7 @@ class Dirac(DelayMeasure, Record, frozen=True):
         if not -math.inf < self.theta <= 0:  # negated, so that NaN fails it
             raise ValueError(f"delay offset must be finite and <= 0: {self.theta!r}")
 
-    def discretize(self, horizon=None, dt=None):
+    def discretize(self, horizon, dt):
         _check_support(self.theta, horizon)
         return ((self.theta, 1.0),)
 
@@ -78,9 +77,7 @@ class UniformPast(DelayMeasure, Record, frozen=True):
     """Uniform probability on [-horizon, 0]; horizon is bound at quadrature
     time, where the trapezoid rule on the dt-spaced offsets integrates it."""
 
-    def discretize(self, horizon=None, dt=None):
-        if horizon is None or dt is None:
-            raise ValueError("uniform delay measure needs horizon and dt")
+    def discretize(self, horizon, dt):
         return _trapezoid(int(round(horizon / dt)), dt, dt / horizon)
 
 
@@ -103,7 +100,7 @@ class DiscreteMixture(DelayMeasure, Record, frozen=True):
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"atom weights must sum to 1, got {total}")
 
-    def discretize(self, horizon=None, dt=None):
+    def discretize(self, horizon, dt):
         for theta, _ in self.atoms:
             _check_support(theta, horizon)
         return self.atoms
@@ -123,8 +120,7 @@ class GeneratorSpec:
         """Present-value part of the drift; (y, z) may carry leading batch axes."""
         return np.zeros_like(y)
 
-    def past_z_terms(self, t: float, horizon: float | None,
-                     dt: float | None) -> tuple:
+    def past_z_terms(self, t: float, horizon: float, dt: float) -> tuple:
         """(theta, c) terms of the past-Z part at grid time t (d = 1 only).
 
         A pure function of (t, horizon, dt): `past_z_rows` resolves it once

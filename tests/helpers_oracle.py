@@ -80,7 +80,7 @@ def node_drift(gen, t, y, z, past_y, past_z, horizon, dt):
                gen.instant(y, z))
 
 
-def quadrature(accessor, alpha, horizon=None, dt=None):
+def quadrature(accessor, alpha, horizon, dt):
     """int accessor(theta) alpha(dtheta) as the weighted sum over its atoms."""
     return sum(c * np.asarray(accessor(theta), dtype=float)
                for theta, c in alpha.discretize(horizon, dt))

@@ -458,6 +458,23 @@ def test_path_norm_refuses_an_unknown_statistic():
         path_norm(constant_process(tree, 1.0), tree, "H2")
 
 
+@pytest.mark.parametrize("beta", [math.nan, -0.5, math.inf, 1000.0])
+def test_weighted_audits_refuse_a_beta_without_finite_weights(beta):
+    # NaN once gave a NaN lhs over constants 0.0 and uniform_ok=True, and an
+    # overflowing e^(beta T) a bare OverflowError from math.exp
+    tree, xi, gen, phi = box_linear_problem(4)
+    res = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=(1.0, 0.5)))
+    sol = res.solution
+    for audit in (lambda: path_norm(sol.Y, tree, "s2", beta),
+                  lambda: path_norm(sol.Z, tree, "h2", beta),
+                  lambda: apriori_audit(res.per_epsilon, xi, gen, tree, beta),
+                  lambda: yosida_audit(res.per_epsilon, phi, xi, gen, tree, beta),
+                  lambda: schedule_audits(res.per_epsilon, phi, xi, gen, tree, beta),
+                  lambda: stability_audit(sol, sol, xi, xi, gen, gen, tree, beta)):
+        with pytest.raises(ValueError, match="beta"):
+            audit()
+
+
 def test_schedule_audits_refuse_an_unknown_part():
     tree, xi, gen, phi = box_linear_problem(3)
     res = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=(1.0, 0.5)))

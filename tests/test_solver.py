@@ -907,6 +907,49 @@ def test_schedule_audits_match_on_one_entry_and_on_separate_solves():
                                   phi, xi, gen, tree, 1.0)
 
 
+def test_schedule_audits_match_on_two_batches_joined():
+    # xi and Z at level n - 1 are one array within each batch, not across the two
+    tree, xi, gen, phi = box_linear_problem(6)
+    first, second = (solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=schedule))
+                     for schedule in ((1.0, 0.5, 0.25), (0.125, 0.0625)))
+    per_eps = first.per_epsilon + second.per_epsilon
+    for levels in ([s.Y.values[6] for _, s in per_eps], [s.Z.values[5] for _, s in per_eps]):
+        assert levels[0] is levels[2] and levels[3] is levels[4]
+        assert levels[2] is not levels[3]
+    for beta in (0.0, 1.5):
+        _assert_schedule_audits_match(per_eps, phi, xi, gen, tree, beta)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_schedule_audits_take_a_shared_z_level_with_an_inf_as_nan_differences():
+    # z - z is NaN where z is inf: the shared level's pair differences are
+    # taken, not assumed to be 0
+    tree, xi, gen, phi = box_linear_problem(5)
+    res = solve_bsvi(tree, xi, gen, phi)
+    shared = res.solution.Z.values[4].copy()
+    shared[3, 0, 0] = np.inf
+    for _, sol in res.per_epsilon:
+        sol.Z.values[4] = shared
+    table = epsilon_table(res.per_epsilon, phi, tree)
+    assert table and all(math.isnan(row.dz_h2) for row in table)
+    assert all(math.isinf(r.lhs) for r in apriori_audit(res.per_epsilon, xi, gen, tree).rows)
+    for beta in (0.0, 1.5):
+        _assert_schedule_audits_match(res.per_epsilon, phi, xi, gen, tree, beta)
+
+
+def test_schedule_audits_read_the_shared_z_level_once(monkeypatch):
+    # at n = 12 level 11 runs one block at a time, so each solution's frame
+    # would take the squared norms of the batch's one level-11 Z again
+    tree, xi, gen, phi = box_linear_problem(12)
+    res = solve_bsvi(tree, xi, gen, phi)
+    shared = res.solution.Z.values[11]
+    assert all(s.Z.values[11] is shared for _, s in res.per_epsilon)
+    read, real = [], bsvi.analysis.row_sq_norms
+    monkeypatch.setattr(bsvi.analysis, "row_sq_norms", lambda a: read.append(a) or real(a))
+    bsvi.analysis.schedule_audits(res.per_epsilon, phi, xi, gen, tree)
+    assert sum(a is shared for a in read) == 1
+
+
 def test_schedule_audits_reject_an_empty_schedule():
     tree, xi, gen, phi, _ = _solved("quadratic")
     for audit in (lambda: apriori_audit([], xi, gen, tree),
