@@ -37,14 +37,6 @@ class BoundAudit(Record, frozen=True):
     context: str
 
 
-def _level_weights(tree: ScenarioTree, beta: float) -> list:
-    """e^{beta t_i} at every grid time, for a finite beta >= 0 with beta T <= 709.78
-    (math.exp overflows a float above about 709.7827)."""
-    if 0.0 <= beta < math.inf and beta * tree.grid.horizon <= 709.78:
-        return [math.exp(beta * i * tree.grid.dt) for i in range(tree.grid.n_steps + 1)]
-    raise ValueError(f"beta = {beta!r} must be finite and >= 0 with e^(beta T) a float")
-
-
 def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
               beta: float = 0.0) -> float:
     """Exact S^2 ("s2", E[sup_t e^{beta t}|.|^2]) or H^2 ("h2", E int e^{beta s}|.|^2 ds)
@@ -58,7 +50,7 @@ def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
     """
     if stat not in ("s2", "h2"):
         raise ValueError(f"unknown path statistic {stat!r}: expected 's2' or 'h2'")
-    dt, values, weights = tree.grid.dt, process.values, _level_weights(tree, beta)
+    dt, values, weights = tree.grid.dt, process.values, tree.grid.weights(beta)
     if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
         first = 1 if len(values) == tree.grid.n_steps + 1 else 0
         return float(sum(dt * weights[i] * row_sq_norms(values[i]).mean()
@@ -77,7 +69,7 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     The runs fill a table of node sums; its means are added up after the descent."""
     if not per_epsilon:
         raise ValueError("the audits need a schedule: per_epsilon is empty")
-    weights = _level_weights(tree, beta)
+    weights = tree.grid.weights(beta)
     epsilons, sols = tuple(zip(*per_epsilon))
     dt, n, count, m = tree.grid.dt, tree.grid.n_steps, len(sols), sols[0].Y.values[0].shape[1]
     table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
@@ -405,7 +397,5 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         size = tree.level_size(i)
         lo = (size - 1) // (tree.branching - 1)  # the rows above level i
         phi_mass += dt * float(np.sum(phi_at[lo:lo + size])) / size
-    sub_res = subgradient_check(phi, point, grad, probes).worst_violation
-    return ResidualReport(equation_residual=eq_res,
-                          subdiff_residual=sub_res,
-                          phi_integrability=phi_mass)
+    return ResidualReport(equation_residual=eq_res, phi_integrability=phi_mass,
+                          subdiff_residual=subgradient_check(phi, point, grad, probes))

@@ -170,23 +170,16 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
     return apply
 
 
-class SubgradientCheck(Record, frozen=True):
-    """Verdict and worst slack of `subgradient_check`."""
-
-    passed: bool
-    worst_violation: float
-
-
-def subgradient_check(spec: ConvexFunction, y, u, probes,
-                      tol: float = 1e-8) -> SubgradientCheck:
-    """Test (y, u) in the subdifferential of phi against probe points.
+def subgradient_check(spec: ConvexFunction, y, u, probes) -> float:
+    """Worst slack of (y, u) in the subdifferential of phi against probe points.
 
     The defining inequality <u, v - y> + phi(y) <= phi(v) is evaluated for
-    every probe v; the worst (largest) left-minus-right slack is returned and
-    the check passes iff it stays below ``tol``.  Probes outside the domain
-    satisfy the inequality trivially.  Batched (y, u) pairs on leading axes
-    are checked together, the worst slack (NaN fails) running over all of
-    them, in (probes, pairs) chunks of about 2^14 slacks, one probe at least.
+    every probe v and the worst (largest) left-minus-right slack returned, for
+    the caller to judge against its tolerance: -inf without probes, NaN when a
+    slack is NaN.  Probes outside the domain satisfy the inequality trivially.
+    Batched (y, u) pairs on leading axes are checked together, the worst slack
+    running over all of them, in (probes, pairs) chunks of about 2^14 slacks,
+    one probe at least.
     """
     point, grad = (a.reshape(-1, a.shape[-1])
                    for a in np.broadcast_arrays(_as_points(y), _as_points(u)))
@@ -195,7 +188,7 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
         raise ValueError("subgradient check requires y in the domain of phi")
     worst = -np.inf
     if not len(probes):
-        return SubgradientCheck(passed=True, worst_violation=worst)
+        return worst
     vs = np.array([_as_points(v).reshape(-1) for v in probes])
     phi_v = spec.value(vs)
     vs, phi_v = vs[np.isfinite(phi_v)], phi_v[np.isfinite(phi_v), None]
@@ -204,5 +197,4 @@ def subgradient_check(spec: ConvexFunction, y, u, probes,
         violation = np.sum(grad * (vs[a:a + chunk, None] - point), axis=-1) + phi_y \
             - phi_v[a:a + chunk]
         worst = float(np.maximum(worst, np.max(violation)))
-    return SubgradientCheck(passed=worst <= tol, worst_violation=worst)
-
+    return worst

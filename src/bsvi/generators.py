@@ -40,9 +40,9 @@ class DelayMeasure:
         raise NotImplementedError
 
 
-def _check_finite(value: float, name: str):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite: {value!r}")
+def _check_finite(value: float, name: str):  # and its square, which K is made of
+    if not math.isfinite(value * value):
+        raise ValueError(f"{name} must be finite, and so must its square: {value!r}")
 
 
 def _check_support(theta: float, horizon: float):
@@ -161,8 +161,8 @@ class LinearInstant(GeneratorSpec, Record, frozen=True, eq=False):
             b = b.reshape(1, 1, 1)
         elif b.ndim == 2:
             b = b[:, :, None]
-        if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0] or b.shape[1] != a.shape[0]:
-            raise ValueError("inconsistent linear generator dimensions")
+        if b.ndim != 3 or a.shape[0] != a.shape[1] or b.shape[:2] != a.shape:
+            raise ValueError(f"inconsistent linear generator dimensions: a {a.shape}, b {b.shape}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("linear generator coefficients must be finite")
         object.__setattr__(self, "a_y", a)
@@ -252,6 +252,7 @@ class MovingAverageZ(GeneratorSpec, Record, frozen=True, eq=False):
     def __post_init__(self):
         if not 0 <= self.g_bound < math.inf:  # negated, so that NaN fails it
             raise ValueError(f"g_bound must be finite and >= 0: {self.g_bound!r}")
+        _check_finite(self.g_bound, "g_bound")
 
     def past_z_terms(self, t, horizon, dt):
         def g_at(s):  # at grid row k's time k dt within the slack grid_row snaps by
@@ -303,13 +304,6 @@ class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
         return self.declared_delay
 
 
-def _require_scalar_noise(gen: GeneratorSpec, d: int):
-    if d != 1:
-        raise GeneratorError(
-            f"{type(gen).__name__} requires a one-dimensional driving noise "
-            f"(z has d = {d})")
-
-
 def _check_past(theta: float, t: float, dt: float, i: int):
     if theta > TIME_SLACK * dt:
         raise GeneratorError(f"past offset theta={theta} reads the future at t={t}, level {i}")
@@ -336,17 +330,11 @@ def _past_reader(row, i: int, dt: float, current, extension):
     return read
 
 
-def _read_drift(gen: GeneratorSpec, i: int, dt: float, horizon: float,
+def _read_drift(gen: CustomGenerator, i: int, dt: float,
                 y: np.ndarray, z: np.ndarray, past_y, past_z) -> np.ndarray:
-    """F(t_i, y, z, past) on a batch of rows (size, m), the past read through
-    `_past_reader` accessors: one call of a `CustomGenerator` callback, or a
-    built-in's ``instant(y, z) + sum c * past_z(theta)``."""
+    """F(t_i, y, z, past) on a batch of rows (size, m): one call of the
+    callback, its past read through `_past_reader` accessors."""
     t = i * dt
-    if not isinstance(gen, CustomGenerator):
-        terms = gen.past_z_terms(t, horizon, dt)
-        if terms:
-            _require_scalar_noise(gen, z.shape[-1])
-        return sum((c * past_z(theta)[..., 0] for theta, c in terms), gen.instant(y, z))
     try:
         out = np.asarray(gen.fn(t, y, z, past_y, past_z), dtype=float)
     except Exception as exc:
@@ -371,11 +359,10 @@ def origin_drift_mass(gen: GeneratorSpec, tree, m: int, betas=(0.0,)) -> list:
         def at_origin(i):
             past_y = _past_reader(lambda k: zero_y, i, grid.dt, None, None)
             past_z = _past_reader(lambda k: zero_z, i, grid.dt, None, None)
-            return _read_drift(gen, i, grid.dt, grid.horizon, zero_y, zero_z, past_y, past_z)
+            return _read_drift(gen, i, grid.dt, zero_y, zero_z, past_y, past_z)
 
         squares = [float(np.sum(at_origin(i) ** 2)) for i in range(grid.n_steps)]
-    return [sum(grid.dt * math.exp(beta * i * grid.dt) * sq for i, sq in enumerate(squares))
-            for beta in betas]
+    return [sum(grid.dt * w * sq for w, sq in zip(grid.weights(beta), squares)) for beta in betas]
 
 
 def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
@@ -400,8 +387,9 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     levels = []
     for i in range(grid.n_steps):
         terms = gen.past_z_terms(i * dt, grid.horizon, dt)
-        if terms:
-            _require_scalar_noise(gen, tree.bm_dim)
+        if terms and tree.bm_dim != 1:
+            raise GeneratorError(f"{type(gen).__name__} requires a one-dimensional driving "
+                                 f"noise (z has d = {tree.bm_dim})")
         rows = []
         for theta, c in terms:
             _check_past(theta, i * dt, dt, i)
@@ -470,7 +458,7 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
     dt = tree.grid.dt
     past_y = _past_reader(ancestors(frozen_y), i, dt, y, None)
     past_z = _past_reader(ancestors(frozen_z), i, dt, z, np.zeros_like(z))
-    return _read_drift(gen, i, dt, tree.grid.horizon, y, z, past_y, past_z)
+    return _read_drift(gen, i, dt, y, z, past_y, past_z)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +468,19 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
 PROBE_SEED = 2024  # fixes the probes, so a run's audit repeats
 
 
-def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
+def lipschitz_probe_audit(gen: CustomGenerator, m: int, d: int, horizon: float,
                           n_steps: int, n_probes: int = 200) -> dict:
-    """Random two-point probes of the declared Lipschitz constants.
+    """Random two-point probes of a callback's declared Lipschitz constants.
 
     Draws random instantaneous arguments and random past step paths and
     measures the worst slack of the two Lipschitz inequalities; nonpositive
     slacks (up to rounding) certify the declared L and K on the probe set.
     The probes drawn at one level are evaluated as one batch.  A probe's past
     reads its own path, offset 0 included, never the instantaneous argument.
+    A built-in, whose constants are exact, raises TypeError.
     """
+    if not isinstance(gen, CustomGenerator):
+        raise TypeError(f"the probe audit takes a CustomGenerator, not {type(gen).__name__}")
     rng = np.random.default_rng(PROBE_SEED)
     dt = horizon / n_steps
     big_l = gen.lipschitz_instant()
@@ -518,14 +509,14 @@ def lipschitz_probe_audit(gen: GeneratorSpec, m: int, d: int, horizon: float,
         acc_y1, acc_y2 = (path_reader(path_y[s, at], None) for s in (0, 1))
         acc_z1, acc_z2 = (path_reader(path_z[s, at], np.zeros_like(z1)) for s in (0, 1))
 
-        f_a = _read_drift(gen, i, dt, horizon, y1, z1, acc_y1, acc_z1)
-        f_b = _read_drift(gen, i, dt, horizon, y2, z2, acc_y1, acc_z1)
+        f_a = _read_drift(gen, i, dt, y1, z1, acc_y1, acc_z1)
+        f_b = _read_drift(gen, i, dt, y2, z2, acc_y1, acc_z1)
         lhs = np.sqrt(row_sq_norms(f_a - f_b))
         rhs = big_l * (np.sqrt(row_sq_norms(y1 - y2)) + np.sqrt(row_sq_norms(z1 - z2)))
         # np.maximum, unlike the builtin max, keeps a NaN slack
         worst_instant = float(np.maximum(worst_instant, np.max(lhs - rhs)))
 
-        f_c = _read_drift(gen, i, dt, horizon, y1, z1, acc_y2, acc_z2)
+        f_c = _read_drift(gen, i, dt, y1, z1, acc_y2, acc_z2)
         dy_sq = sum(c * row_sq_norms(acc_y1(theta) - acc_y2(theta)) for theta, c in atoms)
         dz_sq = sum(c * row_sq_norms(acc_z1(theta) - acc_z2(theta)) for theta, c in atoms)
         rhs_sq = big_k * (dy_sq + dz_sq)

@@ -103,6 +103,13 @@ class TimeGrid(Record, frozen=True):
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
+    def weights(self, beta: float) -> list:
+        """e^{beta t_i} at every grid time, for a finite beta >= 0 with beta T <= 709.78
+        (math.exp overflows a float above about 709.7827)."""
+        if 0.0 <= beta < math.inf and beta * self.horizon <= 709.78:
+            return [math.exp(beta * i * self.dt) for i in range(self.n_steps + 1)]
+        raise ValueError(f"beta = {beta!r} must be finite and >= 0 with e^(beta T) a float")
+
 
 class ScenarioTree(Record, frozen=True, eq=False):
     """Non-recombining tree of Rademacher increments.
@@ -175,9 +182,11 @@ def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
     if bm_dim < 1:
         raise ValueError(f"bm_dim must be >= 1, got {bm_dim}")
     grid = TimeGrid(n_steps, horizon)
-    b = 2 ** bm_dim
-    total_nodes = (b ** (n_steps + 1) - 1) // (b - 1)
-    if total_nodes > max_nodes:
+    d, leaf_bits = int(bm_dim), int(bm_dim) * int(n_steps)  # Python ints: 2^leaf_bits leaves
+    # past 2^64 times the cap the leaves alone exceed it, and the exact count is not formed
+    huge = leaf_bits > int(max_nodes).bit_length() + 64
+    total_nodes = f"over 2^{leaf_bits}" if huge else (2 ** (leaf_bits + d) - 1) // (2 ** d - 1)
+    if huge or total_nodes > max_nodes:
         raise TreeSizeError(
             f"tree with n_steps={n_steps}, bm_dim={bm_dim} needs {total_nodes} nodes, "
             f"over the cap of {max_nodes}; raise max_nodes to override"

@@ -273,11 +273,11 @@ def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
     """`_weighted_distance`'s per-level columns, built once per solve:
     e^{beta t/2} for every Y level, dt e^{beta t} and the rows per block for every
-    Z level, and the rows per block of every level as a tuple."""
-    n, dt = tree.grid.n_steps, tree.grid.dt
-    sizes = tuple(tree.level_size(i) for i in range(n + 1))
-    return (np.array([[math.exp(0.5 * beta * i * dt)] for i in range(n + 1)]),
-            np.array([[dt * math.exp(beta * i * dt)] for i in range(n)]),
+    Z level, and the rows per block of every level as a tuple.  A beta whose
+    `TimeGrid.weights` are not floats raises ValueError naming it."""
+    grid, sizes = tree.grid, tuple(tree.level_size(i) for i in range(tree.grid.n_steps + 1))
+    z_weights = [[grid.dt * w] for w in grid.weights(beta)[:-1]]  # first, so a refusal names beta
+    return (np.array([[w] for w in grid.weights(0.5 * beta)]), np.array(z_weights),
             np.array(sizes[:-1], dtype=float)[:, None], sizes)
 
 

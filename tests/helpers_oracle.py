@@ -378,7 +378,7 @@ def solution_residuals_per_level(solution, xi, gen, phi, tree):
         else:
             point, grad = y_val, u_val
         sub_res = float(np.maximum(
-            sub_res, convex.subgradient_check(phi, point, grad, probes).worst_violation))
+            sub_res, convex.subgradient_check(phi, point, grad, probes)))
         phi_mass += dt * float(np.sum(phi.value(point))) / tree.level_size(i)
     return ResidualReport(equation_residual=eq_res, subdiff_residual=sub_res,
                           phi_integrability=phi_mass)

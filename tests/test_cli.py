@@ -260,6 +260,12 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     _set("generator", None, {"kind": "linear", "a": [[True]], "b": [[[0.0]]]}),
     _all(_set("run", "mode", "prox"), _set("terminal", "b", [[0.5]]),
          _set("phi", None, {"kind": "box", "lo": -1.0, "hi": True})),
+    # a raw IndexError or OverflowError exited 1 with a traceback: a 1-D linear b, and
+    # a delay constant whose square, K, overflows in the well-posedness gate
+    _set("generator", None, {"kind": "linear", "a": [[0.0]], "b": [0.0]}),
+    _set("generator", None, {"kind": "delayed_z", "kappa": 1e308, "lag": 0.25}),
+    _set("generator", None, {"kind": "running_integral_z", "kappa": 1e308}),
+    _set("generator", None, {**MOVING_AVERAGE, "g_poly": [0.0], "g_bound": 1e308}),
     # a kind or format no builder knows
     _set("terminal", None, {"kind": "cubic"}), _set("generator", None, {"kind": "cubic"}),
     _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "gamma"}}),
@@ -282,8 +288,9 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
         "running_kappa_bool", "g_poly_bool", "g_bound_bool", "theta_bool", "quadratic_c_bool",
         "one_norm_c_bool", "run_epsilon_bool", "terminal_linear_bool", "terminal_c_bool",
         "terminal_lo_bool", "mixture_atom_bool", "linear_a_bool", "box_hi_bool",
-        "terminal_kind_unknown", "generator_kind_unknown", "alpha_kind_unknown",
-        "phi_kind_unknown", "run_format_unknown"])
+        "linear_b_1d", "kappa_square_overflow", "running_kappa_square_overflow",
+        "g_bound_square_overflow", "terminal_kind_unknown", "generator_kind_unknown",
+        "alpha_kind_unknown", "phi_kind_unknown", "run_format_unknown"])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     doc = minimal_doc()
     edit(doc)
@@ -560,6 +567,36 @@ def test_overflowing_beta_is_a_validation_error(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["wellposedness"]["beta"] == 700.0
+
+
+def test_a_horizon_whose_weights_overflow_is_a_validation_error(tmp_path, capsys):
+    # beta T = 2.5e308 is inf, and e^inf = inf passed the gate: the Picard
+    # distance's weights then raised a raw OverflowError (exit 1, a traceback)
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["model"]["horizon"] = 1e308
+    code = main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert "beta = 2.5 must be finite" in json.loads(err[0])["message"]
+
+
+@pytest.mark.parametrize("bm_dim", [100_000, 10_000_000])
+def test_a_huge_tree_is_refused_without_its_exact_node_count(tmp_path, bm_dim):
+    # the exact count 2^(bm_dim (n + 1)) was formed and printed: at 10^5 the message
+    # broke int-to-str's digit limit, at 10^7 the run did not answer; a subprocess
+    # with a timeout, so that a run that does not answer fails the test
+    doc = yaml.safe_load((CONFIGS / "minimal.yaml").read_text(encoding="utf-8"))
+    doc["model"]["bm_dim"] = bm_dim
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "bsvi.cli", str(write_config(tmp_path, doc)),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PARSE
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and len(err[0]) < 300, proc.stderr[:500]
+    message = json.loads(err[0])["message"]
+    assert f"needs over 2^{3 * bm_dim} nodes, over the cap of {2 ** 22}" in message
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):

@@ -54,9 +54,8 @@ def assert_yosida_properties(spec, y, ybar, eps, delta):
     # (iv) gradient is a subgradient at the resolvent
     probes = [np.zeros_like(t1.resolvent), t1.resolvent, t2.resolvent,
               np.asarray(ybar, dtype=float), -np.asarray(y, dtype=float)]
-    check = subgradient_check(spec, t1.resolvent, t1.gradient, probes,
-                              tol=SLACK_TOL)
-    assert check.passed, f"subgradient violation {check.worst_violation}"
+    slack = subgradient_check(spec, t1.resolvent, t1.gradient, probes)
+    assert slack <= SLACK_TOL, f"subgradient violation {slack}"
     # (v) envelope squeezed between 0 and <y, grad>
     assert t1.envelope >= -VALUE_TOL
     assert t1.envelope <= float(np.dot(np.asarray(y, dtype=float).reshape(-1),
@@ -153,16 +152,14 @@ def test_penalty_constructors_refuse_nonfinite_values(make):
 def test_subgradient_check_examples():
     box = IndicatorBox(-1, 1)
     # outward normal at the boundary
-    ok = subgradient_check(box, [1.0], [5.0], [[-1.0], [0.0], [1.0]])
-    assert ok.passed
+    assert subgradient_check(box, [1.0], [5.0], [[-1.0], [0.0], [1.0]]) <= 1e-8
     # interior point with a nonzero candidate fails against the right probe
     bad = subgradient_check(box, [0.5], [1.0], [[1.0]])
-    assert not bad.passed
-    assert bad.worst_violation == pytest.approx(0.5)
+    assert bad > 1e-8
+    assert bad == pytest.approx(0.5)
     # gradient of a smooth phi always passes
     quad = Quadratic(1.0)
-    ok2 = subgradient_check(quad, [2.0], [2.0], [[0.0], [-3.0], [5.0]])
-    assert ok2.passed
+    assert subgradient_check(quad, [2.0], [2.0], [[0.0], [-3.0], [5.0]]) <= 1e-8
     with pytest.raises(ValueError, match="domain"):
         subgradient_check(box, [2.0], [0.0], [[0.0]])
     # batched (nodes, m) pairs: the worst slack over all rows, one per-row call each
@@ -172,9 +169,9 @@ def test_subgradient_check_examples():
     probes = [[0.0, 0.0], [1.0, 2.0], [-1.0, -0.5], [0.9, -0.4], [5.0, 5.0]]
     batched = subgradient_check(box2, ys, us, probes)
     rows = [subgradient_check(box2, y, u, probes) for y, u in zip(ys, us)]
-    assert batched.worst_violation == max(r.worst_violation for r in rows)
-    assert batched.passed == all(r.passed for r in rows)
-    assert not batched.passed  # the interior row has a nonzero u
+    assert batched == max(rows)
+    assert (batched <= 1e-8) == all(r <= 1e-8 for r in rows)
+    assert batched > 1e-8  # the interior row has a nonzero u
     with pytest.raises(ValueError, match="domain"):
         subgradient_check(box2, np.vstack([ys, [[0.0, 3.0]]]), np.vstack([us, [[0.0, 0.0]]]),
                           probes)
@@ -182,17 +179,17 @@ def test_subgradient_check_examples():
 
 def test_subgradient_check_fails_on_a_nan_gradient():
     box = IndicatorBox(-1, 1)
-    check = subgradient_check(box, [[0.5]], [[np.nan]], [[1.0]])
-    assert math.isnan(check.worst_violation) and not check.passed
+    slack = subgradient_check(box, [[0.5]], [[np.nan]], [[1.0]])
+    assert math.isnan(slack) and not slack <= 1e-8
     # a NaN row among finite ones, on either side of them
     ys, us = np.array([[0.5], [0.0], [0.2]]), np.array([[0.0], [np.nan], [0.0]])
-    check = subgradient_check(box, ys, us, [[1.0], [-1.0]])
-    assert math.isnan(check.worst_violation) and not check.passed
+    slack = subgradient_check(box, ys, us, [[1.0], [-1.0]])
+    assert math.isnan(slack) and not slack <= 1e-8
 
 
 def test_subgradient_check_of_no_probes_is_minus_infinity():
-    check = subgradient_check(IndicatorBox(-1, 1), [[0.5]], [[1.0]], [])
-    assert check.worst_violation == -np.inf and check.passed
+    slack = subgradient_check(IndicatorBox(-1, 1), [[0.5]], [[1.0]], [])
+    assert slack == -np.inf and slack <= 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
@@ -206,9 +203,9 @@ def test_batched_subgradient_check_is_the_per_probe_loop_bitwise(m, rows):
         us = rng.normal(size=(rows, m))
         # 48 probes, some outside the box: 40000 rows cut them into chunks of one
         probes = list(rng.uniform(-1.5, 2.5, size=(48, m)))
-        got = subgradient_check(spec, ys, us, probes).worst_violation
+        got = subgradient_check(spec, ys, us, probes)
         assert got == subgradient_worst_per_probe(spec, ys, us, probes)
-        one = subgradient_check(spec, ys[0], us[0], probes).worst_violation
+        one = subgradient_check(spec, ys[0], us[0], probes)
         assert one == subgradient_worst_per_probe(spec, ys[0], us[0], probes)
 
 

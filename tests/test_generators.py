@@ -215,10 +215,42 @@ def test_eval_generator_running_integral_matches_trapezoid():
     assert np.array_equal(out0, np.zeros((1, 1)))
 
 
-def test_eval_generator_requires_scalar_noise_for_z_delays():
-    gen = DelayedZ(kappa=1.0, lag=0.0)
-    with pytest.raises(GeneratorError, match="one-dimensional"):
-        lipschitz_probe_audit(gen, m=1, d=2, horizon=1.0, n_steps=2)
+def test_probe_audit_refuses_a_built_in_drift():
+    # a built-in's constants are exact, and its drift is read only through its
+    # past_z_rows table, whose d = 2 refusal
+    # test_past_z_rows_keep_the_one_dimensional_noise_check pins
+    for gen in (DelayedZ(1.0, 0.5), ZeroGen(), linear_scalar(0.5, 1.5)):
+        with pytest.raises(TypeError, match=f"not {type(gen).__name__}"):
+            lipschitz_probe_audit(gen, 1, 1, 1.0, 4)
+
+
+def test_probe_audit_skips_the_levels_no_probe_drew():
+    # 200 probes over 1000 levels leave most levels without one: the callback
+    # is called three times at each drawn level and never at another
+    calls = []
+
+    def drift(t, y, z, py, pz):
+        calls.append(t)
+        return -0.8 * y + 0.5 * pz(-0.25)[..., 0]
+
+    gen = CustomGenerator(fn=drift, declared_instant=0.8, declared_delay=0.25,
+                          alpha=Dirac(-0.25))
+    audit = lipschitz_probe_audit(gen, m=1, d=1, horizon=1.0, n_steps=1000)
+    assert audit["instant_slack"] <= 1e-10 and audit["delay_slack"] <= 1e-10
+    assert len(calls) == 3 * len(set(calls)) and len(set(calls)) <= 200
+
+
+def test_linear_instant_reads_a_2d_b_as_one_noise_component():
+    # B (m, m) is B (m, m, 1); a b of any rank but 0, 2 or 3 is refused
+    y, z = np.array([[2.0, -1.0]]), np.array([[[4.0], [0.5]]])
+    a, b = [[0.5, 0.0], [0.25, 1.0]], [[0.25, -2.0], [1.5, 0.0]]
+    two_d = LinearInstant(a, b)
+    assert two_d.b_z.shape == (2, 2, 1)
+    three_d = LinearInstant(a, np.array(b)[..., None])
+    assert np.array_equal(two_d.instant(y, z), three_d.instant(y, z))
+    for b in ([0.0], [[[[0.0]]]]):
+        with pytest.raises(ValueError, match="inconsistent linear generator dimensions"):
+            LinearInstant([[0.0]], b)
 
 
 def test_custom_generator_failure_is_wrapped():
@@ -271,7 +303,17 @@ def test_linear_lipschitz_of_one_row_is_the_euclidean_norm_of_its_entries():
         declared_instant=0.8, declared_delay=0.25, alpha=Dirac(-0.25)),
 ])
 def test_lipschitz_audit_of_declared_constants(gen):
-    audit = lipschitz_probe_audit(gen, m=1, d=1, horizon=1.0, n_steps=4,
+    # a built-in is probed through its callback twin: instant(y, z) plus its
+    # past-Z terms read through the probe's accessors, under its own alpha and
+    # exact constants
+    horizon, n_steps = 1.0, 4
+    if not isinstance(gen, CustomGenerator):
+        gen = CustomGenerator(
+            fn=lambda t, y, z, py, pz, spec=gen: node_drift(spec, t, y, z, py, pz, horizon,
+                                                            horizon / n_steps),
+            declared_instant=gen.lipschitz_instant(),
+            declared_delay=gen.lipschitz_delay(horizon), alpha=gen.alpha)
+    audit = lipschitz_probe_audit(gen, m=1, d=1, horizon=horizon, n_steps=n_steps,
                                   n_probes=1000)
     assert audit["instant_slack"] <= 1e-10
     assert audit["delay_slack"] <= 1e-10

@@ -53,6 +53,21 @@ def test_build_tree_rejects_oversize():
     build_tree(5, 1.0, 1, max_nodes=100)
 
 
+def test_build_tree_refuses_exactly_the_trees_over_the_cap():
+    # past 2^64 times the cap the count is not formed: the refusal must agree
+    # with the exact count on both sides of that switch
+    for bm_dim, n_steps, cap in itertools.product((1, 2, 3), range(1, 41),
+                                                  (0, 1, 15, 2 ** 22, 2 ** 60)):
+        exact = (2 ** (bm_dim * (n_steps + 1)) - 1) // (2 ** bm_dim - 1)
+        if exact > cap:
+            with pytest.raises(TreeSizeError, match=r"needs (over 2\^)?\d+ nodes"):
+                build_tree(n_steps, 1.0, bm_dim, max_nodes=cap)
+        else:
+            assert build_tree(n_steps, 1.0, bm_dim, max_nodes=cap).bm_dim == bm_dim
+    with pytest.raises(TreeSizeError, match=r"needs over 2\^30000000 nodes, over the cap of 15;"):
+        build_tree(3, 1.0, 10 ** 7, max_nodes=np.int64(15))
+
+
 def test_build_tree_bad_args():
     with pytest.raises(ValueError):
         build_tree(0, 1.0, 1)
@@ -80,6 +95,23 @@ def test_time_grid_rejects_a_nonpositive_or_nonfinite_horizon(horizon):
     # abs(inf - inf) is NaN, which passed the reproduction check
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         TimeGrid(4, horizon)
+
+
+def test_time_grid_refuses_a_dt_that_does_not_reproduce_its_horizon():
+    # a subnormal dt keeps too few bits for dt * n_steps to give the horizon back
+    with pytest.raises(ValueError, match=r"dt \* n_steps does not reproduce horizon"):
+        TimeGrid(3, 1e-320)
+    assert TimeGrid(3, 1e-300).dt == 1e-300 / 3
+
+
+def test_time_grid_weights_are_e_to_the_beta_t_at_every_grid_time():
+    grid = TimeGrid(4, 2.0)
+    assert grid.weights(0.75) == [math.exp(0.75 * i * 0.5) for i in range(5)]
+    assert grid.weights(0.0) == [1.0] * 5
+    # beta T = 710 would overflow e^(beta T)
+    for beta in (-0.5, math.inf, math.nan, 355.0):
+        with pytest.raises(ValueError, match=f"beta = {beta!r} must be finite and >= 0"):
+            grid.weights(beta)
 
 
 def test_conditional_expectation_examples():

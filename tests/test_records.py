@@ -48,8 +48,6 @@ CASES = [
     (convex.YosidaTriple, ("resolvent", "envelope", "gradient", "epsilon"),
      (np.array([0.5]), 0.25, np.array([1.0]), 0.5), True, False,
      "YosidaTriple(resolvent=array([0.5]), envelope=0.25, gradient=array([1.]), epsilon=0.5)"),
-    (convex.SubgradientCheck, ("passed", "worst_violation"), (True, -0.5), True, True,
-     "SubgradientCheck(passed=True, worst_violation=-0.5)"),
     (generators.Dirac, ("theta",), (-0.5,), True, True, "Dirac(theta=-0.5)"),
     (generators.UniformPast, (), (), True, True, "UniformPast()"),
     (generators.DiscreteMixture, ("atoms",), (((-0.5, 0.25), (0, 0.75)),), True, True,
@@ -141,7 +139,7 @@ def test_every_value_class_of_the_package_is_listed():
              and c.__repr__ is not object.__repr__ and not issubclass(c, (BaseException, tuple))}
     listed = {case[0] for case in CASES}
     assert found - {getattr(lattice, "Record", None)} == listed
-    assert len(listed) == len(CASES) == 31 and set(DEFAULTS) <= listed
+    assert len(listed) == len(CASES) == 30 and set(DEFAULTS) <= listed
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
