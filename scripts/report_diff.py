@@ -9,10 +9,13 @@ checkout's ``src/``.  Every run's report, minus the machine-dependent
 ``timings``, is written as a JSON document and as a CSV bundle; every report
 file that differs between the two sides, or exists on one side only, is
 printed.  Under a differing JSON report on both sides go its differing key
-paths, each with |this - other| and that over |other| for numbers, marked
-BEYOND when the difference breaks the golden files' rule
-|this - other| <= 1e-12 + 1e-10 |other|.  Exits 1 on a difference, 0 when
-every file is byte-identical.
+paths, and under a differing CSV file its differing cells (a cell that parses
+as a float read as one), each with |this - other| and that over |other| for
+numbers, marked BEYOND when the difference breaks the golden files' rule
+|this - other| <= 1e-12 + 1e-10 |other|; any other differing value, and any
+file on one side only, is BEYOND.  Exits 0 when every file is byte-identical,
+1 when every difference keeps the rule, and 2 on a BEYOND difference (or a
+usage error).
 
 The 14 configs (28 reports): the four shipped configs with golden files,
 configs/indicator_box.yaml in classical, penalized, prox and bsvi mode, the
@@ -22,7 +25,9 @@ configs come from perfbench/run.py's ``draw_params`` and ``cli_config`` of
 this checkout, so both sides run the same documents.
 """
 
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -120,6 +125,28 @@ def value_differences(a, b, where: str = "") -> list:
     return [] if same else [(where, a, b)]
 
 
+def _number(cell):
+    try:
+        return float(cell)
+    except (TypeError, ValueError):  # MISSING, or a cell that is not a float
+        return cell
+
+
+def cell_differences(a: str, b: str) -> list:
+    """(row and column, a cell, b cell) of every cell at which the CSV texts
+    ``a`` and ``b`` differ in their text, row by row; a cell that parses as a
+    float is read as one, and a row or cell on one side only pairs with MISSING."""
+    rows = [list(csv.reader(io.StringIO(text))) for text in (a, b)]
+    found = []
+    for r in range(max(map(len, rows))):
+        cells = [side[r] if r < len(side) else [] for side in rows]
+        for c in range(max(map(len, cells))):
+            x, y = (row[c] if c < len(row) else MISSING for row in cells)
+            if x != y:
+                found.append((f"row {r} column {c}", _number(x), _number(y)))
+    return found
+
+
 def describe(where: str, a, b) -> str:
     """One line for a differing leaf: for two numbers |a - b| and its ratio to
     |b|, marked BEYOND past the golden rule; otherwise both values."""
@@ -130,6 +157,28 @@ def describe(where: str, a, b) -> str:
     rel = gap / abs(b) if b else (math.inf if gap else 0.0)
     mark = "" if gap <= ATOL + RTOL * abs(b) else "  BEYOND"
     return f"  {where}: |this - other| {gap:.3e}, relative {rel:.3e}{mark}"
+
+
+def compare_reports(this: Path, other: Path) -> int:
+    """Print every file that differs between the report directories ``this``
+    and ``other``, and under it each differing value; return 0 when none
+    differs, 1 when every difference keeps the golden files' rule and 2 when
+    one is BEYOND it."""
+    diff, beyond = differing_files(this, other), False
+    for rel in diff:
+        print(f"differs: {rel}")
+        pair = [this / rel, other / rel]
+        if not all(p.is_file() for p in pair):
+            lines = ["  (on one side only)  BEYOND"]
+        else:
+            texts = [p.read_text(encoding="utf-8") for p in pair]
+            leaves = value_differences(*map(json.loads, texts)) if rel.endswith(".json") else \
+                cell_differences(*texts) if rel.endswith(".csv") else [("text", *texts)]
+            lines = [describe(*leaf) for leaf in leaves]
+        print(*lines, sep="\n")
+        beyond = beyond or any(line.endswith("BEYOND") for line in lines)
+    print(f"{len(diff)} differing file(s)")
+    return 2 if beyond else 1 if diff else 0
 
 
 def _emit_in(checkout: Path, config_dir: Path, out_dir: Path):
@@ -154,16 +203,8 @@ def main(argv: list) -> int:
         sides = {"this": ROOT, "other": Path(argv[0]).resolve()}
         for side, checkout in sides.items():
             _emit_in(checkout, tmp / "configs", tmp / side)
-        diff = differing_files(tmp / "this", tmp / "other")
-        for rel in diff:
-            print(f"differs: {rel}")
-            pair = [tmp / side / rel for side in sides]
-            if rel.endswith(".json") and all(p.is_file() for p in pair):
-                for leaf in value_differences(*(json.loads(p.read_text(encoding="utf-8"))
-                                                for p in pair)):
-                    print(describe(*leaf))
-        print(f"{len(diff)} differing file(s) over {len(docs)} configs")
-    return 1 if diff else 0
+        print(f"{len(docs)} configs run on both sides")
+        return compare_reports(tmp / "this", tmp / "other")
 
 
 if __name__ == "__main__":

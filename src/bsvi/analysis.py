@@ -7,12 +7,14 @@ are one-sided (every constant at most factor x median): the audited
 inequalities are upper bounds, so a constant falling away below the median is
 slack, not a violation.
 
-Everything here is pure over immutable solutions; drifts are evaluated one
-level at a time through `generators.level_drift`, reading the past-Z rows
-a frozen spec keeps (`generators.past_z_rows`).  The epsilon table and the a priori and Yosida
-audits are one depth-first pass over the schedule's levels (`schedule_audits`)
-in runs of at most one leaf level: block e of level i is solution e's rows, a
-run of one block its own array and a longer run a copy of its blocks.
+Everything here is pure over immutable solutions; drifts are evaluated one level at a
+time through `generators.level_drift`, reading the past-Z rows a frozen spec keeps
+(`generators.past_z_rows`).  The epsilon table and the a priori and Yosida audits are one
+depth-first pass over the schedule's levels (`schedule_audits`) in runs of at most one
+leaf level: block e of level i is solution e's rows, a run of one block its own array and
+a longer run a copy of its blocks.  Below level n the pass reads each solve's U, which
+`convex.resolvent` formed as grad phi_eps at the Y it returned, so J_eps(Y) = Y - eps U;
+level n (xi) takes a prox.  The residual audit recomputes (Y - J_eps Y) / eps itself.
 """
 
 import math
@@ -65,23 +67,21 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     """The epsilons and each solution's sums for the audits in ``parts``, in the
     order `schedule_audits` unpacks, from one depth-first pass over the levels
     that holds only the running maxes of two S^2 statistics going down, in runs
-    whose maxes fill one leaf level together, with one prox per level and run.
+    whose maxes fill one leaf level together, |grad phi_eps(Y)|^2 read as |U|^2.
     The runs fill a table of node sums; its means are added up after the descent."""
-    if not per_epsilon:
-        raise ValueError("the audits need a schedule: per_epsilon is empty")
-    weights = tree.grid.weights(beta)
-    epsilons, sols = tuple(zip(*per_epsilon))
-    dt, n, count, m = tree.grid.dt, tree.grid.n_steps, len(sols), sols[0].Y.values[0].shape[1]
+    if not per_epsilon or (bad := [(e, s.epsilon) for e, s in per_epsilon
+                               if not (e > 0 and s.epsilon == e)]):  # the epsilons, once
+        raise ValueError("eps = %r must be positive and its solution's epsilon, not %r" % bad[0]
+                         if per_epsilon else "the audits need a schedule: per_epsilon is empty")
+    weights, (epsilons, sols) = tree.grid.weights(beta), tuple(zip(*per_epsilon))
+    dt, n, count = tree.grid.dt, tree.grid.n_steps, len(sols)
     table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
-    ys = [[s.Y.values[i] for s in sols] for i in range(n + 1)]
-    zs = [[s.Z.values[i] for s in sols] for i in range(n)]
+    ys, zs, us = (list(zip(*(getattr(s, k).values for s in sols))) for k in "YZU")  # by level
     # leaf sums of the S^2 running maxes (a priori Y, table dY) and (statistic, level,
-    # solution) sums of |Z|^2, |dZ|^2, |grad phi_eps(Y)|^2, phi(J Y) and |Y - J Y|^2
+    # solution) sums of |Z|^2, |dZ|^2, |U|^2, phi(J Y) and |Y - J Y|^2 (at level n)
     s2, sums = np.zeros((2, count)), np.zeros((5, n + 1, count))
-    eps_col, eps_sq = np.array(epsilons)[:, None, None], np.array([e ** 2 for e in epsilons])
-    # rows per run: the running maxes fill one leaf level together, no run is
-    # cut below 2^11 rows, where the per-run numpy calls outweigh the rows, and
-    # none copies more than 2^13
+    # rows per run: the running maxes fill one leaf level together, no run is cut below
+    # 2^11 rows, where the per-run numpy calls outweigh the rows, none copies over 2^13
     cap = max(2 ** 11, min(2 ** 13, tree.level_size(n) // max(1, table + apriori)))
 
     def node_sums(values, size):  # per block, over the level's nodes: np.mean's sum
@@ -97,7 +97,7 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     def frame(i, lo, hi, parents):
         size, hd, w = tree.level_size(i), min(hi, count - 1), weights[i]
 
-        def fold(k, end, mag):  # a leaf level is reduced before the prox's temporaries
+        def fold(k, end, mag):  # a leaf level is reduced at once
             maxes[k] = fold_running_max(parents[k], mag.reshape(-1, size), tree.branching)
             if i == n:
                 s2[k, lo:end], maxes[k] = node_sums(maxes[k], size), None
@@ -112,17 +112,11 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
             if z_run:
                 sums[1, i, lo:hd] = node_sums(row_sq_norms(
                     rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)), size)
-        top = hi if yosida else hd if table and i < n else lo  # the blocks that need J(Y)
-        if top > lo:
-            yb = y[:(top - lo) * size].reshape(-1, size, m)
-            j = convex.prox(phi, eps_col[lo:top], yb)
-            sums[3, i, lo:top], gap = node_sums(phi.value(j), size), yb - j
-            del j
-            if yosida:
-                sums[4, i, lo:hi] = node_sums(row_sq_norms(gap.reshape(-1, m)), size)
-            if table and i < n and hd > lo:  # the gradient (Y - J Y) / eps in gap's rows
-                grad = np.divide(gap[:hd - lo], eps_col[lo:hd], out=gap[:hd - lo])
-                sums[2, i, lo:hd] = node_sums(row_sq_norms(grad.reshape(-1, m)), size)
+        if i < n and (table or yosida):  # |U|^2, and phi at J Y = Y - eps U
+            sums[2, i, lo:hi] = node_sums(row_sq_norms(u := rows(us[i], lo, hi)), size)
+            if not phi.indicator:
+                eu = np.array(epsilons[lo:hi])[:, None, None] * u.reshape(hi - lo, size, -1)
+                sums[3, i, lo:hi] = node_sums(phi.value(y.reshape(eu.shape) - eu), size)
         return maxes
 
     def descend(i, lo, hi, parents):
@@ -134,11 +128,16 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
                 descend(i + 1, a, c, maxes)
 
     descend(0, 0, count, [None, None])
+    once = yosida and phi.indicator and all(x is ys[n][0] for x in ys[n])  # xi has no U: one
+    for e in range(yosida * (1 if once else count)):  # prox per solution, or per indicator's xi
+        j, cols = phi.prox(epsilons[e], ys[n][e]), slice(None) if once else e
+        sums[3, n, cols] = 0.0 if phi.indicator else np.add.reduce(phi.value(j))
+        sums[4, n, cols] = np.add.reduce(row_sq_norms(j := ys[n][e] - j))  # J_eps(xi) freed
     sums /= np.array([[tree.level_size(i)] for i in range(n + 1)], dtype=float)  # as np.mean
-    # dt e^{bt}|Z|^2, dt|dZ|^2, dt|grad|^2, dt phi, dt e^{bt}|Y - JY|^2 / eps^2, dt e^{bt} phi
+    sums[4, :n] = sums[2, :n] * np.array([e ** 2 for e in epsilons])  # eps^2 |U|^2
+    # dt e^{bt}|Z|^2, dt|dZ|^2, dt|U|^2, dt phi, dt e^{bt}|U|^2, dt e^{bt} phi
     terms = dt * np.array([weights, [1.0] * (n + 1)])[[0, 1, 1, 1, 0, 0], :n, None] \
-        * sums[[0, 1, 2, 3, 4, 3], :n]
-    terms[4] /= eps_sq
+        * sums[[0, 1, 2, 3, 2, 3], :n]
     sups = np.fmax.reduce(np.array(weights)[:, None] * sums[3:5], axis=1, initial=0.0)  # skips NaN
     integrals = np.zeros((6, count))  # added from 0.0 level after level, in place
     for level_terms in terms.swapaxes(0, 1):
@@ -246,12 +245,10 @@ def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
 
 def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
                  tree: ScenarioTree, beta: float = 0.0) -> YosidaAudit:
-    """Boundedness of the penalty gradient along the schedule.
-
-    The gradient and resolvent are recomputed from Y^eps through the prox (the
-    stored U is not trusted).  The verdict asks the (a) and (c) constants to
-    stay within 4x of their medians; (b) must stay finite.
-    """
+    """Boundedness of the penalty gradient along the schedule, read from each
+    solve's U, which is grad phi_eps(Y^eps) by construction (J_eps(Y) = Y - eps U,
+    see the module docstring).  The verdict asks the (a) and (c) constants to
+    stay within 4x of their medians; (b) must stay finite."""
     return schedule_audits(per_epsilon, phi, xi, gen, tree, beta, ("yosida",)).yosida
 
 

@@ -29,6 +29,7 @@ class ConvexFunction:
     result a caller may overwrite unless it is read-only or shares memory with y."""
 
     m: int | None = None
+    indicator = False  # phi takes only the values 0 and +inf, so J_eps is one projection
 
     def _check_dim(self, y: np.ndarray):
         if self.m is not None and y.shape[-1] != self.m:
@@ -43,6 +44,7 @@ class ConvexFunction:
 
 class Zero(ConvexFunction, Record, frozen=True):
     """phi == 0; the subdifferential term vanishes."""
+    indicator = True
 
     def value(self, y):
         arr = _as_points(y)
@@ -57,6 +59,7 @@ class IndicatorBox(ConvexFunction, Record, frozen=True, eq=False):
 
     lo: np.ndarray
     hi: np.ndarray
+    indicator = True
 
     def __init__(self, lo, hi):
         lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))

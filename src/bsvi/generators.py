@@ -233,7 +233,7 @@ class RunningIntegralZ(GeneratorSpec, Record, frozen=True):
         return 0.0
 
     def lipschitz_delay(self, horizon):
-        # Jensen against the uniform measure costs a factor horizon^2.
+        _check_finite(self.kappa * horizon, "kappa * T")  # Jensen costs a factor horizon^2
         return (self.kappa * horizon) ** 2
 
 

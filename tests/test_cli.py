@@ -581,6 +581,19 @@ def test_a_horizon_whose_weights_overflow_is_a_validation_error(tmp_path, capsys
     assert "beta = 2.5 must be finite" in json.loads(err[0])["message"]
 
 
+def test_a_running_integral_whose_k_overflows_is_a_validation_error(tmp_path, capsys):
+    # kappa and T each square to a float, but K = (kappa T)^2 does not: `**`
+    # raised a raw OverflowError in the gate (exit 1, a traceback)
+    doc = minimal_doc()
+    doc["model"]["horizon"] = 1e100
+    doc["generator"] = {"kind": "running_integral_z", "kappa": 1e100}
+    code = main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert "kappa * T must be finite" in json.loads(err[0])["message"]
+
+
 @pytest.mark.parametrize("bm_dim", [100_000, 10_000_000])
 def test_a_huge_tree_is_refused_without_its_exact_node_count(tmp_path, bm_dim):
     # the exact count 2^(bm_dim (n + 1)) was formed and printed: at 10^5 the message
@@ -813,6 +826,38 @@ def test_report_diff_lists_each_differing_value():
         "  rate_fit.slope: |this - other| 1.776e-15, relative 3.553e-15",
         "  y0[1]: |this - other| 5.000e-01, relative 2.000e-01  BEYOND",
         "  y0[2]: (missing) != 3.0  BEYOND"]
+
+
+def test_report_diff_exits_0_1_or_2_by_the_golden_rule(tmp_path, capsys):
+    # byte-identical: 0; every difference within 1e-12 + 1e-10 |other|, in a
+    # JSON number or a CSV cell that parses as a float: 1; a difference past
+    # it, or a file on one side only: 2
+    compare = _report_diff().compare_reports
+
+    def write(side, files):
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text, encoding="utf-8")
+        return tmp_path / side
+
+    base = {"run/json/report.json": '{"y0": 0.5, "ok": true}',
+            "run/csv/summary.csv": "key,value\ny0,0.5\nok,True\n"}
+    other = write("other", base)
+    assert compare(write("same", base), other) == 0
+    near = {"run/json/report.json": '{"y0": 0.5000000000000001, "ok": true}',
+            "run/csv/summary.csv": "key,value\ny0,0.50000000000001\nok,True\n"}
+    assert compare(write("near", near), other) == 1
+    for name, files in {
+            "json_far": {**near, "run/json/report.json": '{"y0": 0.5000001, "ok": true}'},
+            "csv_far": {**near, "run/csv/summary.csv": "key,value\ny0,0.51\nok,True\n"},
+            "csv_text": {**near, "run/csv/summary.csv": "key,value\ny0,0.5\nok,False\n"},
+            "one_side": {**near, "run/error.txt": "ValueError\n"}}.items():
+        assert compare(write(name, files), other) == 2, name
+    lines = capsys.readouterr().out.splitlines()
+    assert "  row 1 column 1: |this - other| 9.992e-15, relative 1.998e-14" in lines
+    assert '  row 2 column 1: "False" != "True"  BEYOND' in lines
+    at = lines.index("differs: run/error.txt")
+    assert lines[at + 1] == "  (on one side only)  BEYOND" and lines[-1] == "3 differing file(s)"
 
 
 def test_report_diff_configs_all_build():

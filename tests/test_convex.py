@@ -137,6 +137,20 @@ def test_box_normalization_enforced():
         Quadratic(-1.0)
 
 
+def test_only_the_indicator_penalties_say_so_and_no_caller_can_set_it():
+    # the audit pass skips an indicator's value (0 on every prox output) and
+    # takes the gap of a shared xi once (J_eps is one projection for every eps)
+    specs = (Zero(), IndicatorBox(-1.0, 1.0), Quadratic(1.0), OneNorm(1.0), ElasticPenalty())
+    assert [spec.indicator for spec in specs] == [True, True, False, False, False]
+    for make in (lambda: Zero(indicator=False), lambda: IndicatorBox(-1.0, 1.0, indicator=False),
+                 lambda: Quadratic(1.0, indicator=True)):
+        with pytest.raises(TypeError):
+            make()
+    for spec in specs[:4]:
+        with pytest.raises(AttributeError, match="frozen"):
+            spec.indicator = not spec.indicator
+
+
 # a NaN coefficient or bound made phi(xi) infinite or NaN at solve time
 @pytest.mark.parametrize("make", [
     lambda: Quadratic(math.nan), lambda: Quadratic(math.inf), lambda: OneNorm(math.nan),

@@ -3,9 +3,11 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import bsvi
 from bsvi import convex, generators
@@ -558,6 +560,7 @@ def test_solve_bsvi_matches_one_solve_per_epsilon(case):
     want = solve_one_per_epsilon(tree, xi, gen, phi)
     got = solve_bsvi(tree, xi, gen, phi)
     assert got.epsilon_table == want.epsilon_table
+    assert _rows_close(got.epsilon_table, epsilon_table_one_by_one(want.per_epsilon, phi, tree))
     assert got.solution is got.per_epsilon[-1][1]
     assert len(got.per_epsilon) == len(want.per_epsilon)
     for (eps, sol), (want_eps, want_sol) in zip(got.per_epsilon, want.per_epsilon):
@@ -797,9 +800,9 @@ def test_custom_drift_under_declaring_its_delay_still_sweeps(monkeypatch):
 # (see helpers_oracle.py)
 # ---------------------------------------------------------------------------
 
-from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_one_by_one,
-                            origin_drift_mass_per_level, path_norms_one_by_one,
-                            yosida_audit_one_by_one)
+from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_from_u,
+                            epsilon_table_one_by_one, origin_drift_mass_per_level,
+                            path_norms_one_by_one, yosida_audit_from_u, yosida_audit_one_by_one)
 
 
 def _solved(case):
@@ -817,21 +820,44 @@ def _row_bits(row):
     return [(name, _bits(getattr(row, name))) for name in row._fields]
 
 
+def _rows_close(got, want) -> bool:
+    """Audit rows field by field under the golden files' rule: bitwise the same
+    (a NaN too), or two floats with |got - want| <= 1e-12 + 1e-10 |want|."""
+    return len(got) == len(want) and all(
+        _bits(a) == _bits(b) or isinstance(a, float) and abs(a - b) <= 1e-12 + 1e-10 * abs(b)
+        for g, w in zip(got, want)
+        for a, b in ((getattr(g, name), getattr(w, name)) for name in g._fields))
+
+
+def _assert_yosida_rows(got, per_epsilon, phi, xi, gen, tree, beta):
+    """The Yosida audit bitwise against the U-reading oracle, and within the
+    golden files' rule of the prox-recomputing one."""
+    want = yosida_audit_from_u(per_epsilon, phi, xi, gen, tree, beta)
+    ref = yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta)
+    for rows in ("grad_rows", "value_rows", "gap_rows"):
+        assert list(map(_row_bits, getattr(got, rows))) == \
+            list(map(_row_bits, getattr(want, rows)))
+        assert _rows_close(getattr(got, rows), getattr(ref, rows))
+    assert got.uniform_ok == want.uniform_ok == ref.uniform_ok
+
+
+def _assert_table(got, per_epsilon, phi, tree):
+    """The epsilon table bitwise against the U-reading oracle, and within the
+    golden files' rule of the prox-recomputing one."""
+    assert list(map(_row_bits, got)) == \
+        list(map(_row_bits, epsilon_table_from_u(per_epsilon, phi, tree)))
+    assert _rows_close(got, epsilon_table_one_by_one(per_epsilon, phi, tree))
+
+
 def _assert_schedule_audits_match(per_epsilon, phi, xi, gen, tree, beta=0.0):
-    got = epsilon_table(per_epsilon, phi, tree)
-    want = epsilon_table_one_by_one(per_epsilon, phi, tree)
-    assert list(map(_row_bits, got)) == list(map(_row_bits, want))
+    _assert_table(epsilon_table(per_epsilon, phi, tree), per_epsilon, phi, tree)
     got = apriori_audit(per_epsilon, xi, gen, tree, beta)
     want = apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta)
     assert list(map(_row_bits, got.rows)) == list(map(_row_bits, want.rows))
     assert got.uniform_ok == want.uniform_ok
     assert _bits(got.median_constant) == _bits(want.median_constant)
-    got = yosida_audit(per_epsilon, phi, xi, gen, tree, beta)
-    want = yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta)
-    for rows in ("grad_rows", "value_rows", "gap_rows"):
-        assert list(map(_row_bits, getattr(got, rows))) == \
-            list(map(_row_bits, getattr(want, rows)))
-    assert got.uniform_ok == want.uniform_ok
+    _assert_yosida_rows(yosida_audit(per_epsilon, phi, xi, gen, tree, beta),
+                        per_epsilon, phi, xi, gen, tree, beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.5])
@@ -1169,9 +1195,12 @@ def _concatenations(monkeypatch, run):
         monkeypatch.undo()
 
 
+PASS_CASES = ["store", "deep_store", "staggered", "hand_built", "reversed", "one_entry",
+              "bm_dim_2", "m_2"]
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.5])
-@pytest.mark.parametrize("case", ["store", "deep_store", "staggered", "hand_built", "reversed",
-                                  "one_entry", "bm_dim_2", "m_2"])
+@pytest.mark.parametrize("case", PASS_CASES)
 def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, beta):
     per_eps, phi, xi, gen, tree = _pass_case(case)
     sweeps = {s.diagnostics.iterations_used for _, s in per_eps}
@@ -1181,18 +1210,13 @@ def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, 
     # a run of one block is read without a copy, and no copy holds more than 2^13 rows
     assert all(len(runs) > 1 and sum(runs) <= 2 ** 13 for runs in joined)
     assert bool(joined) == (case != "one_entry")
-    assert list(map(_row_bits, table)) == \
-        list(map(_row_bits, epsilon_table_one_by_one(per_eps, phi, tree)))
+    _assert_table(table, per_eps, phi, tree)
     assert (table == []) == (case == "one_entry")
     want = apriori_audit_one_by_one(per_eps, xi, gen, tree, beta)
     assert list(map(_row_bits, apriori.rows)) == list(map(_row_bits, want.rows))
     assert (apriori.uniform_ok, _bits(apriori.median_constant)) == \
         (want.uniform_ok, _bits(want.median_constant))
-    want = yosida_audit_one_by_one(per_eps, phi, xi, gen, tree, beta)
-    for rows in ("grad_rows", "value_rows", "gap_rows"):
-        assert list(map(_row_bits, getattr(yosida, rows))) == \
-            list(map(_row_bits, getattr(want, rows)))
-    assert yosida.uniform_ok == want.uniform_ok
+    _assert_yosida_rows(yosida, per_eps, phi, xi, gen, tree, beta)
 
 
 def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
@@ -1203,8 +1227,7 @@ def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
     table, joined = _concatenations(monkeypatch,
                                     lambda: epsilon_table(res.per_epsilon, phi, tree))
     assert all(len(runs) > 1 for runs in joined) and max(map(sum, joined)) == 2 ** 13
-    assert list(map(_row_bits, table)) == \
-        list(map(_row_bits, epsilon_table_one_by_one(res.per_epsilon, phi, tree)))
+    _assert_table(table, res.per_epsilon, phi, tree)
 
 
 def test_schedule_audits_pass_holds_at_most_9_leaf_levels():
@@ -1221,6 +1244,94 @@ def test_schedule_audits_pass_holds_at_most_9_leaf_levels():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * leaf_level
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _u_case(case):
+    """(per_epsilon, phi) of a SCHEDULE_CASES case, a `_pass_case` or the
+    schedule of a shipped config's problem (its hard gate off)."""
+    kind, name = case.split(":")
+    if kind == "schedule":
+        tree, xi, gen, phi, res = _solved(name)
+        return res.per_epsilon, phi
+    if kind == "pass":
+        per_eps, phi, *_ = _pass_case(name)
+        return per_eps, phi
+    doc = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8"))
+    doc.get("solver", {}).pop("hard_gate", None)
+    cfg = config_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the delayed configs fail the gate
+        return solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config).per_epsilon, \
+            cfg.phi
+
+
+@pytest.mark.parametrize("case", [f"schedule:{c}" for c in sorted(SCHEDULE_CASES)]
+                         + [f"pass:{c}" for c in PASS_CASES]
+                         + [f"config:{p.stem}" for p in sorted(CONFIGS.glob("*.yaml"))])
+def test_u_is_the_yosida_gradient_at_y_to_rounding(case):
+    # the audit pass reads U as grad phi_eps(Y) = (Y - J_eps Y) / eps: here
+    # the prox recomputes it, and each entry must lie within 64 ulps of
+    # |Y| / eps + |U| (a U scaled by 1 + 1e-8 breaks this wherever U is not 0)
+    per_eps, phi = _u_case(case)
+    for eps, sol in per_eps:
+        assert sol.epsilon == eps
+        for y, u in zip(sol.Y.values, sol.U.values):
+            grad = (y - convex.prox(phi, eps, y)) / eps
+            tol = 64 * np.finfo(float).eps * (np.abs(y) / eps + np.abs(u))
+            assert np.all(np.abs(u - grad) <= tol), float(np.max(np.abs(u - grad) - tol))
+
+
+def test_schedule_audits_refuse_an_entry_not_penalized_at_its_epsilon():
+    # U is grad phi_eps(Y) only at the eps the solve penalized with, which
+    # must be positive: another eps, a prox-step solution (no eps) and a
+    # solution claiming eps = 0 are each refused, naming the entry's eps
+    tree, xi, gen, phi, res = _solved("quadratic")
+    (eps, sol), rest = res.per_epsilon[0], res.per_epsilon[1:]
+    prox_step = prox_step_solve(tree, xi, gen, phi)
+    zero = solver_mod.Solution(sol.Y, sol.Z, sol.U, sol.diagnostics, 0.0)
+    for entry in ((eps / 3, sol), (eps, prox_step), (0.0, zero)):
+        for audit in (lambda s: epsilon_table(s, phi, tree),
+                      lambda s: apriori_audit(s, xi, gen, tree),
+                      lambda s: yosida_audit(s, phi, xi, gen, tree)):
+            for schedule in ([entry] + rest, rest + [entry]):
+                with pytest.raises(ValueError, match=f"^eps = {entry[0]!r} must be positive and "
+                                   f"its solution's epsilon, not {entry[1].epsilon!r}$"):
+                    audit(schedule)
+
+
+@pytest.mark.parametrize("penalty", ["box", "quadratic"])
+def test_schedule_audits_prox_xi_per_solution_but_once_for_a_shared_indicator_xi(
+        monkeypatch, penalty):
+    # xi has no U: separate solves (one xi array each) and a non-indicator
+    # penalty (J_eps of xi differs with eps) take one prox of xi per solution
+    # (at n = 11, one per level-n run); an indicator's batch, sharing one xi,
+    # one in all; no prox runs below level n.  Only the data bound M_2
+    # evaluates an indicator's phi.
+    tree, xi, gen, phi = box_linear_problem(11)
+    phi = phi if penalty == "box" else convex.Quadratic(2.0)
+    leaf = tree.level_size(11)
+    batch = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    separate = solve_one_per_epsilon(tree, xi, gen, phi).per_epsilon
+    assert all(s.Y.values[11] is batch[0][1].Y.values[11] for _, s in batch)
+    assert len({id(s.Y.values[11]) for _, s in separate}) == len(separate) == 11
+    calls, results = {"prox": [], "value": []}, []
+    for name in calls:
+        real = getattr(type(phi), name)
+        monkeypatch.setattr(type(phi), name, lambda self, *a, real=real, name=name: (
+            calls[name].append(np.shape(a[-1])), real(self, *a))[1])
+    for per_eps in (batch, separate):
+        for part in calls.values():
+            part.clear()
+        results.append(bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree))
+        leaf_calls = sum(math.prod(shape[:-1]) >= leaf for shape in calls["prox"])
+        assert leaf_calls == (1 if penalty == "box" and per_eps is batch else 11)
+        assert len(calls["prox"]) == leaf_calls  # no prox below level n
+        assert (len(calls["value"]) == 1) == (penalty == "box")
+    monkeypatch.undo()
+    assert repr(results[0]) == repr(results[1])  # the same solutions, bitwise
 
 
 # ---------------------------------------------------------------------------
