@@ -12,9 +12,9 @@ time through `generators.level_drift`, reading the past-Z rows a frozen spec kee
 (`generators.past_z_rows`).  The epsilon table and the a priori and Yosida audits are one
 depth-first pass over the schedule's levels (`schedule_audits`) in runs of at most one
 leaf level: block e of level i is solution e's rows, a run of one block its own array and
-a longer run a copy of its blocks.  Below level n the pass reads each solve's U, which
-`convex.resolvent` formed as grad phi_eps at the Y it returned, so J_eps(Y) = Y - eps U;
-level n (xi) takes a prox.  The residual audit recomputes (Y - J_eps Y) / eps itself.
+a longer run a copy of its blocks.  Below level n it reads |grad phi_eps(Y)|^2 as |U|^2
+and |Y - J_eps Y|^2 as eps^2 |U|^2: `convex.resolvent` formed U as grad phi_eps at the Y
+it returned.  phi(J_eps Y) (0 for an indicator) and level n (xi, no U) take a prox.
 """
 
 import math
@@ -64,18 +64,19 @@ def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
 
 
 def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: float, parts):
-    """The epsilons and each solution's sums for the audits in ``parts``, in the
-    order `schedule_audits` unpacks, from one depth-first pass over the levels
-    that holds only the running maxes of two S^2 statistics going down, in runs
-    whose maxes fill one leaf level together, |grad phi_eps(Y)|^2 read as |U|^2.
-    The runs fill a table of node sums; its means are added up after the descent."""
-    if not per_epsilon or (bad := [(e, s.epsilon) for e, s in per_epsilon
-                               if not (e > 0 and s.epsilon == e)]):  # the epsilons, once
-        raise ValueError("eps = %r must be positive and its solution's epsilon, not %r" % bad[0]
-                         if per_epsilon else "the audits need a schedule: per_epsilon is empty")
+    """The epsilons and each solution's sums for the audits in ``parts``, in the order
+    `schedule_audits` unpacks, from one depth-first pass over the levels that holds only the
+    running maxes of two S^2 statistics going down, in runs whose maxes fill one leaf level
+    together.  U is read as grad phi_eps(Y), so the table and the Yosida audit refuse an
+    entry solved at another eps.  The runs' node sums are added up after the descent."""
+    if not per_epsilon:
+        raise ValueError("the audits need a schedule: per_epsilon is empty")
+    table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
+    bad = [(e, s.epsilon) for e, s in per_epsilon if not (e > 0 and s.epsilon == e)]
+    if bad and (table or yosida):  # U is grad phi_eps(Y) only at the eps it was solved at
+        raise ValueError("eps = %r must be positive and its solution's epsilon, not %r" % bad[0])
     weights, (epsilons, sols) = tree.grid.weights(beta), tuple(zip(*per_epsilon))
     dt, n, count = tree.grid.dt, tree.grid.n_steps, len(sols)
-    table, apriori, yosida = ("table" in parts, "apriori" in parts, "yosida" in parts)
     ys, zs, us = (list(zip(*(getattr(s, k).values for s in sols))) for k in "YZU")  # by level
     # leaf sums of the S^2 running maxes (a priori Y, table dY) and (statistic, level,
     # solution) sums of |Z|^2, |dZ|^2, |U|^2, phi(J Y) and |Y - J Y|^2 (at level n)
@@ -112,11 +113,11 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
             if z_run:
                 sums[1, i, lo:hd] = node_sums(row_sq_norms(
                     rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)), size)
-        if i < n and (table or yosida):  # |U|^2, and phi at J Y = Y - eps U
-            sums[2, i, lo:hi] = node_sums(row_sq_norms(u := rows(us[i], lo, hi)), size)
-            if not phi.indicator:
-                eu = np.array(epsilons[lo:hi])[:, None, None] * u.reshape(hi - lo, size, -1)
-                sums[3, i, lo:hi] = node_sums(phi.value(y.reshape(eu.shape) - eu), size)
+        if i < n and (table or yosida):  # |U|^2; phi(J Y) is 0 for an indicator
+            sums[2, i, lo:hi] = node_sums(row_sq_norms(rows(us[i], lo, hi)), size)
+            if not phi.indicator:  # at the prox: Y - eps U may leave phi's domain by an ulp
+                j = phi.prox(np.array(epsilons[lo:hi])[:, None, None], y.reshape(hi - lo, size, -1))
+                sums[3, i, lo:hi] = node_sums(phi.value(j), size)
         return maxes
 
     def descend(i, lo, hi, parents):
@@ -128,11 +129,12 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
                 descend(i + 1, a, c, maxes)
 
     descend(0, 0, count, [None, None])
-    once = yosida and phi.indicator and all(x is ys[n][0] for x in ys[n])  # xi has no U: one
-    for e in range(yosida * (1 if once else count)):  # prox per solution, or per indicator's xi
-        j, cols = phi.prox(epsilons[e], ys[n][e]), slice(None) if once else e
-        sums[3, n, cols] = 0.0 if phi.indicator else np.add.reduce(phi.value(j))
-        sums[4, n, cols] = np.add.reduce(row_sq_norms(j := ys[n][e] - j))  # J_eps(xi) freed
+    if yosida:  # level n: xi has no U, so one prox per solution
+        for e, xi in enumerate(ys[n]):
+            j = phi.prox(epsilons[e], xi)
+            sums[3, n, e] = 0.0 if phi.indicator else np.add.reduce(phi.value(j))
+            j = xi - j  # now the gap: J_eps(xi) is freed before the squared gap is formed
+            sums[4, n, e] = np.add.reduce(row_sq_norms(j))
     sums /= np.array([[tree.level_size(i)] for i in range(n + 1)], dtype=float)  # as np.mean
     sums[4, :n] = sums[2, :n] * np.array([e ** 2 for e in epsilons])  # eps^2 |U|^2
     # dt e^{bt}|Z|^2, dt|dZ|^2, dt|U|^2, dt phi, dt e^{bt}|U|^2, dt e^{bt} phi
@@ -245,10 +247,9 @@ def apriori_audit(per_epsilon, xi, gen: GeneratorSpec, tree: ScenarioTree,
 
 def yosida_audit(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
                  tree: ScenarioTree, beta: float = 0.0) -> YosidaAudit:
-    """Boundedness of the penalty gradient along the schedule, read from each
-    solve's U, which is grad phi_eps(Y^eps) by construction (J_eps(Y) = Y - eps U,
-    see the module docstring).  The verdict asks the (a) and (c) constants to
-    stay within 4x of their medians; (b) must stay finite."""
+    """Boundedness of the penalty gradient along the schedule, read from each solve's U, which
+    is grad phi_eps(Y^eps) as built (module docstring).  The verdict asks the (a) and (c)
+    constants to stay within 4x of their medians; (b) must stay finite."""
     return schedule_audits(per_epsilon, phi, xi, gen, tree, beta, ("yosida",)).yosida
 
 

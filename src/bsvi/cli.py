@@ -77,8 +77,7 @@ def _build(spec, where: str, build, *args):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
-    unknown = [k for k in spec if k not in read]
-    if unknown:
+    if unknown := [k for k in spec if k not in read]:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {label}")
     return value
 

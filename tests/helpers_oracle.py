@@ -12,9 +12,9 @@ pass that reads no frozen row; the children's mean and Z projection as one
 numpy sum and einsum, used to cross-check `lattice.level_moments`; the
 S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
 solution at a time, used to cross-check their one pass over the schedule in
-`analysis`, with the origin mass of the drift evaluated level by level: the
-penalty terms of the table and the Yosida audit twice, read from each
-solution's U as the pass reads them (bitwise) and recomputed through the prox
+`analysis`, with the origin mass of the drift evaluated level by level and
+the penalty terms of the table and the Yosida audit either read from each
+solution's U as the pass reads them (bitwise) or recomputed through the prox
 (to rounding);
 the subdifferential probes deduplicated by a pairwise
 np.array_equal scan, used to cross-check `analysis.default_subdiff_probes`;
@@ -193,54 +193,39 @@ def solve_one_per_epsilon(tree, xi, gen, phi, config=None):
     report = solver._check_gate(tree, xi, gen, config, phi)
     per_eps = [(eps, solver._picard_batch(tree, xi, gen, config, phi, (eps,), report)[0])
                for eps in config.epsilon_schedule]
-    return SimpleNamespace(solution=per_eps[-1][1],
-                           epsilon_table=epsilon_table_from_u(per_eps, phi, tree),
-                           per_epsilon=per_eps)
+    table = epsilon_table_one_by_one(per_eps, phi, tree, penalty_terms_from_u)
+    return SimpleNamespace(solution=per_eps[-1][1], epsilon_table=table, per_epsilon=per_eps)
 
 
-def epsilon_table_one_by_one(per_eps, phi, tree):
+def penalty_terms_by_prox(phi, eps, y, u=None):
+    """Level means of (|grad phi_eps(Y)|^2, |Y - J_eps Y|^2, phi(J_eps Y)), all
+    recomputed through one prox call; ``u`` is not read."""
+    j = convex.prox(phi, eps, y)
+    gap = float(np.mean(np.sum((y - j) ** 2, axis=-1)))
+    return gap / eps ** 2, gap, float(np.mean(np.atleast_1d(phi.value(j))))
+
+
+def penalty_terms_from_u(phi, eps, y, u):
+    """`penalty_terms_by_prox` with the level's U read as the audit pass reads
+    it: |U|^2 and eps^2 |U|^2; phi(J_eps Y) still at the prox."""
+    u_sq = float(np.mean(np.sum(u ** 2, axis=-1)))
+    return u_sq, eps ** 2 * u_sq, penalty_terms_by_prox(phi, eps, y)[2]
+
+
+def epsilon_table_one_by_one(per_eps, phi, tree, terms=penalty_terms_by_prox):
     """`analysis.epsilon_table` as a loop over consecutive pairs, with a
-    difference process per pair and two prox calls per level."""
+    difference process per pair and the penalty terms of each level below n
+    from ``terms(phi, eps, y, u)``."""
     dt = tree.grid.dt
     table = []
     for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
         dy = math.sqrt(path_norms_one_by_one(sol_a.Y - sol_b.Y, tree)[0])
         dz = math.sqrt(path_norms_one_by_one(sol_a.Z - sol_b.Z, tree)[1])
-        # the Yosida gradient (y - J_eps y) / eps of a whole level (yosida_triple
-        # takes one point: its envelope is a scalar)
-        grad_sq = sum(dt * float(np.mean(np.sum(
-            ((y - convex.prox(phi, eps_a, y)) / eps_a) ** 2, axis=-1)))
-            for y in sol_a.Y.values[:-1])
-        phi_res = sum(dt * float(np.mean(np.atleast_1d(
-            phi.value(convex.prox(phi, eps_a, y)))))
-            for y in sol_a.Y.values[:-1])
+        levels = [terms(phi, eps_a, y, u) for y, u in zip(sol_a.Y.values, sol_a.U.values)]
         table.append(EpsilonTableRow(
             epsilon=eps_a, epsilon_next=eps_b, dy_s2=dy, dz_h2=dz,
-            grad_h2_sq=grad_sq, phi_resolvent_h1=phi_res))
-    return table
-
-
-def phi_at_resolvent_from_u(phi, eps, y, u):
-    """phi(J_eps Y) of one level whose U is grad phi_eps(Y): at Y - eps U, or,
-    for an indicator, at the projection of Y, which J_eps is for every eps."""
-    return phi.value(convex.prox(phi, eps, y) if phi.indicator else y - eps * u)
-
-
-def epsilon_table_from_u(per_eps, phi, tree):
-    """`epsilon_table_one_by_one` with the first solution's U read level by
-    level: |grad phi_eps(Y)|^2 as |U|^2 and phi(J_eps Y) as
-    `phi_at_resolvent_from_u`."""
-    dt = tree.grid.dt
-    table = []
-    for (eps_a, sol_a), (eps_b, sol_b) in zip(per_eps, per_eps[1:]):
-        dy = math.sqrt(path_norms_one_by_one(sol_a.Y - sol_b.Y, tree)[0])
-        dz = math.sqrt(path_norms_one_by_one(sol_a.Z - sol_b.Z, tree)[1])
-        grad_sq = sum(dt * float(np.mean(np.sum(u ** 2, axis=-1))) for u in sol_a.U.values)
-        phi_res = sum(dt * float(np.mean(np.atleast_1d(phi_at_resolvent_from_u(phi, eps_a, y, u))))
-                      for y, u in zip(sol_a.Y.values, sol_a.U.values))
-        table.append(EpsilonTableRow(
-            epsilon=eps_a, epsilon_next=eps_b, dy_s2=dy, dz_h2=dz,
-            grad_h2_sq=grad_sq, phi_resolvent_h1=phi_res))
+            grad_h2_sq=sum(dt * grad for grad, _, _ in levels),
+            phi_resolvent_h1=sum(dt * phi_j for _, _, phi_j in levels)))
     return table
 
 
@@ -292,46 +277,12 @@ def apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta=0.0):
                         median_constant=float(statistics.median(consts)))
 
 
-def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0):
+def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0,
+                            terms=penalty_terms_by_prox):
     """`analysis.yosida_audit` as a loop over the schedule and its levels, one
-    solution and one prox call at a time."""
-    dt, n = tree.grid.dt, tree.grid.n_steps
-    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-    m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
-        + origin_drift_mass_per_level(gen, tree, xi.shape[1])
-    grad_rows, value_rows, gap_rows = [], [], []
-    for eps, sol in per_epsilon:
-        grad_h2 = phi_sup = phi_int = gap_sup = 0.0
-        for i, y in enumerate(sol.Y.values):
-            w = math.exp(beta * i * dt)
-            j = convex.prox(phi, eps, y)
-            gap = np.sum((y - j) ** 2, axis=-1)
-            gap_sup = max(gap_sup, w * float(np.mean(gap)))
-            phi_j = np.atleast_1d(phi.value(j))
-            phi_sup = max(phi_sup, w * float(np.mean(phi_j)))
-            if i < n:
-                grad_h2 += dt * w * float(np.mean(gap)) / eps ** 2
-                phi_int += dt * w * float(np.mean(phi_j))
-        denom = m2 if m2 > 0 else 1.0
-        grad_rows.append(BoundAudit(grad_h2, m2, grad_h2 / denom,
-                                    f"yosida-grad eps={eps:g}"))
-        value_rows.append(BoundAudit(phi_sup + phi_int, m2,
-                                     (phi_sup + phi_int) / denom,
-                                     f"yosida-phi eps={eps:g}"))
-        gap_rows.append(BoundAudit(gap_sup, eps * m2, gap_sup / (eps * denom),
-                                   f"yosida-gap eps={eps:g}"))
-    ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
-          and all(np.isfinite(r.lhs) for r in value_rows)
-          and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
-    return YosidaAudit(grad_rows=tuple(grad_rows), value_rows=tuple(value_rows),
-                       gap_rows=tuple(gap_rows), uniform_ok=ok)
-
-
-def yosida_audit_from_u(per_epsilon, phi, xi, gen, tree, beta=0.0):
-    """`yosida_audit_one_by_one` with each solution's U read level by level
-    below level n: |grad phi_eps(Y)|^2 as |U|^2, |Y - J_eps Y|^2 as
-    eps^2 |U|^2 and phi(J_eps Y) as `phi_at_resolvent_from_u`; level n (xi,
-    which has no U) through one prox call."""
+    solution at a time, with the penalty terms of each level below n from
+    ``terms(phi, eps, y, u)`` and those of level n (xi, which has no U)
+    through the prox."""
     dt, n = tree.grid.dt, tree.grid.n_steps
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     m2 = float(np.mean(np.sum(xi ** 2, axis=1) + np.atleast_1d(phi.value(xi)))) \
@@ -342,18 +293,13 @@ def yosida_audit_from_u(per_epsilon, phi, xi, gen, tree, beta=0.0):
         for i, y in enumerate(sol.Y.values):
             w = math.exp(beta * i * dt)
             if i < n:
-                u = sol.U.values[i]
-                u_sq = float(np.mean(np.sum(u ** 2, axis=-1)))
-                gap, phi_j = eps ** 2 * u_sq, phi_at_resolvent_from_u(phi, eps, y, u)
-                grad_h2 += dt * w * u_sq
+                grad, gap, phi_mean = terms(phi, eps, y, sol.U.values[i])
+                grad_h2 += dt * w * grad
+                phi_int += dt * w * phi_mean
             else:
-                j = convex.prox(phi, eps, y)
-                gap, phi_j = float(np.mean(np.sum((y - j) ** 2, axis=-1))), phi.value(j)
-            phi_mean = float(np.mean(np.atleast_1d(phi_j)))
+                _, gap, phi_mean = penalty_terms_by_prox(phi, eps, y)
             gap_sup = max(gap_sup, w * gap)
             phi_sup = max(phi_sup, w * phi_mean)
-            if i < n:
-                phi_int += dt * w * phi_mean
         denom = m2 if m2 > 0 else 1.0
         grad_rows.append(BoundAudit(grad_h2, m2, grad_h2 / denom,
                                     f"yosida-grad eps={eps:g}"))

@@ -2,7 +2,8 @@
 
 Each builder returns (tree, xi, gen, phi) like `bsvi.problems.box_linear_problem`,
 which stays in the package for the benchmark's library workload.
-`ElasticPenalty` is a user penalty written against `convex.ConvexFunction`.
+`ElasticPenalty` and `BoxedQuadratic` are user penalties written against
+`convex.ConvexFunction`.
 """
 
 import numpy as np
@@ -60,3 +61,22 @@ class ElasticPenalty(convex.ConvexFunction):
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         self._check_dim(arr)
         return np.copysign(np.maximum(np.abs(arr) - 0.5 * epsilon, 0.0), arr) / (1.0 + epsilon)
+
+
+class BoxedQuadratic(convex.ConvexFunction):
+    """phi(y) = y^2/2000 on [-1, 1] and +inf outside, a user penalty with a
+    restricted domain that keeps the base class's ``indicator = False``; its
+    closed-form prox shrinks by 1 + eps/1000 and clips to the box."""
+
+    m = 1
+
+    def value(self, y):
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        self._check_dim(arr)
+        inside = np.all(np.abs(arr) <= 1.0, axis=-1)
+        return np.where(inside, np.sum(arr * arr, axis=-1) / 2000.0, np.inf)
+
+    def prox(self, epsilon, y):
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        self._check_dim(arr)
+        return (arr / (1.0 + epsilon / 1000.0)).clip(-1.0, 1.0)

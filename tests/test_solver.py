@@ -14,7 +14,7 @@ from bsvi import convex, generators
 from bsvi import solver as solver_mod
 from bsvi.analysis import apriori_audit, epsilon_table, path_norm, yosida_audit
 from bsvi.cli import config_from_dict
-from bsvi.lattice import level_moments, row_sq_norms
+from bsvi.lattice import AdaptedProcess, level_moments, row_sq_norms
 from bsvi.problems import (
     box_linear_problem,
     terminal_clipped_linear,
@@ -32,7 +32,8 @@ from bsvi.solver import (
     resolve_beta,
     solve_bsvi,
 )
-from helpers_problems import ElasticPenalty, delayed_box_problem, quadratic_problem
+from helpers_problems import (BoxedQuadratic, ElasticPenalty, delayed_box_problem,
+                              quadratic_problem)
 
 # the pure z-delay fixtures have L = 0 with K > 0, which the gate flags
 pytestmark = pytest.mark.filterwarnings("ignore:well-posedness gate failed")
@@ -800,9 +801,9 @@ def test_custom_drift_under_declaring_its_delay_still_sweeps(monkeypatch):
 # (see helpers_oracle.py)
 # ---------------------------------------------------------------------------
 
-from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_from_u,
-                            epsilon_table_one_by_one, origin_drift_mass_per_level,
-                            path_norms_one_by_one, yosida_audit_from_u, yosida_audit_one_by_one)
+from helpers_oracle import (apriori_audit_one_by_one, epsilon_table_one_by_one,
+                            origin_drift_mass_per_level, path_norms_one_by_one,
+                            penalty_terms_from_u, yosida_audit_one_by_one)
 
 
 def _solved(case):
@@ -832,7 +833,7 @@ def _rows_close(got, want) -> bool:
 def _assert_yosida_rows(got, per_epsilon, phi, xi, gen, tree, beta):
     """The Yosida audit bitwise against the U-reading oracle, and within the
     golden files' rule of the prox-recomputing one."""
-    want = yosida_audit_from_u(per_epsilon, phi, xi, gen, tree, beta)
+    want = yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta, penalty_terms_from_u)
     ref = yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta)
     for rows in ("grad_rows", "value_rows", "gap_rows"):
         assert list(map(_row_bits, getattr(got, rows))) == \
@@ -845,7 +846,8 @@ def _assert_table(got, per_epsilon, phi, tree):
     """The epsilon table bitwise against the U-reading oracle, and within the
     golden files' rule of the prox-recomputing one."""
     assert list(map(_row_bits, got)) == \
-        list(map(_row_bits, epsilon_table_from_u(per_epsilon, phi, tree)))
+        list(map(_row_bits, epsilon_table_one_by_one(per_epsilon, phi, tree,
+                                                      penalty_terms_from_u)))
     assert _rows_close(got, epsilon_table_one_by_one(per_epsilon, phi, tree))
 
 
@@ -1285,31 +1287,32 @@ def test_u_is_the_yosida_gradient_at_y_to_rounding(case):
 
 
 def test_schedule_audits_refuse_an_entry_not_penalized_at_its_epsilon():
-    # U is grad phi_eps(Y) only at the eps the solve penalized with, which
-    # must be positive: another eps, a prox-step solution (no eps) and a
-    # solution claiming eps = 0 are each refused, naming the entry's eps
+    # the table and the Yosida audit read U as grad phi_eps(Y), which it is only
+    # at the eps the solve penalized with, which must be positive: another eps,
+    # a prox-step solution (no eps) and a solution claiming eps = 0 are each
+    # refused, naming the entry's eps; the a priori audit reads no U and takes them
     tree, xi, gen, phi, res = _solved("quadratic")
     (eps, sol), rest = res.per_epsilon[0], res.per_epsilon[1:]
     prox_step = prox_step_solve(tree, xi, gen, phi)
     zero = solver_mod.Solution(sol.Y, sol.Z, sol.U, sol.diagnostics, 0.0)
     for entry in ((eps / 3, sol), (eps, prox_step), (0.0, zero)):
-        for audit in (lambda s: epsilon_table(s, phi, tree),
-                      lambda s: apriori_audit(s, xi, gen, tree),
-                      lambda s: yosida_audit(s, phi, xi, gen, tree)):
-            for schedule in ([entry] + rest, rest + [entry]):
+        for schedule in ([entry] + rest, rest + [entry]):
+            for audit in (lambda s: epsilon_table(s, phi, tree),
+                          lambda s: yosida_audit(s, phi, xi, gen, tree)):
                 with pytest.raises(ValueError, match=f"^eps = {entry[0]!r} must be positive and "
                                    f"its solution's epsilon, not {entry[1].epsilon!r}$"):
                     audit(schedule)
+            got = apriori_audit(schedule, xi, gen, tree)
+            want = apriori_audit_one_by_one(schedule, xi, gen, tree)
+            assert list(map(_row_bits, got.rows)) == list(map(_row_bits, want.rows))
 
 
 @pytest.mark.parametrize("penalty", ["box", "quadratic"])
-def test_schedule_audits_prox_xi_per_solution_but_once_for_a_shared_indicator_xi(
-        monkeypatch, penalty):
-    # xi has no U: separate solves (one xi array each) and a non-indicator
-    # penalty (J_eps of xi differs with eps) take one prox of xi per solution
-    # (at n = 11, one per level-n run); an indicator's batch, sharing one xi,
-    # one in all; no prox runs below level n.  Only the data bound M_2
-    # evaluates an indicator's phi.
+def test_schedule_audits_prox_xi_once_per_solution(monkeypatch, penalty):
+    # xi has no U: a batch (sharing one xi array) and separate solves (one xi
+    # array each) both take one prox of xi per solution at level n; below it
+    # only a non-indicator penalty takes a prox, for phi(J_eps Y).  Only the
+    # data bound M_2 evaluates an indicator's phi.
     tree, xi, gen, phi = box_linear_problem(11)
     phi = phi if penalty == "box" else convex.Quadratic(2.0)
     leaf = tree.level_size(11)
@@ -1326,12 +1329,38 @@ def test_schedule_audits_prox_xi_per_solution_but_once_for_a_shared_indicator_xi
         for part in calls.values():
             part.clear()
         results.append(bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree))
-        leaf_calls = sum(math.prod(shape[:-1]) >= leaf for shape in calls["prox"])
-        assert leaf_calls == (1 if penalty == "box" and per_eps is batch else 11)
-        assert len(calls["prox"]) == leaf_calls  # no prox below level n
+        assert calls["prox"][-11:] == [xi.shape] * 11  # level n, one solution after another
+        below = calls["prox"][:-11]
+        assert (below == []) == (penalty == "box")
+        assert all(math.prod(shape[:-1]) < leaf * len(per_eps) for shape in below)
         assert (len(calls["value"]) == 1) == (penalty == "box")
     monkeypatch.undo()
     assert repr(results[0]) == repr(results[1])  # the same solutions, bitwise
+
+
+def test_schedule_audits_take_phi_at_the_prox_where_y_minus_eps_u_leaves_its_domain():
+    # a penalized step sets U = (x - j) / (eps + dt) and Y = x - dt U with
+    # j = J_{eps+dt}(x): for j on the boundary of dom phi, Y - eps U is j only
+    # to rounding and leaves the domain in some rows, where phi is +inf.  A
+    # user penalty need not declare itself an indicator, so the audits take
+    # phi(J_eps Y) at the prox, inside the domain.  The schedule is hand-built
+    # from that step on rows spread over [-2, 2], with a solve's Z and xi.
+    tree, xi, gen, _ = box_linear_problem(6)
+    phi, n, schedule = BoxedQuadratic(), 6, [0.1, 0.01, 0.001]
+    base = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=schedule)).per_epsilon
+    per_eps, outside = [], []
+    for eps, sol in base:
+        steps = [convex.resolvent(phi, eps, tree.grid.dt)(
+            np.linspace(-2.0, 2.0, tree.level_size(i))[:, None]) for i in range(n)]
+        outside.append(sum(int(np.sum(np.isinf(phi.value(y - eps * u)))) for y, u in steps))
+        ys = AdaptedProcess(tree, [y for y, _ in steps] + [sol.Y.values[n]])
+        us = AdaptedProcess(tree, [u for _, u in steps])
+        per_eps.append((eps, solver_mod.Solution(ys, sol.Z, us, sol.diagnostics, eps)))
+    assert all(outside), outside
+    _assert_schedule_audits_match(per_eps, phi, xi, gen, tree)
+    table, _, yosida = bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree)
+    assert all(math.isfinite(row.phi_resolvent_h1) for row in table)
+    assert all(math.isfinite(row.lhs) for row in yosida.value_rows)
 
 
 # ---------------------------------------------------------------------------
