@@ -368,7 +368,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     subdifferential: worst probe violation of the pair (point, U_i), the point
     being J_eps(Y_i) for penalized runs and Y_i itself for prox runs, every
     level's pairs checked in one batch.
-    phi integrability: E sum dt phi at those points (finite for admissible runs).
+    phi integrability: E sum dt phi there (finite if admissible; an indicator's 0.0, uncalled).
     """
     dt, n = tree.grid.dt, tree.grid.n_steps
     probes = default_subdiff_probes(phi, xi)
@@ -384,7 +384,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         grad /= solution.epsilon
     else:
         point, grad = y_val, np.concatenate(solution.U.values)
-    phi_at, eq_res, phi_mass = phi.value(point), 0.0, 0.0
+    phi_at, eq_res, phi_mass = None if phi.indicator else phi.value(point), 0.0, 0.0
     for i in range(n - 1, -1, -1):
         expect, z_here = level_moments(tree, solution.Y.values[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
@@ -394,6 +394,6 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))
         size = tree.level_size(i)
         lo = (size - 1) // (tree.branching - 1)  # the rows above level i
-        phi_mass += dt * float(np.sum(phi_at[lo:lo + size])) / size
+        phi_mass += 0.0 if phi_at is None else dt * float(np.sum(phi_at[lo:lo + size])) / size
     return ResidualReport(equation_residual=eq_res, phi_integrability=phi_mass,
                           subdiff_residual=subgradient_check(phi, point, grad, probes))

@@ -64,8 +64,8 @@ class IndicatorBox(ConvexFunction, Record, frozen=True, eq=False):
     def __init__(self, lo, hi):
         lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lo, hi))
         lo, hi = (b.copy() for b in np.broadcast_arrays(lo, hi))
-        if np.isnan(lo).any() or np.isnan(hi).any():  # +-inf bounds stay legal
-            raise ValueError("box bounds must not be NaN")
+        if lo.ndim > 1 or np.isnan(lo).any() or np.isnan(hi).any():  # +-inf bounds stay legal
+            raise ValueError(f"box bounds must be numbers or vectors, not NaN: {lo!r}, {hi!r}")
         if np.any(lo > hi):
             raise ValueError("box is empty: lo > hi")
         if np.any(lo > 0.0) or np.any(hi < 0.0):

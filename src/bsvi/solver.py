@@ -209,7 +209,7 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
     n, ``epsilons`` the (blocks, 1, 1) column of a penalized step, ``coeffs``
     a column-constant table's (`generators.prefix_coefficients`) and ``last``
-    level n - 1's `_leaf_moments` (without it, ``xi`` holds every block).  Returns
+    level n - 1's `level_moments` of a one-block ``xi`` (else ``xi`` holds every block).  Returns
     the levels and `_weighted_distance`'s (levels, blocks) tables of max |dY| and
     sum |dZ|^2 per block, a shared level's once for every block, each level reduced
     as it is made, from the frozen iterate or a ``zero_start``'s zeros (x - (+0.0) = x)."""
@@ -222,19 +222,17 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     for i in range(n, -1, -1):
         size = tree.level_size(i)
         if i < n:
-            expect, z_here, target = last if last and i == n - 1 else \
-                (*level_moments(tree, y_levels[i + 1]), None)
-            if target is None:  # shared moments are tiled for a callback; a built-in
-                # broadcasts one block's (1, size) rows against the frozen blocks
-                expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
-                    (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
-                    if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
-                # a new array: a custom drift may return an alias of its argument
-                target = (dt * level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
-                                           past_rows, prefix)).reshape(-1, size, m)
-                target += expect.reshape(-1, size, m)
+            expect, z_here = last if last and i == n - 1 else level_moments(tree, y_levels[i + 1])
+            # shared moments are tiled for a callback; a built-in broadcasts one
+            # block's (1, size) rows against the frozen blocks
+            expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
+                (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
+                if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
+            # a new array: a custom drift may return an alias of its argument
+            target = (dt * level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
+                                       past_rows, prefix)).reshape(-1, size, m)
+            target += expect.reshape(-1, size, m)
             if step is not None:
-                target = target.reshape(-1, size, m)
                 if len(target) < blocks:  # a shared target serves every block's epsilon
                     target = np.broadcast_to(target, (blocks, size, m))
                 y_levels[i], u_levels[i] = (a.reshape(-1, m) for a in step(target))
@@ -252,22 +250,6 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             sup[i] = np.abs(dy, out=None if zero_start else dy).reshape(-1, size * m).max(axis=1)
             del dy  # the next level is made without it
     return y_levels, z_levels, u_levels, (sup, h2)
-
-
-def _leaf_moments(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
-                  past_rows: tuple, free: bool) -> tuple:
-    """Level n - 1's (E, Z, target E + dt F) from one block's leaf level, Z and
-    the target read-only; the target only if ``free``: the drift there reads no
-    frozen row (a custom callback always may)."""
-    expect, z = level_moments(tree, xi)
-    z.flags.writeable = False
-    target = None
-    if free:
-        target = tree.grid.dt * level_drift(gen, tree, len(past_rows) - 1, expect, z,
-                                            None, None, past_rows)
-        target += expect
-        target.flags.writeable = False
-    return expect, z, target
 
 
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
@@ -324,7 +306,7 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     """Once-per-solve admission checks, in order: the terminal data lies in
     dom phi, the well-posedness gate, which warns or, under ``hard_gate``,
     raises `WellposednessError`, and for a `CustomGenerator` the probe audit
-    of its declared constants.  Warnings point at the caller of the solve."""
+    of its declared constants.  Warnings point at the caller of a public solve."""
     bad = np.flatnonzero(~np.isfinite(np.atleast_1d(phi.value(xi))))
     if bad.size:
         raise ValueError(
@@ -339,7 +321,7 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         if config.hard_gate:
             raise WellposednessError(msg, report)
         warnings.warn(msg + "; attempting anyway with divergence detection",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     if isinstance(gen, CustomGenerator):
         audit = lipschitz_probe_audit(gen, xi.shape[1], tree.bm_dim, horizon,
                                       tree.grid.n_steps)
@@ -347,7 +329,7 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         if not (audit["instant_slack"] <= 1e-8 and audit["delay_slack"] <= 1e-8):
             warnings.warn(
                 f"declared Lipschitz constants look too small: {audit}",
-                RuntimeWarning, stacklevel=3)
+                RuntimeWarning, stacklevel=4)
     return report
 
 
@@ -367,10 +349,15 @@ def picard_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     """
     if epsilon is not None and not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite: {epsilon!r}")
-    config = config or SolverConfig()
+    return _solve(tree, xi, gen, config or SolverConfig(), phi, (epsilon,))[0]
+
+
+def _solve(tree: ScenarioTree, xi, gen: GeneratorSpec, config: SolverConfig,
+           phi: ConvexFunction, epsilons: tuple) -> list:
+    """Every public solve's path: leaf values, `_check_gate`, `_picard_batch`."""
     xi = _as_leaf_values(tree, xi)
-    report = _check_gate(tree, xi, gen, config, phi)
-    return _picard_batch(tree, xi, gen, config, phi, (epsilon,), report)[0]
+    return _picard_batch(tree, xi, gen, config, phi, epsilons,
+                         _check_gate(tree, xi, gen, config, phi))
 
 
 def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
@@ -384,9 +371,8 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     coeffs = prefix_coefficients(gen, past_rows)
     # a pass that reads no frozen row gives the same sweep from any iterate, so
     # the confirmation sweep replays the first; a custom callback always sweeps
-    free = [not isinstance(gen, CustomGenerator) and all(row is None for row, _ in terms)
-            for terms in past_rows]  # per level: the drift there reads no frozen row
-    replay = all(free)
+    replay = not isinstance(gen, CustomGenerator) and all(
+        row is None for terms in past_rows for row, _ in terms)
     weights = _distance_weights(tree, report.beta)
     sizes = weights[-1]  # rows per block of every level
     diags = [PicardDiagnostics() for _ in epsilons]
@@ -394,7 +380,8 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     active = list(range(len(epsilons)))
     xi = xi.copy()  # one read-only leaf level for every block, apart from the caller's
     xi.flags.writeable = False
-    last = _leaf_moments(tree, xi, gen, past_rows, free[-1])
+    last = level_moments(tree, xi)  # level n - 1's (E, Z), xi's alone
+    last[1].flags.writeable = False
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
     for sweep in range(1, config.picard_max_iters + 1):
         blocks = len(active)
@@ -487,10 +474,8 @@ def solve_bsvi(tree: ScenarioTree, xi, gen: GeneratorSpec,
     schedule then runs as one batch (see the module docstring).
     """
     config = config or SolverConfig()
-    xi = _as_leaf_values(tree, xi)
-    report = _check_gate(tree, xi, gen, config, phi)
-    per_eps = list(zip(config.epsilon_schedule, _picard_batch(
-        tree, xi, gen, config, phi, config.epsilon_schedule, report)))
+    per_eps = list(zip(config.epsilon_schedule, _solve(
+        tree, xi, gen, config, phi, config.epsilon_schedule)))
     return BsviResult(per_eps[-1][1], per_eps, phi, tree)
 
 
@@ -503,4 +488,4 @@ def prox_step_solve(tree: ScenarioTree, xi, gen: GeneratorSpec,
     of the subdifferential at Y exactly, so Y stays in the domain of phi at
     every node.
     """
-    return picard_solve(tree, xi, gen, config, phi=phi)
+    return _solve(tree, xi, gen, config or SolverConfig(), phi, (None,))[0]

@@ -337,6 +337,40 @@ def test_residual_audit_sums_a_custom_past_term_by_term(monkeypatch):
     assert not calls
 
 
+class _UndeclaredBox(convex.IndicatorBox):
+    indicator = False  # the same box, its value evaluated as any penalty's
+
+
+@pytest.mark.parametrize("run", ["penalized", "prox"])
+def test_residual_audit_evaluates_an_indicator_once_on_its_points(run, monkeypatch):
+    # an indicator is 0 at every prox point: its mass is 0.0 without a value
+    # call on the J_eps(Y) rows, which only the domain check evaluates, and
+    # the report keeps the bits of the same box evaluated twice there
+    tree, xi, gen, phi = box_linear_problem(8)
+    sol = picard_solve(tree, xi, gen, phi=phi, epsilon=2.0 ** -4) if run == "penalized" \
+        else prox_step_solve(tree, xi, gen, phi)
+    rows, real = [], convex.IndicatorBox.value
+    monkeypatch.setattr(convex.IndicatorBox, "value",
+                        lambda self, y: rows.append(len(y)) or real(self, y))
+    calls = {}
+    for spec in (phi, _UndeclaredBox(phi.lo, phi.hi)):
+        rows.clear()
+        bits = _residual_bits(solution_residuals(sol, xi, gen, spec, tree))
+        calls[spec.indicator] = rows.count(2 ** 8 - 1), bits
+    assert calls[True][0] == 1 and calls[False][0] == 2
+    assert calls[True][1] == calls[False][1]
+    assert solution_residuals(sol, xi, gen, phi, tree).phi_integrability == 0.0
+
+
+def test_residual_audit_refuses_an_indicator_point_outside_its_domain():
+    # the mass no longer evaluates phi, but the domain check still does
+    tree, xi, gen, phi = box_linear_problem(4)
+    sol = prox_step_solve(tree, xi, gen, phi)
+    sol.Y.values[1] = np.full_like(sol.Y.values[1], 2.0)
+    with pytest.raises(ValueError, match="domain of phi"):
+        solution_residuals(sol, xi, gen, phi, tree)
+
+
 def test_default_probe_set_contains_corners_and_origin():
     tree, xi, gen, phi = box_linear_problem(3)
     probes = default_subdiff_probes(phi, xi)

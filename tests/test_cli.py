@@ -302,6 +302,15 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_box_bound_of_rank_three_is_a_config_error(tmp_path, capsys):
+    # it built, then raised a bare IndexError in IndicatorBox.value at solve time
+    doc = yaml.safe_load((CONFIGS / "indicator_box.yaml").read_text(encoding="utf-8"))
+    doc["phi"]["hi"] = [[[0.5]]]
+    assert main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and "section 'phi'" in error["message"]
+
+
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
     assert main([str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

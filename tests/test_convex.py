@@ -137,6 +137,13 @@ def test_box_normalization_enforced():
         Quadratic(-1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, [[[0.5]]]), ([[-1.0, -2.0]], 1.0)])
+def test_box_bounds_of_rank_above_one_are_refused(lo, hi):
+    # a (1, 1, 1) bound made value() index a (1, N) mask with two indices
+    with pytest.raises(ValueError, match="numbers or vectors"):
+        IndicatorBox(lo, hi)
+
+
 def test_only_the_indicator_penalties_say_so_and_no_caller_can_set_it():
     # the audit pass skips an indicator's value (0 on every prox output) and
     # takes the gap of a shared xi once (J_eps is one projection for every eps)

@@ -300,6 +300,31 @@ def test_solve_bsvi_checks_the_gate_once_per_schedule():
         solve_bsvi(tree, xi, gen, phi, SolverConfig(hard_gate=True))
 
 
+GATE_AND_PROBE = ("well-posedness gate failed", "declared Lipschitz constants look too small")
+
+
+@pytest.mark.parametrize("entry", ["picard_solve", "solve_bsvi", "prox_step_solve"])
+def test_admission_warnings_name_the_caller_of_each_public_solve(entry):
+    # L = 0 with K > 0 fails the gate, and the drift's slope 0.5 in y beats
+    # the declared L = 0: both warnings name this file, not a library line
+    tree = bsvi.lattice.build_tree(3, 1.0, 1)
+    xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
+    gen = generators.CustomGenerator(
+        fn=lambda t, y, z, past_y, past_z: 0.5 * y + 0.5 * past_z(-0.5)[..., 0],
+        declared_instant=0.0, declared_delay=0.5)
+    phi = convex.IndicatorBox(-1.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "picard_solve":
+            picard_solve(tree, xi, gen, phi=phi, epsilon=0.25)
+        elif entry == "solve_bsvi":
+            solve_bsvi(tree, xi, gen, phi)
+        else:
+            prox_step_solve(tree, xi, gen, phi)
+    assert {msg: w.filename for w in caught for msg in GATE_AND_PROBE
+            if msg in str(w.message)} == dict.fromkeys(GATE_AND_PROBE, __file__)
+
+
 def test_solve_bsvi_runs_the_probe_audit_once(monkeypatch):
     tree, xi, gen, phi = delayed_box_problem(3)
     audits = []
@@ -450,8 +475,7 @@ def test_weighted_distance_tables_give_the_per_level_folds_bits(blocks, n, m, bm
         old_y, old_z = _batch_levels(tree, blocks, m, rng)
         xi = old_y[n]
         xi[1] = -0.0
-        last = solver_mod._leaf_moments(
-            tree, xi, LAGGED_Z, generators.past_z_rows(LAGGED_Z, tree), False)
+        last = bsvi.lattice.level_moments(tree, xi)
         old_z[n - 1] = last[1]  # the shared levels, as the frozen iterate holds them
         old_y[1][0], old_z[2][-1] = -0.0, -0.0
 
