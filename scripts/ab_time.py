@@ -33,6 +33,15 @@ scales them) and ``peak_mb`` it prints each side's median and quartiles, the
 median over pairs of this / other and the number of pairs this side was
 lower in.  Separate processes do not share the allocator and cache state
 that bias in-process pairs.
+
+Every mode pins BLAS and OpenMP to one thread, as perfbench/run.py pins its
+workers: it sets each of run.py's ``THREAD_VARS`` to 1 in its own environment
+before numpy is imported, so the in-process copies and the fresh processes
+of ``--startup`` and ``--worker`` run with them.  Unpinned, a change that
+drops a matmul reads better than it is: the in-process ratio then counts
+OpenBLAS's thread pool, which the benchmark never starts (one such change
+read 0.906, lower in 56 of 60 pairs, unpinned and 0.960, lower in 43 of 60,
+pinned).
 """
 
 import argparse
@@ -98,10 +107,9 @@ def start_times(checkouts: dict, config: Path, pairs: int, tmp: Path) -> dict:
     return alternate(start, pairs)
 
 
-def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path, bench) -> dict:
+def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path) -> dict:
     """Each side's perfbench/worker.py records (see ``--worker``), alternated."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0",
-               **{var: "1" for var in bench.THREAD_VARS})
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")  # threads pinned
     for side, checkout in checkouts.items():
         for part in ("src/bsvi", "perfbench"):
             shutil.copytree(checkout / part, tmp / side / part,
@@ -161,6 +169,10 @@ def main(argv=None) -> int:
     if not (args.other / "src" / "bsvi").is_dir():
         parser.error(f"{args.other} holds no src/bsvi")
     bench = perfbench_module()
+    # before numpy's import (the in-process copies make it): OpenBLAS reads these once
+    if "numpy" in sys.modules:
+        raise SystemExit("numpy was imported before the thread variables were pinned")
+    os.environ.update(dict.fromkeys(bench.THREAD_VARS, "1"))
     n_steps = args.n_steps or bench.WORKLOADS[args.workload]["n_steps"]
     doc = bench.cli_config(args.workload, n_steps, bench.draw_params(0))
     checkouts = dict(zip(SIDES, (ROOT, args.other.resolve())))
@@ -172,7 +184,7 @@ def main(argv=None) -> int:
             if n_steps != inputs["n_steps"]:  # another tree size: no reference outputs
                 Path(inputs["config"]).write_text(json.dumps(doc), encoding="utf-8")
                 inputs.update(n_steps=n_steps, reference=None)
-            records = worker_records(checkouts, inputs, args.pairs, tmp, bench)
+            records = worker_records(checkouts, inputs, args.pairs, tmp)
             print(f"{args.workload} worker runs at n_steps = {n_steps}, {args.pairs} pairs")
             for name, unit, value in (("wall_s", "s", bench.ref_wall),
                                       ("setup_s", "s", bench.ref_setup),

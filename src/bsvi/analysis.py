@@ -53,14 +53,15 @@ def path_norm(process: AdaptedProcess, tree: ScenarioTree, stat: str,
     if stat not in ("s2", "h2"):
         raise ValueError(f"unknown path statistic {stat!r}: expected 's2' or 'h2'")
     dt, values, weights = tree.grid.dt, process.values, tree.grid.weights(beta)
+    mean = lambda x: np.add.reduce(x, axis=None) / x.size  # np.mean's sum, without its wrapper
     if stat == "h2":  # a process on all n + 1 grid times is integrated from level 1
         first = 1 if len(values) == tree.grid.n_steps + 1 else 0
-        return float(sum(dt * weights[i] * row_sq_norms(values[i]).mean()
+        return float(sum(dt * weights[i] * mean(row_sq_norms(values[i]))
                          for i in range(first, len(values))))
     running = None
     for w, sq in zip(weights, map(row_sq_norms, values)):  # 1.0 * x is x bitwise
         running = fold_running_max(running, (sq if w == 1.0 else w * sq)[None], tree.branching)
-    return float(running.mean())
+    return float(mean(running))
 
 
 def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: float, parts):
@@ -387,8 +388,7 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     phi_at, eq_res, phi_mass = None if phi.indicator else phi.value(point), 0.0, 0.0
     for i in range(n - 1, -1, -1):
         expect, z_here = level_moments(tree, solution.Y.values[i + 1])
-        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z,
-                            past_rows, prefix)
+        drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z, past_rows, prefix)
         resid = solution.Y.values[i] + dt * solution.U.values[i] - expect - dt * drift
         # np.maximum, unlike the builtin max, keeps a NaN residual
         eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))

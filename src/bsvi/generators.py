@@ -173,7 +173,7 @@ class LinearInstant(GeneratorSpec, Record, frozen=True, eq=False):
         return self.a_y.shape[0]
 
     def instant(self, y, z):
-        return y @ self.a_y.T + np.einsum("kml,...ml->...k", self.b_z, z)
+        return np.einsum("...l,kl->...k", y, self.a_y) + np.einsum("kml,...ml->...k", self.b_z, z)
 
     def lipschitz_instant(self):
         """max(|A|_2, |B|_2), B as an (m, m*d) matrix.  With one row or column (every
@@ -338,12 +338,10 @@ def _read_drift(gen: CustomGenerator, i: int, dt: float,
     try:
         out = np.asarray(gen.fn(t, y, z, past_y, past_z), dtype=float)
     except Exception as exc:
-        raise GeneratorError(
-            f"custom generator failed at t={t}, level {i}: {exc}") from exc
+        raise GeneratorError(f"custom generator failed at t={t}, level {i}: {exc}") from exc
     if out.shape != y.shape:
-        raise GeneratorError(
-            f"custom generator returned shape {out.shape} at t={t}, level {i}; "
-            f"expected (size, m) = {y.shape}")
+        raise GeneratorError(f"custom generator returned shape {out.shape} at t={t}, "
+                             f"level {i}; expected (size, m) = {y.shape}")
     return out
 
 

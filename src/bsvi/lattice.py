@@ -131,6 +131,11 @@ class ScenarioTree(Record, frozen=True, eq=False):
         return self.branching ** level
 
     @cached_property
+    def level_sizes(self) -> tuple:
+        """Nodes per level, levels 0 to n, built once per tree."""
+        return tuple(self.branching ** i for i in range(self.grid.n_steps + 1))
+
+    @cached_property
     def increment_patterns(self) -> np.ndarray:
         """(B, bm_dim) array of +-sqrt(dt) sign patterns, child k in row k;
         built once per tree and read-only."""
@@ -164,11 +169,11 @@ class AdaptedProcess(Record, eq=False):
     values: list
 
     def __post_init__(self):
-        for i, arr in enumerate(self.values):
-            if arr.shape[0] != self.tree.level_size(i):
-                raise ValueError(
-                    f"level {i} has {arr.shape[0]} values, expected {self.tree.level_size(i)}"
-                )
+        rows = [arr.shape[0] for arr in self.values]  # one comparison; the loop names a miss
+        if rows != [*self.tree.level_sizes[:len(rows)]]:
+            for i, arr in enumerate(self.values):
+                if arr.shape[0] != (size := self.tree.level_size(i)):
+                    raise ValueError(f"level {i} has {arr.shape[0]} values, expected {size}")
 
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return AdaptedProcess(self.tree, [a - b for a, b in zip(self.values, other.values)])
@@ -187,10 +192,8 @@ def build_tree(n_steps: int, horizon: float, bm_dim: int = 1,
     huge = leaf_bits > int(max_nodes).bit_length() + 64
     total_nodes = f"over 2^{leaf_bits}" if huge else (2 ** (leaf_bits + d) - 1) // (2 ** d - 1)
     if huge or total_nodes > max_nodes:
-        raise TreeSizeError(
-            f"tree with n_steps={n_steps}, bm_dim={bm_dim} needs {total_nodes} nodes, "
-            f"over the cap of {max_nodes}; raise max_nodes to override"
-        )
+        raise TreeSizeError(f"tree with n_steps={n_steps}, bm_dim={bm_dim} needs {total_nodes} "
+                            f"nodes, over the cap of {max_nodes}; raise max_nodes to override")
     return ScenarioTree(grid, bm_dim)
 
 

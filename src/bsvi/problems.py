@@ -23,7 +23,7 @@ def terminal_linear(tree: ScenarioTree, a, b) -> np.ndarray:
     elif b.ndim == 1:
         b = b[None, :] if a.size == 1 else b[:, None]
     w_T = tree.path_sums().values[-1]
-    return a[None, :] + w_T @ b.T
+    return a[None, :] + np.einsum("...l,kl->...k", w_T, b)
 
 
 def terminal_clipped_linear(tree: ScenarioTree, a, b, lo, hi) -> np.ndarray:

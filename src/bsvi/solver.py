@@ -257,7 +257,7 @@ def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
     e^{beta t/2} for every Y level, dt e^{beta t} and the rows per block for every
     Z level, and the rows per block of every level as a tuple.  A beta whose
     `TimeGrid.weights` are not floats raises ValueError naming it."""
-    grid, sizes = tree.grid, tuple(tree.level_size(i) for i in range(tree.grid.n_steps + 1))
+    grid, sizes = tree.grid, tree.level_sizes
     z_weights = [[grid.dt * w] for w in grid.weights(beta)[:-1]]  # first, so a refusal names beta
     return (np.array([[w] for w in grid.weights(0.5 * beta)]), np.array(z_weights),
             np.array(sizes[:-1], dtype=float)[:, None], sizes)
@@ -309,9 +309,8 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     of its declared constants.  Warnings point at the caller of a public solve."""
     bad = np.flatnonzero(~np.isfinite(np.atleast_1d(phi.value(xi))))
     if bad.size:
-        raise ValueError(
-            f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
-            "terminal data must lie in the domain of phi")
+        raise ValueError(f"phi(xi) is infinite on {bad.size} leaves (first: leaf {bad[0]}); "
+                         "terminal data must lie in the domain of phi")
     horizon = tree.grid.horizon
     report = check_wellposedness(gen.lipschitz_instant(), gen.lipschitz_delay(horizon),
                                  horizon, resolve_beta(config, gen))

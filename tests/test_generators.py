@@ -25,6 +25,7 @@ from bsvi.generators import (
     prefix_coefficients,
 )
 from bsvi.lattice import AdaptedProcess, build_tree
+from bsvi.problems import terminal_linear
 from bsvi.solver import picard_solve
 from helpers_oracle import node_accessors, node_drift, quadrature
 
@@ -432,10 +433,61 @@ def test_level_drift_matches_per_node_evaluation(name):
                                             current_y=y[j], current_z=z[j])
             ref = node_drift(gen, i * grid.dt, y[j], z[j], past_y, past_z,
                              grid.horizon, grid.dt)
-            if name == "linear_m2_d2":  # the batched matmul rounds differently
-                np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-15)
-            else:
-                assert np.array_equal(got[j], ref), (i, j)
+            assert np.array_equal(got[j], ref), (i, j)
+
+
+@pytest.mark.parametrize("m,d", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_linear_drift_of_a_node_does_not_depend_on_the_rows_beside_it(m, d):
+    # einsum, unlike a matmul, adds each node's products in one order whatever
+    # the number of rows in the call: a level, any slice of it and the solver's
+    # (1, size, m) broadcast give every node the same bits
+    rng = np.random.default_rng(5)
+    gen = LinearInstant(rng.normal(size=(m, m)), rng.normal(size=(m, m, d)))
+    y, z = rng.normal(size=(257, m)), rng.normal(size=(257, m, d))
+    whole = gen.instant(y, z)
+    assert whole.tobytes() == gen.instant(y[None], z[None])[0].tobytes()
+    for lo, hi in [(0, 1), (0, 4), (0, 5), (3, 11), (64, 200), (250, 257), (0, 256)]:
+        assert whole[lo:hi].tobytes() == gen.instant(y[lo:hi], z[lo:hi]).tobytes(), (lo, hi)
+    assert whole[1::3].tobytes() == gen.instant(y[1::3], z[1::3]).tobytes()
+    for j in range(len(y)):
+        assert whole[j].tobytes() == gen.instant(y[j], z[j]).tobytes(), j
+
+
+def _signed_zero_level(rng, size):
+    # (size, 1) y and (size, 1, 1) z: every pair of signed zeros in the first
+    # four rows, then normal draws with about a third of each set to +-0.0
+    y, z = rng.normal(size=(size, 1)), rng.normal(size=(size, 1, 1))
+    for x in (y, z):
+        zeros = rng.random(x.shape) < 0.3
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    for row, (a, b) in enumerate([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]):
+        y[row], z[row] = a, b
+    return y, z
+
+
+@pytest.mark.parametrize("a,b", [(-0.7, 0.4), (0.7, -0.4), (-0.7, -0.4), (0.0, -0.4)])
+def test_scalar_linear_drift_keeps_the_bits_of_the_matmul_formula(a, b):
+    # at m = d = 1 the old `y @ A.T` and the einsum both add one product to
+    # +0.0, so a -0.0 product reads +0.0; a plain `y * a` would keep -0.0
+    rng = np.random.default_rng(17)
+    gen = linear_scalar(a, b)
+    for size, broadcast in [(4, False), (45, False), (64, True)]:
+        y, z = _signed_zero_level(rng, size)
+        if broadcast:  # the solver's (1, size, m) rows of one block
+            y, z = y[None], z[None]
+        old = y @ gen.a_y.T + np.einsum("kml,...ml->...k", gen.b_z, z)
+        assert gen.instant(y, z).tobytes() == old.tobytes(), size
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("a,b", [(-0.0, -1.4), (0.0, -1.4), (-0.0, 1.0), (0.3, -0.5)])
+def test_linear_terminal_keeps_the_bits_of_the_matmul_formula(n, a, b):
+    # an even n puts W(T) = +0.0 on some leaves: -0.0 + (+0.0 * -1.4) is -0.0
+    # as a product but +0.0 as the matmul's (and einsum's) sum from +0.0
+    tree = build_tree(n, 1.0)
+    w = tree.path_sums().values[-1]
+    old = np.array([a]) + w @ np.array([[b]]).T
+    assert terminal_linear(tree, a, b).tobytes() == old.tobytes()
 
 
 def _g_poly(*coeffs):  # the CLI's g_poly weight, summed from 0 as it sums

@@ -1,7 +1,7 @@
 """Source checks that need no linter: every name a module imports is used,
-no module reads another module's private name, no module imports what a
-start need not load, every name the benchmark worker reads on a bsvi module
-exists, and the package keeps its line budget."""
+no module reads another module's private name, no module calls BLAS, no
+module imports what a start need not load, every name the benchmark worker
+reads on a bsvi module exists, and the package keeps its line budget."""
 
 import ast
 import importlib
@@ -75,6 +75,42 @@ def private_reads(source: str) -> list:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_reads_no_private_name_of_another(module):
     assert private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+BLAS_CALLS = {"matmul", "dot", "inner", "vdot", "tensordot", "multi_dot"}
+
+
+def blas_calls(source: str) -> list:
+    """``@`` (``@=`` too) and the numpy products that may call BLAS, as
+    ``line: text`` in order: an attribute or a name ``matmul``, ``dot``,
+    ``inner``, ``vdot``, ``tensordot`` or ``multi_dot``, on numpy or an array."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_CALLS:
+            found.append((node.lineno, node.id))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_makes_no_blas_call(module):
+    # the BLAS twin of test_a_dim_one_run_makes_no_lapack_call: a matmul on a
+    # (rows, 1) level took about 5 times an einsum's time with BLAS pinned to one
+    # thread, and a node's product depended on how many rows shared the call
+    calls = blas_calls((PACKAGE / module).read_text(encoding="utf-8"))
+    assert calls == [], f"contract with np.einsum instead: {calls}"
+
+
+def test_blas_check_flags_every_product_form():
+    source = ("import numpy as np\nfrom numpy import vdot\nx = a @ b\nx @= b\n"
+              "y = np.dot(a, b) + a.dot(b) + np.matmul(a, b) + np.inner(a, b)\n"
+              "w = np.tensordot(a, b, 1) + vdot(a, b) + np.linalg.multi_dot([a, b])\n"
+              "z = np.einsum('...l,kl->...k', a, b) * a + dot_count\n")
+    assert blas_calls(source) == ["3: @", "4: @", "5: dot", "5: dot", "5: inner", "5: matmul",
+                                  "6: multi_dot", "6: tensordot", "6: vdot"]
 
 
 def test_private_name_check_flags_a_reach_in():
