@@ -482,8 +482,9 @@ def test_scalar_linear_drift_keeps_the_bits_of_the_matmul_formula(a, b):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("a,b", [(-0.0, -1.4), (0.0, -1.4), (-0.0, 1.0), (0.3, -0.5)])
 def test_linear_terminal_keeps_the_bits_of_the_matmul_formula(n, a, b):
-    # an even n puts W(T) = +0.0 on some leaves: -0.0 + (+0.0 * -1.4) is -0.0
-    # as a product but +0.0 as the matmul's (and einsum's) sum from +0.0
+    # an even n puts W(T) = +0.0 on some leaves; there +0.0 * -1.4 is -0.0, which
+    # a plain product would add to a = -0.0 as -0.0, and the matmul (as the
+    # einsum) adds to +0.0 first, so that the leaf reads +0.0
     tree = build_tree(n, 1.0)
     w = tree.path_sums().values[-1]
     old = np.array([a]) + w @ np.array([[b]]).T
