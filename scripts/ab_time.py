@@ -72,7 +72,7 @@ print(time.perf_counter() - start)
 """
 
 
-def _load_cli(checkout: Path, package: str, where: Path):
+def load_cli(checkout: Path, package: str, where: Path):
     """``checkout``'s bsvi.cli, imported from a copy named ``package`` in ``where``."""
     shutil.copytree(checkout / "src" / "bsvi", where / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
             print_pairs(times, checkouts)
             return 0
         sys.path.insert(0, str(tmp))
-        clis = {side: _load_cli(checkout, f"bsvi_ab_{side}", tmp)
+        clis = {side: load_cli(checkout, f"bsvi_ab_{side}", tmp)
                 for side, checkout in checkouts.items()}
 
         def run(side: str) -> float:

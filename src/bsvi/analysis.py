@@ -390,10 +390,11 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         expect, z_here = level_moments(tree, solution.Y.values[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z, past_rows, prefix)
         resid = solution.Y.values[i] + dt * solution.U.values[i] - expect - dt * drift
-        # np.maximum, unlike the builtin max, keeps a NaN residual
-        eq_res = float(np.maximum(eq_res, np.max(np.abs(resid))))
+        # np.maximum, unlike the builtin max, keeps a NaN residual; its reduce is np.max's
+        eq_res = float(np.maximum(eq_res, np.maximum.reduce(np.abs(resid), axis=None)))
         size = tree.level_size(i)
         lo = (size - 1) // (tree.branching - 1)  # the rows above level i
-        phi_mass += 0.0 if phi_at is None else dt * float(np.sum(phi_at[lo:lo + size])) / size
+        phi_mass += 0.0 if phi_at is None else \
+            dt * float(np.add.reduce(phi_at[lo:lo + size])) / size
     return ResidualReport(equation_residual=eq_res, phi_integrability=phi_mass,
                           subdiff_residual=subgradient_check(phi, point, grad, probes))

@@ -333,10 +333,13 @@ def _past_reader(row, i: int, dt: float, current, extension):
 def _read_drift(gen: CustomGenerator, i: int, dt: float,
                 y: np.ndarray, z: np.ndarray, past_y, past_z) -> np.ndarray:
     """F(t_i, y, z, past) on a batch of rows (size, m): one call of the
-    callback, its past read through `_past_reader` accessors."""
+    callback, its past read through `_past_reader` accessors; a complex result raises."""
     t = i * dt
     try:
-        out = np.asarray(gen.fn(t, y, z, past_y, past_z), dtype=float)
+        out = np.asarray(gen.fn(t, y, z, past_y, past_z))
+        if out.dtype.kind == "c":  # a cast to float would drop the imaginary part
+            raise TypeError(f"the drift is complex ({out.dtype}), not real")
+        out = out.astype(float, copy=False)
     except Exception as exc:
         raise GeneratorError(f"custom generator failed at t={t}, level {i}: {exc}") from exc
     if out.shape != y.shape:
@@ -380,9 +383,7 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
     key, memo = (tree.grid, tree.bm_dim), getattr(gen, "__dict__", {}) if frozen else {}
     if memo.get("_past_z_rows", (None,))[0] == key:
         return memo["_past_z_rows"][1]
-    grid = tree.grid
-    dt = grid.dt
-    levels = []
+    grid, dt, levels = tree.grid, tree.grid.dt, []
     for i in range(grid.n_steps):
         terms = gen.past_z_terms(i * dt, grid.horizon, dt)
         if terms and tree.bm_dim != 1:
@@ -419,7 +420,7 @@ def frozen_prefix(coeffs: tuple, frozen_z: list, branching: int) -> list:
     terms in the order of `level_drift`'s per-term sum: the same bits."""
     levels = [np.zeros(frozen_z[0].shape[:-1])]
     for k, c in enumerate(coeffs):
-        levels.append(np.repeat(levels[k] + c * frozen_z[k][..., 0], branching, axis=0))
+        levels.append((levels[k] + c * frozen_z[k][..., 0]).repeat(branching, axis=0))
     return levels
 
 
@@ -445,13 +446,13 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
         drift, terms = ((gen.instant(y, z), past_rows[i]) if prefix is None
                         else (rows(prefix[i]), past_rows[i][i:]))
         for row, c in terms:
-            past = z[..., 0] if row is None else rows(np.repeat(
-                frozen_z[row][..., 0], tree.branching ** (i - row), axis=0))
+            past = z[..., 0] if row is None else rows(
+                frozen_z[row][..., 0].repeat(tree.branching ** (i - row), axis=0))
             drift = drift + c * past
         return drift
 
     def ancestors(levels):
-        return lambda k: np.repeat(levels[k], tree.branching ** (i - k), axis=0)
+        return lambda k: levels[k].repeat(tree.branching ** (i - k), axis=0)
 
     dt = tree.grid.dt
     past_y = _past_reader(ancestors(frozen_y), i, dt, y, None)
@@ -481,8 +482,7 @@ def lipschitz_probe_audit(gen: CustomGenerator, m: int, d: int, horizon: float,
         raise TypeError(f"the probe audit takes a CustomGenerator, not {type(gen).__name__}")
     rng = np.random.default_rng(PROBE_SEED)
     dt = horizon / n_steps
-    big_l = gen.lipschitz_instant()
-    big_k = gen.lipschitz_delay(horizon)
+    big_l, big_k = gen.lipschitz_instant(), gen.lipschitz_delay(horizon)
     levels = np.empty(n_probes, dtype=int)
     y, z = np.empty((2, n_probes, m)), np.empty((2, n_probes, m, d))
     path_y = np.empty((2, n_probes, n_steps + 1, m))

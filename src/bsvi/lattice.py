@@ -201,7 +201,7 @@ def row_sq_norms(level: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of every node's value in a level array (one
     component: its square, which is what numpy's sum of that one term gives)."""
     flat = level.reshape(level.shape[0], -1)
-    return flat[:, 0] ** 2 if flat.shape[1] == 1 else np.sum(flat ** 2, axis=1)
+    return flat[:, 0] ** 2 if flat.shape[1] == 1 else np.add.reduce(flat ** 2, axis=1)
 
 
 def fold_running_max(parent, mag: np.ndarray, branching: int) -> np.ndarray:

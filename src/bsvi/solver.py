@@ -115,12 +115,9 @@ def check_wellposedness(L: float, K: float, horizon: float,
     growth = K * weight
     l_sq = _square_lipschitz(L)
     uniq, exist = K == 0.0 or growth < 2 * l_sq, K == 0.0 or growth < 6 * l_sq
-    return WellposednessReport(
-        L=L, K=K, beta=beta, growth=growth,
-        uniqueness_ok=uniq, existence_ok=exist,
-        uniqueness_margin=2 * l_sq - growth,
-        existence_margin=6 * l_sq - growth,
-    )
+    return WellposednessReport(L=L, K=K, beta=beta, growth=growth, uniqueness_ok=uniq,
+                               existence_ok=exist, uniqueness_margin=2 * l_sq - growth,
+                               existence_margin=6 * l_sq - growth)
 
 
 class PicardDiagnostics(Record):
@@ -195,39 +192,39 @@ def _as_leaf_values(tree: ScenarioTree, xi) -> np.ndarray:
 
 
 def _zero_levels(tree: ScenarioTree, m: int, blocks: int) -> tuple:
-    """(Y levels, Z levels) of zeros, read-only broadcasts, for ``blocks`` solves."""
-    n, d = tree.grid.n_steps, tree.bm_dim
-    return ([np.broadcast_to(0.0, (blocks * tree.level_size(i), m)) for i in range(n + 1)],
-            [np.broadcast_to(0.0, (blocks * tree.level_size(i), m, d)) for i in range(n)])
+    """(Y levels, Z levels) of zeros for ``blocks`` solves: zero-stride views of one
+    +0.0 in an immutable buffer, so read-only (`np.broadcast_to`'s arrays, without its frames)."""
+    zero, sizes, d = bytes(8), tree.level_sizes, tree.bm_dim
+    return ([np.ndarray((blocks * s, m), float, zero, 0, (0, 0)) for s in sizes],
+            [np.ndarray((blocks * s, m, d), float, zero, 0, (0, 0, 0)) for s in sizes[:-1]])
 
 
 def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
               frozen_y: list, frozen_z: list, phi: ConvexFunction,
-              epsilons: np.ndarray | None, past_rows: tuple,
+              step, past_rows: tuple,
               coeffs: tuple | None = None, last: tuple | None = None,
               zero_start: bool = False):
     """One backward sweep of a batch; ``xi`` is its leaf level, kept as Y level
-    n, ``epsilons`` the (blocks, 1, 1) column of a penalized step, ``coeffs``
-    a column-constant table's (`generators.prefix_coefficients`) and ``last``
+    n, ``step`` the penalized step's `convex.resolvent` map (None: the prox step),
+    ``coeffs`` a column-constant table's (`generators.prefix_coefficients`) and ``last``
     level n - 1's `level_moments` of a one-block ``xi`` (else ``xi`` holds every block).  Returns
     the levels and `_weighted_distance`'s (levels, blocks) tables of max |dY| and
     sum |dZ|^2 per block, a shared level's once for every block, each level reduced
     as it is made, from the frozen iterate or a ``zero_start``'s zeros (x - (+0.0) = x)."""
-    n, dt, m = tree.grid.n_steps, tree.grid.dt, xi.shape[1]
-    blocks = len(frozen_y[0])  # Y_0 holds one row per block
+    n, dt, m, sizes = tree.grid.n_steps, tree.grid.dt, xi.shape[1], tree.level_sizes
+    blocks, custom = len(frozen_y[0]), isinstance(gen, CustomGenerator)  # a Y_0 row per block
     prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
-    step = None if epsilons is None else convex.resolvent(phi, epsilons, dt)
     y_levels, z_levels, u_levels = [None] * n + [xi], [None] * n, [None] * n
     sup, h2 = np.zeros((n + 1, blocks)), np.zeros((n, blocks))
     for i in range(n, -1, -1):
-        size = tree.level_size(i)
+        size = sizes[i]
         if i < n:
             expect, z_here = last if last and i == n - 1 else level_moments(tree, y_levels[i + 1])
             # shared moments are tiled for a callback; a built-in broadcasts one
             # block's (1, size) rows against the frozen blocks
             expect, z_in = (expect, z_here) if len(expect) == blocks * size else \
                 (np.tile(expect, (blocks, 1)), np.tile(z_here, (blocks, 1, 1))) \
-                if isinstance(gen, CustomGenerator) else (expect[None], z_here[None])
+                if custom else (expect[None], z_here[None])
             # a new array: a custom drift may return an alias of its argument
             target = (dt * level_drift(gen, tree, i, expect, z_in, frozen_y, frozen_z,
                                        past_rows, prefix)).reshape(-1, size, m)
@@ -243,11 +240,12 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             del expect, target  # the next level's moments are taken without them
             z_levels[i] = z_here
             if z_here is not frozen_z[i]:  # a shared level after the first sweep has dZ = 0
-                h2[i] = row_sq_norms(z_here if zero_start else z_here - frozen_z[i]).reshape(
-                    -1, size).sum(axis=1)
+                h2[i] = np.add.reduce(row_sq_norms(
+                    z_here if zero_start else z_here - frozen_z[i]).reshape(-1, size), axis=1)
         if y_levels[i] is not frozen_y[i]:
             dy = y_levels[i] if zero_start else y_levels[i] - frozen_y[i]
-            sup[i] = np.abs(dy, out=None if zero_start else dy).reshape(-1, size * m).max(axis=1)
+            sup[i] = np.maximum.reduce(np.abs(dy, out=None if zero_start else dy).reshape(
+                -1, size * m), axis=1)
             del dy  # the next level is made without it
     return y_levels, z_levels, u_levels, (sup, h2)
 
@@ -255,12 +253,11 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
 def _distance_weights(tree: ScenarioTree, beta: float) -> tuple:
     """`_weighted_distance`'s per-level columns, built once per solve:
     e^{beta t/2} for every Y level, dt e^{beta t} and the rows per block for every
-    Z level, and the rows per block of every level as a tuple.  A beta whose
-    `TimeGrid.weights` are not floats raises ValueError naming it."""
-    grid, sizes = tree.grid, tree.level_sizes
+    Z level.  A beta whose `TimeGrid.weights` are not floats raises ValueError naming it."""
+    grid = tree.grid
     z_weights = [[grid.dt * w] for w in grid.weights(beta)[:-1]]  # first, so a refusal names beta
     return (np.array([[w] for w in grid.weights(0.5 * beta)]), np.array(z_weights),
-            np.array(sizes[:-1], dtype=float)[:, None], sizes)
+            np.array(tree.level_sizes[:-1], dtype=float)[:, None])
 
 
 def _weighted_distance(tables: tuple, weights: tuple) -> np.ndarray:
@@ -269,10 +266,10 @@ def _weighted_distance(tables: tuple, weights: tuple) -> np.ndarray:
     e^{beta t}-weighted H^2 sum of dZ, `_one_pass`'s tables weighted and folded
     once per sweep: w max |dY| is max w |dY| exactly, and the H^2 sum adds level
     after level (a reduce would sum a one-block table pairwise)."""
-    y_weights, z_weights, z_sizes, _ = weights
+    y_weights, z_weights, z_sizes = weights
     sup, h2 = tables[0], tables[1] / z_sizes  # each block's level mean as np.mean takes it
     h2 *= z_weights
-    return (y_weights * sup).max(axis=0) + np.sqrt(np.add.accumulate(h2)[-1])
+    return np.maximum.reduce(y_weights * sup, axis=0) + np.sqrt(np.add.accumulate(h2)[-1])
 
 
 def _blocks(levels: list, index: list, blocks: int, sizes: tuple, view: bool = False) -> list:
@@ -326,9 +323,8 @@ def _check_gate(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                                       tree.grid.n_steps)
         # a NaN slack fails the negated test
         if not (audit["instant_slack"] <= 1e-8 and audit["delay_slack"] <= 1e-8):
-            warnings.warn(
-                f"declared Lipschitz constants look too small: {audit}",
-                RuntimeWarning, stacklevel=4)
+            warnings.warn(f"declared Lipschitz constants look too small: {audit}",
+                          RuntimeWarning, stacklevel=4)
     return report
 
 
@@ -372,8 +368,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     # the confirmation sweep replays the first; a custom callback always sweeps
     replay = not isinstance(gen, CustomGenerator) and all(
         row is None for terms in past_rows for row, _ in terms)
-    weights = _distance_weights(tree, report.beta)
-    sizes = weights[-1]  # rows per block of every level
+    weights, sizes = _distance_weights(tree, report.beta), tree.level_sizes
     diags = [PicardDiagnostics() for _ in epsilons]
     solutions, failure = [None] * len(epsilons), None
     active = list(range(len(epsilons)))
@@ -382,15 +377,17 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
     last = level_moments(tree, xi)  # level n - 1's (E, Z), xi's alone
     last[1].flags.writeable = False
     frozen_y, frozen_z = _zero_levels(tree, xi.shape[1], len(active))
+    step, stepped = None, None  # the penalized step map, built for the blocks `stepped`
     for sweep in range(1, config.picard_max_iters + 1):
         blocks = len(active)
         if replay and sweep > 1:  # us is the last pass's, re-blocked below
             ys, zs, dists = frozen_y, frozen_z, np.zeros(blocks)
         else:
-            eps_col = None if epsilons[0] is None else \
-                np.array([epsilons[e] for e in active])[:, None, None]
+            if epsilons[0] is not None and stepped != active:  # once per active set
+                step, stepped = convex.resolvent(phi, np.array(
+                    [epsilons[e] for e in active])[:, None, None], tree.grid.dt), active
             ys, zs, us, tables = _one_pass(tree, xi, gen, frozen_y, frozen_z, phi,
-                                           eps_col, past_rows, coeffs, last, sweep == 1)
+                                           step, past_rows, coeffs, last, sweep == 1)
             dists = _weighted_distance(tables, weights)
         keep, done = [], []
         for pos, e in enumerate(active):

@@ -162,11 +162,12 @@ def picard_every_sweep(tree, xi, gen, config=None, *, phi=convex.Zero(), epsilon
     report = solver._check_gate(tree, xi, gen, config, phi)
     past_rows = past_z_rows(gen, tree)
     beta = solver.resolve_beta(config, gen)
-    eps_col = None if epsilon is None else np.full((1, 1, 1), epsilon)
+    step = None if epsilon is None else \
+        convex.resolvent(phi, np.full((1, 1, 1), epsilon), tree.grid.dt)
     frozen = solver._zero_levels(tree, xi.shape[1], 1)
     diag = PicardDiagnostics()
     for sweep in range(1, config.picard_max_iters + 1):
-        ys, zs, us, _ = solver._one_pass(tree, xi, gen, *frozen, phi, eps_col, past_rows)
+        ys, zs, us, _ = solver._one_pass(tree, xi, gen, *frozen, phi, step, past_rows)
         dist = float(weighted_distance_per_level(ys, zs, *frozen, tree, beta, 1)[0])
         assert math.isfinite(dist), f"sweep {sweep}: distance {dist}"
         if diag.iterate_distances:

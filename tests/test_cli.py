@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from bsvi import cli, generators, solver
+from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -874,6 +875,58 @@ def test_report_diff_configs_all_build():
     assert len(docs) == 14
     modes = {name: config_from_dict(doc).mode for name, doc in docs.items()}
     assert modes["delay_bsvi-classical"] == "classical" and modes["box_compare-seed5"] == "compare"
+
+
+def _solve_digest():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import solve_digest
+    return solve_digest
+
+
+def test_solve_digest_reads_every_solve_the_same_against_its_own_checkout():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "solve_digest.py"), str(ROOT)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    configs = len(list((ROOT / "configs").glob("*.yaml"))) + 2
+    assert lines[-1] == (f"{configs} configs run on both sides: 0 with a differing solve, "
+                         "0 failing on one side only")
+    solves = [line.split() for line in lines[:-1] if line.startswith("same    ")]
+    assert all(re.fullmatch("[0-9a-f]{64}", words[1]) for words in solves)
+    runs = [(words[2], words[3]) for words in solves]
+    # the schedule's 11 epsilons, and compare mode's prox solve after them
+    assert runs.count(("delay_bsvi-seed0", "solve_bsvi")) == 11
+    assert runs.count(("box_compare-seed0", "solve_bsvi")) == 11
+    assert runs[-12] == ("box_compare-seed0", "prox_step_solve")
+    assert "same gate_violation: fails on both sides: this 'WellposednessError: " \
+        "well-posedness gate failed" in proc.stdout
+
+
+def test_solve_digest_exits_0_1_or_2_by_config():
+    compare = _solve_digest().compare
+    solves = [("solve_bsvi eps=1.0", "a"), ("solve_bsvi eps=0.5", "b")]
+    assert compare("run", solves, list(solves)) == 0
+    assert compare("run", solves, [solves[0], ("solve_bsvi eps=0.5", "c")]) == 1
+    assert compare("run", solves, solves[:1]) == 1  # a solve on one side only
+    assert compare("run", "ValueError: x", "ValueError: x") == 0
+    assert compare("run", "ValueError: x", "ValueError: y") == 1
+    assert compare("run", solves, "ValueError: x") == 2
+    assert compare("run", "ValueError: x", solves) == 2
+
+
+def test_solve_digest_moves_with_one_ulp_of_y_or_one_distance():
+    digest = _solve_digest().digest
+    tree = build_tree(3, 1.0)
+    sol = solver.picard_solve(tree, tree.path_sums().values[3][:, 0], generators.ZeroGen())
+    ys = [y.copy() for y in sol.Y.values]
+    ys[1][1, 0] = np.nextafter(ys[1][1, 0], np.inf)
+    want = digest(sol)
+    fields = dict(vars(sol))
+    assert digest(solver.Solution(**{**fields, "Y": AdaptedProcess(tree, ys)})) != want
+    diags = solver.PicardDiagnostics([*sol.diagnostics.iterate_distances[:-1], -0.0])
+    assert sol.diagnostics.iterate_distances[-1] == 0.0
+    assert digest(solver.Solution(**{**fields, "diagnostics": diags})) != want
+    assert digest(solver.Solution(**fields)) == want
 
 
 def test_ab_time_script_times_a_checkout_against_itself():

@@ -602,6 +602,32 @@ def test_custom_drift_of_wrong_shape_is_a_generator_error():
         level_drift_at(gen, tree, 1, y.values[1], z.values[1], y, z)
 
 
+def test_a_complex_custom_drift_is_a_generator_error():
+    # a cast to float dropped the imaginary part with a ComplexWarning, and the
+    # solve converged (to Y_0 = 0.11038 here): the drift must be real
+    tree = build_tree(4, 1.0, 1)
+    xi = 0.1 + tree.path_sums().values[4]
+    gen = CustomGenerator(fn=lambda t, y, z, py, pz: 0.1 * y + 0.01j * y,
+                          declared_instant=0.2, declared_delay=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning, and no solve
+        with pytest.raises(GeneratorError, match=r"t=0\.0, level 0: .*complex \(complex128\)"):
+            picard_solve(tree, xi, gen)
+        y, z = random_paths(tree, 3)
+        with pytest.raises(GeneratorError, match=r"t=0\.5, level 2: .*complex"):
+            level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
+        # a real drift in a complex array of zero imaginary part is refused too;
+        # an integer or float32 drift is read as float, as before
+        for dtype, ok in ((complex, False), (int, True), (np.float32, True)):
+            gen = custom(lambda t, y, z, py, pz: np.ones(y.shape, dtype=dtype))
+            if ok:
+                out = level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
+                assert out.dtype == float and np.array_equal(out, np.ones((4, 1)))
+            else:
+                with pytest.raises(GeneratorError, match="complex"):
+                    level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
+
+
 def test_new_z_delay_drift_needs_only_a_spec_class():
     # F = y / 2 + 2 z(t - dt): an instant part plus one past-Z term
     @dataclass(frozen=True)

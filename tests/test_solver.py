@@ -529,7 +529,7 @@ def test_a_block_exit_copies_the_rows_of_the_fancy_index(keep):
     # the shared levels stay the same objects
     tree, blocks = bsvi.lattice.build_tree(4, 1.0, 1), 5
     ys, zs = _batch_levels(tree, blocks, 2, np.random.default_rng(3))
-    sizes = solver_mod._distance_weights(tree, 1.0)[-1]
+    sizes = tree.level_sizes
     for levels in (ys, zs):
         copied = solver_mod._blocks(levels, keep, blocks, sizes)
         want = [a.reshape(blocks, -1, *a.shape[1:])[keep].reshape(-1, *a.shape[1:])
