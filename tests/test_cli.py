@@ -13,7 +13,6 @@ import pytest
 import yaml
 
 from bsvi import cli, generators, solver
-from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -25,6 +24,7 @@ from bsvi.cli import (
     parse_config,
     run,
 )
+from bsvi.lattice import AdaptedProcess, build_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
