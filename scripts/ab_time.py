@@ -3,6 +3,7 @@
 
     python3 scripts/ab_time.py OTHER_CHECKOUT [--workload box_compare|delay_bsvi]
                                [--pairs N] [--n-steps N] [--startup | --worker]
+                               [--hash-seed 0|random]
 
 Copies each checkout's ``src/bsvi`` into a temporary directory under a package
 name of its own (the package imports itself only relatively), loads both
@@ -32,7 +33,12 @@ pass.  For ``wall_s`` and ``setup_s`` (reference seconds, scaled as run.py
 scales them) and ``peak_mb`` it prints each side's median and quartiles, the
 median over pairs of this / other and the number of pairs this side was
 lower in.  Separate processes do not share the allocator and cache state
-that bias in-process pairs.
+that bias in-process pairs.  The workers run under PYTHONHASHSEED=0, as the
+benchmark's do; ``--hash-seed random`` draws one seed per pair instead (and
+one for the warm-ups), which both runs of the pair take, and prints them.
+Under one fixed seed a change of heap layout can move ``peak_mb`` by a
+tenth of a megabyte in every pair alike; over random seeds it varies from
+pair to pair, while a rise the run itself makes stays.
 
 Every mode pins BLAS and OpenMP to one thread, as perfbench/run.py pins its
 workers: it sets each of run.py's ``THREAD_VARS`` to 1 in its own environment
@@ -49,6 +55,7 @@ import importlib
 import io
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -62,6 +69,9 @@ from pathlib import Path
 from report_diff import ROOT, perfbench_module
 
 SIDES = ("this", "other")
+# each side's copies live in a directory of this name: names of one length, since a
+# path one byte longer on one side moved the fresh workers' resident peak by 0.07 MB
+SIDE_DIRS = {"this": "a", "other": "b"}
 # one start: its own wall time from the first line through parsing the config
 START = """import sys, time
 start = time.perf_counter()
@@ -95,33 +105,38 @@ def start_times(checkouts: dict, config: Path, pairs: int, tmp: Path) -> dict:
     """Seconds of each side's fresh starts (see START), alternated."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for side, checkout in checkouts.items():
-        shutil.copytree(checkout / "src" / "bsvi", tmp / side / "bsvi",
+        shutil.copytree(checkout / "src" / "bsvi", tmp / SIDE_DIRS[side] / "bsvi",
                         ignore=shutil.ignore_patterns("__pycache__"))
 
     def start(side: str) -> float:
-        proc = subprocess.run([sys.executable, "-c", START, str(tmp / side), str(config)],
+        where = tmp / SIDE_DIRS[side]
+        proc = subprocess.run([sys.executable, "-c", START, str(where), str(config)],
                               env=env, capture_output=True, text=True, check=True)
         return float(proc.stdout)
 
     return alternate(start, pairs)
 
 
-def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path) -> dict:
-    """Each side's perfbench/worker.py records (see ``--worker``), alternated."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")  # threads pinned
+def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path, seeds: list) -> dict:
+    """Each side's perfbench/worker.py records (see ``--worker``), alternated;
+    ``seeds`` holds the PYTHONHASHSEED of the warm-ups and of each pair."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # threads pinned
+    next_seed = {side: iter(seeds) for side in SIDES}  # each side runs once per pair
     for side, checkout in checkouts.items():
         for part in ("src/bsvi", "perfbench"):
-            shutil.copytree(checkout / part, tmp / side / part,
+            shutil.copytree(checkout / part, tmp / SIDE_DIRS[side] / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
     (tmp / "inputs.json").write_text(json.dumps(inputs), encoding="utf-8")
 
     def repetition(side: str) -> dict:
-        work = tmp / side / "work"
+        where = tmp / SIDE_DIRS[side]
+        work = where / "work"
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir()
-        proc = subprocess.run([sys.executable, str(tmp / side / "perfbench" / "worker.py"),
+        proc = subprocess.run([sys.executable, str(where / "perfbench" / "worker.py"),
                                str(tmp / "inputs.json"), "plain", str(work)],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=dict(env, PYTHONHASHSEED=str(next(next_seed[side]))),
+                              capture_output=True, text=True, check=True)
         record = json.loads(proc.stdout.splitlines()[-1])
         if record["problems"]:
             raise SystemExit(f"{side} side: wrong run: {record['problems']}")
@@ -164,7 +179,12 @@ def main(argv=None) -> int:
                       help="time fresh starts (import bsvi.cli, parse the config) instead")
     mode.add_argument("--worker", action="store_true",
                       help="run each checkout's perfbench/worker.py in fresh processes instead")
+    parser.add_argument("--hash-seed", choices=("0", "random"), default="0",
+                        help="the --worker runs' PYTHONHASHSEED: 0, as the benchmark's, "
+                             "or a random one per pair")
     args = parser.parse_args(argv)
+    if args.hash_seed == "random" and not args.worker:
+        parser.error("--hash-seed applies to --worker runs only")
     if not (args.other / "src" / "bsvi").is_dir():
         parser.error(f"{args.other} holds no src/bsvi")
     bench = perfbench_module()
@@ -181,8 +201,12 @@ def main(argv=None) -> int:
             if n_steps != inputs["n_steps"]:  # another tree size: no reference outputs
                 Path(inputs["config"]).write_text(json.dumps(doc), encoding="utf-8")
                 inputs.update(n_steps=n_steps, reference=None)
-            records = worker_records(checkouts, inputs, args.pairs, tmp)
+            seeds = [0] * (args.pairs + 1) if args.hash_seed == "0" else \
+                [random.randrange(2 ** 32) for _ in range(args.pairs + 1)]
+            records = worker_records(checkouts, inputs, args.pairs, tmp, seeds)
             print(f"{args.workload} worker runs at n_steps = {n_steps}, {args.pairs} pairs")
+            if args.hash_seed == "random":
+                print(f"PYTHONHASHSEED warm-ups {seeds[0]}, pairs {' '.join(map(str, seeds[1:]))}")
             for name, unit, value in (("wall_s", "s", bench.ref_wall),
                                       ("setup_s", "s", bench.ref_setup),
                                       ("peak_mb", "MB", lambda r: r["peak_mb"])):

@@ -93,6 +93,10 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     for i, z in ((i, lv[0]) for i, lv in enumerate(zs) if not z_own[i]):  # read once (z - z is
         sums[:2, i] = [node_sums(row_sq_norms(v), len(v)) for v in (z, z - z)]  # NaN at an inf)
 
+    # a batch's leaf level is one array, and a finite one is read once (xi - xi is +0.0)
+    xi_n = ys[n][0]
+    shared = all(y is xi_n for y in ys[n]) and np.logical_and.reduce(np.isfinite(xi_n), axis=None)
+
     def rows(levels, lo, hi):  # blocks lo..hi-1 of one level
         return levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
 
@@ -109,7 +113,9 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
             fold(0, hi, row_sq_norms(y) if w == 1.0 else w * row_sq_norms(y))
             if z_run:
                 sums[0, i, lo:hi] = node_sums(row_sq_norms(rows(zs[i], lo, hi)), size)
-        if table and hd > lo:  # the run's pairs (e, e + 1)
+        if table and hd > lo and i == n and shared:  # dY = +0.0: each running max is the parent's
+            s2[1, lo:hd] = node_sums(parents[1].repeat(tree.branching, axis=1), size)
+        elif table and hd > lo:  # the run's pairs (e, e + 1)
             fold(1, hd, row_sq_norms(y[:(hd - lo) * size] - rows(ys[i], lo + 1, hd + 1)))
             if z_run:
                 sums[1, i, lo:hd] = node_sums(row_sq_norms(
@@ -130,12 +136,13 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
                 descend(i + 1, a, c, maxes)
 
     descend(0, 0, count, [None, None])
-    if yosida:  # level n: xi has no U, so one prox per solution
-        for e, xi in enumerate(ys[n]):
+    if yosida:  # level n: xi has no U, so one prox per solution, each filling the row from
+        # its entry on, or one in all for an indicator's shared leaf (J_eps is one projection)
+        for e, xi in enumerate(ys[n][:1] if shared and phi.indicator else ys[n]):
             j = phi.prox(epsilons[e], xi)
-            sums[3, n, e] = 0.0 if phi.indicator else np.add.reduce(phi.value(j))
+            sums[3, n, e:] = 0.0 if phi.indicator else np.add.reduce(phi.value(j))
             j = xi - j  # now the gap: J_eps(xi) is freed before the squared gap is formed
-            sums[4, n, e] = np.add.reduce(row_sq_norms(j))
+            sums[4, n, e:] = np.add.reduce(row_sq_norms(j))
     sums /= np.array([[tree.level_size(i)] for i in range(n + 1)], dtype=float)  # as np.mean
     sums[4, :n] = sums[2, :n] * np.array([e ** 2 for e in epsilons])  # eps^2 |U|^2
     # dt e^{bt}|Z|^2, dt|dZ|^2, dt|U|^2, dt phi, dt e^{bt}|U|^2, dt e^{bt} phi

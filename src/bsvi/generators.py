@@ -284,7 +284,8 @@ class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
     the future and raises `GeneratorError`.  Index the noise axis as
     ``past_z(theta)[..., 0]``, which holds for any m.
     The declared (L, K) are finite, >= 0 and only probe-audited (see
-    `lipschitz_probe_audit`); the callback must be re-entrant and not mutate its arguments.
+    `lipschitz_probe_audit`); the callback must be re-entrant and not mutate its arguments:
+    y, z and the offset-0 reads are read-only, so a write raises `GeneratorError`.
     """
 
     fn: Callable
@@ -354,6 +355,7 @@ def origin_drift_mass(gen: GeneratorSpec, tree, m: int, betas=(0.0,)) -> list:
     built-in's ``instant`` (c * 0 past terms leave its square as it is), a callback per level."""
     grid = tree.grid
     zero_y, zero_z = np.zeros((1, m)), np.zeros((1, m, tree.bm_dim))
+    zero_y.flags.writeable = zero_z.flags.writeable = False  # every level reads these
     if not isinstance(gen, CustomGenerator):
         squares = [float(np.sum(gen.instant(zero_y, zero_z) ** 2))] * grid.n_steps
     else:
@@ -454,7 +456,8 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
     def ancestors(levels):
         return lambda k: levels[k].repeat(tree.branching ** (i - k), axis=0)
 
-    dt = tree.grid.dt
+    dt, y, z = tree.grid.dt, y.view(), z.view()  # read-only: a write raises GeneratorError
+    y.flags.writeable = z.flags.writeable = False
     past_y = _past_reader(ancestors(frozen_y), i, dt, y, None)
     past_z = _past_reader(ancestors(frozen_z), i, dt, z, np.zeros_like(z))
     return _read_drift(gen, i, dt, y, z, past_y, past_z)

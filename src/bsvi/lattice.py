@@ -99,7 +99,7 @@ class TimeGrid(Record, frozen=True):
         if abs(self.dt * self.n_steps - self.horizon) > 8 * np.finfo(float).eps * self.horizon:
             raise ValueError("dt * n_steps does not reproduce horizon")
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
@@ -123,7 +123,7 @@ class ScenarioTree(Record, frozen=True, eq=False):
     grid: TimeGrid
     bm_dim: int = 1
 
-    @property
+    @cached_property
     def branching(self) -> int:
         return 2 ** self.bm_dim
 

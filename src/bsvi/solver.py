@@ -141,7 +141,7 @@ class Solution(Record, eq=False):
     Y spans levels 0..n; Z and U span 0..n-1.  ``frozen_past`` is the Picard
     iterate the final backward pass froze its delay arguments on; residual
     checks replay the pass against it.  After a replayed confirmation sweep
-    it shares its arrays with (Y, Z), the values that sweep froze.
+    it is (Y, Z) itself, the values that sweep froze.
     """
 
     Y: AdaptedProcess
@@ -232,7 +232,8 @@ def _one_pass(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             if step is not None:
                 if len(target) < blocks:  # a shared target serves every block's epsilon
                     target = np.broadcast_to(target, (blocks, size, m))
-                y_levels[i], u_levels[i] = (a.reshape(-1, m) for a in step(target))
+                y, u = step(target)
+                y_levels[i], u_levels[i] = y.reshape(-1, m), u.reshape(-1, m)
             else:
                 target = target.reshape(-1, m)
                 y_levels[i] = phi.prox(dt, target)
@@ -272,15 +273,18 @@ def _weighted_distance(tables: tuple, weights: tuple) -> np.ndarray:
     return np.maximum.reduce(y_weights * sup, axis=0) + np.sqrt(np.add.accumulate(h2)[-1])
 
 
-def _blocks(levels: list, index: list, blocks: int, sizes: tuple, view: bool = False) -> list:
+def _blocks(levels: list, index: list, blocks: int, sizes: tuple, split: bool = False) -> list:
     """Each level's rows of the blocks ``index`` (ascending), a copy that holds
-    no other block's rows, sliced when the blocks run contiguously; with ``view``
-    a row slice of contiguous blocks; a shared level, of one block's rows, is every block's."""
+    no other block's rows, sliced when the blocks run contiguously; with ``split``
+    each block's own levels, views of one reshape per level; a shared level, of one
+    block's rows, is every block's."""
+    if split:
+        cut = [None if len(a) == size else a.reshape(blocks, size, *a.shape[1:])
+               for a, size in zip(levels, sizes)]
+        return [[a if c is None else c[b] for a, c in zip(levels, cut)] for b in index]
     lo, hi = index[0], index[-1] + 1
-    run = hi - lo == len(index)
-    return [a if len(a) == size else a[lo * size:hi * size] if run and view else
-            a[lo * size:hi * size].copy() if run else
-            a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
+    return [a if len(a) == size else a[lo * size:hi * size].copy() if hi - lo == len(index)
+            else a.reshape(blocks, -1, *a.shape[1:])[index].reshape(-1, *a.shape[1:])
             for a, size in zip(levels, sizes)]
 
 
@@ -395,7 +399,7 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             diag.iterate_distances.append(dist)
             diag.iterations_used = sweep
             if not math.isfinite(dist):
-                own = _blocks(ys, [pos], blocks, sizes, True)
+                own = _blocks(ys, [pos], blocks, sizes, True)[0]
                 bad = [(i, int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0]))
                        for i, y in reversed(list(enumerate(own))) if not np.isfinite(y).all()]
                 level, node = bad[0] if bad else (None, None)
@@ -417,14 +421,16 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
                 break
             else:
                 keep.append(pos)
-        for pos in done:
+        # copied out while others keep sweeping, so as to hold none of their rows;
+        # blocks that leave together take views of the batch; a replayed sweep
+        # froze (Y, Z) itself, which is then its past
+        outs = [_blocks(levels, done, blocks, sizes, True) if not keep else
+                [_blocks(levels, [pos], blocks, sizes) for pos in done]
+                for levels in (ys, zs, us, *(() if ys is frozen_y else (frozen_y, frozen_z)))]
+        for pos, *own in zip(done, *outs):
+            y, z, u, *past = (AdaptedProcess(tree, levels) for levels in own)
             e = active[pos]
-            # copied out while others keep sweeping, so as to hold none of their
-            # rows; a replayed sweep froze (Y, Z) itself, so its past shares them
-            y, z, u, past_y, past_z = (
-                AdaptedProcess(tree, _blocks(levels, [pos], blocks, sizes, not keep))
-                for levels in (ys, zs, us, frozen_y, frozen_z))
-            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], (past_y, past_z), report)
+            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], tuple(past) or (y, z), report)
         active = [active[pos] for pos in keep]
         if not active:
             break

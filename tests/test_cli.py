@@ -980,6 +980,31 @@ def test_ab_time_script_runs_the_benchmark_worker_of_each_checkout():
                             r"this lower in [01] of 1 pairs", lines[3 + 3 * k])
 
 
+def test_ab_time_script_draws_a_hash_seed_per_pair_and_prints_them():
+    # one PYTHONHASHSEED per pair, which both runs of the pair take, printed after the header
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
+                           "--pairs", "2", "--n-steps", "4", "--worker", "--hash-seed", "random"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delay_bsvi worker runs at n_steps = 4, 2 pairs"
+    assert re.fullmatch(r"PYTHONHASHSEED warm-ups \d+, pairs \d+ \d+", lines[1])
+    assert all(0 <= int(seed) < 2 ** 32 for seed in re.findall(r"\d+", lines[1]))
+    assert len(lines) == 11 and lines[2].startswith("wall_s this  median")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
+                           "--hash-seed", "random"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "--worker runs only" in proc.stderr
+
+
+def test_ab_time_script_copies_both_sides_to_paths_of_one_length():
+    # one byte more in every path of one side moved its workers' resident peak
+    # by 0.07 MB against the same code on the other side
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import ab_time
+    assert ab_time.SIDE_DIRS.keys() == set(ab_time.SIDES)
+    assert len({len(name) for name in ab_time.SIDE_DIRS.values()}) == 1
+
+
 def test_readme_config_format_block_builds():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("### Config format", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bsvi.convex import Zero
 from bsvi.generators import (
     CustomGenerator,
     DelayedZ,
@@ -21,12 +22,13 @@ from bsvi.generators import (
     level_drift,
     linear_scalar,
     lipschitz_probe_audit,
+    origin_drift_mass,
     past_z_rows,
     prefix_coefficients,
 )
 from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.problems import terminal_linear
-from bsvi.solver import picard_solve
+from bsvi.solver import SolverConfig, picard_solve, solve_bsvi
 from helpers_oracle import node_accessors, node_drift, quadrature
 
 
@@ -626,6 +628,41 @@ def test_a_complex_custom_drift_is_a_generator_error():
             else:
                 with pytest.raises(GeneratorError, match="complex"):
                     level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
+
+
+def _scale_y(t, y, z, py, pz):
+    y *= 0.5
+    return 0.1 * y
+
+
+def _scale_z(t, y, z, py, pz):
+    z *= 2
+    return 0.1 * y
+
+
+@pytest.mark.filterwarnings("ignore:declared Lipschitz constants")  # the probes are copies
+@pytest.mark.parametrize("fn", [_scale_y, _scale_z], ids=["y", "z"])
+def test_a_custom_drift_that_writes_its_arguments_is_a_generator_error(fn):
+    # y was the sweep's E_i, added into the target after the call, and z the
+    # level's Z: each write converged to a wrong solve (Y_0 = 1e-13 and, in a
+    # batch, Z_0 = 2.165 against Y_0 = 0.1104 and Z_0 = 1.082), so y, z and the
+    # offset-0 reads are read-only views and the write raises, naming the level
+    tree = build_tree(5, 1.0, 1)
+    xi = 0.1 + tree.path_sums().values[5]
+    gen = CustomGenerator(fn=fn, declared_instant=0.1, declared_delay=0.0)
+    config = SolverConfig(epsilon_schedule=(0.5, 0.25))
+    for solve in (lambda: picard_solve(tree, xi, gen),
+                  lambda: solve_bsvi(tree, xi, gen, Zero(), config)):
+        with pytest.raises(GeneratorError, match=r"t=0\.8, level 4: .*read-only"):
+            solve()
+    y, z = random_paths(tree, 3)
+    before = [a.copy() for a in (y.values[2], z.values[2])]
+    with pytest.raises(GeneratorError, match=r"t=0\.4, level 2: .*read-only"):
+        level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
+    assert all(map(np.array_equal, before, (y.values[2], z.values[2])))
+    # the data bound's zero levels are every level's reads
+    with pytest.raises(GeneratorError, match=r"t=0\.0, level 0: .*read-only"):
+        origin_drift_mass(gen, tree, 1)
 
 
 def test_new_z_delay_drift_needs_only_a_spec_class():

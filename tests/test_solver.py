@@ -525,7 +525,7 @@ def test_weighted_distance_adds_the_h2_column_level_after_level(blocks):
 def test_a_block_exit_copies_the_rows_of_the_fancy_index(keep):
     # blocks 1..3 of 5 run contiguously and are copied as one row slice, blocks
     # 0, 2, 3 by the fancy index: bitwise that copy either way, sharing no
-    # memory with the batch; with view a contiguous run is a row slice of it;
+    # memory with the batch; split, each block's levels are views of it;
     # the shared levels stay the same objects
     tree, blocks = bsvi.lattice.build_tree(4, 1.0, 1), 5
     ys, zs = _batch_levels(tree, blocks, 2, np.random.default_rng(3))
@@ -537,10 +537,11 @@ def test_a_block_exit_copies_the_rows_of_the_fancy_index(keep):
         assert copied[-1] is levels[-1]
         assert all(map(_same_bits, copied[:-1], want))
         assert not any(map(np.shares_memory, copied[:-1], levels[:-1]))
-        if keep == [1, 2, 3]:
-            viewed = solver_mod._blocks(levels, keep, blocks, sizes, view=True)
-            assert viewed[-1] is levels[-1] and all(map(_same_bits, viewed, copied))
-            assert all(v.base is a for v, a in zip(viewed[:-1], levels[:-1]))
+        split = solver_mod._blocks(levels, keep, blocks, sizes, split=True)
+        viewed = [np.concatenate(rows) for rows in zip(*split)][:-1]
+        assert all(own[-1] is levels[-1] for own in split) and len(split) == len(keep)
+        assert all(map(_same_bits, viewed, copied[:-1]))
+        assert all(v.base is a for own in split for v, a in zip(own[:-1], levels[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +697,33 @@ def test_solutions_are_copied_out_or_row_slices_of_one_batch_array(case, sweeps)
             assert all(a.base is base for a in level)
 
 
+@pytest.mark.parametrize("case", ["box", "moving_average_box", "one_norm"])
+def test_a_joint_exit_hands_each_solution_views_of_one_batch_array_per_level(case):
+    # the entries that leave in the last sweep take views of one batch array per
+    # level of every process, bitwise the separate solves; a replayed sweep froze
+    # (Y, Z) itself, which is then the frozen past, and a computed one froze the
+    # sweep before it, whose blocks the past views alike
+    tree, xi, gen, phi = box_linear_problem(6) if case == "box" else SCHEDULE_CASES[case]()
+    got = [s for _, s in solve_bsvi(tree, xi, gen, phi).per_epsilon]
+    want = [s for _, s in solve_one_per_epsilon(tree, xi, gen, phi).per_epsilon]
+    _assert_same_solutions(got, want)
+    last = max(s.diagnostics.iterations_used for s in got)
+    together = [s for s in got if s.diagnostics.iterations_used == last]
+    assert len(together) > 1
+    n = tree.grid.n_steps
+    for s in together:
+        assert (s.frozen_past[0] is s.Y and s.frozen_past[1] is s.Z) == (case == "box")
+    for k in range(5):
+        proc = [lambda s: s.Y, lambda s: s.Z, lambda s: s.U,
+                lambda s: s.frozen_past[0], lambda s: s.frozen_past[1]][k]
+        for i, level in enumerate(zip(*(proc(s).values for s in together))):
+            if (k % 3, i) in ((0, n), (1, n - 1)):  # xi and its Z: one array for every block
+                assert all(a is level[0] for a in level)
+            else:
+                assert level[0].base is not None and all(a.base is level[0].base for a in level)
+                assert not any(np.shares_memory(a, b) for a, b in zip(level, level[1:]))
+
+
 # ---------------------------------------------------------------------------
 # the replayed confirmation sweep against every sweep computed
 # (see helpers_oracle.py)
@@ -783,8 +811,7 @@ def test_replayed_confirmation_sweep_matches_every_sweep_computed(monkeypatch, c
     for sol in got:
         assert sol.diagnostics.iterations_used == 2
         assert sol.diagnostics.iterate_distances[1] == 0.0
-        for proc, past in zip((sol.Y, sol.Z), sol.frozen_past):
-            assert all(np.shares_memory(a, b) for a, b in zip(proc.values, past.values))
+        assert sol.frozen_past[0] is sol.Y and sol.frozen_past[1] is sol.Z
 
 
 def test_replay_after_some_entries_stop_at_the_first_sweep(monkeypatch):
@@ -1333,8 +1360,9 @@ def test_schedule_audits_refuse_an_entry_not_penalized_at_its_epsilon():
 
 @pytest.mark.parametrize("penalty", ["box", "quadratic"])
 def test_schedule_audits_prox_xi_once_per_solution(monkeypatch, penalty):
-    # xi has no U: a batch (sharing one xi array) and separate solves (one xi
-    # array each) both take one prox of xi per solution at level n; below it
+    # xi has no U: separate solves (one xi array each) take one prox of xi per
+    # solution at level n, and so does a batch (sharing one xi array) but for an
+    # indicator, whose J_eps(xi) is one projection for every eps; below level n
     # only a non-indicator penalty takes a prox, for phi(J_eps Y).  Only the
     # data bound M_2 evaluates an indicator's phi.
     tree, xi, gen, phi = box_linear_problem(11)
@@ -1353,13 +1381,53 @@ def test_schedule_audits_prox_xi_once_per_solution(monkeypatch, penalty):
         for part in calls.values():
             part.clear()
         results.append(bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree))
-        assert calls["prox"][-11:] == [xi.shape] * 11  # level n, one solution after another
-        below = calls["prox"][:-11]
+        at_n = 1 if penalty == "box" and per_eps is batch else 11
+        assert calls["prox"][-at_n:] == [xi.shape] * at_n  # level n, one solution after another
+        below = calls["prox"][:-at_n]
         assert (below == []) == (penalty == "box")
         assert all(math.prod(shape[:-1]) < leaf * len(per_eps) for shape in below)
         assert (len(calls["value"]) == 1) == (penalty == "box")
     monkeypatch.undo()
     assert repr(results[0]) == repr(results[1])  # the same solutions, bitwise
+
+
+def _with_leaf(per_eps, leaf, shared):
+    """``per_eps`` with level n of every Y set to ``leaf``: one array, or a copy each."""
+    return [(e, solver_mod.Solution(
+        AdaptedProcess(s.Y.tree, [*s.Y.values[:-1], leaf if shared else leaf.copy()]),
+        s.Z, s.U, s.diagnostics, s.epsilon, s.frozen_past, s.wellposedness))
+        for e, s in per_eps]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
+@pytest.mark.parametrize("leaf", ["finite", "inf"])
+@pytest.mark.parametrize("beta", [0.0, 0.8])
+@pytest.mark.parametrize("penalty", ["box", "quadratic"])
+def test_schedule_audits_read_a_shared_leaf_once_with_the_bits_of_its_copies(
+        monkeypatch, penalty, beta, leaf):
+    # one leaf array for every solution takes the table's level-n running max
+    # as the parent's (xi - xi is +0.0) and, for an indicator, one J_eps(xi);
+    # equal copies take each per solution, and so does a leaf with an inf,
+    # whose xi - xi is NaN: the same bits either way
+    tree, xi, gen, phi = box_linear_problem(11)
+    phi = phi if penalty == "box" else convex.Quadratic(2.0)
+    per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    data = np.array(per_eps[0][1].Y.values[11])
+    if leaf == "inf":
+        data[3] = np.inf
+    leaf_proxes, real = [], type(phi).prox
+    monkeypatch.setattr(type(phi), "prox", lambda self, eps, y: (
+        leaf_proxes.append(np.shape(y) == data.shape), real(self, eps, y))[1])
+    for parts in (("table", "apriori", "yosida"), ("table",), ("apriori",), ("yosida",)):
+        results = []
+        for shared in (True, False):
+            leaf_proxes.clear()
+            results.append(repr(bsvi.analysis.schedule_audits(
+                _with_leaf(per_eps, data, shared), phi, xi, gen, tree, beta, parts)))
+            once = shared and leaf == "finite" and penalty == "box"
+            assert sum(leaf_proxes) == ("yosida" in parts) * (1 if once else len(per_eps))
+        assert results[0] == results[1]
+        assert ("nan" in results[0]) == (leaf == "inf" and "table" in parts)
 
 
 def test_schedule_audits_take_phi_at_the_prox_where_y_minus_eps_u_leaves_its_domain():
