@@ -98,7 +98,7 @@ def _poly_weight(coeffs):
         raise TypeError(f"g_poly must be a list of coefficients: {coeffs!r}")
     coeffs = [_real(c) for c in coeffs]
 
-    def g(t: float) -> float:  # MovingAverageZ cuts t < 0 before it calls g
+    def g(t: float) -> float:  # moving_average_z cuts t < 0 before it calls g
         return sum(c * t ** k for k, c in enumerate(coeffs))
 
     return g
@@ -116,11 +116,11 @@ DELAY_KINDS = {
     "mixture": lambda key: generators.DiscreteMixture(_reals(key("atoms"))),
 }
 GENERATOR_KINDS = {
-    "zero": lambda key: generators.ZeroGen(),
-    "linear": lambda key: generators.LinearInstant(_reals(key("a")), _reals(key("b"))),
-    "delayed_z": lambda key: generators.DelayedZ(_real(key("kappa")), _real(key("lag"))),
-    "running_integral_z": lambda key: generators.RunningIntegralZ(_real(key("kappa"))),
-    "moving_average_z": lambda key: generators.MovingAverageZ(
+    "zero": lambda key: generators.zero(),
+    "linear": lambda key: generators.linear(_reals(key("a")), _reals(key("b"))),
+    "delayed_z": lambda key: generators.delayed_z(_real(key("kappa")), _real(key("lag"))),
+    "running_integral_z": lambda key: generators.running_integral_z(_real(key("kappa"))),
+    "moving_average_z": lambda key: generators.moving_average_z(
         g=_poly_weight(key("g_poly")), g_bound=_real(key("g_bound")),
         alpha=_build(key("alpha", {"kind": "dirac"}), "generator.alpha", DELAY_KINDS)),
 }
@@ -180,7 +180,7 @@ def _problem(key, doc):
         generators.past_z_rows(gen, tree)
     except (generators.GeneratorError, ValueError) as exc:
         raise ConfigError(f"section 'generator': {exc}") from exc
-    if isinstance(gen, generators.LinearInstant) and gen.b_z.shape != (dim, dim, tree.bm_dim):
+    if gen.b_z is not None and gen.b_z.shape != (dim, dim, tree.bm_dim):
         raise ConfigError(f"section 'generator': b of shape {gen.b_z.shape} != (dim, dim, bm_dim)")
     phi = _build(key("phi", {"kind": "zero"}), "phi", PHI_KINDS)
     if phi.m not in (None, dim):

@@ -7,12 +7,14 @@ theta -> value with theta in [-horizon, 0], one whole tree level at a time;
 lookups at negative absolute times resolve through the extension Y(t) = Y(0),
 Z(t) = 0.  An offset theta > 0, a callback's read or a built-in's term, raises.
 
-A built-in drift is data, ``instant(y, z) + sum_k c_k z(t + theta_k)``, with
-exact Lipschitz constants; a random two-point probe audit
+Every built-in drift is one `AffineDrift` record, ``A y + B z + sum_k c_k
+z(t + theta_k)`` with exact Lipschitz constants, which the constructors `zero`,
+`linear`, `linear_scalar`, `delayed_z`, `running_integral_z` and
+`moving_average_z` build; a random two-point probe audit
 (`lipschitz_probe_audit`) backs declared constants for custom callbacks.
 `past_z_rows` resolves the past-Z terms of every level to frozen grid rows
-once per frozen spec and grid, so ``past_z_terms`` must be a pure function of
-(t, horizon, dt).  Specs are immutable and evaluation is pure; custom
+once per drift and grid, so ``past_z_terms`` must be a pure function of
+(t, horizon, dt).  Drifts are immutable and evaluation is pure; custom
 callbacks must be re-entrant.
 """
 
@@ -107,171 +109,120 @@ class DiscreteMixture(DelayMeasure, Record, frozen=True):
 
 
 # ---------------------------------------------------------------------------
-# Generator specs
+# Drifts
 # ---------------------------------------------------------------------------
 
-class GeneratorSpec:
-    """Base class.  A built-in drift overrides ``instant`` and ``past_z_terms``
-    (both zero by default) and declares its Lipschitz constants."""
+class AffineDrift(Record, frozen=True, eq=False):
+    """F(t, y, z, past_z) = A y + B z + sum_k c_k z(t + theta_k), every built-in drift.
 
-    alpha: DelayMeasure = Dirac(0.0)
+    ``a_y`` (m, m) and ``b_z`` (m, m, d) are both None for a drift with no
+    instant part.  ``past_z_terms(t, horizon, dt)`` returns the (theta, c)
+    terms at grid time t (d = 1 only), a pure function of its arguments:
+    `past_z_rows` resolves it once per level and keeps the table on the record
+    for every later solve and audit on that grid.  The declared delay constant
+    is K = (k_root * horizon ** k_power) ** 2 against the measure ``alpha``.
+    """
+
+    a_y: np.ndarray | None = None
+    b_z: np.ndarray | None = None
+    past_z_terms: Callable[[float, float, float], tuple] = lambda t, horizon, dt: ()
+    k_root: float = 0.0
+    k_power: int = 0
+    alpha: DelayMeasure = Dirac()
 
     def instant(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Present-value part of the drift; (y, z) may carry leading batch axes."""
-        return np.zeros_like(y)
-
-    def past_z_terms(self, t: float, horizon: float, dt: float) -> tuple:
-        """(theta, c) terms of the past-Z part at grid time t (d = 1 only).
-
-        A pure function of (t, horizon, dt): `past_z_rows` resolves it once
-        per level, for every sweep (and, on a frozen spec, every solve and
-        audit on that grid).
-        """
-        return ()
+        if self.a_y is None:
+            return np.zeros_like(y)
+        return np.einsum("...l,kl->...k", y, self.a_y) + np.einsum("kml,...ml->...k", self.b_z, z)
 
     def lipschitz_instant(self) -> float:
-        """L in |F(t,y,z,p) - F(t,ybar,zbar,p)| <= L(|y-ybar| + |z-zbar|)."""
-        raise NotImplementedError
+        """L = max(|A|_2, |B|_2), B as an (m, m*d) matrix.  With one row or column (every
+        m = 1 drift) the spectral norm is the entries' Euclidean norm: math.hypot, no LAPACK."""
+        if self.a_y is None:
+            return 0.0
+        return max(math.hypot(*c.ravel()) if 1 in c.shape else float(np.linalg.norm(c, 2))
+                   for c in (self.a_y, self.b_z.reshape(len(self.a_y), -1)))
 
     def lipschitz_delay(self, horizon: float) -> float:
         """K in the squared delay bound against the alpha-integral."""
-        raise NotImplementedError
+        root = self.k_root * horizon ** self.k_power
+        _check_finite(root, "kappa * T" if self.k_power else "k_root")  # k_power 1: (kappa T)^2
+        return root ** 2
 
 
-class ZeroGen(GeneratorSpec, Record, frozen=True):
+def zero() -> AffineDrift:
     """F == 0."""
-
-    def lipschitz_instant(self):
-        return 0.0
-
-    def lipschitz_delay(self, horizon):
-        return 0.0
+    return AffineDrift()
 
 
-class LinearInstant(GeneratorSpec, Record, frozen=True, eq=False):
-    """F(t, y, z) = A y + B z with A (m, m) and B (m, m, d)."""
-
-    a_y: np.ndarray
-    b_z: np.ndarray
-
-    def __init__(self, a_y, b_z):
-        a = np.atleast_2d(np.asarray(a_y, dtype=float))
-        b = np.asarray(b_z, dtype=float)
-        if b.ndim == 0:
-            b = b.reshape(1, 1, 1)
-        elif b.ndim == 2:
-            b = b[:, :, None]
-        if b.ndim != 3 or a.shape[0] != a.shape[1] or b.shape[:2] != a.shape:
-            raise ValueError(f"inconsistent linear generator dimensions: a {a.shape}, b {b.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("linear generator coefficients must be finite")
-        object.__setattr__(self, "a_y", a)
-        object.__setattr__(self, "b_z", b)
-
-    @property
-    def m(self):
-        return self.a_y.shape[0]
-
-    def instant(self, y, z):
-        return np.einsum("...l,kl->...k", y, self.a_y) + np.einsum("kml,...ml->...k", self.b_z, z)
-
-    def lipschitz_instant(self):
-        """max(|A|_2, |B|_2), B as an (m, m*d) matrix.  With one row or column (every
-        m = 1 drift) the spectral norm is the entries' Euclidean norm: math.hypot, no LAPACK."""
-        return max(math.hypot(*c.ravel()) if 1 in c.shape else float(np.linalg.norm(c, 2))
-                   for c in (self.a_y, self.b_z.reshape(self.m, -1)))
-
-    def lipschitz_delay(self, horizon):
-        return 0.0
+def linear(a_y, b_z) -> AffineDrift:
+    """F(t, y, z) = A y + B z with A (m, m) and B (m, m, d); a 2-d B is B (m, m, 1)."""
+    a = np.atleast_2d(np.asarray(a_y, dtype=float))
+    b = np.asarray(b_z, dtype=float)
+    if b.ndim in (0, 2):  # a scalar B is (1, 1, 1), an (m, m) B is (m, m, 1)
+        b = b.reshape(b.shape + (1,) * (3 - b.ndim))
+    if b.ndim != 3 or a.shape[0] != a.shape[1] or b.shape[:2] != a.shape:
+        raise ValueError(f"inconsistent linear generator dimensions: a {a.shape}, b {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("linear generator coefficients must be finite")
+    return AffineDrift(a, b)
 
 
-def linear_scalar(a: float, b: float) -> LinearInstant:
+def linear_scalar(a: float, b: float) -> AffineDrift:
     """Scalar convenience: F = a*y + b*z for m = d = 1."""
-    return LinearInstant(np.array([[a]]), np.array([[[b]]]))
+    return linear(np.array([[a]]), np.array([[[b]]]))
 
 
-class DelayedZ(GeneratorSpec, Record, frozen=True):
-    """F(s) = kappa * z(s - lag); the lagged value is read from the past segment."""
-
-    kappa: float
-    lag: float
-
-    def __post_init__(self):
-        _check_finite(self.kappa, "kappa")
-        if not 0 <= self.lag < math.inf:  # negated, so that NaN fails it
-            raise ValueError(f"lag must be finite and >= 0: {self.lag!r}")
-        object.__setattr__(self, "alpha", Dirac(-self.lag))
-
-    def past_z_terms(self, t, horizon, dt):
-        return ((-self.lag, self.kappa),)
-
-    def lipschitz_instant(self):
-        return 0.0
-
-    def lipschitz_delay(self, horizon):
-        return self.kappa ** 2
+def delayed_z(kappa: float, lag: float) -> AffineDrift:
+    """F(s) = kappa * z(s - lag), K = kappa^2 against Dirac(-lag)."""
+    _check_finite(kappa, "kappa")
+    if not 0 <= lag < math.inf:  # negated, so that NaN fails it
+        raise ValueError(f"lag must be finite and >= 0: {lag!r}")
+    return AffineDrift(past_z_terms=lambda t, horizon, dt: ((-lag, kappa),), k_root=kappa,
+                       alpha=Dirac(-lag))
 
 
-class RunningIntegralZ(GeneratorSpec, Record, frozen=True):
+def running_integral_z(kappa: float) -> AffineDrift:
     """F(s) = kappa * int_0^s z(u) du (trapezoid over the grid points of [0, s]).
 
     Not the uniform moving average scaled by the horizon: for s < T that
     trapezoid over [s - T, s] weights z(0) by dt, not dt/2, so it exceeds this
-    drift by kappa * dt * z(0) / 2.
+    drift by kappa * dt * z(0) / 2.  K = (kappa T)^2 against the uniform alpha
+    (Jensen costs a factor horizon^2), which only the K bound's audit reads.
     """
-
-    kappa: float
-    alpha = UniformPast()  # not a field: the drift reads no measure, the K bound's audit does
-
-    def __post_init__(self):
-        _check_finite(self.kappa, "kappa")
-
-    def past_z_terms(self, t, horizon, dt):
-        return _trapezoid(int(round(t / dt)), dt, self.kappa * dt)
-
-    def lipschitz_instant(self):
-        return 0.0
-
-    def lipschitz_delay(self, horizon):
-        _check_finite(self.kappa * horizon, "kappa * T")  # Jensen costs a factor horizon^2
-        return (self.kappa * horizon) ** 2
+    _check_finite(kappa, "kappa")
+    return AffineDrift(
+        past_z_terms=lambda t, horizon, dt: _trapezoid(int(round(t / dt)), dt, kappa * dt),
+        k_root=kappa, k_power=1, alpha=UniformPast())
 
 
-class MovingAverageZ(GeneratorSpec, Record, frozen=True, eq=False):
+def moving_average_z(g: Callable[[float], float], g_bound: float,
+                     alpha: DelayMeasure = Dirac()) -> AffineDrift:
     """F(s) = int_{-T}^0 g(s + theta) z(s + theta) alpha(dtheta).
 
     ``g`` must be bounded measurable on [0, T], zero before 0 (cut where `lattice.grid_row`
     reads no row, read at k dt within its slack of row k, so a row keeps one weight at every
     level); ``g_bound`` declares sup |g|, K = g_bound^2, and a g value read above it raises.
     """
+    if not 0 <= g_bound < math.inf:  # negated, so that NaN fails it
+        raise ValueError(f"g_bound must be finite and >= 0: {g_bound!r}")
+    _check_finite(g_bound, "g_bound")
 
-    g: Callable[[float], float]
-    g_bound: float
-    alpha: DelayMeasure = Dirac()
-
-    def __post_init__(self):
-        if not 0 <= self.g_bound < math.inf:  # negated, so that NaN fails it
-            raise ValueError(f"g_bound must be finite and >= 0: {self.g_bound!r}")
-        _check_finite(self.g_bound, "g_bound")
-
-    def past_z_terms(self, t, horizon, dt):
+    def past_z_terms(t, horizon, dt):
         def g_at(s):  # at grid row k's time k dt within the slack grid_row snaps by
             k = round(s / dt)
-            g = float(self.g(k * dt if abs(s - k * dt) <= TIME_SLACK * dt else s))
-            if not abs(g) <= self.g_bound:  # negated, so that NaN fails it
-                raise ValueError(f"|g({s:.6g})| = {abs(g)!r} exceeds g_bound = {self.g_bound!r}")
-            return g
+            value = float(g(k * dt if abs(s - k * dt) <= TIME_SLACK * dt else s))
+            if not abs(value) <= g_bound:  # negated, so that NaN fails it
+                raise ValueError(f"|g({s:.6g})| = {abs(value)!r} exceeds g_bound = {g_bound!r}")
+            return value
         return tuple((theta, w * (0.0 if t + theta < -TIME_SLACK * dt else g_at(t + theta)))
-                     for theta, w in self.alpha.discretize(horizon, dt))
+                     for theta, w in alpha.discretize(horizon, dt))
 
-    def lipschitz_instant(self):
-        return 0.0
-
-    def lipschitz_delay(self, horizon):
-        return self.g_bound ** 2
+    return AffineDrift(past_z_terms=past_z_terms, k_root=g_bound, alpha=alpha)
 
 
-class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
+class CustomGenerator(Record, frozen=True, eq=False):
     """User drift fn(t, y, z, past_y, past_z) with declared constants.
 
     The callback evaluates a whole tree level in one call, once per level per
@@ -292,6 +243,7 @@ class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
     declared_instant: float
     declared_delay: float
     alpha: DelayMeasure = Dirac()
+    past_z_terms = staticmethod(AffineDrift.past_z_terms)  # not a field: no past-Z table
 
     def __post_init__(self):
         for name in ("declared_instant", "declared_delay"):
@@ -303,6 +255,9 @@ class CustomGenerator(GeneratorSpec, Record, frozen=True, eq=False):
 
     def lipschitz_delay(self, horizon):
         return self.declared_delay
+
+
+GeneratorSpec = AffineDrift | CustomGenerator  # what a solve takes
 
 
 def _check_past(theta: float, t: float, dt: float, i: int):
@@ -351,8 +306,8 @@ def _read_drift(gen: CustomGenerator, i: int, dt: float,
 
 def origin_drift_mass(gen: GeneratorSpec, tree, m: int, betas=(0.0,)) -> list:
     """int_0^T e^{beta s} |F(s, 0, 0, 0, 0)|^2 ds for each of ``betas``, left endpoints
-    on the grid, from one evaluation on a one-row level of zeros with a zero past: a
-    built-in's ``instant`` (c * 0 past terms leave its square as it is), a callback per level."""
+    on the grid, from one evaluation on a one-row level of zeros with a zero past: the
+    record's ``instant`` (c * 0 past terms leave its square as it is), a callback per level."""
     grid = tree.grid
     zero_y, zero_z = np.zeros((1, m)), np.zeros((1, m, tree.bm_dim))
     zero_y.flags.writeable = zero_z.flags.writeable = False  # every level reads these
@@ -369,28 +324,25 @@ def origin_drift_mass(gen: GeneratorSpec, tree, m: int, betas=(0.0,)) -> list:
 
 
 def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
-    """The built-in's past-Z terms of every level i < n as (row, c) pairs.
+    """The drift's past-Z terms of every level i < n as (row, c) pairs.
 
     ``row`` is the frozen grid row `lattice.grid_row` reads at t_i + theta, or
     None for |theta| <= slack, which reads the level's current z; a theta above
     that reads the future and raises.  Terms before time 0 are dropped (the Z
     extension is 0).  Term order is kept, so `level_drift` sums in that order.
-    ``past_z_terms`` is called once per level.  A spec that cannot change (a
-    frozen Record or frozen dataclass) keeps the table in its ``__dict__`` (not
-    a field) for every later solve and audit on that (grid, bm_dim); any other
-    spec is resolved anew on each call, so a change to it is read.
+    ``past_z_terms`` is called once per level.  The frozen record keeps the
+    table in its ``__dict__`` (not a field) for every later solve and audit on
+    that (grid, bm_dim).
     """
-    frozen = type(gen).__setattr__ is Record._refuse or getattr(
-        getattr(gen, "__dataclass_params__", None), "frozen", False)
-    key, memo = (tree.grid, tree.bm_dim), getattr(gen, "__dict__", {}) if frozen else {}
+    key, memo = (tree.grid, tree.bm_dim), gen.__dict__
     if memo.get("_past_z_rows", (None,))[0] == key:
         return memo["_past_z_rows"][1]
     grid, dt, levels = tree.grid, tree.grid.dt, []
     for i in range(grid.n_steps):
         terms = gen.past_z_terms(i * dt, grid.horizon, dt)
         if terms and tree.bm_dim != 1:
-            raise GeneratorError(f"{type(gen).__name__} requires a one-dimensional driving "
-                                 f"noise (z has d = {tree.bm_dim})")
+            raise GeneratorError(f"a drift with past-Z terms requires a one-dimensional "
+                                 f"driving noise (z has d = {tree.bm_dim})")
         rows = []
         for theta, c in terms:
             _check_past(theta, i * dt, dt, i)
@@ -406,8 +358,8 @@ def past_z_rows(gen: GeneratorSpec, tree) -> tuple:
 def prefix_coefficients(gen: GeneratorSpec, past_rows: tuple) -> tuple | None:
     """Row k's coefficient c_k of a column-constant `past_z_rows` table, or
     None.  Column-constant: level i reads the frozen rows 0..i-1 in order, each
-    with its one c_k, then at most the current z, and ``instant`` is zero."""
-    if isinstance(gen, CustomGenerator) or type(gen).instant is not GeneratorSpec.instant:
+    with its one c_k, then at most the current z, and the drift has no instant part."""
+    if isinstance(gen, CustomGenerator) or gen.a_y is not None:
         return None
     coeffs = tuple(c for _, c in past_rows[-1][:len(past_rows) - 1])
     rows = tuple(enumerate(coeffs))
@@ -433,10 +385,10 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
 
     The past segments are read from the level lists (frozen_y, frozen_z),
     ``frozen_z[k]`` holding grid row k, except at offset 0, which resolves to
-    the level's current (y, z).  A built-in is
+    the level's current (y, z).  An `AffineDrift` is
     ``instant(y, z) + sum c * z_row`` over ``past_rows[i]`` of the
     `past_z_rows(gen, tree)` table, each frozen row repeated down to level i
-    (or with a `frozen_prefix`, its level i, and the current term).  A built-in
+    (or with a `frozen_prefix`, its level i, and the current term).  It
     also takes one block's (1, size, m) level of a batch whose frozen levels
     stack every block: it broadcasts against them and returns (blocks, size, m).
     A `CustomGenerator` callback is called once, on the whole level: its
@@ -468,6 +420,7 @@ def level_drift(gen: GeneratorSpec, tree, i: int, y: np.ndarray, z: np.ndarray,
 # ---------------------------------------------------------------------------
 
 PROBE_SEED = 2024  # fixes the probes, so a run's audit repeats
+ROW_TOLERANCE = 1e-9  # relative and absolute: a callback's own matmul rounds by the rows beside it
 
 
 def lipschitz_probe_audit(gen: CustomGenerator, m: int, d: int, horizon: float,
@@ -477,9 +430,11 @@ def lipschitz_probe_audit(gen: CustomGenerator, m: int, d: int, horizon: float,
     Draws random instantaneous arguments and random past step paths and
     measures the worst slack of the two Lipschitz inequalities; nonpositive
     slacks (up to rounding) certify the declared L and K on the probe set.
-    The probes drawn at one level are evaluated as one batch.  A probe's past
+    The probes drawn at one level are evaluated as one read-only batch, and
+    again reversed and in two halves: a row that moves beyond `ROW_TOLERANCE`
+    depends on the rows beside it and raises `GeneratorError`.  A probe's past
     reads its own path, offset 0 included, never the instantaneous argument.
-    A built-in, whose constants are exact, raises TypeError.
+    An `AffineDrift`, whose constants are exact, raises TypeError.
     """
     if not isinstance(gen, CustomGenerator):
         raise TypeError(f"the probe audit takes a CustomGenerator, not {type(gen).__name__}")
@@ -502,15 +457,23 @@ def lipschitz_probe_audit(gen: CustomGenerator, m: int, d: int, horizon: float,
         at = levels == i
         if not at.any():
             continue
-        (y1, y2), (z1, z2) = y[:, at], z[:, at]
+        probes = y[:, at], z[:, at], path_y[:, at], path_z[:, at], np.zeros_like(z[0, at])
+        for probe in probes:  # read-only, as `level_drift` hands them: a write raises
+            probe.flags.writeable = False
+        (y1, y2), (z1, z2), paths_y, paths_z, zeros = probes
 
-        def path_reader(paths, extension):
-            return _past_reader(lambda k: paths[:, k], i, dt, None, extension)
+        def readers(s, rows=slice(None)):  # path pair s's accessors on the probes ``rows``
+            return (_past_reader(lambda k: paths_y[s, rows, k], i, dt, None, None),
+                    _past_reader(lambda k: paths_z[s, rows, k], i, dt, None, zeros[rows]))
 
-        acc_y1, acc_y2 = (path_reader(path_y[s, at], None) for s in (0, 1))
-        acc_z1, acc_z2 = (path_reader(path_z[s, at], np.zeros_like(z1)) for s in (0, 1))
-
+        (acc_y1, acc_z1), (acc_y2, acc_z2) = readers(0), readers(1)
         f_a = _read_drift(gen, i, dt, y1, z1, acc_y1, acc_z1)
+        half = len(f_a) // 2
+        for rows in (slice(None, None, -1), slice(half), slice(half, None)) if half else ():
+            part = _read_drift(gen, i, dt, y1[rows], z1[rows], *readers(0, rows))
+            if not np.allclose(part, f_a[rows], ROW_TOLERANCE, ROW_TOLERANCE, equal_nan=True):
+                raise GeneratorError(f"custom generator rows depend on each other at t={i * dt}, "
+                                     f"level {i}: a probe row moved with the rows beside it")
         f_b = _read_drift(gen, i, dt, y2, z2, acc_y1, acc_z1)
         lhs = np.sqrt(row_sq_norms(f_a - f_b))
         rhs = big_l * (np.sqrt(row_sq_norms(y1 - y2)) + np.sqrt(row_sq_norms(z1 - z2)))

@@ -17,7 +17,7 @@ def quadratic_problem(n_steps: int = 4, horizon: float = 1.0):
     """Smooth penalty c|y|^2/2 with c = 4 and a plain martingale terminal."""
     tree = build_tree(n_steps, horizon)
     phi = convex.Quadratic(4.0)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     xi = terminal_linear(tree, 0.5, 0.5)
     return tree, xi, gen, phi
 

@@ -59,7 +59,7 @@ def test_criterion_2_classical_reduction():
     tree = bsvi.lattice.build_tree(10, 1.0, 1)
     a, b = 0.3, 1.7
     xi = terminal_linear(tree, a, b)
-    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Zero(), epsilon=0.5)
+    sol = picard_solve(tree, xi, generators.zero(), phi=convex.Zero(), epsilon=0.5)
     w = tree.path_sums()
     worst = 0.0
     for i in range(11):
@@ -76,8 +76,8 @@ def test_criterion_3_delay_reduction():
     t0 = time.perf_counter()
     tree = bsvi.lattice.build_tree(6, 0.75, 1)
     xi = terminal_linear(tree, -0.2, 1.4)
-    base = picard_solve(tree, xi, generators.ZeroGen())
-    lagged = picard_solve(tree, xi, generators.DelayedZ(kappa=5.0, lag=0.75))
+    base = picard_solve(tree, xi, generators.zero())
+    lagged = picard_solve(tree, xi, generators.delayed_z(kappa=5.0, lag=0.75))
     identical = all(
         np.array_equal(a, b) for a, b in zip(base.Y.values, lagged.Y.values)
     ) and all(
@@ -95,35 +95,35 @@ def test_criterion_4_fixed_point_oracle():
     checked = []
 
     xi = terminal_linear(tree, 0.1, 1.0)
-    sol = picard_solve(tree, xi, generators.DelayedZ(kappa=0.4, lag=dt), tol)
+    sol = picard_solve(tree, xi, generators.delayed_z(kappa=0.4, lag=dt), tol)
     assert_solution_matches_oracle(
         tree, xi, sol,
         lambda i, e, zn, oy, oz, j: 0.4 * oz[i - 1][j >> 1] if i >= 1 else 0.0)
-    checked.append("DelayedZ")
+    checked.append("delayed_z")
 
     g = lambda t: 0.5 + t
     xi2 = terminal_linear(tree, 0.0, 2.0)
     sol = picard_solve(
         tree, xi2,
-        generators.MovingAverageZ(g=g, g_bound=1.0, alpha=generators.Dirac(-dt)),
+        generators.moving_average_z(g=g, g_bound=1.0, alpha=generators.Dirac(-dt)),
         tol)
     assert_solution_matches_oracle(
         tree, xi2, sol,
         lambda i, e, zn, oy, oz, j:
             g(i * dt - dt) * oz[i - 1][j >> 1] if i * dt - dt >= 0 else 0.0)
-    checked.append("MovingAverageZ/Dirac")
+    checked.append("moving_average_z/Dirac")
 
     alpha = generators.DiscreteMixture(((-dt, 0.4), (0.0, 0.6)))
     xi3 = terminal_linear(tree, -0.2, 1.0)
     sol = picard_solve(
         tree, xi3,
-        generators.MovingAverageZ(g=lambda t: 1.0, g_bound=1.0, alpha=alpha),
+        generators.moving_average_z(g=lambda t: 1.0, g_bound=1.0, alpha=alpha),
         tol)
     assert_solution_matches_oracle(
         tree, xi3, sol,
         lambda i, e, zn, oy, oz, j:
             (0.4 * oz[i - 1][j >> 1] if i >= 1 else 0.0) + 0.6 * zn)
-    checked.append("MovingAverageZ/mixture")
+    checked.append("moving_average_z/mixture")
 
     def running(i, e, zn, oy, oz, j):
         if i == 0:
@@ -132,19 +132,19 @@ def test_criterion_4_fixed_point_oracle():
         return 0.7 * dt * (0.5 * samples[0] + sum(samples[1:-1]) + 0.5 * samples[-1])
 
     xi4 = terminal_linear(tree, 0.0, 1.0)
-    sol = picard_solve(tree, xi4, generators.RunningIntegralZ(kappa=0.7), tol)
+    sol = picard_solve(tree, xi4, generators.running_integral_z(kappa=0.7), tol)
     assert_solution_matches_oracle(tree, xi4, sol, running)
-    checked.append("RunningIntegralZ")
+    checked.append("running_integral_z")
 
     phi = convex.Quadratic(2.0)
     xi5 = terminal_linear(tree, 0.5, 1.0)
-    sol = picard_solve(tree, xi5, generators.DelayedZ(kappa=0.3, lag=dt), tol,
+    sol = picard_solve(tree, xi5, generators.delayed_z(kappa=0.3, lag=dt), tol,
                        phi=phi, epsilon=0.2)
     assert_solution_matches_oracle(
         tree, xi5, sol,
         lambda i, e, zn, oy, oz, j: 0.3 * oz[i - 1][j >> 1] if i >= 1 else 0.0,
         penalty=(phi, 0.2))
-    checked.append("DelayedZ+Quadratic")
+    checked.append("delayed_z+Quadratic")
 
     report(4, True, f"direct-iteration oracle matches to 1e-12 on 4 leaves "
                     f"for {', '.join(checked)}")
@@ -266,7 +266,7 @@ def test_criterion_10_stability():
     # hand-computed case: terminal shift by delta under the zero generator
     # moves Y by exactly delta, so the constant is e^{beta T}
     tree = bsvi.lattice.build_tree(3, 0.75, 1)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     xi = terminal_linear(tree, 0.0, 1.0)
     delta = 0.41
     worst = 0.0

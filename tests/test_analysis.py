@@ -177,7 +177,7 @@ def test_rate_fit_exact_and_underdetermined():
 def test_stability_identical_data_is_vacuous():
     tree = build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     sol = picard_solve(tree, xi, gen)
     audit = stability_audit(sol, sol, xi, xi, gen, gen, tree)
     assert audit.vacuous
@@ -204,7 +204,7 @@ def test_stability_martingale_shift_constant(beta):
     # shifting the terminal by delta shifts Y by delta and leaves Z alone:
     # the empirical constant is exactly exp(beta * T)
     tree = build_tree(3, 0.75, 1)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     xi = terminal_linear(tree, 0.0, 1.0)
     delta = 0.37
     xi_shift = xi + delta
@@ -286,9 +286,9 @@ def test_residuals_penalized_and_prox(builder):
 from helpers_oracle import solution_residuals_per_level
 
 COLUMN_CONSTANT = {
-    "uniform_moving_average": generators.MovingAverageZ(g=lambda t: 0.5, g_bound=0.5,
+    "uniform_moving_average": generators.moving_average_z(g=lambda t: 0.5, g_bound=0.5,
                                                         alpha=generators.UniformPast()),
-    "running_integral": generators.RunningIntegralZ(kappa=0.4),
+    "running_integral": generators.running_integral_z(kappa=0.4),
 }
 
 
@@ -422,7 +422,7 @@ def test_probe_dedupe_takes_a_negative_zero_for_the_origin():
 def test_apriori_audit_epsilon_free_when_phi_inactive():
     tree = build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     config = SolverConfig(epsilon_schedule=(1.0, 0.25, 0.0625))
     res = solve_bsvi(tree, xi, gen, convex.Zero(), config)
     audit = apriori_audit(res.per_epsilon, xi, gen, tree)
@@ -434,7 +434,7 @@ def test_apriori_audit_epsilon_free_when_phi_inactive():
 def test_apriori_audit_vacuous_on_zero_problem():
     tree = build_tree(2, 1.0, 1)
     xi = terminal_constant(tree, 0.0)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     config = SolverConfig(epsilon_schedule=(1.0, 0.5))
     res = solve_bsvi(tree, xi, gen, convex.Zero(), config)
     audit = apriori_audit(res.per_epsilon, xi, gen, tree)
@@ -445,7 +445,7 @@ def test_apriori_audit_vacuous_on_zero_problem():
 def test_yosida_audit_zero_phi_is_identically_zero():
     tree = build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     config = SolverConfig(epsilon_schedule=(1.0, 0.25, 0.0625))
     res = solve_bsvi(tree, xi, gen, convex.Zero(), config)
     audit = yosida_audit(res.per_epsilon, convex.Zero(), xi, gen, tree)
@@ -459,7 +459,7 @@ def test_yosida_audit_quadratic_gap_constant():
     # the audited value against the closed form at one epsilon
     tree = build_tree(2, 1.0, 1)
     xi = terminal_constant(tree, 1.5)
-    gen = generators.ZeroGen()
+    gen = generators.zero()
     phi = convex.Quadratic(2.0)
     eps = 0.5
     sol = picard_solve(tree, xi, gen, phi=phi, epsilon=eps)

@@ -142,15 +142,21 @@ def _all(*edits):
 @pytest.mark.filterwarnings("ignore:well-posedness gate failed")
 def test_one_run_resolves_the_past_z_terms_once_per_level(tmp_path, monkeypatch):
     # the config check, the batched solve and the residual audit share the
-    # table `generators.past_z_rows` keeps on the frozen spec
+    # table `generators.past_z_rows` keeps on the frozen drift
     calls = []
-    real = generators.MovingAverageZ.past_z_terms
+    real = generators.moving_average_z
 
-    def counted(self, t, horizon, dt):
-        calls.append(t)
-        return real(self, t, horizon, dt)
+    def counted(**kwargs):
+        gen = real(**kwargs)
 
-    monkeypatch.setattr(generators.MovingAverageZ, "past_z_terms", counted)
+        def past_z_terms(t, horizon, dt):
+            calls.append(t)
+            return gen.past_z_terms(t, horizon, dt)
+
+        return generators.AffineDrift(past_z_terms=past_z_terms, k_root=gen.k_root,
+                                      alpha=gen.alpha)
+
+    monkeypatch.setattr(generators, "moving_average_z", counted)
     doc = minimal_doc()
     doc["generator"] = {**MOVING_AVERAGE, "alpha": {"kind": "uniform"}}
     doc["phi"], doc["run"] = {"kind": "box", "lo": -2.0, "hi": 2.0}, {"mode": "bsvi"}
@@ -161,6 +167,8 @@ def test_one_run_resolves_the_past_z_terms_once_per_level(tmp_path, monkeypatch)
 
 # two noise components, with a terminal that reads both
 BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
+DELAYED_Z_BM_DIM_2 = _all(*BM_DIM_2, _set("generator", None,
+                                          {"kind": "delayed_z", "kappa": 0.5, "lag": 0.25}))
 
 
 @pytest.mark.parametrize("edit", [
@@ -225,7 +233,7 @@ BM_DIM_2 = (_set("model", "bm_dim", 2), _set("terminal", "b", [[1.0, 0.0]]))
     # accepted and ignored: epsilon outside penalized mode, a phi under classical mode
     _set("run", "epsilon", 0.5), _set("phi", None, {"kind": "box", "lo": -5.0, "hi": 5.0}),
     # sections that disagree: an uncaught GeneratorError exited 1 with a traceback
-    _all(*BM_DIM_2, _set("generator", None, {"kind": "delayed_z", "kappa": 0.5, "lag": 0.25})),
+    DELAYED_Z_BM_DIM_2,
     # exit 3 mid-run: a delay offset beyond the horizon, a 2-D phi or drift on dim 1
     _set("generator", None, {**MOVING_AVERAGE, "alpha": {"kind": "dirac", "theta": -1.5}}),
     _all(_set("run", "mode", "prox"),
@@ -301,6 +309,16 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, edit):
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_delayed_drift_on_two_noise_components_names_its_past_z_terms(tmp_path, capsys):
+    # the refusal names what the drift has, not the record's class
+    doc = minimal_doc()
+    DELAYED_Z_BM_DIM_2(doc)
+    assert main([str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"] == (
+        "section 'generator': a drift with past-Z terms requires a one-dimensional driving "
+        "noise (z has d = 2)")
 
 
 def test_a_box_bound_of_rank_three_is_a_config_error(tmp_path, capsys):
@@ -917,7 +935,7 @@ def test_solve_digest_exits_0_1_or_2_by_config():
 def test_solve_digest_moves_with_one_ulp_of_y_or_one_distance():
     digest = _solve_digest().digest
     tree = build_tree(3, 1.0)
-    sol = solver.picard_solve(tree, tree.path_sums().values[3][:, 0], generators.ZeroGen())
+    sol = solver.picard_solve(tree, tree.path_sums().values[3][:, 0], generators.zero())
     ys = [y.copy() for y in sol.Y.values]
     ys[1][1, 0] = np.nextafter(ys[1][1, 0], np.inf)
     want = digest(sol)

@@ -1,30 +1,31 @@
 import math
 import warnings
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bsvi.convex import Zero
 from bsvi.generators import (
+    AffineDrift,
     CustomGenerator,
-    DelayedZ,
     Dirac,
     DiscreteMixture,
     GeneratorError,
     GeneratorSpec,
-    LinearInstant,
-    MovingAverageZ,
-    RunningIntegralZ,
     UniformPast,
-    ZeroGen,
+    delayed_z,
     frozen_prefix,
     level_drift,
+    linear,
     linear_scalar,
     lipschitz_probe_audit,
+    moving_average_z,
     origin_drift_mass,
     past_z_rows,
     prefix_coefficients,
+    running_integral_z,
+    zero,
 )
 from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.problems import terminal_linear
@@ -54,10 +55,10 @@ def test_delay_measure_validation():
     lambda: Dirac(math.nan), lambda: Dirac(-math.inf),
     lambda: DiscreteMixture(((math.nan, 1.0),)),
     lambda: DiscreteMixture(((-0.5, math.nan), (0.0, 0.5))),
-    lambda: DelayedZ(math.nan, 0.0), lambda: DelayedZ(1.0, math.nan),
-    lambda: DelayedZ(1.0, math.inf), lambda: RunningIntegralZ(math.nan),
-    lambda: MovingAverageZ(g=lambda t: 1.0, g_bound=math.nan),
-    lambda: LinearInstant([[math.nan]], [[[0.0]]]), lambda: LinearInstant([[1.0]], [[[math.inf]]]),
+    lambda: delayed_z(math.nan, 0.0), lambda: delayed_z(1.0, math.nan),
+    lambda: delayed_z(1.0, math.inf), lambda: running_integral_z(math.nan),
+    lambda: moving_average_z(g=lambda t: 1.0, g_bound=math.nan),
+    lambda: linear([[math.nan]], [[[0.0]]]), lambda: linear([[1.0]], [[[math.inf]]]),
 ], ids=["dirac_nan", "dirac_minus_inf", "mixture_theta_nan", "mixture_weight_nan",
         "delayed_kappa_nan", "delayed_lag_nan", "delayed_lag_inf", "running_kappa_nan",
         "g_bound_nan", "linear_a_nan", "linear_b_inf"])
@@ -81,15 +82,15 @@ def test_custom_generator_refuses_a_bad_declared_constant(name, value):
 def test_moving_average_refuses_a_g_value_above_its_g_bound():
     tree = build_tree(3, 1.0)
     with pytest.raises(ValueError, match="g_bound must be finite and >= 0"):
-        MovingAverageZ(g=lambda t: 0.0, g_bound=-0.5)
+        moving_average_z(g=lambda t: 0.0, g_bound=-0.5)
     for g in (lambda t: 2.0, lambda t: -0.5 - t, lambda t: math.nan):
-        gen = MovingAverageZ(g=g, g_bound=0.5, alpha=Dirac(-0.25))
+        gen = moving_average_z(g=g, g_bound=0.5, alpha=Dirac(-0.25))
         with pytest.raises(ValueError, match="exceeds g_bound"):
             past_z_rows(gen, tree)
         with pytest.raises(ValueError, match="exceeds g_bound"):
             picard_solve(tree, tree.path_sums().values[-1], gen)
     # a bound met with equality holds, and g is not read before time 0
-    gen = MovingAverageZ(g=lambda t: 0.5 if t >= 0 else 9.0, g_bound=0.5, alpha=UniformPast())
+    gen = moving_average_z(g=lambda t: 0.5 if t >= 0 else 9.0, g_bound=0.5, alpha=UniformPast())
     assert len(past_z_rows(gen, tree)) == 3
 
 
@@ -180,7 +181,7 @@ def test_eval_generator_zero_and_linear():
     tree = build_tree(2, 1.0, 1)
     y, z = random_paths(tree, 2)
     y1, z1 = np.full((2, 1), 1.5), np.ones((2, 1, 1))
-    assert np.array_equal(level_drift_at(ZeroGen(), tree, 1, y1, z1, y, z), np.zeros((2, 1)))
+    assert np.array_equal(level_drift_at(zero(), tree, 1, y1, z1, y, z), np.zeros((2, 1)))
     out = level_drift_at(linear_scalar(0.0, 1.0), tree, 1, y1, z1, y, z)
     assert np.array_equal(out, np.ones((2, 1)))
 
@@ -189,7 +190,7 @@ def test_eval_generator_delayed_z_before_lag_is_zero():
     tree = build_tree(2, 1.0, 1)
     z = AdaptedProcess(tree, [np.full((1, 1, 1), 9.0), np.full((2, 1, 1), 9.0)])
     y = tree.path_sums()
-    gen = DelayedZ(kappa=2.0, lag=0.5)
+    gen = delayed_z(kappa=2.0, lag=0.5)
     out = level_drift_at(gen, tree, 0, np.zeros((1, 1)), np.zeros((1, 1, 1)), y, z)
     assert np.array_equal(out, np.zeros((1, 1)))
 
@@ -197,7 +198,7 @@ def test_eval_generator_delayed_z_before_lag_is_zero():
 def test_eval_generator_moving_average_dirac_zero_reduces_to_instant():
     tree = build_tree(4, 1.0, 1)
     y, z = random_paths(tree, 4)
-    gen = MovingAverageZ(g=lambda t: 2.0 + t, g_bound=3.0, alpha=Dirac(0.0))
+    gen = moving_average_z(g=lambda t: 2.0 + t, g_bound=3.0, alpha=Dirac(0.0))
     out = level_drift_at(gen, tree, 2, np.zeros((4, 1)), np.full((4, 1, 1), 0.7), y, z)
     assert out == pytest.approx(np.full((4, 1), (2.0 + 0.5) * 0.7))
 
@@ -209,7 +210,7 @@ def test_eval_generator_running_integral_matches_trapezoid():
     zs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     z = AdaptedProcess(tree, [np.full((tree.level_size(k), 1, 1), zs[k]) for k in range(5)])
     y = tree.path_sums()
-    gen = RunningIntegralZ(kappa=3.0)
+    gen = running_integral_z(kappa=3.0)
     out = level_drift_at(gen, tree, 4, np.zeros((16, 1)), z.values[4], y, z)
     expected = 3.0 * dt * (0.5 * zs[0] + zs[1] + zs[2] + zs[3] + 0.5 * zs[4])
     assert out == pytest.approx(np.full((16, 1), expected))
@@ -222,38 +223,43 @@ def test_probe_audit_refuses_a_built_in_drift():
     # a built-in's constants are exact, and its drift is read only through its
     # past_z_rows table, whose d = 2 refusal
     # test_past_z_rows_keep_the_one_dimensional_noise_check pins
-    for gen in (DelayedZ(1.0, 0.5), ZeroGen(), linear_scalar(0.5, 1.5)):
+    for gen in (delayed_z(1.0, 0.5), zero(), linear_scalar(0.5, 1.5)):
         with pytest.raises(TypeError, match=f"not {type(gen).__name__}"):
             lipschitz_probe_audit(gen, 1, 1, 1.0, 4)
 
 
 def test_probe_audit_skips_the_levels_no_probe_drew():
     # 200 probes over 1000 levels leave most levels without one: the callback
-    # is called three times at each drawn level and never at another
-    calls = []
+    # is called three times on each drawn level's k probes, three more (reversed
+    # and in two halves, the row check) where k >= 2, and never at another level
+    sizes = {}
 
     def drift(t, y, z, py, pz):
-        calls.append(t)
+        sizes.setdefault(t, []).append(len(y))
         return -0.8 * y + 0.5 * pz(-0.25)[..., 0]
 
     gen = CustomGenerator(fn=drift, declared_instant=0.8, declared_delay=0.25,
                           alpha=Dirac(-0.25))
     audit = lipschitz_probe_audit(gen, m=1, d=1, horizon=1.0, n_steps=1000)
     assert audit["instant_slack"] <= 1e-10 and audit["delay_slack"] <= 1e-10
-    assert len(calls) == 3 * len(set(calls)) and len(set(calls)) <= 200
+    assert len(sizes) <= 200 and sum(calls[0] for calls in sizes.values()) == 200
+    for calls in sizes.values():
+        k = calls[0]
+        assert sorted(calls) == sorted([k] * 3 + ([k, k // 2, k - k // 2] if k > 1 else []))
+    assert any(calls[0] > 1 for calls in sizes.values())  # the row check ran
 
 
 def test_linear_instant_reads_a_2d_b_as_one_noise_component():
     # B (m, m) is B (m, m, 1); a b of any rank but 0, 2 or 3 is refused
     y, z = np.array([[2.0, -1.0]]), np.array([[[4.0], [0.5]]])
     a, b = [[0.5, 0.0], [0.25, 1.0]], [[0.25, -2.0], [1.5, 0.0]]
-    two_d = LinearInstant(a, b)
+    two_d = linear(a, b)
     assert two_d.b_z.shape == (2, 2, 1)
-    three_d = LinearInstant(a, np.array(b)[..., None])
+    three_d = linear(a, np.array(b)[..., None])
     assert np.array_equal(two_d.instant(y, z), three_d.instant(y, z))
     for b in ([0.0], [[[[0.0]]]]):
         with pytest.raises(ValueError, match="inconsistent linear generator dimensions"):
-            LinearInstant([[0.0]], b)
+            linear([[0.0]], b)
 
 
 def test_custom_generator_failure_is_wrapped():
@@ -288,19 +294,19 @@ def test_linear_lipschitz_of_one_row_is_the_euclidean_norm_of_its_entries():
     # a 1 x d row (m = 1, bm_dim = 3), to rounding
     for _ in range(50):
         b = rng.normal(size=(1, 1, 3)) * 10.0 ** rng.uniform(-5, 5)
-        assert LinearInstant([[0.0]], b).lipschitz_instant() == pytest.approx(
+        assert linear([[0.0]], b).lipschitz_instant() == pytest.approx(
             float(np.linalg.norm(b.reshape(1, 3), 2)), rel=1e-15, abs=0)
     # a full 2 x 2 keeps the SVD: its spectral norm, below the entries' norm
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lip = LinearInstant(a, np.zeros((2, 2, 1))).lipschitz_instant()
+    lip = linear(a, np.zeros((2, 2, 1))).lipschitz_instant()
     assert lip == float(np.linalg.norm(a, 2)) < math.hypot(1.0, 2.0, 3.0, 4.0) - 1e-3
 
 
 @pytest.mark.parametrize("gen", [
     linear_scalar(0.5, 1.5),
-    DelayedZ(kappa=1.2, lag=0.5),
-    RunningIntegralZ(kappa=0.9),
-    MovingAverageZ(g=lambda t: math.cos(3 * t), g_bound=1.0, alpha=UniformPast()),
+    delayed_z(kappa=1.2, lag=0.5),
+    running_integral_z(kappa=0.9),
+    moving_average_z(g=lambda t: math.cos(3 * t), g_bound=1.0, alpha=UniformPast()),
     CustomGenerator(
         fn=lambda t, y, z, py, pz: -0.8 * y + 0.5 * pz(-0.25)[..., 0],
         declared_instant=0.8, declared_delay=0.25, alpha=Dirac(-0.25)),
@@ -373,9 +379,9 @@ def test_running_integral_is_not_the_scaled_uniform_average():
     z = AdaptedProcess(tree, [np.full((tree.level_size(k), 1, 1), 1.0 + k)
                               for k in range(8)])
     y = tree.path_sums()
-    running_gen = RunningIntegralZ(kappa=kappa)
+    running_gen = running_integral_z(kappa=kappa)
     running = level_drift_at(running_gen, tree, i, y.values[i], z.values[i], y, z)
-    uniform_gen = MovingAverageZ(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
+    uniform_gen = moving_average_z(g=lambda t: kappa * horizon, g_bound=kappa * horizon,
                                  alpha=UniformPast())
     scaled_uniform = level_drift_at(uniform_gen, tree, i, y.values[i], z.values[i], y, z)
     assert np.allclose(running, 0.65625, rtol=0, atol=1e-15)
@@ -385,25 +391,25 @@ def test_running_integral_is_not_the_scaled_uniform_average():
 
 
 LEVEL_DRIFT_CASES = {
-    "zero": (ZeroGen(), 1, 1),
+    "zero": (zero(), 1, 1),
     "linear": (linear_scalar(0.7, -0.4), 1, 1),
-    "linear_m2_d2": (LinearInstant(np.array([[0.3, -0.1], [0.2, 0.1]]),
+    "linear_m2_d2": (linear(np.array([[0.3, -0.1], [0.2, 0.1]]),
                                    np.arange(8.0).reshape(2, 2, 2) / 10), 2, 2),
-    "delayed_z_short_lag": (DelayedZ(kappa=0.8, lag=0.25), 1, 1),
-    "delayed_z_beyond_horizon": (DelayedZ(kappa=0.8, lag=2.0), 1, 1),
-    "dirac_on_grid": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+    "delayed_z_short_lag": (delayed_z(kappa=0.8, lag=0.25), 1, 1),
+    "delayed_z_beyond_horizon": (delayed_z(kappa=0.8, lag=2.0), 1, 1),
+    "dirac_on_grid": (moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0,
                                      alpha=Dirac(-0.5)), 1, 1),
-    "dirac_off_grid": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+    "dirac_off_grid": (moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0,
                                       alpha=Dirac(-0.3)), 1, 1),
-    "dirac_at_zero": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+    "dirac_at_zero": (moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0,
                                      alpha=Dirac(0.0)), 1, 1),
-    "dirac_inside_last_step": (MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+    "dirac_inside_last_step": (moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0,
                                               alpha=Dirac(-0.1)), 1, 1),
-    "mixture": (MovingAverageZ(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
+    "mixture": (moving_average_z(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
         ((-0.5, 0.3), (-0.1, 0.2), (0.0, 0.5)))), 1, 1),
-    "uniform": (MovingAverageZ(g=lambda t: 0.5 + t, g_bound=1.5,
+    "uniform": (moving_average_z(g=lambda t: 0.5 + t, g_bound=1.5,
                                alpha=UniformPast()), 1, 1),
-    "running_integral": (RunningIntegralZ(kappa=0.6), 1, 1),
+    "running_integral": (running_integral_z(kappa=0.6), 1, 1),
     "custom": (CustomGenerator(
         fn=lambda t, y, z, py, pz: -0.5 * y + 0.3 * pz(-0.25)[..., 0] + 0.1 * py(-0.5),
         declared_instant=0.5, declared_delay=0.2, alpha=Dirac(-0.25)), 1, 1),
@@ -444,7 +450,7 @@ def test_linear_drift_of_a_node_does_not_depend_on_the_rows_beside_it(m, d):
     # the number of rows in the call: a level, any slice of it and the solver's
     # (1, size, m) broadcast give every node the same bits
     rng = np.random.default_rng(5)
-    gen = LinearInstant(rng.normal(size=(m, m)), rng.normal(size=(m, m, d)))
+    gen = linear(rng.normal(size=(m, m)), rng.normal(size=(m, m, d)))
     y, z = rng.normal(size=(257, m)), rng.normal(size=(257, m, d))
     whole = gen.instant(y, z)
     assert whole.tobytes() == gen.instant(y[None], z[None])[0].tobytes()
@@ -499,18 +505,18 @@ def _g_poly(*coeffs):  # the CLI's g_poly weight, summed from 0 as it sums
 
 # which tables are column-constant at n = 8: level i reads the frozen rows
 # 0..i-1, each with one coefficient at every level, then at most the current z
+G_POLY = _g_poly(0.5, -0.1)
 PREFIX_CASES = {
-    "uniform_constant_g": (MovingAverageZ(g=_g_poly(0.5), g_bound=0.5,
-                                          alpha=UniformPast()), True),
-    "uniform_g_poly": (MovingAverageZ(g=_g_poly(0.5, -0.1), g_bound=0.5,
-                                      alpha=UniformPast()), True),
-    "running_integral": (RunningIntegralZ(kappa=0.6), True),
+    "uniform_constant_g": (moving_average_z(g=_g_poly(0.5), g_bound=0.5,
+                                            alpha=UniformPast()), True),
+    "uniform_g_poly": (moving_average_z(g=G_POLY, g_bound=0.5, alpha=UniformPast()), True),
+    "running_integral": (running_integral_z(kappa=0.6), True),
     # a lag reads one row per level, not the rows 0..i-1
-    "delayed_z": (DelayedZ(0.7, 0.3), False),
-    "delayed_z_lag_beyond_horizon": (DelayedZ(0.7, 1.5), False),
-    "mixture": (MovingAverageZ(g=_g_poly(0.5), g_bound=0.5, alpha=DiscreteMixture(
+    "delayed_z": (delayed_z(0.7, 0.3), False),
+    "delayed_z_lag_beyond_horizon": (delayed_z(0.7, 1.5), False),
+    "mixture": (moving_average_z(g=_g_poly(0.5), g_bound=0.5, alpha=DiscreteMixture(
         ((-0.5, 0.3), (-0.25, 0.2), (0.0, 0.5)))), False),
-    "zero": (ZeroGen(), False),
+    "zero": (zero(), False),
     "linear": (linear_scalar(0.7, -0.4), False),  # a nonzero instant part
     "custom": (LEVEL_DRIFT_CASES["custom"][0], False),
 }
@@ -553,7 +559,7 @@ def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():
     # before time 0 (level 0) the term is dropped
     tree = build_tree(4, 1.0, 1)
     y, z = random_paths(tree, 8)
-    gen = MovingAverageZ(g=lambda t: 2.0, g_bound=2.0, alpha=Dirac(-0.1))
+    gen = moving_average_z(g=lambda t: 2.0, g_bound=2.0, alpha=Dirac(-0.1))
     rows = past_z_rows(gen, tree)
     assert rows == ((), ((0, 2.0),), ((1, 2.0),), ((2, 2.0),))
     got = level_drift(gen, tree, 2, y.values[2], z.values[2] + 1.0, y.values, z.values, rows)
@@ -562,10 +568,10 @@ def test_offset_inside_the_last_step_reads_the_frozen_ancestor_row():
 
 def test_moving_average_reads_g_where_the_grid_row_is_read():
     # at horizon 0.3 and n = 3, t_1 - 0.1 = -1.4e-17: grid_row snaps it to
-    # row 0, so g must be read there at g(0), as the lag of DelayedZ is
+    # row 0, so g must be read there at g(0), as the lag of delayed_z is
     tree = build_tree(3, 0.3, 1)
-    gen = MovingAverageZ(g=lambda t: 1.0 if t >= 0 else 0.0, g_bound=1.0, alpha=Dirac(-0.1))
-    assert past_z_rows(gen, tree) == past_z_rows(DelayedZ(kappa=1.0, lag=0.1), tree)
+    gen = moving_average_z(g=lambda t: 1.0 if t >= 0 else 0.0, g_bound=1.0, alpha=Dirac(-0.1))
+    assert past_z_rows(gen, tree) == past_z_rows(delayed_z(kappa=1.0, lag=0.1), tree)
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -575,13 +581,13 @@ def test_a_polynomial_g_weights_each_frozen_row_alike_at_every_level(n):
     # so the table missed the prefix-summed path
     gen, dt = PREFIX_CASES["uniform_g_poly"][0], 1.0 / n
     coeffs = prefix_coefficients(gen, past_z_rows(gen, build_tree(n, 1.0)))
-    assert coeffs == tuple(dt * gen.g(k * dt) for k in range(n - 1))
+    assert coeffs == tuple(dt * G_POLY(k * dt) for k in range(n - 1))
 
 
 def test_moving_average_reads_g_off_the_grid_where_the_offset_lies():
     # 0.7 - 0.3 lies within the grid slack of row 4 and reads g(4 dt), not
     # g(0.39999999999999997); 0.7 - 0.25 lies off the grid and reads g there
-    gen = MovingAverageZ(g=lambda t: t, g_bound=1.0,
+    gen = moving_average_z(g=lambda t: t, g_bound=1.0,
                          alpha=DiscreteMixture(((-0.3, 0.5), (-0.25, 0.5))))
     assert gen.past_z_terms(0.7, 1.0, 0.1) == ((-0.3, 0.5 * (4 * 0.1)),
                                                (-0.25, 0.5 * (0.7 - 0.25)))
@@ -589,10 +595,11 @@ def test_moving_average_reads_g_off_the_grid_where_the_offset_lies():
 
 def test_past_z_rows_keep_the_one_dimensional_noise_check():
     tree = build_tree(2, 1.0, 2)
-    for gen in (DelayedZ(kappa=1.0, lag=0.5), RunningIntegralZ(kappa=1.0)):
-        with pytest.raises(GeneratorError, match="one-dimensional"):
+    for gen in (delayed_z(kappa=1.0, lag=0.5), running_integral_z(kappa=1.0)):
+        with pytest.raises(GeneratorError, match=r"^a drift with past-Z terms requires a "
+                           r"one-dimensional driving noise \(z has d = 2\)$"):
             past_z_rows(gen, tree)
-    assert past_z_rows(LinearInstant(np.eye(2), np.zeros((2, 2, 2))), tree) == ((), ())
+    assert past_z_rows(linear(np.eye(2), np.zeros((2, 2, 2))), tree) == ((), ())
 
 
 def test_custom_drift_of_wrong_shape_is_a_generator_error():
@@ -640,20 +647,22 @@ def _scale_z(t, y, z, py, pz):
     return 0.1 * y
 
 
-@pytest.mark.filterwarnings("ignore:declared Lipschitz constants")  # the probes are copies
 @pytest.mark.parametrize("fn", [_scale_y, _scale_z], ids=["y", "z"])
 def test_a_custom_drift_that_writes_its_arguments_is_a_generator_error(fn):
     # y was the sweep's E_i, added into the target after the call, and z the
     # level's Z: each write converged to a wrong solve (Y_0 = 1e-13 and, in a
     # batch, Z_0 = 2.165 against Y_0 = 0.1104 and Z_0 = 1.082), so y, z and the
-    # offset-0 reads are read-only views and the write raises, naming the level
+    # offset-0 reads are read-only views and the write raises, naming the level.
+    # The admission probes are read-only too: a write there changed the probe and
+    # warned that the constants look too small; now it raises at the first level
     tree = build_tree(5, 1.0, 1)
     xi = 0.1 + tree.path_sums().values[5]
     gen = CustomGenerator(fn=fn, declared_instant=0.1, declared_delay=0.0)
     config = SolverConfig(epsilon_schedule=(0.5, 0.25))
     for solve in (lambda: picard_solve(tree, xi, gen),
-                  lambda: solve_bsvi(tree, xi, gen, Zero(), config)):
-        with pytest.raises(GeneratorError, match=r"t=0\.8, level 4: .*read-only"):
+                  lambda: solve_bsvi(tree, xi, gen, Zero(), config),
+                  lambda: lipschitz_probe_audit(gen, 1, 1, 1.0, 5)):
+        with pytest.raises(GeneratorError, match=r"t=0\.0, level 0: .*read-only"):
             solve()
     y, z = random_paths(tree, 3)
     before = [a.copy() for a in (y.values[2], z.values[2])]
@@ -665,25 +674,122 @@ def test_a_custom_drift_that_writes_its_arguments_is_a_generator_error(fn):
         origin_drift_mass(gen, tree, 1)
 
 
-def test_new_z_delay_drift_needs_only_a_spec_class():
+# each constructor's record: its A and B, K at horizon T as the drift states it, and alpha
+CONSTRUCTED = {
+    "zero": (zero, None, None, lambda T: 0.0, Dirac()),
+    "linear": (lambda: linear([[0.5]], [[0.25]]), [[0.5]], [[[0.25]]], lambda T: 0.0, Dirac()),
+    "linear_scalar": (lambda: linear_scalar(-0.5, 0.25), [[-0.5]], [[[0.25]]], lambda T: 0.0,
+                      Dirac()),
+    "delayed_z": (lambda: delayed_z(-0.3, 0.25), None, None, lambda T: (-0.3) ** 2,
+                  Dirac(-0.25)),
+    "running_integral_z": (lambda: running_integral_z(0.3), None, None,
+                           lambda T: (0.3 * T) ** 2, UniformPast()),
+    "moving_average_z": (lambda: moving_average_z(math.cos, 0.7, UniformPast()), None, None,
+                         lambda T: 0.7 ** 2, UniformPast()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_each_constructor_returns_a_frozen_affine_drift(name):
+    make, a_y, b_z, k_at, alpha = CONSTRUCTED[name]
+    gen = make()
+    assert type(gen) is AffineDrift and gen.alpha == alpha
+    for got, want in ((gen.a_y, a_y), (gen.b_z, b_z)):
+        assert got is None if want is None else (
+            got.dtype == float and np.array_equal(got, want) and got.shape == np.shape(want))
+    # K as kappa^2, (kappa T)^2 and g_bound^2, bit for bit
+    for horizon in (1.0, 0.3, 7.0, 1e-3):
+        assert gen.lipschitz_delay(horizon).hex() == float(k_at(horizon)).hex()
+    with pytest.raises(AttributeError):
+        gen.k_root = 1.0
+    assert gen != make()  # by identity: arrays and functions compare by no value
+
+
+def test_a_solve_takes_an_affine_drift_or_a_custom_generator():
+    # GeneratorSpec names the two, and is no base class to subclass
+    assert isinstance(zero(), GeneratorSpec) and isinstance(custom(np.negative), GeneratorSpec)
+    assert not isinstance(Dirac(), GeneratorSpec)
+    with pytest.raises(TypeError):
+        type("Subclass", (GeneratorSpec,), {})
+
+
+@pytest.mark.parametrize("gen, name", [(running_integral_z(1e100), r"kappa \* T"),
+                                       (AffineDrift(k_root=1e200), "k_root")],
+                         ids=["running_integral_z", "k_root"])
+def test_a_delay_constant_whose_square_overflows_is_refused(gen, name):
+    # K = (k_root * T ** k_power)^2: each factor squares to a float, the root does not
+    with pytest.raises(ValueError, match=f"^{name} must be finite, and so must its square"):
+        gen.lipschitz_delay(1e100)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+def test_readme_built_in_drift_example_solves():
+    # the python block under README's "Adding a built-in drift", run as written:
+    # the constructor it defines solves like its callback twin
+    section = README.read_text(encoding="utf-8").split("## Adding a built-in drift", 1)[1]
+    namespace = {}
+    exec(section.split("```python", 1)[1].split("```", 1)[0], namespace)
+    gen = namespace["half_y_plus_lagged_z"](kappa=0.5, lag=0.25)
+    assert type(gen) is AffineDrift
+    assert (gen.lipschitz_instant(), gen.lipschitz_delay(1.0), gen.alpha) == (0.5, 0.25,
+                                                                              Dirac(-0.25))
+    twin = CustomGenerator(fn=lambda t, y, z, py, pz: 0.5 * y + 0.5 * pz(-0.25)[..., 0],
+                           declared_instant=0.5, declared_delay=0.25, alpha=Dirac(-0.25))
+    tree = build_tree(4, 1.0, 1)
+    xi = 0.1 + tree.path_sums().values[4]
+    got, want = picard_solve(tree, xi, gen), picard_solve(tree, xi, twin)
+    assert got.diagnostics.converged and got.diagnostics.iterations_used > 2
+    for proc, want_proc in ((got.Y, want.Y), (got.Z, want.Z)):
+        assert all(np.allclose(a, b, rtol=0, atol=1e-14)
+                   for a, b in zip(proc.values, want_proc.values))
+
+
+def _cumulative_y(t, y, z, py, pz):  # row j reads the rows 0..j above it
+    return np.cumsum(y, axis=0) * 0.01
+
+
+def _centred_y(t, y, z, py, pz):  # every row reads the batch mean: a reversal keeps it
+    return 0.1 * (y - y.mean(axis=0))
+
+
+@pytest.mark.parametrize("fn", [_cumulative_y, _centred_y], ids=["cumsum", "mean"])
+def test_a_custom_drift_whose_rows_depend_on_each_other_is_a_generator_error(fn):
+    # with phi = 0 every epsilon of a batch solves one equation, yet the cumsum
+    # drift converged to one Y_0 per epsilon (0.1154, 0.1220, 0.1288, ... 0.1874):
+    # the rows stacked beside a row changed its drift.  The admission probe
+    # evaluates each level's batch whole, reversed and in two halves
+    tree = build_tree(5, 1.0, 1)
+    xi = 0.1 + tree.path_sums().values[5]
+    gen = CustomGenerator(fn=fn, declared_instant=0.2, declared_delay=0.0)
+    for solve in (lambda: picard_solve(tree, xi, gen),
+                  lambda: solve_bsvi(tree, xi, gen, Zero())):
+        with pytest.raises(GeneratorError,
+                           match=r"rows depend on each other at t=0\.0, level 0"):
+            solve()
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_a_matmul_drift_passes_the_row_check(m):
+    # a callback's own matmul may round by the rows beside it: the check allows
+    # ROW_TOLERANCE, relative and absolute, not only the same bits
+    a = np.random.default_rng(m).normal(size=(m, m))
+    gen = CustomGenerator(fn=lambda t, y, z, py, pz: y @ a.T + py(-0.5) @ a,
+                          declared_instant=float(np.linalg.norm(a, 2)), declared_delay=100.0,
+                          alpha=Dirac(-0.5))
+    audit = lipschitz_probe_audit(gen, m=m, d=1, horizon=1.0, n_steps=4, n_probes=1000)
+    assert audit["instant_slack"] <= 1e-10
+
+
+def test_new_z_delay_drift_needs_only_an_affine_drift():
     # F = y / 2 + 2 z(t - dt): an instant part plus one past-Z term
-    @dataclass(frozen=True)
-    class HalfYPlusLaggedZ(GeneratorSpec):
-        def instant(self, y, z):
-            return 0.5 * y
-
-        def past_z_terms(self, t, horizon, dt):
-            return ((-dt, 2.0),)
-
-        def lipschitz_instant(self):
-            return 0.5
-
-        def lipschitz_delay(self, horizon):
-            return 4.0
-
+    gen = AffineDrift(np.array([[0.5]]), np.zeros((1, 1, 1)),
+                      lambda t, horizon, dt: ((-dt, 2.0),), k_root=2.0)
+    assert (gen.lipschitz_instant(), gen.lipschitz_delay(0.75)) == (0.5, 4.0)
     tree = build_tree(3, 0.75, 1)
     y, z = random_paths(tree, 5)
-    gen = HalfYPlusLaggedZ()
     got = level_drift_at(gen, tree, 2, y.values[2], z.values[2], y, z)
     expected = 0.5 * y.values[2] + 2.0 * z.values[1][np.arange(4) >> 1, :, 0]
     assert np.array_equal(got, expected)
@@ -712,40 +818,27 @@ def test_custom_drift_reading_the_future_is_rejected():
 @pytest.mark.filterwarnings("ignore:well-posedness gate failed")
 def test_built_in_drift_reading_the_future_is_rejected():
     # past_z_rows read a future offset as theta = 0: lag -0.5 solved bitwise like lag 0
-    @dataclass(frozen=True)
-    class HalfYPlusLaggedZ(GeneratorSpec):  # README's example: F = y / 2 + kappa z(t - lag)
-        kappa: float
-        lag: float
+    def half_y_plus_lagged_z(kappa, lag):  # README's example: F = y / 2 + kappa z(t - lag)
+        return AffineDrift(np.array([[0.5]]), np.zeros((1, 1, 1)),
+                           lambda t, horizon, dt: ((-lag, kappa),), k_root=kappa)
 
-        def instant(self, y, z):
-            return 0.5 * y
-
-        def past_z_terms(self, t, horizon, dt):
-            return ((-self.lag, self.kappa),)
-
-        def lipschitz_instant(self):
-            return 0.5
-
-        def lipschitz_delay(self, horizon):
-            return self.kappa ** 2
-
-    tree = build_tree(3, 0.75, 1)
+    tree, future = build_tree(3, 0.75, 1), half_y_plus_lagged_z(kappa=0.5, lag=-0.5)
     with pytest.raises(GeneratorError, match=r"theta=0\.5 reads the future at t=0\.0, level 0"):
-        past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=-0.5), tree)
+        past_z_rows(future, tree)
     with pytest.raises(GeneratorError, match="reads the future"):
-        picard_solve(tree, tree.path_sums().values[-1], HalfYPlusLaggedZ(kappa=0.5, lag=-0.5))
+        picard_solve(tree, tree.path_sums().values[-1], half_y_plus_lagged_z(kappa=0.5, lag=-0.5))
     # an offset within the grid-snapping slack still reads the current z
-    assert past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=-1e-12), tree) \
-        == past_z_rows(HalfYPlusLaggedZ(kappa=0.5, lag=0.0), tree) == (((None, 0.5),),) * 3
+    assert past_z_rows(half_y_plus_lagged_z(kappa=0.5, lag=-1e-12), tree) \
+        == past_z_rows(half_y_plus_lagged_z(kappa=0.5, lag=0.0), tree) == (((None, 0.5),),) * 3
 
 
 @pytest.mark.parametrize("gen", [
-    DelayedZ(kappa=1.2, lag=0.5),
-    RunningIntegralZ(kappa=0.9),
-    MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0, alpha=Dirac(-0.5)),
-    MovingAverageZ(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
+    delayed_z(kappa=1.2, lag=0.5),
+    running_integral_z(kappa=0.9),
+    moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0, alpha=Dirac(-0.5)),
+    moving_average_z(g=math.cos, g_bound=1.0, alpha=DiscreteMixture(
         ((-1.0, 0.25), (-0.5, 0.5), (0.0, 0.25)))),
-    MovingAverageZ(g=lambda t: 0.5 - t, g_bound=0.5, alpha=UniformPast()),
+    moving_average_z(g=lambda t: 0.5 - t, g_bound=0.5, alpha=UniformPast()),
 ], ids=["delayed_z", "running_integral", "dirac", "mixture", "uniform"])
 def test_builtin_delay_constants_cover_their_terms(gen):
     # Cauchy-Schwarz: |sum c_k dz(t + theta_k)|^2 <= (sum c_k^2 / w_k) *

@@ -4,8 +4,6 @@ equality and hashing by value or by identity, and the ``Name(field=value)``
 repr.  Field names are spelled out here, so the contract reads the same
 whatever builds the classes."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -21,6 +19,10 @@ def _fn(t, y, z, past_y, past_z):
     return 0.5 * y
 
 
+def _terms(t, horizon, dt):
+    return ((-0.25, 0.3),)
+
+
 GRID = lattice.TimeGrid(2, 1.0)
 TREE = lattice.ScenarioTree(GRID, 1)
 LEVELS = [np.zeros((1, 1)), np.ones((2, 1))]
@@ -31,7 +33,7 @@ ROW = analysis.BoundAudit(1.0, 2.0, 0.5, "apriori eps=1")
 BOX = convex.IndicatorBox([-1.0], [1.0])
 
 # class, field names, positional arguments, frozen, compares by value,
-# and its repr (None where it holds a function's address)
+# and its repr (None where test_repr_of_callable_fields_and_defaults pins it)
 CASES = [
     (lattice.TimeGrid, ("n_steps", "horizon"), (4, 1.0), True, True,
      "TimeGrid(n_steps=4, horizon=1.0)"),
@@ -52,14 +54,10 @@ CASES = [
     (generators.UniformPast, (), (), True, True, "UniformPast()"),
     (generators.DiscreteMixture, ("atoms",), (((-0.5, 0.25), (0, 0.75)),), True, True,
      "DiscreteMixture(atoms=((-0.5, 0.25), (0.0, 0.75)))"),
-    (generators.ZeroGen, (), (), True, True, "ZeroGen()"),
-    (generators.LinearInstant, ("a_y", "b_z"), ([[0.5]], 0.25), True, False,
-     "LinearInstant(a_y=array([[0.5]]), b_z=array([[[0.25]]]))"),
-    (generators.DelayedZ, ("kappa", "lag"), (0.3, 0.25), True, True,
-     "DelayedZ(kappa=0.3, lag=0.25)"),
-    (generators.RunningIntegralZ, ("kappa",), (0.3,), True, True, "RunningIntegralZ(kappa=0.3)"),
-    (generators.MovingAverageZ, ("g", "g_bound", "alpha"), (_g, 0.5, generators.UniformPast()),
-     True, False, None),
+    (generators.AffineDrift, ("a_y", "b_z", "past_z_terms", "k_root", "k_power", "alpha"),
+     (np.array([[0.5]]), np.array([[[0.25]]]), _terms, 0.3, 1, generators.Dirac(-0.25)),
+     True, False, f"AffineDrift(a_y=array([[0.5]]), b_z=array([[[0.25]]]), past_z_terms="
+     f"{_terms!r}, k_root=0.3, k_power=1, alpha=Dirac(theta=-0.25))"),
     (generators.CustomGenerator, ("fn", "declared_instant", "declared_delay", "alpha"),
      (_fn, 0.5, 0.0, generators.Dirac(-0.25)), True, False, None),
     (solver.SolverConfig, ("beta", "picard_tol", "picard_max_iters", "epsilon_schedule",
@@ -106,7 +104,7 @@ CASES = [
      "ResidualReport(equation_residual=1e-15, subdiff_residual=0.0, phi_integrability=2.5)"),
     (cli.ProblemConfig, ("raw", "tree", "xi", "gen", "phi", "solver_config", "mode",
                          "epsilon", "out_dir", "out_format"),
-     ({"a": 1}, TREE, np.zeros((2, 1)), generators.ZeroGen(), convex.Zero(),
+     ({"a": 1}, TREE, np.zeros((2, 1)), generators.zero(), convex.Zero(),
       solver.SolverConfig(), "bsvi", None, "out", "json"), False, False, None),
 ]
 
@@ -114,7 +112,9 @@ CASES = [
 DEFAULTS = {
     lattice.ScenarioTree: {"bm_dim": 1},
     generators.Dirac: {"theta": 0.0},
-    generators.MovingAverageZ: {"alpha": generators.Dirac()},
+    generators.AffineDrift: {"a_y": None, "b_z": None,
+                             "past_z_terms": generators.zero().past_z_terms,
+                             "k_root": 0.0, "k_power": 0, "alpha": generators.Dirac()},
     generators.CustomGenerator: {"alpha": generators.Dirac()},
     solver.SolverConfig: {"beta": None, "picard_tol": 1e-10, "picard_max_iters": 200,
                           "epsilon_schedule": DEFAULT_EPSILON_SCHEDULE, "hard_gate": False},
@@ -139,7 +139,7 @@ def test_every_value_class_of_the_package_is_listed():
              and c.__repr__ is not object.__repr__ and not issubclass(c, (BaseException, tuple))}
     listed = {case[0] for case in CASES}
     assert found - {getattr(lattice, "Record", None)} == listed
-    assert len(listed) == len(CASES) == 30 and set(DEFAULTS) <= listed
+    assert len(listed) == len(CASES) == 26 and set(DEFAULTS) <= listed
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -213,7 +213,6 @@ def test_value_equality_is_field_by_field():
     assert analysis.BoundAudit(1.0, 2.0, 0.5, "x") != analysis.BoundAudit(1.0, 2.0, 0.5, "y")
     assert {generators.UniformPast(), generators.UniformPast(), generators.Dirac()} \
         == {generators.UniformPast(), generators.Dirac(0.0)}
-    assert generators.RunningIntegralZ(0.3) == generators.RunningIntegralZ(0.3)
     assert solver.SolverConfig() == solver.SolverConfig(epsilon_schedule=[
         2.0 ** -k for k in range(11)])
 
@@ -226,16 +225,17 @@ def test_repr_is_the_field_listing(case):
 
 
 def test_repr_of_callable_fields_and_defaults():
-    gen = generators.MovingAverageZ(_g, 0.5)
-    assert repr(gen) == f"MovingAverageZ(g={_g!r}, g_bound=0.5, alpha=Dirac(theta=0.0))"
+    gen = generators.moving_average_z(_g, 0.5)
+    assert repr(gen) == (f"AffineDrift(a_y=None, b_z=None, past_z_terms={gen.past_z_terms!r}, "
+                         "k_root=0.5, k_power=0, alpha=Dirac(theta=0.0))")
     assert repr(generators.CustomGenerator(_fn, 0.5, 0.0)) == (
         f"CustomGenerator(fn={_fn!r}, declared_instant=0.5, declared_delay=0.0, "
         "alpha=Dirac(theta=0.0))")
-    cfg = cli.ProblemConfig({"a": 1}, TREE, np.zeros((2, 1)), generators.ZeroGen(),
-                            convex.Zero(), solver.SolverConfig(), "bsvi", None, "out", "json")
+    cfg = cli.ProblemConfig({"a": 1}, TREE, np.zeros((2, 1)), gen, convex.Zero(),
+                            solver.SolverConfig(), "bsvi", None, "out", "json")
     assert repr(cfg) == (
         f"ProblemConfig(raw={{'a': 1}}, tree={TREE!r}, xi=array([[0.],\n       [0.]]), "
-        f"gen=ZeroGen(), phi=Zero(), solver_config={solver.SolverConfig()!r}, mode='bsvi', "
+        f"gen={gen!r}, phi=Zero(), solver_config={solver.SolverConfig()!r}, mode='bsvi', "
         "epsilon=None, out_dir='out', out_format='json')")
     assert repr(solver.SolverConfig()) == (
         "SolverConfig(beta=None, picard_tol=1e-10, picard_max_iters=200, epsilon_schedule="
@@ -256,52 +256,24 @@ def test_post_init_still_checks_and_normalises():
         generators.Dirac(0.5)
     with pytest.raises(ValueError):
         lattice.TimeGrid(n_steps=0, horizon=1.0)
-    assert generators.DelayedZ(0.3, 0.25).alpha == generators.Dirac(-0.25)
-    # a class attribute, not a field: the drift reads no delay measure
-    assert generators.RunningIntegralZ(0.3).alpha == generators.UniformPast()
+    assert generators.delayed_z(0.3, 0.25).alpha == generators.Dirac(-0.25)
+    # not an argument: the drift reads no delay measure
+    assert generators.running_integral_z(0.3).alpha == generators.UniformPast()
     with pytest.raises(TypeError):
-        generators.RunningIntegralZ(0.3, alpha=generators.Dirac())
+        generators.running_integral_z(0.3, alpha=generators.Dirac())
     assert solver.SolverConfig(epsilon_schedule=[1, 0.5]).epsilon_schedule == (1.0, 0.5)
 
 
-@dataclass
-class _PlainLaggedZ(generators.GeneratorSpec):
-    kappa: float = 0.2
-
-    def instant(self, y, z):
-        return 0.5 * y
-
-    def past_z_terms(self, t, horizon, dt):
-        return ((-dt, self.kappa),)
-
-    def lipschitz_instant(self):
-        return 0.5
-
-    def lipschitz_delay(self, horizon):
-        return self.kappa ** 2
+def _half_y_plus_lagged_z(kappa, lag):  # F = y / 2 + kappa z(t - lag), lag dt when None
+    return generators.AffineDrift(
+        np.array([[0.5]]), np.zeros((1, 1, 1)),
+        lambda t, horizon, dt: ((-(dt if lag is None else lag), kappa),), k_root=kappa)
 
 
-@dataclass(frozen=True)
-class _FrozenLaggedZ(generators.GeneratorSpec):
-    kappa: float
-    lag: float
-
-    def instant(self, y, z):
-        return 0.5 * y
-
-    def past_z_terms(self, t, horizon, dt):
-        return ((-self.lag, self.kappa),)
-
-    def lipschitz_instant(self):
-        return 0.5
-
-    def lipschitz_delay(self, horizon):
-        return self.kappa ** 2
-
-
-@pytest.mark.parametrize("gen", [_PlainLaggedZ(), _FrozenLaggedZ(0.2, 0.25)],
-                         ids=["dataclass", "frozen_dataclass"])
-def test_a_user_dataclass_subclass_of_generator_spec_builds_and_solves(gen):
+@pytest.mark.parametrize("gen", [_half_y_plus_lagged_z(0.2, None),
+                                 _half_y_plus_lagged_z(0.2, 0.25)],
+                         ids=["lag_dt", "lag_quarter"])
+def test_a_user_affine_drift_builds_and_solves(gen):
     tree = lattice.build_tree(4, 1.0)
     xi = 0.1 + tree.path_sums().values[-1]
     config = solver.SolverConfig(beta=1.0, epsilon_schedule=(1.0, 0.5))

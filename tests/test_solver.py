@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,7 @@ def test_gate_uniqueness_implies_existence():
 def test_backward_pass_martingale_representation():
     tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    sol = picard_solve(tree, xi, generators.ZeroGen())
+    sol = picard_solve(tree, xi, generators.zero())
     y, z = sol.Y, sol.Z
     w = tree.path_sums()
     for i in range(5):
@@ -109,7 +108,7 @@ def test_backward_pass_martingale_representation():
 def test_backward_pass_constant_terminal():
     tree = bsvi.lattice.build_tree(3, 0.75, 1)
     xi = terminal_constant(tree, 2.5)
-    sol = picard_solve(tree, xi, generators.ZeroGen())
+    sol = picard_solve(tree, xi, generators.zero())
     y, z = sol.Y, sol.Z
     for arr in y.values:
         assert np.allclose(arr, 2.5)
@@ -148,7 +147,7 @@ def test_dirac_at_zero_delay_never_reads_frozen():
     # confirmation sweep reproduces the first one exactly
     tree = bsvi.lattice.build_tree(3, 0.6, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.MovingAverageZ(g=lambda t: 1.0 + t, g_bound=2.0,
+    gen = generators.moving_average_z(g=lambda t: 1.0 + t, g_bound=2.0,
                                     alpha=generators.Dirac(0.0))
     sol = picard_solve(tree, xi, gen)
     assert sol.diagnostics.iterations_used == 2
@@ -158,8 +157,8 @@ def test_dirac_at_zero_delay_never_reads_frozen():
 def test_delay_reduction_matches_zero_generator_bitwise():
     tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.3, 1.5)
-    base = picard_solve(tree, xi, generators.ZeroGen())
-    lagged = picard_solve(tree, xi, generators.DelayedZ(kappa=3.0, lag=1.0))
+    base = picard_solve(tree, xi, generators.zero())
+    lagged = picard_solve(tree, xi, generators.delayed_z(kappa=3.0, lag=1.0))
     for a, b in zip(base.Y.values, lagged.Y.values):
         assert np.array_equal(a, b)
     for a, b in zip(base.Z.values, lagged.Z.values):
@@ -168,7 +167,7 @@ def test_delay_reduction_matches_zero_generator_bitwise():
 
 def test_terminal_values_kept_bit_exact():
     tree, xi, gen, phi = box_linear_problem(4)
-    for sol in (picard_solve(tree, xi, generators.ZeroGen()),
+    for sol in (picard_solve(tree, xi, generators.zero()),
                 picard_solve(tree, xi, gen, phi=phi, epsilon=0.125),
                 prox_step_solve(tree, xi, gen, phi)):
         assert np.array_equal(sol.Y.values[-1], xi)
@@ -180,7 +179,7 @@ def test_z_delay_cannot_diverge_on_the_tree():
     # sweeps and Picard terminates exactly, however violent kappa is
     tree = bsvi.lattice.build_tree(4, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.DelayedZ(kappa=60.0, lag=0.25)
+    gen = generators.delayed_z(kappa=60.0, lag=0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = picard_solve(tree, xi, gen, SolverConfig(beta=1.0))
@@ -271,7 +270,7 @@ def test_probe_audit_keeps_a_nan_slack_and_the_gate_warns():
 def test_hard_gate_raises():
     tree = bsvi.lattice.build_tree(2, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.DelayedZ(kappa=3.0, lag=0.5)
+    gen = generators.delayed_z(kappa=3.0, lag=0.5)
     with pytest.raises(WellposednessError):
         picard_solve(tree, xi, gen, SolverConfig(beta=1.0, hard_gate=True))
 
@@ -288,7 +287,7 @@ def test_solve_bsvi_checks_the_gate_once_per_schedule():
     # them, while picard_solve and prox_step_solve called on their own still warn
     tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_clipped_linear(tree, 0.1, 1.0, -1.0, 1.0)
-    gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
+    gen = generators.delayed_z(kappa=0.5, lag=1 / 3)
     phi = convex.IndicatorBox(-1.0, 1.0)
     results = []
     assert _gate_warnings(lambda: results.append(solve_bsvi(tree, xi, gen, phi))) == 1
@@ -342,68 +341,29 @@ def test_solve_bsvi_runs_the_probe_audit_once(monkeypatch):
 
 
 def test_picard_solve_resolves_past_z_terms_once_per_level():
-    # the frozen rows are resolved before the first sweep, not on every sweep
+    # the frozen rows are resolved before the first sweep, not on every sweep,
+    # and the record keeps them for a later solve on the same grid
     calls = []
 
-    @dataclass(frozen=True)
-    class CountedLaggedZ(generators.GeneratorSpec):
-        def instant(self, y, z):
-            return 0.5 * y
+    def counted_terms(t, horizon, dt):
+        calls.append(t)
+        return ((-dt, 2.0),)
 
-        def past_z_terms(self, t, horizon, dt):
-            calls.append(t)
-            return ((-dt, 2.0),)
-
-        def lipschitz_instant(self):
-            return 0.5
-
-        def lipschitz_delay(self, horizon):
-            return 4.0
-
+    gen = generators.AffineDrift(np.array([[0.5]]), np.zeros((1, 1, 1)), counted_terms,
+                                 k_root=2.0)
     tree = bsvi.lattice.build_tree(4, 1.0, 1)
-    sol = picard_solve(tree, terminal_linear(tree, 0.0, 1.0), CountedLaggedZ())
+    sol = picard_solve(tree, terminal_linear(tree, 0.0, 1.0), gen)
     assert sol.diagnostics.iterations_used > 2
     assert sorted(calls) == [i * tree.grid.dt for i in range(4)]
+    assert generators.past_z_rows(gen, tree) is generators.past_z_rows(gen, tree)
+    assert len(calls) == 4
 
 
-@dataclass  # a plain, mutable user spec, written to the README's shape rule
-class HalfYPlusLaggedZ(generators.GeneratorSpec):
-    """F = y / 2 - z / 4 + kappa z(t - lag)."""
-
-    kappa: float
-    lag: float
-
-    def instant(self, y, z):
-        return 0.5 * y[..., :1] - 0.25 * z[..., 0]
-
-    def past_z_terms(self, t, horizon, dt):
-        return ((-self.lag, self.kappa),)
-
-    def lipschitz_instant(self):
-        return 0.5
-
-    def lipschitz_delay(self, horizon):
-        return self.kappa ** 2
-
-
-def test_a_mutable_spec_changed_between_solves_is_read_anew():
-    # a frozen spec keeps its past-Z table; a mutable one is resolved again by
-    # every solve and audit, so a change to its fields is read by both
-    tree, xi, _, phi = box_linear_problem(6)
-    frozen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
-    assert generators.past_z_rows(frozen, tree) is generators.past_z_rows(frozen, tree)
-    gen = HalfYPlusLaggedZ(kappa=0.5, lag=1 / 3)
-    first = picard_solve(tree, xi, gen, phi=phi)
-    gen.kappa, gen.lag = 0.25, 1 / 6
-    got = picard_solve(tree, xi, gen, phi=phi)
-    fresh = HalfYPlusLaggedZ(kappa=0.25, lag=1 / 6)
-    want = picard_solve(tree, xi, fresh, phi=phi)
-    assert not _same_bits(first.Y.values[0], want.Y.values[0])
-    for proc, want_proc in zip((got.Y, got.Z, got.U, *got.frozen_past),
-                               (want.Y, want.Z, want.U, *want.frozen_past)):
-        assert all(map(_same_bits, proc.values, want_proc.values))
-    assert bsvi.analysis.solution_residuals(got, xi, gen, phi, tree) == \
-        bsvi.analysis.solution_residuals(want, xi, fresh, phi, tree)
+def half_y_plus_lagged_z(kappa, lag):
+    """F = y / 2 - z / 4 + kappa z(t - lag), a user's drift with both parts."""
+    return generators.AffineDrift(np.array([[0.5]]), np.array([[[-0.25]]]),
+                                  lambda t, horizon, dt: ((-lag, kappa),), k_root=kappa,
+                                  alpha=generators.Dirac(-lag))
 
 
 # reads the frozen Z 0.4 back, so that a sweep sees the iterate it measures against
@@ -559,13 +519,14 @@ def _swap(problem, gen=None, phi=None):
 
 
 SCHEDULE_CASES = {
-    "moving_average_box": lambda: _swap(box_linear_problem(6), gen=generators.MovingAverageZ(
+    "moving_average_box": lambda: _swap(box_linear_problem(6), gen=generators.moving_average_z(
         g=lambda t: 0.5, g_bound=0.5, alpha=generators.UniformPast())),
     "delayed_z_box": lambda: _swap(box_linear_problem(6),
-                                   gen=generators.DelayedZ(kappa=0.5, lag=1 / 3)),
-    # a user's plain dataclass: level n - 1 of a batch passes instant (1, size, m) rows
+                                   gen=generators.delayed_z(kappa=0.5, lag=1 / 3)),
+    # a user's AffineDrift with an instant part and a past term: level n - 1 of a
+    # batch passes instant (1, size, m) rows
     "dataclass_drift": lambda: _swap(box_linear_problem(6),
-                                     gen=HalfYPlusLaggedZ(kappa=0.5, lag=1 / 3)),
+                                     gen=half_y_plus_lagged_z(kappa=0.5, lag=1 / 3)),
     "custom_drift": lambda: delayed_box_problem(6),
     # the entries stop after 7 and after 8 sweeps, so the batch shrinks
     "one_norm": lambda: _swap(delayed_box_problem(10), phi=convex.OneNorm(0.25)),
@@ -735,7 +696,7 @@ from helpers_oracle import picard_every_sweep
 def _two_dimensional_quadratic():
     tree = bsvi.lattice.build_tree(5, 1.0, 1)
     xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
-    gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
+    gen = generators.linear([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
     return tree, xi, gen, convex.Quadratic(4.0)
 
 
@@ -749,9 +710,9 @@ REPLAY_CASES = {
     "custom1d": (lambda: _swap(box_linear_problem(5), phi=ElasticPenalty()), "schedule"),
     "classical": (lambda: box_linear_problem(5), "classical"),
     "prox": (lambda: box_linear_problem(5), "prox"),
-    "dirac_zero": (lambda: _swap(box_linear_problem(5), gen=generators.MovingAverageZ(
+    "dirac_zero": (lambda: _swap(box_linear_problem(5), gen=generators.moving_average_z(
         g=lambda t: 1.0 + t, g_bound=2.0, alpha=generators.Dirac(0.0))), "schedule"),
-    "delayed_z_lag_T": (lambda: _swap(box_linear_problem(5), gen=generators.DelayedZ(
+    "delayed_z_lag_T": (lambda: _swap(box_linear_problem(5), gen=generators.delayed_z(
         kappa=0.5, lag=1.0)), "schedule"),
     "quadratic_m2": (_two_dimensional_quadratic, "schedule"),
 }
@@ -936,27 +897,27 @@ def test_schedule_audits_match_on_solutions_copied_out_at_different_sweeps():
         _assert_schedule_audits_match(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen, cfg.tree, beta)
 
 
-class _ShiftedAverage(generators.MovingAverageZ):
-    """A built-in with a nonzero instant part beside past terms of both signs."""
-
-    def instant(self, y, z):
-        return 0.3 - 0.5 * y
+def _shifted_average():
+    """A drift with a nonzero instant part beside past terms of both signs."""
+    average = generators.moving_average_z(g=lambda t: t - 0.4, g_bound=0.6,
+                                          alpha=generators.UniformPast())
+    return generators.AffineDrift(np.array([[-0.5]]), np.zeros((1, 1, 1)),
+                                  average.past_z_terms, average.k_root, alpha=average.alpha)
 
 
 ORIGIN_GENS = {
-    "zero": generators.ZeroGen(),
+    "zero": generators.zero(),
     "linear": generators.linear_scalar(0.7, -0.4),
-    "delayed_z": generators.DelayedZ(kappa=-0.5, lag=0.4),
-    "running_integral_z": generators.RunningIntegralZ(kappa=0.6),
-    "moving_average_z_uniform": generators.MovingAverageZ(
+    "delayed_z": generators.delayed_z(kappa=-0.5, lag=0.4),
+    "running_integral_z": generators.running_integral_z(kappa=0.6),
+    "moving_average_z_uniform": generators.moving_average_z(
         g=lambda t: 0.5 - 0.1 * t, g_bound=0.5, alpha=generators.UniformPast()),
-    "moving_average_z_dirac": generators.MovingAverageZ(
+    "moving_average_z_dirac": generators.moving_average_z(
         g=lambda t: -0.5, g_bound=0.5, alpha=generators.Dirac(-0.25)),
-    "mixture": generators.MovingAverageZ(
+    "mixture": generators.moving_average_z(
         g=lambda t: 0.5, g_bound=0.5,
         alpha=generators.DiscreteMixture(((-0.5, 0.3), (-0.2, 0.2), (0.0, 0.5)))),
-    "shifted_instant": _ShiftedAverage(g=lambda t: t - 0.4, g_bound=0.6,
-                                       alpha=generators.UniformPast()),
+    "shifted_instant": _shifted_average(),
     "custom": generators.CustomGenerator(
         fn=lambda t, y, z, past_y, past_z: 0.2 + t - 0.5 * y + 0.25 * past_z(-0.25)[..., 0],
         declared_instant=0.5, declared_delay=0.0625),
@@ -971,18 +932,18 @@ def test_audits_take_the_origin_mass_of_every_level_once(name, beta):
     # instant of a built-in replaces
     gen = ORIGIN_GENS[name]
     tree, xi, _, phi = box_linear_problem(5)
-    per_eps = solve_bsvi(tree, xi, generators.ZeroGen(), phi).per_epsilon
+    per_eps = solve_bsvi(tree, xi, generators.zero(), phi).per_epsilon
     _assert_schedule_audits_match(per_eps, phi, xi, gen, tree, beta)
     want = [origin_drift_mass_per_level(gen, tree, 1, b) for b in (beta, 0.0)]
     got = generators.origin_drift_mass(gen, tree, 1, (beta, 0.0))
     assert list(map(_bits, got)) == list(map(_bits, want))
-    assert (want[0] > 0) == (name in ("shifted_instant", "custom"))
+    assert (want[0] > 0) == (name == "custom")  # an affine drift is 0 at the origin
 
 
 def test_schedule_audits_match_on_a_two_dimensional_quadratic():
     tree = bsvi.lattice.build_tree(5, 1.0, 1)
     xi = terminal_linear(tree, [0.5, -0.25], [[0.5], [0.3]])
-    gen = generators.LinearInstant([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
+    gen = generators.linear([[0.25, 0.1], [0.0, -0.3]], [[[0.2], [0.0]], [[0.0], [0.1]]])
     phi = convex.Quadratic(4.0)
     res = solve_bsvi(tree, xi, gen, phi)
     assert res.solution.Y.values[0].shape == (1, 2)
@@ -1112,7 +1073,7 @@ def test_a_delayed_pass_peaks_at_what_it_returns(monkeypatch):
     # peaks within a leaf level of what it returns; and after a block exit
     # the next pass starts without the whole batch's (Y, Z) of the last one
     tree, xi, _, phi = box_linear_problem(12)
-    gen = generators.DelayedZ(kappa=0.5, lag=1 / 3)
+    gen = generators.delayed_z(kappa=0.5, lag=1 / 3)
     leaf_level = tree.level_size(12) * xi.shape[1] * 8
     real, above, last_y0 = solver_mod._one_pass, [], []
 
@@ -1204,7 +1165,7 @@ def _delay_bsvi_drift():
 def _bm_dim_two():
     tree = bsvi.lattice.build_tree(4, 1.0, 2)
     xi = terminal_clipped_linear(tree, [0.1], [[1.0, -0.5]], -1.0, 1.0)
-    gen = generators.LinearInstant([[0.25]], [[[0.1, -0.2]]])
+    gen = generators.linear([[0.25]], [[[0.1, -0.2]]])
     return tree, xi, gen, convex.IndicatorBox(-1.0, 1.0)
 
 
@@ -1471,7 +1432,7 @@ def test_oracle_delayed_z():
     tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.1, 1.0)
-    gen = generators.DelayedZ(kappa=0.4, lag=dt)
+    gen = generators.delayed_z(kappa=0.4, lag=dt)
     sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14))
 
     def drift(i, expect, z_now, old_y, old_z, node):
@@ -1487,7 +1448,7 @@ def test_oracle_moving_average_dirac():
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.0, 2.0)
     g = lambda t: 0.5 + t
-    gen = generators.MovingAverageZ(g=g, g_bound=1.0, alpha=generators.Dirac(-dt))
+    gen = generators.moving_average_z(g=g, g_bound=1.0, alpha=generators.Dirac(-dt))
     sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14))
 
     def drift(i, expect, z_now, old_y, old_z, node):
@@ -1504,7 +1465,7 @@ def test_oracle_moving_average_mixture_with_present_atom():
     dt = tree.grid.dt
     xi = terminal_linear(tree, -0.2, 1.0)
     alpha = generators.DiscreteMixture(((-dt, 0.4), (0.0, 0.6)))
-    gen = generators.MovingAverageZ(g=lambda t: 1.0, g_bound=1.0, alpha=alpha)
+    gen = generators.moving_average_z(g=lambda t: 1.0, g_bound=1.0, alpha=alpha)
     sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14))
 
     def drift(i, expect, z_now, old_y, old_z, node):
@@ -1518,7 +1479,7 @@ def test_oracle_running_integral_uniform():
     tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.0, 1.0)
-    gen = generators.RunningIntegralZ(kappa=0.7)
+    gen = generators.running_integral_z(kappa=0.7)
     sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14))
 
     def drift(i, expect, z_now, old_y, old_z, node):
@@ -1537,7 +1498,7 @@ def test_oracle_delayed_z_with_quadratic_penalty():
     tree = bsvi.lattice.build_tree(2, 0.5, 1)
     dt = tree.grid.dt
     xi = terminal_linear(tree, 0.5, 1.0)
-    gen = generators.DelayedZ(kappa=0.3, lag=dt)
+    gen = generators.delayed_z(kappa=0.3, lag=dt)
     phi = convex.Quadratic(2.0)
     sol = picard_solve(tree, xi, gen, SolverConfig(picard_tol=1e-14), phi=phi, epsilon=0.2)
 
@@ -1557,7 +1518,7 @@ def test_penalized_quadratic_matches_scalar_recursion():
     tree = bsvi.lattice.build_tree(4, 1.0, 1)
     c, eps = 1.0, 0.5
     xi = terminal_constant(tree, 2.0)
-    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=convex.Quadratic(c), epsilon=eps)
+    sol = picard_solve(tree, xi, generators.zero(), phi=convex.Quadratic(c), epsilon=eps)
     dt = tree.grid.dt
     factor = (1 + eps * c) / (1 + (dt + eps) * c)
     assert sol.Y.values[0][0, 0] == pytest.approx(2.0 * factor ** 4, abs=1e-13)
@@ -1584,7 +1545,7 @@ def test_penalized_rejects_terminal_outside_domain():
     tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)  # reaches +-sqrt(3)... outside the box
     with pytest.raises(ValueError, match="domain of phi"):
-        picard_solve(tree, xi, generators.ZeroGen(), phi=convex.IndicatorBox(-1, 1), epsilon=0.5)
+        picard_solve(tree, xi, generators.zero(), phi=convex.IndicatorBox(-1, 1), epsilon=0.5)
 
 
 def test_penalized_halfline_martingale_stays_untouched():
@@ -1593,8 +1554,8 @@ def test_penalized_halfline_martingale_stays_untouched():
     w_T = tree.path_sums().values[-1]
     xi = np.minimum(w_T, 0.0)
     phi = convex.IndicatorBox(-np.inf, 0.0)
-    sol = picard_solve(tree, xi, generators.ZeroGen(), phi=phi, epsilon=0.25)
-    base = picard_solve(tree, xi, generators.ZeroGen())
+    sol = picard_solve(tree, xi, generators.zero(), phi=phi, epsilon=0.25)
+    base = picard_solve(tree, xi, generators.zero())
     for a, b in zip(sol.Y.values, base.Y.values):
         assert np.allclose(a, b, atol=1e-14)
     for arr in sol.U.values:
@@ -1604,7 +1565,7 @@ def test_penalized_halfline_martingale_stays_untouched():
 def test_bsvi_zero_phi_table_is_exact():
     tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    res = solve_bsvi(tree, xi, generators.ZeroGen(), convex.Zero(),
+    res = solve_bsvi(tree, xi, generators.zero(), convex.Zero(),
                      SolverConfig(epsilon_schedule=(1.0, 0.5, 0.25)))
     assert len(res.epsilon_table) == 2
     for row in res.epsilon_table:
@@ -1615,7 +1576,7 @@ def test_bsvi_zero_phi_table_is_exact():
 def test_bsvi_singleton_schedule_empty_table():
     tree = bsvi.lattice.build_tree(3, 1.0, 1)
     xi = terminal_linear(tree, 0.0, 1.0)
-    res = solve_bsvi(tree, xi, generators.ZeroGen(), convex.Zero(),
+    res = solve_bsvi(tree, xi, generators.zero(), convex.Zero(),
                      SolverConfig(epsilon_schedule=(0.5,)))
     assert res.epsilon_table == []
     assert res.solution.diagnostics.converged
@@ -1686,10 +1647,10 @@ def test_phi_and_epsilon_pick_the_step():
 
 
 REFLECTED_DRIFTS = {  # each drift and its mirror, every z coefficient negated
-    "moving_average": tuple(generators.MovingAverageZ(
+    "moving_average": tuple(generators.moving_average_z(
         g=lambda t, s=sign: s * (0.5 - 0.1 * t), g_bound=0.5,
         alpha=generators.UniformPast()) for sign in (1.0, -1.0)),
-    "delayed_z": (generators.DelayedZ(0.7, 0.3), generators.DelayedZ(-0.7, 0.3)),
+    "delayed_z": (generators.delayed_z(0.7, 0.3), generators.delayed_z(-0.7, 0.3)),
     "linear": (generators.linear_scalar(0.25, 0.4), generators.linear_scalar(0.25, -0.4)),
 }
 
@@ -1820,32 +1781,26 @@ def _moving_average_of_cli(g_poly):
         "phi": {"kind": "zero"}, "run": {"mode": "bsvi"}}).gen
 
 
-@dataclass(frozen=True)
-class RunningMeanZ(generators.GeneratorSpec):
+def running_mean_z():
     """F(t) = mean of z over the grid times of [0, t]: every row 0..i-1 is
     read at level i, but with the weight 1/(i + 1), which moves with i."""
-
-    def past_z_terms(self, t, horizon, dt):
+    def past_z_terms(t, horizon, dt):
         steps = int(round(t / dt))
         return tuple((-(steps - j) * dt, 1.0 / (steps + 1)) for j in range(steps + 1))
 
-    def lipschitz_instant(self):
-        return 0.0
-
-    def lipschitz_delay(self, horizon):
-        return 1.0
+    return generators.AffineDrift(past_z_terms=past_z_terms, k_root=1.0)
 
 
 PREFIX_DRIFTS = {  # drift, and whether its table is column-constant at n = 8
     "uniform_constant_g": (lambda: _moving_average_of_cli([0.5]), True),
     "uniform_g_poly": (lambda: _moving_average_of_cli([0.5, -0.1]), True),
-    "running_integral": (lambda: generators.RunningIntegralZ(0.6), True),
-    "delayed_z": (lambda: generators.DelayedZ(0.7, 0.3), False),
-    "delayed_z_lag_beyond_horizon": (lambda: generators.DelayedZ(0.7, 1.0), False),
-    "mixture_average": (lambda: generators.MovingAverageZ(
+    "running_integral": (lambda: generators.running_integral_z(0.6), True),
+    "delayed_z": (lambda: generators.delayed_z(0.7, 0.3), False),
+    "delayed_z_lag_beyond_horizon": (lambda: generators.delayed_z(0.7, 1.0), False),
+    "mixture_average": (lambda: generators.moving_average_z(
         g=lambda t: 0.5, g_bound=0.5, alpha=generators.DiscreteMixture(
             ((-0.5, 0.25), (-0.25, 0.25), (0.0, 0.5)))), False),
-    "running_mean": (RunningMeanZ, False),
+    "running_mean": (running_mean_z, False),
 }
 
 
