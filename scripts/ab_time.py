@@ -31,11 +31,15 @@ of perfbench/run.py's ``write_inputs`` (this checkout's), with the
 environment run.py gives its workers.  Every repetition's output checks must
 pass.  For ``wall_s`` and ``setup_s`` (reference seconds, scaled as run.py
 scales them) and ``peak_mb`` it prints each side's median and quartiles, the
-median over pairs of this / other and the number of pairs this side was
-lower in.  Separate processes do not share the allocator and cache state
-that bias in-process pairs.  The workers run under PYTHONHASHSEED=0, as the
-benchmark's do; ``--hash-seed random`` draws one seed per pair instead (and
-one for the warm-ups), which both runs of the pair take, and prints them.
+median over pairs of this / other, the number of pairs this side was lower
+in, and whether this side meets the claim rule for a gain: at least ten
+pairs, this side lower in at least 9 of 10 of them, and its median below the
+other's by more than the distance between the other side's quartiles (``met``
+or ``not met``, with that gap and that spread).  Separate processes do not
+share the allocator and cache state that bias in-process pairs.  The workers
+run under PYTHONHASHSEED=0, as the benchmark's do; ``--hash-seed random``
+draws one seed per pair instead (and one for the warm-ups), which both runs
+of the pair take, and prints them.
 Under one fixed seed a change of heap layout can move ``peak_mb`` by a
 tenth of a megabyte in every pair alike; over random seeds it varies from
 pair to pair, while a rise the run itself makes stays.
@@ -145,17 +149,33 @@ def worker_records(checkouts: dict, inputs: dict, pairs: int, tmp: Path, seeds: 
     return alternate(repetition, pairs)
 
 
+def quartiles(values: list) -> tuple:
+    """The first and third quartiles of ``values`` (one value is both)."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, q3
+
+
 def print_metric(name: str, unit: str, values: dict, checkouts: dict):
-    """Each side's median and quartiles of ``values``, then the median ratio
-    over pairs and how often this side was lower."""
+    """Each side's median and quartiles of ``values``, the median ratio over
+    pairs and how often this side was lower, then whether this side meets the
+    claim rule for a lower metric: at least ten pairs, this side lower in at
+    least 9 of 10 of them (ties count for neither side), and its median below
+    the other's by more than the distance between the other side's quartiles."""
     for side, checkout in checkouts.items():
         v = values[side]
-        q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        q1, q3 = quartiles(v)
         print(f"{name} {side:5s} median {statistics.median(v):.5f} quartiles "
               f"{q1:.5f}-{q3:.5f} {unit}  ({checkout})")
     ratios = [a / b for a, b in zip(values["this"], values["other"])]
+    lower = sum(r < 1 for r in ratios)
     print(f"{name} this / other: median paired ratio {statistics.median(ratios):.3f}, "
-          f"this lower in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+          f"this lower in {lower} of {len(ratios)} pairs")
+    q1, q3 = quartiles(values["other"])
+    gap = statistics.median(values["other"]) - statistics.median(values["this"])
+    met = len(ratios) >= 10 and 10 * lower >= 9 * len(ratios) and gap > q3 - q1
+    print(f"{name} claim rule (10+ pairs, this lower in 9 of 10, median gap over the "
+          f"other's quartile spread): {'met' if met else 'not met'} (gap {gap:.5f}, "
+          f"spread {q3 - q1:.5f} {unit})")
 
 
 def print_pairs(times: dict, checkouts: dict):

@@ -127,15 +127,15 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
                 sums[3, i, lo:hi] = node_sums(phi.value(j), size)
         return maxes
 
-    def descend(i, lo, hi, parents):
-        run = max(1, cap // tree.level_size(i))
-        for a in range(lo, hi, run):
-            c = min(a + run, hi)
-            maxes = frame(i, a, c, [p if p is None else p[a - lo:c - lo] for p in parents])
-            if i < n:
-                descend(i + 1, a, c, maxes)
-
-    descend(0, 0, count, [None, None])
+    todo = [(0, 0, count, [None, None])]  # depth first off a stack: a closure calling itself
+    while todo:  # would keep every level alive in a reference cycle after the pass returns
+        i, lo, hi, parents = todo.pop()  # level i's blocks lo..hi-1, the parents' running maxes
+        c = min(lo + max(1, cap // tree.level_size(i)), hi)
+        maxes = frame(i, lo, c, [p if p is None else p[:c - lo] for p in parents])
+        if c < hi:  # the level's next run, after this run's levels below
+            todo.append((i, c, hi, [p if p is None else p[c - lo:] for p in parents]))
+        if i < n:
+            todo.append((i + 1, lo, c, maxes))
     if yosida:  # level n: xi has no U, so one prox per solution, each filling the row from
         # its entry on, or one in all for an indicator's shared leaf (J_eps is one projection)
         for e, xi in enumerate(ys[n][:1] if shared and phi.indicator else ys[n]):

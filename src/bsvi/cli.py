@@ -298,12 +298,12 @@ def emit_report(report: dict, out_dir, out_format: str):
     if out_format not in OUT_FORMATS:
         raise ValueError(f"unknown output format {out_format!r}; pick one of {OUT_FORMATS}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if out_format == "json":
-        (out / "report.json").write_text(
-            json.dumps({"timings": {}, **report}, indent=2, sort_keys=True, allow_nan=False),
-            encoding="utf-8")
+    if out_format == "json":  # no indent, which would take json off its C encoder
+        text = json.dumps({"timings": {}, **report}, sort_keys=True, allow_nan=False)
+        out.mkdir(parents=True, exist_ok=True)  # after the encode: a refusal makes no directory
+        (out / "report.json").write_text(text, encoding="utf-8")
         return [out / "report.json"]
+    out.mkdir(parents=True, exist_ok=True)
     import csv  # here, not at the top: a JSON run does not load it
     written = []
 

@@ -1,6 +1,8 @@
+import gc
 import math
 import statistics
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +516,21 @@ def test_schedule_audits_refuse_an_unknown_part():
     res = solve_bsvi(tree, xi, gen, phi, SolverConfig(epsilon_schedule=(1.0, 0.5)))
     with pytest.raises(ValueError, match="tabel"):
         schedule_audits(res.per_epsilon, phi, xi, gen, tree, parts=("tabel",))
+
+
+def test_schedule_audits_keep_no_solution_alive_after_they_return():
+    # with the cyclic gc off, a level the pass kept in a reference cycle would outlive
+    # the solution it belongs to
+    tree, xi, gen, phi = box_linear_problem(6)
+    gc.disable()
+    try:
+        res = solve_bsvi(tree, xi, gen, phi)
+        level = weakref.ref(res.per_epsilon[3][1].U.values[2])
+        schedule_audits(res.per_epsilon, phi, xi, gen, tree)
+        del res
+        assert level() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -506,9 +506,11 @@ def test_run_refuses_an_unknown_format_before_solving(tmp_path, monkeypatch):
 
 
 def test_json_report_refuses_a_nonfinite_number(tmp_path):
+    # the report is encoded before its directory is made, so a refusal leaves none
     with pytest.raises(ValueError, match="JSON"):
-        emit_report({"mode": "penalized", "value": float("inf")}, tmp_path, "json")
-    assert not (tmp_path / "report.json").exists()
+        emit_report({"mode": "penalized", "value": float("inf")}, tmp_path / "out", "json")
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_report_echoes_an_infinite_bound_as_a_string(tmp_path):
@@ -740,6 +742,9 @@ def test_json_report_is_deterministic(tmp_path):
     run(path, out_dir=tmp_path / "b", out_format="json")
     doc_a = json.loads((tmp_path / "a" / "report.json").read_text())
     doc_b = json.loads((tmp_path / "b" / "report.json").read_text())
+    for side in ("a", "b"):  # one compact, key-sorted, strict document
+        text = (tmp_path / side / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False)
     doc_a.pop("timings")
     doc_b.pop("timings")
     assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
@@ -987,15 +992,19 @@ def test_ab_time_script_runs_the_benchmark_worker_of_each_checkout():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "delay_bsvi worker runs at n_steps = 5, 1 pairs"
-    assert len(lines) == 10
+    assert len(lines) == 13
     for k, (name, unit) in enumerate((("wall_s", "s"), ("setup_s", "s"), ("peak_mb", "MB"))):
         sides = [re.fullmatch(rf"{name} (this|other) +median (\d+\.\d{{5}}) quartiles "
                               rf"(\d+\.\d{{5}})-(\d+\.\d{{5}}) {unit}  \(.*\)", line)
-                 for line in lines[1 + 3 * k:3 + 3 * k]]
+                 for line in lines[1 + 4 * k:3 + 4 * k]]
         assert [m and m[1] for m in sides] == ["this", "other"]
         assert all(float(m[3]) <= float(m[2]) <= float(m[4]) and float(m[2]) > 0 for m in sides)
         assert re.fullmatch(rf"{name} this / other: median paired ratio \d+\.\d{{3}}, "
-                            r"this lower in [01] of 1 pairs", lines[3 + 3 * k])
+                            r"this lower in [01] of 1 pairs", lines[3 + 4 * k])
+        # the claim rule's verdict: its format only, since one pair decides nothing
+        assert re.fullmatch(rf"{name} claim rule \(10\+ pairs, this lower in 9 of 10, median "
+                            r"gap over the other's quartile spread\): (met|not met) \(gap "
+                            rf"-?\d+\.\d{{5}}, spread \d+\.\d{{5}} {unit}\)", lines[4 + 4 * k])
 
 
 def test_ab_time_script_draws_a_hash_seed_per_pair_and_prints_them():
@@ -1008,10 +1017,27 @@ def test_ab_time_script_draws_a_hash_seed_per_pair_and_prints_them():
     assert lines[0] == "delay_bsvi worker runs at n_steps = 4, 2 pairs"
     assert re.fullmatch(r"PYTHONHASHSEED warm-ups \d+, pairs \d+ \d+", lines[1])
     assert all(0 <= int(seed) < 2 ** 32 for seed in re.findall(r"\d+", lines[1]))
-    assert len(lines) == 11 and lines[2].startswith("wall_s this  median")
+    assert len(lines) == 14 and lines[2].startswith("wall_s this  median")
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_time.py"), str(ROOT),
                            "--hash-seed", "random"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "--worker runs only" in proc.stderr
+
+
+def test_ab_time_claim_rule_asks_ten_pairs_nine_tenths_won_and_a_gap_over_the_spread(capsys):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import ab_time
+    other = [1.0 + k / 100 for k in range(10)]  # quartiles 1.0175-1.0725, median 1.045
+
+    def verdict(this, base=other):
+        ab_time.print_metric("wall_s", "s", {"this": this, "other": base},
+                             {"this": "a", "other": "b"})
+        return capsys.readouterr().out.splitlines()[-1].split(": ")[1].split(" (")[0]
+
+    assert verdict([v - 0.1 for v in other]) == "met"
+    assert verdict([v - 0.05 for v in other]) == "not met"  # gap 0.05 within the spread
+    assert verdict([v - 0.1 for v in other[:8]] + other[8:]) == "not met"  # 8 of 10, ties
+    assert verdict([v - 0.1 for v in other[:9]] + [2.0]) == "met"  # 9 of 10
+    assert verdict([v - 0.1 for v in other[:9]], other[:9]) == "not met"  # 9 pairs
 
 
 def test_ab_time_script_copies_both_sides_to_paths_of_one_length():
