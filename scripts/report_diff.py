@@ -8,14 +8,16 @@ OTHER_CHECKOUT, each side in its own subprocess that imports bsvi from that
 checkout's ``src/``.  Every run's report, minus the machine-dependent
 ``timings``, is written as a JSON document and as a CSV bundle; every report
 file that differs between the two sides, or exists on one side only, is
-printed.  Under a differing JSON report on both sides go its differing key
+printed.  A JSON report is compared by its parsed values, so one that differs
+in layout alone (whitespace, say) does not differ; any other file by its
+bytes.  Under a differing JSON report on both sides go its differing key
 paths, and under a differing CSV file its differing cells (a cell that parses
 as a float read as one), each with |this - other| and that over |other| for
 numbers, marked BEYOND when the difference breaks the golden files' rule
 |this - other| <= 1e-12 + 1e-10 |other|; any other differing value, and any
-file on one side only, is BEYOND.  Exits 0 when every file is byte-identical,
-1 when every difference keeps the rule, and 2 on a BEYOND difference (or a
-usage error).
+file on one side only, is BEYOND.  Exits 0 when no file differs, 1 when
+every difference keeps the rule, and 2 on a BEYOND difference (or a usage
+error).
 
 The 14 configs (28 reports): the four shipped configs with golden files,
 configs/indicator_box.yaml in classical, penalized, prox and bsvi mode, the
@@ -99,14 +101,22 @@ def emit_all(config_dir: Path, out_dir: Path):
             cli.emit_report(report, where / fmt, fmt)
 
 
+def _same(a: Path, b: Path) -> bool:
+    """Both files exist and hold the same bytes or, for JSON, the same values."""
+    if not (a.is_file() and b.is_file()):
+        return False
+    texts = a.read_bytes(), b.read_bytes()
+    return texts[0] == texts[1] or a.suffix == ".json" and not value_differences(
+        *map(json.loads, texts))
+
+
 def differing_files(a: Path, b: Path) -> list:
-    """Relative paths of the files under ``a`` and ``b`` that differ in bytes
-    or exist on one side only, sorted."""
+    """Relative paths of the files under ``a`` and ``b`` that differ (a JSON
+    report in its parsed values, any other file in bytes) or exist on one side
+    only, sorted."""
     files = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
-    return sorted(str(f) for f in files
-                  if not ((a / f).is_file() and (b / f).is_file()
-                          and (a / f).read_bytes() == (b / f).read_bytes()))
+    return sorted(str(f) for f in files if not _same(a / f, b / f))
 
 
 def value_differences(a, b, where: str = "") -> list:

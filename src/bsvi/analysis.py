@@ -11,8 +11,9 @@ Everything here is pure over immutable solutions; drifts are evaluated one level
 time through `generators.level_drift`, reading the past-Z rows a frozen spec keeps
 (`generators.past_z_rows`).  The epsilon table and the a priori and Yosida audits are one
 depth-first pass over the schedule's levels (`schedule_audits`) in runs of at most one
-leaf level: block e of level i is solution e's rows, a run of one block its own array and
-a longer run a copy of its blocks.  Below level n it reads |grad phi_eps(Y)|^2 as |U|^2
+leaf level: block e of level i is solution e's rows, a run of one block its own array, a
+longer run a row slice of its batch's level when its solutions are that batch's blocks in
+order (`solver.Solution.batch`), else a copy.  Below level n it reads |grad phi_eps(Y)|^2 as |U|^2
 and |Y - J_eps Y|^2 as eps^2 |U|^2: `convex.resolvent` formed U as grad phi_eps at the Y
 it returned.  phi(J_eps Y) (0 for an indicator) and level n (xi, no U) take a prox.
 """
@@ -23,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import convex
-from .convex import ConvexFunction, subgradient_check
+from .convex import ConvexFunction, default_subdiff_probes, subgradient_check
 from .generators import (GeneratorSpec, frozen_prefix, level_drift, origin_drift_mass,
                          past_z_rows, prefix_coefficients)
 from .lattice import (AdaptedProcess, Record, ScenarioTree, fold_running_max, level_moments,
@@ -78,7 +79,7 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
         raise ValueError("eps = %r must be positive and its solution's epsilon, not %r" % bad[0])
     weights, (epsilons, sols) = tree.grid.weights(beta), tuple(zip(*per_epsilon))
     dt, n, count = tree.grid.dt, tree.grid.n_steps, len(sols)
-    ys, zs, us = (list(zip(*(getattr(s, k).values for s in sols))) for k in "YZU")  # by level
+    ys, zs, us = kinds = tuple(list(zip(*(getattr(s, k).values for s in sols))) for k in "YZU")
     # leaf sums of the S^2 running maxes (a priori Y, table dY) and (statistic, level,
     # solution) sums of |Z|^2, |dZ|^2, |U|^2, phi(J Y) and |Y - J Y|^2 (at level n)
     s2, sums = np.zeros((2, count)), np.zeros((5, n + 1, count))
@@ -96,32 +97,43 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     # a batch's leaf level is one array, and a finite one is read once (xi - xi is +0.0)
     xi_n = ys[n][0]
     shared = all(y is xi_n for y in ys[n]) and np.logical_and.reduce(np.isfinite(xi_n), axis=None)
+    # solution e, block b of a batch that left in one sweep (`Solution.batch`), keys as
+    # (that batch, b - e): solutions of one key are blocks of one batch in order
+    keys = [e if s.batch is None else (id(s.batch[0]), s.batch[1] - e) for e, s in enumerate(sols)]
 
-    def rows(levels, lo, hi):  # blocks lo..hi-1 of one level
-        return levels[lo] if hi - lo == 1 else np.concatenate(levels[lo:hi])
+    def rows(k, i, lo, hi):  # blocks lo..hi-1 of level i of Y, Z or U (k = 0, 1, 2): a row
+        if hi - lo == 1:  # slice of their batch's level if they share a key, else a copy
+            return kinds[k][i][lo]
+        if keys[lo:hi].count(keys[lo]) == hi - lo:  # a shared level (xi, Z_{n-1}) is read apart
+            (levels, block), size = sols[lo].batch, tree.level_size(i)
+            return levels[k][i][block * size:(block + hi - lo) * size]
+        return np.concatenate(kinds[k][i][lo:hi])
 
     def frame(i, lo, hi, parents):
         size, hd, w = tree.level_size(i), min(hi, count - 1), weights[i]
 
-        def fold(k, end, mag):  # a leaf level is reduced at once
+        def fold(k, end, mag):  # a leaf level is reduced at once, a shared one's rows repeated
+            if len(mag) < (end - lo) * size:
+                mag = mag[None].repeat(end - lo, axis=0)
             maxes[k] = fold_running_max(parents[k], mag.reshape(-1, size), tree.branching)
             if i == n:
                 s2[k, lo:end], maxes[k] = node_sums(maxes[k], size), None
 
-        y, maxes, z_run = rows(ys[i], lo, hi), [None, None], i < n and z_own[i]
+        y = xi_n if i == n and shared else rows(0, i, lo, hi)
+        maxes, z_run = [None, None], i < n and z_own[i]
         if apriori:
             fold(0, hi, row_sq_norms(y) if w == 1.0 else w * row_sq_norms(y))
             if z_run:
-                sums[0, i, lo:hi] = node_sums(row_sq_norms(rows(zs[i], lo, hi)), size)
+                sums[0, i, lo:hi] = node_sums(row_sq_norms(rows(1, i, lo, hi)), size)
         if table and hd > lo and i == n and shared:  # dY = +0.0: each running max is the parent's
             s2[1, lo:hd] = node_sums(parents[1].repeat(tree.branching, axis=1), size)
         elif table and hd > lo:  # the run's pairs (e, e + 1)
-            fold(1, hd, row_sq_norms(y[:(hd - lo) * size] - rows(ys[i], lo + 1, hd + 1)))
+            fold(1, hd, row_sq_norms(y[:(hd - lo) * size] - rows(0, i, lo + 1, hd + 1)))
             if z_run:
                 sums[1, i, lo:hd] = node_sums(row_sq_norms(
-                    rows(zs[i], lo, hd) - rows(zs[i], lo + 1, hd + 1)), size)
+                    rows(1, i, lo, hd) - rows(1, i, lo + 1, hd + 1)), size)
         if i < n and (table or yosida):  # |U|^2; phi(J Y) is 0 for an indicator
-            sums[2, i, lo:hi] = node_sums(row_sq_norms(rows(us[i], lo, hi)), size)
+            sums[2, i, lo:hi] = node_sums(row_sq_norms(rows(2, i, lo, hi)), size)
             if not phi.indicator:  # at the prox: Y - eps U may leave phi's domain by an ulp
                 j = phi.prox(np.array(epsilons[lo:hi])[:, None, None], y.reshape(hi - lo, size, -1))
                 sums[3, i, lo:hi] = node_sums(phi.value(j), size)
@@ -156,7 +168,7 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
 
 
 def _uniform_ok(constants, factor: float) -> bool:
-    if not all(np.isfinite(c) for c in constants):
+    if not all(map(math.isfinite, constants)):
         return False
     top = max(constants, default=0.0)
     return top <= 1e-14 or top <= factor * _median(constants)
@@ -169,11 +181,14 @@ def _median(values) -> float:
 
 
 class AprioriAudit(Record, frozen=True):
-    """The a priori audit's rows, its uniformity verdict and their median constant."""
+    """The a priori audit's rows, its uniformity verdict and their median constant, and the
+    two parts of each row's lhs: E sup e^{bt}|Y|^2 and E int e^{bs}|Z|^2."""
 
     rows: tuple
     uniform_ok: bool
     median_constant: float
+    y_s2: tuple
+    z_h2: tuple
 
 
 class YosidaAudit(Record, frozen=True):
@@ -226,7 +241,8 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
         rows = tuple(BoundAudit(v, m1, v / m1 if m1 > 0 else 0.0, f"apriori eps={eps:g}")
                      for eps, v in zip(epsilons, (y_s2 + z_h2).tolist()))
         consts = [r.empirical_constant for r in rows]
-        apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), _median(consts))
+        apriori = AprioriAudit(rows, _uniform_ok(consts, 2.0), _median(consts),
+                               tuple(y_s2.tolist()), tuple(z_h2.tolist()))
     if "yosida" in parts:
         m2 = float(np.mean(xi_sq + np.atleast_1d(phi.value(xi)))) + mass
         denom = m2 if m2 > 0 else 1.0
@@ -237,7 +253,7 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
         gap_rows = tuple(BoundAudit(g, eps * m2, g / (eps * denom), f"yosida-gap eps={eps:g}")
                          for eps, g in zip(epsilons, gap_sup.tolist()))
         ok = (_uniform_ok([r.empirical_constant for r in grad_rows], 4.0)
-              and all(np.isfinite(r.lhs) for r in value_rows)
+              and all(math.isfinite(r.lhs) for r in value_rows)
               and _uniform_ok([r.empirical_constant for r in gap_rows], 4.0))
         yosida = YosidaAudit(grad_rows, value_rows, gap_rows, ok)
     return ScheduleAudits(table, apriori, yosida)
@@ -348,23 +364,6 @@ class ResidualReport(Record, frozen=True):
     phi_integrability: float
 
 
-def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
-    """Probe set for subdifferential checks: origin, finite box corners, and
-    terminal values pulled into the domain (adversarial directions live on the
-    boundary)."""
-    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-    probes = [np.zeros(xi.shape[1])]
-    lo, hi = getattr(phi, "lo", None), getattr(phi, "hi", None)
-    if lo is not None and hi is not None:
-        probes += [np.asarray(c, dtype=float) for c in (lo, hi) if np.all(np.isfinite(c))]
-    # one prox over the rows the cap admits (at least one), duplicates counted
-    probes += list(convex.prox(phi, 1e-9, xi[:max(1, cap - len(probes))]))
-    uniq = {}
-    for p in probes:  # first seen kept; + 0.0 makes -0.0 and 0.0 one key, as array_equal
-        uniq.setdefault((p + 0.0).tobytes(), p)
-    return list(uniq.values())
-
-
 def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
                        tree: ScenarioTree) -> ResidualReport:
     """Residuals of the discrete solution identities.
@@ -404,4 +403,4 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
         phi_mass += 0.0 if phi_at is None else \
             dt * float(np.add.reduce(phi_at[lo:lo + size])) / size
     return ResidualReport(equation_residual=eq_res, phi_integrability=phi_mass,
-                          subdiff_residual=subgradient_check(phi, point, grad, probes))
+                          subdiff_residual=subgradient_check(phi, point, grad, probes, phi_at))

@@ -213,13 +213,16 @@ def parse_config(path) -> ProblemConfig:
     return config_from_dict(_load(path))
 
 
-def _solution_summary(sol, tree) -> dict:
+def _solution_summary(sol, tree, norms=None) -> dict:
+    # norms: the S^2 of Y and H^2 of Z and U where the audits hold them, else path_norm's
+    y_s2, z_h2, u_h2 = norms or [analysis.path_norm(p, tree, stat) for p, stat in
+                                 ((sol.Y, "s2"), (sol.Z, "h2"), (sol.U, "h2"))]
     summary = {
         "y0": sol.Y.values[0][0].tolist(),
         "z0": sol.Z.values[0][0].tolist(),
-        "norm_y_s2": analysis.path_norm(sol.Y, tree, "s2"),
-        "norm_z_h2": analysis.path_norm(sol.Z, tree, "h2"),
-        "norm_u_h2": analysis.path_norm(sol.U, tree, "h2"),
+        "norm_y_s2": y_s2,
+        "norm_z_h2": z_h2,
+        "norm_u_h2": u_h2,
         "picard": {
             "distances": list(sol.diagnostics.iterate_distances),
             "ratios": list(sol.diagnostics.contraction_ratios),
@@ -256,13 +259,17 @@ def run(config_path, *, out_dir=None, out_format=None, write_files=True) -> dict
     else:  # phi is zero in classical mode, epsilon set in penalized mode only
         name, sol = cfg.mode, solver.picard_solve(cfg.tree, cfg.xi, cfg.gen, cfg.solver_config,
                                                   phi=cfg.phi, epsilon=cfg.epsilon)
-    report["schemes"][name] = _solution_summary(sol, cfg.tree)
     report["residuals"] = dict(vars(analysis.solution_residuals(
         sol, cfg.xi, cfg.gen, cfg.phi, cfg.tree)))
 
-    if cfg.mode in ("bsvi", "compare"):
+    if cfg.mode not in ("bsvi", "compare"):
+        report["schemes"][name] = _solution_summary(sol, cfg.tree)
+    else:
         table, ap, yo = analysis.schedule_audits(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen,
                                                  cfg.tree)
+        # the final a priori lhs's parts; at beta = 0 the Yosida grad row's lhs is int |U|^2
+        report["schemes"][name] = _solution_summary(
+            sol, cfg.tree, (ap.y_s2[-1], ap.z_h2[-1], yo.grad_rows[-1].lhs))
         report["epsilon_table"] = [dict(vars(r)) for r in table]
         try:
             report["rate_fit"] = dict(vars(analysis.epsilon_rate_fit(table)))

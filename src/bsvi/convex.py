@@ -26,7 +26,8 @@ def _as_points(y) -> np.ndarray:
 
 class ConvexFunction:
     """Base class for penalties.  Subclasses define ``value`` and ``prox``, whose
-    result a caller may overwrite unless it is read-only or shares memory with y."""
+    result a caller may overwrite if it is a writable array that owns its data and
+    is neither y nor the array y views."""
 
     m: int | None = None
     indicator = False  # phi takes only the values 0 and +inf, so J_eps is one projection
@@ -163,9 +164,10 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
     def apply(x):
         arr = _as_points(x)
         j = spec.prox(step, arr)
-        # u in the prox's buffer, unless it views x, is read-only or is not x's shape and dtype
-        own = (isinstance(j, np.ndarray) and j.flags.writeable and j.dtype == arr.dtype
-               and j.shape == arr.shape and not np.may_share_memory(j, arr))
+        # u in the prox's buffer only if that is a new writable array of x's shape and dtype:
+        # one that owns its data and is neither x nor the array x views
+        own = (isinstance(j, np.ndarray) and j.base is None and j is not arr and arr.base is not j
+               and j.flags.writeable and j.dtype == arr.dtype and j.shape == arr.shape)
         u = np.subtract(arr, j, out=j) if own else arr - j
         u /= step
         y = lam * u
@@ -173,7 +175,7 @@ def resolvent(spec: ConvexFunction, epsilon, lam: float):
     return apply
 
 
-def subgradient_check(spec: ConvexFunction, y, u, probes) -> float:
+def subgradient_check(spec: ConvexFunction, y, u, probes, phi_y=None) -> float:
     """Worst slack of (y, u) in the subdifferential of phi against probe points.
 
     The defining inequality <u, v - y> + phi(y) <= phi(v) is evaluated for
@@ -182,11 +184,12 @@ def subgradient_check(spec: ConvexFunction, y, u, probes) -> float:
     slack is NaN.  Probes outside the domain satisfy the inequality trivially.
     Batched (y, u) pairs on leading axes are checked together, the worst slack
     running over all of them, in (probes, pairs) chunks of about 2^14 slacks,
-    one probe at least.
+    one probe at least.  ``phi_y``, phi at each pair's point in the pairs' order as
+    the caller holds it already, spares evaluating phi there again.
     """
     point, grad = (a.reshape(-1, a.shape[-1])
                    for a in np.broadcast_arrays(_as_points(y), _as_points(u)))
-    phi_y = spec.value(point)
+    phi_y = spec.value(point) if phi_y is None else phi_y
     if not np.all(np.isfinite(phi_y)):
         raise ValueError("subgradient check requires y in the domain of phi")
     worst = -np.inf
@@ -201,3 +204,20 @@ def subgradient_check(spec: ConvexFunction, y, u, probes) -> float:
             - phi_v[a:a + chunk]
         worst = float(np.maximum(worst, np.max(violation)))
     return worst
+
+
+def default_subdiff_probes(phi: ConvexFunction, xi, cap: int = 48) -> list:
+    """Probe set for subdifferential checks: origin, finite box corners, and
+    terminal values pulled into the domain (adversarial directions live on the
+    boundary)."""
+    xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
+    probes = [np.zeros(xi.shape[1])]
+    lo, hi = getattr(phi, "lo", None), getattr(phi, "hi", None)
+    if lo is not None and hi is not None:
+        probes += [np.asarray(c, dtype=float) for c in (lo, hi) if np.all(np.isfinite(c))]
+    # one prox over the rows the cap admits (at least one), duplicates counted
+    probes += list(prox(phi, 1e-9, xi[:max(1, cap - len(probes))]))
+    uniq = {}
+    for p in probes:  # first seen kept; + 0.0 makes -0.0 and 0.0 one key, as array_equal
+        uniq.setdefault((p + 0.0).tobytes(), p)
+    return list(uniq.values())

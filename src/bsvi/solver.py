@@ -141,7 +141,11 @@ class Solution(Record, eq=False):
     Y spans levels 0..n; Z and U span 0..n-1.  ``frozen_past`` is the Picard
     iterate the final backward pass froze its delay arguments on; residual
     checks replay the pass against it.  After a replayed confirmation sweep
-    it is (Y, Z) itself, the values that sweep froze.
+    it is (Y, Z) itself, the values that sweep froze.  ``batch`` marks a block
+    of a batch whose blocks left in one sweep: (the batch's Y, Z and U level
+    lists, the block's position), so block b of a level of B^i rows per block
+    is rows b B^i .. (b + 1) B^i - 1 of the batch's array (a level of B^i rows is
+    every block's); None for a block copied out while others kept sweeping.
     """
 
     Y: AdaptedProcess
@@ -151,6 +155,7 @@ class Solution(Record, eq=False):
     epsilon: float | None = None
     frozen_past: tuple | None = None
     wellposedness: WellposednessReport | None = None
+    batch: tuple | None = None
 
 
 class PicardNonConvergence(RuntimeError):
@@ -422,15 +427,17 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
             else:
                 keep.append(pos)
         # copied out while others keep sweeping, so as to hold none of their rows;
-        # blocks that leave together take views of the batch; a replayed sweep
-        # froze (Y, Z) itself, which is then its past
+        # blocks that leave together take views of the batch and are marked as its
+        # blocks; a replayed sweep froze (Y, Z) itself, which is then its past
         outs = [_blocks(levels, done, blocks, sizes, True) if not keep else
                 [_blocks(levels, [pos], blocks, sizes) for pos in done]
                 for levels in (ys, zs, us, *(() if ys is frozen_y else (frozen_y, frozen_z)))]
+        batch = None if keep else (ys, zs, us)
         for pos, *own in zip(done, *outs):
             y, z, u, *past = (AdaptedProcess(tree, levels) for levels in own)
             e = active[pos]
-            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], tuple(past) or (y, z), report)
+            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], tuple(past) or (y, z), report,
+                                    batch if batch is None else (batch, pos))
         active = [active[pos] for pos in keep]
         if not active:
             break

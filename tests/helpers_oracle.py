@@ -266,16 +266,18 @@ def apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta=0.0):
     xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
     m1 = float(np.mean(np.sum(xi ** 2, axis=1))) + origin_drift_mass_per_level(
         gen, tree, xi.shape[1], beta)
-    rows = []
+    rows, y_s2, z_h2 = [], [], []
     for eps, sol in per_epsilon:
-        lhs = (path_norms_one_by_one(sol.Y, tree, beta)[0]
-               + path_norms_one_by_one(sol.Z, tree, beta)[1])
+        y_s2.append(path_norms_one_by_one(sol.Y, tree, beta)[0])
+        z_h2.append(path_norms_one_by_one(sol.Z, tree, beta)[1])
+        lhs = y_s2[-1] + z_h2[-1]
         const = lhs / m1 if m1 > 0 else 0.0
         rows.append(BoundAudit(lhs=lhs, rhs_data=m1, empirical_constant=const,
                                context=f"apriori eps={eps:g}"))
     consts = [r.empirical_constant for r in rows]
     return AprioriAudit(rows=tuple(rows), uniform_ok=_uniform_ok(consts, 2.0),
-                        median_constant=float(statistics.median(consts)))
+                        median_constant=float(statistics.median(consts)),
+                        y_s2=tuple(y_s2), z_h2=tuple(z_h2))
 
 
 def yosida_audit_one_by_one(per_epsilon, phi, xi, gen, tree, beta=0.0,

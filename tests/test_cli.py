@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bsvi import cli, generators, solver
+from bsvi import analysis, cli, generators, solver
 from bsvi.cli import (
     ConfigError,
     EXIT_DIVERGENCE,
@@ -845,6 +845,27 @@ def test_report_diff_flags_the_differing_files(tmp_path):
     assert differing_files(tmp_path / "a", tmp_path / "b") == ["error.txt", "run/csv/summary.csv"]
 
 
+def test_report_diff_reads_a_json_report_by_its_values(tmp_path, capsys):
+    # the same values laid out otherwise (indented, keys in another order) do
+    # not differ and exit 0; a CSV file still differs by its bytes
+    compare = _report_diff().compare_reports
+    report = {"y0": [0.5, -0.0], "ok": True, "rate_fit": {"slope": 1e-300}}
+    texts = {"compact": json.dumps(report, sort_keys=True),
+             "indented": json.dumps(dict(reversed(report.items())), indent=2)}
+    for side, text in texts.items():
+        (tmp_path / side / "run" / "json").mkdir(parents=True)
+        (tmp_path / side / "run" / "json" / "report.json").write_text(text, encoding="utf-8")
+    assert compare(tmp_path / "indented", tmp_path / "compact") == 0
+    assert capsys.readouterr().out.splitlines() == ["0 differing file(s)"]
+    (tmp_path / "indented" / "run" / "json" / "report.json").write_text(
+        json.dumps({**report, "y0": [0.5, 0.0]}, indent=2), encoding="utf-8")
+    assert compare(tmp_path / "indented", tmp_path / "compact") == 1
+    (tmp_path / "compact" / "run" / "summary.csv").write_text("key,value\n", encoding="utf-8")
+    (tmp_path / "indented" / "run" / "summary.csv").write_text("key,value\r\n", encoding="utf-8")
+    assert _report_diff().differing_files(tmp_path / "indented", tmp_path / "compact") == \
+        ["run/json/report.json", "run/summary.csv"]
+
+
 def test_report_diff_lists_each_differing_value():
     report_diff = _report_diff()
     this = {"rate_fit": {"slope": 0.5 + 2 ** -49, "exact": False}, "y0": [1.0, 2.0], "m": -0.0,
@@ -891,6 +912,29 @@ def test_report_diff_exits_0_1_or_2_by_the_golden_rule(tmp_path, capsys):
     assert '  row 2 column 1: "False" != "True"  BEYOND' in lines
     at = lines.index("differs: run/error.txt")
     assert lines[at + 1] == "  (on one side only)  BEYOND" and lines[-1] == "3 differing file(s)"
+
+
+SCHEDULE_RUNS = [p.stem for p in sorted(CONFIGS.glob("*.yaml"))
+                 if yaml.safe_load(p.read_text(encoding="utf-8"))["run"]["mode"]
+                 in ("bsvi", "compare")] + ["box_compare-seed0", "delay_bsvi-seed0"]
+
+
+@pytest.mark.filterwarnings("ignore:well-posedness gate failed")
+@pytest.mark.parametrize("name", SCHEDULE_RUNS)
+def test_penalized_final_norms_are_path_norms_bitwise(tmp_path, name):
+    # bsvi and compare mode take the final solution's norms from the audit pass:
+    # its a priori parts and its Yosida grad row at beta = 0, which must be the
+    # bits `analysis.path_norm` gives on the shipped configs and the benchmark's
+    doc = _report_diff().configs()[name] if "-" in name else \
+        yaml.safe_load((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8"))
+    (tmp_path / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    summary = run(tmp_path / "run.json", write_files=False)["schemes"]["penalized_final"]
+    cfg = config_from_dict(doc)
+    sol = solver.solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi, cfg.solver_config).solution
+    want = [analysis.path_norm(p, cfg.tree, stat) for p, stat in
+            ((sol.Y, "s2"), (sol.Z, "h2"), (sol.U, "h2"))]
+    got = [summary[key] for key in ("norm_y_s2", "norm_z_h2", "norm_u_h2")]
+    assert [(type(v), v.hex()) for v in got] == [(float, v.hex()) for v in want]
 
 
 def test_report_diff_configs_all_build():

@@ -270,8 +270,8 @@ def test_resolvent_step_zero_is_bit_exact():
 
 class ProxReturning(ConvexFunction):
     """phi = 0, or the box [-1, 1] for "read_only", with a prox returning its
-    argument, a view of it, a read-only array, a new float32 array or a new
-    array it records."""
+    argument, a view of it, the array it views, a read-only array, a new
+    float32 array or a new array it records."""
 
     def __init__(self, kind):
         self.kind, self.returned = kind, None
@@ -285,6 +285,8 @@ class ProxReturning(ConvexFunction):
             return arr
         if self.kind == "view":
             return arr[...]
+        if self.kind == "owner":  # the array y views, writable and owning its data
+            return arr.copy() if arr.base is None else arr.base
         if self.kind == "float32":
             return arr.astype(np.float32)
         out = np.clip(arr, -1.0, 1.0) if self.kind == "read_only" else arr.copy()
@@ -293,14 +295,16 @@ class ProxReturning(ConvexFunction):
         return out
 
 
-@pytest.mark.parametrize("kind", ["argument", "view", "read_only", "float32", "new"])
+@pytest.mark.parametrize("kind", ["argument", "view", "owner", "read_only", "float32", "new"])
 def test_resolvent_writes_u_only_into_a_prox_buffer_of_its_own(kind):
     # u = x - J goes into the array the prox returned only when that array
-    # is new, writable and of x's dtype; a prox returning x, a view of x or a
-    # read-only array leaves x as it was, and every kind gives the bits of x - J
+    # is new, writable and of x's dtype; a prox returning x, a view of x, the
+    # array x views or a read-only array leaves x as it was, and every kind
+    # gives the bits of x - J
     spec = ProxReturning(kind)
     x = np.random.default_rng(4).normal(size=(3, 5, 2)) * 2
     x[0, 0] = -0.0
+    x = x[...] if kind == "owner" else x  # a view of an array of its shape and dtype
     before = x.copy()
     eps = np.array([1.0, 0.125, 2.0 ** -10])[:, None, None]
     y, u = resolvent(spec, eps, 0.25)(x)

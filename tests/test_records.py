@@ -75,18 +75,21 @@ CASES = [
      "PicardDiagnostics(iterate_distances=[0.5, 0.25], contraction_ratios=[0.5], "
      "converged=True, iterations_used=2)"),
     (solver.Solution, ("Y", "Z", "U", "diagnostics", "epsilon", "frozen_past",
-                       "wellposedness"), (PROC, PROC, PROC, DIAG, 0.5, None, None), False, False,
+                       "wellposedness", "batch"), (PROC, PROC, PROC, DIAG, 0.5, None, None, None),
+     False, False,
      f"Solution(Y={PROC!r}, Z={PROC!r}, U={PROC!r}, diagnostics=PicardDiagnostics("
      "iterate_distances=[0.5], contraction_ratios=[], converged=True, iterations_used=1), "
-     "epsilon=0.5, frozen_past=None, wellposedness=None)"),
+     "epsilon=0.5, frozen_past=None, wellposedness=None, batch=None)"),
     (solver.BsviResult, ("solution", "per_epsilon", "phi", "tree"),
      (SOL, [(0.5, SOL)], BOX, TREE), False, False,
      f"BsviResult(solution={SOL!r}, per_epsilon=[(0.5, {SOL!r})], phi={BOX!r}, tree={TREE!r})"),
     (analysis.BoundAudit, ("lhs", "rhs_data", "empirical_constant", "context"),
      (1.0, 2.0, 0.5, "apriori eps=1"), True, True,
      "BoundAudit(lhs=1.0, rhs_data=2.0, empirical_constant=0.5, context='apriori eps=1')"),
-    (analysis.AprioriAudit, ("rows", "uniform_ok", "median_constant"), ((ROW,), True, 0.5),
-     True, True, f"AprioriAudit(rows=({ROW!r},), uniform_ok=True, median_constant=0.5)"),
+    (analysis.AprioriAudit, ("rows", "uniform_ok", "median_constant", "y_s2", "z_h2"),
+     ((ROW,), True, 0.5, (0.75,), (0.25,)), True, True,
+     f"AprioriAudit(rows=({ROW!r},), uniform_ok=True, median_constant=0.5, y_s2=(0.75,), "
+     "z_h2=(0.25,))"),
     (analysis.YosidaAudit, ("grad_rows", "value_rows", "gap_rows", "uniform_ok"),
      ((ROW,), (), (ROW, ROW), False), True, True,
      f"YosidaAudit(grad_rows=({ROW!r},), value_rows=(), gap_rows=({ROW!r}, {ROW!r}), "
@@ -121,7 +124,8 @@ DEFAULTS = {
                           "epsilon_schedule": DEFAULT_EPSILON_SCHEDULE, "hard_gate": False},
     solver.PicardDiagnostics: {"iterate_distances": [], "contraction_ratios": [],
                                "converged": False, "iterations_used": 0},
-    solver.Solution: {"epsilon": None, "frozen_past": None, "wellposedness": None},
+    solver.Solution: {"epsilon": None, "frozen_past": None, "wellposedness": None,
+                      "batch": None},
 }
 
 IDS = [case[0].__name__ for case in CASES]

@@ -863,13 +863,17 @@ def _assert_table(got, per_epsilon, phi, tree):
     assert _rows_close(got, epsilon_table_one_by_one(per_epsilon, phi, tree))
 
 
+def _apriori_bits(audit):
+    """An a priori audit's rows, verdict, median constant and lhs parts, bit by bit."""
+    return (list(map(_row_bits, audit.rows)), audit.uniform_ok, _bits(audit.median_constant),
+            [_bits(v) for v in audit.y_s2], [_bits(v) for v in audit.z_h2])
+
+
 def _assert_schedule_audits_match(per_epsilon, phi, xi, gen, tree, beta=0.0):
     _assert_table(epsilon_table(per_epsilon, phi, tree), per_epsilon, phi, tree)
     got = apriori_audit(per_epsilon, xi, gen, tree, beta)
     want = apriori_audit_one_by_one(per_epsilon, xi, gen, tree, beta)
-    assert list(map(_row_bits, got.rows)) == list(map(_row_bits, want.rows))
-    assert got.uniform_ok == want.uniform_ok
-    assert _bits(got.median_constant) == _bits(want.median_constant)
+    assert _apriori_bits(got) == _apriori_bits(want)
     _assert_yosida_rows(yosida_audit(per_epsilon, phi, xi, gen, tree, beta),
                         per_epsilon, phi, xi, gen, tree, beta)
 
@@ -1221,9 +1225,10 @@ def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, 
     assert sweeps == ({9, 10} if case == "staggered" else {2})
     (table, apriori, yosida), joined = _concatenations(
         monkeypatch, lambda: bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta))
-    # a run of one block is read without a copy, and no copy holds more than 2^13 rows
+    # a run of one block, or of blocks that left one batch together, is read without
+    # a copy, and no copy holds more than 2^13 rows
     assert all(len(runs) > 1 and sum(runs) <= 2 ** 13 for runs in joined)
-    assert bool(joined) == (case != "one_entry")
+    assert bool(joined) == (case in ("staggered", "hand_built", "reversed"))
     _assert_table(table, per_eps, phi, tree)
     assert (table == []) == (case == "one_entry")
     want = apriori_audit_one_by_one(per_eps, xi, gen, tree, beta)
@@ -1233,15 +1238,70 @@ def test_schedule_audits_pass_matches_one_solution_at_a_time(monkeypatch, case, 
     _assert_yosida_rows(yosida, per_eps, phi, xi, gen, tree, beta)
 
 
+def _unmarked(per_epsilon, copy=False):
+    """The schedule's solutions without their batch marks, on the same levels or on copies."""
+    def process(p):
+        return AdaptedProcess(p.tree, [v.copy() for v in p.values]) if copy else p
+    return [(eps, solver_mod.Solution(process(s.Y), process(s.Z), process(s.U), s.diagnostics,
+                                      s.epsilon, s.frozen_past, s.wellposedness))
+            for eps, s in per_epsilon]
+
+
 def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
     # one part at n = 14 would run a leaf level's 2^14 rows; the ceiling
     # halves that, and a level of 2^13 rows is read one block at a time
+    # (on the copy path: the batch's own solutions are read in place)
     tree, xi, gen, phi = box_linear_problem(14)
-    res = solve_bsvi(tree, xi, gen, phi)
-    table, joined = _concatenations(monkeypatch,
-                                    lambda: epsilon_table(res.per_epsilon, phi, tree))
+    per_eps = _unmarked(solve_bsvi(tree, xi, gen, phi).per_epsilon)
+    table, joined = _concatenations(monkeypatch, lambda: epsilon_table(per_eps, phi, tree))
     assert all(len(runs) > 1 for runs in joined) and max(map(sum, joined)) == 2 ** 13
-    _assert_table(table, res.per_epsilon, phi, tree)
+    _assert_table(table, per_eps, phi, tree)
+
+
+def test_solutions_of_a_joint_exit_are_marked_as_blocks_of_their_batch():
+    # every block leaves the replayed confirmation sweep together: solution e is
+    # block e of one (Y, Z, U) batch, whose level i holds its rows e B^i .. (e + 1) B^i - 1
+    tree, xi, gen, phi = box_linear_problem(6)
+    per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    levels = per_eps[0][1].batch[0]
+    for e, (_, sol) in enumerate(per_eps):
+        assert sol.batch[0] is levels and sol.batch[1] == e
+        for batch, own in zip(levels, (sol.Y.values, sol.Z.values, sol.U.values)):
+            for i, (a, b) in enumerate(zip(batch, own)):
+                size = tree.level_size(i)
+                assert (a if len(a) == size else a[e * size:(e + 1) * size]).tobytes() == \
+                    b.tobytes()
+    # a block copied out while others keep sweeping is not marked; the blocks left
+    # after it leave together and are
+    cfg = _delay_bsvi_drift()
+    staggered = solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi).per_epsilon
+    assert staggered[0][1].batch is None
+    assert [s.batch[1] for _, s in staggered[1:]] == list(range(10))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+@pytest.mark.parametrize("variant", ["joint", "sub_list", "strided", "rotated", "two_batches",
+                                     "copies"])
+def test_schedule_audits_read_a_jointly_exited_batch_in_place(monkeypatch, variant, beta):
+    # at n = 12 the runs split the blocks of levels 8 to 12; a run inside one batch
+    # that left together is a row slice of its levels, so the whole schedule (and
+    # any stretch of it in order) is read without np.concatenate, and reordered,
+    # strided, two batches' or rebuilt-from-copies solutions take the copy path
+    # where a run leaves a stretch: bitwise the same
+    tree, xi, gen, phi = box_linear_problem(12)
+    per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon
+    per_eps = {"joint": per_eps, "sub_list": per_eps[2:7], "strided": per_eps[::2],
+               "rotated": per_eps[5:] + per_eps[:5],
+               "two_batches": per_eps[:3] + solve_bsvi(tree, 0.5 * xi, gen, phi).per_epsilon[3:6],
+               "copies": _unmarked(per_eps, copy=True)}[variant]
+    (table, apriori, yosida), joined = _concatenations(
+        monkeypatch, lambda: bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta))
+    assert (joined == []) == (variant in ("joint", "sub_list"))
+    assert all(sum(runs) <= 2 ** 13 for runs in joined)
+    _assert_table(table, per_eps, phi, tree)
+    want = apriori_audit_one_by_one(per_eps, xi, gen, tree, beta)
+    assert _apriori_bits(apriori) == _apriori_bits(want)
+    _assert_yosida_rows(yosida, per_eps, phi, xi, gen, tree, beta)
 
 
 def test_schedule_audits_pass_holds_at_most_9_leaf_levels():
