@@ -13,7 +13,8 @@ time through `generators.level_drift`, reading the past-Z rows a frozen spec kee
 depth-first pass over the schedule's levels (`schedule_audits`) in runs of at most one
 leaf level: block e of level i is solution e's rows, a run of one block its own array, a
 longer run a row slice of its batch's level when its solutions are that batch's blocks in
-order (`solver.Solution.batch`), else a copy.  Below level n it reads |grad phi_eps(Y)|^2 as |U|^2
+order, still holding the levels they were handed (`solver.Solution._block`), and the level
+holds a row per block, else a copy.  Below level n it reads |grad phi_eps(Y)|^2 as |U|^2
 and |Y - J_eps Y|^2 as eps^2 |U|^2: `convex.resolvent` formed U as grad phi_eps at the Y
 it returned.  phi(J_eps Y) (0 for an indicator) and level n (xi, no U) take a prox.
 """
@@ -97,16 +98,20 @@ def _schedule_sums(per_epsilon, phi: ConvexFunction, tree: ScenarioTree, beta: f
     # a batch's leaf level is one array, and a finite one is read once (xi - xi is +0.0)
     xi_n = ys[n][0]
     shared = all(y is xi_n for y in ys[n]) and np.logical_and.reduce(np.isfinite(xi_n), axis=None)
-    # solution e, block b of a batch that left in one sweep (`Solution.batch`), keys as
-    # (that batch, b - e): solutions of one key are blocks of one batch in order
-    keys = [e if s.batch is None else (id(s.batch[0]), s.batch[1] - e) for e, s in enumerate(sols)]
+    # solution e, block b of a batch that left in one sweep and still holding the levels
+    # it was handed (`Solution._block`), keys as (that batch, b - e): solutions of one key
+    # are blocks of one batch in order
+    blocks = [s._block() for s in sols]
+    keys = [e if b is None else (id(b[0]), b[1] - e) for e, b in enumerate(blocks)]
 
     def rows(k, i, lo, hi):  # blocks lo..hi-1 of level i of Y, Z or U (k = 0, 1, 2): a row
-        if hi - lo == 1:  # slice of their batch's level if they share a key, else a copy
-            return kinds[k][i][lo]
-        if keys[lo:hi].count(keys[lo]) == hi - lo:  # a shared level (xi, Z_{n-1}) is read apart
-            (levels, block), size = sols[lo].batch, tree.level_size(i)
-            return levels[k][i][block * size:(block + hi - lo) * size]
+        if hi - lo == 1:  # slice of their batch's level if they share a key and it holds
+            return kinds[k][i][lo]  # a row block per block (not xi, Z_{n-1}), else a copy
+        size = tree.level_size(i)
+        if keys[lo:hi].count(keys[lo]) == hi - lo:
+            levels, block = blocks[lo]
+            if len(level := levels[k][i]) > size:
+                return level[block * size:(block + hi - lo) * size]
         return np.concatenate(kinds[k][i][lo:hi])
 
     def frame(i, lo, hi, parents):

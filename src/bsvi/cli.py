@@ -265,9 +265,10 @@ def run(config_path, *, out_dir=None, out_format=None, write_files=True) -> dict
     if cfg.mode not in ("bsvi", "compare"):
         report["schemes"][name] = _solution_summary(sol, cfg.tree)
     else:
+        # at beta = 0 every weight e^{bt} is 1.0, so the last entry's (the final solution's)
+        # a priori parts and Yosida grad row lhs, E int e^{bs}|U|^2, are path_norm's norms
         table, ap, yo = analysis.schedule_audits(res.per_epsilon, cfg.phi, cfg.xi, cfg.gen,
-                                                 cfg.tree)
-        # the final a priori lhs's parts; at beta = 0 the Yosida grad row's lhs is int |U|^2
+                                                 cfg.tree, beta=0.0)
         report["schemes"][name] = _solution_summary(
             sol, cfg.tree, (ap.y_s2[-1], ap.z_h2[-1], yo.grad_rows[-1].lhs))
         report["epsilon_table"] = [dict(vars(r)) for r in table]

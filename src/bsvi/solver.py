@@ -38,6 +38,7 @@ Picard sweeps are inherently sequential; solves share immutable trees safely.
 """
 
 import math
+import operator
 import warnings
 from functools import cached_property
 
@@ -141,12 +142,15 @@ class Solution(Record, eq=False):
     Y spans levels 0..n; Z and U span 0..n-1.  ``frozen_past`` is the Picard
     iterate the final backward pass froze its delay arguments on; residual
     checks replay the pass against it.  After a replayed confirmation sweep
-    it is (Y, Z) itself, the values that sweep froze.  ``batch`` marks a block
-    of a batch whose blocks left in one sweep: (the batch's Y, Z and U level
-    lists, the block's position), so block b of a level of B^i rows per block
-    is rows b B^i .. (b + 1) B^i - 1 of the batch's array (a level of B^i rows is
-    every block's); None for a block copied out while others kept sweeping.
+    it is (Y, Z) itself, the values that sweep froze.  ``_batch`` (a slot, not
+    a field) marks a block of a batch whose blocks left in one sweep: (the
+    batch's Y, Z and U level lists, the block's position, the levels it was
+    handed), so block b of a level of B^i rows per block is its rows b B^i ..
+    (b + 1) B^i - 1 (a level of B^i rows is every block's); it is unset for a
+    block copied out while others kept sweeping.
     """
+
+    __slots__ = ("_batch",)
 
     Y: AdaptedProcess
     Z: AdaptedProcess
@@ -155,7 +159,16 @@ class Solution(Record, eq=False):
     epsilon: float | None = None
     frozen_past: tuple | None = None
     wellposedness: WellposednessReport | None = None
-    batch: tuple | None = None
+
+    def _block(self):
+        """``_batch``'s batch levels and position while the solution holds every
+        level it was handed (by identity), else None."""
+        mark = getattr(self, "_batch", None)
+        if mark is None:
+            return None
+        own = (*self.Y.values, *self.Z.values, *self.U.values)
+        same = len(own) == len(mark[2]) and all(map(operator.is_, own, mark[2]))
+        return mark[:2] if same else None
 
 
 class PicardNonConvergence(RuntimeError):
@@ -436,8 +449,9 @@ def _picard_batch(tree: ScenarioTree, xi: np.ndarray, gen: GeneratorSpec,
         for pos, *own in zip(done, *outs):
             y, z, u, *past = (AdaptedProcess(tree, levels) for levels in own)
             e = active[pos]
-            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], tuple(past) or (y, z), report,
-                                    batch if batch is None else (batch, pos))
+            solutions[e] = Solution(y, z, u, diags[e], epsilons[e], tuple(past) or (y, z), report)
+            if batch is not None:
+                solutions[e]._batch = batch, pos, (*y.values, *z.values, *u.values)
         active = [active[pos] for pos in keep]
         if not active:
             break

@@ -75,11 +75,10 @@ CASES = [
      "PicardDiagnostics(iterate_distances=[0.5, 0.25], contraction_ratios=[0.5], "
      "converged=True, iterations_used=2)"),
     (solver.Solution, ("Y", "Z", "U", "diagnostics", "epsilon", "frozen_past",
-                       "wellposedness", "batch"), (PROC, PROC, PROC, DIAG, 0.5, None, None, None),
-     False, False,
+                       "wellposedness"), (PROC, PROC, PROC, DIAG, 0.5, None, None), False, False,
      f"Solution(Y={PROC!r}, Z={PROC!r}, U={PROC!r}, diagnostics=PicardDiagnostics("
      "iterate_distances=[0.5], contraction_ratios=[], converged=True, iterations_used=1), "
-     "epsilon=0.5, frozen_past=None, wellposedness=None, batch=None)"),
+     "epsilon=0.5, frozen_past=None, wellposedness=None)"),
     (solver.BsviResult, ("solution", "per_epsilon", "phi", "tree"),
      (SOL, [(0.5, SOL)], BOX, TREE), False, False,
      f"BsviResult(solution={SOL!r}, per_epsilon=[(0.5, {SOL!r})], phi={BOX!r}, tree={TREE!r})"),
@@ -124,8 +123,7 @@ DEFAULTS = {
                           "epsilon_schedule": DEFAULT_EPSILON_SCHEDULE, "hard_gate": False},
     solver.PicardDiagnostics: {"iterate_distances": [], "contraction_ratios": [],
                                "converged": False, "iterations_used": 0},
-    solver.Solution: {"epsilon": None, "frozen_past": None, "wellposedness": None,
-                      "batch": None},
+    solver.Solution: {"epsilon": None, "frozen_past": None, "wellposedness": None},
 }
 
 IDS = [case[0].__name__ for case in CASES]

@@ -1260,40 +1260,59 @@ def test_schedule_audits_copy_at_most_2_13_rows_per_run(monkeypatch):
 
 def test_solutions_of_a_joint_exit_are_marked_as_blocks_of_their_batch():
     # every block leaves the replayed confirmation sweep together: solution e is
-    # block e of one (Y, Z, U) batch, whose level i holds its rows e B^i .. (e + 1) B^i - 1
+    # block e of one (Y, Z, U) batch, whose level i holds its rows e B^i .. (e + 1) B^i - 1,
+    # and the mark keeps the very arrays the solution was handed
     tree, xi, gen, phi = box_linear_problem(6)
     per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon
-    levels = per_eps[0][1].batch[0]
+    levels = per_eps[0][1]._batch[0]
     for e, (_, sol) in enumerate(per_eps):
-        assert sol.batch[0] is levels and sol.batch[1] == e
-        for batch, own in zip(levels, (sol.Y.values, sol.Z.values, sol.U.values)):
-            for i, (a, b) in enumerate(zip(batch, own)):
+        own = (sol.Y.values, sol.Z.values, sol.U.values)
+        assert sol._batch[0] is levels and sol._batch[1] == e
+        assert sol._block()[0] is levels and sol._block()[1] == e
+        assert len(sol._batch[2]) == sum(map(len, own))
+        assert all(a is b for a, b in zip(sol._batch[2], [v for vs in own for v in vs]))
+        for batch, values in zip(levels, own):
+            for i, (a, b) in enumerate(zip(batch, values)):
                 size = tree.level_size(i)
                 assert (a if len(a) == size else a[e * size:(e + 1) * size]).tobytes() == \
                     b.tobytes()
+    # the mark is a slot, not a field: neither taken by the constructor, printed nor in vars
+    sol = per_eps[0][1]
+    assert "_batch" not in solver_mod.Solution._fields and "_batch" not in repr(sol)
+    assert not hasattr(solver_mod.Solution(**vars(sol)), "_batch")
     # a block copied out while others keep sweeping is not marked; the blocks left
     # after it leave together and are
     cfg = _delay_bsvi_drift()
     staggered = solve_bsvi(cfg.tree, cfg.xi, cfg.gen, cfg.phi).per_epsilon
-    assert staggered[0][1].batch is None
-    assert [s.batch[1] for _, s in staggered[1:]] == list(range(10))
+    assert not hasattr(staggered[0][1], "_batch")
+    assert [s._batch[1] for _, s in staggered[1:]] == list(range(10))
+
+
+def _replaced(per_epsilon):
+    """The schedule with Z levels 9 and 11 of its fifth solution swapped for doubled copies."""
+    zs = per_epsilon[4][1].Z.values
+    for i in (9, 11):
+        zs[i] = 2.0 * zs[i]
+    return per_epsilon
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 @pytest.mark.parametrize("variant", ["joint", "sub_list", "strided", "rotated", "two_batches",
-                                     "copies"])
+                                     "copies", "replaced"])
 def test_schedule_audits_read_a_jointly_exited_batch_in_place(monkeypatch, variant, beta):
     # at n = 12 the runs split the blocks of levels 8 to 12; a run inside one batch
     # that left together is a row slice of its levels, so the whole schedule (and
     # any stretch of it in order) is read without np.concatenate, and reordered,
-    # strided, two batches' or rebuilt-from-copies solutions take the copy path
-    # where a run leaves a stretch: bitwise the same
+    # strided, two batches', rebuilt-from-copies or level-replaced solutions take the
+    # copy path where a run leaves a stretch: bitwise the same, a replaced level's new values
     tree, xi, gen, phi = box_linear_problem(12)
     per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon
-    per_eps = {"joint": per_eps, "sub_list": per_eps[2:7], "strided": per_eps[::2],
-               "rotated": per_eps[5:] + per_eps[:5],
-               "two_batches": per_eps[:3] + solve_bsvi(tree, 0.5 * xi, gen, phi).per_epsilon[3:6],
-               "copies": _unmarked(per_eps, copy=True)}[variant]
+    per_eps = {"joint": lambda: per_eps, "sub_list": lambda: per_eps[2:7],
+               "strided": lambda: per_eps[::2], "rotated": lambda: per_eps[5:] + per_eps[:5],
+               "two_batches": lambda: per_eps[:3] + solve_bsvi(
+                   tree, 0.5 * xi, gen, phi).per_epsilon[3:6],
+               "copies": lambda: _unmarked(per_eps, copy=True),
+               "replaced": lambda: _replaced(per_eps)}[variant]()
     (table, apriori, yosida), joined = _concatenations(
         monkeypatch, lambda: bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree, beta))
     assert (joined == []) == (variant in ("joint", "sub_list"))
@@ -1302,6 +1321,22 @@ def test_schedule_audits_read_a_jointly_exited_batch_in_place(monkeypatch, varia
     want = apriori_audit_one_by_one(per_eps, xi, gen, tree, beta)
     assert _apriori_bits(apriori) == _apriori_bits(want)
     _assert_yosida_rows(yosida, per_eps, phi, xi, gen, tree, beta)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_runs_inside_one_of_two_batches_copy_its_one_block_levels(n):
+    # two solves share neither a leaf xi nor a Z_{n-1}, so runs of 2 or more blocks of
+    # one batch reach those levels, each a single array of one block's rows for every
+    # block of its batch: at n = 12 the a priori audit alone reads Z_11 two blocks a
+    # run, at n = 10 every part reads the leaf and Z_9 two or four blocks a run
+    tree, xi, gen, phi = box_linear_problem(n)
+    per_eps = solve_bsvi(tree, xi, gen, phi).per_epsilon[:3] + \
+        solve_bsvi(tree, 0.5 * xi, gen, phi).per_epsilon[3:6]
+    _assert_schedule_audits_match(per_eps, phi, xi, gen, tree)
+    table, apriori, yosida = bsvi.analysis.schedule_audits(per_eps, phi, xi, gen, tree)
+    _assert_table(table, per_eps, phi, tree)
+    assert _apriori_bits(apriori) == _apriori_bits(apriori_audit_one_by_one(per_eps, xi, gen, tree))
+    _assert_yosida_rows(yosida, per_eps, phi, xi, gen, tree, 0.0)
 
 
 def test_schedule_audits_pass_holds_at_most_9_leaf_levels():

@@ -315,7 +315,7 @@ def test_unread_definition_check_counts_reads_outside_the_definition_only():
 
 # ROADMAP item 10's gate on the package size; a change that grows the package
 # past it raises the bound here and says why in CHANGES.md
-PACKAGE_LINE_BUDGET = 2322
+PACKAGE_LINE_BUDGET = 2342
 
 
 def test_package_stays_within_its_line_budget():
