@@ -3,10 +3,11 @@
 
 Usage: python3 scripts/golden_reports.py
 
-Each config in configs/ that exits 0 is run in-process and its report, minus
-the machine-dependent ``timings``, is written to tests/golden/<stem>.json.
-tests/test_golden.py compares fresh runs against these files.  Retake them
-only for a change that is meant to move the numbers.
+Each config named in SHIPPED is run in-process from configs/<stem>.yaml and
+its report, minus the machine-dependent ``timings``, is written to
+tests/golden/<stem>.json.  tests/test_golden.py compares fresh runs against
+these files and checks that every other config in configs/ is refused (exit
+3).  Retake them only for a change that is meant to move the numbers.
 """
 
 import json

@@ -1,33 +1,40 @@
 #!/usr/bin/env python3
-"""Compare this checkout's reports with another checkout's, file by file.
+"""Compare this checkout's reports and solves with another checkout's, file by file.
 
     python3 scripts/report_diff.py OTHER_CHECKOUT
 
-Runs a fixed set of configs through `bsvi.cli.run` in this checkout and in
+Runs a set of configs through `bsvi.cli.run` in this checkout and in
 OTHER_CHECKOUT, each side in its own subprocess that imports bsvi from that
 checkout's ``src/``.  Every run's report, minus the machine-dependent
-``timings``, is written as a JSON document and as a CSV bundle; every report
-file that differs between the two sides, or exists on one side only, is
-printed.  A JSON report is compared by its parsed values, so one that differs
-in layout alone (whitespace, say) does not differ; any other file by its
-bytes.  Under a differing JSON report on both sides go its differing key
-paths, and under a differing CSV file its differing cells (a cell that parses
-as a float read as one), each with |this - other| and that over |other| for
-numbers, marked BEYOND when the difference breaks the golden files' rule
-|this - other| <= 1e-12 + 1e-10 |other|; any other differing value, and any
-file on one side only, is BEYOND.  Exits 0 when no file differs, 1 when
-every difference keeps the rule, and 2 on a BEYOND difference (or a usage
-error).
+``timings``, is written as a JSON document and as a CSV bundle, and beside them
+solves.txt: one ``label sha256`` line per solution of the public solves the run
+makes (`solver.solve_bsvi`, one per epsilon, `picard_solve` and
+`prox_step_solve`), over its Y, Z and U, its frozen past and its Picard
+distances, every array hashed with its shape and dtype.  A run that raises
+writes its error text instead.  Every file that differs between the two sides,
+or exists on one side only, is printed.  A JSON report is compared by its
+parsed values, so one that differs in layout alone (whitespace, say) does not
+differ; any other file by its bytes.  Under a differing JSON report on both
+sides go its differing key paths, under a differing CSV file its differing
+cells (a cell that parses as a float read as one), each with |this - other|
+and that over |other| for numbers, marked BEYOND when the difference breaks
+the golden files' rule |this - other| <= 1e-12 + 1e-10 |other|, and under a
+differing solves.txt its differing lines; any other differing value, and any
+file on one side only, is BEYOND.  Exits 0 when no file differs, 1 when every
+difference keeps the rule or is a solve's bits (a change may move them at
+rounding), and 2 on a BEYOND difference, a usage error or a comparison that
+cannot finish (a side that cannot run, or an error of this script).
 
-The 14 configs (28 reports): the four shipped configs with golden files,
-configs/indicator_box.yaml in classical, penalized, prox and bsvi mode, the
-benchmark's box_compare and delay_bsvi configs at seeds 0 and 5, and
-delay_bsvi's seed-0 config in penalized and in classical mode.  The benchmark
-configs come from perfbench/run.py's ``draw_params`` and ``cli_config`` of
-this checkout, so both sides run the same documents.
+The 15 configs: every configs/*.yaml, configs/indicator_box.yaml in classical,
+penalized, prox and bsvi mode, the benchmark's box_compare and delay_bsvi
+configs at seeds 0 and 5, and delay_bsvi's seed-0 config in penalized and in
+classical mode.  The benchmark configs come from perfbench/run.py's
+``draw_params`` and ``cli_config`` of this checkout, so both sides run the same
+documents.
 """
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -36,13 +43,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ("delay_reduction", "indicator_box", "minimal", "quadratic")
+SOLVES = ("solve_bsvi", "picard_solve", "prox_step_solve")
 ZERO_PHI = {"kind": "zero"}
 ATOL, RTOL = 1e-12, 1e-10  # tests/test_golden.py's rule against the other side
 MISSING = object()
@@ -67,10 +75,10 @@ def _with_mode(doc: dict, mode: str) -> dict:
 
 def configs() -> dict:
     """Run name -> config document."""
-    docs = {f"golden-{stem}": yaml.safe_load(
-        (ROOT / "configs" / f"{stem}.yaml").read_text(encoding="utf-8")) for stem in GOLDEN}
+    docs = {p.stem: yaml.safe_load(p.read_text(encoding="utf-8"))
+            for p in sorted((ROOT / "configs").glob("*.yaml"))}
     for mode in ("classical", "penalized", "prox", "bsvi"):
-        docs[f"indicator_box-{mode}"] = _with_mode(docs["golden-indicator_box"], mode)
+        docs[f"indicator_box-{mode}"] = _with_mode(docs["indicator_box"], mode)
     bench = perfbench_module()
     for name in ("box_compare", "delay_bsvi"):
         for seed in (0, 5):
@@ -81,15 +89,52 @@ def configs() -> dict:
     return docs
 
 
+def digest(solution) -> str:
+    """sha256 over a solution's Y, Z, U, frozen past (if any) and Picard distances."""
+    import numpy as np  # not at import: scripts/ab_time.py imports this module before
+    # it pins BLAS threads, which OpenBLAS reads once, at numpy's import
+
+    h = hashlib.sha256()
+    processes = [solution.Y, solution.Z, solution.U, *(solution.frozen_past or ())]
+    arrays = [a for p in processes for a in p.values]
+    arrays.append(np.array(solution.diagnostics.iterate_distances, dtype=float))
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.shape} {a.dtype}|".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def emit_all(config_dir: Path, out_dir: Path):
     """Run every config in ``config_dir`` with the bsvi on the import path and
-    write its report as out_dir/<run>/json and out_dir/<run>/csv; a run that
-    raises writes out_dir/<run>/error.txt instead."""
+    write its report as out_dir/<run>/json and out_dir/<run>/csv and its solves'
+    digests as out_dir/<run>/solves.txt; a run that raises writes
+    out_dir/<run>/error.txt instead.  Wraps the package's public solves for the
+    rest of the process."""
     from bsvi import cli  # the checkout's own, from the PYTHONPATH its side was given
 
     warnings.simplefilter("ignore")
+    solves, depth = [], [0]
+
+    def recording(name, real):
+        def entry(*args, **kwargs):
+            depth[0] += 1
+            try:
+                out = real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            # an entry called by another counts once, as the outer one: an older
+            # prox_step_solve called picard_solve
+            if depth[0] == 0:
+                pairs = out.per_epsilon if name == "solve_bsvi" else [(out.epsilon, out)]
+                solves.extend(f"{name} eps={e!r} {digest(s)}\n" for e, s in pairs)
+            return out
+        return entry
+
+    for name in SOLVES:
+        setattr(cli.solver, name, recording(name, getattr(cli.solver, name)))
     for path in sorted(config_dir.glob("*.json")):
-        where = out_dir / path.stem
+        where, solves[:] = out_dir / path.stem, []
         try:
             report = cli.run(path, write_files=False)
         except Exception as exc:  # a refusal is part of the behaviour compared
@@ -99,6 +144,7 @@ def emit_all(config_dir: Path, out_dir: Path):
         report.pop("timings")
         for fmt in cli.OUT_FORMATS:
             cli.emit_report(report, where / fmt, fmt)
+        (where / "solves.txt").write_text("".join(solves), encoding="utf-8")
 
 
 def _same(a: Path, b: Path) -> bool:
@@ -157,6 +203,20 @@ def cell_differences(a: str, b: str) -> list:
     return found
 
 
+def solve_differences(a: str, b: str) -> list:
+    """One line per line at which the solves files ``a`` and ``b`` differ, in
+    order: the solve's label (both, where they differ) and both digests, a line
+    on one side only read as "(missing)"."""
+    rows = [[line.rsplit(" ", 1) for line in text.splitlines()] for text in (a, b)]
+    found = []
+    for k in range(max(map(len, rows))):
+        (la, x), (lb, y) = (side[k] if k < len(side) else ("", "(missing)") for side in rows)
+        if (la, x) != (lb, y):
+            label = " | ".join(dict.fromkeys(filter(None, (la, lb))))
+            found.append(f"  {label}: this {x} other {y}")
+    return found
+
+
 def describe(where: str, a, b) -> str:
     """One line for a differing leaf: for two numbers |a - b| and its ratio to
     |b|, marked BEYOND past the golden rule; otherwise both values."""
@@ -171,9 +231,9 @@ def describe(where: str, a, b) -> str:
 
 def compare_reports(this: Path, other: Path) -> int:
     """Print every file that differs between the report directories ``this``
-    and ``other``, and under it each differing value; return 0 when none
-    differs, 1 when every difference keeps the golden files' rule and 2 when
-    one is BEYOND it."""
+    and ``other``, and under it each differing value or solve; return 0 when
+    none differs, 1 when every difference keeps the golden files' rule or is a
+    solve's digest and 2 when one is BEYOND the rule."""
     diff, beyond = differing_files(this, other), False
     for rel in diff:
         print(f"differs: {rel}")
@@ -182,19 +242,16 @@ def compare_reports(this: Path, other: Path) -> int:
             lines = ["  (on one side only)  BEYOND"]
         else:
             texts = [p.read_text(encoding="utf-8") for p in pair]
-            leaves = value_differences(*map(json.loads, texts)) if rel.endswith(".json") else \
-                cell_differences(*texts) if rel.endswith(".csv") else [("text", *texts)]
-            lines = [describe(*leaf) for leaf in leaves]
+            if rel.endswith("solves.txt"):  # a solve's bits may move at rounding: not BEYOND
+                lines = solve_differences(*texts)
+            else:
+                leaves = value_differences(*map(json.loads, texts)) if rel.endswith(".json") \
+                    else cell_differences(*texts) if rel.endswith(".csv") else [("text", *texts)]
+                lines = [describe(*leaf) for leaf in leaves]
         print(*lines, sep="\n")
         beyond = beyond or any(line.endswith("BEYOND") for line in lines)
     print(f"{len(diff)} differing file(s)")
     return 2 if beyond else 1 if diff else 0
-
-
-def _emit_in(checkout: Path, config_dir: Path, out_dir: Path):
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit",
-                    str(config_dir), str(out_dir)], env=env, check=True)
 
 
 def main(argv: list) -> int:
@@ -210,12 +267,17 @@ def main(argv: list) -> int:
         docs = configs()
         for name, doc in docs.items():  # JSON is valid YAML
             (tmp / "configs" / f"{name}.json").write_text(json.dumps(doc, indent=1))
-        sides = {"this": ROOT, "other": Path(argv[0]).resolve()}
-        for side, checkout in sides.items():
-            _emit_in(checkout, tmp / "configs", tmp / side)
+        for side, checkout in {"this": ROOT, "other": Path(argv[0]).resolve()}.items():
+            subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit",
+                            str(tmp / "configs"), str(tmp / side)],
+                           env=dict(os.environ, PYTHONPATH=str(checkout / "src")), check=True)
         print(f"{len(docs)} configs run on both sides")
         return compare_reports(tmp / "this", tmp / "other")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except Exception:  # a side that cannot run, or an error here: the comparison did not
+        traceback.print_exc()  # finish, which must not read as a difference at rounding
+        sys.exit(2)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -939,50 +940,55 @@ def test_penalized_final_norms_are_path_norms_bitwise(tmp_path, name):
 
 def test_report_diff_configs_all_build():
     docs = _report_diff().configs()
-    assert len(docs) == 14
+    assert len(docs) == 15 and {p.stem for p in CONFIGS.glob("*.yaml")} <= docs.keys()
     modes = {name: config_from_dict(doc).mode for name, doc in docs.items()}
     assert modes["delay_bsvi-classical"] == "classical" and modes["box_compare-seed5"] == "compare"
 
 
-def _solve_digest():
-    sys.path.insert(0, str(ROOT / "scripts"))
-    import solve_digest
-    return solve_digest
-
-
-def test_solve_digest_reads_every_solve_the_same_against_its_own_checkout():
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "solve_digest.py"), str(ROOT)],
+def _report_diff_run(other: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "report_diff.py"), str(other)],
                           capture_output=True, text=True, timeout=120)
+
+
+def _checkout_copy(where: Path, appended: str) -> Path:
+    """A checkout of this src/bsvi with ``appended`` at the end of its solver.py."""
+    shutil.copytree(ROOT / "src" / "bsvi", where / "src" / "bsvi",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(where / "src" / "bsvi" / "solver.py", "a", encoding="utf-8") as f:
+        f.write(appended)
+    return where
+
+
+def test_report_diff_reads_every_report_and_solve_the_same_against_its_own_checkout():
+    proc = _report_diff_run(ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    configs = len(list((ROOT / "configs").glob("*.yaml"))) + 2
-    assert lines[-1] == (f"{configs} configs run on both sides: 0 with a differing solve, "
-                         "0 failing on one side only")
-    solves = [line.split() for line in lines[:-1] if line.startswith("same    ")]
-    assert all(re.fullmatch("[0-9a-f]{64}", words[1]) for words in solves)
-    runs = [(words[2], words[3]) for words in solves]
-    # the schedule's 11 epsilons, and compare mode's prox solve after them
-    assert runs.count(("delay_bsvi-seed0", "solve_bsvi")) == 11
-    assert runs.count(("box_compare-seed0", "solve_bsvi")) == 11
-    assert runs[-12] == ("box_compare-seed0", "prox_step_solve")
-    assert "same gate_violation: fails on both sides: this 'WellposednessError: " \
-        "well-posedness gate failed" in proc.stdout
+    assert proc.stdout.splitlines() == ["15 configs run on both sides", "0 differing file(s)"]
 
 
-def test_solve_digest_exits_0_1_or_2_by_config():
-    compare = _solve_digest().compare
-    solves = [("solve_bsvi eps=1.0", "a"), ("solve_bsvi eps=0.5", "b")]
-    assert compare("run", solves, list(solves)) == 0
-    assert compare("run", solves, [solves[0], ("solve_bsvi eps=0.5", "c")]) == 1
-    assert compare("run", solves, solves[:1]) == 1  # a solve on one side only
-    assert compare("run", "ValueError: x", "ValueError: x") == 0
-    assert compare("run", "ValueError: x", "ValueError: y") == 1
-    assert compare("run", solves, "ValueError: x") == 2
-    assert compare("run", "ValueError: x", solves) == 2
+def test_report_diff_records_every_public_solve(tmp_path):
+    # the schedule's 11 epsilons, and compare mode's prox solve after them; a
+    # refused run writes its error text and no solves
+    docs = _report_diff().configs()
+    (tmp_path / "configs").mkdir()
+    for name in ("box_compare-seed0", "delay_bsvi-seed0", "gate_violation"):
+        (tmp_path / "configs" / f"{name}.json").write_text(json.dumps(docs[name]))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "report_diff.py"), "--emit",
+                    str(tmp_path / "configs"), str(tmp_path / "out")],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, timeout=60)
+    solves = {name: [line.rsplit(" ", 1) for line in
+                     (tmp_path / "out" / name / "solves.txt").read_text().splitlines()]
+              for name in ("box_compare-seed0", "delay_bsvi-seed0")}
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for lines in solves.values() for _, d in lines)
+    labels = {name: [label.split()[0] for label, _ in lines] for name, lines in solves.items()}
+    assert labels == {"box_compare-seed0": ["solve_bsvi"] * 11 + ["prox_step_solve"],
+                      "delay_bsvi-seed0": ["solve_bsvi"] * 11}
+    assert solves["delay_bsvi-seed0"][0][0] == "solve_bsvi eps=1.0"
+    assert sorted(p.name for p in (tmp_path / "out" / "gate_violation").iterdir()) == \
+        ["error.txt"]
 
 
-def test_solve_digest_moves_with_one_ulp_of_y_or_one_distance():
-    digest = _solve_digest().digest
+def test_report_diff_digest_moves_with_one_ulp_of_y_or_one_distance():
+    digest = _report_diff().digest
     tree = build_tree(3, 1.0)
     sol = solver.picard_solve(tree, tree.path_sums().values[3][:, 0], generators.zero())
     ys = [y.copy() for y in sol.Y.values]
@@ -994,6 +1000,60 @@ def test_solve_digest_moves_with_one_ulp_of_y_or_one_distance():
     assert sol.diagnostics.iterate_distances[-1] == 0.0
     assert digest(solver.Solution(**{**fields, "diagnostics": diags})) != want
     assert digest(solver.Solution(**fields)) == want
+
+
+def test_report_diff_exits_1_on_a_differing_solve_and_2_on_a_one_sided_failure(tmp_path, capsys):
+    compare = _report_diff().compare_reports
+
+    def write(side, files):
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text, encoding="utf-8")
+        return tmp_path / side
+
+    base = {"run/json/report.json": '{"y0": 0.5}',
+            "run/solves.txt": f"solve_bsvi eps=1.0 {'a' * 64}\nsolve_bsvi eps=0.5 {'b' * 64}\n"}
+    other = write("other", base)
+    assert compare(write("same", base), other) == 0
+    moved = {**base, "run/solves.txt": f"solve_bsvi eps=1.0 {'a' * 64}\n"
+                                       f"solve_bsvi eps=0.5 {'c' * 64}\n"}
+    assert compare(write("moved", moved), other) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 differing file(s)", "differs: run/solves.txt",
+        f"  solve_bsvi eps=0.5: this {'c' * 64} other {'b' * 64}", "1 differing file(s)"]
+    first = base["run/solves.txt"].splitlines(keepends=True)[0]
+    assert compare(write("fewer", {**base, "run/solves.txt": first}), other) == 1
+    assert f"  solve_bsvi eps=0.5: this (missing) other {'b' * 64}" in capsys.readouterr().out
+    assert compare(write("fails", {"run/error.txt": "ValueError: x\n"}), other) == 2
+
+
+def test_report_diff_names_a_solve_moved_by_one_ulp(tmp_path):
+    # a checkout whose prox solve moves one Y entry by one ulp: every report value
+    # keeps the golden rule, the solve's digest does not
+    moved = _checkout_copy(tmp_path / "moved", """
+_prox_step_solve = prox_step_solve
+
+
+def prox_step_solve(*args, **kwargs):
+    sol = _prox_step_solve(*args, **kwargs)
+    y = sol.Y.values[1] = sol.Y.values[1].copy()
+    y[0, 0] = np.nextafter(y[0, 0], np.inf)
+    return sol
+""")
+    proc = _report_diff_run(moved)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "BEYOND" not in proc.stdout
+    lines = proc.stdout.splitlines()
+    at = lines.index("differs: box_compare-seed0/solves.txt")
+    assert re.fullmatch(r"  prox_step_solve eps=None: this [0-9a-f]{64} other [0-9a-f]{64}",
+                        lines[at + 1])
+
+
+def test_report_diff_exits_2_when_a_side_cannot_run(tmp_path):
+    # a side that cannot import bsvi finishes no comparison: that is no move at rounding
+    proc = _report_diff_run(_checkout_copy(tmp_path / "broken", '\nraise ImportError("x")\n'))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "CalledProcessError" in proc.stderr
 
 
 def test_ab_time_script_times_a_checkout_against_itself():
