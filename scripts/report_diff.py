@@ -16,7 +16,8 @@ or exists on one side only, is printed.  A JSON report is compared by its
 parsed values, so one that differs in layout alone (whitespace, say) does not
 differ; any other file by its bytes.  Under a differing JSON report on both
 sides go its differing key paths, under a differing CSV file its differing
-cells (a cell that parses as a float read as one), each with |this - other|
+cells (a cell that parses as a float read as one, a cell that holds a JSON
+list entry by entry), each with |this - other|
 and that over |other| for numbers, marked BEYOND when the difference breaks
 the golden files' rule |this - other| <= 1e-12 + 1e-10 |other|, and under a
 differing solves.txt its differing lines; any other differing value, and any
@@ -25,12 +26,14 @@ difference keeps the rule or is a solve's bits (a change may move them at
 rounding), and 2 on a BEYOND difference, a usage error or a comparison that
 cannot finish (a side that cannot run, or an error of this script).
 
-The 15 configs: every configs/*.yaml, configs/indicator_box.yaml in classical,
+The 16 configs: every configs/*.yaml, configs/indicator_box.yaml in classical,
 penalized, prox and bsvi mode, the benchmark's box_compare and delay_bsvi
-configs at seeds 0 and 5, and delay_bsvi's seed-0 config in penalized and in
-classical mode.  The benchmark configs come from perfbench/run.py's
-``draw_params`` and ``cli_config`` of this checkout, so both sides run the same
-documents.
+configs at seeds 0 and 5, delay_bsvi's seed-0 config in penalized and in
+classical mode, and ``box_2d``: m = 2 on a bm_dim = 2 tree at n = 5, a box and
+a linear drift with off-diagonal terms in compare mode, the one run with more
+than one product per node in the drift.  The benchmark configs come from
+perfbench/run.py's ``draw_params`` and ``cli_config`` of this checkout, so both
+sides run the same documents.
 """
 
 import csv
@@ -54,6 +57,16 @@ SOLVES = ("solve_bsvi", "picard_solve", "prox_step_solve")
 ZERO_PHI = {"kind": "zero"}
 ATOL, RTOL = 1e-12, 1e-10  # tests/test_golden.py's rule against the other side
 MISSING = object()
+BOX_2D = {  # m = 2, bm_dim = 2: the drift and the terminal each contract two or four terms
+    "model": {"horizon": 1.0, "n_steps": 5, "bm_dim": 2, "dim": 2},
+    "terminal": {"kind": "clipped_linear", "a": [0.1, -0.2], "b": [[1.0, 0.3], [-0.4, 0.8]],
+                 "lo": [-1.0, -0.5], "hi": [1.0, 0.5]},
+    "generator": {"kind": "linear", "a": [[0.25, -0.1], [0.15, 0.2]],
+                  "b": [[[0.1, -0.05], [0.02, 0.0]], [[0.0, 0.03], [-0.1, 0.05]]]},
+    "phi": {"kind": "box", "lo": [-1.0, -0.5], "hi": [1.0, 0.5]},
+    "solver": {"picard_tol": 1.0e-10},
+    "run": {"mode": "compare", "format": "csv"},
+}
 
 
 def perfbench_module():
@@ -86,6 +99,7 @@ def configs() -> dict:
                 name, bench.WORKLOADS[name]["n_steps"], bench.draw_params(seed))
     for mode in ("penalized", "classical"):
         docs[f"delay_bsvi-{mode}"] = _with_mode(docs["delay_bsvi-seed0"], mode)
+    docs["box_2d"] = BOX_2D
     return docs
 
 
@@ -182,16 +196,22 @@ def value_differences(a, b, where: str = "") -> list:
 
 
 def _number(cell):
-    try:
-        return float(cell)
-    except (TypeError, ValueError):  # MISSING, or a cell that is not a float
-        return cell
+    """A CSV cell as a float, else as the JSON it holds (a vector's or matrix's
+    list), else as its text."""
+    for parse in (float, json.loads):
+        try:
+            return parse(cell)
+        except (TypeError, ValueError):  # MISSING, or a cell that is neither
+            pass
+    return cell
 
 
 def cell_differences(a: str, b: str) -> list:
-    """(row and column, a cell, b cell) of every cell at which the CSV texts
+    """(row and column, a value, b value) of every cell at which the CSV texts
     ``a`` and ``b`` differ in their text, row by row; a cell that parses as a
-    float is read as one, and a row or cell on one side only pairs with MISSING."""
+    float is read as one, one that holds a JSON list as the list (each differing
+    entry a leaf, as in `value_differences`), and a row or cell on one side only
+    pairs with MISSING."""
     rows = [list(csv.reader(io.StringIO(text))) for text in (a, b)]
     found = []
     for r in range(max(map(len, rows))):
@@ -199,7 +219,7 @@ def cell_differences(a: str, b: str) -> list:
         for c in range(max(map(len, cells))):
             x, y = (row[c] if c < len(row) else MISSING for row in cells)
             if x != y:
-                found.append((f"row {r} column {c}", _number(x), _number(y)))
+                found += value_differences(_number(x), _number(y), f"row {r} column {c}")
     return found
 
 

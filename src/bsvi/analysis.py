@@ -239,7 +239,7 @@ def schedule_audits(per_epsilon, phi: ConvexFunction, xi, gen: GeneratorSpec,
             v.tolist() for v in (np.sqrt(dy_s2), np.sqrt(dz_h2), grad_sq, phi_res)))]
     if "apriori" in parts or "yosida" in parts:
         xi = np.asarray(xi, dtype=float).reshape(len(xi), -1)
-        xi_sq = np.sum(xi ** 2, axis=1)
+        xi_sq = row_sq_norms(xi)
         mass_beta, mass = origin_drift_mass(gen, tree, xi.shape[1], (beta, 0.0))
     if "apriori" in parts:
         m1 = float(np.mean(xi_sq)) + mass_beta
@@ -350,7 +350,7 @@ def stability_audit(sol_a, sol_b, xi_a, xi_b, gen_a: GeneratorSpec,
            + path_norm(sol_a.Z - sol_b.Z, tree, "h2", beta))
     dxi = np.asarray(xi_a, dtype=float).reshape(len(sol_a.Y.values[n]), -1) \
         - np.asarray(xi_b, dtype=float).reshape(len(sol_b.Y.values[n]), -1)
-    rhs = float(np.mean(np.sum(dxi ** 2, axis=1)))
+    rhs = float(np.mean(row_sq_norms(dxi)))
     rows_a, rows_b = past_z_rows(gen_a, tree), past_z_rows(gen_b, tree)
     for i in range(n):
         y_val, z_val = sol_a.Y.values[i], sol_a.Z.values[i]
@@ -382,30 +382,32 @@ def solution_residuals(solution, xi, gen: GeneratorSpec, phi: ConvexFunction,
     level's pairs checked in one batch.
     phi integrability: E sum dt phi there (finite if admissible; an indicator's 0.0, uncalled).
     """
-    dt, n = tree.grid.dt, tree.grid.n_steps
-    probes = default_subdiff_probes(phi, xi)
+    dt, n, ys, us = tree.grid.dt, tree.grid.n_steps, solution.Y.values, solution.U.values
     frozen_y, frozen_z = (p.values for p in solution.frozen_past or (solution.Y, solution.Z))
     past_rows = past_z_rows(gen, tree)
     coeffs = prefix_coefficients(gen, past_rows)
     prefix = None if coeffs is None else frozen_prefix(coeffs, frozen_z, tree.branching)
-    y_val = np.concatenate(solution.Y.values[:n])  # levels 0..n-1, one after another
+    y_val = np.concatenate(ys[:n])  # levels 0..n-1, one after another
     if solution.epsilon is not None:
         point = convex.prox(phi, solution.epsilon, y_val)
         grad = y_val - point if np.may_share_memory(point, y_val) else \
             np.subtract(y_val, point, out=y_val)  # y_val's rows, unless the prox returned them
         grad /= solution.epsilon
     else:
-        point, grad = y_val, np.concatenate(solution.U.values)
+        point, grad = y_val, np.concatenate(us)
     phi_at, eq_res, phi_mass = None if phi.indicator else phi.value(point), 0.0, 0.0
     for i in range(n - 1, -1, -1):
-        expect, z_here = level_moments(tree, solution.Y.values[i + 1])
+        expect, z_here = level_moments(tree, ys[i + 1])
         drift = level_drift(gen, tree, i, expect, z_here, frozen_y, frozen_z, past_rows, prefix)
-        resid = solution.Y.values[i] + dt * solution.U.values[i] - expect - dt * drift
+        resid = np.multiply(us[i], dt)  # Y + dt U - E - dt F in place, dt F in E's buffer
+        resid += ys[i]
+        resid -= expect
+        resid -= np.multiply(drift, dt, out=expect)
         # np.maximum, unlike the builtin max, keeps a NaN residual; its reduce is np.max's
-        eq_res = float(np.maximum(eq_res, np.maximum.reduce(np.abs(resid), axis=None)))
+        eq_res = float(np.maximum(eq_res, np.maximum.reduce(np.abs(resid, out=resid), axis=None)))
         size = tree.level_size(i)
         lo = (size - 1) // (tree.branching - 1)  # the rows above level i
         phi_mass += 0.0 if phi_at is None else \
             dt * float(np.add.reduce(phi_at[lo:lo + size])) / size
-    return ResidualReport(equation_residual=eq_res, phi_integrability=phi_mass,
-                          subdiff_residual=subgradient_check(phi, point, grad, probes, phi_at))
+    return ResidualReport(eq_res, subgradient_check(
+        phi, point, grad, default_subdiff_probes(phi, xi), phi_at), phi_mass)

@@ -183,9 +183,9 @@ def subgradient_check(spec: ConvexFunction, y, u, probes, phi_y=None) -> float:
     the caller to judge against its tolerance: -inf without probes, NaN when a
     slack is NaN.  Probes outside the domain satisfy the inequality trivially.
     Batched (y, u) pairs on leading axes are checked together, the worst slack
-    running over all of them, in (probes, pairs) chunks of about 2^14 slacks,
-    one probe at least.  ``phi_y``, phi at each pair's point in the pairs' order as
-    the caller holds it already, spares evaluating phi there again.
+    running over all of them, in chunks of at most 2^13 (probe, pair) slacks.
+    ``phi_y``, phi at each pair's point in the pairs' order as the caller holds
+    it already, spares evaluating phi there again.
     """
     point, grad = (a.reshape(-1, a.shape[-1])
                    for a in np.broadcast_arrays(_as_points(y), _as_points(u)))
@@ -198,11 +198,16 @@ def subgradient_check(spec: ConvexFunction, y, u, probes, phi_y=None) -> float:
     vs = np.array([_as_points(v).reshape(-1) for v in probes])
     phi_v = spec.value(vs)
     vs, phi_v = vs[np.isfinite(phi_v)], phi_v[np.isfinite(phi_v), None]
-    chunk = max(1, 2 ** 14 // max(len(point), 1))
-    for a in range(0, len(vs), chunk):
-        violation = np.sum(grad * (vs[a:a + chunk, None] - point), axis=-1) + phi_y \
-            - phi_v[a:a + chunk]
-        worst = float(np.maximum(worst, np.max(violation)))
+    rows = min(len(point), 2 ** 13) or 1  # pairs per chunk, each with 2^13 // rows probes
+    step = 2 ** 13 // rows
+    for p in range(0, len(point), rows):
+        for a in range(0, len(vs), step):
+            slack = vs[a:a + step, None] - point[p:p + rows]
+            slack *= grad[p:p + rows]  # in place, as the sums below: two arrays a chunk
+            violation = np.add.reduce(slack, axis=-1)
+            violation += phi_y[p:p + rows]
+            violation -= phi_v[a:a + step]
+            worst = float(np.maximum(worst, np.max(violation)))
     return worst
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import TIME_SLACK, Record, grid_row, row_sq_norms
+from .lattice import TIME_SLACK, Record, contract, grid_row, row_sq_norms
 
 
 class GeneratorError(RuntimeError):
@@ -131,10 +131,14 @@ class AffineDrift(Record, frozen=True, eq=False):
     alpha: DelayMeasure = Dirac()
 
     def instant(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Present-value part of the drift; (y, z) may carry leading batch axes."""
+        """Present-value part of the drift; (y, z) carry the same leading batch axes.  A y
+        and B z are each a `contract`, z's (m, d) axes flattened against B as (m, m*d)."""
         if self.a_y is None:
             return np.zeros_like(y)
-        return np.einsum("...l,kl->...k", y, self.a_y) + np.einsum("kml,...ml->...k", self.b_z, z)
+        b = self.b_z.reshape(len(self.b_z), -1)
+        out = contract(y, self.a_y)
+        out += contract(z.reshape(*z.shape[:-2], b.shape[1]), b)  # in place: one array less
+        return out
 
     def lipschitz_instant(self) -> float:
         """L = max(|A|_2, |B|_2), B as an (m, m*d) matrix.  With one row or column (every

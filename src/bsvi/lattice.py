@@ -204,6 +204,19 @@ def row_sq_norms(level: np.ndarray) -> np.ndarray:
     return flat[:, 0] ** 2 if flat.shape[1] == 1 else np.add.reduce(flat ** 2, axis=1)
 
 
+def contract(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x (..., L) against the matrix c (K, L), as (..., K) with no BLAS call: each
+    node's L products added in order to +0.0 (einsum's bits for L <= 2) and, as in
+    einsum, a length-1 axis broadcast against the other and an empty one read as +0.0."""
+    if c.ndim != 2 or 1 != x.shape[-1] != c.shape[1] != 1:
+        raise ValueError(f"cannot contract {x.shape} against a (K, L) matrix {c.shape}")
+    cols = c.shape[1] if x.shape[-1] == 1 else x.shape[-1]
+    out = np.zeros(x.shape[:-1] + c.shape[:1])
+    for l in range(cols):
+        out += x[..., min(l, x.shape[-1] - 1), None] * c[:, min(l, c.shape[1] - 1)]
+    return out
+
+
 def fold_running_max(parent, mag: np.ndarray, branching: int) -> np.ndarray:
     """A level's (blocks, B^i) node statistics raised in place to the running
     max of their parents (level i - 1 as (blocks, B^(i-1)); None at the root)."""

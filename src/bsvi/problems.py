@@ -6,7 +6,7 @@
 import numpy as np
 
 from . import convex, generators
-from .lattice import ScenarioTree, build_tree
+from .lattice import ScenarioTree, build_tree, contract
 
 
 def terminal_constant(tree: ScenarioTree, c) -> np.ndarray:
@@ -15,7 +15,7 @@ def terminal_constant(tree: ScenarioTree, c) -> np.ndarray:
 
 
 def terminal_linear(tree: ScenarioTree, a, b) -> np.ndarray:
-    """xi = a + b W(T) with a in R^m and b an (m, d) matrix."""
+    """xi = a + b W(T) with a in R^m and b an (m, d) matrix, b W(T) by `lattice.contract`."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
     if b.ndim == 0:
@@ -23,7 +23,7 @@ def terminal_linear(tree: ScenarioTree, a, b) -> np.ndarray:
     elif b.ndim == 1:
         b = b[None, :] if a.size == 1 else b[:, None]
     w_T = tree.path_sums().values[-1]
-    return a[None, :] + np.einsum("...l,kl->...k", w_T, b)
+    return a[None, :] + contract(w_T, b)
 
 
 def terminal_clipped_linear(tree: ScenarioTree, a, b, lo, hi) -> np.ndarray:

@@ -10,6 +10,9 @@ schedule of `solver.solve_bsvi`; the Picard loop of one solve with every
 sweep computed, used to cross-check the replayed confirmation sweep of a
 pass that reads no frozen row; the children's mean and Z projection as one
 numpy sum and einsum, used to cross-check `lattice.level_moments`; the
+instant drift A y + B z and the linear terminal a + b W(T) as np.einsum
+contractions, used to cross-check `lattice.contract` through
+`AffineDrift.instant` and `problems.terminal_linear`; the
 S^2/H^2 norms, the epsilon table and the a priori and Yosida audits one
 solution at a time, used to cross-check their one pass over the schedule in
 `analysis`, with the origin mass of the drift evaluated level by level and
@@ -148,6 +151,18 @@ def level_moments_einsum(tree, y_next):
     kids = y_next.reshape(y_next.shape[0] // b, b, -1)
     z = np.einsum("jbm,bd->jmd", kids, tree.increment_patterns) / (b * tree.grid.dt)
     return kids.sum(axis=1) / b, z
+
+
+def instant_einsum(gen, y, z):
+    """`AffineDrift.instant` as two np.einsum contractions, A y and B z."""
+    return np.einsum("...l,kl->...k", y, gen.a_y) + np.einsum("kml,...ml->...k", gen.b_z, z)
+
+
+def terminal_linear_einsum(tree, a, b):
+    """`problems.terminal_linear` for a 1-d ``a`` and an (m, d) ``b`` as one
+    np.einsum contraction of W(T) against b."""
+    w_T = tree.path_sums().values[-1]
+    return np.asarray(a, dtype=float)[None, :] + np.einsum("...l,kl->...k", w_T, b)
 
 
 def picard_every_sweep(tree, xi, gen, config=None, *, phi=convex.Zero(), epsilon=None):

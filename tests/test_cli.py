@@ -940,9 +940,29 @@ def test_penalized_final_norms_are_path_norms_bitwise(tmp_path, name):
 
 def test_report_diff_configs_all_build():
     docs = _report_diff().configs()
-    assert len(docs) == 15 and {p.stem for p in CONFIGS.glob("*.yaml")} <= docs.keys()
+    assert len(docs) == 16 and {p.stem for p in CONFIGS.glob("*.yaml")} <= docs.keys()
     modes = {name: config_from_dict(doc).mode for name, doc in docs.items()}
     assert modes["delay_bsvi-classical"] == "classical" and modes["box_compare-seed5"] == "compare"
+    box_2d = config_from_dict(docs["box_2d"])  # the one m = 2 run on a bm_dim = 2 tree
+    assert (box_2d.mode, box_2d.xi.shape[1], box_2d.tree.bm_dim) == ("compare", 2, 2)
+    assert np.count_nonzero(box_2d.gen.a_y - np.diag(np.diag(box_2d.gen.a_y))) == 2
+
+
+def test_report_diff_reads_a_list_cell_entry_by_entry(tmp_path, capsys):
+    # a vector cell of summary.csv ("[y0_1, y0_2]") moved at rounding keeps the
+    # rule: exit 1, one line per differing entry; a different length is BEYOND
+    compare = _report_diff().compare_reports
+    for side, cell in (("other", "[0.1, -0.04195409252182886]"),
+                       ("near", "[0.1, -0.041954092521828856]"), ("short", "[0.1]")):
+        (tmp_path / side / "run" / "csv").mkdir(parents=True)
+        (tmp_path / side / "run" / "csv" / "summary.csv").write_text(
+            f'key,value\ny0,"{cell}"\n', encoding="utf-8")
+    assert compare(tmp_path / "near", tmp_path / "other") == 1
+    assert "  row 1 column 1[1]: |this - other| 6.939e-18, relative 1.654e-16" in \
+        capsys.readouterr().out.splitlines()
+    assert compare(tmp_path / "short", tmp_path / "other") == 2
+    assert "  row 1 column 1[1]: (missing) != -0.04195409252182886  BEYOND" in \
+        capsys.readouterr().out.splitlines()
 
 
 def _report_diff_run(other: Path) -> subprocess.CompletedProcess:
@@ -962,7 +982,7 @@ def _checkout_copy(where: Path, appended: str) -> Path:
 def test_report_diff_reads_every_report_and_solve_the_same_against_its_own_checkout():
     proc = _report_diff_run(ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["15 configs run on both sides", "0 differing file(s)"]
+    assert proc.stdout.splitlines() == ["16 configs run on both sides", "0 differing file(s)"]
 
 
 def test_report_diff_records_every_public_solve(tmp_path):

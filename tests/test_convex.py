@@ -214,7 +214,7 @@ def test_subgradient_check_of_no_probes_is_minus_infinity():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
-@pytest.mark.parametrize("rows", [1, 7, 40000])
+@pytest.mark.parametrize("rows", [1, 7, 2 ** 14 + 1, 40000])
 def test_batched_subgradient_check_is_the_per_probe_loop_bitwise(m, rows):
     from helpers_oracle import subgradient_worst_per_probe
     rng = np.random.default_rng(m * rows)
@@ -222,12 +222,17 @@ def test_batched_subgradient_check_is_the_per_probe_loop_bitwise(m, rows):
     for spec in (box, Quadratic(0.7), OneNorm(1.3), Zero()):
         ys = rng.uniform(-1.0, 0.5, size=(rows, m))
         us = rng.normal(size=(rows, m))
-        # 48 probes, some outside the box: 40000 rows cut them into chunks of one
+        # 48 probes, some outside the box: over 2^13 rows cut the pairs into chunks
+        # of 2^13 with one probe each (2^14 + 1 leaves a last chunk of one pair)
         probes = list(rng.uniform(-1.5, 2.5, size=(48, m)))
         got = subgradient_check(spec, ys, us, probes)
         assert got == subgradient_worst_per_probe(spec, ys, us, probes)
         one = subgradient_check(spec, ys[0], us[0], probes)
         assert one == subgradient_worst_per_probe(spec, ys[0], us[0], probes)
+    # probes all outside the box leave no finite phi: no slack, and -inf
+    outside = list(rng.uniform(2.5, 3.0, size=(5, m)))
+    assert subgradient_check(box, ys, us, outside) == -np.inf
+    assert subgradient_worst_per_probe(box, ys, us, outside) == -np.inf
 
 
 def test_yosida_triple_identity():

@@ -30,7 +30,8 @@ from bsvi.generators import (
 from bsvi.lattice import AdaptedProcess, build_tree
 from bsvi.problems import terminal_linear
 from bsvi.solver import SolverConfig, picard_solve, solve_bsvi
-from helpers_oracle import node_accessors, node_drift, quadrature
+from helpers_oracle import (instant_einsum, node_accessors, node_drift, quadrature,
+                            terminal_linear_einsum)
 
 
 def const_accessor(value):
@@ -497,6 +498,61 @@ def test_linear_terminal_keeps_the_bits_of_the_matmul_formula(n, a, b):
     w = tree.path_sums().values[-1]
     old = np.array([a]) + w @ np.array([[b]]).T
     assert terminal_linear(tree, a, b).tobytes() == old.tobytes()
+
+
+def _signed_zero_draws(rng, shape):
+    # normal draws with about a third of them set to +-0.0
+    x = rng.normal(size=shape)
+    zeros = rng.random(shape) < 0.3
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("m,d", [(1, 1), (2, 1)])
+def test_linear_drift_is_the_einsum_oracle_bitwise_at_one_or_two_terms(m, d):
+    # A y and B z each add at most two products per node: in order from +0.0,
+    # as einsum adds them, so every bit (signed zeros too) is the oracle's
+    rng = np.random.default_rng(m * 10 + d)
+    gen = linear(_signed_zero_draws(rng, (m, m)), _signed_zero_draws(rng, (m, m, d)))
+    y, z = _signed_zero_draws(rng, (4096, m)), _signed_zero_draws(rng, (4096, m, d))
+    assert gen.instant(y, z).tobytes() == instant_einsum(gen, y, z).tobytes()
+    assert gen.instant(y[None], z[None]).tobytes() == instant_einsum(gen, y[None], z[None]).tobytes()
+    assert gen.instant(y[7], z[7]).tobytes() == instant_einsum(gen, y[7], z[7]).tobytes()
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (4, 3)])
+def test_linear_drift_is_the_einsum_oracle_within_its_rounding_bound(m, d):
+    # with L = m + m d products einsum may add in another order; each of the two
+    # sums moves by at most (L - 1) u S and their sum by u S more, S the node's
+    # sum of |products| and u S below one ulp of S: the bound is 2 L ulps of S.
+    # On these draws (4, 3) moves by at most 5.3e-15 absolute, 3 ulps of S
+    rng = np.random.default_rng(m * 10 + d)
+    gen = linear(rng.normal(size=(m, m)), rng.normal(size=(m, m, d)))
+    y, z = rng.normal(size=(4096, m)), rng.normal(size=(4096, m, d))
+    got, want = gen.instant(y, z), instant_einsum(gen, y, z)
+    scale = instant_einsum(linear(np.abs(gen.a_y), np.abs(gen.b_z)), np.abs(y), np.abs(z))
+    assert np.all(np.abs(got - want) <= 2 * (m + m * d) * np.spacing(scale))
+    assert not np.array_equal(got, want)  # the orders do differ somewhere
+
+
+@pytest.mark.parametrize("b", [[[0.5]], [[-0.0]], [[0.25, -0.5]], [[0.25], [-0.0]]])
+def test_linear_terminal_is_the_einsum_oracle_bitwise(b):
+    # d = 1 and d = 2 with m = 1, and m = 2 with d = 1: at most two products a node
+    for bm_dim in (1, 2):
+        tree = build_tree(3, 1.0, bm_dim)
+        b_arr = np.asarray(b, dtype=float)
+        if b_arr.shape[1] != bm_dim:
+            continue
+        a = [-0.0] * b_arr.shape[0]
+        got = terminal_linear(tree, a, b_arr)
+        assert got.tobytes() == terminal_linear_einsum(tree, a, b_arr).tobytes()
+
+
+def test_linear_terminal_with_an_empty_b_is_a_plus_zero_rows():
+    # einsum broadcast W(T)'s length-1 axis against b's empty one: +0.0 rows
+    tree = build_tree(3, 1.0)
+    xi = terminal_linear(tree, -0.0, [])
+    assert xi.shape == (8, 1) and np.all(xi == 0.0) and not np.signbit(xi).any()
 
 
 def _g_poly(*coeffs):  # the CLI's g_poly weight, summed from 0 as it sums

@@ -11,6 +11,7 @@ from bsvi.lattice import (
     TimeGrid,
     TreeSizeError,
     build_tree,
+    contract,
     level_moments,
 )
 from helpers_oracle import history_value, level_moments_einsum
@@ -242,3 +243,24 @@ def test_adapted_process_shape_validation():
     tree = build_tree(2, 1.0, 1)
     with pytest.raises(ValueError, match="level 1"):
         AdaptedProcess(tree, [np.zeros((1, 1)), np.zeros((3, 1))])
+
+
+def test_contract_broadcasts_and_refuses_as_einsum_does():
+    rng = np.random.default_rng(3)
+    x, c = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
+    for xs in (x, x[0], x[None], x[1::2]):  # two terms a node: einsum's order, bitwise
+        assert contract(xs, c).tobytes() == np.einsum("...l,kl->...k", xs, c).tobytes()
+    # a length-1 axis broadcast against the other (einsum may sum c's row first)
+    for xs, cs in [(x[:, :1], c), (x, c[:, :1])]:
+        scale = np.einsum("...l,kl->...k", np.abs(xs), np.abs(cs))  # |x| |c|, summed
+        gap = np.abs(contract(xs, cs) - np.einsum("...l,kl->...k", xs, cs))
+        assert np.all(gap <= 4 * np.spacing(scale))
+    # an empty contracted axis is a sum of nothing: +0.0 rows
+    for xs, cs in [(x[:, :1], c[:, :0]), (x[:, :0], c[:, :1])]:
+        empty = contract(xs, cs)
+        assert empty.shape == (5, 3) and np.all(empty == 0.0) and not np.signbit(empty).any()
+    for cs in (rng.normal(size=(2, 3)), rng.normal(size=(1, 1, 1))):
+        with pytest.raises(ValueError):
+            np.einsum("...l,kl->...k", x, cs)
+        with pytest.raises(ValueError):
+            contract(x, cs)

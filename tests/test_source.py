@@ -78,13 +78,14 @@ def test_module_reads_no_private_name_of_another(module):
     assert private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-BLAS_CALLS = {"matmul", "dot", "inner", "vdot", "tensordot", "multi_dot"}
+BLAS_CALLS = {"matmul", "dot", "inner", "vdot", "tensordot", "multi_dot", "einsum"}
 
 
 def blas_calls(source: str) -> list:
     """``@`` (``@=`` too) and the numpy products that may call BLAS, as
     ``line: text`` in order: an attribute or a name ``matmul``, ``dot``,
-    ``inner``, ``vdot``, ``tensordot`` or ``multi_dot``, on numpy or an array."""
+    ``inner``, ``vdot``, ``tensordot``, ``multi_dot`` or ``einsum`` (which
+    calls BLAS when asked to optimize), on numpy or an array."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -100,9 +101,10 @@ def blas_calls(source: str) -> list:
 def test_module_makes_no_blas_call(module):
     # the BLAS twin of test_a_dim_one_run_makes_no_lapack_call: a matmul on a
     # (rows, 1) level took about 5 times an einsum's time with BLAS pinned to one
-    # thread, and a node's product depended on how many rows shared the call
+    # thread, and a node's product depended on how many rows shared the call; a
+    # process's first einsum touched about 108 KB of resident memory a matmul did not
     calls = blas_calls((PACKAGE / module).read_text(encoding="utf-8"))
-    assert calls == [], f"contract with np.einsum instead: {calls}"
+    assert calls == [], f"contract with lattice.contract instead: {calls}"
 
 
 def test_blas_check_flags_every_product_form():
@@ -111,7 +113,7 @@ def test_blas_check_flags_every_product_form():
               "w = np.tensordot(a, b, 1) + vdot(a, b) + np.linalg.multi_dot([a, b])\n"
               "z = np.einsum('...l,kl->...k', a, b) * a + dot_count\n")
     assert blas_calls(source) == ["3: @", "4: @", "5: dot", "5: dot", "5: inner", "5: matmul",
-                                  "6: multi_dot", "6: tensordot", "6: vdot"]
+                                  "6: multi_dot", "6: tensordot", "6: vdot", "7: einsum"]
 
 
 # the functions a solve or an audit enters once per level: each numpy wrapper below is a
@@ -119,7 +121,7 @@ def test_blas_check_flags_every_product_form():
 # ``ndarray.repeat``, `np.sum` and ``.sum(axis=...)`` around `np.add.reduce`
 HOT_PATH = {"solver": ("_one_pass", "_weighted_distance"),
             "generators": ("frozen_prefix", "level_drift"),
-            "lattice": ("level_moments", "row_sq_norms", "fold_running_max"),
+            "lattice": ("level_moments", "row_sq_norms", "contract", "fold_running_max"),
             "analysis": ("_schedule_sums", "solution_residuals")}
 WRAPPED_METHODS = {"sum", "max", "min", "mean", "all", "any"}
 WRAPPED_FUNCTIONS = WRAPPED_METHODS | {"amax", "amin", "repeat"}
@@ -315,7 +317,7 @@ def test_unread_definition_check_counts_reads_outside_the_definition_only():
 
 # ROADMAP item 10's gate on the package size; a change that grows the package
 # past it raises the bound here and says why in CHANGES.md
-PACKAGE_LINE_BUDGET = 2342
+PACKAGE_LINE_BUDGET = 2366
 
 
 def test_package_stays_within_its_line_budget():
