@@ -537,15 +537,10 @@ def test_linear_drift_is_the_einsum_oracle_within_its_rounding_bound(m, d):
 
 @pytest.mark.parametrize("b", [[[0.5]], [[-0.0]], [[0.25, -0.5]], [[0.25], [-0.0]]])
 def test_linear_terminal_is_the_einsum_oracle_bitwise(b):
-    # d = 1 and d = 2 with m = 1, and m = 2 with d = 1: at most two products a node
-    for bm_dim in (1, 2):
-        tree = build_tree(3, 1.0, bm_dim)
-        b_arr = np.asarray(b, dtype=float)
-        if b_arr.shape[1] != bm_dim:
-            continue
-        a = [-0.0] * b_arr.shape[0]
-        got = terminal_linear(tree, a, b_arr)
-        assert got.tobytes() == terminal_linear_einsum(tree, a, b_arr).tobytes()
+    # (m, d) = (1, 1), (1, 2) and (2, 1): at most two products a node
+    b = np.asarray(b, dtype=float)
+    tree, a = build_tree(3, 1.0, b.shape[1]), [-0.0] * len(b)
+    assert terminal_linear(tree, a, b).tobytes() == terminal_linear_einsum(tree, a, b).tobytes()
 
 
 def test_linear_terminal_with_an_empty_b_is_a_plus_zero_rows():
